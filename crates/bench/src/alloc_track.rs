@@ -10,8 +10,14 @@
 //! two uncontended atomic increments per allocation, which is noise next to
 //! the allocation itself, and reads are only ever approximate snapshots
 //! around timed regions.
+//!
+//! Beside them runs a **per-thread** allocation counter
+//! ([`thread_allocation_count`]): exact for the calling thread whatever
+//! other threads allocate meanwhile, which is what lets tests sharing one
+//! process assert "this region allocated nothing" without serialising.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -19,8 +25,18 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 
-/// Record `size` freshly allocated bytes in the live/peak gauges.
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from inside
+    // the allocator neither allocates nor registers thread-exit work.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes: the global and per-thread
+/// counters, then the live/peak gauges.
 fn track_alloc(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
     let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
     // Monotone max via CAS; races only ever under-report transiently.
     let mut peak = PEAK.load(Ordering::Relaxed);
@@ -45,22 +61,16 @@ pub struct CountingAllocator;
 // allocator behaviour.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         track_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         track_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         track_alloc(new_size);
         System.realloc(ptr, layout, new_size)
@@ -76,6 +86,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// [`CountingAllocator`] is installed in this binary).
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Number of heap allocations the **calling thread** has made since it
+/// started (0 if no [`CountingAllocator`] is installed in this binary).
+/// Unaffected by other threads; reading it does not allocate.
+pub fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Bytes requested from the heap since process start (0 if no
@@ -123,10 +140,10 @@ mod tests {
     // test is that the counter API is callable and monotone.
     #[test]
     fn counters_are_monotone() {
-        let a = super::allocation_count();
+        let (a, mine) = (super::allocation_count(), super::thread_allocation_count());
         let _v: Vec<u64> = (0..1000).collect();
-        let b = super::allocation_count();
-        assert!(b >= a);
+        assert!(super::allocation_count() >= a);
+        assert!(super::thread_allocation_count() >= mine);
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn usage() {
         "       repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] [--backend B] [--no-cache] [--loops N] [--executors N] [--queue N]"
     );
     eprintln!(
-        "       repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] [--pipelined] [--depth N] [--no-prepare] [--quick] [--json] [--spawn]"
+        "       repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] [--pipelined] [--depth N] [--quick] [--json] [--spawn]"
     );
     eprintln!(
         "       repro job submit|status|cancel|resume [--addr HOST:PORT | --socket PATH] [--id ID] [--chunk N] [--checkpoint-every K] [--wait SECS] [--verify] [--quick] [--dse-space]"

@@ -40,7 +40,6 @@ struct Options {
     quick: bool,
     json: bool,
     profile: bool,
-    force_scalar: bool,
     threads: Option<usize>,
     top_k: usize,
     trace: Option<PathBuf>,
@@ -53,7 +52,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         quick: false,
         json: false,
         profile: false,
-        force_scalar: false,
         threads: None,
         top_k: 10,
         trace: None,
@@ -84,7 +82,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--json" => options.json = true,
                 "--quick" => options.quick = true,
                 "--profile" => options.profile = true,
-                "--force-scalar" => options.force_scalar = true,
                 other => return Err(format!("unknown dse option `{other}`")),
             }
         }
@@ -228,17 +225,10 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
-            eprintln!("usage: repro dse [--backend analytic|comm|sim|measured] [--out DIR] [--top K] [--threads N] [--trace PATH] [--quick] [--json] [--profile] [--force-scalar]");
+            eprintln!("usage: repro dse [--backend analytic|comm|sim|measured] [--out DIR] [--top K] [--threads N] [--trace PATH] [--quick] [--json] [--profile]");
             return ExitCode::FAILURE;
         }
     };
-
-    if options.force_scalar {
-        // Pin the scalar reference kernels for this process — the A/B
-        // baseline against the SIMD lane path (results are bit-identical by
-        // contract; only throughput differs).
-        mp_model::simd::set_forced_scalar(true);
-    }
 
     let backend = match crate::cli::backend_by_name(&options.backend) {
         Ok(backend) => backend,
@@ -499,6 +489,10 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_options() {
         assert!(parse(&["--bogus".to_string()]).is_err());
+        // The removed scalar switch is an unknown option like any other:
+        // `MP_SIMD_FORCE_SCALAR` is the one external override.
+        let message = parse(&[format!("--force-{}", "scalar")]).unwrap_err();
+        assert!(message.contains("unknown dse option"), "{message}");
         assert!(parse(&["--backend".to_string()]).is_err());
         let options =
             parse(&["--backend".to_string(), "sim".to_string(), "--quick".to_string()]).unwrap();

@@ -27,21 +27,17 @@
 //! windows coalesce. The report then carries per-pass planner deltas read
 //! from the server's own metrics — scenarios evaluated per distinct
 //! scenario, coalesced requests, shared scenarios — and the run fails
-//! unless coalescing actually happened (pair with `--no-coalesce`, which
-//! spawns the server with its planner's coalescing table disabled, to
-//! measure the uncoalesced baseline).
+//! unless coalescing actually happened.
 //!
 //! `--skew` is the work-stealing scheduler's counterpart: the query mix
 //! concentrates on the *hot band* `0..n/shards` — the scenario prefix that
 //! static banding homes entirely on shard 0 — with only an occasional full
-//! sweep. Under static bands one shard does nearly all the work while the
-//! rest idle; with stealing enabled the idle shards' workers drain shard
-//! 0's queue. The report reads the `sched_units_stolen` delta from the
-//! server's metrics and (with stealing on) the run fails unless steals were
-//! actually observed. Pair with `--no-steal` for the pinned baseline the
-//! scheduler benchmark compares against, and `--fault-latency-ms` to give
-//! every evaluation a deterministic service time so the throughput contrast
-//! is visible even on small hosts.
+//! sweep. Without stealing one shard would do nearly all the work while the
+//! rest idle; the idle shards' workers drain shard 0's queue instead. The
+//! report reads the `sched_units_stolen` delta from the server's metrics and
+//! the run fails unless steals were actually observed. Pair with
+//! `--fault-latency-ms` to give every evaluation a deterministic service
+//! time so steals happen even on small hosts.
 
 use std::io::BufRead;
 use std::ops::Range;
@@ -96,18 +92,11 @@ struct Options {
     chunk: usize,
     pipelined: bool,
     depth: usize,
-    prepare: bool,
     overlap: bool,
-    /// `--no-coalesce` (with `--spawn`): start the server with its planner's
-    /// coalescing disabled — the uncoalesced baseline for `--overlap` runs.
-    coalesce: bool,
     /// `--skew`: concentrate the query mix on the hot band `0..n/shards`
     /// so static banding overloads shard 0 while the rest idle — the shape
     /// the work-stealing scheduler exists for.
     skew: bool,
-    /// `--no-steal` (with `--spawn`): start the server with work stealing
-    /// disabled — the pinned static-bands baseline for `--skew` runs.
-    steal: bool,
     /// `--fault-latency-ms` (with `--spawn`): start the server with the
     /// fault injector adding a fixed latency to every backend evaluation.
     /// Values are bit-transparent; only service time changes — this is how
@@ -130,11 +119,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
         chunk: 0,
         pipelined: false,
         depth: 8,
-        prepare: true,
         overlap: false,
-        coalesce: true,
         skew: false,
-        steal: true,
         fault_latency_ms: 0,
     };
     let mut iter = args.iter();
@@ -173,11 +159,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--spawn" => options.spawn = true,
                 "--shutdown" => options.shutdown = true,
                 "--pipelined" => options.pipelined = true,
-                "--no-prepare" => options.prepare = false,
                 "--overlap" => options.overlap = true,
-                "--no-coalesce" => options.coalesce = false,
                 "--skew" => options.skew = true,
-                "--no-steal" => options.steal = false,
                 other => return Err(format!("unknown load option `{other}`")),
             }
         }
@@ -188,16 +171,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
              --addr or --socket (drop --spawn to load an existing server)"
                 .to_string(),
         );
-    }
-    if !options.coalesce && !options.spawn {
-        return Err("--no-coalesce configures the *spawned* server's planner and needs --spawn \
-             (an external server's coalescing is set by its own `repro serve --no-coalesce`)"
-            .to_string());
-    }
-    if !options.steal && !options.spawn {
-        return Err("--no-steal configures the *spawned* server's scheduler and needs --spawn \
-             (an external server's stealing is set by its own `repro serve --no-steal`)"
-            .to_string());
     }
     if options.fault_latency_ms > 0 && !options.spawn {
         return Err("--fault-latency-ms arms the *spawned* server's fault injector and needs \
@@ -271,11 +244,13 @@ fn check_metrics(metrics_json: &str, options: &Options) -> Vec<String> {
         Err(e) => return vec![format!("metrics response is not valid JSON: {e}")],
     };
 
-    let mut nonzero_counters =
-        vec!["requests_total_ping", "requests_total_stats", "requests_total_sweep", "cache_hits"];
-    if options.prepare {
-        nonzero_counters.push("requests_total_prepare");
-    }
+    let mut nonzero_counters = vec![
+        "requests_total_ping",
+        "requests_total_stats",
+        "requests_total_sweep",
+        "requests_total_prepare",
+        "cache_hits",
+    ];
     if options.clients >= 2 && options.requests >= 3 && !options.overlap && !options.skew {
         // The deterministic query mix covers top-k (even connections) and
         // Pareto (odd connections) from the third request on — except in
@@ -658,24 +633,17 @@ fn run_pass(
                 for &connection in &mine {
                     let mut client = Client::connect(endpoint)
                         .map_err(|e| format!("connection {connection}: connect failed: {e}"))?;
-                    // Prepared mode: register the space once per connection
-                    // and address it by id afterwards, the way a resident
-                    // DSE client would; --no-prepare ships the space's JSON
-                    // with every request instead (the v1 protocol shape).
-                    let spec = if options.prepare {
-                        let (id, scenarios) = client
-                            .prepare(&reference.space)
-                            .map_err(|e| format!("connection {connection}: prepare: {e}"))?;
-                        if scenarios != n {
-                            return Err(format!(
-                                "connection {connection}: prepared space has {scenarios} of {n} scenarios"
-                            ));
-                        }
-                        SpaceSpec::Prepared { id }
-                    } else {
-                        SpaceSpec::Explicit(reference.space.clone())
-                    };
-                    conns.push((connection, client, spec));
+                    // Register the space once per connection and address it
+                    // by id afterwards, the way a resident DSE client would.
+                    let (id, scenarios) = client
+                        .prepare(&reference.space)
+                        .map_err(|e| format!("connection {connection}: prepare: {e}"))?;
+                    if scenarios != n {
+                        return Err(format!(
+                            "connection {connection}: prepared space has {scenarios} of {n} scenarios"
+                        ));
+                    }
+                    conns.push((connection, client, SpaceSpec::Prepared { id }));
                 }
                 let mut local_lat: Vec<f64> = Vec::new();
                 let mut local_fail = 0usize;
@@ -777,12 +745,6 @@ fn spawn_server(options: &Options) -> Result<(std::process::Child, Endpoint), St
         "--backend".to_string(),
         options.backend.clone(),
     ];
-    if !options.coalesce {
-        args.push("--no-coalesce".to_string());
-    }
-    if !options.steal {
-        args.push("--no-steal".to_string());
-    }
     if options.fault_latency_ms > 0 {
         args.push("--fault-latency-ms".to_string());
         args.push(options.fault_latency_ms.to_string());
@@ -833,8 +795,8 @@ pub fn run(args: &[String]) -> ExitCode {
             eprintln!(
                 "usage: repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] \
                  [--backend analytic|comm|sim|measured] [--chunk N] [--shards N (with --spawn)] \
-                 [--pipelined] [--depth N] [--no-prepare] [--overlap] [--skew] \
-                 [--no-coalesce | --no-steal | --fault-latency-ms MS (each with --spawn)] \
+                 [--pipelined] [--depth N] [--overlap] [--skew] \
+                 [--fault-latency-ms MS (with --spawn)] \
                  [--quick] [--json] [--spawn] [--shutdown]"
             );
             return ExitCode::FAILURE;
@@ -1010,19 +972,19 @@ fn drive(
     let metrics_problems = check_metrics(&metrics_json, options);
     let metrics_ok = metrics_problems.is_empty();
 
-    // Overlap acceptance: with coalescing enabled, the all-duplicate
-    // workload must actually coalesce — a run where no request ever shared
-    // an in-flight evaluation means the planner was not exercised.
+    // Overlap acceptance: the all-duplicate workload must actually
+    // coalesce — a run where no request ever shared an in-flight evaluation
+    // means the planner was not exercised.
     let coalesced_total: u64 =
         reports.iter().filter_map(|r| r.overlap.as_ref()).map(|o| o.coalesced_requests).sum();
-    let coalesce_ok = !options.overlap || !options.coalesce || coalesced_total > 0;
+    let coalesce_ok = !options.overlap || coalesced_total > 0;
 
-    // Skew acceptance: with stealing enabled on a spawned multi-shard
-    // server, the hot-band workload must actually provoke steals — zero
-    // steals means the scheduler degenerated to static bands and was not
-    // exercised. (External servers are exempt — their scheduler config is
-    // not ours to know — as are single-shard spawns, which have no victim
-    // deque to steal from.)
+    // Skew acceptance: on a spawned multi-shard server, the hot-band
+    // workload must actually provoke steals — zero steals means the
+    // scheduler degenerated to static bands and was not exercised.
+    // (External servers are exempt — their shard count is not ours to
+    // know — as are single-shard spawns, which have no victim deque to
+    // steal from.)
     let steals_after = {
         let value = serde_json::parse(&metrics_json).map_err(|e| format!("metrics: {e}"))?;
         metrics_series(&value, "counters", "sched_units_stolen")
@@ -1030,11 +992,7 @@ fn drive(
             .unwrap_or(0.0)
     };
     let steals_observed = (steals_after - steals_before).max(0.0) as u64;
-    let steal_ok = !options.skew
-        || !options.steal
-        || !options.spawn
-        || options.shards < 2
-        || steals_observed > 0;
+    let steal_ok = !options.skew || !options.spawn || options.shards < 2 || steals_observed > 0;
 
     let ok = parity_failures == 0
         && busy_exhausted == 0
@@ -1051,17 +1009,14 @@ fn drive(
     if options.json {
         let passes: Vec<String> = reports.iter().map(PassReport::json).collect();
         println!(
-            "{{\"experiment\":\"load\",\"endpoint\":\"{endpoint}\",\"protocol\":\"{version}\",\"backend\":\"{}\",\"clients\":{},\"requests_per_client\":{},\"pipelined\":{},\"depth\":{},\"prepared_spaces\":{},\"overlap_mode\":{},\"coalesce\":{},\"skew_mode\":{},\"steal\":{},\"fault_latency_ms\":{},\"steals_observed\":{steals_observed},\"scenarios_per_sweep\":{},\"passes\":[{}],\"parity_failures\":{parity_failures},\"busy_exhausted\":{busy_exhausted},\"warm_hit_rate\":{warm_hit_rate},\"metrics_ok\":{metrics_ok},\"metrics_problems\":[{}],\"ok\":{ok}}}",
+            "{{\"experiment\":\"load\",\"endpoint\":\"{endpoint}\",\"protocol\":\"{version}\",\"backend\":\"{}\",\"clients\":{},\"requests_per_client\":{},\"pipelined\":{},\"depth\":{},\"overlap_mode\":{},\"skew_mode\":{},\"fault_latency_ms\":{},\"steals_observed\":{steals_observed},\"scenarios_per_sweep\":{},\"passes\":[{}],\"parity_failures\":{parity_failures},\"busy_exhausted\":{busy_exhausted},\"warm_hit_rate\":{warm_hit_rate},\"metrics_ok\":{metrics_ok},\"metrics_problems\":[{}],\"ok\":{ok}}}",
             backend.name(),
             options.clients,
             options.requests,
             options.pipelined,
             if options.pipelined { options.depth } else { 1 },
-            options.prepare,
             options.overlap,
-            options.coalesce,
             options.skew,
-            options.steal,
             options.fault_latency_ms,
             reference.space.len(),
             passes.join(","),
@@ -1120,16 +1075,14 @@ fn drive(
         }
         if options.overlap {
             println!(
-                "  overlap: planner coalescing {} | {} coalesced requests across both passes{}",
-                if options.coalesce { "enabled" } else { "disabled (baseline)" },
+                "  overlap: {} coalesced requests across both passes{}",
                 coalesced_total,
                 if coalesce_ok { "" } else { " — FAIL: duplicate sweeps never coalesced" },
             );
         }
         if options.skew {
             println!(
-                "  skew: hot-band workload, work stealing {} | {} units stolen{}",
-                if options.steal { "enabled" } else { "disabled (static-bands baseline)" },
+                "  skew: hot-band workload | {} units stolen{}",
                 steals_observed,
                 if steal_ok { "" } else { " — FAIL: the hot band never provoked a steal" },
             );
@@ -1182,6 +1135,11 @@ mod tests {
             "depth must stay below the server's pipeline cap"
         );
         assert!(parse(&["--bogus".to_string()]).is_err());
+        // The removed baseline switches are unknown options like any other.
+        for removed in ["steal", "coalesce", "prepare"] {
+            let message = parse(&[format!("--no-{removed}"), "--spawn".to_string()]).unwrap_err();
+            assert!(message.contains("unknown load option"), "{message}");
+        }
         assert!(cli::backend_by_name("nope").is_err());
         let conflict =
             parse(&["--spawn".to_string(), "--addr".to_string(), "1.2.3.4:1".to_string()])
@@ -1192,36 +1150,23 @@ mod tests {
         assert!(pipelined.pipelined);
         assert_eq!(pipelined.depth, 4);
 
-        // Overlap mode and the coalescing toggle.
+        // Overlap mode.
         assert!(!parse(&[]).unwrap().overlap);
-        assert!(parse(&[]).unwrap().coalesce);
-        let overlap = parse(&["--overlap".to_string()]).unwrap();
-        assert!(overlap.overlap && overlap.coalesce);
-        let baseline =
-            parse(&["--overlap".to_string(), "--no-coalesce".to_string(), "--spawn".to_string()])
-                .unwrap();
-        assert!(baseline.overlap && !baseline.coalesce && baseline.spawn);
-        let orphan = parse(&["--no-coalesce".to_string()]).unwrap_err();
-        assert!(orphan.contains("--spawn"), "{orphan}");
+        assert!(parse(&["--overlap".to_string()]).unwrap().overlap);
 
-        // Skew mode and the scheduler toggles.
+        // Skew mode and the fault-latency drill.
         assert!(!parse(&[]).unwrap().skew);
-        assert!(parse(&[]).unwrap().steal, "work stealing defaults on");
         assert_eq!(parse(&[]).unwrap().fault_latency_ms, 0);
-        let skew = parse(&["--skew".to_string()]).unwrap();
-        assert!(skew.skew && skew.steal);
-        let pinned = parse(&[
+        assert!(parse(&["--skew".to_string()]).unwrap().skew);
+        let slowed = parse(&[
             "--skew".to_string(),
-            "--no-steal".to_string(),
             "--spawn".to_string(),
             "--fault-latency-ms".to_string(),
             "2".to_string(),
         ])
         .unwrap();
-        assert!(pinned.skew && !pinned.steal && pinned.spawn);
-        assert_eq!(pinned.fault_latency_ms, 2);
-        let orphan_steal = parse(&["--no-steal".to_string()]).unwrap_err();
-        assert!(orphan_steal.contains("--spawn"), "{orphan_steal}");
+        assert!(slowed.skew && slowed.spawn);
+        assert_eq!(slowed.fault_latency_ms, 2);
         let orphan_fault = parse(&["--fault-latency-ms".to_string(), "5".to_string()]).unwrap_err();
         assert!(orphan_fault.contains("--spawn"), "{orphan_fault}");
         assert!(parse(&["--fault-latency-ms".to_string(), "-1".to_string()]).is_err());

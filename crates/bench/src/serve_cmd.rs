@@ -53,13 +53,6 @@ pub struct Options {
     queue_capacity: usize,
     /// Planner admission budget: estimated pending milliseconds per shard.
     cost_budget_ms: f64,
-    /// Whether the planner coalesces overlapping in-flight sweeps
-    /// (`--no-coalesce` turns it off for uncoalesced baselines).
-    coalesce: bool,
-    /// Whether idle workers steal queued work units from loaded shards
-    /// (`--no-steal` pins units to their home shards — the static-bands
-    /// baseline the skew benchmark compares against).
-    steal: bool,
     /// Durable-job store: checkpoint manifests and cache segment spills
     /// live here and are restored on restart. `None` = jobs run
     /// in-memory only.
@@ -83,8 +76,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         executors: 0,
         queue_capacity: ServiceConfig::default().queue_capacity,
         cost_budget_ms: ServiceConfig::default().cost_budget_ms,
-        coalesce: true,
-        steal: true,
         jobs_dir: None,
         fail_nth: None,
         fault_latency_ms: 0,
@@ -135,8 +126,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         } else {
             match arg {
                 "--no-cache" => options.use_cache = false,
-                "--no-coalesce" => options.coalesce = false,
-                "--no-steal" => options.steal = false,
                 other => return Err(format!("unknown serve option `{other}`")),
             }
         }
@@ -179,9 +168,6 @@ pub fn build_service(options: &Options) -> Result<SweepService, String> {
         queue_capacity: options.queue_capacity,
         cost_budget_ms: options.cost_budget_ms,
         cost_per_scenario_ms: None,
-        coalesce: options.coalesce,
-        steal: options.steal,
-        force_scalar: false,
     };
     Ok(SweepService::new(backend, &config).with_registry(registry))
 }
@@ -195,8 +181,8 @@ pub fn run(args: &[String]) -> ExitCode {
             eprintln!(
                 "usage: repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] \
                  [--backend analytic|comm|sim|measured] [--batch N] [--no-cache] [--loops N] \
-                 [--executors N] [--queue N] [--cost-budget MS] [--no-coalesce] [--no-steal] \
-                 [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]"
+                 [--executors N] [--queue N] [--cost-budget MS] [--jobs-dir DIR] \
+                 [--fail-nth N] [--fault-latency-ms MS]"
             );
             return ExitCode::FAILURE;
         }
@@ -293,18 +279,17 @@ mod tests {
         ])
         .unwrap();
         assert_eq!((sized.event_loops, sized.executors, sized.queue_capacity), (2, 6, 32));
-        assert!(sized.coalesce, "coalescing defaults on");
-        assert!(sized.steal, "work stealing defaults on");
-        assert!(!parse(&["--no-steal".to_string()]).unwrap().steal);
 
-        let planned =
-            parse(&["--cost-budget".to_string(), "1500".to_string(), "--no-coalesce".to_string()])
-                .unwrap();
+        let planned = parse(&["--cost-budget".to_string(), "1500".to_string()]).unwrap();
         assert_eq!(planned.cost_budget_ms, 1500.0);
-        assert!(!planned.coalesce);
         assert!(parse(&["--cost-budget".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--cost-budget".to_string(), "soon".to_string()]).is_err());
         assert!(parse(&["--bogus".to_string()]).is_err());
+        // The removed baseline switches are unknown options like any other.
+        for removed in ["steal", "coalesce"] {
+            let message = parse(&[format!("--no-{removed}")]).err().expect(removed);
+            assert!(message.contains("unknown serve option"), "{message}");
+        }
 
         let durable = parse(&[
             "--jobs-dir".to_string(),

@@ -18,15 +18,14 @@
 //!   overhead growth *emerges* from the simulator's core/cache models instead
 //!   of being assumed.
 //!
-//! Backends also expose [`EvalBackend::evaluate_batch`] over a contiguous
-//! index range of a space (default: a per-scenario loop; the analytic
-//! backends hoist model construction per shared-axis run) and — the sweep
-//! hot path — [`EvalBackend::evaluate_batch_prepared`], which streams the
-//! design-innermost inner loop through the sweep's precomputed
-//! [`SpaceTables`] columns with zero heap allocation per scenario, borrowing
-//! parameters via [`PreparedModel`] instead of cloning them. Both paths are
-//! bit-identical to per-scenario evaluation by contract (and by
-//! `tests/sweep_parity.rs`).
+//! [`EvalBackend::evaluate`] is the per-scenario reference. The sweep hot
+//! path is [`EvalBackend::evaluate_batch_prepared`] over a contiguous index
+//! range of a space (default: a per-scenario loop): the analytic, measured
+//! and simulation backends stream the design-innermost inner loop through the
+//! sweep's precomputed [`SpaceTables`] columns with zero heap allocation per
+//! scenario, borrowing parameters via [`PreparedModel`] instead of cloning
+//! them. The batch path is bit-identical to per-scenario evaluation by
+//! contract (and by `tests/sweep_parity.rs`).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -99,15 +98,21 @@ pub trait EvalBackend: Sync {
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError>;
 
     /// Evaluate the contiguous index range `range` of `space` into `out`
-    /// (which has `range.len()` slots). Invalid or erroring scenarios yield
-    /// `f64::NAN`. Override to exploit the shared-axis structure of
-    /// consecutive indices.
-    fn evaluate_batch(
+    /// (which has `range.len()` slots), with the sweep's columnar
+    /// [`SpaceTables`] available. Unfit or erroring scenarios yield
+    /// `f64::NAN`. The default is a per-scenario loop over
+    /// [`EvalBackend::evaluate`]; backends that override it stream the
+    /// per-design inner loop through the precomputed geometry / perf / growth
+    /// columns with **zero heap allocation per scenario**. Overrides must
+    /// stay bit-identical to the per-scenario path.
+    fn evaluate_batch_prepared(
         &self,
         space: &ScenarioSpace,
+        tables: &SpaceTables,
         range: std::ops::Range<usize>,
         out: &mut [f64],
     ) {
+        let _ = tables;
         assert_eq!(out.len(), range.len());
         for (slot, index) in out.iter_mut().zip(range) {
             let scenario = space.scenario(index);
@@ -118,28 +123,11 @@ pub trait EvalBackend: Sync {
             };
         }
     }
-
-    /// Like [`EvalBackend::evaluate_batch`], with the sweep's columnar
-    /// [`SpaceTables`] available. Backends that override this stream the
-    /// per-design inner loop through the precomputed geometry / perf / growth
-    /// columns with **zero heap allocation per scenario**; the default
-    /// delegates to [`EvalBackend::evaluate_batch`]. Overrides must stay
-    /// bit-identical to the per-scenario path.
-    fn evaluate_batch_prepared(
-        &self,
-        space: &ScenarioSpace,
-        tables: &SpaceTables,
-        range: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        let _ = tables;
-        self.evaluate_batch(space, range, out);
-    }
 }
 
 /// Shared backends delegate: an `Arc<B>` (including `Arc<dyn EvalBackend>`)
 /// is itself a backend, forwarding every method — including the batch
-/// overrides — to its pointee, so wrappers like
+/// override — to its pointee, so wrappers like
 /// `fault::FaultyBackend` can compose over the type-erased handles the
 /// serve stack passes around without losing the inner backend's fast paths.
 impl<B: EvalBackend + Send + ?Sized> EvalBackend for std::sync::Arc<B> {
@@ -153,15 +141,6 @@ impl<B: EvalBackend + Send + ?Sized> EvalBackend for std::sync::Arc<B> {
 
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
         (**self).evaluate(scenario)
-    }
-
-    fn evaluate_batch(
-        &self,
-        space: &ScenarioSpace,
-        range: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        (**self).evaluate_batch(space, range, out);
     }
 
     fn evaluate_batch_prepared(
@@ -580,35 +559,6 @@ impl EvalBackend for AnalyticBackend {
         speedup_extended(&model, scenario)
     }
 
-    fn evaluate_batch(
-        &self,
-        space: &ScenarioSpace,
-        range: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), range.len());
-        // Consecutive indices share all axes but the design, so one model
-        // serves a whole run of designs; rebuild only when the shared axes
-        // change (at most once per `designs.len()` scenarios).
-        let mut current: Option<(usize, ExtendedModel)> = None;
-        for (slot, index) in out.iter_mut().zip(range) {
-            let shared = index / space.designs().len();
-            let scenario = space.scenario(index);
-            if !matches!(&current, Some((tag, _)) if *tag == shared) {
-                current = Some((
-                    shared,
-                    ExtendedModel::new(
-                        scenario.app.clone(),
-                        scenario.growth.clone(),
-                        scenario.perf,
-                    ),
-                ));
-            }
-            let model = &current.as_ref().expect("model built above").1;
-            *slot = speedup_extended(model, &scenario).unwrap_or(f64::NAN);
-        }
-    }
-
     fn evaluate_batch_prepared(
         &self,
         space: &ScenarioSpace,
@@ -716,13 +666,16 @@ impl EvalBackend for CommBackend {
         speedup_comm(&model, scenario)
     }
 
-    fn evaluate_batch(
+    fn evaluate_batch_prepared(
         &self,
         space: &ScenarioSpace,
+        _tables: &SpaceTables,
         range: std::ops::Range<usize>,
         out: &mut [f64],
     ) {
         assert_eq!(out.len(), range.len());
+        // Consecutive indices share all axes but the design, so one model
+        // serves a whole run of designs.
         let mut current: Option<(usize, CommModel)> = None;
         for (slot, index) in out.iter_mut().zip(range) {
             let shared = index / space.designs().len();
@@ -838,34 +791,6 @@ impl EvalBackend for MeasuredBackend {
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
         let model = self.model(scenario)?;
         speedup_extended(&model, scenario)
-    }
-
-    fn evaluate_batch(
-        &self,
-        space: &ScenarioSpace,
-        range: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), range.len());
-        // Consecutive indices share the application, so one calibrated model
-        // serves a whole run of designs.
-        let mut current: Option<(usize, ExtendedModel)> = None;
-        for (slot, index) in out.iter_mut().zip(range) {
-            let shared = index / space.designs().len();
-            let scenario = space.scenario(index);
-            if !matches!(&current, Some((tag, _)) if *tag == shared) {
-                match self.model(&scenario) {
-                    Ok(model) => current = Some((shared, model)),
-                    Err(_) => {
-                        current = None;
-                        *slot = f64::NAN;
-                        continue;
-                    }
-                }
-            }
-            let model = &current.as_ref().expect("model built above").1;
-            *slot = speedup_extended(model, &scenario).unwrap_or(f64::NAN);
-        }
     }
 
     fn evaluate_batch_prepared(
@@ -1264,8 +1189,9 @@ mod tests {
         // And in batch mode the slot becomes NaN rather than poisoning the
         // sweep.
         let space = ScenarioSpace::new();
+        let tables = SpaceTables::new(&space);
         let mut out = vec![0.0; space.len()];
-        backend.evaluate_batch(&space, 0..space.len(), &mut out);
+        backend.evaluate_batch_prepared(&space, &tables, 0..space.len(), &mut out);
         assert!(out.iter().all(|v| v.is_nan()));
     }
 
@@ -1279,8 +1205,9 @@ mod tests {
             .with_apps(backend.apps())
             .clear_designs()
             .add_symmetric_grid([1.0, 2.0, 8.0, 300.0]);
+        let tables = SpaceTables::new(&space);
         let mut batch = vec![0.0; space.len()];
-        backend.evaluate_batch(&space, 0..space.len(), &mut batch);
+        backend.evaluate_batch_prepared(&space, &tables, 0..space.len(), &mut batch);
         for (i, &got) in batch.iter().enumerate() {
             let s = space.scenario(i);
             let expect = if s.design.fits(s.budget) {
@@ -1323,15 +1250,40 @@ mod tests {
     }
 
     #[test]
+    fn default_batch_is_the_per_scenario_loop_with_nan_for_unfit_and_err() {
+        /// Implements only `name` + `evaluate`: answers the core size, except
+        /// for 2-BCE cores, which it rejects.
+        struct Minimal;
+        impl EvalBackend for Minimal {
+            fn name(&self) -> &'static str {
+                "minimal"
+            }
+            fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
+                match scenario.design {
+                    ChipSpec::Symmetric { r } if r != 2.0 => Ok(r),
+                    _ => Err(DseError::InvalidDesign { area: 2.0, budget: 0.0 }),
+                }
+            }
+        }
+        let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([1.0, 2.0, 4.0, 300.0]);
+        let mut batch = [0.0; 3];
+        Minimal.evaluate_batch_prepared(&space, &SpaceTables::new(&space), 1..4, &mut batch);
+        // Index 1 is an `Err`, index 2 evaluates, index 3 does not fit 256 BCE.
+        assert!(batch[0].is_nan() && batch[2].is_nan(), "{batch:?}");
+        assert_eq!(batch[1].to_bits(), 4.0f64.to_bits());
+    }
+
+    #[test]
     fn batch_and_single_evaluation_agree_bitwise() {
         let space = ScenarioSpace::new()
             .with_apps(AppParams::table2_all())
             .clear_designs()
             .add_symmetric_grid([1.0, 2.0, 4.0, 8.0, 300.0])
             .with_growths(vec![GrowthFunction::Linear, GrowthFunction::Logarithmic]);
+        let tables = SpaceTables::new(&space);
         for backend in [&AnalyticBackend as &dyn EvalBackend, &CommBackend::new()] {
             let mut batch = vec![0.0; space.len()];
-            backend.evaluate_batch(&space, 0..space.len(), &mut batch);
+            backend.evaluate_batch_prepared(&space, &tables, 0..space.len(), &mut batch);
             for (i, &got) in batch.iter().enumerate() {
                 let scenario = space.scenario(i);
                 let expect = if scenario.design.fits(scenario.budget) {

@@ -328,50 +328,6 @@ impl Engine {
             },
         }
     }
-
-    /// Evaluate several **disjoint** index ranges of a prepared sweep and
-    /// merge their records back into one index-ordered result via the
-    /// Merge-Path partitioned merge ([`crate::merge::merge_runs`]) — the
-    /// same recombination the serve layer applies to per-shard band results.
-    /// Records are bit-identical to the corresponding slices of a full
-    /// [`Engine::sweep_range`]; statistics sum across the ranges
-    /// (`warm_entries` and `threads` take the per-range maximum — the cache
-    /// is one table and the pool is one pool).
-    pub fn sweep_ranges(
-        &self,
-        handle: &SweepHandle<'_>,
-        backend: &dyn EvalBackend,
-        config: &SweepConfig,
-        ranges: &[std::ops::Range<usize>],
-    ) -> SweepResult {
-        let started = std::time::Instant::now();
-        let partials: Vec<SweepResult> = ranges
-            .iter()
-            .map(|range| self.sweep_range(handle, backend, config, range.clone()))
-            .collect();
-        let runs: Vec<&[EvalRecord]> = partials.iter().map(|p| p.records.as_slice()).collect();
-        let records = crate::merge::merge_runs(&runs, self.threads);
-        let mut stats = SweepStats {
-            scenarios: 0,
-            valid: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            warm_entries: 0,
-            threads: 0,
-            coalesced: false,
-            elapsed_seconds: 0.0,
-        };
-        for partial in &partials {
-            stats.scenarios += partial.stats.scenarios;
-            stats.valid += partial.stats.valid;
-            stats.cache_hits += partial.stats.cache_hits;
-            stats.cache_misses += partial.stats.cache_misses;
-            stats.warm_entries = stats.warm_entries.max(partial.stats.warm_entries);
-            stats.threads = stats.threads.max(partial.stats.threads);
-        }
-        stats.elapsed_seconds = started.elapsed().as_secs_f64();
-        SweepResult { records, stats }
-    }
 }
 
 /// A reusable sweep snapshot: a scenario space plus its columnar

@@ -171,16 +171,6 @@ impl<B: EvalBackend> EvalBackend for FaultyBackend<B> {
         self.inner.evaluate(scenario)
     }
 
-    fn evaluate_batch(
-        &self,
-        space: &ScenarioSpace,
-        range: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        self.plan.before_batch();
-        self.inner.evaluate_batch(space, range, out);
-    }
-
     fn evaluate_batch_prepared(
         &self,
         space: &ScenarioSpace,

@@ -26,8 +26,8 @@
 //!   the table never rehashes mid-run, and the cache serialises to JSON for
 //!   cross-process warm starts.
 //! * [`merge`] — Merge-Path even-partition merging of index-sorted record
-//!   runs: per-shard band results recombine in parallel, bit-identical to a
-//!   stable sequential k-way merge.
+//!   runs, bit-identical to a stable sequential k-way merge. Called only by
+//!   the repo's benchmark; see the module docs.
 //! * [`analysis`] — top-k designs, per-axis optima and 2-D Pareto frontiers
 //!   of speedup against cores or area.
 //! * [`export`] — streaming JSON / CSV writers.

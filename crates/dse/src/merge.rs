@@ -1,27 +1,27 @@
 //! Merge Path: even-partition parallel merging of index-sorted record runs.
 //!
-//! Per-shard band sweeps return their records as independent runs, each
-//! sorted by flat scenario index; recombining them into one index-ordered
-//! answer was previously a sequential concatenate-in-band-order pass. This
-//! module implements the **Merge Path** scheme ("Merge Path — A Visually
-//! Intuitive Approach to Parallel Merging", Green, McColl & Bader): the
-//! merged output is cut into `parts` equal-length segments, and for each
-//! segment boundary a binary search finds the unique per-run split offsets
-//! such that every run contributes exactly its in-order share. Segments are
-//! then merged independently — in parallel when the input is large enough —
-//! and their concatenation is, by construction, exactly the sequence a
-//! stable sequential k-way merge would produce.
+//! **No production caller.** The serve layer's work units tile their range
+//! exactly, so it assembles their results by ordered copy, not by a merge.
+//! This module stays only because the repo's benchmark (`benchmark/`, which
+//! a code PR may not edit) calls [`merge_runs`] and [`sequential_merge`] for
+//! its `dse.merge.*` probes; delete it in the next benchmark-only PR.
 //!
-//! **Stability / determinism.** Runs may share key values (the service's
-//! band runs never do — bands are disjoint index ranges — but
-//! [`Engine::sweep_ranges`](crate::engine::Engine::sweep_ranges) accepts
-//! arbitrary disjoint ranges and the partitioner is general). Ties are
-//! broken by run order: among equal keys, every element of an earlier run
-//! precedes every element of a later run, matching the stable sequential
-//! merge bit for bit. The partition search enforces this by splitting on a
-//! key *value*: all elements with a smaller key land left of the boundary,
-//! and the boundary's remainder within the equal-key group is distributed
-//! to runs in order.
+//! The **Merge Path** scheme ("Merge Path — A Visually Intuitive Approach to
+//! Parallel Merging", Green, McColl & Bader): the merged output is cut into
+//! `parts` equal-length segments, and for each segment boundary a binary
+//! search finds the unique per-run split offsets such that every run
+//! contributes exactly its in-order share. Segments are then merged
+//! independently — in parallel when the input is large enough — and their
+//! concatenation is, by construction, exactly the sequence a stable
+//! sequential k-way merge would produce.
+//!
+//! **Stability / determinism.** Runs may share key values. Ties are broken
+//! by run order: among equal keys, every element of an earlier run precedes
+//! every element of a later run, matching the stable sequential merge bit
+//! for bit. The partition search enforces this by splitting on a key
+//! *value*: all elements with a smaller key land left of the boundary, and
+//! the boundary's remainder within the equal-key group is distributed to
+//! runs in order.
 
 use crate::engine::EvalRecord;
 

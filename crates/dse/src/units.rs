@@ -3,10 +3,10 @@
 //!
 //! The serving layer's work-stealing scheduler and the engine's cursor
 //! layer ([`crate::engine::RangeCursor`]) split index ranges the same way:
-//! contiguous, disjoint windows walked in index order, so recombining unit
-//! results with the Merge-Path merge ([`crate::merge::merge_runs`]) is
-//! bit-identical to evaluating the range in one piece. What this module
-//! adds is the *sizing* policy — how many scenarios one unit should carry.
+//! contiguous, disjoint windows walked in index order, so copying each
+//! unit's records to its offset in the answer is bit-identical to evaluating
+//! the range in one piece. What this module adds is the *sizing* policy —
+//! how many scenarios one unit should carry.
 //!
 //! Units are deliberately **coarse**. Yavits/Morad/Ginosar's synchronization
 //! extension of Amdahl's law (PAPERS.md) is the design guide: every
@@ -26,7 +26,7 @@ use crate::engine::RangeCursor;
 pub const TARGET_UNIT_MS: f64 = 4.0;
 
 /// Floor on scenarios per unit, whatever the cost model claims — below
-/// this the per-unit bookkeeping (queue hop, stats fan-in, merge run)
+/// this the per-unit bookkeeping (queue hop, stats fan-in, result copy)
 /// stops being negligible against the evaluation itself.
 pub const MIN_UNIT_SCENARIOS: usize = 64;
 

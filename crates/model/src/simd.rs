@@ -18,8 +18,8 @@
 //! ## Forcing the scalar path
 //!
 //! * environment: set `MP_SIMD_FORCE_SCALAR=1` (read once, at first dispatch);
-//! * programmatic: [`set_forced_scalar`] — used by `ServiceConfig` and the
-//!   bench harness's `--force-scalar` flag for interleaved A/B runs.
+//! * programmatic: [`set_forced_scalar`] — what the parity tests toggle to
+//!   compare both paths inside one process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

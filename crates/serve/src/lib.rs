@@ -8,9 +8,9 @@
 //! * [`service`] — [`SweepService`]: `N` shards, each a long-lived
 //!   [`Engine`](mp_dse::engine::Engine) + lock-free `EvalCache` behind its
 //!   own admission queue. Queries are split along the space's flat index
-//!   order into static per-shard bands and merged back in order, so a
-//!   sharded answer is **bit-identical** to a direct `Engine::sweep` and
-//!   repeated queries hit the same shard's warm cache. Prepared
+//!   order into work units homed on per-shard bands and copied back in
+//!   order, so a sharded answer is **bit-identical** to a direct
+//!   `Engine::sweep` and repeated queries hit the same shard's warm cache. Prepared
 //!   [`SweepHandle`](mp_dse::engine::SweepHandle)s (space + columnar tables)
 //!   are cached by content fingerprint and shared across requests.
 //! * [`protocol`] — the wire types: `sweep` (streamed, chunked, resumable via

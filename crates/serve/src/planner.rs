@@ -19,7 +19,7 @@
 //! * **Metrics** — the planner's own always-registered series:
 //!   `planner_coalesced_requests`, `planner_shared_scenarios`,
 //!   `planner_cost_rejections` counters and the `planner_merge_ms`
-//!   histogram timing the Merge-Path band recombination.
+//!   histogram timing the ordered assembly of unit results.
 //!
 //! **Why followers can always block.** A follower waits on the leader of
 //! the *same window*, and leadership is taken inside the evaluation path —
@@ -59,8 +59,8 @@ pub(crate) fn obs_cost_rejections() -> &'static Counter {
     CELL.get_or_init(|| mp_obs::counter("planner_cost_rejections"))
 }
 
-/// Time spent in the Merge-Path recombination of per-shard band results,
-/// milliseconds per banded sweep.
+/// Time spent copying completed work units' records into one index-ordered
+/// answer, milliseconds per scheduled sweep.
 pub(crate) fn obs_merge_ms() -> &'static Histogram {
     static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
     CELL.get_or_init(|| mp_obs::histogram_ms("planner_merge_ms"))

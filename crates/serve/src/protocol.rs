@@ -35,13 +35,6 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::explore::Curve;
 
 /// Protocol identity reported by `ping`; bump on incompatible changes.
-/// `mp-serve/2` adds pipelining (multiple in-flight requests per connection,
-/// responses strictly in request order) and the [`Response::Busy`] admission
-/// signal; every `mp-serve/1` exchange is still valid. `mp-serve/3` adds the
-/// query planner: [`Response::Busy`] carries the estimated cost that was
-/// rejected and sweep statistics carry the `coalesced` marker. `mp-serve/4`
-/// adds durable sweep jobs: the `job_submit` / `job_status` / `job_cancel` /
-/// `job_resume` verbs and the [`Response::Job`] snapshot they answer with.
 pub const PROTOCOL_VERSION: &str = "mp-serve/4";
 
 /// Default scenario count per streamed sweep chunk.

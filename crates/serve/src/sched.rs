@@ -1,14 +1,12 @@
 //! The work-stealing sweep scheduler: cost-sized work units on per-shard
-//! deques, claimed by any worker, fused back in index order.
+//! deques, claimed by any worker, assembled back in index order.
 //!
-//! Replaces the static band fan-out (one fixed slice per shard worker)
-//! that PR 1–8 served from. Each admitted sweep is split into **work
-//! units** sized by the planner's live per-scenario cost
-//! ([`mp_dse::units`]) and pushed onto the deque of the unit's **home
-//! shard** — the shard whose engine cache holds (or will hold) the unit's
-//! scenarios. A worker drains its own deque front-to-back first
-//! (warm-cache affinity); only when it is empty does it **steal half** of
-//! the longest other deque, back half first, coarse-grained per the
+//! Each admitted sweep is split into **work units** sized by the planner's
+//! live per-scenario cost ([`mp_dse::units`]) and pushed onto the deque of
+//! the unit's **home shard** — the shard whose engine cache holds (or will
+//! hold) the unit's scenarios. A worker drains its own deque front-to-back
+//! first (warm-cache affinity); only when it is empty does it **steal half**
+//! of the longest other deque, back half first, coarse-grained per the
 //! Yavits/Morad/Ginosar synchronization analysis (one lock hop per ~ms of
 //! work, not per scenario).
 //!
@@ -24,8 +22,8 @@
 //! repeat queries land warm again without steals.
 //!
 //! The caller that submitted a sweep's units drains one reply per unit and
-//! fuses the partial results in index order with the Merge-Path merge —
-//! see `SweepService::sweep_scheduled`.
+//! copies the partial results into one answer in index order — see
+//! `SweepService::sweep_scheduled`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -202,7 +200,7 @@ impl Placement {
 
 /// What one executed unit reports back to the submitting caller.
 pub(crate) struct UnitDone {
-    /// First scenario index of the unit (its merge key).
+    /// First scenario index of the unit (its offset key in the answer).
     pub start: usize,
     /// The unit's home shard — the caller credits this shard's admission
     /// gauges.
@@ -272,7 +270,6 @@ struct SchedInner {
     available: Condvar,
     engines: Vec<Arc<Engine>>,
     backend: Arc<dyn EvalBackend + Send + Sync>,
-    steal: bool,
 }
 
 /// The scheduler: one deque and one worker thread per shard over the
@@ -283,13 +280,10 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Spawn one worker per engine. With `steal` off, every unit runs on
-    /// its home worker — the static-bands baseline, selectable for
-    /// measurements via `ServiceConfig::steal`.
+    /// Spawn one worker per engine.
     pub(crate) fn new(
         engines: Vec<Arc<Engine>>,
         backend: Arc<dyn EvalBackend + Send + Sync>,
-        steal: bool,
     ) -> Scheduler {
         register_metrics();
         let shards = engines.len();
@@ -301,7 +295,6 @@ impl Scheduler {
             available: Condvar::new(),
             engines,
             backend,
-            steal,
         });
         let workers = (0..shards)
             .map(|index| {
@@ -377,7 +370,7 @@ fn worker_loop(me: usize, inner: &Arc<SchedInner>) {
                 if let Some(unit) = state.queues[me].pop_front() {
                     break unit;
                 }
-                if inner.steal && steal_half(&mut state, me) > 0 {
+                if steal_half(&mut state, me) > 0 {
                     continue;
                 }
                 if state.shutdown {
@@ -563,7 +556,7 @@ mod tests {
         let handle = Arc::new(SweepHandle::owned(space));
         let engines = vec![Arc::new(Engine::new(1)), Arc::new(Engine::new(1))];
         let backend: Arc<dyn EvalBackend + Send + Sync> = Arc::new(AnalyticBackend);
-        let scheduler = Scheduler::new(engines, backend, true);
+        let scheduler = Scheduler::new(engines, backend);
         let placement = Arc::new(Placement::new(handle.len(), 2));
         let (reply, done) = unbounded();
         let units = vec![

@@ -11,12 +11,12 @@
 //! Any idle worker may **steal** queued units off another shard's deque
 //! (`sched`); a stolen unit still evaluates against its home
 //! shard's engine, so stealing moves CPU without moving cache placement,
-//! and persistent steal pressure re-bands placement adaptively. Unit
-//! results fuse back in index order through the Merge-Path partitioned
-//! merge ([`mp_dse::merge`]), which makes a sharded, stolen sweep answer
-//! **bit-identical** to a direct [`Engine::sweep`] over the same space:
-//! every scenario's value is a deterministic function of the scenario and
-//! backend alone, independent of batch, unit or shard boundaries.
+//! and persistent steal pressure re-bands placement adaptively. Units tile
+//! the queried range, so their records are copied into one answer in index
+//! order, which makes a sharded, stolen sweep answer **bit-identical** to a
+//! direct [`Engine::sweep`] over the same space: every scenario's value is a
+//! deterministic function of the scenario and backend alone, independent of
+//! batch, unit or shard boundaries.
 //!
 //! Between the callers and the shards sits the **query planner**
 //! ([`crate::planner`]): concurrent queries over the same prepared space
@@ -55,7 +55,6 @@ use mp_dse::curves::{figure_curves, Figure};
 use mp_dse::engine::{
     Engine, EvalRecord, RangeCursor, SweepConfig, SweepHandle, SweepResult, SweepStats,
 };
-use mp_dse::merge::merge_runs;
 use mp_dse::scenario::ScenarioSpace;
 use mp_model::catalogue::CatalogueRegistry;
 use mp_model::explore::Curve;
@@ -149,24 +148,6 @@ pub struct ServiceConfig {
     /// from the engine's live `dse_batch_ms` / `dse_scenarios_evaluated`
     /// metrics — deterministic admission for tests and benches.
     pub cost_per_scenario_ms: Option<f64>,
-    /// Whether concurrent queries over the same prepared space and range
-    /// coalesce onto one shared in-flight evaluation. On by default;
-    /// disabled for uncoalesced baseline measurements.
-    pub coalesce: bool,
-    /// Whether idle workers steal queued work units from other shards'
-    /// deques (and placement re-bands under persistent steal pressure).
-    /// On by default; disabled for static-band baseline measurements —
-    /// with stealing off every unit runs on its home shard's worker,
-    /// which is exactly the pre-scheduler banding.
-    pub steal: bool,
-    /// Force the scalar reference kernels even on hosts with SIMD lanes
-    /// (the in-process equivalent of `MP_SIMD_FORCE_SCALAR=1`): latched
-    /// process-wide via [`mp_model::simd::set_forced_scalar`] at service
-    /// construction, for scalar-vs-lane A/B baselines. Both paths are
-    /// bit-identical by contract, so flipping this changes throughput only,
-    /// never results. A `true` here latches on for the process; it is never
-    /// un-set by a later service constructed with `false`.
-    pub force_scalar: bool,
 }
 
 impl Default for ServiceConfig {
@@ -179,9 +160,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             cost_budget_ms: 30_000.0,
             cost_per_scenario_ms: None,
-            coalesce: true,
-            steal: true,
-            force_scalar: false,
         }
     }
 }
@@ -336,7 +314,6 @@ pub struct SweepService {
     sweep_config: SweepConfig,
     queue_capacity: usize,
     cost_budget_ms: f64,
-    coalesce: bool,
     queries: AtomicU64,
     started: Instant,
     /// The durable-job manager, when one is attached
@@ -365,9 +342,6 @@ impl SweepService {
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.queue_capacity > 0, "admission queue capacity must be positive");
         assert!(config.cost_budget_ms > 0.0, "cost budget must be positive");
-        if config.force_scalar {
-            mp_model::simd::set_forced_scalar(true);
-        }
         // Register the core series now: a scrape must see `busy_rejections`
         // at zero on an idle server, not have the series appear at the first
         // rejection. Same for the planner's and the scheduler's series.
@@ -386,7 +360,7 @@ impl SweepService {
             })
             .collect();
         let engines = shards.iter().map(|shard| Arc::clone(&shard.engine)).collect();
-        let sched = Scheduler::new(engines, Arc::clone(&backend), config.steal);
+        let sched = Scheduler::new(engines, Arc::clone(&backend));
         SweepService {
             backend,
             shards,
@@ -403,7 +377,6 @@ impl SweepService {
             },
             queue_capacity: config.queue_capacity,
             cost_budget_ms: config.cost_budget_ms,
-            coalesce: config.coalesce,
             queries: AtomicU64::new(0),
             started: Instant::now(),
             jobs: OnceLock::new(),
@@ -738,19 +711,18 @@ impl SweepService {
 
     /// The planner's evaluation entry point: every query path (one-shot
     /// sweeps, streaming windows, analysis queries) funnels its admitted,
-    /// validated ranges through here. When coalescing is on, concurrent
-    /// calls with the same `(prepared-space fingerprint, range)` key share
-    /// one scheduled evaluation: the first becomes the leader and evaluates,
-    /// the rest block and receive the published result — records
-    /// bit-identical, follower stats marked [`SweepStats::coalesced`] so
-    /// the shared work is counted once by aggregators but still reported to
-    /// every subscriber.
+    /// validated ranges through here. Concurrent calls with the same
+    /// `(prepared-space fingerprint, range)` key share one scheduled
+    /// evaluation: the first becomes the leader and evaluates, the rest
+    /// block and receive the published result — records bit-identical,
+    /// follower stats marked [`SweepStats::coalesced`] so the shared work is
+    /// counted once by aggregators but still reported to every subscriber.
     fn sweep_prepared(
         &self,
         handle: &Arc<SweepHandle<'static>>,
         range: Range<usize>,
     ) -> Result<SweepResult, ServeError> {
-        if !self.coalesce || range.is_empty() {
+        if range.is_empty() {
             return self.sweep_scheduled(handle, range);
         }
         let key = PlanKey { fingerprint: handle.fingerprint(), start: range.start, end: range.end };
@@ -778,10 +750,10 @@ impl SweepService {
 
     /// The scheduled sweep core: decompose `range` into cost-sized work
     /// units along the placement's cache bands, submit them to the
-    /// work-stealing scheduler, and fuse the completed units back into
-    /// index order with the Merge-Path partitioned merge — bit-identical
-    /// to evaluating the range in one piece, whichever worker ran each
-    /// unit. No admission check — callers gate first.
+    /// work-stealing scheduler, and copy the completed units' records into
+    /// one index-ordered answer — bit-identical to evaluating the range in
+    /// one piece, whichever worker ran each unit. No admission check —
+    /// callers gate first.
     fn sweep_scheduled(
         &self,
         handle: &Arc<SweepHandle<'static>>,
@@ -888,15 +860,19 @@ impl SweepService {
             return Err(err(format!("sweep evaluation failed: {reason}")));
         }
 
-        // Fusion merge: unit runs are index-sorted and disjoint, so after
-        // ordering them by start index the Merge-Path recombination is
-        // bit-identical to a stable sequential merge whatever order (and
-        // on whichever worker) the units ran.
+        // Ordered assembly: the units tile `range` exactly, so once ordered
+        // by start index each unit's records belong at
+        // `[start - range.start..]` of the answer and a plain copy is
+        // bit-identical to evaluating the range in one piece, whatever
+        // order (and on whichever worker) the units ran.
         partials.sort_unstable_by_key(|&(start, _)| start);
         let merge_started = Instant::now();
-        let runs: Vec<&[EvalRecord]> =
-            partials.iter().map(|(_, partial)| partial.records.as_slice()).collect();
-        let records = merge_runs(&runs, self.shards.len());
+        let mut records: Vec<EvalRecord> = Vec::with_capacity(range.len());
+        for (start, partial) in &partials {
+            debug_assert_eq!(range.start + records.len(), *start, "units must tile the range");
+            records.extend_from_slice(&partial.records);
+        }
+        debug_assert_eq!(records.len(), range.len(), "units must tile the range");
         crate::planner::obs_merge_ms().record(merge_started.elapsed().as_secs_f64() * 1e3);
 
         let mut stats = SweepStats {
@@ -1294,9 +1270,9 @@ mod tests {
 
     #[test]
     fn one_scenario_spaces_sweep_cleanly_at_any_shard_count() {
-        // The old `band_slices` silently yielded nothing for trailing
-        // shards when n < shards; a 1-scenario space must still evaluate
-        // its one scenario, warm one cache, and answer repeats from it.
+        // With n < shards most shards home nothing; a 1-scenario space must
+        // still evaluate its one scenario, warm one cache, and answer
+        // repeats from it.
         let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([2.0]);
         assert_eq!(space.len(), 1);
         let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
@@ -1322,13 +1298,19 @@ mod tests {
     fn range_queries_intersect_the_static_shard_bands() {
         let space = space();
         let service = service(4);
-        let full = service.sweep(&space, None).unwrap();
+        let engine = Engine::new(2);
+        let handle = SweepHandle::new(&space);
         let n = space.len();
-        let windows = [0..n / 5, n / 5..n - 3, n - 3..n, 0..0];
+        // 138 scenarios on 4 shards: one work unit per ~35-scenario band and
+        // 5-scenario placement segments, so `27..133` crosses three unit
+        // boundaries and starts and ends inside a unit and inside a segment.
+        let windows = [0..n / 5, 27..133, n / 5..n - 3, n - 3..n, 71..72, 0..0];
         for window in windows {
             let part = service.sweep(&space, Some(window.clone())).unwrap();
-            assert_eq!(part.records.len(), window.len());
-            for (record, truth) in part.records.iter().zip(&full.records[window]) {
+            let truth =
+                engine.sweep_range(&handle, &AnalyticBackend, &SweepConfig::default(), window);
+            assert_eq!(part.records.len(), truth.records.len());
+            for (record, truth) in part.records.iter().zip(&truth.records) {
                 assert_eq!(record.index, truth.index);
                 assert_eq!(record.speedup.to_bits(), truth.speedup.to_bits());
             }

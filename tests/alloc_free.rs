@@ -1,50 +1,22 @@
 //! Asserts the acceptance criterion of the columnar sweep path: after batch
 //! setup, the analytic batched evaluation performs **zero** heap allocations
-//! per scenario. A counting global allocator (installed for this test binary
-//! only) measures exact allocation counts around the hot loops.
+//! per scenario. The workspace's counting allocator (installed for this test
+//! binary only) measures exact allocation counts around the hot loops.
+//!
+//! Windows are measured with the **per-thread** counter, so libtest's
+//! sibling test threads cannot leak allocations into them. That sees every
+//! allocation asserted on because every test evaluates on its calling
+//! thread: backends and caches are called directly, and the one engine test
+//! uses `Engine::new(1)`, which sweeps inline.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use mp_bench::alloc_track::{thread_allocation_count as allocations, CountingAllocator};
 use mp_dse::prelude::*;
 use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
 use mp_model::perf::PerfModel;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The counter above is process-global, but the harness runs tests on
-/// parallel threads — one test's (legitimate, setup-time) allocations would
-/// race into another's counting window. Serialise the windows.
-static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-struct Counting;
-
-// SAFETY: delegates to `System`; counting does not affect behaviour.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+static ALLOC: CountingAllocator = CountingAllocator;
 
 fn space() -> ScenarioSpace {
     ScenarioSpace::new()
@@ -63,7 +35,6 @@ fn space() -> ScenarioSpace {
 
 #[test]
 fn analytic_batched_path_allocates_nothing_per_scenario() {
-    let _window = WINDOW.lock().unwrap();
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -94,7 +65,6 @@ fn analytic_batched_path_allocates_nothing_per_scenario() {
 
 #[test]
 fn cache_probe_and_insert_allocate_nothing_after_reserve() {
-    let _window = WINDOW.lock().unwrap();
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -117,7 +87,6 @@ fn cache_probe_and_insert_allocate_nothing_after_reserve() {
 
 #[test]
 fn lane_and_forced_scalar_paths_both_allocate_nothing() {
-    let _window = WINDOW.lock().unwrap();
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -148,7 +117,6 @@ fn lane_and_forced_scalar_paths_both_allocate_nothing() {
 
 #[test]
 fn batched_cache_probe_allocates_nothing_after_reserve() {
-    let _window = WINDOW.lock().unwrap();
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -174,7 +142,6 @@ fn batched_cache_probe_allocates_nothing_after_reserve() {
 
 #[test]
 fn full_engine_sweep_allocations_do_not_scale_with_scenario_count() {
-    let _window = WINDOW.lock().unwrap();
     // The engine may allocate during setup (records vector, tables, scratch)
     // but per-scenario allocation must be zero: growing the space 16× must
     // not grow the allocation count beyond the setup's own (bounded) needs.

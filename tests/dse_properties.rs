@@ -243,40 +243,6 @@ fn check_merge_path_equals_sequential(raw: &[Vec<usize>], parts: usize) {
     }
 }
 
-/// Body of (g): `Engine::sweep_ranges` over any disjoint decomposition of a
-/// space — in any order, including empty slices — merges back to exactly
-/// the single full sweep, records and counts alike.
-fn check_sweep_ranges_recombine(mut cuts: Vec<usize>, reverse: bool) {
-    let space = ScenarioSpace::new()
-        .with_apps(AppParams::table2_all())
-        .clear_designs()
-        .add_symmetric_grid((0..18).map(|i| 1.0 + i as f64 * 6.0));
-    let n = space.len();
-    cuts.retain(|&c| c <= n);
-    cuts.push(0);
-    cuts.push(n);
-    cuts.sort_unstable();
-    cuts.dedup();
-    let mut ranges: Vec<std::ops::Range<usize>> =
-        cuts.windows(2).map(|pair| pair[0]..pair[1]).collect();
-    if reverse {
-        ranges.reverse();
-    }
-
-    let engine = Engine::new(2);
-    let config = SweepConfig { batch_size: 16, use_cache: false };
-    let handle = SweepHandle::new(&space);
-    let full = engine.sweep_range(&handle, &AnalyticBackend, &config, 0..n);
-    let pieced = engine.sweep_ranges(&handle, &AnalyticBackend, &config, &ranges);
-    assert_eq!(pieced.stats.scenarios, full.stats.scenarios);
-    assert_eq!(pieced.stats.valid, full.stats.valid);
-    assert_eq!(pieced.records.len(), full.records.len());
-    for (a, b) in pieced.records.iter().zip(full.records.iter()) {
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -287,18 +253,5 @@ proptest! {
         parts in 1usize..10,
     ) {
         check_merge_path_equals_sequential(&raw, parts);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// (g) `sweep_ranges` over arbitrary decompositions.
-    #[test]
-    fn sweep_ranges_recombines_to_the_full_sweep(
-        cuts in proptest::collection::vec(0usize..=72, 0..5),
-        reverse in proptest::bool::ANY,
-    ) {
-        check_sweep_ranges_recombine(cuts, reverse);
     }
 }

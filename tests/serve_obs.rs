@@ -27,6 +27,11 @@ fn service(shards: usize) -> SweepService {
     )
 }
 
+/// The tests assert exact counter deltas on the process-global
+/// `mp_obs::registry()`, so their bodies run one at a time. Injecting a
+/// registry per service (ROADMAP item 1) is what removes this lock.
+static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Pull one named series out of a metrics-snapshot JSON document.
 fn series(json: &str, section: &str, name: &str) -> Option<f64> {
     let value = serde_json::parse(json).expect("metrics json parses");
@@ -45,6 +50,7 @@ fn histogram_count(json: &str, name: &str) -> Option<f64> {
 
 #[test]
 fn metrics_verb_round_trips_through_the_real_client() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     // The registry is process-global, so assert *deltas* across the driven
     // load rather than absolute values other tests may have contributed to.
     for shards in [1usize, 4] {
@@ -83,7 +89,7 @@ fn metrics_verb_round_trips_through_the_real_client() {
 
         // The planner's always-registered series: counters exported from
         // service construction (zero here — one client, no overlap), and the
-        // Merge-Path histogram observed once per banded sweep (two sweeps
+        // assembly histogram observed once per scheduled sweep (two sweeps
         // plus top_k's internal full sweep).
         for planner_counter in
             ["planner_coalesced_requests", "planner_shared_scenarios", "planner_cost_rejections"]
@@ -96,7 +102,7 @@ fn metrics_verb_round_trips_through_the_real_client() {
         assert_eq!(delta("planner_coalesced_requests"), 0.0, "shards={shards}: no overlap here");
         let merges = histogram_count(&after_json, "planner_merge_ms").unwrap_or(0.0)
             - histogram_count(&before_json, "planner_merge_ms").unwrap_or(0.0);
-        assert!(merges >= 3.0, "shards={shards}: band merges are timed, got {merges}");
+        assert!(merges >= 3.0, "shards={shards}: unit assemblies are timed, got {merges}");
 
         // The Prometheus rendering carries the same series under the
         // scrape-friendly names.
@@ -119,6 +125,7 @@ fn metrics_verb_round_trips_through_the_real_client() {
 
 #[test]
 fn sweep_stats_stay_exact_under_the_stealing_scheduler() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     // Per-service result stats must stay exact whichever worker evaluated
     // each unit: scenarios/hits counted once globally, `warm_entries` the
     // participating homes' residency at dispatch (each home once), never a
@@ -164,6 +171,7 @@ fn sweep_stats_stay_exact_under_the_stealing_scheduler() {
 
 #[test]
 fn every_request_traces_exactly_once_with_monotone_stages() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(2))).unwrap();
     let endpoint = server.endpoint().clone();
     let trace_log = server.trace_log();
