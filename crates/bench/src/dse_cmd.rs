@@ -438,8 +438,9 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// Which evaluation kernel the sweep actually ran with, for profile output
-/// (`avx2` on hosts with the lanes, `scalar` when absent or forced off).
+/// Which instantiation of the batch evaluation loop the sweep ran, for
+/// profile output (`avx2` where the host has it, `scalar` — the baseline ISA —
+/// when absent or forced off).
 fn simd_kernel_label() -> &'static str {
     match mp_model::simd::level() {
         mp_model::simd::SimdLevel::Avx2 => "avx2",

@@ -227,247 +227,6 @@ pub fn simulate_profile(program: &PhaseProgram, machine: &Machine) -> RunProfile
     simulate(program, machine).to_profile(machine)
 }
 
-/// Time `program` on every machine in `machines`, writing one total per
-/// machine to `out` — bit-identical to calling [`simulate_cycles`] once per
-/// machine.
-///
-/// On AVX2 hosts (and unless `mp_model::simd` forces the scalar path) the
-/// machines are timed four per step: per-machine scalars that originate from
-/// integer state (thread counts, partial-table sizes, core performances, NoC
-/// geometry) are derived exactly as the scalar walk derives them, and the
-/// per-op arithmetic — the divisions that dominate a DSE sweep — runs on
-/// 4×f64 lanes in the same association order as [`walk_phases`], with the
-/// walk's `<= 0` early-outs reproduced as lane blends. Quads whose machines
-/// disagree on [`MachineConfig`] (so cache latencies would be lane-variant in
-/// ways the kernel does not model) fall back to the scalar walk, as do
-/// sub-quad tails.
-pub fn simulate_cycles_batch(program: &PhaseProgram, machines: &[Machine], out: &mut [f64]) {
-    assert_eq!(machines.len(), out.len(), "one cycle total per machine");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if mp_model::simd::level() == mp_model::simd::SimdLevel::Avx2 {
-            let mut i = 0;
-            while i + 4 <= machines.len() {
-                let quad: &[Machine; 4] = machines[i..i + 4].try_into().expect("exact quad");
-                if quad.iter().all(|m| m.config() == quad[0].config()) {
-                    let totals = unsafe { lanes::walk_cycles_avx2(program, quad) };
-                    out[i..i + 4].copy_from_slice(&totals);
-                } else {
-                    for j in 0..4 {
-                        out[i + j] = simulate_cycles(program, &quad[j]);
-                    }
-                }
-                i += 4;
-            }
-            for j in i..machines.len() {
-                out[j] = simulate_cycles(program, &machines[j]);
-            }
-            return;
-        }
-    }
-    for (slot, machine) in out.iter_mut().zip(machines) {
-        *slot = simulate_cycles(program, machine);
-    }
-}
-
-/// 4-wide AVX2 timing walk. Bit parity with [`walk_phases`] is a hard
-/// contract (see `mp_model::prepared`): no FMA, vector ops in the scalar
-/// association order, and every scalar `<= 0.0 → 0.0` early-out reproduced
-/// as an ordered-compare blend so NaN inputs poison lanes exactly as they
-/// poison the scalar walk. Quantities the scalar walk computes from integer
-/// machine state per machine (thread counts, core perfs, NoC exchange
-/// cycles, partial-table working sets) are computed here by the *same scalar
-/// code* per lane, so only the per-op f64 arithmetic is vectorised.
-#[cfg(target_arch = "x86_64")]
-mod lanes {
-    #[allow(clippy::wildcard_imports)]
-    use core::arch::x86_64::*;
-
-    use crate::cache::CacheModel;
-    use crate::machine::Machine;
-    use crate::noc::NocModel;
-    use crate::program::{PhaseOp, PhaseProgram, ReductionKind};
-
-    /// Per-machine state hoisted out of the op loop, mirroring the hoists at
-    /// the top of `walk_phases` (plus per-op invariants such as the tree
-    /// level count, which the scalar walk recomputes to the same value every
-    /// iteration).
-    struct Lane {
-        threads: usize,
-        threads_f: f64,
-        serial_perf: f64,
-        parallel_perf: f64,
-        noc: NocModel,
-        tree_levels: f64,
-        shared: bool,
-    }
-
-    #[inline]
-    fn quad(f: impl Fn(usize) -> f64) -> [f64; 4] {
-        [f(0), f(1), f(2), f(3)]
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn walk_cycles_avx2(
-        program: &PhaseProgram,
-        machines: &[Machine; 4],
-    ) -> [f64; 4] {
-        // All four machines share one config (checked by the dispatcher), so
-        // cache latencies of lane-invariant working sets broadcast.
-        let config = *machines[0].config();
-        let cache = CacheModel::new(config);
-        let lanes: [Lane; 4] = std::array::from_fn(|j| {
-            let m = &machines[j];
-            let threads = m.threads();
-            Lane {
-                threads,
-                threads_f: threads as f64,
-                serial_perf: m.serial_core().perf(),
-                parallel_perf: m.parallel_core().perf(),
-                noc: m.noc(),
-                tree_levels: (threads as f64).log2().ceil().max(0.0) + 1.0,
-                shared: threads > 1,
-            }
-        });
-
-        let load = |a: [f64; 4]| _mm256_loadu_pd(a.as_ptr());
-        let zero = _mm256_setzero_pd();
-        let opc_v = _mm256_set1_pd(config.ops_per_cycle);
-        let threads_f_v = load(quad(|j| lanes[j].threads_f));
-        // compute_cycles divides by `ops_per_cycle * perf`; the product is
-        // identical on every call, so fold it once per core kind.
-        let serial_den = _mm256_mul_pd(opc_v, load(quad(|j| lanes[j].serial_perf)));
-        let parallel_den = _mm256_mul_pd(opc_v, load(quad(|j| lanes[j].parallel_perf)));
-
-        let mut total = zero;
-        for op in program.unrolled() {
-            match op {
-                PhaseOp::ParallelWork {
-                    ops,
-                    memory_refs,
-                    working_set_bytes,
-                    max_parallelism,
-                    ..
-                } => {
-                    let throughput =
-                        load(quad(|j| machines[j].parallel_throughput(*max_parallelism)));
-                    let compute =
-                        _mm256_div_pd(_mm256_set1_pd(*ops), _mm256_mul_pd(opc_v, throughput));
-                    let workers = load(quad(|j| {
-                        (lanes[j].threads.min(max_parallelism.unwrap_or(usize::MAX)).max(1)) as f64
-                    }));
-                    let refs = _mm256_div_pd(_mm256_set1_pd(*memory_refs), workers);
-                    let lat = _mm256_set1_pd(cache.avg_access_latency(*working_set_bytes, false));
-                    // memory_cycles: refs <= 0 → 0, else refs · latency.
-                    let refs_le_zero = _mm256_cmp_pd::<_CMP_LE_OQ>(refs, zero);
-                    let memory = _mm256_blendv_pd(_mm256_mul_pd(refs, lat), zero, refs_le_zero);
-                    total = _mm256_add_pd(total, _mm256_add_pd(compute, memory));
-                }
-                PhaseOp::SerialWork { ops, memory_refs, working_set_bytes, .. } => {
-                    // compute_cycles's `ops <= 0.0` branch is lane-invariant.
-                    let compute = if *ops <= 0.0 {
-                        zero
-                    } else {
-                        _mm256_div_pd(_mm256_set1_pd(*ops), serial_den)
-                    };
-                    let memory = _mm256_set1_pd(cache.memory_cycles(
-                        *memory_refs,
-                        *working_set_bytes,
-                        false,
-                    ));
-                    total = _mm256_add_pd(total, _mm256_add_pd(compute, memory));
-                }
-                PhaseOp::Reduction {
-                    elements, ops_per_element, bytes_per_element, kind, ..
-                } => {
-                    let x = *elements as f64;
-                    let x_v = _mm256_set1_pd(x);
-                    let ope_v = _mm256_set1_pd(*ops_per_element);
-                    match kind {
-                        ReductionKind::SerialLinear => {
-                            let merges = _mm256_mul_pd(threads_f_v, x_v);
-                            let merge_ops = _mm256_mul_pd(merges, ope_v);
-                            let compute = _mm256_blendv_pd(
-                                _mm256_div_pd(merge_ops, serial_den),
-                                zero,
-                                _mm256_cmp_pd::<_CMP_LE_OQ>(merge_ops, zero),
-                            );
-                            let lat = load(quad(|j| {
-                                let partials = lanes[j].threads * elements * bytes_per_element;
-                                cache.avg_access_latency(partials, lanes[j].shared)
-                            }));
-                            let memory = _mm256_blendv_pd(
-                                _mm256_mul_pd(merges, lat),
-                                zero,
-                                _mm256_cmp_pd::<_CMP_LE_OQ>(merges, zero),
-                            );
-                            total = _mm256_add_pd(total, _mm256_add_pd(compute, memory));
-                        }
-                        ReductionKind::TreeLog => {
-                            let merges = _mm256_mul_pd(load(quad(|j| lanes[j].tree_levels)), x_v);
-                            let merge_ops = _mm256_mul_pd(merges, ope_v);
-                            let compute = _mm256_blendv_pd(
-                                _mm256_div_pd(merge_ops, serial_den),
-                                zero,
-                                _mm256_cmp_pd::<_CMP_LE_OQ>(merge_ops, zero),
-                            );
-                            let ws = (2 * elements * bytes_per_element).max(1);
-                            let lat = load(quad(|j| cache.avg_access_latency(ws, lanes[j].shared)));
-                            let memory = _mm256_blendv_pd(
-                                _mm256_mul_pd(merges, lat),
-                                zero,
-                                _mm256_cmp_pd::<_CMP_LE_OQ>(merges, zero),
-                            );
-                            total = _mm256_add_pd(total, _mm256_add_pd(compute, memory));
-                        }
-                        ReductionKind::ParallelPrivatized => {
-                            // `merges` is lane-invariant (x.max(1.0) ≥ 1), so
-                            // the scalar `<= 0` branches resolve at scalar
-                            // precision exactly as walk_phases resolves them.
-                            let merges = x.max(1.0);
-                            let merge_ops = merges * *ops_per_element;
-                            let compute = if merge_ops <= 0.0 {
-                                zero
-                            } else {
-                                _mm256_div_pd(_mm256_set1_pd(merge_ops), parallel_den)
-                            };
-                            let lat = load(quad(|j| {
-                                let partials = lanes[j].threads * elements * bytes_per_element;
-                                cache.avg_access_latency(partials, lanes[j].shared)
-                            }));
-                            let memory = if merges <= 0.0 {
-                                zero
-                            } else {
-                                _mm256_mul_pd(_mm256_set1_pd(merges), lat)
-                            };
-                            total = _mm256_add_pd(total, _mm256_add_pd(compute, memory));
-                            // The exchange is emitted only when positive; a
-                            // suppressed lane adds +0.0, which cannot perturb
-                            // a non-negative running total.
-                            let comm = load(quad(|j| {
-                                lanes[j].noc.reduction_exchange_cycles(x, lanes[j].threads)
-                            }));
-                            let comm_pos = _mm256_cmp_pd::<_CMP_GT_OQ>(comm, zero);
-                            total = _mm256_add_pd(total, _mm256_blendv_pd(zero, comm, comm_pos));
-                        }
-                    }
-                }
-                PhaseOp::Broadcast { elements, .. } => {
-                    let cycles = load(quad(|j| {
-                        let messages = (lanes[j].threads.saturating_sub(1) * elements) as f64;
-                        lanes[j].noc.transfer_cycles(messages)
-                    }));
-                    total = _mm256_add_pd(total, cycles);
-                }
-            }
-        }
-
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), total);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,30 +378,6 @@ mod tests {
                 let report = simulate(&program, &machine).total_cycles();
                 let kernel = simulate_cycles(&program, &machine);
                 assert_eq!(report.to_bits(), kernel.to_bits(), "{kind:?} cores={cores}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_kernel_matches_scalar_bitwise() {
-        for kind in
-            [ReductionKind::SerialLinear, ReductionKind::TreeLog, ReductionKind::ParallelPrivatized]
-        {
-            let program = simple_program(kind);
-            // Mixed quads + a tail, symmetric and asymmetric machines.
-            let machines: Vec<Machine> = [1usize, 2, 4, 7, 16, 64, 3]
-                .iter()
-                .map(|&c| Machine::table1(c))
-                .chain([
-                    Machine::asymmetric(12, 1.0, 4.0, MachineConfig::table1_baseline()),
-                    Machine::asymmetric(0, 1.0, 2.0, MachineConfig::table1_baseline()),
-                ])
-                .collect();
-            let mut batched = vec![0.0; machines.len()];
-            simulate_cycles_batch(&program, &machines, &mut batched);
-            for (machine, got) in machines.iter().zip(&batched) {
-                let want = simulate_cycles(&program, machine);
-                assert_eq!(want.to_bits(), got.to_bits(), "{kind:?} machine={machine:?}");
             }
         }
     }

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 
 use mp_cmpsim::config::MachineConfig;
-use mp_cmpsim::engine::{simulate_cycles, simulate_cycles_batch};
+use mp_cmpsim::engine::simulate_cycles;
 use mp_cmpsim::machine::Machine;
 use mp_cmpsim::program::{PhaseOp, PhaseProgram, ReductionKind};
 use mp_model::calibrate::CalibratedParams;
@@ -44,7 +44,7 @@ use mp_model::params::AppParams;
 use mp_model::prepared::PreparedModel;
 use mp_par::ReductionStrategy;
 
-use crate::scenario::{ChipSpec, Scenario, ScenarioSpace};
+use crate::scenario::{ChipSpec, Scenario, ScenarioIndex, ScenarioSpace};
 use crate::tables::SpaceTables;
 
 /// Error produced by a backend evaluation.
@@ -174,356 +174,122 @@ pub(crate) fn for_each_design_run(
     }
 }
 
-/// The branch-light columnar inner loop: evaluate the designs
-/// `[design_start, design_start + out.len())` of one shared-axis run through
-/// a prepared model and the sweep's precomputed columns. `growth_at` supplies
-/// the growth sample per design index (a table column for space-axis growth,
-/// a direct evaluation for calibration-supplied growth). No heap allocation,
-/// no `Result`s — invalid designs are `NaN`, bit-identical to the
-/// per-scenario path.
-#[allow(clippy::too_many_arguments)] // one column per argument, by design
-fn eval_design_run(
+/// The columnar inner loop of the analytic and measured backends: evaluate
+/// the designs `[ix.design, ix.design + out.len())` of one shared-axis run
+/// through a prepared model and the sweep's precomputed columns.
+///
+/// Symmetric and asymmetric designs use different formulas, so the run is
+/// walked as homogeneous [`SpaceTables::segments`]; within a segment every
+/// element is one call of the `PreparedModel::speedup_*_from_parts` function
+/// that defines the result, over equal-length slices, so the loops have no
+/// bounds checks and no branches but selects, and the compiler vectorises
+/// them at whatever width the enclosing function's target features allow. No
+/// heap allocation, no `Result`s — unfit designs are `NaN`, bit-identical to
+/// the per-scenario path.
+#[inline(always)]
+fn eval_design_run_body(
     model: &PreparedModel<'_>,
-    designs: &[ChipSpec],
-    geometry: &[crate::tables::DesignGeometry],
-    perf_small: &[f64],
-    perf_large: &[f64],
-    growth_at: impl Fn(usize) -> f64,
+    tables: &SpaceTables,
     total_bce: f64,
-    design_start: usize,
+    ix: &ScenarioIndex,
+    growth: Option<&[f64]>,
     out: &mut [f64],
 ) {
-    for (k, slot) in out.iter_mut().enumerate() {
-        let di = design_start + k;
-        let geo = geometry[di];
-        *slot = if !geo.fits {
-            f64::NAN
+    let end = ix.design + out.len();
+    for seg in tables.segments() {
+        let a = seg.start.max(ix.design);
+        let b = (seg.start + seg.len).min(end);
+        if a >= b {
+            continue;
+        }
+        let out = &mut out[a - ix.design..b - ix.design];
+        let growth = growth.map(|column| &column[a..b]);
+        let fits = &tables.fits_bits(ix.budget)[a..b];
+        let perf_r = &tables.perf_small(ix.perf)[a..b];
+        let nan_unless_fit = |i: usize, speedup: f64| if fits[i] != 0 { speedup } else { f64::NAN };
+        if seg.asym {
+            let small_cores = &tables.small_cores(ix.budget)[a..b];
+            let perf_l = &tables.perf_large(ix.perf)[a..b];
+            eval_segment(growth, out, |i, sample| {
+                let speedup = model.speedup_asymmetric_from_parts(
+                    small_cores[i],
+                    perf_r[i],
+                    perf_l[i],
+                    sample,
+                );
+                nan_unless_fit(i, speedup)
+            });
         } else {
-            match designs[di] {
-                ChipSpec::Symmetric { r } => {
-                    model.speedup_symmetric_from_parts(total_bce, r, perf_small[di], growth_at(di))
-                }
-                ChipSpec::Asymmetric { .. } => model.speedup_asymmetric_from_parts(
-                    geo.small_cores,
-                    perf_small[di],
-                    perf_large[di],
-                    growth_at(di),
-                ),
-            }
-        };
+            let r = &tables.design_r()[a..b];
+            eval_segment(growth, out, |i, sample| {
+                let speedup =
+                    model.speedup_symmetric_from_parts(total_bce, r[i], perf_r[i], sample);
+                nan_unless_fit(i, speedup)
+            });
+        }
     }
 }
 
-/// Explicit-width (4×f64 AVX2) lane kernels for the prepared evaluation hot
-/// path, dispatched at runtime by [`eval_design_run_dispatch`].
+/// `out[i] = speedup(i, growth sample of design i)` over one segment.
+/// `growth` is the segment's slice of the space-axis growth column.
+/// Calibration-supplied growth is not a space axis, so it has no column:
+/// `None` means the caller wrote each design's sample into its `out` slot,
+/// and the loop consumes it in place — no scratch allocation.
+#[inline(always)]
+fn eval_segment(growth: Option<&[f64]>, out: &mut [f64], speedup: impl Fn(usize, f64) -> f64) {
+    match growth {
+        Some(column) => {
+            for (i, (slot, &sample)) in out.iter_mut().zip(column).enumerate() {
+                *slot = speedup(i, sample);
+            }
+        }
+        None => {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = speedup(i, *slot);
+            }
+        }
+    }
+}
+
+/// [`eval_design_run_body`] compiled with AVX2 enabled. `avx2` does not
+/// enable FMA and Rust never contracts or reassociates float arithmetic, so
+/// this instantiation differs from the baseline one in width only: IEEE
+/// add/mul/div are correctly rounded per lane, hence the same bits.
 ///
-/// **Bit parity is the contract**: every lane performs exactly the operations
-/// of the scalar reference ([`eval_design_run`] over
-/// [`PreparedModel::speedup_symmetric_from_parts`] /
-/// [`PreparedModel::speedup_asymmetric_from_parts`]) in the same association
-/// order. IEEE add/sub/mul/div are correctly rounded, so identical operand
-/// sequences produce identical bits; the `is_finite` collapse is an
-/// `abs < ∞` compare (false for NaN) blended with a broadcast `f64::NAN`,
-/// and unfit designs blend to `NaN` through the precomputed
-/// [`SpaceTables::fits_bits`] masks — both reproducing the scalar path's
-/// literal `f64::NAN`. No FMA: a fused multiply-add rounds once where the
-/// scalar path rounds twice, which would break parity.
+/// # Safety
 ///
-/// Symmetric and asymmetric designs use different formulas, so mixed design
-/// lists are processed as homogeneous [`SpaceTables::segments`]; each
-/// segment's sub-4-lane tail falls back to the scalar reference.
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
-mod lanes {
-    use mp_model::prepared::{PreparedModel, SpeedupCoefficients};
-
-    use super::eval_design_run;
-    use crate::scenario::ChipSpec;
-    use crate::tables::SpaceTables;
-
-    /// Evaluate one shared-axis run with the AVX2 kernels. `growth_col` is
-    /// the space-axis growth column when there is one; `None` means the
-    /// growth samples were prefilled into `out` and are consumed in place.
-    /// Caller guarantees AVX2 is available.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn eval_run(
-        model: &PreparedModel<'_>,
-        designs: &[ChipSpec],
-        tables: &SpaceTables,
-        budget_index: usize,
-        perf_index: usize,
-        growth_col: Option<&[f64]>,
-        total_bce: f64,
-        design_start: usize,
-        out: &mut [f64],
-    ) {
-        let coeffs = model.coefficients();
-        let geometry = tables.geometry(budget_index);
-        let perf_small = tables.perf_small(perf_index);
-        let perf_large = tables.perf_large(perf_index);
-        let fits = tables.fits_bits(budget_index);
-        let small_cores = tables.small_cores(budget_index);
-        let design_r = tables.design_r();
-        let end = design_start + out.len();
-        let out_ptr = out.as_mut_ptr();
-        for seg in tables.segments() {
-            let a = seg.start.max(design_start);
-            let b = (seg.start + seg.len).min(end);
-            if a >= b {
-                continue;
-            }
-            let ka = a - design_start;
-            let len = b - a;
-            let lanes_len = len & !3;
-            // Both growth sources resolve to one pointer; the in-place source
-            // aliases `out`, which is sound because each lane step loads its
-            // growth quad before storing its result quad.
-            let growth_ptr = match growth_col {
-                Some(g) => g[a..].as_ptr(),
-                None => out_ptr.wrapping_add(ka) as *const f64,
-            };
-            if lanes_len > 0 {
-                // SAFETY: AVX2 availability is the caller's contract; all
-                // pointers cover at least `lanes_len` elements of their
-                // columns (each column holds one entry per design).
-                unsafe {
-                    if seg.asym {
-                        asymmetric_lanes(
-                            &coeffs,
-                            lanes_len,
-                            small_cores[a..].as_ptr(),
-                            perf_small[a..].as_ptr(),
-                            perf_large[a..].as_ptr(),
-                            growth_ptr,
-                            fits[a..].as_ptr(),
-                            out_ptr.add(ka),
-                        );
-                    } else {
-                        symmetric_lanes(
-                            &coeffs,
-                            total_bce,
-                            lanes_len,
-                            design_r[a..].as_ptr(),
-                            perf_small[a..].as_ptr(),
-                            growth_ptr,
-                            fits[a..].as_ptr(),
-                            out_ptr.add(ka),
-                        );
-                    }
-                }
-            }
-            if lanes_len < len {
-                let tail = &mut out[ka + lanes_len..ka + len];
-                match growth_col {
-                    Some(g) => eval_design_run(
-                        model,
-                        designs,
-                        geometry,
-                        perf_small,
-                        perf_large,
-                        |di| g[di],
-                        total_bce,
-                        a + lanes_len,
-                        tail,
-                    ),
-                    None => eval_design_run(
-                        model,
-                        designs,
-                        geometry,
-                        perf_small,
-                        perf_large,
-                        |di| model.growth_sample(geometry[di].cores),
-                        total_bce,
-                        a + lanes_len,
-                        tail,
-                    ),
-                }
-            }
-        }
-    }
-
-    /// `speedup_symmetric_from_parts` over four designs per step, operation
-    /// for operation:
-    /// `(perf_r·n) / (s·(fcon + fred·(1 + fored·g))·n + f·r)`,
-    /// finite-or-NaN, then NaN where the design does not fit.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn symmetric_lanes(
-        c: &SpeedupCoefficients,
-        total_bce: f64,
-        n: usize,
-        r: *const f64,
-        perf_r: *const f64,
-        growth: *const f64,
-        fits: *const u64,
-        out: *mut f64,
-    ) {
-        use core::arch::x86_64::*;
-        let fored_v = _mm256_set1_pd(c.fored);
-        let fred_v = _mm256_set1_pd(c.fred);
-        let fcon_v = _mm256_set1_pd(c.fcon);
-        let s_v = _mm256_set1_pd(c.s);
-        let f_v = _mm256_set1_pd(c.f);
-        let n_v = _mm256_set1_pd(total_bce);
-        let one = _mm256_set1_pd(1.0);
-        let nan = _mm256_set1_pd(f64::NAN);
-        let inf = _mm256_set1_pd(f64::INFINITY);
-        let sign = _mm256_set1_pd(-0.0);
-        let mut i = 0;
-        while i < n {
-            let g = _mm256_loadu_pd(growth.add(i));
-            let pr = _mm256_loadu_pd(perf_r.add(i));
-            let rv = _mm256_loadu_pd(r.add(i));
-            let mult = _mm256_add_pd(
-                fcon_v,
-                _mm256_mul_pd(fred_v, _mm256_add_pd(one, _mm256_mul_pd(fored_v, g))),
-            );
-            let eff = _mm256_mul_pd(s_v, mult);
-            // Single-divide Eq. 4, same order as the scalar reference:
-            // `(perf_r·n) / (eff·n + f·r)`.
-            let speedup = _mm256_div_pd(
-                _mm256_mul_pd(pr, n_v),
-                _mm256_add_pd(_mm256_mul_pd(eff, n_v), _mm256_mul_pd(f_v, rv)),
-            );
-            let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, speedup), inf);
-            let fit = _mm256_castsi256_pd(_mm256_loadu_si256(fits.add(i) as *const __m256i));
-            let res = _mm256_blendv_pd(nan, _mm256_blendv_pd(nan, speedup, finite), fit);
-            _mm256_storeu_pd(out.add(i), res);
-            i += 4;
-        }
-    }
-
-    /// `speedup_asymmetric_from_parts` over four designs per step, with
-    /// `pt = perf_r·small + perf_l`:
-    /// `(perf_l·pt) / (s·(fcon + fred·(1 + fored·g))·pt + f·perf_l)`,
-    /// finite-or-NaN, then NaN where the design does not fit.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn asymmetric_lanes(
-        c: &SpeedupCoefficients,
-        n: usize,
-        small_cores: *const f64,
-        perf_r: *const f64,
-        perf_l: *const f64,
-        growth: *const f64,
-        fits: *const u64,
-        out: *mut f64,
-    ) {
-        use core::arch::x86_64::*;
-        let fored_v = _mm256_set1_pd(c.fored);
-        let fred_v = _mm256_set1_pd(c.fred);
-        let fcon_v = _mm256_set1_pd(c.fcon);
-        let s_v = _mm256_set1_pd(c.s);
-        let f_v = _mm256_set1_pd(c.f);
-        let one = _mm256_set1_pd(1.0);
-        let nan = _mm256_set1_pd(f64::NAN);
-        let inf = _mm256_set1_pd(f64::INFINITY);
-        let sign = _mm256_set1_pd(-0.0);
-        let mut i = 0;
-        while i < n {
-            let g = _mm256_loadu_pd(growth.add(i));
-            let pr = _mm256_loadu_pd(perf_r.add(i));
-            let pl = _mm256_loadu_pd(perf_l.add(i));
-            let sc = _mm256_loadu_pd(small_cores.add(i));
-            let mult = _mm256_add_pd(
-                fcon_v,
-                _mm256_mul_pd(fred_v, _mm256_add_pd(one, _mm256_mul_pd(fored_v, g))),
-            );
-            let eff = _mm256_mul_pd(s_v, mult);
-            // Single-divide Eq. 5, same order as the scalar reference:
-            // `(perf_l·pt) / (eff·pt + f·perf_l)`.
-            let throughput = _mm256_add_pd(_mm256_mul_pd(pr, sc), pl);
-            let speedup = _mm256_div_pd(
-                _mm256_mul_pd(pl, throughput),
-                _mm256_add_pd(_mm256_mul_pd(eff, throughput), _mm256_mul_pd(f_v, pl)),
-            );
-            let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, speedup), inf);
-            let fit = _mm256_castsi256_pd(_mm256_loadu_si256(fits.add(i) as *const __m256i));
-            let res = _mm256_blendv_pd(nan, _mm256_blendv_pd(nan, speedup, finite), fit);
-            _mm256_storeu_pd(out.add(i), res);
-            i += 4;
-        }
-    }
+#[target_feature(enable = "avx2")]
+unsafe fn eval_design_run_avx2(
+    model: &PreparedModel<'_>,
+    tables: &SpaceTables,
+    total_bce: f64,
+    ix: &ScenarioIndex,
+    growth: Option<&[f64]>,
+    out: &mut [f64],
+) {
+    eval_design_run_body(model, tables, total_bce, ix, growth, out);
 }
 
-/// Where a run's growth samples come from.
-#[derive(Clone, Copy)]
-enum GrowthSource<'a> {
-    /// Precomputed space-axis column, indexed by design index.
-    Column(&'a [f64]),
-    /// Evaluated per design from the prepared model's growth function
-    /// (calibration-supplied growth is not a space axis, so it has no column).
-    Model,
-}
-
-/// Evaluate one shared-axis design run, dispatching between the scalar
-/// reference ([`eval_design_run`]) and the AVX2 lane kernels. Both paths are
-/// bit-identical (see [`lanes`]), so the choice is invisible in results.
-#[allow(clippy::too_many_arguments)] // one column per argument, by design
+/// Evaluate one shared-axis design run at the width
+/// [`mp_model::simd::level`] selects.
 fn eval_design_run_dispatch(
     model: &PreparedModel<'_>,
-    space: &ScenarioSpace,
     tables: &SpaceTables,
-    budget_index: usize,
-    perf_index: usize,
-    growth: GrowthSource<'_>,
-    design_start: usize,
+    total_bce: f64,
+    ix: &ScenarioIndex,
+    growth: Option<&[f64]>,
     out: &mut [f64],
 ) {
-    let total_bce = space.budgets()[budget_index];
-    let geometry = tables.geometry(budget_index);
     #[cfg(target_arch = "x86_64")]
-    {
-        if mp_model::simd::level() == mp_model::simd::SimdLevel::Avx2 {
-            let growth_col = match growth {
-                GrowthSource::Column(g) => Some(g),
-                GrowthSource::Model => {
-                    // Growth functions branch and interpolate, so sampling
-                    // stays scalar; the samples land in `out` and the kernel
-                    // consumes them in place (no scratch allocation).
-                    for (k, slot) in out.iter_mut().enumerate() {
-                        *slot = model.growth_sample(geometry[design_start + k].cores);
-                    }
-                    None
-                }
-            };
-            lanes::eval_run(
-                model,
-                space.designs(),
-                tables,
-                budget_index,
-                perf_index,
-                growth_col,
-                total_bce,
-                design_start,
-                out,
-            );
-            return;
-        }
+    if mp_model::simd::level() == mp_model::simd::SimdLevel::Avx2 {
+        // SAFETY: `level()` reports `Avx2` only after
+        // `is_x86_feature_detected!("avx2")` succeeded on this CPU.
+        unsafe { eval_design_run_avx2(model, tables, total_bce, ix, growth, out) };
+        return;
     }
-    match growth {
-        GrowthSource::Column(g) => eval_design_run(
-            model,
-            space.designs(),
-            geometry,
-            tables.perf_small(perf_index),
-            tables.perf_large(perf_index),
-            |di| g[di],
-            total_bce,
-            design_start,
-            out,
-        ),
-        GrowthSource::Model => eval_design_run(
-            model,
-            space.designs(),
-            geometry,
-            tables.perf_small(perf_index),
-            tables.perf_large(perf_index),
-            |di| model.growth_sample(geometry[di].cores),
-            total_bce,
-            design_start,
-            out,
-        ),
-    }
+    eval_design_run_body(model, tables, total_bce, ix, growth, out);
 }
 
 fn speedup_extended(model: &ExtendedModel, scenario: &Scenario<'_>) -> Result<f64, DseError> {
@@ -574,17 +340,10 @@ impl EvalBackend for AnalyticBackend {
                 &space.growths()[ix.growth],
                 space.perfs()[ix.perf],
             );
+            let total_bce = space.budgets()[ix.budget];
             let growth = tables.growth(ix.growth, ix.budget);
-            eval_design_run_dispatch(
-                &model,
-                space,
-                tables,
-                ix.budget,
-                ix.perf,
-                GrowthSource::Column(growth),
-                ix.design,
-                &mut out[offset..offset + run],
-            );
+            let out = &mut out[offset..offset + run];
+            eval_design_run_dispatch(&model, tables, total_bce, &ix, Some(growth), out);
         });
     }
 }
@@ -810,18 +569,15 @@ impl EvalBackend for MeasuredBackend {
             };
             // The calibration supplies the growth function, so its samples
             // are evaluated at the designs' thread counts directly instead of
-            // read from the space-axis growth column.
+            // read from the space-axis growth column. Growth functions branch
+            // and interpolate, so sampling is its own scalar pass.
             let model = PreparedModel::new(app, growth, space.perfs()[ix.perf]);
-            eval_design_run_dispatch(
-                &model,
-                space,
-                tables,
-                ix.budget,
-                ix.perf,
-                GrowthSource::Model,
-                ix.design,
-                out,
-            );
+            let cores = &tables.cores(ix.budget)[ix.design..ix.design + run];
+            for (slot, &threads) in out.iter_mut().zip(cores) {
+                *slot = model.growth_sample(threads);
+            }
+            let total_bce = space.budgets()[ix.budget];
+            eval_design_run_dispatch(&model, tables, total_bce, &ix, None, out);
         });
     }
 }
@@ -1014,49 +770,17 @@ impl EvalBackend for SimBackend {
             let program = self.program(&scenario);
             let baseline = self.baseline_cycles(&scenario, &program);
             let ix = space.decode(index);
-            let geometry = tables.geometry(ix.budget);
+            let fits = tables.fits_bits(ix.budget);
             let total_bce = space.budgets()[ix.budget];
             let designs = space.designs();
-            let out_run = &mut out[offset..offset + run];
-            if mp_model::simd::level() == mp_model::simd::SimdLevel::Avx2 {
-                // Gather fit designs into machine quads for the 4-wide cycle
-                // kernel; unfit designs poison their slot immediately and
-                // sub-quad leftovers finish on the scalar kernel (bit-equal
-                // by contract, so the mix is invisible).
-                let mut slots = [0usize; 4];
-                let mut machines = [Machine::symmetric(1, 1.0, self.config); 4];
-                let mut cycles = [0.0f64; 4];
-                let mut filled = 0;
-                for k in 0..run {
-                    let di = ix.design + k;
-                    if !geometry[di].fits {
-                        out_run[k] = f64::NAN;
-                        continue;
-                    }
-                    slots[filled] = k;
-                    machines[filled] = self.machine_for(designs[di], total_bce);
-                    filled += 1;
-                    if filled == 4 {
-                        simulate_cycles_batch(&program, &machines, &mut cycles);
-                        for j in 0..4 {
-                            out_run[slots[j]] = baseline / cycles[j];
-                        }
-                        filled = 0;
-                    }
-                }
-                for j in 0..filled {
-                    out_run[slots[j]] = baseline / simulate_cycles(&program, &machines[j]);
-                }
-            } else {
-                for (k, slot) in out_run.iter_mut().enumerate() {
-                    let di = ix.design + k;
-                    *slot = if !geometry[di].fits {
-                        f64::NAN
-                    } else {
-                        let machine = self.machine_for(designs[di], total_bce);
-                        baseline / simulate_cycles(&program, &machine)
-                    };
-                }
+            for (k, slot) in out[offset..offset + run].iter_mut().enumerate() {
+                let di = ix.design + k;
+                *slot = if fits[di] == 0 {
+                    f64::NAN
+                } else {
+                    let machine = self.machine_for(designs[di], total_bce);
+                    baseline / simulate_cycles(&program, &machine)
+                };
             }
         });
     }

@@ -939,136 +939,6 @@ fn prefetch_slot(slot: &Slot) {
     }
 }
 
-/// Fill the canonical cache keys of one design run, dispatching between the
-/// scalar fold ([`CanonicalKeyPrefix::key_for`] per design) and the
-/// lane-parallel AVX2 suffix fold. The fold is pure integer arithmetic
-/// (per-byte FNV-1a: xor then a 64-bit multiply, emulated on AVX2 as three
-/// 32×32 partial products), so lane keys are *exactly* the scalar keys —
-/// there is no rounding to reason about.
-///
-/// [`CanonicalKeyPrefix::key_for`]: crate::scenario::CanonicalKeyPrefix::key_for
-pub(crate) fn fill_design_keys(
-    prefix: &crate::scenario::CanonicalKeyPrefix,
-    designs: &[crate::scenario::ChipSpec],
-    tables: &crate::tables::SpaceTables,
-    design_start: usize,
-    out: &mut [(u64, u64)],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if mp_model::simd::level() == mp_model::simd::SimdLevel::Avx2 {
-            let state = prefix.state();
-            let r_bits = tables.key_r_bits();
-            let rl_bits = tables.key_rl_bits();
-            let end = design_start + out.len();
-            for seg in tables.segments() {
-                let a = seg.start.max(design_start);
-                let b = (seg.start + seg.len).min(end);
-                if a >= b {
-                    continue;
-                }
-                let ka = a - design_start;
-                let len = b - a;
-                let lanes_len = len & !3;
-                if lanes_len > 0 {
-                    // SAFETY: AVX2 was detected above; the bit columns hold
-                    // one entry per design, covering `[a, a + lanes_len)`.
-                    unsafe {
-                        fold_design_keys_avx2(
-                            state,
-                            seg.asym,
-                            lanes_len,
-                            r_bits[a..].as_ptr(),
-                            rl_bits[a..].as_ptr(),
-                            out[ka..].as_mut_ptr(),
-                        );
-                    }
-                }
-                for k in lanes_len..len {
-                    out[ka + k] = prefix.key_for(designs[a + k]);
-                }
-            }
-            return;
-        }
-    }
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = prefix.key_for(designs[design_start + k]);
-    }
-}
-
-/// Four FNV-1a suffix folds at a time: broadcast the prefix state, fold the
-/// organisation tag byte once, then fold the 8 little-endian bytes of each
-/// design's canonicalised `r` bits (and `rl` bits for asymmetric designs)
-/// lane-parallel. The 64-bit multiply by the FNV prime is emulated with
-/// three `vpmuludq` partial products (the prime's high half is `0x100`, the
-/// low half `0x1b3`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_design_keys_avx2(
-    state: (u64, u64),
-    asym: bool,
-    n: usize,
-    r_bits: *const u64,
-    rl_bits: *const u64,
-    out: *mut (u64, u64),
-) {
-    use core::arch::x86_64::*;
-
-    const PRIME: u64 = 0x100_0000_01b3;
-    let prime_lo = _mm256_set1_epi64x((PRIME & 0xffff_ffff) as i64);
-    let prime_hi = _mm256_set1_epi64x((PRIME >> 32) as i64);
-    let byte_mask = _mm256_set1_epi64x(0xff);
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fold(state: __m256i, byte: __m256i, prime_lo: __m256i, prime_hi: __m256i) -> __m256i {
-        let x = _mm256_xor_si256(state, byte);
-        // x * PRIME mod 2^64 = lo(x)·lo(p) + ((hi(x)·lo(p) + lo(x)·hi(p)) << 32)
-        let lo_lo = _mm256_mul_epu32(x, prime_lo);
-        let hi_lo = _mm256_mul_epu32(_mm256_srli_epi64::<32>(x), prime_lo);
-        let lo_hi = _mm256_mul_epu32(x, prime_hi);
-        let cross = _mm256_slli_epi64::<32>(_mm256_add_epi64(hi_lo, lo_hi));
-        _mm256_add_epi64(lo_lo, cross)
-    }
-
-    // The tag byte is segment-wide: fold it into the broadcast prefix once.
-    let tag = _mm256_set1_epi64x(if asym { 2 } else { 1 });
-    let base0 = fold(_mm256_set1_epi64x(state.0 as i64), tag, prime_lo, prime_hi);
-    let base1 = fold(_mm256_set1_epi64x(state.1 as i64), tag, prime_lo, prime_hi);
-
-    let mut i = 0;
-    while i < n {
-        let mut s0 = base0;
-        let mut s1 = base1;
-        let rb = _mm256_loadu_si256(r_bits.add(i) as *const __m256i);
-        for shift in 0..8 {
-            let byte =
-                _mm256_and_si256(_mm256_srl_epi64(rb, _mm_cvtsi32_si128(8 * shift)), byte_mask);
-            s0 = fold(s0, byte, prime_lo, prime_hi);
-            s1 = fold(s1, byte, prime_lo, prime_hi);
-        }
-        if asym {
-            let rlb = _mm256_loadu_si256(rl_bits.add(i) as *const __m256i);
-            for shift in 0..8 {
-                let byte = _mm256_and_si256(
-                    _mm256_srl_epi64(rlb, _mm_cvtsi32_si128(8 * shift)),
-                    byte_mask,
-                );
-                s0 = fold(s0, byte, prime_lo, prime_hi);
-                s1 = fold(s1, byte, prime_lo, prime_hi);
-            }
-        }
-        let mut lanes0 = [0u64; 4];
-        let mut lanes1 = [0u64; 4];
-        _mm256_storeu_si256(lanes0.as_mut_ptr() as *mut __m256i, s0);
-        _mm256_storeu_si256(lanes1.as_mut_ptr() as *mut __m256i, s1);
-        for j in 0..4 {
-            *out.add(i + j) = (lanes0[j], lanes1[j]);
-        }
-        i += 4;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

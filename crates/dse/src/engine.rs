@@ -684,19 +684,13 @@ fn process_batch(
                 let keys = &mut scratch.keys[..];
                 let holes = &mut scratch.holes[..];
                 // Hash the shared axes once per design run; per scenario only
-                // the design itself is folded into the saved prefix — four
-                // designs per step on the AVX2 lane folder, one at a time on
-                // the scalar reference (bit-equal either way: the fold is
-                // integer-exact).
+                // the design itself is folded into the saved prefix.
                 for_each_run(space, range.clone(), |_, scenario, design, offset, run| {
                     let prefix = scenario.canonical_key_prefix(salt);
-                    crate::cache::fill_design_keys(
-                        &prefix,
-                        space.designs(),
-                        tables,
-                        design,
-                        &mut keys[offset..offset + run],
-                    );
+                    let designs = &space.designs()[design..design + run];
+                    for (key, &spec) in keys[offset..offset + run].iter_mut().zip(designs) {
+                        *key = prefix.key_for(spec);
+                    }
                 });
                 if cold_start {
                     // The cache was empty when the sweep started: every probe
@@ -746,12 +740,12 @@ fn process_batch(
     let budgets = space.budgets().len();
     crate::backend::for_each_design_run(space, range, |index, offset, run| {
         let design = index % designs;
-        let geometry = tables.geometry(index / designs % budgets);
+        let cores = tables.cores(index / designs % budgets);
         for k in 0..run {
             out[offset + k] = EvalRecord {
                 index: index + k,
                 speedup: scratch.speedups[offset + k],
-                cores: geometry[design + k].cores,
+                cores: cores[design + k],
                 area: area[design + k],
             };
         }

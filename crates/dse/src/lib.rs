@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::scenario::{
         CanonicalKeyPrefix, ChipSpec, Scenario, ScenarioIndex, ScenarioSpace,
     };
-    pub use crate::tables::{DesignGeometry, SpaceTables};
+    pub use crate::tables::SpaceTables;
 }
 
 pub use prelude::*;

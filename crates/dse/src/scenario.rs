@@ -186,14 +186,6 @@ pub struct CanonicalKeyPrefix {
 }
 
 impl CanonicalKeyPrefix {
-    /// The two raw FNV-1a stream states of the prefix. Lane kernels broadcast
-    /// these and fold each design's suffix (tag byte + canonicalised area
-    /// bits, exactly as [`CanonicalKeyPrefix::key_for`] does) in parallel;
-    /// the fold is integer-exact, so lane keys equal scalar keys.
-    pub fn state(&self) -> (u64, u64) {
-        self.hasher.finish()
-    }
-
     /// Complete the key for one design.
     pub fn key_for(mut self, design: ChipSpec) -> (u64, u64) {
         match design {

@@ -26,22 +26,10 @@ use mp_model::perf::PerfModel;
 
 use crate::scenario::{ChipSpec, ScenarioSpace};
 
-/// Geometry of one design under one budget.
-#[derive(Debug, Clone, Copy)]
-pub struct DesignGeometry {
-    /// Whether the design fits the budget ([`ChipSpec::fits`]); everything
-    /// else is meaningful only when this is true.
-    pub fits: bool,
-    /// Core count (== merging-thread count for both organisations).
-    pub cores: f64,
-    /// Small-core count of an asymmetric design (`0.0` for symmetric ones).
-    pub small_cores: f64,
-}
-
-/// A maximal run of consecutive designs of one organisation. Lane kernels
-/// operate on homogeneous segments: symmetric and asymmetric designs use
-/// different key-suffix layouts and speedup formulas, so mixed runs split at
-/// every organisation boundary.
+/// A maximal run of consecutive designs of one organisation. The batch
+/// kernels evaluate homogeneous segments: symmetric and asymmetric designs
+/// use different speedup formulas (Eq. 4 vs Eq. 5), so mixed design lists
+/// split at every organisation boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct DesignSegment {
     /// First design index of the segment.
@@ -58,8 +46,21 @@ pub struct SpaceTables {
     designs: usize,
     /// Swept-axis area per design ([`ChipSpec::area`]).
     area: Vec<f64>,
-    /// `[budget][design]` geometry.
-    geometry: Vec<DesignGeometry>,
+    /// Per-design small/symmetric core area `r`.
+    design_r: Vec<f64>,
+    /// `[budget][design]` fit masks ([`ChipSpec::fits`]): all-ones bits where
+    /// the design fits the budget, zero where it does not; the other
+    /// geometry columns are meaningful only where it fits. A full-width mask
+    /// and not a `bool` because the compiler folds a 64-bit compare into the
+    /// batch kernel's finite-or-`NaN` select, while widening bytes to vector
+    /// lanes costs a second select and 10–20 % of that loop (measured, PR 17).
+    fits_bits: Vec<u64>,
+    /// `[budget][design]` core count (== merging-thread count for both
+    /// organisations).
+    cores: Vec<f64>,
+    /// `[budget][design]` small-core count of an asymmetric design (`0.0`
+    /// for symmetric ones).
+    small_cores: Vec<f64>,
     /// `[perf][design]` performance of the small/symmetric core,
     /// `perf(r)`; `NaN` where the perf model rejects the area.
     perf_small: Vec<f64>,
@@ -69,22 +70,6 @@ pub struct SpaceTables {
     /// `[growth][budget][design]` growth samples at the design's thread
     /// count.
     growth: Vec<f64>,
-    /// `[budget][design]` fit masks for lane blends: all-ones bits where the
-    /// design fits the budget, zero where it does not.
-    fits_bits: Vec<u64>,
-    /// `[budget][design]` small-core counts as a flat column (SoA mirror of
-    /// [`DesignGeometry::small_cores`], loadable four lanes at a time).
-    small_cores: Vec<f64>,
-    /// Per-design small/symmetric core area `r` (the symmetric kernel's only
-    /// per-design model input).
-    design_r: Vec<f64>,
-    /// Per-design canonical key bits of `r` (`-0.0` folded to `0.0`, exactly
-    /// as [`mp_model::fingerprint::Fnv64::write_f64`] canonicalises), for the
-    /// lane key hasher.
-    key_r_bits: Vec<u64>,
-    /// Per-design canonical key bits of `rl` (asymmetric designs only;
-    /// zero-filled for symmetric ones, which never read it).
-    key_rl_bits: Vec<u64>,
     /// Maximal homogeneous organisation runs over the design axis.
     segments: Vec<DesignSegment>,
 }
@@ -97,17 +82,19 @@ impl SpaceTables {
 
         let area: Vec<f64> = designs.iter().map(|spec| spec.area()).collect();
 
-        let mut geometry = Vec::with_capacity(space.budgets().len() * d);
+        let per_budget = space.budgets().len() * d;
+        let mut fits_bits = Vec::with_capacity(per_budget);
+        let mut cores = Vec::with_capacity(per_budget);
+        let mut small_cores = Vec::with_capacity(per_budget);
         for &budget_bce in space.budgets() {
             let budget = ChipBudget::new(budget_bce);
             for spec in designs {
-                let fits = spec.fits(budget);
-                let cores = spec.cores(budget);
-                let small_cores = match spec {
+                fits_bits.push(if spec.fits(budget) { u64::MAX } else { 0 });
+                cores.push(spec.cores(budget));
+                small_cores.push(match spec {
                     ChipSpec::Symmetric { .. } => 0.0,
                     ChipSpec::Asymmetric { r, rl } => ((budget.total_bce() - rl) / r).max(0.0),
-                };
-                geometry.push(DesignGeometry { fits, cores, small_cores });
+                });
             }
         }
 
@@ -133,30 +120,21 @@ impl SpaceTables {
         // Growth samples are taken at the same thread counts the analytic
         // designs report: `SymmetricDesign::threads() == cores` and
         // `AsymmetricDesign::threads() == small_cores + 1 == cores`.
-        let mut growth = Vec::with_capacity(space.growths().len() * geometry.len());
+        let mut growth = Vec::with_capacity(space.growths().len() * cores.len());
         for g in space.growths() {
-            for geo in &geometry {
-                growth.push(g.eval(geo.cores));
+            for &threads in &cores {
+                growth.push(g.eval(threads));
             }
         }
 
-        let fits_bits: Vec<u64> =
-            geometry.iter().map(|geo| if geo.fits { u64::MAX } else { 0 }).collect();
-        let small_cores: Vec<f64> = geometry.iter().map(|geo| geo.small_cores).collect();
-
-        let canonical_bits = |v: f64| if v == 0.0 { 0.0f64 } else { v }.to_bits();
         let mut design_r = Vec::with_capacity(d);
-        let mut key_r_bits = Vec::with_capacity(d);
-        let mut key_rl_bits = Vec::with_capacity(d);
         let mut segments: Vec<DesignSegment> = Vec::new();
         for (i, spec) in designs.iter().enumerate() {
-            let (r, rl_bits, asym) = match *spec {
-                ChipSpec::Symmetric { r } => (r, 0, false),
-                ChipSpec::Asymmetric { r, rl } => (r, canonical_bits(rl), true),
+            let (r, asym) = match *spec {
+                ChipSpec::Symmetric { r } => (r, false),
+                ChipSpec::Asymmetric { r, .. } => (r, true),
             };
             design_r.push(r);
-            key_r_bits.push(canonical_bits(r));
-            key_rl_bits.push(rl_bits);
             match segments.last_mut() {
                 Some(seg) if seg.asym == asym => seg.len += 1,
                 _ => segments.push(DesignSegment { start: i, len: 1, asym }),
@@ -166,15 +144,13 @@ impl SpaceTables {
         SpaceTables {
             designs: d,
             area,
-            geometry,
+            design_r,
+            fits_bits,
+            cores,
+            small_cores,
             perf_small,
             perf_large,
             growth,
-            fits_bits,
-            small_cores,
-            design_r,
-            key_r_bits,
-            key_rl_bits,
             segments,
         }
     }
@@ -189,10 +165,28 @@ impl SpaceTables {
         &self.area
     }
 
-    /// The design-geometry run of one budget-axis index.
-    pub fn geometry(&self, budget_index: usize) -> &[DesignGeometry] {
+    /// Per-design small/symmetric core areas `r`.
+    pub fn design_r(&self) -> &[f64] {
+        &self.design_r
+    }
+
+    /// The fit-mask run of one budget-axis index: all-ones where the design
+    /// fits, zero where it does not.
+    pub fn fits_bits(&self, budget_index: usize) -> &[u64] {
         let start = budget_index * self.designs;
-        &self.geometry[start..start + self.designs]
+        &self.fits_bits[start..start + self.designs]
+    }
+
+    /// The core-count run of one budget-axis index.
+    pub fn cores(&self, budget_index: usize) -> &[f64] {
+        let start = budget_index * self.designs;
+        &self.cores[start..start + self.designs]
+    }
+
+    /// The small-core-count run of one budget-axis index.
+    pub fn small_cores(&self, budget_index: usize) -> &[f64] {
+        let start = budget_index * self.designs;
+        &self.small_cores[start..start + self.designs]
     }
 
     /// The small/symmetric-core performance run of one perf-axis index.
@@ -209,39 +203,9 @@ impl SpaceTables {
 
     /// The growth-sample run of one (growth, budget) axis-index pair.
     pub fn growth(&self, growth_index: usize, budget_index: usize) -> &[f64] {
-        let budgets = self.geometry.len() / self.designs.max(1);
+        let budgets = self.cores.len() / self.designs.max(1);
         let start = (growth_index * budgets + budget_index) * self.designs;
         &self.growth[start..start + self.designs]
-    }
-
-    /// The fit-mask run of one budget-axis index: all-ones where the design
-    /// fits, zero where it does not (ready for a lane blend to `NaN`).
-    pub fn fits_bits(&self, budget_index: usize) -> &[u64] {
-        let start = budget_index * self.designs;
-        &self.fits_bits[start..start + self.designs]
-    }
-
-    /// The small-core-count run of one budget-axis index (SoA mirror of the
-    /// geometry column's `small_cores`).
-    pub fn small_cores(&self, budget_index: usize) -> &[f64] {
-        let start = budget_index * self.designs;
-        &self.small_cores[start..start + self.designs]
-    }
-
-    /// Per-design small/symmetric core areas `r`.
-    pub fn design_r(&self) -> &[f64] {
-        &self.design_r
-    }
-
-    /// Per-design canonical key bits of `r` (`-0.0` → `0.0`).
-    pub fn key_r_bits(&self) -> &[u64] {
-        &self.key_r_bits
-    }
-
-    /// Per-design canonical key bits of `rl` (meaningful on asymmetric
-    /// designs only).
-    pub fn key_rl_bits(&self) -> &[u64] {
-        &self.key_rl_bits
     }
 
     /// Maximal homogeneous organisation runs over the design axis.
@@ -274,9 +238,13 @@ mod tests {
         for index in 0..space.len() {
             let ix = space.decode(index);
             let scenario = space.scenario(index);
-            let geo = tables.geometry(ix.budget)[ix.design];
-            assert_eq!(geo.fits, scenario.design.fits(scenario.budget), "index {index}");
-            assert_eq!(geo.cores.to_bits(), scenario.cores().to_bits(), "index {index}");
+            let mask = if scenario.design.fits(scenario.budget) { u64::MAX } else { 0 };
+            assert_eq!(tables.fits_bits(ix.budget)[ix.design], mask, "index {index}");
+            assert_eq!(
+                tables.cores(ix.budget)[ix.design].to_bits(),
+                scenario.cores().to_bits(),
+                "index {index}"
+            );
             assert_eq!(
                 tables.area()[ix.design].to_bits(),
                 scenario.area().to_bits(),
@@ -296,6 +264,8 @@ mod tests {
                         expect.to_bits(),
                         "index {index}"
                     );
+                    assert_eq!(tables.design_r()[ix.design].to_bits(), r.to_bits());
+                    assert_eq!(tables.small_cores(ix.budget)[ix.design].to_bits(), 0);
                 }
                 ChipSpec::Asymmetric { r, rl } => {
                     let small = scenario.perf.perf(r).unwrap_or(f64::NAN);
@@ -304,7 +274,11 @@ mod tests {
                     assert_eq!(tables.perf_large(ix.perf)[ix.design].to_bits(), large.to_bits());
                     // small_cores must reproduce AsymmetricDesign::small_cores.
                     let expect = ((scenario.budget.total_bce() - rl) / r).max(0.0);
-                    assert_eq!(geo.small_cores.to_bits(), expect.to_bits());
+                    assert_eq!(
+                        tables.small_cores(ix.budget)[ix.design].to_bits(),
+                        expect.to_bits()
+                    );
+                    assert_eq!(tables.design_r()[ix.design].to_bits(), r.to_bits());
                 }
             }
         }
@@ -316,7 +290,9 @@ mod tests {
         let tables = SpaceTables::new(&space);
         assert_eq!(tables.designs(), space.designs().len());
         for b in 0..space.budgets().len() {
-            assert_eq!(tables.geometry(b).len(), tables.designs());
+            assert_eq!(tables.fits_bits(b).len(), tables.designs());
+            assert_eq!(tables.cores(b).len(), tables.designs());
+            assert_eq!(tables.small_cores(b).len(), tables.designs());
             for g in 0..space.growths().len() {
                 assert_eq!(tables.growth(g, b).len(), tables.designs());
             }

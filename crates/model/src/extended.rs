@@ -92,9 +92,9 @@ impl ExtendedModel {
         // Single-divide form of `1 / (eff/perf_r + f·r/(perf_r·n))`
         // (multiply through by `perf_r·n`): algebraically identical, one
         // IEEE division instead of three. This is the evaluation hot path's
-        // arithmetic — [`PreparedModel`] and the SIMD lane kernels replicate
-        // this exact operation order, so any change here must be mirrored
-        // there (and the golden curves regenerated).
+        // arithmetic — [`PreparedModel`] replicates this exact operation
+        // order and is compared against it bit for bit, so any change here
+        // must be made there too (and the golden curves regenerated).
         //
         // [`PreparedModel`]: crate::prepared::PreparedModel
         let eff = self.effective_serial_fraction(threads);
@@ -115,7 +115,7 @@ impl ExtendedModel {
         let perf_r = self.perf.perf(design.r())?;
         let threads = design.threads();
         // Single-divide form of `1 / (eff/perf_l + f/pt)` (multiply through
-        // by `perf_l·pt`); mirrored by `PreparedModel` and the lane kernels.
+        // by `perf_l·pt`); `PreparedModel` replicates the operation order.
         let eff = self.effective_serial_fraction(threads);
         let parallel_throughput = perf_r * design.small_cores() + perf_l;
         check_finite(

@@ -26,31 +26,6 @@ use crate::growth::GrowthFunction;
 use crate::params::AppParams;
 use crate::perf::PerfModel;
 
-/// The five design-independent scalars of a [`PreparedModel`], exported for
-/// lane kernels that re-run the speedup arithmetic outside this crate (e.g.
-/// mp-dse's SIMD `evaluate_batch_prepared`).
-///
-/// **Contract**: a kernel consuming these coefficients must replicate the
-/// exact operations and association order of
-/// [`PreparedModel::speedup_symmetric_from_parts`] /
-/// [`PreparedModel::speedup_asymmetric_from_parts`] — broadcast each
-/// coefficient across lanes and apply the same multiply/add/divide sequence —
-/// so its results stay bit-identical to the scalar reference. The parity
-/// proptests in `tests/sweep_parity.rs` enforce this.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedupCoefficients {
-    /// Parallel fraction `f`.
-    pub f: f64,
-    /// Serial fraction `s = 1 - f`.
-    pub s: f64,
-    /// Constant fraction of the serial time.
-    pub fcon: f64,
-    /// Reduction fraction of the serial time.
-    pub fred: f64,
-    /// Reduction-overhead coefficient.
-    pub fored: f64,
-}
-
 /// Design-independent state of one `(application, growth, perf)` combination,
 /// borrowed from its owners. Build once per shared-axis run, evaluate many
 /// designs.
@@ -89,18 +64,6 @@ impl<'a> PreparedModel<'a> {
         self.growth
     }
 
-    /// The design-independent scalars, for lane kernels that broadcast them
-    /// across lanes. See [`SpeedupCoefficients`] for the parity contract.
-    pub fn coefficients(&self) -> SpeedupCoefficients {
-        SpeedupCoefficients {
-            f: self.f,
-            s: self.s,
-            fcon: self.fcon,
-            fred: self.fred,
-            fored: self.fored,
-        }
-    }
-
     /// The performance model.
     pub fn perf(&self) -> PerfModel {
         self.perf
@@ -137,6 +100,10 @@ impl<'a> PreparedModel<'a> {
     /// Symmetric speedup (paper Eq. 4) from fully precomputed parts:
     /// `threads = n / r`, `perf_r = perf(r)` (NaN when invalid) and
     /// `growth_sample = grow(threads)`.
+    ///
+    /// Straight-line arithmetic and one select, `#[inline]`: mp-dse's batch
+    /// loop calls this once per element and the compiler vectorises the loop
+    /// around it.
     #[inline]
     pub fn speedup_symmetric_from_parts(
         &self,
@@ -160,7 +127,8 @@ impl<'a> PreparedModel<'a> {
     /// Asymmetric speedup (paper Eq. 5) from precomputed parts:
     /// `small_cores = ((n - rl) / r).max(0)`, `perf_r = perf(r)`,
     /// `perf_l = perf(rl)` (NaN when invalid) and the growth sample at
-    /// `small_cores + 1` threads.
+    /// `small_cores + 1` threads. Vectorised by the same batch loop as
+    /// [`PreparedModel::speedup_symmetric_from_parts`].
     #[inline]
     pub fn speedup_asymmetric_from_parts(
         &self,

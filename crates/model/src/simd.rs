@@ -1,35 +1,36 @@
-//! Runtime SIMD dispatch shared by every lane kernel in the workspace.
+//! Runtime width dispatch for the one vectorised kernel in the workspace.
 //!
-//! The evaluation hot paths (mp-dse's `evaluate_batch_prepared`, mp-cmpsim's
-//! timing walk, the cache-key hashing loop) each exist twice: a portable
-//! scalar implementation — the *reference* — and an explicit-width lane
-//! kernel using `core::arch` x86-64 intrinsics. Which one runs is decided
-//! here, once per process, from runtime CPU feature detection: hosts without
-//! the required lanes (or non-x86 targets) silently take the scalar path.
-//! No compile-time feature flag is required for correctness.
+//! mp-dse's `evaluate_batch_prepared` inner loop (paper Eq. 4/5 over the
+//! sweep's design columns) is written once, in safe Rust, and compiled
+//! twice: for the baseline ISA, and with AVX2 enabled so the compiler may
+//! use 256-bit registers. Which instantiation runs is decided here, once per
+//! process, from runtime CPU feature detection: hosts without AVX2 (or
+//! non-x86 targets) silently take the baseline one. No compile-time feature
+//! flag is required for correctness.
 //!
-//! Lane kernels are bit-identical to the scalar reference (they perform the
-//! same operations in the same association order, per the [`crate::prepared`]
-//! parity contract), so switching levels never changes results — only
-//! throughput. That invariant is what lets the forced-scalar override below
-//! be a plain process-global: tests and A/B harnesses may toggle it at any
-//! time without racing on correctness.
+//! Both instantiations come from the same source, `avx2` does not enable
+//! fused multiply-add, and Rust never contracts or reassociates float
+//! arithmetic, so switching levels never changes results — only throughput.
+//! That invariant is what lets the forced-scalar override below be a plain
+//! process-global: tests and A/B harnesses may toggle it at any time without
+//! racing on correctness.
 //!
-//! ## Forcing the scalar path
+//! ## Forcing the baseline instantiation
 //!
 //! * environment: set `MP_SIMD_FORCE_SCALAR=1` (read once, at first dispatch);
 //! * programmatic: [`set_forced_scalar`] — what the parity tests toggle to
-//!   compare both paths inside one process.
+//!   compare both widths inside one process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Instruction-set level the lane kernels may use, decided at runtime.
+/// Instruction-set level the kernel may be compiled for, decided at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable scalar reference path. Always available.
+    /// The target's baseline ISA. Always available.
     Scalar,
-    /// 256-bit AVX2 lanes (4×f64 / 4×u64). x86-64 only, detected at runtime.
+    /// AVX2 enabled (256-bit registers, 4×f64). x86-64 only, detected at
+    /// runtime.
     Avx2,
 }
 
@@ -48,7 +49,7 @@ fn detected() -> SimdLevel {
 }
 
 /// Whether the `MP_SIMD_FORCE_SCALAR` environment variable asked for the
-/// scalar path. Read once; `"0"` and empty both mean "not forced".
+/// baseline level. Read once; `"0"` and empty both mean "not forced".
 fn env_forced_scalar() -> bool {
     static CELL: OnceLock<bool> = OnceLock::new();
     *CELL.get_or_init(|| {
@@ -58,22 +59,21 @@ fn env_forced_scalar() -> bool {
 
 static FORCED_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Programmatically force (or un-force) the scalar path for the whole
+/// Programmatically force (or un-force) the baseline level for the whole
 /// process, overriding hardware detection. Safe to toggle at any time: both
-/// paths are bit-identical, so in-flight work is unaffected beyond speed.
+/// levels are bit-identical, so in-flight work is unaffected beyond speed.
 pub fn set_forced_scalar(forced: bool) {
     FORCED_SCALAR.store(forced, Ordering::Relaxed);
 }
 
-/// Whether the scalar path is currently forced (by environment or
+/// Whether the baseline level is currently forced (by environment or
 /// [`set_forced_scalar`]).
 pub fn forced_scalar() -> bool {
     env_forced_scalar() || FORCED_SCALAR.load(Ordering::Relaxed)
 }
 
-/// The level lane kernels should dispatch on *right now*: the detected
-/// hardware level, downgraded to [`SimdLevel::Scalar`] while the forced
-/// override is active.
+/// The level to dispatch on *right now*: the detected hardware level,
+/// downgraded to [`SimdLevel::Scalar`] while the forced override is active.
 pub fn level() -> SimdLevel {
     if forced_scalar() {
         SimdLevel::Scalar

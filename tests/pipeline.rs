@@ -84,10 +84,16 @@ fn speedup_series_is_reported_relative_to_single_thread() {
     let job = ClusteringWorkload::kmeans(small_dataset());
     let profiles = run_sweep(&job, &[1, 2, 4]);
     let series = merging_phases::profile::speedup_series(&profiles);
+    // The series is a pure function of the recorded phase times: one entry
+    // per profile in thread order, the single-thread run as the unit, every
+    // other value that run's total over this one's. How large the values are
+    // is the host's business, not this test's.
+    assert_eq!(series.len(), profiles.len());
     assert_eq!(series[0], (1, 1.0));
-    // Multi-thread runs should not be slower than half the ideal (generous
-    // bound: CI machines can be noisy and oversubscribed).
-    for &(threads, speedup) in &series {
-        assert!(speedup > 0.3, "threads={threads}: implausible speedup {speedup}");
+    let base = profiles[0].total_time();
+    for (&(threads, speedup), profile) in series.iter().zip(&profiles) {
+        assert_eq!(threads, profile.threads);
+        assert!(speedup.is_finite() && speedup > 0.0, "threads={threads}: {speedup}");
+        assert_eq!(speedup, base / profile.total_time(), "threads={threads}");
     }
 }

@@ -158,7 +158,7 @@ fn unknown_apps_stay_nan_through_the_columnar_path() {
     parity_for(&backend, &with_unknown, "measured-unknown");
 }
 
-/// RAII pin of the scalar reference kernels (un-pins on drop, panics
+/// RAII pin of the forced-scalar dispatch (un-pins on drop, panics
 /// included, so a failing case cannot leak a forced state into later tests).
 struct ForceScalar;
 
@@ -175,24 +175,38 @@ impl Drop for ForceScalar {
     }
 }
 
-/// Sweep `space` at 1 and 4 threads, cache off.
-fn sweeps_at_both_widths(space: &ScenarioSpace, backend: &dyn EvalBackend) -> Vec<SweepResult> {
+/// Sweep `space` at 1 and 4 threads, cache off: the whole space, then one
+/// sub-range that starts at the second design of the second shared-axis run
+/// and stops three designs short of the end, so its first and last runs
+/// begin and end in the middle of an organisation segment at offsets that
+/// are not multiples of the vector width.
+fn sweeps_at_both_widths(
+    space: &ScenarioSpace,
+    backend: &dyn EvalBackend,
+) -> Vec<(SweepResult, SweepResult)> {
+    let config = SweepConfig { batch_size: 64, use_cache: false };
+    let handle = SweepHandle::new(space);
     [1usize, 4]
         .iter()
         .map(|&threads| {
-            Engine::new(threads).sweep(
-                space,
-                backend,
-                &SweepConfig { batch_size: 64, use_cache: false },
-            )
+            let engine = Engine::new(threads);
+            let full = engine.sweep(space, backend, &config);
+            let part = engine.sweep_range(&handle, backend, &config, mid_segment_range(space));
+            (full, part)
         })
         .collect()
 }
 
-/// The scalar-vs-SIMD equivalence pin for one backend over one space: the
-/// forced-scalar sweep, the lane sweep (AVX2 where the host has it; the
-/// same scalar path where it does not, making the comparison trivially
-/// true there), and the per-scenario reference must agree bitwise.
+fn mid_segment_range(space: &ScenarioSpace) -> std::ops::Range<usize> {
+    let start = (space.designs().len() + 1).min(space.len());
+    start..space.len().saturating_sub(3).max(start)
+}
+
+/// The width-equivalence pin for one backend over one space: the
+/// forced-scalar sweep, the default sweep (the AVX2 instantiation where the
+/// host has it; the same baseline one where it does not, making the
+/// comparison trivially true there), and the per-scenario reference must
+/// agree bitwise.
 fn lane_scalar_reference_parity(space: &ScenarioSpace, backend: &dyn EvalBackend, label: &str) {
     let scalar = {
         let _pin = ForceScalar::pin();
@@ -200,16 +214,27 @@ fn lane_scalar_reference_parity(space: &ScenarioSpace, backend: &dyn EvalBackend
     };
     let lanes = sweeps_at_both_widths(space, backend);
     let reference = reference_sweep(space, backend);
+    let part = &reference[mid_segment_range(space)];
     for ((s, l), threads) in scalar.iter().zip(&lanes).zip([1usize, 4]) {
         assert_bit_identical(
             &format!("{label} lane-vs-scalar threads={threads}"),
-            &s.records,
-            &l.records,
+            &s.0.records,
+            &l.0.records,
         );
         assert_bit_identical(
             &format!("{label} lane-vs-reference threads={threads}"),
             &reference,
-            &l.records,
+            &l.0.records,
+        );
+        assert_bit_identical(
+            &format!("{label} scalar range-vs-reference threads={threads}"),
+            part,
+            &s.1.records,
+        );
+        assert_bit_identical(
+            &format!("{label} lane range-vs-reference threads={threads}"),
+            part,
+            &l.1.records,
         );
     }
 }
@@ -218,15 +243,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary spaces — fitting, over-budget, and NaN-poisoned designs
-    /// alike — swept through the lane kernels and the forced-scalar
-    /// reference: every slot bitwise identical, NaN markers included. The
-    /// `Measured` growth carries a NaN sample, so designs landing on the
-    /// poisoned segment propagate NaN through the speedup arithmetic (not
-    /// just the unfit-design blend), at 1 and 4 threads.
+    /// alike — swept at the default width and at the forced-scalar one:
+    /// every slot bitwise identical, NaN markers included. The `Measured`
+    /// growth carries a NaN sample, so designs landing on the poisoned
+    /// segment propagate NaN through the speedup arithmetic (not just the
+    /// unfit-design select), at 1 and 4 threads.
+    ///
+    /// Every case walks the symmetric segment through all lengths 0..=9 and
+    /// pairs each with a different asymmetric length (a permutation of 0..=9
+    /// picked by `shift`), so both organisations are swept absent, shorter
+    /// than one vector, and with every remainder.
     #[test]
     fn lane_kernels_match_forced_scalar_bitwise(
-        sym_rs in proptest::collection::vec(0.5f64..400.0, 1..8),
-        asym_larges in proptest::collection::vec(1.0f64..300.0, 1..4),
+        sym_rs in proptest::collection::vec(0.5f64..400.0, 9),
+        asym_larges in proptest::collection::vec(1.0f64..300.0, 9),
+        asym_small in 0.5f64..4.0,
+        shift in 0usize..10,
         budget in 16.0f64..512.0,
         sigma in 1.0f64..2.0,
         poison in proptest::bool::ANY,
@@ -243,29 +275,44 @@ proptest! {
                 (16.0, 40.0),
             ]));
         }
-        let space = ScenarioSpace::new()
-            .with_apps(AppParams::table2_all())
-            .with_budgets(vec![budget])
-            .clear_designs()
-            .add_symmetric_grid(sym_rs.iter().copied())
-            .add_asymmetric_grid([1.0, 4.0], asym_larges.iter().copied())
-            .with_growths(growths)
-            .with_perfs(vec![PerfModel::Pollack, PerfModel::Power(0.75)]);
-        lane_scalar_reference_parity(&space, &AnalyticBackend, "analytic");
-
         let measured = measured_backend();
-        let measured_space = space.clone().with_apps(vec![
-            measured.apps()[0].clone(),
-            AppParams::table2_kmeans().with_name("unknown-app"),
-        ]);
-        lane_scalar_reference_parity(&measured_space, &measured, "measured");
-
-        let sim_space = space
-            .with_growths(vec![GrowthFunction::Linear])
-            .with_perfs(vec![PerfModel::Pollack])
-            .with_reductions(mp_par::ReductionStrategy::all().to_vec());
         let sim = SimBackend::new().with_total_ops(1e5);
-        lane_scalar_reference_parity(&sim_space, &sim, "sim");
+        for sym_len in 0..=9usize {
+            let asym_len = (sym_len * 7 + shift) % 10;
+            // An explicit list, so a large core smaller than the small one
+            // stays in as an unfit design instead of being filtered out.
+            let designs: Vec<ChipSpec> = sym_rs[..sym_len]
+                .iter()
+                .map(|&r| ChipSpec::Symmetric { r })
+                .chain(
+                    asym_larges[..asym_len]
+                        .iter()
+                        .map(|&rl| ChipSpec::Asymmetric { r: asym_small, rl }),
+                )
+                .collect();
+            if designs.is_empty() {
+                continue;
+            }
+            let space = ScenarioSpace::new()
+                .with_apps(AppParams::table2_all())
+                .with_budgets(vec![budget])
+                .with_designs(designs)
+                .with_growths(growths.clone())
+                .with_perfs(vec![PerfModel::Pollack, PerfModel::Power(0.75)]);
+            lane_scalar_reference_parity(&space, &AnalyticBackend, "analytic");
+
+            let measured_space = space.clone().with_apps(vec![
+                measured.apps()[0].clone(),
+                AppParams::table2_kmeans().with_name("unknown-app"),
+            ]);
+            lane_scalar_reference_parity(&measured_space, &measured, "measured");
+
+            let sim_space = space
+                .with_growths(vec![GrowthFunction::Linear])
+                .with_perfs(vec![PerfModel::Pollack])
+                .with_reductions(mp_par::ReductionStrategy::all().to_vec());
+            lane_scalar_reference_parity(&sim_space, &sim, "sim");
+        }
     }
 
     /// Hammer the lock-free cache from 8 threads with overlapping key ranges
