@@ -146,7 +146,7 @@ fn usage() {
     }
     eprintln!("  dse        large-scale design-space exploration (mp-dse engine)");
     eprintln!("  calibrate  run workloads, calibrate the model, sweep the design space");
-    eprintln!("  serve      resident sharded sweep service (mp-serve, JSON socket protocol)");
+    eprintln!("  serve      resident sweep service (mp-serve, JSON socket protocol)");
     eprintln!("  load       closed-loop load generator + differential checker for `serve`");
     eprintln!("  job        durable sweep jobs on a running `serve` (submit/status/cancel/resume)");
 }

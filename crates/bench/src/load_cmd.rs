@@ -28,16 +28,6 @@
 //! from the server's own metrics — scenarios evaluated per distinct
 //! scenario, coalesced requests, shared scenarios — and the run fails
 //! unless coalescing actually happened.
-//!
-//! `--skew` is the work-stealing scheduler's counterpart: the query mix
-//! concentrates on the *hot band* `0..n/shards` — the scenario prefix that
-//! static banding homes entirely on shard 0 — with only an occasional full
-//! sweep. Without stealing one shard would do nearly all the work while the
-//! rest idle; the idle shards' workers drain shard 0's queue instead. The
-//! report reads the `sched_units_stolen` delta from the server's metrics and
-//! the run fails unless steals were actually observed. Pair with
-//! `--fault-latency-ms` to give every evaluation a deterministic service
-//! time so steals happen even on small hosts.
 
 use std::io::BufRead;
 use std::ops::Range;
@@ -64,7 +54,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--backend",
     "--chunk",
     "--depth",
-    "--fault-latency-ms",
 ];
 
 /// Deepest supported pipeline. Must stay safely below the server's
@@ -93,15 +82,6 @@ struct Options {
     pipelined: bool,
     depth: usize,
     overlap: bool,
-    /// `--skew`: concentrate the query mix on the hot band `0..n/shards`
-    /// so static banding overloads shard 0 while the rest idle — the shape
-    /// the work-stealing scheduler exists for.
-    skew: bool,
-    /// `--fault-latency-ms` (with `--spawn`): start the server with the
-    /// fault injector adding a fixed latency to every backend evaluation.
-    /// Values are bit-transparent; only service time changes — this is how
-    /// the skew benchmark makes compute overlap measurable on small hosts.
-    fault_latency_ms: u64,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -120,8 +100,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         pipelined: false,
         depth: 8,
         overlap: false,
-        skew: false,
-        fault_latency_ms: 0,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -145,11 +123,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--backend" => options.backend = value,
                 "--chunk" => options.chunk = cli::parse_count(arg, &value, 1, cli::MAX_COUNT)?,
                 "--depth" => options.depth = cli::parse_count(arg, &value, 1, MAX_DEPTH)?,
-                "--fault-latency-ms" => {
-                    options.fault_latency_ms = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("{arg} needs a non-negative millisecond count"))?;
-                }
                 other => unreachable!("{other} is listed in VALUE_FLAGS but unhandled"),
             }
         } else {
@@ -160,7 +133,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--shutdown" => options.shutdown = true,
                 "--pipelined" => options.pipelined = true,
                 "--overlap" => options.overlap = true,
-                "--skew" => options.skew = true,
                 other => return Err(format!("unknown load option `{other}`")),
             }
         }
@@ -171,11 +143,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
              --addr or --socket (drop --spawn to load an existing server)"
                 .to_string(),
         );
-    }
-    if options.fault_latency_ms > 0 && !options.spawn {
-        return Err("--fault-latency-ms arms the *spawned* server's fault injector and needs \
-             --spawn (arm an external server with its own `repro serve --fault-latency-ms`)"
-            .to_string());
     }
     Ok(options)
 }
@@ -251,11 +218,11 @@ fn check_metrics(metrics_json: &str, options: &Options) -> Vec<String> {
         "requests_total_prepare",
         "cache_hits",
     ];
-    if options.clients >= 2 && options.requests >= 3 && !options.overlap && !options.skew {
+    if options.clients >= 2 && options.requests >= 3 && !options.overlap {
         // The deterministic query mix covers top-k (even connections) and
         // Pareto (odd connections) from the third request on — except in
-        // overlap mode (all duplicate full sweeps) and skew mode (hot-band
-        // windows plus full sweeps), which never send the analysis verbs.
+        // overlap mode (all duplicate full sweeps), which never sends the
+        // analysis verbs.
         nonzero_counters.push("requests_total_top_k");
         nonzero_counters.push("requests_total_pareto");
     }
@@ -266,26 +233,14 @@ fn check_metrics(metrics_json: &str, options: &Options) -> Vec<String> {
             None => problems.push(format!("counter `{name}` is missing")),
         }
     }
-    // Every sweep is decomposed into scheduler work units, so the unit
-    // counter is live under any load shape.
-    match metrics_series(&value, "counters", "sched_units_total").and_then(|v| v.as_f64()) {
-        Some(count) if count > 0.0 => {}
-        Some(_) => {
-            problems.push("counter `sched_units_total` is zero under guaranteed load".into())
-        }
-        None => problems.push("counter `sched_units_total` is missing".into()),
-    }
-    // The planner's and scheduler's remaining series are registered
-    // unconditionally; coalescing, stealing and rejection counts depend on
-    // the workload shape, so presence (not activity) is what every load
-    // shape can assert.
+    // The planner's series are registered unconditionally; coalescing and
+    // rejection counts depend on the workload shape, so presence (not
+    // activity) is what every load shape can assert.
     for name in [
         "busy_rejections",
         "planner_coalesced_requests",
         "planner_shared_scenarios",
         "planner_cost_rejections",
-        "sched_units_stolen",
-        "sched_rebands",
     ] {
         if metrics_series(&value, "counters", name).and_then(|v| v.as_f64()).is_none() {
             problems.push(format!("counter `{name}` is missing"));
@@ -296,16 +251,7 @@ fn check_metrics(metrics_json: &str, options: &Options) -> Vec<String> {
             problems.push(format!("gauge `{name}` is missing"));
         }
     }
-    for name in [
-        "serve_request_ms_sweep",
-        "serve_queue_wait_ms",
-        "serve_pipeline_depth",
-        "dse_batch_ms",
-        // Every scheduled sweep times its Merge-Path recombination and its
-        // workers' busy spans, so the load guarantees these are live too.
-        "planner_merge_ms",
-        "sched_shard_busy_ms",
-    ] {
+    for name in ["serve_request_ms_sweep", "serve_pipeline_depth", "dse_batch_ms"] {
         let count = metrics_series(&value, "histograms", name)
             .and_then(|h| h.as_map()?.iter().find(|(key, _)| key == "count").map(|(_, v)| v))
             .and_then(|v| v.as_f64());
@@ -340,14 +286,6 @@ fn planner_counters(control: &mut Client) -> Result<PlannerCounters, String> {
     })
 }
 
-/// Read one counter from the server's live metrics over the wire (absent
-/// series read as zero, so deltas stay well-defined on old servers).
-fn server_counter(control: &mut Client, name: &str) -> Result<f64, String> {
-    let (json, _) = control.metrics().map_err(|e| format!("metrics failed: {e}"))?;
-    let value = serde_json::parse(&json).map_err(|e| format!("metrics response: {e}"))?;
-    Ok(metrics_series(&value, "counters", name).and_then(|v| v.as_f64()).unwrap_or(0.0))
-}
-
 /// The pass's latency histogram: the shared mp-obs snapshot type over the
 /// canonical [`LATENCY_BOUNDS_MS`] buckets (bit-identical bounds and JSON
 /// layout to the hand-rolled histogram this harness used to carry).
@@ -361,7 +299,7 @@ fn latency_histogram(latencies_s: &[f64]) -> HistogramSnapshot {
 struct OverlapStats {
     /// Scenarios in one distinct sweep of the driven space.
     distinct_scenarios: usize,
-    /// `dse_scenarios_evaluated` delta: scenarios the shard engines
+    /// `dse_scenarios_evaluated` delta: scenarios the engine
     /// processed (cache-served ones included — the cache removes backend
     /// calls, the coalescing planner removes whole duplicate engine passes).
     scenarios_evaluated: u64,
@@ -457,32 +395,13 @@ enum Query {
 impl Query {
     /// The query for one (connection, request) slot. Overlap mode sends the
     /// identical full sweep from every slot — maximum in-flight duplication,
-    /// the shape the planner's coalescing table exists for. Skew mode
-    /// concentrates on the hot band instead — maximum shard imbalance, the
-    /// shape the work-stealing scheduler exists for.
+    /// the shape the planner's coalescing table exists for.
     fn for_options(connection: usize, request: usize, n: usize, options: &Options) -> Query {
         if options.overlap {
             Query::Full
-        } else if options.skew {
-            Query::for_skewed_slot(connection, request, n, options.shards)
         } else {
             Query::for_slot(connection, request, n)
         }
-    }
-
-    /// The skewed mix: seven in eight queries are windows inside the hot
-    /// band `0..n/shards` (entirely shard 0's territory under static
-    /// banding), the eighth is a full sweep so every shard's cache still
-    /// warms and the fused merge keeps being exercised end to end.
-    /// Deterministic in (connection, request) like the mixed shape.
-    fn for_skewed_slot(connection: usize, request: usize, n: usize, shards: usize) -> Query {
-        if (connection + request) % 8 == 7 {
-            return Query::Full;
-        }
-        let hot = (n / shards.max(1)).max(1);
-        let start = (connection * 7919 + request * 104_729) % hot;
-        let end = (start + hot / 2 + 1).min(n);
-        Query::Window(start..end)
     }
 
     /// The same mixed workload shape the v1 generator used, deterministic in
@@ -736,21 +655,17 @@ fn run_pass(
 /// line. Returns the child and the endpoint it listens on.
 fn spawn_server(options: &Options) -> Result<(std::process::Child, Endpoint), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate repro binary: {e}"))?;
-    let mut args = vec![
-        "serve".to_string(),
-        "--addr".to_string(),
-        "127.0.0.1:0".to_string(),
-        "--shards".to_string(),
-        options.shards.to_string(),
-        "--backend".to_string(),
-        options.backend.clone(),
-    ];
-    if options.fault_latency_ms > 0 {
-        args.push("--fault-latency-ms".to_string());
-        args.push(options.fault_latency_ms.to_string());
-    }
+    let shards = options.shards.to_string();
     let mut child = std::process::Command::new(exe)
-        .args(&args)
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            &shards,
+            "--backend",
+            &options.backend,
+        ])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .map_err(|e| format!("failed to spawn repro serve: {e}"))?;
@@ -795,8 +710,7 @@ pub fn run(args: &[String]) -> ExitCode {
             eprintln!(
                 "usage: repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] \
                  [--backend analytic|comm|sim|measured] [--chunk N] [--shards N (with --spawn)] \
-                 [--pipelined] [--depth N] [--overlap] [--skew] \
-                 [--fault-latency-ms MS (with --spawn)] \
+                 [--pipelined] [--depth N] [--overlap] \
                  [--quick] [--json] [--spawn] [--shutdown]"
             );
             return ExitCode::FAILURE;
@@ -850,8 +764,7 @@ pub fn run(args: &[String]) -> ExitCode {
             } else {
                 eprintln!(
                     "load run failed its acceptance checks (parity, >90% warm hit rate, live \
-                     metrics, under --overlap observed coalescing, and under --skew observed \
-                     steals)"
+                     metrics, and under --overlap observed coalescing)"
                 );
                 ExitCode::FAILURE
             }
@@ -884,7 +797,6 @@ fn drive(
     }
     let mut control = control.expect("connected above");
     let version = control.ping().map_err(|e| format!("ping failed: {e}"))?;
-    let steals_before = server_counter(&mut control, "sched_units_stolen")?;
 
     // Local ground truth: one direct engine sweep of the same space.
     let space = load_space(options.quick, backend);
@@ -905,13 +817,13 @@ fn drive(
         // reset the warm pass would inherit (and report) the cold pass's
         // peak forever.
         alloc_track::reset_peak();
-        let before = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache_totals();
+        let before = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
         let planner_before =
             if options.overlap { Some(planner_counters(&mut control)?) } else { None };
         let started = Instant::now();
         let outcome = run_pass(endpoint, &reference, options)?;
         let elapsed = started.elapsed().as_secs_f64();
-        let after = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache_totals();
+        let after = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
         let overlap = match &planner_before {
             Some(planner_before) => {
                 let planner_after = planner_counters(&mut control)?;
@@ -979,28 +891,12 @@ fn drive(
         reports.iter().filter_map(|r| r.overlap.as_ref()).map(|o| o.coalesced_requests).sum();
     let coalesce_ok = !options.overlap || coalesced_total > 0;
 
-    // Skew acceptance: on a spawned multi-shard server, the hot-band
-    // workload must actually provoke steals — zero steals means the
-    // scheduler degenerated to static bands and was not exercised.
-    // (External servers are exempt — their shard count is not ours to
-    // know — as are single-shard spawns, which have no victim deque to
-    // steal from.)
-    let steals_after = {
-        let value = serde_json::parse(&metrics_json).map_err(|e| format!("metrics: {e}"))?;
-        metrics_series(&value, "counters", "sched_units_stolen")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0)
-    };
-    let steals_observed = (steals_after - steals_before).max(0.0) as u64;
-    let steal_ok = !options.skew || !options.spawn || options.shards < 2 || steals_observed > 0;
-
     let ok = parity_failures == 0
         && busy_exhausted == 0
         && warm_hit_rate > 0.9
         && nonzero_hits
         && metrics_ok
-        && coalesce_ok
-        && steal_ok;
+        && coalesce_ok;
 
     if options.shutdown || options.spawn {
         control.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
@@ -1009,15 +905,13 @@ fn drive(
     if options.json {
         let passes: Vec<String> = reports.iter().map(PassReport::json).collect();
         println!(
-            "{{\"experiment\":\"load\",\"endpoint\":\"{endpoint}\",\"protocol\":\"{version}\",\"backend\":\"{}\",\"clients\":{},\"requests_per_client\":{},\"pipelined\":{},\"depth\":{},\"overlap_mode\":{},\"skew_mode\":{},\"fault_latency_ms\":{},\"steals_observed\":{steals_observed},\"scenarios_per_sweep\":{},\"passes\":[{}],\"parity_failures\":{parity_failures},\"busy_exhausted\":{busy_exhausted},\"warm_hit_rate\":{warm_hit_rate},\"metrics_ok\":{metrics_ok},\"metrics_problems\":[{}],\"ok\":{ok}}}",
+            "{{\"experiment\":\"load\",\"endpoint\":\"{endpoint}\",\"protocol\":\"{version}\",\"backend\":\"{}\",\"clients\":{},\"requests_per_client\":{},\"pipelined\":{},\"depth\":{},\"overlap_mode\":{},\"scenarios_per_sweep\":{},\"passes\":[{}],\"parity_failures\":{parity_failures},\"busy_exhausted\":{busy_exhausted},\"warm_hit_rate\":{warm_hit_rate},\"metrics_ok\":{metrics_ok},\"metrics_problems\":[{}],\"ok\":{ok}}}",
             backend.name(),
             options.clients,
             options.requests,
             options.pipelined,
             if options.pipelined { options.depth } else { 1 },
             options.overlap,
-            options.skew,
-            options.fault_latency_ms,
             reference.space.len(),
             passes.join(","),
             metrics_problems
@@ -1080,13 +974,6 @@ fn drive(
                 if coalesce_ok { "" } else { " — FAIL: duplicate sweeps never coalesced" },
             );
         }
-        if options.skew {
-            println!(
-                "  skew: hot-band workload | {} units stolen{}",
-                steals_observed,
-                if steal_ok { "" } else { " — FAIL: the hot band never provoked a steal" },
-            );
-        }
         if metrics_ok {
             println!("  metrics: all core series present and active");
         } else {
@@ -1135,9 +1022,11 @@ mod tests {
             "depth must stay below the server's pipeline cap"
         );
         assert!(parse(&["--bogus".to_string()]).is_err());
-        // The removed baseline switches are unknown options like any other.
-        for removed in ["steal", "coalesce", "prepare"] {
-            let message = parse(&[format!("--no-{removed}"), "--spawn".to_string()]).unwrap_err();
+        // Removed flags are unknown options like any other.
+        for removed in
+            ["--no-steal", "--no-coalesce", "--no-prepare", "--skew", "--fault-latency-ms"]
+        {
+            let message = parse(&[removed.to_string(), "--spawn".to_string()]).unwrap_err();
             assert!(message.contains("unknown load option"), "{message}");
         }
         assert!(cli::backend_by_name("nope").is_err());
@@ -1153,61 +1042,6 @@ mod tests {
         // Overlap mode.
         assert!(!parse(&[]).unwrap().overlap);
         assert!(parse(&["--overlap".to_string()]).unwrap().overlap);
-
-        // Skew mode and the fault-latency drill.
-        assert!(!parse(&[]).unwrap().skew);
-        assert_eq!(parse(&[]).unwrap().fault_latency_ms, 0);
-        assert!(parse(&["--skew".to_string()]).unwrap().skew);
-        let slowed = parse(&[
-            "--skew".to_string(),
-            "--spawn".to_string(),
-            "--fault-latency-ms".to_string(),
-            "2".to_string(),
-        ])
-        .unwrap();
-        assert!(slowed.skew && slowed.spawn);
-        assert_eq!(slowed.fault_latency_ms, 2);
-        let orphan_fault = parse(&["--fault-latency-ms".to_string(), "5".to_string()]).unwrap_err();
-        assert!(orphan_fault.contains("--spawn"), "{orphan_fault}");
-        assert!(parse(&["--fault-latency-ms".to_string(), "-1".to_string()]).is_err());
-    }
-
-    #[test]
-    fn skew_mode_concentrates_windows_in_the_hot_band() {
-        let skew = parse(&["--skew".to_string()]).unwrap();
-        let n = 4096;
-        let hot = n / skew.shards;
-        let mut windows = 0usize;
-        let mut fulls = 0usize;
-        for connection in 0..16 {
-            for request in 0..6 {
-                let a = Query::for_options(connection, request, n, &skew);
-                let b = Query::for_options(connection, request, n, &skew);
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "skew mix is deterministic");
-                match a {
-                    Query::Window(window) => {
-                        assert!(
-                            window.start < hot,
-                            "skewed windows start inside the hot band: {window:?}"
-                        );
-                        assert!(window.start < window.end && window.end <= n);
-                        windows += 1;
-                    }
-                    Query::Full => fulls += 1,
-                    other => panic!("skew mix sends only windows and full sweeps, got {other:?}"),
-                }
-            }
-        }
-        assert!(fulls > 0, "the occasional full sweep keeps every shard warm");
-        assert!(
-            windows > fulls * 4,
-            "the mix is dominated by hot-band windows ({windows} windows, {fulls} fulls)"
-        );
-
-        // Degenerate spaces never panic or escape bounds.
-        if let Query::Window(window) = Query::for_skewed_slot(3, 1, 1, 8) {
-            assert!(window.start == 0 && window.end == 1);
-        }
     }
 
     #[test]
@@ -1270,14 +1104,11 @@ mod tests {
                 "\"requests_total_top_k\":3,\"requests_total_pareto\":3,",
                 "\"cache_hits\":100,\"busy_rejections\":0,",
                 "\"planner_coalesced_requests\":0,\"planner_shared_scenarios\":0,",
-                "\"planner_cost_rejections\":0,\"sched_units_total\":12,",
-                "\"sched_units_stolen\":0,\"sched_rebands\":0}},",
+                "\"planner_cost_rejections\":0}},",
                 "\"gauges\":{{\"executor_queue_depth\":0,\"alloc_live_bytes\":10,",
                 "\"alloc_peak_bytes\":20}},",
                 "\"histograms\":{{\"serve_request_ms_sweep\":{h},",
-                "\"serve_queue_wait_ms\":{h},\"serve_pipeline_depth\":{h},",
-                "\"dse_batch_ms\":{h},\"planner_merge_ms\":{h},",
-                "\"sched_shard_busy_ms\":{h}}}}}"
+                "\"serve_pipeline_depth\":{h},\"dse_batch_ms\":{h}}}}}"
             ),
             h = hist
         );
@@ -1292,24 +1123,13 @@ mod tests {
         assert!(check_metrics(&no_planner, &options)
             .iter()
             .any(|p| p.contains("planner_coalesced_requests")));
-        // ...the scheduler's too, and its unit counter must actually move.
-        let no_sched = good.replace("\"sched_units_stolen\":0,", "");
-        assert!(check_metrics(&no_sched, &options)
-            .iter()
-            .any(|p| p.contains("sched_units_stolen")));
-        let idle_sched = good.replace("\"sched_units_total\":12,", "\"sched_units_total\":0,");
-        assert!(check_metrics(&idle_sched, &options)
-            .iter()
-            .any(|p| p.contains("sched_units_total")));
-        // ...and neither overlap nor skew mode demands the mixed-workload
-        // verbs their shapes never send.
+        // ...and overlap mode does not demand the mixed-workload verbs its
+        // shape never sends.
         let overlap = parse(&["--overlap".to_string()]).unwrap();
-        let skew = parse(&["--skew".to_string()]).unwrap();
         let no_mix = good
             .replace("\"requests_total_top_k\":3,", "\"requests_total_top_k\":0,")
             .replace("\"requests_total_pareto\":3,", "\"requests_total_pareto\":0,");
         assert_eq!(check_metrics(&no_mix, &overlap), Vec::<String>::new());
-        assert_eq!(check_metrics(&no_mix, &skew), Vec::<String>::new());
         assert!(check_metrics(&no_mix, &options)
             .iter()
             .any(|p| p.contains("requests_total_top_k")));

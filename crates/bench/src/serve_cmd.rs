@@ -1,10 +1,11 @@
-//! The `repro serve` subcommand: run the resident sharded sweep service.
+//! The `repro serve` subcommand: run the resident sweep service.
 //!
 //! Binds an `mp-serve` [`Server`] on a TCP address or Unix socket and serves
 //! the line-delimited JSON query protocol (`sweep`, `top_k`, `pareto`,
 //! `curve`, `stats`, `catalogue`, `ping`, `shutdown`) until a client sends
-//! `shutdown`. Each shard owns a long-lived engine with its own lock-free
-//! memoisation cache, so repeated queries are answered warm; the `measured`
+//! `shutdown`. The service owns one long-lived engine (`--shards` ×
+//! `--threads` sweep threads) and its lock-free memoisation cache, so
+//! repeated queries are answered warm; the `measured`
 //! backend additionally exposes its synthetic calibration catalogue so
 //! clients can address applications by fingerprint id.
 
@@ -40,7 +41,8 @@ pub const VALUE_FLAGS: &[&str] = &[
 pub struct Options {
     endpoint: Endpoint,
     shards: usize,
-    /// Engine threads per shard; `None` = split the host's cores evenly.
+    /// Engine threads per `--shards` unit (the engine runs their product);
+    /// `None` = the host's cores divided by `shards`.
     threads: Option<usize>,
     backend: String,
     batch_size: usize,
@@ -49,9 +51,9 @@ pub struct Options {
     event_loops: usize,
     /// Reactor executor threads (`0` = auto).
     executors: usize,
-    /// Admission cap: sweeps in flight per shard before `busy`.
+    /// Admission cap: sweeps in flight per service before `busy`.
     queue_capacity: usize,
-    /// Planner admission budget: estimated pending milliseconds per shard.
+    /// Planner admission budget: estimated pending milliseconds per service.
     cost_budget_ms: f64,
     /// Durable-job store: checkpoint manifests and cache segment spills
     /// live here and are restored on restart. `None` = jobs run
@@ -220,11 +222,10 @@ pub fn run(args: &[String]) -> ExitCode {
     // The `listening on` line is the readiness signal `repro load --spawn`
     // (and the CI smoke step) waits for — keep its shape stable.
     println!(
-        "mp-serve listening on {} (backend={}, shards={}, threads/shard={}, cache={})",
+        "mp-serve listening on {} (backend={}, engine threads={}, cache={})",
         server.endpoint(),
         service.backend_name(),
-        service.shards(),
-        service.stats().shards.first().map(|s| s.threads).unwrap_or(0),
+        service.stats().threads,
         if options.use_cache { "on" } else { "off" },
     );
     match server.run() {

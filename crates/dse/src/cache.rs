@@ -468,11 +468,13 @@ impl EvalCache {
     /// Probe a whole batch: hits fill `speedups`, misses mark `holes`
     /// (slots whose key is absent are left untouched otherwise). Returns the
     /// number of misses. Equivalent to [`EvalCache::prefetch`] followed by a
-    /// per-key [`EvalCache::get`] loop — same probes, same hit/miss counting
+    /// per-key [`EvalCache::get`] loop — same probes, same hit/miss *totals*
     /// — but the home slot of the key `PROBE_AHEAD` positions ahead is
     /// prefetched each step, so the dependent probe walk overlaps its memory
-    /// traffic instead of serialising one cache-line fetch per key. Panics
-    /// if the slices differ in length.
+    /// traffic instead of serialising one cache-line fetch per key, and the
+    /// shared hit/miss counters are bumped once per batch: a per-probe
+    /// `fetch_add` would bounce their cache line between every sweep worker
+    /// once per scenario. Panics if the slices differ in length.
     pub fn get_batch(
         &self,
         keys: &[(u64, u64)],
@@ -491,7 +493,7 @@ impl EvalCache {
                 let table = self.shard(ahead).table();
                 prefetch_slot(&table.slots[table.home(ahead)]);
             }
-            match self.get(keys[i]) {
+            match self.peek(keys[i]) {
                 Some(speedup) => speedups[i] = speedup,
                 None => {
                     holes[i] = true;
@@ -499,6 +501,8 @@ impl EvalCache {
                 }
             }
         }
+        self.hits.fetch_add((keys.len() - missing) as u64, Ordering::Relaxed);
+        self.misses.fetch_add(missing as u64, Ordering::Relaxed);
         missing
     }
 
@@ -590,9 +594,11 @@ impl EvalCache {
         }
     }
 
-    /// Number of cached entries (exact while no inserts are in flight).
+    /// Number of cached entries (exact while no inserts are in flight): the
+    /// sum of the live tables' entry counters, which a migration carries
+    /// over by re-inserting — never a walk over the slots.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.table().entries().count()).sum()
+        self.shards.iter().map(|s| s.table().len.load(Ordering::Relaxed)).sum()
     }
 
     /// Whether the cache is empty.
@@ -650,7 +656,7 @@ impl EvalCache {
 
     /// One consistent-enough snapshot of the cache's warm-start state:
     /// entry/capacity footprint plus the lifetime hit/miss counters. Cheap to
-    /// take (one table walk) and safe concurrently with inserts — counts may
+    /// take (counter reads only) and safe concurrently with inserts — counts may
     /// lag in-flight writers by a few entries, which is fine for the service
     /// stats and hit-rate reporting this feeds.
     pub fn stats(&self) -> CacheStats {
@@ -1122,6 +1128,69 @@ mod tests {
             b.insert(((99 - i) * 31, 99 - i), (99 - i) as f64);
         }
         assert_eq!(a.save_json(), b.save_json());
+    }
+
+    #[test]
+    fn batched_probes_count_exactly_like_a_get_loop() {
+        let key = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i * 31 + 1);
+        let stored: Vec<(u64, u64)> = (0..200).map(key).collect();
+        let absent: Vec<(u64, u64)> = (1_000..1_200).map(key).collect();
+        let mixed: Vec<(u64, u64)> =
+            stored.iter().zip(&absent).flat_map(|(&hit, &miss)| [hit, miss, hit]).collect();
+        let (batched, looped) = (EvalCache::new(), EvalCache::new());
+        for (i, &key) in stored.iter().enumerate() {
+            batched.insert(key, i as f64);
+            looped.insert(key, i as f64);
+        }
+        for (keys, expected_missing) in [(&stored, 0), (&absent, absent.len()), (&mixed, 200)] {
+            let mut speedups = vec![f64::NAN; keys.len()];
+            let mut holes = vec![false; keys.len()];
+            let missing = batched.get_batch(keys, &mut speedups, &mut holes);
+            assert_eq!(missing, expected_missing);
+            for (i, &key) in keys.iter().enumerate() {
+                let got = looped.get(key);
+                assert_eq!(holes[i], got.is_none());
+                if let Some(value) = got {
+                    assert_eq!(speedups[i].to_bits(), value.to_bits());
+                }
+            }
+            assert_eq!(batched.hits(), looped.hits());
+            assert_eq!(batched.misses(), looped.misses());
+            assert_eq!(batched.probes(), looped.probes());
+        }
+        assert_eq!(batched.stats(), looped.stats());
+    }
+
+    #[test]
+    fn len_counts_distinct_keys_across_concurrent_growth_and_overwrites() {
+        // Eight threads insert overlapping windows of one key sequence into
+        // an unreserved cache, so every shard migrates several times while
+        // other threads are mid-insert and half of all inserts overwrite.
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 6_000;
+        const STRIDE: u64 = PER_THREAD / 2;
+        let key = |i: u64| (i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let cache = EvalCache::new();
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (cache, barrier) = (&cache, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in t * STRIDE..t * STRIDE + PER_THREAD {
+                        cache.insert(key(i), i as f64);
+                    }
+                });
+            }
+        });
+        let distinct = ((THREADS - 1) * STRIDE + PER_THREAD) as usize;
+        assert!(cache.migrations() >= 3 * SHARDS as u64, "the tables must have grown repeatedly");
+        assert_eq!(cache.len(), distinct, "the counter survives migration and overwrite");
+        assert_eq!(cache.stats().entries, distinct);
+        assert!(!cache.is_empty());
+        let restored = EvalCache::new();
+        assert_eq!(restored.load_segment(&cache.save_segment()).unwrap(), distinct);
+        assert_eq!(restored.len(), distinct);
     }
 
     #[test]

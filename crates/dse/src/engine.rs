@@ -222,15 +222,9 @@ impl Engine {
         // evaluation plus back-fill — this halves the cache's memory traffic
         // on a cold first pass. (A concurrently shared cache may gain entries
         // mid-sweep; skipping those probes merely recomputes deterministic
-        // values, so records are unaffected.) Checked before `reserve`, which
-        // would otherwise make the emptiness scan walk the grown tables.
-        let cold_start = cache.is_some_and(|c| c.is_empty());
-        // The cold-start scan already walked the tables, so the warm-start
-        // entry count only pays a second walk on genuinely warm sweeps.
-        let warm_entries = match cache {
-            Some(cache) if !cold_start => cache.len(),
-            _ => 0,
-        };
+        // values, so records are unaffected.)
+        let warm_entries = cache.map_or(0, EvalCache::len);
+        let cold_start = cache.is_some() && warm_entries == 0;
         // The cache never rehashes mid-sweep, and the salt string is built
         // once instead of once per batch.
         if cache.is_some() {

@@ -10,10 +10,10 @@
 //!   behind a checksum line) holding the space itself, its fingerprint,
 //!   the window geometry and the completed-window set, written atomically
 //!   (tmp file + fsync + rename, see [`atomic_write`]);
-//! * a binary **cache segment spill** per shard
-//!   (`cache-shard-<i>.seg`, the [`EvalCache`] segment format), so a
-//!   restarted process re-evaluates only the windows the manifest says
-//!   are incomplete and answers the rest from the warmed cache.
+//! * one binary **cache segment spill** (`cache-shard-0.seg`, the
+//!   [`EvalCache`] segment format), so a restarted process re-evaluates
+//!   only the windows the manifest says are incomplete and answers the
+//!   rest from the warmed cache.
 //!
 //! Failed windows are retried with capped exponential backoff and
 //! deterministic jitter (honouring the admission gate's
@@ -27,7 +27,7 @@
 //! Restore is strictly validated but never fatal: a manifest that fails
 //! its checksum, version check or semantic validation is skipped with an
 //! [`mp_obs::warn`] and the job simply does not exist on the restarted
-//! server; a damaged cache segment degrades to a cold shard. Corruption
+//! server; a damaged cache segment degrades to a cold cache. Corruption
 //! costs warmth, not correctness — window evaluation is deterministic, so
 //! re-running a window that was already complete produces identical
 //! records.
@@ -364,7 +364,7 @@ impl Manifest {
 /// Owns the background runner thread and the job table; attach one to a
 /// [`SweepService`] via [`JobManager::new`] and the four `job_*`
 /// protocol verbs light up. With a store directory the manager restores
-/// manifests (as `suspended` jobs) and warm-starts the shard caches from
+/// manifests (as `suspended` jobs) and warm-starts the cache from
 /// spilled segments before accepting work; without one, jobs run
 /// in-memory only (no checkpoint files, still retried and cancellable).
 pub struct JobManager {
@@ -786,7 +786,7 @@ impl JobManager {
         self.checkpoint(job);
     }
 
-    /// Persist a checkpoint: spill the shard caches, then atomically
+    /// Persist a checkpoint: spill the cache, then atomically
     /// replace the manifest — the manifest is the commit point, and a
     /// crash between the two only costs cache warmth (window evaluation
     /// is deterministic). Write failures degrade to a warning; the job

@@ -1,16 +1,15 @@
-//! # mp-serve — a resident, sharded sweep service
+//! # mp-serve — a resident sweep service
 //!
 //! The `mp-dse` engine answers one sweep per call; this crate turns it into
-//! a **system**: a long-lived service that keeps engines, memoisation caches
-//! and prepared sweep snapshots resident between queries and answers them
-//! over a line-delimited JSON socket protocol.
+//! a **system**: a long-lived service that keeps an engine, its memoisation
+//! cache and prepared sweep snapshots resident between queries and answers
+//! them over a line-delimited JSON socket protocol.
 //!
-//! * [`service`] — [`SweepService`]: `N` shards, each a long-lived
-//!   [`Engine`](mp_dse::engine::Engine) + lock-free `EvalCache` behind its
-//!   own admission queue. Queries are split along the space's flat index
-//!   order into work units homed on per-shard bands and copied back in
-//!   order, so a sharded answer is **bit-identical** to a direct
-//!   `Engine::sweep` and repeated queries hit the same shard's warm cache. Prepared
+//! * [`service`] — [`SweepService`]: one long-lived
+//!   [`Engine`](mp_dse::engine::Engine) + lock-free `EvalCache` behind one
+//!   admission gate. Every admitted range is a single `Engine::sweep_range`
+//!   on the calling thread, so an answer is **bit-identical** to a direct
+//!   `Engine::sweep` and repeated queries hit the warm cache. Prepared
 //!   [`SweepHandle`](mp_dse::engine::SweepHandle)s (space + columnar tables)
 //!   are cached by content fingerprint and shared across requests.
 //! * [`protocol`] — the wire types: `sweep` (streamed, chunked, resumable via
@@ -23,7 +22,7 @@
 //!   non-blocking, raw `epoll`/`eventfd` via [`reactor`]), parses requests
 //!   incrementally, **pipelines** (many in-flight requests per connection,
 //!   responses strictly in request order) and applies **backpressure**
-//!   (bounded per-shard admission queues answering `busy`, plus write-side
+//!   (a bounded admission gate answering `busy`, plus write-side
 //!   watermarks that park a streaming sweep's [`RangeCursor`] until
 //!   `EPOLLOUT` drains the outbox — a slow client costs a parked cursor,
 //!   not a pinned thread or an unbounded buffer).
@@ -64,7 +63,6 @@ pub mod jobs;
 pub mod planner;
 pub mod protocol;
 pub mod reactor;
-mod sched;
 pub mod server;
 pub mod service;
 
@@ -75,8 +73,8 @@ pub mod prelude {
     pub use crate::protocol::{
         decode_chunk_line, decode_line, encode_chunk_line, encode_line, from_wire, to_wire,
         CatalogueEntry, JobSnapshot, LineDecoder, Request, RequestEnvelope, Response,
-        ResponseEnvelope, ServiceStats, ShardStats, SpaceSpec, WireRecord, DEFAULT_CHUNK,
-        MAX_REQUEST_LINE, PROTOCOL_VERSION,
+        ResponseEnvelope, ServiceStats, SpaceSpec, WireRecord, DEFAULT_CHUNK, MAX_REQUEST_LINE,
+        PROTOCOL_VERSION,
     };
     pub use crate::server::{Endpoint, Server, ServerConfig, Stream};
     pub use crate::service::{

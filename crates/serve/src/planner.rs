@@ -1,8 +1,8 @@
 //! The multi-query planner: in-flight coalescing and cost-based admission.
 //!
-//! Sits between the executor pool and the shard engines. Three concerns:
+//! Sits between the executor pool and the engine. Three concerns:
 //!
-//! * **Coalescing** (`Coalescer`) — a table of in-flight evaluations
+//! * **Coalescing** (`SingleFlight`) — a table of in-flight evaluations
 //!   keyed by `(prepared-space fingerprint, normalized range)`. The first
 //!   query to arrive for a key becomes the **leader** and evaluates as
 //!   usual; queries that arrive while it is in flight become **followers**,
@@ -16,27 +16,24 @@
 //!   counter (per-backend by construction: a service owns one backend, and
 //!   the calibration is read at admission time so it tracks the live
 //!   warm/cold mix). A seeded default covers the pre-calibration window.
-//! * **Metrics** — the planner's own always-registered series:
+//! * **Metrics** — the planner's own always-registered counters:
 //!   `planner_coalesced_requests`, `planner_shared_scenarios`,
-//!   `planner_cost_rejections` counters and the `planner_merge_ms`
-//!   histogram timing the ordered assembly of unit results.
+//!   `planner_cost_rejections`.
 //!
 //! **Why followers can always block.** A follower waits on the leader of
 //! the *same window*, and leadership is taken inside the evaluation path —
 //! the leader is by definition already running on an executor (or a caller
-//! thread) and proceeds through the shard workers, which never coalesce.
-//! There is no waits-for cycle: followers wait on a leader, leaders wait
-//! only on shard workers.
+//! thread) and proceeds into the engine, which never coalesces. There is no
+//! waits-for cycle: followers wait on a leader, leaders wait only on the
+//! engine's pool workers.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::Counter;
-
-use mp_dse::engine::{SweepHandle, SweepResult};
-
-use crate::service::ServeError;
 
 /// Requests answered from another request's in-flight evaluation (follower
 /// side of a coalesced window).
@@ -57,13 +54,6 @@ pub(crate) fn obs_shared_scenarios() -> &'static Counter {
 pub(crate) fn obs_cost_rejections() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     CELL.get_or_init(|| mp_obs::counter("planner_cost_rejections"))
-}
-
-/// Time spent copying completed work units' records into one index-ordered
-/// answer, milliseconds per scheduled sweep.
-pub(crate) fn obs_merge_ms() -> &'static Histogram {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::histogram_ms("planner_merge_ms"))
 }
 
 /// The engine-side calibration series the cost model reads (the same global
@@ -203,20 +193,16 @@ pub(crate) struct PlanKey {
     pub end: usize,
 }
 
-/// One in-flight shared evaluation: the slot the leader publishes into and
+/// One in-flight shared computation: the slot the leader publishes into and
 /// followers wait on.
-pub(crate) struct InflightSweep {
-    done: Mutex<Option<Result<Arc<SweepResult>, ServeError>>>,
+pub(crate) struct Inflight<V> {
+    done: Mutex<Option<V>>,
     ready: Condvar,
 }
 
-impl InflightSweep {
-    fn new() -> InflightSweep {
-        InflightSweep { done: Mutex::new(None), ready: Condvar::new() }
-    }
-
-    /// Block until the leader publishes, then return the shared result.
-    pub(crate) fn wait(&self) -> Result<Arc<SweepResult>, ServeError> {
+impl<V: Clone> Inflight<V> {
+    /// Block until the leader publishes, then return the shared value.
+    pub(crate) fn wait(&self) -> V {
         let mut done = self.done.lock().expect("planner locks are never poisoned");
         while done.is_none() {
             done = self.ready.wait(done).expect("planner locks are never poisoned");
@@ -225,121 +211,61 @@ impl InflightSweep {
     }
 }
 
-/// What [`Coalescer::join`] assigned the calling query.
-pub(crate) enum Role {
-    /// First in: evaluate, then [`Coalescer::publish`].
+/// What [`SingleFlight::join`] assigned the caller.
+pub(crate) enum Role<V> {
+    /// First in: compute, then [`SingleFlight::publish`].
     Leader,
-    /// An equal-keyed evaluation is in flight: wait on it.
-    Follower(Arc<InflightSweep>),
+    /// An equal-keyed computation is in flight: wait on it.
+    Follower(Arc<Inflight<V>>),
 }
 
-/// The in-flight coalescing table. Entries live exactly as long as their
-/// leader's evaluation: inserted at [`Coalescer::join`], removed at
-/// [`Coalescer::publish`] — a completed result is never served to a query
-/// that arrives later (coalescing shares *in-flight* work; it is not a
-/// result cache, and subscriber-visible semantics stay identical to an
-/// uncoalesced run).
-#[derive(Default)]
-pub(crate) struct Coalescer {
-    inflight: Mutex<HashMap<PlanKey, Arc<InflightSweep>>>,
+/// The single-flight table: at most one in-flight computation per key. The
+/// service keeps two — sweep evaluations keyed by [`PlanKey`] (coalescing)
+/// and [`SpaceTables`] builds keyed by space fingerprint (two clients racing
+/// a query over the same *new* space share one columnar precomputation).
+///
+/// Entries live exactly as long as their leader's computation: inserted at
+/// [`SingleFlight::join`], removed at [`SingleFlight::publish`] — a
+/// completed value is never served to a caller that arrives later (the
+/// table shares *in-flight* work; it is not a result cache, and
+/// subscriber-visible semantics stay identical to an uncoalesced run).
+///
+/// [`SpaceTables`]: mp_dse::tables::SpaceTables
+pub(crate) struct SingleFlight<K, V> {
+    inflight: Mutex<HashMap<K, Arc<Inflight<V>>>>,
 }
 
-impl Coalescer {
-    /// Join the in-flight evaluation for `key`, becoming its leader if none
+impl<K, V> Default for SingleFlight<K, V> {
+    fn default() -> Self {
+        SingleFlight { inflight: Mutex::new(HashMap::new()) }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> SingleFlight<K, V> {
+    /// Join the in-flight computation for `key`, becoming its leader if none
     /// is running.
-    pub(crate) fn join(&self, key: PlanKey) -> Role {
+    pub(crate) fn join(&self, key: K) -> Role<V> {
         let mut inflight = self.inflight.lock().expect("planner locks are never poisoned");
         match inflight.entry(key) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                Role::Follower(Arc::clone(entry.get()))
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Arc::new(InflightSweep::new()));
+            Entry::Occupied(entry) => Role::Follower(Arc::clone(entry.get())),
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::new(Inflight { done: Mutex::new(None), ready: Condvar::new() }));
                 Role::Leader
             }
         }
     }
 
-    /// Publish the leader's result for `key` and wake every follower. The
-    /// entry is removed from the table *before* the result lands, so
-    /// queries arriving from here on start a fresh evaluation.
-    pub(crate) fn publish(&self, key: &PlanKey, result: &Result<Arc<SweepResult>, ServeError>) {
+    /// Publish the leader's value for `key` and wake every follower. The
+    /// entry is removed from the table *before* the value lands, so callers
+    /// arriving from here on start a fresh computation.
+    pub(crate) fn publish(&self, key: &K, value: V) {
         let entry = self
             .inflight
             .lock()
             .expect("planner locks are never poisoned")
             .remove(key)
             .expect("only the leader publishes, exactly once");
-        *entry.done.lock().expect("planner locks are never poisoned") = Some(result.clone());
-        entry.ready.notify_all();
-    }
-}
-
-/// A build-sharing table for [`SpaceTables`] construction: same leader /
-/// follower protocol as [`Coalescer`], over prepared-handle builds. Two
-/// clients racing a query over the same *new* space used to both pay the
-/// columnar precomputation (the loser's copy was dropped); with the build
-/// table the first becomes the leader and the rest wait for its handle.
-///
-/// [`SpaceTables`]: mp_dse::tables::SpaceTables
-#[derive(Default)]
-pub(crate) struct BuildTable {
-    building: Mutex<HashMap<u64, Arc<InflightBuild>>>,
-}
-
-/// One in-flight prepared-handle build.
-pub(crate) struct InflightBuild {
-    done: Mutex<Option<Arc<SweepHandle<'static>>>>,
-    ready: Condvar,
-}
-
-impl InflightBuild {
-    /// Block until the building leader publishes its handle.
-    pub(crate) fn wait(&self) -> Arc<SweepHandle<'static>> {
-        let mut done = self.done.lock().expect("planner locks are never poisoned");
-        while done.is_none() {
-            done = self.ready.wait(done).expect("planner locks are never poisoned");
-        }
-        Arc::clone(done.as_ref().expect("checked above"))
-    }
-}
-
-/// What [`BuildTable::join`] assigned the calling builder.
-pub(crate) enum BuildRole {
-    /// First in: build the tables, then [`BuildTable::publish`].
-    Leader,
-    /// The same fingerprint is being built: wait for the leader's handle.
-    Follower(Arc<InflightBuild>),
-}
-
-impl BuildTable {
-    /// Join the in-flight build for `fingerprint`, becoming the leader if
-    /// none is running.
-    pub(crate) fn join(&self, fingerprint: u64) -> BuildRole {
-        let mut building = self.building.lock().expect("planner locks are never poisoned");
-        match building.entry(fingerprint) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                BuildRole::Follower(Arc::clone(entry.get()))
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Arc::new(InflightBuild {
-                    done: Mutex::new(None),
-                    ready: Condvar::new(),
-                }));
-                BuildRole::Leader
-            }
-        }
-    }
-
-    /// Publish the built handle for `fingerprint` and wake the waiters.
-    pub(crate) fn publish(&self, fingerprint: u64, handle: &Arc<SweepHandle<'static>>) {
-        let entry = self
-            .building
-            .lock()
-            .expect("planner locks are never poisoned")
-            .remove(&fingerprint)
-            .expect("only the build leader publishes, exactly once");
-        *entry.done.lock().expect("planner locks are never poisoned") = Some(Arc::clone(handle));
+        *entry.done.lock().expect("planner locks are never poisoned") = Some(value);
         entry.ready.notify_all();
     }
 }
@@ -407,19 +333,23 @@ mod tests {
 
     #[test]
     fn followers_see_exactly_the_leaders_publication() {
-        let coalescer = Coalescer::default();
+        use crate::service::{ServeError, ServeErrorKind};
+        use mp_dse::engine::SweepResult;
+
+        let coalescer: SingleFlight<PlanKey, Result<Arc<SweepResult>, ServeError>> =
+            SingleFlight::default();
         let key = PlanKey { fingerprint: 7, start: 0, end: 4 };
         assert!(matches!(coalescer.join(key), Role::Leader));
         let Role::Follower(entry) = coalescer.join(key) else {
             panic!("second join while in flight must follow");
         };
-        let published: Result<Arc<SweepResult>, ServeError> = Err(ServeError {
-            kind: crate::service::ServeErrorKind::Invalid,
+        let published = Err(ServeError {
+            kind: ServeErrorKind::Invalid,
             message: "boom".into(),
             estimated_cost_ms: 0.0,
         });
         let waiter = std::thread::spawn(move || entry.wait());
-        coalescer.publish(&key, &published);
+        coalescer.publish(&key, published);
         let got = waiter.join().unwrap();
         assert_eq!(got.unwrap_err().message, "boom");
         // The entry is gone: the next join leads a fresh evaluation.

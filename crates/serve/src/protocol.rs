@@ -35,7 +35,7 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::explore::Curve;
 
 /// Protocol identity reported by `ping`; bump on incompatible changes.
-pub const PROTOCOL_VERSION: &str = "mp-serve/4";
+pub const PROTOCOL_VERSION: &str = "mp-serve/5";
 
 /// Default scenario count per streamed sweep chunk.
 pub const DEFAULT_CHUNK: usize = 8192;
@@ -90,7 +90,7 @@ pub enum SpaceSpec {
 pub enum Request {
     /// Liveness / version probe.
     Ping,
-    /// Service, shard and cache statistics.
+    /// Service, engine and cache statistics.
     Stats,
     /// The process-wide metrics-registry snapshot (counters, gauges,
     /// latency histograms) as JSON plus Prometheus exposition text.
@@ -245,7 +245,7 @@ pub enum Response {
     },
     /// Terminal line of a sweep: the merged statistics.
     SweepDone {
-        /// Merged sweep statistics across the participating shards.
+        /// The sweep's statistics, summed over its windows.
         stats: SweepStats,
     },
     /// Answer to [`Request::TopK`] / [`Request::Pareto`].
@@ -343,8 +343,10 @@ impl JobSnapshot {
 pub struct ServiceStats {
     /// The backend the service evaluates with.
     pub backend: String,
-    /// Per-shard state, in shard order.
-    pub shards: Vec<ShardStats>,
+    /// Sweep threads of the service's engine.
+    pub threads: usize,
+    /// The engine's memoisation-cache snapshot.
+    pub cache: CacheStats,
     /// Queries answered since the service started.
     pub queries: u64,
     /// Prepared sweep snapshots ([`SpaceTables`]) resident in the handle
@@ -357,42 +359,6 @@ pub struct ServiceStats {
     /// The process-wide metrics-registry snapshot at stats time, as one
     /// JSON object (same shape as [`Response::Metrics`]'s `json`).
     pub metrics: String,
-}
-
-impl ServiceStats {
-    /// Cache totals summed over every shard.
-    pub fn cache_totals(&self) -> CacheStats {
-        let mut totals = CacheStats {
-            entries: 0,
-            capacity: 0,
-            hits: 0,
-            misses: 0,
-            probes: 0,
-            inserts: 0,
-            migrations: 0,
-        };
-        for shard in &self.shards {
-            totals.entries += shard.cache.entries;
-            totals.capacity += shard.cache.capacity;
-            totals.hits += shard.cache.hits;
-            totals.misses += shard.cache.misses;
-            totals.probes += shard.cache.probes;
-            totals.inserts += shard.cache.inserts;
-            totals.migrations += shard.cache.migrations;
-        }
-        totals
-    }
-}
-
-/// One shard's state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Worker threads inside the shard's engine.
-    pub threads: usize,
-    /// The shard engine's memoisation-cache snapshot.
-    pub cache: CacheStats,
 }
 
 /// One calibration catalogue listing.
@@ -851,7 +817,7 @@ mod tests {
 
     #[test]
     fn busy_responses_are_terminal_and_round_trip() {
-        let busy = Response::Busy { message: "shard queue full".into(), estimated_cost_ms: 12.5 };
+        let busy = Response::Busy { message: "queue full".into(), estimated_cost_ms: 12.5 };
         assert!(busy.is_terminal());
         let line = encode_line(&ResponseEnvelope { id: 9, response: busy });
         let back: ResponseEnvelope = decode_line(&line).unwrap();

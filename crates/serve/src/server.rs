@@ -15,8 +15,8 @@
 //!   request queue, and an ordered write buffer with backpressure
 //!   watermarks (see the crate-private `conn` module).
 //! * Requests never execute on an event loop. The loop hands the head of a
-//!   connection's pipeline to a pool of **executor threads** (which may
-//!   block on the service's shard engines) and keeps polling; the
+//!   connection's pipeline to a pool of **executor threads** (which
+//!   evaluate on the service's engine) and keeps polling; the
 //!   completion comes back over a channel plus an eventfd [`Waker`].
 //!   Responses are written strictly in request order per connection —
 //!   that ordering is what makes pipelining safe for clients.
@@ -185,8 +185,11 @@ pub struct ServerConfig {
     /// Event-loop threads (socket I/O only, never blocking work).
     /// Auto: `min(4, available cores)`.
     pub event_loops: usize,
-    /// Executor threads (request parsing/encoding and service calls; these
-    /// block on the shard engines). Auto: `max(2, shards)`.
+    /// Executor threads (request parsing/encoding and service calls). An
+    /// executor evaluates its query on the service's engine itself — as one
+    /// of the sweep's workers, beside the engine's pool — so runnable
+    /// threads are bounded by `executors + engine threads`. Auto:
+    /// `max(2, shards)`.
     pub executors: usize,
 }
 

@@ -1,50 +1,42 @@
-//! The resident sweep service: sharded engines behind a work-stealing
-//! scheduler.
+//! The resident sweep service: one engine behind a query planner.
 //!
-//! A [`SweepService`] owns `shards` long-lived [`Engine`]s, each with its own
-//! lock-free memoisation cache and worker pool. A sweep query is split along
-//! the space's flat index order into cost-sized **work units**
-//! ([`mp_dse::units`]) routed to each unit's **home shard** — the shard
-//! whose cache placement (`sched::Placement`) owns that slice of
-//! the space, initially the static `chunk_range` bands — so repeated or
-//! overlapping queries land every scenario on the shard that cached it.
-//! Any idle worker may **steal** queued units off another shard's deque
-//! (`sched`); a stolen unit still evaluates against its home
-//! shard's engine, so stealing moves CPU without moving cache placement,
-//! and persistent steal pressure re-bands placement adaptively. Units tile
-//! the queried range, so their records are copied into one answer in index
-//! order, which makes a sharded, stolen sweep answer **bit-identical** to a
-//! direct [`Engine::sweep`] over the same space: every scenario's value is a
-//! deterministic function of the scenario and backend alone, independent of
-//! batch, unit or shard boundaries.
+//! A [`SweepService`] owns **one** long-lived [`Engine`] — one worker pool,
+//! one lock-free memoisation cache — and answers every admitted range with a
+//! single [`Engine::sweep_range`] on the calling thread. The engine's atomic
+//! batch cursor is the only scheduler: an idle pool worker takes the next
+//! batch, every worker writes its own disjoint slice of one preallocated
+//! record vector, and that vector *is* the answer — no partial results, no
+//! merge, no copy. A served answer is therefore **bit-identical** to a direct
+//! [`Engine::sweep`] over the same space by construction: every scenario's
+//! value is a deterministic function of the scenario and backend alone,
+//! independent of batch boundaries and of which thread evaluated it.
 //!
-//! Between the callers and the shards sits the **query planner**
+//! Between the callers and the engine sits the **query planner**
 //! ([`crate::planner`]): concurrent queries over the same prepared space
 //! and range **coalesce** onto one in-flight evaluation whose result fans
 //! back out per subscriber (byte-identical to an uncoalesced run, follower
 //! stats marked [`SweepStats::coalesced`]), and admission is **cost-based**
-//! — each shard budgets the *estimated evaluation cost* of its queued work
-//! (calibrated from the engine's live metrics) and rejects, retryably and
-//! with the estimate attached, what would blow the budget; the raw
-//! in-flight depth cap remains as a backstop.
+//! — the service budgets the *estimated evaluation cost* of its admitted,
+//! unfinished work (calibrated from the engine's live metrics) and rejects,
+//! retryably and with the estimate attached, what would blow the budget; the
+//! raw in-flight depth cap remains as a backstop.
 //!
 //! Prepared sweeps ([`SweepHandle`]: the space plus its columnar
 //! [`SpaceTables`]) are cached by content fingerprint and shared across
-//! requests and shards — racing first queries over the same new space share
-//! one table build — so a repeated query pays neither the table
-//! precomputation nor — thanks to the per-shard caches — the evaluation.
+//! requests — racing first queries over the same new space share one table
+//! build — so a repeated query pays neither the table precomputation nor —
+//! thanks to the engine's cache — the evaluation.
 //!
 //! [`SpaceTables`]: mp_dse::tables::SpaceTables
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crossbeam::channel::unbounded;
-use mp_obs::hist::Histogram;
 use mp_obs::metrics::{Counter, Gauge};
 use mp_obs::profile::{thread_lane, Profiler};
 use parking_lot::Mutex;
@@ -59,12 +51,11 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::catalogue::CatalogueRegistry;
 use mp_model::explore::Curve;
 
-use crate::planner::{BuildRole, BuildTable, Coalescer, CostModel, PlanKey, Role};
+use crate::planner::{CostModel, PlanKey, Role, SingleFlight};
 use crate::protocol::{
-    to_wire, CatalogueEntry, Request, Response, ServiceStats, ShardStats, SpaceSpec, DEFAULT_CHUNK,
+    to_wire, CatalogueEntry, Request, Response, ServiceStats, SpaceSpec, DEFAULT_CHUNK,
     PROTOCOL_VERSION,
 };
-use crate::sched::{Placement, Scheduler, UnitDone, WorkUnit};
 
 /// Queries rejected by admission control with a retryable
 /// [`Response::Busy`].
@@ -73,18 +64,11 @@ fn obs_busy_rejections() -> &'static Counter {
     CELL.get_or_init(|| mp_obs::counter("busy_rejections"))
 }
 
-/// Sweeps queued or running across every shard's admission queue (the sum
-/// of the per-shard depth gauges the admission gate reads).
+/// Evaluations admitted and not yet finished — the depth the admission
+/// gate reads.
 fn obs_queue_depth() -> &'static Gauge {
     static CELL: OnceLock<Arc<Gauge>> = OnceLock::new();
     CELL.get_or_init(|| mp_obs::gauge("executor_queue_depth"))
-}
-
-/// Time a work unit spent on its home shard's deque before a worker
-/// (home or thief) picked it up, milliseconds.
-pub(crate) fn obs_queue_wait_ms() -> &'static Histogram {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::histogram_ms("serve_queue_wait_ms"))
 }
 
 /// Per-verb request counter (`requests_total_<verb>`), counted once per
@@ -125,24 +109,26 @@ pub(crate) fn count_request(request: &Request) {
 /// Construction knobs of a [`SweepService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Number of shards (each an independent engine + cache). Must be ≥ 1.
+    /// With [`ServiceConfig::threads_per_shard`], sizes the service's one
+    /// engine: it runs `shards × threads_per_shard` sweep threads. Also the
+    /// input of the server's executor auto-sizing. Must be ≥ 1.
     pub shards: usize,
-    /// Worker threads inside each shard's engine. Must be ≥ 1.
+    /// The other factor of the engine's thread count. Must be ≥ 1.
     pub threads_per_shard: usize,
-    /// Sweep batch size handed to the engines.
+    /// Sweep batch size handed to the engine.
     pub batch_size: usize,
-    /// Whether shard engines memoise evaluations.
+    /// Whether the engine memoises evaluations.
     pub use_cache: bool,
-    /// Admission cap: sweeps in flight (queued or running) per shard before
-    /// new queries are rejected with a retryable [`Response::Busy`] instead
-    /// of growing the queue. Must be ≥ 1. The backstop behind the primary,
+    /// Admission cap: evaluations in flight per service before new queries
+    /// are rejected with a retryable [`Response::Busy`] instead of piling
+    /// onto the engine. Must be ≥ 1. The backstop behind the primary,
     /// cost-based gate ([`ServiceConfig::cost_budget_ms`]).
     pub queue_capacity: usize,
-    /// Cost-based admission budget: the estimated evaluation cost (ms) a
-    /// shard's queued work may reach before further queries are rejected
-    /// with a retryable [`Response::Busy`] carrying the estimate. A query
-    /// is always admitted onto an idle shard regardless of its size. Must
-    /// be positive.
+    /// Cost-based admission budget: the estimated evaluation cost (ms) the
+    /// service's admitted, unfinished work may reach before further queries
+    /// are rejected with a retryable [`Response::Busy`] carrying the
+    /// estimate. A query is always admitted onto an idle service regardless
+    /// of its size. Must be positive.
     pub cost_budget_ms: f64,
     /// Pin the cost model's per-scenario cost (ms) instead of calibrating
     /// from the engine's live `dse_batch_ms` / `dse_scenarios_evaluated`
@@ -170,9 +156,9 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeErrorKind {
     /// The request itself is unanswerable (bad range, unknown catalogue id,
-    /// dead shard worker).
+    /// a backend that panicked).
     Invalid,
-    /// The service's admission queues are full; the request was not executed
+    /// The service's admission gate is closed; the request was not executed
     /// and may be retried.
     Busy,
 }
@@ -186,7 +172,7 @@ pub struct ServeError {
     pub message: String,
     /// The planner's estimated evaluation cost of the rejected query,
     /// milliseconds (`0.0` when the rejection was not cost-informed —
-    /// invalid requests, dead workers).
+    /// invalid requests, failed evaluations).
     pub estimated_cost_ms: f64,
 }
 
@@ -220,7 +206,7 @@ fn err(message: impl Into<String>) -> ServeError {
 }
 
 /// Best-effort human-readable reason from a caught panic payload.
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -232,22 +218,6 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn busy(message: impl Into<String>, estimated_cost_ms: f64) -> ServeError {
     ServeError { kind: ServeErrorKind::Busy, message: message.into(), estimated_cost_ms }
-}
-
-/// One shard: a long-lived engine plus its admission gauges. The worker
-/// threads live in the scheduler ([`crate::sched::Scheduler`]), which owns
-/// one deque per shard over these same engines.
-struct Shard {
-    engine: Arc<Engine>,
-    /// Sweeps queued or running whose units are homed on this shard — the
-    /// admission-control gauge. Debited once per query at dispatch,
-    /// credited by the submitting caller when the shard's last homed unit
-    /// of that query completes.
-    depth: std::sync::atomic::AtomicUsize,
-    /// Estimated evaluation cost of the shard's queued-or-running homed
-    /// units, microseconds — what the cost-based admission gate budgets.
-    /// Debited per unit at dispatch, credited per completed unit.
-    pending_cost_us: AtomicU64,
 }
 
 /// Maximum prepared sweep snapshots kept resident. The cache key (the query
@@ -281,34 +251,27 @@ impl PreparedCache {
     }
 }
 
-/// The placement cache: one [`Placement`] per prepared-space fingerprint,
-/// bounded like the prepared-handle cache. Placements outlive individual
-/// queries — that is what lets adaptive re-banding learn a skewed mix and
-/// keep routing repeat queries to the cache that warmed for them.
-#[derive(Default)]
-struct PlacementCache {
-    placements: HashMap<u64, Arc<Placement>>,
-    /// Keys in use order, least recently used first.
-    order: Vec<u64>,
-}
-
-/// The resident, sharded sweep service. See the module docs.
+/// The resident sweep service. See the module docs.
 pub struct SweepService {
     backend: Arc<dyn EvalBackend + Send + Sync>,
-    shards: Vec<Shard>,
-    /// The work-stealing scheduler: one worker and one deque per shard
-    /// over the shards' engines. Its own `Drop` drains and joins the
-    /// workers, so the service needs no teardown of its own.
-    sched: Scheduler,
-    placements: Mutex<PlacementCache>,
+    /// The one engine every query evaluates on.
+    engine: Engine,
+    /// [`ServiceConfig::shards`] as configured (see [`SweepService::shards`]).
+    shards: usize,
+    /// Evaluations admitted and not yet finished — the admission backstop's
+    /// gauge. Debited and credited around each [`Engine::sweep_range`].
+    depth: AtomicUsize,
+    /// Estimated evaluation cost of those evaluations, microseconds — what
+    /// the cost-based admission gate budgets.
+    pending_cost_us: AtomicU64,
     prepared: Mutex<PreparedCache>,
     /// In-flight table builds, so racing first queries over the same new
     /// space share one [`SpaceTables`] construction.
     ///
     /// [`SpaceTables`]: mp_dse::tables::SpaceTables
-    builds: BuildTable,
+    builds: SingleFlight<u64, Arc<SweepHandle<'static>>>,
     /// The planner's in-flight coalescing table.
-    coalescer: Coalescer,
+    coalescer: SingleFlight<PlanKey, Result<Arc<SweepResult>, ServeError>>,
     cost_model: CostModel,
     registry: CatalogueRegistry,
     sweep_config: SweepConfig,
@@ -327,48 +290,37 @@ impl std::fmt::Debug for SweepService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepService")
             .field("backend", &self.backend.name())
-            .field("shards", &self.shards.len())
+            .field("threads", &self.engine.threads())
             .finish()
     }
 }
 
 impl SweepService {
-    /// Start a service evaluating with `backend`: spawns the work-stealing
-    /// scheduler's one worker per shard, each shard owning an engine with
-    /// [`ServiceConfig::threads_per_shard`] sweep workers.
+    /// Start a service evaluating with `backend` on one engine of
+    /// `shards × threads_per_shard` sweep threads.
     pub fn new(backend: Arc<dyn EvalBackend + Send + Sync>, config: &ServiceConfig) -> Self {
         assert!(config.shards > 0, "service needs at least one shard");
-        assert!(config.threads_per_shard > 0, "shards need at least one thread");
+        assert!(config.threads_per_shard > 0, "service needs at least one thread per shard");
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.queue_capacity > 0, "admission queue capacity must be positive");
         assert!(config.cost_budget_ms > 0.0, "cost budget must be positive");
         // Register the core series now: a scrape must see `busy_rejections`
         // at zero on an idle server, not have the series appear at the first
-        // rejection. Same for the planner's and the scheduler's series.
+        // rejection. Same for the planner's series.
         obs_busy_rejections();
         obs_queue_depth();
-        obs_queue_wait_ms();
         crate::planner::obs_coalesced_requests();
         crate::planner::obs_shared_scenarios();
         crate::planner::obs_cost_rejections();
-        crate::planner::obs_merge_ms();
-        let shards: Vec<Shard> = (0..config.shards)
-            .map(|_| Shard {
-                engine: Arc::new(Engine::new(config.threads_per_shard)),
-                depth: std::sync::atomic::AtomicUsize::new(0),
-                pending_cost_us: AtomicU64::new(0),
-            })
-            .collect();
-        let engines = shards.iter().map(|shard| Arc::clone(&shard.engine)).collect();
-        let sched = Scheduler::new(engines, Arc::clone(&backend));
         SweepService {
             backend,
-            shards,
-            sched,
-            placements: Mutex::new(PlacementCache::default()),
+            engine: Engine::new(config.shards * config.threads_per_shard),
+            shards: config.shards,
+            depth: AtomicUsize::new(0),
+            pending_cost_us: AtomicU64::new(0),
             prepared: Mutex::new(PreparedCache::default()),
-            builds: BuildTable::default(),
-            coalescer: Coalescer::default(),
+            builds: SingleFlight::default(),
+            coalescer: SingleFlight::default(),
             cost_model: CostModel::new(config.cost_per_scenario_ms),
             registry: CatalogueRegistry::new(),
             sweep_config: SweepConfig {
@@ -395,47 +347,34 @@ impl SweepService {
         self.jobs.get().and_then(std::sync::Weak::upgrade)
     }
 
-    /// Spill every shard's [`EvalCache`] to `dir` as binary segment files
-    /// (`cache-shard-<i>.seg`), each written atomically (tmp file + fsync +
-    /// rename). Returns the number of entries spilled. Part of a durable
-    /// job's checkpoint; also callable on its own for an orderly shutdown.
+    /// Spill the engine's [`EvalCache`] to `dir` as one binary segment file
+    /// (`cache-shard-0.seg`), written atomically (tmp file + fsync + rename).
+    /// Returns the number of entries spilled. Part of a durable job's
+    /// checkpoint; also callable on its own for an orderly shutdown.
     ///
     /// [`EvalCache`]: mp_dse::cache::EvalCache
     pub fn save_cache_segments(&self, dir: &Path) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
-        let mut entries = 0usize;
-        for (index, shard) in self.shards.iter().enumerate() {
-            let cache = shard.engine.cache();
-            entries += cache.len();
-            crate::jobs::atomic_write(
-                &dir.join(format!("cache-shard-{index}.seg")),
-                &cache.save_segment(),
-            )?;
-        }
-        Ok(entries)
+        let cache = self.engine.cache();
+        crate::jobs::atomic_write(&dir.join("cache-shard-0.seg"), &cache.save_segment())?;
+        Ok(cache.len())
     }
 
-    /// Warm-start the shard caches from the segment files a previous
-    /// process spilled to `dir`. Segment `i` loads into shard `i % shards`,
-    /// so a restart with the same shard count reproduces the exact cache
-    /// placement; with a different count the entries still load but may sit
-    /// in a shard whose band never probes them (documented cost: a colder
-    /// warm start, never a wrong answer — values are keyed by scenario
-    /// fingerprint and salt, not by shard).
+    /// Warm-start the cache from the segment files a previous process
+    /// spilled to `dir`: every consecutive `cache-shard-<i>.seg` from `0`
+    /// loads into the one cache, so a store written by a build that spilled
+    /// one file per shard still warms a restart (values are keyed by
+    /// scenario fingerprint and salt, not by file).
     ///
     /// Returns the number of entries restored. Corrupt, truncated or
     /// version-stale segments are **skipped with a warning** — a damaged
-    /// spill degrades to a cold shard, it never aborts startup.
+    /// spill degrades to a colder cache, it never aborts startup.
     pub fn load_cache_segments(&self, dir: &Path) -> usize {
         let mut restored = 0usize;
         for index in 0.. {
             let path = dir.join(format!("cache-shard-{index}.seg"));
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(_) => break,
-            };
-            let shard = &self.shards[index % self.shards.len()];
-            match shard.engine.cache().load_segment(&bytes) {
+            let Ok(bytes) = std::fs::read(&path) else { break };
+            match self.engine.cache().load_segment(&bytes) {
                 Ok(loaded) => restored += loaded,
                 Err(e) => mp_obs::warn(
                     "jobs",
@@ -458,9 +397,11 @@ impl SweepService {
         self.backend.name()
     }
 
-    /// Number of shards.
+    /// [`ServiceConfig::shards`] as configured — what the server's executor
+    /// auto-sizing reads. The engine runs `shards × threads_per_shard`
+    /// threads.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// Resolve a wire-level space spec into a prepared sweep handle — the
@@ -538,7 +479,7 @@ impl SweepService {
     /// while the [`SpaceTables`] are built — a first query over a large new
     /// space must not head-of-line-block queries over already-prepared
     /// spaces. Clients racing on the same new space share **one** build
-    /// through the planner's [`BuildTable`]: the first becomes the build
+    /// through a [`SingleFlight`] table: the first becomes the build
     /// leader, the rest block for its handle instead of redundantly
     /// deriving the same columns.
     ///
@@ -557,7 +498,7 @@ impl SweepService {
             }
         }
         match self.builds.join(key) {
-            BuildRole::Leader => {
+            Role::Leader => {
                 let handle = Arc::new(SweepHandle::owned(space.clone()));
                 {
                     let mut prepared = self.prepared.lock();
@@ -569,10 +510,10 @@ impl SweepService {
                         _ => prepared.insert(key, Arc::clone(&handle)),
                     }
                 }
-                self.builds.publish(key, &handle);
+                self.builds.publish(&key, Arc::clone(&handle));
                 handle
             }
-            BuildRole::Follower(build) => {
+            Role::Follower(build) => {
                 let handle = build.wait();
                 if handle.space() == space {
                     handle
@@ -586,10 +527,10 @@ impl SweepService {
         }
     }
 
-    /// Evaluate `range` of `space` (`None` = the whole space) across the
-    /// shards, returning merged records in index order plus summed stats.
-    /// Subject to admission control: when any participating shard already
-    /// has [`ServiceConfig::queue_capacity`] sweeps in flight, the query is
+    /// Evaluate `range` of `space` (`None` = the whole space), returning
+    /// records in index order plus the engine's stats. Subject to admission
+    /// control ([`ServiceConfig::cost_budget_ms`],
+    /// [`ServiceConfig::queue_capacity`]): a query the gate refuses is
     /// rejected with a retryable busy error instead of queued.
     pub fn sweep(
         &self,
@@ -611,100 +552,53 @@ impl SweepService {
         let range = range.unwrap_or(0..n);
         check_range(&range, n)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.admit(handle, &range)?;
+        self.admit(&range)?;
         self.sweep_prepared(handle, range)
-    }
-
-    /// The durable cache placement of `handle`'s space: fingerprint-keyed,
-    /// LRU-bounded like the prepared-handle cache. Fresh placements
-    /// reproduce the static bands; adaptive re-banding then mutates them
-    /// in place, which is why the same `Arc` must be handed to every query
-    /// over the space. A fingerprint collision (placement built for a
-    /// different-length space) falls back to a fresh uncached placement.
-    fn placement(&self, handle: &SweepHandle<'static>) -> Arc<Placement> {
-        let key = handle.fingerprint();
-        let mut placements = self.placements.lock();
-        if let Some(placement) = placements.placements.get(&key) {
-            if placement.len() == handle.len() {
-                let placement = Arc::clone(placement);
-                placements.order.retain(|&k| k != key);
-                placements.order.push(key);
-                return placement;
-            }
-            return Arc::new(Placement::new(handle.len(), self.shards.len()));
-        }
-        let placement = Arc::new(Placement::new(handle.len(), self.shards.len()));
-        placements.placements.insert(key, Arc::clone(&placement));
-        placements.order.push(key);
-        while placements.placements.len() > MAX_PREPARED {
-            let evict = placements.order.remove(0);
-            placements.placements.remove(&evict);
-        }
-        placement
-    }
-
-    /// Scenarios of `range` homed on each participating shard, shard-keyed
-    /// and deterministic. Admission, cache reservation and unit dispatch
-    /// all derive from the same [`Placement::bands`] decomposition, so the
-    /// three can never drift apart on what "participating" means.
-    fn homed_scenarios(placement: &Placement, range: &Range<usize>) -> BTreeMap<usize, usize> {
-        let mut homed: BTreeMap<usize, usize> = BTreeMap::new();
-        for (home, slice, _) in placement.bands(range) {
-            *homed.entry(home).or_default() += slice.len();
-        }
-        homed
     }
 
     /// The admission gate, checked once per *query* — the windows of an
     /// admitted streaming sweep are never rejected mid-answer, they just
-    /// queue behind other admitted work. Two conditions, per participating
-    /// shard:
+    /// share the engine with other admitted work. Two conditions:
     ///
     /// * **cost budget** (primary): the estimated evaluation cost of the
-    ///   shard's queued work plus this query's slice must stay within
-    ///   [`ServiceConfig::cost_budget_ms`] — a giant sweep can no longer
-    ///   bury a queue that hundreds of cheap warm queries would sail
-    ///   through, and conversely cheap queries keep being admitted by
-    ///   *cost* where a raw depth cap would count them like giants. An
-    ///   idle (zero-pending) shard admits anything: budgets bound *waiting*
+    ///   service's admitted, unfinished work plus this query must stay
+    ///   within [`ServiceConfig::cost_budget_ms`] — a giant sweep can no
+    ///   longer bury a backlog that hundreds of cheap warm queries would
+    ///   sail through, and conversely cheap queries keep being admitted by
+    ///   *cost* where a raw depth cap would count them like giants. An idle
+    ///   (zero-pending) service admits anything: budgets bound *waiting*
     ///   work, they must not make oversized queries unanswerable.
     /// * **depth cap** (backstop): at most
-    ///   [`ServiceConfig::queue_capacity`] sweeps in flight per shard,
-    ///   whatever the model thinks they cost.
+    ///   [`ServiceConfig::queue_capacity`] evaluations in flight per
+    ///   service, whatever the model thinks they cost.
     ///
     /// Rejections are retryable ([`Response::Busy`]) and carry the query's
     /// estimated cost.
-    fn admit(&self, handle: &SweepHandle<'static>, range: &Range<usize>) -> Result<(), ServeError> {
-        let per_scenario_ms = self.cost_model.cost_per_scenario_ms();
-        let query_cost_ms = range.len() as f64 * per_scenario_ms;
-        let placement = self.placement(handle);
-        for (index, scenarios) in Self::homed_scenarios(&placement, range) {
-            let shard = &self.shards[index];
-            let depth = shard.depth.load(Ordering::Acquire);
-            if depth >= self.queue_capacity {
-                obs_busy_rejections().inc();
-                return Err(busy(
-                    format!(
-                        "shard {index} admission queue is full ({depth} sweeps in flight, cap {})",
-                        self.queue_capacity
-                    ),
-                    query_cost_ms,
-                ));
-            }
-            let pending_ms = shard.pending_cost_us.load(Ordering::Acquire) as f64 / 1e3;
-            let slice_ms = scenarios as f64 * per_scenario_ms;
-            if pending_ms > 0.0 && pending_ms + slice_ms > self.cost_budget_ms {
-                crate::planner::obs_cost_rejections().inc();
-                obs_busy_rejections().inc();
-                return Err(busy(
-                    format!(
-                        "shard {index} estimated backlog {pending_ms:.1} ms + this query's \
-                         {slice_ms:.1} ms exceeds the {:.0} ms admission budget",
-                        self.cost_budget_ms
-                    ),
-                    query_cost_ms,
-                ));
-            }
+    fn admit(&self, range: &Range<usize>) -> Result<(), ServeError> {
+        let query_cost_ms = self.cost_model.estimate_ms(range.len());
+        let depth = self.depth.load(Ordering::Acquire);
+        if depth >= self.queue_capacity {
+            obs_busy_rejections().inc();
+            return Err(busy(
+                format!(
+                    "the service's admission queue is full ({depth} sweeps in flight, cap {})",
+                    self.queue_capacity
+                ),
+                query_cost_ms,
+            ));
+        }
+        let pending_ms = self.pending_cost_us.load(Ordering::Acquire) as f64 / 1e3;
+        if pending_ms > 0.0 && pending_ms + query_cost_ms > self.cost_budget_ms {
+            crate::planner::obs_cost_rejections().inc();
+            obs_busy_rejections().inc();
+            return Err(busy(
+                format!(
+                    "the service's estimated backlog {pending_ms:.1} ms + this query's \
+                     {query_cost_ms:.1} ms exceeds the {:.0} ms admission budget",
+                    self.cost_budget_ms
+                ),
+                query_cost_ms,
+            ));
         }
         Ok(())
     }
@@ -712,7 +606,7 @@ impl SweepService {
     /// The planner's evaluation entry point: every query path (one-shot
     /// sweeps, streaming windows, analysis queries) funnels its admitted,
     /// validated ranges through here. Concurrent calls with the same
-    /// `(prepared-space fingerprint, range)` key share one scheduled
+    /// `(prepared-space fingerprint, range)` key share one
     /// evaluation: the first becomes the leader and evaluates, the rest
     /// block and receive the published result — records bit-identical,
     /// follower stats marked [`SweepStats::coalesced`] so the shared work is
@@ -729,7 +623,7 @@ impl SweepService {
         match self.coalescer.join(key) {
             Role::Leader => {
                 let result = self.sweep_scheduled(handle, range).map(Arc::new);
-                self.coalescer.publish(&key, &result);
+                self.coalescer.publish(&key, result.clone());
                 // No follower joined: the published Arc is already dropped
                 // and the result is returned without a copy.
                 result.map(|shared| match Arc::try_unwrap(shared) {
@@ -748,152 +642,40 @@ impl SweepService {
         }
     }
 
-    /// The scheduled sweep core: decompose `range` into cost-sized work
-    /// units along the placement's cache bands, submit them to the
-    /// work-stealing scheduler, and copy the completed units' records into
-    /// one index-ordered answer — bit-identical to evaluating the range in
-    /// one piece, whichever worker ran each unit. No admission check —
-    /// callers gate first.
+    /// The evaluation core: one [`Engine::sweep_range`] on the calling
+    /// thread, bracketed by the admission gauges. The engine's record vector
+    /// is returned as is. A backend panic is contained to this query — the
+    /// engine has already joined its workers when it re-raises, and whatever
+    /// the panicking sweep cached is deterministic, so a retry re-reads it
+    /// warm. No admission check — callers gate first.
     fn sweep_scheduled(
         &self,
-        handle: &Arc<SweepHandle<'static>>,
+        handle: &SweepHandle<'static>,
         range: Range<usize>,
     ) -> Result<SweepResult, ServeError> {
-        let started = Instant::now();
-        let per_scenario_ms = self.cost_model.cost_per_scenario_ms();
-        let placement = self.placement(handle);
-        let span = mp_dse::units::unit_span(per_scenario_ms);
-        let (reply, replies) = unbounded();
-
-        // Decompose along the placement's cache bands first — every unit
-        // gets exactly one home shard whose cache owns its scenarios — and
-        // then into cost-sized units within each band, so a scenario lands
-        // on the same shard's cache no matter how the request is windowed.
-        let mut units: Vec<WorkUnit> = Vec::new();
-        let mut homes: BTreeMap<usize, usize> = BTreeMap::new();
-        for (home, band, _) in placement.bands(&range) {
-            for unit_range in mp_dse::units::split_units(band, span) {
-                let cost_us = (unit_range.len() as f64 * per_scenario_ms * 1e3) as u64;
-                *homes.entry(home).or_insert(0) += 1;
-                let segments = placement.segments_of(&unit_range);
-                units.push(WorkUnit::new(
-                    Arc::clone(handle),
-                    unit_range,
-                    segments,
-                    home,
-                    self.sweep_config,
-                    Arc::clone(&placement),
-                    reply.clone(),
-                    cost_us,
-                ));
-            }
-        }
-        drop(reply);
-
-        // Debit the admission gauges before dispatch: one queue-depth slot
-        // per participating *home* shard (what `admit` gates on) plus each
-        // unit's pending cost against its home. Stolen units still debit
-        // the home — the admission budget models cache placement, not
-        // whichever worker happens to execute.
-        for &home in homes.keys() {
-            self.shards[home].depth.fetch_add(1, Ordering::AcqRel);
-            obs_queue_depth().add(1);
-        }
-        for unit in &units {
-            self.shards[unit.home].pending_cost_us.fetch_add(unit.cost_us, Ordering::AcqRel);
-        }
-        // Snapshot warm-cache state at dispatch: entries resident in the
-        // participating homes' caches, each home counted once per sweep —
-        // summing per unit (or per executing worker) would inflate it.
-        let warm_entries: usize = if self.sweep_config.use_cache {
-            homes.keys().map(|&home| self.shards[home].engine.cache().len()).sum()
-        } else {
-            0
-        };
-        let outstanding = units.len();
-        let mut remaining: BTreeMap<usize, usize> = homes.clone();
-        if let Err(units) = self.sched.submit(units) {
-            for unit in &units {
-                self.shards[unit.home].pending_cost_us.fetch_sub(unit.cost_us, Ordering::Release);
-            }
-            for &home in homes.keys() {
-                self.shards[home].depth.fetch_sub(1, Ordering::Release);
-                obs_queue_depth().sub(1);
-            }
-            return Err(err("the sweep scheduler has shut down"));
-        }
-
-        // Drain *every* outstanding reply before ruling on errors: unit
-        // results are already inserted into their home shards' caches and
-        // are deterministic, so a retried query re-reads them warm. The
-        // *caller* credits the admission gauges — a unit is done for
-        // backpressure purposes only once its result is collected, whether
-        // its home worker or a thief evaluated it.
-        let mut partials: Vec<(usize, SweepResult)> = Vec::with_capacity(outstanding);
-        let mut failure: Option<String> = None;
-        let mut threads_by_home: BTreeMap<usize, usize> = BTreeMap::new();
-        for _ in 0..outstanding {
-            let done: UnitDone =
-                replies.recv().map_err(|_| err("the scheduler dropped a sweep reply"))?;
-            self.shards[done.home].pending_cost_us.fetch_sub(done.cost_us, Ordering::Release);
-            if let Some(left) = remaining.get_mut(&done.home) {
-                *left -= 1;
-                if *left == 0 {
-                    remaining.remove(&done.home);
-                    self.shards[done.home].depth.fetch_sub(1, Ordering::Release);
-                    obs_queue_depth().sub(1);
-                }
-            }
-            match done.result {
-                Ok(partial) => {
-                    // Distinct evaluation lanes per home, not per unit: a
-                    // home's units run one at a time on some worker, so its
-                    // thread count is the max any of its units saw.
-                    let lanes = threads_by_home.entry(done.home).or_insert(0);
-                    *lanes = (*lanes).max(partial.stats.threads);
-                    partials.push((done.start, partial));
-                }
-                Err(reason) => failure = Some(reason),
-            }
-        }
-        if let Some(reason) = failure {
-            return Err(err(format!("sweep evaluation failed: {reason}")));
-        }
-
-        // Ordered assembly: the units tile `range` exactly, so once ordered
-        // by start index each unit's records belong at
-        // `[start - range.start..]` of the answer and a plain copy is
-        // bit-identical to evaluating the range in one piece, whatever
-        // order (and on whichever worker) the units ran.
-        partials.sort_unstable_by_key(|&(start, _)| start);
-        let merge_started = Instant::now();
-        let mut records: Vec<EvalRecord> = Vec::with_capacity(range.len());
-        for (start, partial) in &partials {
-            debug_assert_eq!(range.start + records.len(), *start, "units must tile the range");
-            records.extend_from_slice(&partial.records);
-        }
-        debug_assert_eq!(records.len(), range.len(), "units must tile the range");
-        crate::planner::obs_merge_ms().record(merge_started.elapsed().as_secs_f64() * 1e3);
-
-        let mut stats = SweepStats {
-            scenarios: 0,
-            valid: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            warm_entries,
-            threads: threads_by_home.values().sum(),
-            coalesced: false,
-            elapsed_seconds: 0.0,
-        };
-        for (_, partial) in &partials {
-            stats.scenarios += partial.stats.scenarios;
-            stats.valid += partial.stats.valid;
-            stats.cache_hits += partial.stats.cache_hits;
-            stats.cache_misses += partial.stats.cache_misses;
-        }
-        stats.elapsed_seconds = started.elapsed().as_secs_f64();
-        debug_assert_eq!(stats.scenarios, range.len());
-        Ok(SweepResult { records, stats })
+        let cost_us = (self.cost_model.estimate_ms(range.len()) * 1e3) as u64;
+        self.depth.fetch_add(1, Ordering::AcqRel);
+        self.pending_cost_us.fetch_add(cost_us, Ordering::AcqRel);
+        obs_queue_depth().add(1);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.engine.sweep_range(
+                handle,
+                self.backend.as_ref(),
+                &self.sweep_config,
+                range.clone(),
+            )
+        }));
+        obs_queue_depth().sub(1);
+        self.pending_cost_us.fetch_sub(cost_us, Ordering::Release);
+        self.depth.fetch_sub(1, Ordering::Release);
+        result.map_err(|payload| {
+            let reason = panic_reason(payload.as_ref());
+            mp_obs::warn(
+                "serve",
+                &format!("sweep {}..{} panicked: {reason}", range.start, range.end),
+            );
+            err(format!("sweep evaluation failed: {reason}"))
+        })
     }
 
     /// Open a **pull-based** streaming sweep over `range` of `space`:
@@ -922,16 +704,12 @@ impl SweepService {
     ) -> Result<SweepTicket, ServeError> {
         check_range(&range, handle.len())?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.admit(&handle, &range)?;
-        // Size each participating shard's cache for its whole share of the
-        // sweep up front — exactly what a one-shot `Engine::sweep` does —
-        // so the window-by-window inserts never rehash (and transiently
-        // double) a table mid-stream.
+        self.admit(&range)?;
+        // Size the cache for the whole sweep up front — exactly what a
+        // one-shot `Engine::sweep` does — so the window-by-window inserts
+        // never rehash (and transiently double) a table mid-stream.
         if self.sweep_config.use_cache {
-            let placement = self.placement(&handle);
-            for (&home, &scenarios) in &Self::homed_scenarios(&placement, &range) {
-                self.shards[home].engine.cache().reserve(scenarios);
-            }
+            self.engine.cache().reserve(range.len());
         }
         let chunk = if chunk == 0 { DEFAULT_CHUNK } else { chunk };
         // Pull windows of roughly DEFAULT_CHUNK scenarios, rounded to a
@@ -957,10 +735,10 @@ impl SweepService {
         })
     }
 
-    /// Pull the next window of an open streaming sweep: evaluates it across
-    /// the shards and returns its records (global indices, index order), or
-    /// `None` once the ticket's range is exhausted — read the final merged
-    /// statistics from [`SweepTicket::stats`] then.
+    /// Pull the next window of an open streaming sweep: evaluates it and
+    /// returns its records (global indices, index order), or `None` once
+    /// the ticket's range is exhausted — read the final summed statistics
+    /// from [`SweepTicket::stats`] then.
     pub fn next_window(
         &self,
         ticket: &mut SweepTicket,
@@ -1017,16 +795,8 @@ impl SweepService {
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             backend: self.backend.name().to_string(),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(index, shard)| ShardStats {
-                    shard: index,
-                    threads: shard.engine.threads(),
-                    cache: shard.engine.cache().stats(),
-                })
-                .collect(),
+            threads: self.engine.threads(),
+            cache: self.engine.cache().stats(),
             queries: self.queries.load(Ordering::Relaxed),
             prepared_spaces: self.prepared.lock().handles.len(),
             uptime_seconds: self.started.elapsed().as_secs_f64(),
@@ -1253,11 +1023,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_is_bit_identical_to_a_direct_engine_sweep() {
+    fn served_sweep_is_bit_identical_to_a_direct_engine_sweep() {
         let space = space();
         let direct = Engine::new(2).sweep(&space, &AnalyticBackend, &SweepConfig::default());
         for shards in [1usize, 3] {
             let service = service(shards);
+            assert_eq!(service.engine.threads(), shards * 2, "shards × threads_per_shard");
+            assert_eq!(service.shards(), shards);
             let served = service.sweep(&space, None).unwrap();
             assert_eq!(served.records.len(), direct.records.len());
             for (a, b) in served.records.iter().zip(direct.records.iter()) {
@@ -1269,10 +1041,10 @@ mod tests {
     }
 
     #[test]
-    fn one_scenario_spaces_sweep_cleanly_at_any_shard_count() {
-        // With n < shards most shards home nothing; a 1-scenario space must
-        // still evaluate its one scenario, warm one cache, and answer
-        // repeats from it.
+    fn one_scenario_spaces_sweep_cleanly_at_any_thread_count() {
+        // With n < threads most workers have nothing to pull; a 1-scenario
+        // space must still evaluate its one scenario, warm the cache, and
+        // answer repeats from it.
         let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([2.0]);
         assert_eq!(space.len(), 1);
         let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
@@ -1295,15 +1067,12 @@ mod tests {
     }
 
     #[test]
-    fn range_queries_intersect_the_static_shard_bands() {
+    fn range_queries_match_the_same_range_of_a_direct_sweep() {
         let space = space();
         let service = service(4);
         let engine = Engine::new(2);
         let handle = SweepHandle::new(&space);
         let n = space.len();
-        // 138 scenarios on 4 shards: one work unit per ~35-scenario band and
-        // 5-scenario placement segments, so `27..133` crosses three unit
-        // boundaries and starts and ends inside a unit and inside a segment.
         let windows = [0..n / 5, 27..133, n / 5..n - 3, n - 3..n, 71..72, 0..0];
         for window in windows {
             let part = service.sweep(&space, Some(window.clone())).unwrap();
@@ -1343,7 +1112,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_repeat_queries_hit_the_shard_caches() {
+    fn warm_repeat_queries_hit_the_cache() {
         let space = space();
         let service = service(4);
         let first = service.sweep(&space, None).unwrap();
@@ -1352,9 +1121,9 @@ mod tests {
         assert_eq!(second.stats.cache_hits, space.len() as u64);
         assert_eq!(second.stats.cache_misses, 0);
         assert!(second.stats.warm_entries > 0);
-        let totals = service.stats().cache_totals();
-        assert_eq!(totals.entries, space.len());
-        assert!(totals.hits >= space.len() as u64);
+        let cache = service.stats().cache;
+        assert_eq!(cache.entries, space.len());
+        assert!(cache.hits >= space.len() as u64);
         // The prepared handle was reused, not rebuilt.
         assert_eq!(service.stats().prepared_spaces, 1);
         assert_eq!(service.stats().queries, 2);

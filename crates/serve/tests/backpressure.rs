@@ -1,6 +1,6 @@
 //! Backpressure behaviour of the serve stack, verified at both layers:
 //!
-//! * **admission control** — a shard whose in-flight cap is reached rejects
+//! * **admission control** — a service whose in-flight cap is reached rejects
 //!   new queries with a retryable busy error instead of queueing them
 //!   (deterministic: the backend blocks on a gate the test controls);
 //! * **write-side watermarks** — a client that drains its socket slowly
@@ -16,13 +16,13 @@ use mp_dse::engine::{Engine, EvalRecord, SweepConfig};
 use mp_dse::scenario::{Scenario, ScenarioSpace};
 use mp_serve::prelude::*;
 
-/// A counter the shard worker bumps when it enters an evaluation.
+/// A counter the evaluating thread bumps when it enters an evaluation.
 type EnterGate = Arc<(Mutex<usize>, Condvar)>;
 /// A latch the test opens to let blocked evaluations finish.
 type ReleaseGate = Arc<(Mutex<bool>, Condvar)>;
 
 /// A backend whose evaluations block until the test releases them, so the
-/// test can hold a shard busy deterministically (no sleeps, no racing).
+/// test can hold the service busy deterministically (no sleeps, no racing).
 struct GateBackend {
     entered: EnterGate,
     release: ReleaseGate,
@@ -62,7 +62,7 @@ fn tiny_space() -> ScenarioSpace {
 }
 
 #[test]
-fn full_shard_queue_rejects_with_busy_then_recovers() {
+fn full_admission_queue_rejects_with_busy_then_recovers() {
     let (backend, entered, release) = GateBackend::new();
     let service = Arc::new(SweepService::new(
         Arc::new(backend),
@@ -74,7 +74,7 @@ fn full_shard_queue_rejects_with_busy_then_recovers() {
         },
     ));
 
-    // Occupy the only shard: this sweep blocks inside the gated backend.
+    // Occupy the only slot: this sweep blocks inside the gated backend.
     let space = tiny_space();
     let occupied = {
         let service = Arc::clone(&service);
@@ -89,7 +89,7 @@ fn full_shard_queue_rejects_with_busy_then_recovers() {
         }
     }
 
-    // The shard is at its in-flight cap: new queries bounce, retryably, on
+    // The service is at its in-flight cap: new queries bounce, retryably, on
     // both the service API and the wire protocol — and nothing was queued.
     let rejected = service.sweep(&space, None).unwrap_err();
     assert!(rejected.is_busy(), "expected busy, got: {rejected}");

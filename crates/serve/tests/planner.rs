@@ -5,7 +5,7 @@
 //!   the leader evaluates every scenario exactly once, followers receive a
 //!   bit-identical clone marked `stats.coalesced`, and the planner counters
 //!   account the shared work;
-//! * **cost-based admission** — a shard whose estimated pending cost would
+//! * **cost-based admission** — a service whose estimated pending cost would
 //!   exceed the budget rejects new queries with a busy error carrying the
 //!   query's own cost estimate, and admission reopens once the backlog
 //!   drains.
@@ -164,7 +164,7 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
     let space =
         ScenarioSpace::new().clear_designs().add_symmetric_grid((0..64).map(|i| 2.0 + i as f64));
     // Each scenario is pinned at 1 ms, so the 64-scenario sweep estimates
-    // 64 ms against a 10 ms budget: admitted when the shard is idle, a cost
+    // 64 ms against a 10 ms budget: admitted when the service is idle, a cost
     // rejection while anything is pending.
     let service = Arc::new(SweepService::new(
         Arc::new(backend),
@@ -180,8 +180,8 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
 
     let rejections_before = series("planner_cost_rejections");
 
-    // An idle shard admits even an over-budget query (work conservation:
-    // rejecting it would leave the shard idle forever).
+    // An idle service admits even an over-budget query (work conservation:
+    // rejecting it would leave the engine idle forever).
     let occupied = {
         let service = Arc::clone(&service);
         let space = space.clone();

@@ -23,7 +23,7 @@
 //!   standing in for the SESC simulator used by the paper.
 //! * [`dse`] — a parallel, cache-aware design-space exploration engine:
 //!   cartesian scenario spaces over every model axis, pluggable evaluation
-//!   backends (analytic, communication-aware, simulation), a sharded work
+//!   backends (analytic, communication-aware, simulation), a parallel batch
 //!   queue with memoisation, top-k / per-axis / Pareto analysis and
 //!   streaming JSON/CSV export. The paper's figure sweeps run through it.
 //!

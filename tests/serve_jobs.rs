@@ -161,6 +161,27 @@ fn submitted_job_completes_checkpoints_and_warms_the_cache() {
     for (a, b) in warm.records.iter().zip(direct.records.iter()) {
         assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
     }
+
+    // A store spilled by a build that kept one cache per shard holds one
+    // segment file per shard, each with that shard's band of the space.
+    // Every file found warms the one cache.
+    let handle = SweepHandle::new(&space);
+    let half = space.len() / 2;
+    for (index, band) in [0..half, half..space.len()].into_iter().enumerate() {
+        let shard = Engine::new(1);
+        shard.sweep_range(&handle, &AnalyticBackend, &SweepConfig::default(), band);
+        atomic_write(
+            &store.0.join(format!("cache-shard-{index}.seg")),
+            &shard.cache().save_segment(),
+        )
+        .unwrap();
+    }
+    let restarted = self::service(2, Arc::new(AnalyticBackend));
+    assert_eq!(restarted.load_cache_segments(&store.0), space.len(), "both files load");
+    let warm = restarted.sweep(&space, None).unwrap();
+    assert_eq!(warm.stats.warm_entries, space.len());
+    assert_eq!(warm.stats.cache_hits as usize, space.len(), "every restored entry answers");
+    assert_eq!(warm.stats.cache_misses, 0);
 }
 
 #[test]
@@ -357,8 +378,8 @@ fn one_scenario_jobs_complete_at_shard_counts_beyond_the_space() {
         let done =
             wait_for(&manager, &submitted.id, Duration::from_secs(30), |s| s.state == "completed");
         assert_eq!(done.scenarios_completed, 1);
-        // The single scenario went through exactly one shard's cache; a
-        // repeat sweep answers warm and bit-identical to the direct engine.
+        // A repeat sweep answers warm and bit-identical to the direct
+        // engine.
         let warm = service.sweep(&space, None).unwrap();
         assert_eq!(warm.stats.cache_hits, 1, "warm repeat at {shards} shards");
         assert_eq!(warm.records.len(), 1);
