@@ -24,6 +24,7 @@
 //!   parameterised by the data-set shape (N, D, C), so the simulator's inputs
 //!   are derived from the algorithms rather than hard-coded timings.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

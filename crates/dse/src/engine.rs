@@ -3,11 +3,13 @@
 //!
 //! The space is cut into contiguous index batches (the design axis varies
 //! fastest, so a batch shares the application/growth/perf axes and the
-//! backend's batched path can hoist model construction). Worker jobs pull
-//! batches from a shared atomic cursor — a work queue with no per-scenario
-//! synchronisation — and write results into disjoint slices of one
-//! preallocated record vector, so the output is deterministic and ordered
-//! regardless of scheduling.
+//! backend's batched path can hoist model construction). One scoped
+//! fork-join ([`ThreadPool::run_scoped`]) runs the same worker closure on
+//! every thread: it pulls the next batch from a locked queue of disjoint
+//! `&mut` slices of the one preallocated record vector — one uncontended
+//! lock per batch, no per-scenario synchronisation — so the output is
+//! deterministic and ordered regardless of scheduling, and the borrow
+//! checker, not a comment, is what keeps two workers off one slot.
 //!
 //! With memoisation enabled, each batch first probes the [`EvalCache`] by
 //! canonical scenario fingerprint; only the misses are evaluated (and
@@ -15,14 +17,13 @@
 //! patterns, cached and uncached sweeps produce bit-identical records.
 
 use std::borrow::Cow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::Counter;
 use mp_obs::profile::{thread_lane, Profiler};
-use mp_par::ThreadPool;
+use mp_par::{ThreadCtx, ThreadPool};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::EvalBackend;
@@ -231,8 +232,16 @@ impl Engine {
             self.cache.reserve(n);
         }
         let salt = backend.cache_salt();
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
+        let ctx = BatchCtx {
+            space,
+            tables,
+            backend,
+            cache,
+            cold_start,
+            salt: &salt,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        };
 
         // Shrink the batch when the space is small relative to the worker
         // count, so every worker gets several batches to pull (load balance);
@@ -243,67 +252,31 @@ impl Engine {
         } else {
             config.batch_size
         };
-        let use_pool = self.pool.is_some() && n > batch;
-        let mut workers = 1usize;
-        if use_pool {
-            let shared = SweepShared {
-                space,
-                tables,
-                backend,
-                cache,
-                cold_start,
-                salt: &salt,
-                records: records.as_mut_ptr(),
-                base: range.start,
-                end: range.end,
-                batch,
-                cursor: AtomicUsize::new(0),
-                hits: &hits,
-                misses: &misses,
-                panicked: AtomicBool::new(false),
-                pending: Mutex::new(0),
-                done: Condvar::new(),
+        // The caller is one of the workers, so exactly `workers` threads
+        // evaluate; a sweep of one batch stays on the calling thread.
+        let workers = self.threads.min(n.div_ceil(batch)).max(1);
+        {
+            // The work queue: batch `i` is the `i`-th disjoint slice of the
+            // record vector, and whoever holds the lock takes the next one.
+            let queue = Mutex::new(records.chunks_mut(batch).enumerate());
+            let worker = |_: ThreadCtx| {
+                // One scratch per worker, reused across every batch it pulls:
+                // the per-batch working sets allocate only on the worker's
+                // first batch (and never per scenario).
+                let mut scratch = BatchScratch::with_capacity(batch);
+                loop {
+                    // Taken in its own statement, so the lock is released
+                    // before the batch is evaluated — and never held across
+                    // a panic.
+                    let next = queue.lock().expect("no batch runs under the queue lock").next();
+                    let Some((i, out)) = next else { break };
+                    let start = range.start + i * batch;
+                    process_batch(&ctx, start..start + out.len(), out, &mut scratch);
+                }
             };
-            let pool = self.pool.as_ref().expect("pool exists when use_pool");
-            let jobs = self.threads.min(n.div_ceil(batch));
-            workers = jobs;
-            *shared.pending.lock().unwrap_or_else(|e| e.into_inner()) = jobs;
-            // SAFETY: the jobs only live until `wait_pending` returns below —
-            // the pending counter is decremented by a drop guard even on
-            // panic — so every reference outlives every job. Disjoint record
-            // ranges are handed out by the atomic cursor, so no slot is ever
-            // written twice.
-            let shared_ref: &'static SweepShared<'static> = unsafe { std::mem::transmute(&shared) };
-            // The caller participates as the last worker instead of spinning
-            // idle for the whole sweep, so exactly `jobs` threads do work.
-            for _ in 0..jobs.saturating_sub(1) {
-                pool.execute(move || shared_ref.run_worker());
-            }
-            shared.run_worker();
-            shared.wait_pending();
-            if shared.panicked.load(Ordering::Acquire) {
-                panic!("a design-space evaluation backend panicked during the sweep");
-            }
-        } else {
-            let mut scratch = BatchScratch::with_capacity(batch);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + batch).min(range.end);
-                let out = &mut records[start - range.start..end - range.start];
-                process_batch(
-                    space,
-                    tables,
-                    backend,
-                    cache,
-                    cold_start,
-                    &salt,
-                    start..end,
-                    out,
-                    &hits,
-                    &misses,
-                    &mut scratch,
-                );
-                start = end;
+            match &self.pool {
+                Some(pool) => pool.run_scoped(workers, worker),
+                None => mp_par::run_scoped(workers, worker),
             }
         }
 
@@ -313,8 +286,8 @@ impl Engine {
             stats: SweepStats {
                 scenarios: n,
                 valid,
-                cache_hits: hits.load(Ordering::Relaxed),
-                cache_misses: misses.load(Ordering::Relaxed),
+                cache_hits: ctx.hits.into_inner(),
+                cache_misses: ctx.misses.into_inner(),
                 warm_entries,
                 threads: workers,
                 coalesced: false,
@@ -481,96 +454,6 @@ impl RangeCursor {
     }
 }
 
-/// Shared state of one parallel sweep; handed to pool workers as a
-/// lifetime-erased reference (see the safety comment at the transmute).
-struct SweepShared<'a> {
-    space: &'a ScenarioSpace,
-    tables: &'a SpaceTables,
-    backend: &'a dyn EvalBackend,
-    cache: Option<&'a EvalCache>,
-    cold_start: bool,
-    salt: &'a str,
-    /// Destination slot of global index `base` (the range's first scenario).
-    records: *mut EvalRecord,
-    /// First global scenario index of the swept range.
-    base: usize,
-    /// One past the last global scenario index of the swept range.
-    end: usize,
-    batch: usize,
-    cursor: AtomicUsize,
-    hits: &'a AtomicU64,
-    misses: &'a AtomicU64,
-    panicked: AtomicBool,
-    pending: Mutex<usize>,
-    done: Condvar,
-}
-
-// SAFETY: the raw record pointer is only dereferenced through disjoint index
-// ranges handed out by the atomic cursor, and the caller blocks until every
-// worker has finished before touching the records again.
-unsafe impl Send for SweepShared<'_> {}
-unsafe impl Sync for SweepShared<'_> {}
-
-impl SweepShared<'_> {
-    fn run_worker(&self) {
-        // Decrement `pending` even if a batch panics so the caller never
-        // deadlocks; remember the panic and re-raise it on the caller.
-        struct Done<'a, 'b>(&'a SweepShared<'b>);
-        impl Drop for Done<'_, '_> {
-            fn drop(&mut self) {
-                let mut pending = self.0.pending.lock().unwrap_or_else(|e| e.into_inner());
-                *pending -= 1;
-                if *pending == 0 {
-                    self.0.done.notify_all();
-                }
-            }
-        }
-        let _done = Done(self);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // One scratch per worker, reused across every batch it pulls: the
-            // per-batch working sets allocate only on the worker's first
-            // batch (and never per scenario).
-            let mut scratch = BatchScratch::with_capacity(self.batch);
-            loop {
-                let batch_index = self.cursor.fetch_add(1, Ordering::Relaxed);
-                let offset = batch_index.saturating_mul(self.batch);
-                if offset >= self.end - self.base {
-                    break;
-                }
-                let start = self.base + offset;
-                let end = (start + self.batch).min(self.end);
-                // SAFETY: `start..end` ranges from the cursor never overlap.
-                let out = unsafe {
-                    std::slice::from_raw_parts_mut(self.records.add(offset), end - start)
-                };
-                process_batch(
-                    self.space,
-                    self.tables,
-                    self.backend,
-                    self.cache,
-                    self.cold_start,
-                    self.salt,
-                    start..end,
-                    out,
-                    self.hits,
-                    self.misses,
-                    &mut scratch,
-                );
-            }
-        }));
-        if result.is_err() {
-            self.panicked.store(true, Ordering::Release);
-        }
-    }
-
-    fn wait_pending(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        while *pending != 0 {
-            pending = self.done.wait(pending).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// A record vector of `n` all-zero elements straight from a zeroed
 /// allocation — no element-wise initialisation pass. Zero bytes are a valid
 /// `EvalRecord` (`index` 0, `+0.0` in every float field).
@@ -583,7 +466,7 @@ fn zeroed_records(n: usize) -> Vec<EvalRecord> {
     // layout `Vec` will free it under (len == capacity == n), and all-zero
     // bytes initialise every `EvalRecord` field to a valid value.
     unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout) as *mut EvalRecord;
+        let ptr = std::alloc::alloc_zeroed(layout).cast::<EvalRecord>();
         assert!(!ptr.is_null(), "record allocation failed");
         Vec::from_raw_parts(ptr, n, n)
     }
@@ -636,23 +519,30 @@ fn for_each_run(
     });
 }
 
+/// What every batch of one sweep shares, built once per sweep and borrowed
+/// by every worker.
+struct BatchCtx<'a> {
+    space: &'a ScenarioSpace,
+    tables: &'a SpaceTables,
+    backend: &'a dyn EvalBackend,
+    cache: Option<&'a EvalCache>,
+    /// The cache was empty when the sweep started: probes are skipped.
+    cold_start: bool,
+    salt: &'a str,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
 /// Evaluate one contiguous batch into `out`, going through the cache when one
 /// is provided.
-#[allow(clippy::too_many_arguments)]
 fn process_batch(
-    space: &ScenarioSpace,
-    tables: &SpaceTables,
-    backend: &dyn EvalBackend,
-    cache: Option<&EvalCache>,
-    cold_start: bool,
-    salt: &str,
+    ctx: &BatchCtx<'_>,
     range: std::ops::Range<usize>,
     out: &mut [EvalRecord],
-    hits: &AtomicU64,
-    misses: &AtomicU64,
     scratch: &mut BatchScratch,
 ) {
     debug_assert_eq!(out.len(), range.len());
+    let BatchCtx { space, tables, backend, .. } = *ctx;
     let len = range.len();
     let profiler = Profiler::global();
     let _span = profiler.is_enabled().then(|| {
@@ -661,7 +551,7 @@ fn process_batch(
     let batch_started = std::time::Instant::now();
     scratch.reset(len);
 
-    match cache {
+    match ctx.cache {
         None => {
             backend.evaluate_batch_prepared(
                 space,
@@ -669,7 +559,7 @@ fn process_batch(
                 range.clone(),
                 &mut scratch.speedups[..],
             );
-            misses.fetch_add(len as u64, Ordering::Relaxed);
+            ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
             obs_cache_misses().add(len as u64);
         }
         Some(cache) => {
@@ -680,18 +570,18 @@ fn process_batch(
                 // Hash the shared axes once per design run; per scenario only
                 // the design itself is folded into the saved prefix.
                 for_each_run(space, range.clone(), |_, scenario, design, offset, run| {
-                    let prefix = scenario.canonical_key_prefix(salt);
+                    let prefix = scenario.canonical_key_prefix(ctx.salt);
                     let designs = &space.designs()[design..design + run];
                     for (key, &spec) in keys[offset..offset + run].iter_mut().zip(designs) {
                         *key = prefix.key_for(spec);
                     }
                 });
-                if cold_start {
+                if ctx.cold_start {
                     // The cache was empty when the sweep started: every probe
                     // would miss, so evaluate straight away and only pay the
                     // cache's memory traffic for the back-fill.
                     backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
-                    misses.fetch_add(len as u64, Ordering::Relaxed);
+                    ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
                     obs_cache_misses().add(len as u64);
                     cache.record_bypassed_misses(len as u64);
                     cache.insert_batch(keys, speedups);
@@ -701,23 +591,13 @@ fn process_batch(
                     // slot a fixed distance ahead, overlapping the batch's
                     // cacheline fetches with the dependent probes.
                     let missing = cache.get_batch(keys, speedups, holes);
-                    hits.fetch_add((len - missing) as u64, Ordering::Relaxed);
+                    ctx.hits.fetch_add((len - missing) as u64, Ordering::Relaxed);
                     obs_cache_hits().add((len - missing) as u64);
                     Some(missing)
                 }
             };
             if let Some(missing) = missing {
-                process_batch_holes(
-                    space,
-                    tables,
-                    backend,
-                    cache,
-                    range.clone(),
-                    missing,
-                    scratch,
-                    hits,
-                    misses,
-                );
+                process_batch_holes(ctx, cache, range.clone(), missing, scratch);
             }
         }
     }
@@ -748,18 +628,14 @@ fn process_batch(
 
 /// The warm-cache tail of [`process_batch`]: fill the probe holes of a batch
 /// whose keys and first-probe results are already in `scratch`.
-#[allow(clippy::too_many_arguments)]
 fn process_batch_holes(
-    space: &ScenarioSpace,
-    tables: &SpaceTables,
-    backend: &dyn EvalBackend,
+    ctx: &BatchCtx<'_>,
     cache: &EvalCache,
     range: std::ops::Range<usize>,
     missing: usize,
     scratch: &mut BatchScratch,
-    hits: &AtomicU64,
-    misses: &AtomicU64,
 ) {
+    let BatchCtx { space, tables, backend, .. } = *ctx;
     let len = range.len();
     let speedups = &mut scratch.speedups[..];
     let keys = &scratch.keys[..];
@@ -767,7 +643,7 @@ fn process_batch_holes(
     if missing == len {
         // Cold batch: take the backend's columnar fast path.
         backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
-        misses.fetch_add(len as u64, Ordering::Relaxed);
+        ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
         obs_cache_misses().add(len as u64);
         cache.insert_batch(keys, speedups);
     } else if missing > 0 {
@@ -801,8 +677,8 @@ fn process_batch_holes(
                 evaluated += 1;
             }
         });
-        hits.fetch_add(peeked, Ordering::Relaxed);
-        misses.fetch_add(evaluated, Ordering::Relaxed);
+        ctx.hits.fetch_add(peeked, Ordering::Relaxed);
+        ctx.misses.fetch_add(evaluated, Ordering::Relaxed);
         obs_cache_hits().add(peeked);
         obs_cache_misses().add(evaluated);
     }

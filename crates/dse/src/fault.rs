@@ -209,16 +209,33 @@ mod tests {
     #[test]
     fn nth_batch_fails_once_then_the_retry_succeeds() {
         let space = space();
-        let faulty = FaultyBackend::new(AnalyticBackend, FaultPlan::new());
-        faulty.plan().fail_batch(0);
-        let engine = Engine::new(1);
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.sweep(&space, &faulty, &SweepConfig::default())
-        }));
-        assert!(attempt.is_err(), "the armed batch must panic");
-        // The fault was consumed: the retry completes.
-        let retry = engine.sweep(&space, &faulty, &SweepConfig::default());
-        assert_eq!(retry.stats.scenarios, space.len());
+        // Several batches per sweep, so the armed one exists on every path.
+        let config = SweepConfig { batch_size: 8, use_cache: true };
+        let reference = Engine::new(1).sweep(&space, &AnalyticBackend, &config);
+        // The inline engine and the pooled one share one fork-join contract.
+        for threads in [1usize, 2] {
+            let faulty = FaultyBackend::new(AnalyticBackend, FaultPlan::new());
+            faulty.plan().fail_batch(3);
+            let engine = Engine::new(threads);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.sweep(&space, &faulty, &config)
+            }))
+            .expect_err("the armed batch must panic");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("injected fault: batch 3"),
+                "{threads} thread(s): the backend's own payload reaches the caller"
+            );
+            // The fault was consumed: the retry completes on the same engine
+            // (same pool workers, same half-filled cache), bit-identically.
+            let retry = engine.sweep(&space, &faulty, &config);
+            assert_eq!(retry.stats.threads, threads);
+            assert_eq!(retry.records.len(), reference.records.len());
+            for (record, truth) in retry.records.iter().zip(&reference.records) {
+                assert_eq!(record.index, truth.index, "{threads} thread(s)");
+                assert_eq!(record.speedup.to_bits(), truth.speedup.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //!   measured-calibration model ([`MeasuredBackend`], fed by
 //!   `mp_model::calibrate`), the communication-aware model ([`CommBackend`])
 //!   and the trace-driven `mp-cmpsim` timing simulation ([`SimBackend`]).
-//! * [`engine`] — [`Engine`]: one atomic batch cursor fanning batches out
-//!   over an [`mp_par::ThreadPool`]; contiguous batches share every axis but
-//!   the design, so backends stream through the columnar prepared path, and
-//!   every worker writes its own disjoint slice of one preallocated record
-//!   vector — results land in deterministic index order with no merge.
+//! * [`engine`] — [`Engine`]: one scoped fork-join per sweep on an
+//!   [`mp_par::ThreadPool`], its workers pulling batches from one locked
+//!   queue of disjoint `&mut` slices of one preallocated record vector;
+//!   contiguous batches share every axis but the design, so backends stream
+//!   through the columnar prepared path, and results land in deterministic
+//!   index order with no merge.
 //! * [`tables`] — [`SpaceTables`]: per-sweep columnar (SoA) precomputation
 //!   of every design-axis quantity (geometry, `perf(r)`, growth samples),
 //!   feeding the backends' zero-allocation batch kernels.

@@ -60,6 +60,7 @@
 //! assert!(with_reduction < amdahl_only);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

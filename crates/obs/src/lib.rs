@@ -38,6 +38,7 @@
 //! assert!(snap.to_prometheus().contains("scenarios_evaluated 128"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

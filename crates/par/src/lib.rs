@@ -1,13 +1,15 @@
 //! # mp-par — fork-join parallelism and reduction strategies
 //!
 //! A small, self-contained parallel runtime used by the merging-phases
-//! workloads (`mp-workloads`). It deliberately avoids external parallel
-//! frameworks so that the *merging phase* — the subject of the reproduced
-//! paper — is explicit and instrumentable:
+//! workloads (`mp-workloads`) and the design-space sweep engine (`mp-dse`).
+//! It deliberately avoids external parallel frameworks so that the *merging
+//! phase* — the subject of the reproduced paper — is explicit and
+//! instrumentable:
 //!
-//! * [`pool`] — scoped fork-join execution ([`pool::run_scoped`]), static
-//!   chunked [`pool::parallel_for`] / [`pool::parallel_partials`], and a
-//!   persistent [`pool::ThreadPool`] for `'static` jobs.
+//! * [`pool`] — scoped fork-join execution: [`pool::run_scoped`] and the
+//!   statically chunked [`pool::parallel_for`] / [`pool::parallel_partials`]
+//!   on per-call threads, and [`pool::ThreadPool::run_scoped`], the same
+//!   contract on persistent workers (what every sweep forks on).
 //! * [`reduce`] — the three merge implementations analysed by the paper:
 //!   serial linear accumulation, logarithmic tree combining and privatised
 //!   parallel (element-partitioned) reduction, together with operation

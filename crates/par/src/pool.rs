@@ -1,20 +1,22 @@
 //! Fork-join execution primitives.
 //!
-//! Two flavours are provided:
+//! Every entry point has the [`std::thread::scope`] contract: the closure may
+//! borrow from the caller's stack, the caller is thread 0, the call returns
+//! only when every thread has finished, and a worker's panic is re-raised on
+//! the caller with its original payload.
 //!
-//! * **Scoped fork-join** ([`run_scoped`], [`parallel_for`],
-//!   [`parallel_partials`]) built on [`std::thread::scope`]. Each call spawns
-//!   its worker threads, runs the closure on every thread and joins before
-//!   returning, so the closures may borrow from the caller's stack. This is
-//!   the primitive the clustering workloads use for their parallel phases;
-//!   per-thread *partial results* returned by [`parallel_partials`] are the
-//!   inputs of the merging phase.
-//! * A persistent [`ThreadPool`] for `'static` jobs, used where repeated
-//!   fork-join over the same worker set matters more than borrowing (the
-//!   benchmark harness and the simulator's batch runs).
+//! * [`run_scoped`], [`parallel_for`], [`parallel_partials`] spawn their
+//!   threads per call. This is the primitive the clustering workloads use for
+//!   their parallel phases; the per-thread *partial results* returned by
+//!   [`parallel_partials`] are the inputs of the merging phase.
+//! * [`ThreadPool::run_scoped`] is the same fork-join on a persistent worker
+//!   set, for callers that fork often enough for thread start-up to matter:
+//!   the design-space sweep engine runs every sweep on it. It holds the one
+//!   lifetime-erasing `unsafe` of the workspace's fork-join code.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam::channel::{unbounded, Sender};
 
@@ -74,7 +76,7 @@ where
         f(ThreadCtx { tid: 0, num_threads });
         for h in handles {
             if let Err(panic) = h.join() {
-                std::panic::resume_unwind(panic);
+                resume_unwind(panic);
             }
         }
     });
@@ -107,57 +109,88 @@ where
     T: Send,
     F: Fn(ThreadCtx, std::ops::Range<usize>) -> T + Sync,
 {
-    let mut slots: Vec<Option<T>> = (0..num_threads).map(|_| None).collect();
-    {
-        let slots_ptr = SlotWriter::new(&mut slots);
-        run_scoped(num_threads, |ctx| {
-            let value = f(ctx, ctx.chunk(len));
-            // Safety: each thread writes exactly one distinct slot (its tid).
-            unsafe { slots_ptr.write(ctx.tid, value) };
-        });
-    }
-    slots.into_iter().map(|s| s.expect("worker did not produce a partial")).collect()
+    assert!(num_threads > 0, "num_threads must be positive");
+    let partial = |tid| {
+        let ctx = ThreadCtx { tid, num_threads };
+        f(ctx, ctx.chunk(len))
+    };
+    let partial = &partial;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (1..num_threads).map(|tid| scope.spawn(move || partial(tid))).collect();
+        let mut partials = Vec::with_capacity(num_threads);
+        partials.push(partial(0));
+        for handle in handles {
+            partials.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        partials
+    })
 }
 
-/// Helper granting each worker exclusive access to its own slot of a shared
-/// output vector. The indices are distinct by construction (one slot per tid),
-/// so the writes never alias.
-struct SlotWriter<T> {
-    ptr: *mut Option<T>,
-    len: usize,
+type Panic = Box<dyn Any + Send + 'static>;
+
+/// One unit of pool work: the closure, and the group to report its outcome
+/// to once it has returned or unwound (`None` for fire-and-forget jobs).
+struct Job {
+    run: Box<dyn FnOnce() + Send + 'static>,
+    join: Option<Arc<Join>>,
 }
 
-// Safety: access is partitioned by slot index; each index is written by at most
-// one thread and only read after the scope has joined all threads.
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-unsafe impl<T: Send> Send for SlotWriter<T> {}
+/// Completion state of one group of jobs. It lives in an `Arc` — not on the
+/// waiting caller's stack — so the worker that reports the last job touches
+/// nothing the caller may free on waking.
+struct Join {
+    state: Mutex<JoinState>,
+    done: Condvar,
+}
 
-impl<T> SlotWriter<T> {
-    fn new(slots: &mut [Option<T>]) -> Self {
-        SlotWriter { ptr: slots.as_mut_ptr(), len: slots.len() }
+struct JoinState {
+    pending: usize,
+    panic: Option<Panic>,
+}
+
+impl Join {
+    fn new(jobs: usize) -> Arc<Self> {
+        Arc::new(Join {
+            state: Mutex::new(JoinState { pending: jobs, panic: None }),
+            done: Condvar::new(),
+        })
     }
 
-    /// Write `value` into slot `idx`.
-    ///
-    /// # Safety
-    /// `idx` must be unique per thread and in bounds; the underlying vector
-    /// must outlive every call (guaranteed by the enclosing scope).
-    unsafe fn write(&self, idx: usize, value: T) {
-        assert!(idx < self.len);
-        // SAFETY: by contract each idx is written by exactly one thread while
-        // the parent scope keeps the slot vector alive.
-        unsafe { *self.ptr.add(idx) = Some(value) };
+    // Every update below is a single store made with nothing that can panic
+    // in between, so a poisoned lock still guards a valid state.
+    fn lock(&self) -> std::sync::MutexGuard<'_, JoinState> {
+        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Report one job of the group as finished; the first panic is kept.
+    fn finish(&self, panic: Option<Panic>) {
+        let mut state = self.lock();
+        if state.panic.is_none() {
+            state.panic = panic;
+        }
+        state.pending -= 1;
+        if state.pending == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Block until every job of the group has finished.
+    fn wait(&self) {
+        let mut state = self.lock();
+        while state.pending != 0 {
+            state = self.done.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
     }
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent worker pool for `'static` jobs.
+/// A persistent worker pool.
 ///
-/// Jobs are executed in FIFO order by whichever worker is free.
-/// [`ThreadPool::execute_batch_and_wait`] submits a batch and blocks until all
-/// of its jobs have completed, providing a coarse fork-join on top of the
-/// persistent workers.
+/// Jobs are executed in FIFO order by whichever worker is free. A job that
+/// panics is contained: its worker survives, so the pool keeps its size.
+/// [`ThreadPool::run_scoped`] is the borrowing fork-join on these workers;
+/// [`ThreadPool::execute`] and [`ThreadPool::execute_batch_and_wait`] take
+/// `'static` jobs.
 pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -182,8 +215,14 @@ impl ThreadPool {
                 std::thread::Builder::new()
                     .name(format!("mp-par-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
+                        while let Ok(Job { run, join }) = rx.recv() {
+                            let panic = catch_unwind(AssertUnwindSafe(run)).err();
+                            // Reported only now that `run` has been consumed:
+                            // a waiter released by this may free whatever the
+                            // closure borrowed.
+                            if let Some(join) = join {
+                                join.finish(panic);
+                            }
                         }
                     })
                     .expect("failed to spawn pool worker"),
@@ -197,33 +236,87 @@ impl ThreadPool {
         self.size
     }
 
-    /// Submit a single fire-and-forget job.
+    fn submit(&self, run: Box<dyn FnOnce() + Send + 'static>, join: Option<Arc<Join>>) {
+        self.sender
+            .as_ref()
+            .expect("the sender is only taken in drop")
+            .send(Job { run, join })
+            .expect("workers outlive the sender: they contain every job panic");
+    }
+
+    /// Submit a single fire-and-forget job. A panic in it is contained (the
+    /// panic hook has reported it) and otherwise dropped.
     pub fn execute<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        self.sender
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(job))
-            .expect("pool workers have exited");
+        self.submit(Box::new(job), None);
     }
 
-    /// Submit `jobs` and block until every one of them has run.
+    /// Submit `jobs` and block until every one of them has run. A job that
+    /// panics counts as run.
     pub fn execute_batch_and_wait<F>(&self, jobs: Vec<F>)
     where
         F: FnOnce() + Send + 'static,
     {
-        let pending = Arc::new(AtomicUsize::new(jobs.len()));
+        let join = Join::new(jobs.len());
         for job in jobs {
-            let pending = Arc::clone(&pending);
-            self.execute(move || {
-                job();
-                pending.fetch_sub(1, Ordering::Release);
-            });
+            self.submit(Box::new(job), Some(Arc::clone(&join)));
         }
-        while pending.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
+        join.wait();
+    }
+
+    /// [`run_scoped`] on the pool's persistent workers: run `f` once per
+    /// `tid` in `0..num_threads` — `tid` 0 on the calling thread, the rest as
+    /// pool jobs — and return when every one has finished. `f` may borrow
+    /// from the caller's stack. The first panic among the pool jobs is
+    /// re-raised on the caller with its original payload; if the caller's own
+    /// `f` unwinds, the pool jobs are still joined before the unwind leaves
+    /// this frame.
+    ///
+    /// With `num_threads == 1` the closure runs inline and the pool is not
+    /// touched. `num_threads` may exceed [`ThreadPool::size`], and other
+    /// callers may be using the pool: every `tid` still runs exactly once,
+    /// but not necessarily at the same time as the others, so `f` must not
+    /// wait for another `tid` — and must not be running on one of this
+    /// pool's own workers, which would wait for jobs queued behind itself.
+    pub fn run_scoped<F>(&self, num_threads: usize, f: F)
+    where
+        F: Fn(ThreadCtx) + Sync,
+    {
+        assert!(num_threads > 0, "num_threads must be positive");
+        let run = |tid| f(ThreadCtx { tid, num_threads });
+        if num_threads == 1 {
+            return run(0);
+        }
+        struct JoinOnDrop<'a>(&'a Join);
+        impl Drop for JoinOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
+        }
+        let task: &(dyn Fn(usize) + Sync) = &run;
+        // SAFETY: the `'static` is a lie told to the job queue only. `task`
+        // is used by exactly the `num_threads - 1` jobs submitted below, and
+        // `_joined` — created before the first of them, dropped on return and
+        // on unwind alike — blocks this frame until `join` has counted every
+        // one of them. Only the worker loop counts a job, and only after the
+        // job's closure, with the copy of `task` inside it, has been consumed
+        // (a job dropped unrun would never be counted: a hang, not a dangling
+        // use). So every use of `task` happens before `run`, `f` and anything
+        // they borrow go away.
+        let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
+        let join = Join::new(num_threads - 1);
+        {
+            let _joined = JoinOnDrop(&join);
+            for tid in 1..num_threads {
+                self.submit(Box::new(move || task(tid)), Some(Arc::clone(&join)));
+            }
+            run(0);
+        }
+        let panic = join.lock().panic.take();
+        if let Some(panic) = panic {
+            resume_unwind(panic);
         }
     }
 }

@@ -21,6 +21,7 @@
 //! * [`report`] — serialisable experiment rows and plain-text table rendering
 //!   shared by the figure harness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -67,6 +67,7 @@
 //! assert!(profile.parallel_time() >= 0.0 && profile.reduction_time() >= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

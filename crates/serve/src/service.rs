@@ -2,10 +2,10 @@
 //!
 //! A [`SweepService`] owns **one** long-lived [`Engine`] — one worker pool,
 //! one lock-free memoisation cache — and answers every admitted range with a
-//! single [`Engine::sweep_range`] on the calling thread. The engine's atomic
-//! batch cursor is the only scheduler: an idle pool worker takes the next
-//! batch, every worker writes its own disjoint slice of one preallocated
-//! record vector, and that vector *is* the answer — no partial results, no
+//! single [`Engine::sweep_range`] on the calling thread. The engine's batch
+//! queue is the only scheduler: an idle pool worker takes the next batch,
+//! every worker writes its own disjoint slice of one preallocated record
+//! vector, and that vector *is* the answer — no partial results, no
 //! merge, no copy. A served answer is therefore **bit-identical** to a direct
 //! [`Engine::sweep`] over the same space by construction: every scenario's
 //! value is a deterministic function of the scenario and backend alone,

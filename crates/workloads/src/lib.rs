@@ -19,6 +19,7 @@
 //!   counts, producing `mp-profile` run profiles or streaming scheduler
 //!   records straight into a `StreamingExtractor` for calibration.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -40,6 +40,7 @@
 //! assert!(best.speedup > 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mp_cmpsim as cmpsim;
