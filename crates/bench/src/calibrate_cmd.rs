@@ -252,11 +252,13 @@ pub fn run(args: &[String]) -> ExitCode {
     );
     println!();
 
+    let labels = space.labels();
     let top_rows: Vec<TableRow> = top
         .iter()
         .enumerate()
         .map(|(rank, record)| {
-            record_row(format!("{:>2}. {}", rank + 1, scenario_label(&space, record)), record)
+            let label = scenario_label(&space, &labels, record);
+            record_row(format!("{:>2}. {label}", rank + 1), record)
         })
         .collect();
     println!("{}", render_table("top designs by calibrated speedup", &top_rows, 2));

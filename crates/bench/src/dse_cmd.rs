@@ -9,9 +9,9 @@
 //!
 //! The sweep runs twice: the second pass is answered entirely from the
 //! memoisation cache and must reproduce the first pass bit-for-bit, which the
-//! command verifies and reports. The cache is also persisted to the output
-//! directory, so a repeated *process* run warm-starts from disk and hits the
-//! cache immediately.
+//! command verifies and reports. Only the two exports are written: a cold full
+//! sweep costs less than parsing a persisted cache back would, so the cache
+//! dies with the process and a re-run rewrites the same records.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -186,28 +186,33 @@ fn build_space(options: &Options) -> ScenarioSpace {
     space
 }
 
-pub(crate) fn scenario_label(space: &ScenarioSpace, record: &EvalRecord) -> String {
-    let s = space.scenario(record.index);
-    let design = match s.design {
+/// The table-row label of `record`; `labels` is `space.labels()`.
+pub(crate) fn scenario_label(
+    space: &ScenarioSpace,
+    labels: &AxisLabels,
+    record: &EvalRecord,
+) -> String {
+    let ix = space.decode(record.index);
+    let design = match space.designs()[ix.design] {
         ChipSpec::Symmetric { r } => format!("sym r={r:.2}"),
         ChipSpec::Asymmetric { r, rl } => format!("asym r={r:.0} rl={rl:.0}"),
     };
     let mut label = format!(
         "{} | {} | b={} | {} | {}",
-        s.app.name,
+        labels.app[ix.app],
         design,
-        s.budget.total_bce(),
-        s.growth.label(),
-        s.perf.label(),
+        labels.budget[ix.budget],
+        labels.growth[ix.growth],
+        labels.perf[ix.perf],
     );
     // The strategy axes only appear when they are actually swept, so rows
     // stay compact for the analytic backend but remain unambiguous for the
     // sim (reduction) and comm (topology) sweeps.
-    if space.reductions().len() > 1 {
-        label.push_str(&format!(" | {}", s.reduction.name()));
+    if labels.reduction.len() > 1 {
+        label.push_str(&format!(" | {}", labels.reduction[ix.reduction]));
     }
-    if space.topologies().len() > 1 {
-        label.push_str(&format!(" | {:?}", s.topology));
+    if labels.topology.len() > 1 {
+        label.push_str(&format!(" | {}", labels.topology[ix.topology]));
     }
     label
 }
@@ -257,16 +262,6 @@ pub fn run(args: &[String]) -> ExitCode {
         None => Engine::with_all_cores(),
     };
     let config = SweepConfig::default();
-
-    // Warm-start from a persisted cache if a previous run left one.
-    let cache_path = options.out_dir.join(format!("cache-{}.json", options.backend));
-    let mut warm_entries = 0usize;
-    if let Ok(json) = std::fs::read_to_string(&cache_path) {
-        match engine.cache().load_json(&json) {
-            Ok(loaded) => warm_entries = loaded,
-            Err(e) => eprintln!("ignoring stale cache at {}: {e}", cache_path.display()),
-        }
-    }
 
     // Profiling is opt-in per run: spans cost an allocation each, so the
     // recorder only arms when an export path was requested.
@@ -318,10 +313,6 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("export failed: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = std::fs::write(&cache_path, engine.cache().save_json()) {
-        eprintln!("cache persistence failed: {e}");
-        return ExitCode::FAILURE;
-    }
 
     let scenarios_per_second = first.stats.scenarios as f64 / first.stats.elapsed_seconds.max(1e-9);
     let cached_per_second = second.stats.scenarios as f64 / second.stats.elapsed_seconds.max(1e-9);
@@ -341,14 +332,13 @@ pub fn run(args: &[String]) -> ExitCode {
             String::new()
         };
         println!(
-            "{{\"experiment\":\"dse\",\"backend\":\"{}\",\"scenarios\":{},\"valid\":{},\"threads\":{},\"elapsed_seconds\":{},\"rescan_hits\":{},\"warm_entries\":{},\"identical\":{},\"frontier_size\":{},\"best_speedup\":{}{}}}",
+            "{{\"experiment\":\"dse\",\"backend\":\"{}\",\"scenarios\":{},\"valid\":{},\"threads\":{},\"elapsed_seconds\":{},\"rescan_hits\":{},\"identical\":{},\"frontier_size\":{},\"best_speedup\":{}{}}}",
             options.backend,
             first.stats.scenarios,
             first.stats.valid,
             first.stats.threads,
             first.stats.elapsed_seconds,
             second.stats.cache_hits,
-            warm_entries,
             identical,
             frontier.len(),
             // JSON has no NaN: an empty top-k list emits null.
@@ -370,24 +360,17 @@ pub fn run(args: &[String]) -> ExitCode {
         first.stats.scenarios as f64 / first.stats.elapsed_seconds.max(1e-9),
     );
     println!(
-        "  first pass: {} cache hits, {} misses{}",
-        first.stats.cache_hits,
-        first.stats.cache_misses,
-        if warm_entries > 0 {
-            format!(" (warm-started from {warm_entries} persisted entries)")
-        } else {
-            String::new()
-        },
+        "  first pass: {} cache hits, {} misses",
+        first.stats.cache_hits, first.stats.cache_misses,
     );
     println!(
         "  repeat pass: {} cache hits, {} misses in {:.3}s — outputs bit-identical: {}",
         second.stats.cache_hits, second.stats.cache_misses, second.stats.elapsed_seconds, identical,
     );
     println!(
-        "  exports: {} (JSON), {} (CSV), {} (cache)",
+        "  exports: {} (JSON), {} (CSV)",
         options.out_dir.join("sweep.json").display(),
         options.out_dir.join("sweep.csv").display(),
-        cache_path.display(),
     );
     if options.profile {
         println!();
@@ -406,12 +389,12 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     println!();
 
+    let labels = space.labels();
+    let label = |record: &EvalRecord| scenario_label(&space, &labels, record);
     let top_rows: Vec<TableRow> = top
         .iter()
         .enumerate()
-        .map(|(rank, record)| {
-            record_row(format!("{:>2}. {}", rank + 1, scenario_label(&space, record)), record)
-        })
+        .map(|(rank, record)| record_row(format!("{:>2}. {}", rank + 1, label(record)), record))
         .collect();
     println!("{}", render_table("top designs by speedup", &top_rows, 2));
 
@@ -420,7 +403,7 @@ pub fn run(args: &[String]) -> ExitCode {
     println!("{}", render_table("per-axis optima", &optima_rows, 2));
 
     let frontier_rows: Vec<TableRow> =
-        frontier.iter().map(|record| record_row(scenario_label(&space, record), record)).collect();
+        frontier.iter().map(|record| record_row(label(record), record)).collect();
     println!(
         "{}",
         render_table(
@@ -455,13 +438,22 @@ pub fn export_sweep(
     result: &SweepResult,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let mut json = std::io::BufWriter::new(std::fs::File::create(dir.join("sweep.json"))?);
-    write_json(&mut json, space, &result.records, &result.stats)?;
-    json.flush()?;
-    let mut csv = std::io::BufWriter::new(std::fs::File::create(dir.join("sweep.csv"))?);
-    write_csv(&mut csv, space, &result.records)?;
-    csv.flush()?;
-    Ok(())
+    let create = |name: &str| std::fs::File::create(dir.join(name)).map(std::io::BufWriter::new);
+    // The files share no mutable state: JSON streams on a scoped thread, CSV
+    // on the caller's, and both have finished (or failed) before this returns.
+    std::thread::scope(|scope| {
+        let json = scope.spawn(|| {
+            let mut json = create("sweep.json")?;
+            write_json(&mut json, space, &result.records, &result.stats)?;
+            json.flush()
+        });
+        let csv = create("sweep.csv").and_then(|mut csv| {
+            write_csv(&mut csv, space, &result.records)?;
+            csv.flush()
+        });
+        json.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        csv
+    })
 }
 
 #[cfg(test)]

@@ -70,3 +70,44 @@ fn unknown_experiments_and_flags_fail_with_usage() {
     assert_rejects(&["serve", "--bogus"], "unknown serve option");
     assert_rejects(&["load", "--bogus"], "unknown load option");
 }
+
+/// `repro dse` writes its two exports and nothing else: a re-run into the
+/// same directory recomputes, reports the same in-process check and rewrites
+/// a byte-identical `sweep.csv`, and a cache file left there by an older binary is
+/// neither read nor rewritten.
+#[test]
+fn dse_rerun_is_bit_identical_and_ignores_cache_files() {
+    let dir = std::env::temp_dir().join(format!("mp-cli-dse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.to_str().expect("temp paths are UTF-8");
+    let run = || {
+        let output = repro(&["dse", "--quick", "--json", "--out", out]);
+        let report = String::from_utf8_lossy(&output.stdout).into_owned();
+        assert!(output.status.success(), "repro dse failed: {report}");
+        assert!(report.contains("\"identical\":true"), "report: {report}");
+        assert!(!report.contains("warm_entries"), "report: {report}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("cache"), "a cache file was looked at: {stderr}");
+        std::fs::read(dir.join("sweep.csv")).expect("sweep.csv is written")
+    };
+    let files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("the output directory exists")
+            .map(|entry| entry.expect("readable entry").file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let first = run();
+    assert_eq!(files(), ["sweep.csv", "sweep.json"]);
+
+    let stale = dir.join("cache-analytic.json");
+    std::fs::write(&stale, "not a cache").unwrap();
+    let second = run();
+    assert!(first == second, "the re-run's sweep.csv differs from the first run's");
+    assert_eq!(std::fs::read(&stale).unwrap(), b"not a cache", "the stale file is untouched");
+    assert_eq!(files(), ["cache-analytic.json", "sweep.csv", "sweep.json"]);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -37,14 +37,20 @@ impl CostAxis {
 /// determinism).
 pub fn top_k(records: &[EvalRecord], k: usize) -> Vec<EvalRecord> {
     let mut valid: Vec<EvalRecord> = records.iter().filter(|r| r.is_valid()).copied().collect();
-    valid.sort_by(|a, b| {
+    let rank = |a: &EvalRecord, b: &EvalRecord| {
         b.speedup
             .partial_cmp(&a.speedup)
             .expect("valid records are finite")
             .then(a.cores.partial_cmp(&b.cores).expect("cores are finite"))
             .then(a.index.cmp(&b.index))
-    });
-    valid.truncate(k);
+    };
+    // `rank` is a total order, so partitioning around the k-th element and
+    // sorting only the head returns the same prefix as sorting everything.
+    if k < valid.len() {
+        valid.select_nth_unstable_by(k, rank);
+        valid.truncate(k);
+    }
+    valid.sort_by(rank);
     valid
 }
 
@@ -87,72 +93,36 @@ pub fn pareto_frontier(records: &[EvalRecord], cost: CostAxis) -> Vec<EvalRecord
 /// points, and "the best record per design" is the sweep itself; use
 /// [`top_k`] or [`pareto_frontier`] to rank designs.
 pub fn per_axis_optima(space: &ScenarioSpace, records: &[EvalRecord]) -> Vec<AxisOptimum> {
-    #[derive(Clone)]
-    struct Slot {
-        axis: &'static str,
-        label: String,
-        best: Option<EvalRecord>,
-    }
-
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut offsets = [0usize; 6];
-    offsets[0] = 0;
-    for (i, app) in space.apps().iter().enumerate() {
-        debug_assert_eq!(slots.len(), offsets[0] + i);
-        slots.push(Slot { axis: "app", label: app.name.clone(), best: None });
-    }
-    offsets[1] = slots.len();
-    for budget in space.budgets() {
-        slots.push(Slot { axis: "budget", label: format!("{budget}"), best: None });
-    }
-    offsets[2] = slots.len();
-    for growth in space.growths() {
-        slots.push(Slot { axis: "growth", label: growth.label(), best: None });
-    }
-    offsets[3] = slots.len();
-    for perf in space.perfs() {
-        slots.push(Slot { axis: "perf", label: perf.label(), best: None });
-    }
-    offsets[4] = slots.len();
-    for reduction in space.reductions() {
-        slots.push(Slot { axis: "reduction", label: reduction.name().to_string(), best: None });
-    }
-    offsets[5] = slots.len();
-    for topology in space.topologies() {
-        slots.push(Slot { axis: "topology", label: format!("{topology:?}"), best: None });
-    }
-
+    let labels = space.labels();
+    let axes: [(&str, &[String]); 6] = [
+        ("app", &labels.app),
+        ("budget", &labels.budget),
+        ("growth", &labels.growth),
+        ("perf", &labels.perf),
+        ("reduction", &labels.reduction),
+        ("topology", &labels.topology),
+    ];
+    // best[axis][value], in the order of `axes`.
+    let mut best: Vec<Vec<Option<EvalRecord>>> =
+        axes.iter().map(|(_, values)| vec![None; values.len()]).collect();
     for record in records.iter().filter(|r| r.is_valid()) {
         let ix = space.decode(record.index);
-        for slot_index in [
-            offsets[0] + ix.app,
-            offsets[1] + ix.budget,
-            offsets[2] + ix.growth,
-            offsets[3] + ix.perf,
-            offsets[4] + ix.reduction,
-            offsets[5] + ix.topology,
-        ] {
-            let best = &mut slots[slot_index].best;
-            let better = match best {
-                None => true,
-                Some(current) => record.speedup > current.speedup,
-            };
-            if better {
-                *best = Some(*record);
+        let values = [ix.app, ix.budget, ix.growth, ix.perf, ix.reduction, ix.topology];
+        for (slots, value) in best.iter_mut().zip(values) {
+            if slots[value].map_or(true, |current| record.speedup > current.speedup) {
+                slots[value] = Some(*record);
             }
         }
     }
-
-    slots
-        .into_iter()
-        .filter_map(|slot| {
-            slot.best.map(|record| AxisOptimum {
-                axis: slot.axis.to_string(),
-                value: slot.label,
-                record,
-            })
-        })
-        .collect()
+    let mut optima = Vec::new();
+    for ((axis, values), slots) in axes.into_iter().zip(best) {
+        for (value, slot) in values.iter().zip(slots) {
+            if let Some(record) = slot {
+                optima.push(AxisOptimum { axis: axis.to_string(), value: value.clone(), record });
+            }
+        }
+    }
+    optima
 }
 
 /// The best record found for one value of one axis.

@@ -25,8 +25,8 @@
 //! * [`cache`] — [`EvalCache`]: lock-free, sharded, open-addressed
 //!   memoisation keyed on canonicalised scenario bits; cached and uncached
 //!   sweeps are bit-identical, large sweeps reserve their size up front so
-//!   the table never rehashes mid-run, and the cache serialises to JSON for
-//!   cross-process warm starts.
+//!   the table never rehashes mid-run. It persists as binary segments (the
+//!   durable jobs of `mp-serve`); only the repo's benchmark calls the JSON form.
 //! * [`merge`] — Merge-Path even-partition merging of index-sorted record
 //!   runs, bit-identical to a stable sequential k-way merge. Called only by
 //!   the repo's benchmark; see the module docs.
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::export::{write_csv, write_json};
     pub use crate::merge::{merge_runs, sequential_merge};
     pub use crate::scenario::{
-        CanonicalKeyPrefix, ChipSpec, Scenario, ScenarioIndex, ScenarioSpace,
+        AxisLabels, CanonicalKeyPrefix, ChipSpec, Scenario, ScenarioIndex, ScenarioSpace,
     };
     pub use crate::tables::SpaceTables;
 }

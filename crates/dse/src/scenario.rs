@@ -390,6 +390,21 @@ impl ScenarioSpace {
         &self.topologies
     }
 
+    /// How reports spell each value of the six non-design axes — decided here
+    /// and nowhere else: the CSV/JSON export, the per-axis optima and the CLI's
+    /// row labels index these tables with [`ScenarioSpace::decode`].
+    pub fn labels(&self) -> AxisLabels {
+        AxisLabels {
+            app: self.apps.iter().map(|app| app.name.clone()).collect(),
+            budget: self.budgets.iter().map(|budget| format!("{budget}")).collect(),
+            growth: self.growths.iter().map(GrowthFunction::label).collect(),
+            perf: self.perfs.iter().map(PerfModel::label).collect(),
+            reduction: self.reductions.iter().map(|r| r.name().to_string()).collect(),
+            // Exported files pin the `Debug` spelling of `Topology`.
+            topology: self.topologies.iter().map(|topology| format!("{topology:?}")).collect(),
+        }
+    }
+
     /// Total number of scenarios (product of the axis lengths).
     pub fn len(&self) -> usize {
         self.apps.len()
@@ -440,6 +455,25 @@ impl ScenarioSpace {
             topology: self.topologies[ix.topology],
         }
     }
+}
+
+/// Report labels of a space's non-design axes, from [`ScenarioSpace::labels`]:
+/// one entry per axis value in axis order, so `labels.growth[ix.growth]` names
+/// the growth function of the scenario a [`ScenarioIndex`] `ix` decodes to.
+#[derive(Debug, Clone)]
+pub struct AxisLabels {
+    /// Application names.
+    pub app: Vec<String>,
+    /// Budgets in BCE.
+    pub budget: Vec<String>,
+    /// Growth-function labels.
+    pub growth: Vec<String>,
+    /// Performance-model labels.
+    pub perf: Vec<String>,
+    /// Reduction-strategy names.
+    pub reduction: Vec<String>,
+    /// Topology names.
+    pub topology: Vec<String>,
 }
 
 /// Per-axis indices of one scenario.

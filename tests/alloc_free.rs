@@ -184,3 +184,27 @@ fn full_engine_sweep_allocations_do_not_scale_with_scenario_count() {
         "sweep allocations scale with the space: {small_allocs} -> {large_allocs}"
     );
 }
+
+#[test]
+fn export_allocations_do_not_scale_with_record_count() {
+    // The writers spell every axis-dependent cell once per space and reuse
+    // one row buffer, so exporting the same records twice over costs exactly
+    // the allocations of exporting them once: none of them is per record.
+    let space = space();
+    let result = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+    let once = result.records.as_slice();
+    let twice = [once, once].concat();
+    let mut sink = std::io::sink();
+    let mut allocs_of = |export: &mut dyn FnMut(&mut std::io::Sink)| {
+        let before = allocations();
+        export(&mut sink);
+        allocations() - before
+    };
+    let csv = allocs_of(&mut |out| write_csv(out, &space, once).unwrap());
+    let csv_twice = allocs_of(&mut |out| write_csv(out, &space, &twice).unwrap());
+    assert_eq!(csv_twice, csv, "write_csv allocates per record");
+    let json = allocs_of(&mut |out| write_json(out, &space, once, &result.stats).unwrap());
+    let json_twice = allocs_of(&mut |out| write_json(out, &space, &twice, &result.stats).unwrap());
+    assert_eq!(json_twice, json, "write_json allocates per record");
+    assert!(csv < once.len() as u64 / 8, "axis tables, not rows: {csv} for {}", once.len());
+}

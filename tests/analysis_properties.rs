@@ -8,7 +8,10 @@
 //!   frontier keeps one);
 //! * `top_k` is a **sorted prefix of the full ranking**: extending `k` never
 //!   reorders earlier entries, and the ranking is speedup-descending with
-//!   deterministic tie-breaks.
+//!   deterministic tie-breaks;
+//! * `ScenarioSpace::labels` has **one label per axis value, in axis order**,
+//!   and every per-axis optimum is named from those tables and is the first
+//!   best record of its axis value.
 
 use merging_phases::dse::prelude::*;
 use merging_phases::prelude::*;
@@ -24,8 +27,19 @@ fn arb_space() -> impl Strategy<Value = ScenarioSpace> {
             Just(vec![GrowthFunction::Linear, GrowthFunction::Logarithmic]),
             Just(vec![GrowthFunction::Superlinear(1.55)]),
         ],
+        // The stub proptest stops at 5-tuples, so the last two axes nest.
+        (
+            prop_oneof![
+                Just(vec![PerfModel::Pollack]),
+                Just(vec![PerfModel::Power(0.75), PerfModel::Pollack]),
+            ],
+            prop_oneof![
+                Just(vec![Topology::Mesh2D]),
+                Just(vec![Topology::Ideal, Topology::Mesh2D]),
+            ],
+        ),
     )
-        .prop_map(|(app_params, sym_designs, budget, growths)| {
+        .prop_map(|(app_params, sym_designs, budget, growths, (perfs, topologies))| {
             let apps: Vec<AppParams> = app_params
                 .into_iter()
                 .enumerate()
@@ -42,6 +56,8 @@ fn arb_space() -> impl Strategy<Value = ScenarioSpace> {
                 .add_symmetric_grid((0..sym_designs).map(|i| 1.0 + i as f64 * 7.0))
                 .add_asymmetric_grid([1.0, 4.0], [4.0, 64.0, 512.0])
                 .with_growths(growths)
+                .with_perfs(perfs)
+                .with_topologies(topologies)
         })
 }
 
@@ -121,5 +137,57 @@ proptest! {
             let top = top_k(&records, k);
             prop_assert_eq!(&top[..], &ranking[..k.min(valid)]);
         }
+    }
+
+    /// labels: one entry per axis value in axis order; `per_axis_optima`
+    /// names its entries from the same tables and picks the first best.
+    #[test]
+    fn axis_labels_cover_every_axis_value_and_name_every_optimum(space in arb_space()) {
+        let labels = space.labels();
+        let names: Vec<String> = space.apps().iter().map(|app| app.name.clone()).collect();
+        prop_assert_eq!(&labels.app, &names);
+        let budgets: Vec<String> = space.budgets().iter().map(|b| b.to_string()).collect();
+        prop_assert_eq!(&labels.budget, &budgets);
+        let growths: Vec<String> = space.growths().iter().map(|g| g.label()).collect();
+        prop_assert_eq!(&labels.growth, &growths);
+        let perfs: Vec<String> = space.perfs().iter().map(|p| p.label()).collect();
+        prop_assert_eq!(&labels.perf, &perfs);
+        prop_assert_eq!(&labels.reduction, &vec!["serial-linear".to_string()]);
+        let topologies: Vec<String> =
+            space.topologies().iter().map(|t| format!("{t:?}")).collect();
+        prop_assert_eq!(&labels.topology, &topologies);
+
+        let records = sweep(&space);
+        let optima = per_axis_optima(&space, &records);
+        // (position of the axis, the record's value on it, the axis's labels)
+        let axis_of = |axis: &str, index: usize| {
+            let ix = space.decode(index);
+            match axis {
+                "app" => (0, ix.app, &labels.app),
+                "budget" => (1, ix.budget, &labels.budget),
+                "growth" => (2, ix.growth, &labels.growth),
+                "perf" => (3, ix.perf, &labels.perf),
+                "reduction" => (4, ix.reduction, &labels.reduction),
+                "topology" => (5, ix.topology, &labels.topology),
+                other => panic!("unknown axis {other}"),
+            }
+        };
+        let mut order = Vec::new();
+        for optimum in &optima {
+            let (axis, value, table) = axis_of(&optimum.axis, optimum.record.index);
+            prop_assert_eq!(&optimum.value, &table[value]);
+            // The first record of that axis value that nothing beats.
+            let mut best: Option<&EvalRecord> = None;
+            for r in records.iter().filter(|r| r.is_valid()) {
+                let same_value = axis_of(&optimum.axis, r.index).1 == value;
+                if same_value && best.map_or(true, |b| r.speedup > b.speedup) {
+                    best = Some(r);
+                }
+            }
+            prop_assert_eq!(Some(&optimum.record), best);
+            order.push((axis, value));
+        }
+        // Axis order, then value order within an axis, no duplicates.
+        prop_assert!(order.windows(2).all(|pair| pair[0] < pair[1]), "order: {:?}", order);
     }
 }
