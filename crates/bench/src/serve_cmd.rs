@@ -1,8 +1,9 @@
 //! The `repro serve` subcommand: run the resident sweep service.
 //!
 //! Binds an `mp-serve` [`Server`] on a TCP address or Unix socket and serves
-//! the line-delimited JSON query protocol (`sweep`, `top_k`, `pareto`,
-//! `curve`, `stats`, `catalogue`, `ping`, `shutdown`) until a client sends
+//! the `mp-serve` query protocol — line-delimited JSON (`sweep`, `top_k`,
+//! `pareto`, `curve`, `stats`, `catalogue`, `ping`, `shutdown`), with a
+//! sweep's streamed chunks as binary frames — until a client sends
 //! `shutdown`. The service owns one long-lived engine (`--shards` ×
 //! `--threads` sweep threads) and its lock-free memoisation cache, so
 //! repeated queries are answered warm; the `measured`

@@ -2,10 +2,11 @@
 //! generator and the differential tests.
 //!
 //! The read path is incremental: responses are reassembled from whatever
-//! pieces the socket yields through the same [`LineDecoder`] the server
-//! uses, so a line split across reads — or a read containing several
+//! pieces the socket yields by the protocol's [`ResponseDecoder`], so a line
+//! or chunk frame split across reads — or a read containing several
 //! pipelined responses — decodes identically. A connection that closes in
-//! the middle of a line is a transport error, never a truncated parse.
+//! the middle of a line or a frame is a transport error, never a truncated
+//! parse.
 //!
 //! [`Client::call_pipelined`] issues many requests back-to-back on one
 //! connection (one write, one flush) and then collects every answer in
@@ -22,8 +23,8 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::explore::Curve;
 
 use crate::protocol::{
-    decode_chunk_line, decode_line, encode_line, CatalogueEntry, JobSnapshot, LineDecoder, Request,
-    RequestEnvelope, Response, ResponseEnvelope, ServiceStats,
+    encode_line, CatalogueEntry, JobSnapshot, Request, RequestEnvelope, Response, ResponseDecoder,
+    ResponseEnvelope, ServiceStats,
 };
 use crate::server::{Endpoint, Stream};
 
@@ -137,14 +138,15 @@ pub struct RetryOutcome {
     pub exhausted: bool,
 }
 
-/// No cap on response lines: the server is trusted and a sweep chunk line is
-/// legitimately hundreds of kilobytes.
-const MAX_RESPONSE_LINE: usize = usize::MAX / 2;
+/// Bytes asked of the socket per read.
+const READ_BYTES: usize = 64 * 1024;
 
 /// A blocking connection to a sweep service.
 pub struct Client {
     stream: Stream,
-    decoder: LineDecoder,
+    decoder: ResponseDecoder,
+    /// The one read buffer, reused by every read of the connection.
+    read_buf: Vec<u8>,
     next_id: u64,
 }
 
@@ -152,29 +154,31 @@ impl Client {
     /// Connect to a server.
     pub fn connect(endpoint: &Endpoint) -> std::io::Result<Client> {
         let stream = Stream::connect(endpoint)?;
-        Ok(Client { stream, decoder: LineDecoder::new(MAX_RESPONSE_LINE), next_id: 1 })
+        Ok(Client {
+            stream,
+            decoder: ResponseDecoder::new(),
+            read_buf: vec![0; READ_BYTES],
+            next_id: 1,
+        })
     }
 
-    /// One complete response line, reassembled across however many reads the
-    /// transport needs. EOF with a partial line buffered is reported as a
-    /// mid-line close, not parsed as a (truncated) response.
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut buf = [0u8; 64 * 1024];
+    /// One complete response, reassembled across however many reads the
+    /// transport needs. EOF inside a line or a chunk frame is reported as a
+    /// mid-line / mid-frame close, not parsed as a (truncated) response.
+    fn read_response(&mut self) -> Result<ResponseEnvelope, ClientError> {
         loop {
-            match self.decoder.next_line() {
-                Some(Ok(line)) => return Ok(line),
+            match self.decoder.next() {
+                Some(Ok(envelope)) => return Ok(envelope),
                 Some(Err(message)) => return Err(err(format!("malformed response: {message}"))),
                 None => {}
             }
-            let read = self.stream.read(&mut buf)?;
+            let read = self.stream.read(&mut self.read_buf)?;
             if read == 0 {
-                return Err(if self.decoder.buffered() > 0 {
-                    err("server closed the connection mid-line")
-                } else {
-                    err("server closed the connection mid-request")
-                });
+                let inside =
+                    self.decoder.finish().err().unwrap_or_else(|| "mid-request".to_string());
+                return Err(err(format!("server closed the connection {inside}")));
             }
-            self.decoder.push(&buf[..read]);
+            self.decoder.push(&self.read_buf[..read]);
         }
     }
 
@@ -182,14 +186,7 @@ impl Client {
     fn collect(&mut self, id: u64) -> Result<Vec<Response>, ClientError> {
         let mut responses = Vec::new();
         loop {
-            let line = self.read_line()?;
-            // Sweep chunks dominate the stream; their dedicated parser skips
-            // the generic value-tree path and declines (to the fallback) on
-            // anything that is not exactly a chunk line.
-            let envelope: ResponseEnvelope = match decode_chunk_line(&line) {
-                Some(envelope) => envelope,
-                None => decode_line(&line).map_err(|e| err(format!("malformed response: {e}")))?,
-            };
+            let envelope = self.read_response()?;
             if envelope.id != id {
                 return Err(err(format!(
                     "response id {} does not match request id {id}",

@@ -3,7 +3,8 @@
 //! The `mp-dse` engine answers one sweep per call; this crate turns it into
 //! a **system**: a long-lived service that keeps an engine, its memoisation
 //! cache and prepared sweep snapshots resident between queries and answers
-//! them over a line-delimited JSON socket protocol.
+//! them over a socket protocol of line-delimited JSON, with streamed sweep
+//! chunks as binary frames.
 //!
 //! * [`service`] — [`SweepService`]: one long-lived
 //!   [`Engine`](mp_dse::engine::Engine) + lock-free `EvalCache` behind one
@@ -15,8 +16,10 @@
 //! * [`protocol`] — the wire types: `sweep` (streamed, chunked, resumable via
 //!   index sub-ranges), `top_k`, `pareto`, `curve(figure)`, `stats`,
 //!   `catalogue` (fingerprint-keyed calibration addressing), `ping`,
-//!   `shutdown`. Records travel as hex bit patterns, so responses are
-//!   bit-exact down to the engine's `NaN` markers.
+//!   `shutdown`. A streamed chunk carries its records' `f64` bits as they
+//!   are (24 bytes a record behind a JSON header line) and `top_k`/`pareto`
+//!   records travel as hex bit patterns, so responses are bit-exact down to
+//!   the engine's `NaN` markers.
 //! * [`server`] — an **event-driven reactor** (serve v2): a small pool of
 //!   epoll event loops owns every accepted socket (edge-triggered,
 //!   non-blocking, raw `epoll`/`eventfd` via [`reactor`]), parses requests
@@ -71,10 +74,10 @@ pub mod prelude {
     pub use crate::client::{assemble_sweep, Client, ClientError, RetryOutcome, RetryPolicy};
     pub use crate::jobs::{atomic_write, JobConfig, JobManager, Manifest, MANIFEST_VERSION};
     pub use crate::protocol::{
-        decode_chunk_line, decode_line, encode_chunk_line, encode_line, from_wire, to_wire,
-        CatalogueEntry, JobSnapshot, LineDecoder, Request, RequestEnvelope, Response,
-        ResponseEnvelope, ServiceStats, SpaceSpec, WireRecord, DEFAULT_CHUNK, MAX_REQUEST_LINE,
-        PROTOCOL_VERSION,
+        decode_chunk_line, decode_line, encode_chunk_frame, encode_chunk_line, encode_line,
+        from_wire, to_wire, CatalogueEntry, JobSnapshot, LineDecoder, Request, RequestEnvelope,
+        Response, ResponseDecoder, ResponseEnvelope, ServiceStats, SpaceSpec, WireRecord,
+        DEFAULT_CHUNK, FRAME_RECORD_BYTES, MAX_REQUEST_LINE, PROTOCOL_VERSION,
     };
     pub use crate::server::{Endpoint, Server, ServerConfig, Stream};
     pub use crate::service::{

@@ -1,27 +1,50 @@
-//! The wire protocol: line-delimited JSON requests and responses.
+//! The wire protocol: line-delimited JSON requests and responses, plus one
+//! binary frame for the message that dominates the stream.
 //!
-//! Every message is one JSON object on one line. Clients send
-//! [`RequestEnvelope`]s (`{"id":N,"request":{...}}`) and receive one or more
-//! [`ResponseEnvelope`]s tagged with the same id; every request is answered
-//! by exactly one **terminal** response, optionally preceded by streamed
-//! [`Response::SweepChunk`] lines: a sweep's records arrive in index-ordered
-//! chunks, each encoded, written and flushed before the next is built, so a
-//! large answer is never buffered as one whole-result line (at most one
-//! chunk's wire copy is alive at a time on the server). Correlation ids are
-//! client-chosen but must be **≥ 1**: id `0` is reserved for
-//! server-generated [`Response::Error`]s about lines that could not be
+//! Every request, and every response but one, is one JSON object on one
+//! line. Clients send [`RequestEnvelope`]s (`{"id":N,"request":{...}}`) and
+//! receive one or more [`ResponseEnvelope`]s tagged with the same id; every
+//! request is answered by exactly one **terminal** response, optionally
+//! preceded by streamed [`Response::SweepChunk`]s: a sweep's records arrive
+//! in index-ordered chunks, each encoded and queued before the next window
+//! is built, so a large answer is never buffered as one whole-result message
+//! (at most one window's wire copy is alive at a time on the server).
+//! Correlation ids are client-chosen but must be **≥ 1**: id `0` is reserved
+//! for server-generated [`Response::Error`]s about lines that could not be
 //! parsed into a request at all.
 //!
-//! ## Bit-exactness
+//! ## Chunk frames
 //!
-//! Sweep records travel as [`WireRecord`]s: the three `f64` fields are
-//! encoded as 16-digit hex bit patterns, never as JSON numbers. JSON cannot
-//! represent `NaN` (the engine's marker for designs that do not fit their
-//! budget) and a decimal round-trip of a computed `NaN` would not be
-//! bit-stable, so the hex encoding is what lets the differential tests assert
-//! that service answers are *bit-identical* to a direct [`Engine::sweep`].
-//! Figure curves ([`Response::Curves`]) contain only finite values and use
-//! plain numbers, which the workspace's JSON printer round-trips exactly.
+//! A [`Response::SweepChunk`] is the one message that does not travel as
+//! JSON (since `mp-serve/6`). It is a **frame**
+//! ([`encode_chunk_frame`]): a JSON header line
+//!
+//! ```text
+//! {"id":7,"frame":{"start":8192,"count":8192}}\n
+//! ```
+//!
+//! followed by exactly `count × 24` payload bytes — per record `speedup`,
+//! `cores`, `area`, each as `f64::to_bits().to_le_bytes()`; the record's
+//! index is implied (`start + i`) because a chunk is always a consecutive
+//! run. The header is an ordinary line, so [`LineDecoder`] stays the one
+//! framing layer and ids and ordering are uniform with every other reply;
+//! the payload carries the engine's bits themselves, so `NaN` markers and
+//! every other bit pattern are exact by construction. [`ResponseDecoder`]
+//! turns a frame back into the in-memory [`Response::SweepChunk`] and is the
+//! one reader of a response stream.
+//!
+//! ## Bit-exactness of `Records`
+//!
+//! The records of a [`Response::Records`] answer (`top_k`, `pareto` — a
+//! handful per reply) travel inside their JSON line as [`WireRecord`]s: the
+//! three `f64` fields are encoded as 16-digit hex bit patterns, never as
+//! JSON numbers. JSON cannot represent `NaN` (the engine's marker for
+//! designs that do not fit their budget) and a decimal round-trip of a
+//! computed `NaN` would not be bit-stable, so the hex encoding is what lets
+//! the differential tests assert that those answers too are *bit-identical*
+//! to a direct [`Engine::sweep`]. Figure curves ([`Response::Curves`])
+//! contain only finite values and use plain numbers, which the workspace's
+//! JSON printer round-trips exactly.
 //!
 //! [`Engine::sweep`]: mp_dse::engine::Engine::sweep
 
@@ -35,10 +58,15 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::explore::Curve;
 
 /// Protocol identity reported by `ping`; bump on incompatible changes.
-pub const PROTOCOL_VERSION: &str = "mp-serve/5";
+pub const PROTOCOL_VERSION: &str = "mp-serve/6";
 
-/// Default scenario count per streamed sweep chunk.
+/// Default scenario count per streamed sweep chunk: one frame of
+/// `8192 × FRAME_RECORD_BYTES` = 192 KiB of payload behind a ~50-byte header.
 pub const DEFAULT_CHUNK: usize = 8192;
+
+/// Payload bytes per record of a chunk frame: three little-endian `f64` bit
+/// patterns (`speedup`, `cores`, `area`).
+pub const FRAME_RECORD_BYTES: usize = 24;
 
 /// Longest request line the server accepts, in bytes. A line that grows past
 /// this without a newline is answered with an id-0 [`Response::Error`] and
@@ -552,6 +580,20 @@ impl LineDecoder {
         }
     }
 
+    /// The next `n` raw bytes, or `None` until that many are buffered — the
+    /// payload of a chunk frame, which follows its header line unterminated
+    /// and may contain any byte, `\n` included. Call it only between lines
+    /// (right after [`LineDecoder::next_line`] returned the header).
+    pub fn next_bytes(&mut self, n: usize) -> Option<&[u8]> {
+        if self.buffered() < n {
+            return None;
+        }
+        let from = self.start;
+        self.start += n;
+        self.scanned = self.start;
+        Some(&self.buf[from..self.start])
+    }
+
     /// Drop consumed bytes once they dominate the buffer, so the allocation
     /// tracks the *unconsumed* tail instead of growing with connection
     /// lifetime.
@@ -573,6 +615,183 @@ pub fn encode_line<T: Serialize>(message: &T) -> String {
     serde_json::to_string(message).expect("protocol messages always serialise")
 }
 
+/// Decode one wire line.
+pub fn decode_line<T: Deserialize>(line: &str) -> Result<T, String> {
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
+/// The header line of a chunk frame: `{"id":N,"frame":{"start":S,"count":C}}`.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct FrameHeader {
+    id: u64,
+    frame: FrameSpan,
+}
+
+/// Which records a frame's payload holds: `count` consecutive ones from
+/// flat scenario index `start`.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct FrameSpan {
+    start: usize,
+    count: usize,
+}
+
+/// Append one sweep chunk to `out` as a frame (module docs, § Chunk frames):
+/// the header line, then `records.len() × FRAME_RECORD_BYTES` payload bytes.
+///
+/// # Panics
+///
+/// If `records` is not the consecutive run `start, start + 1, …` — the
+/// payload carries no indices, so any other slice would decode to a wrong
+/// answer.
+pub fn encode_chunk_frame(out: &mut Vec<u8>, id: u64, start: usize, records: &[EvalRecord]) {
+    let header = FrameHeader { id, frame: FrameSpan { start, count: records.len() } };
+    out.extend_from_slice(encode_line(&header).as_bytes());
+    out.push(b'\n');
+    let payload = out.len();
+    out.resize(payload + records.len() * FRAME_RECORD_BYTES, 0);
+    let slots = out[payload..].chunks_exact_mut(FRAME_RECORD_BYTES);
+    for (offset, (slot, record)) in slots.zip(records).enumerate() {
+        assert_eq!(
+            record.index,
+            start + offset,
+            "a chunk frame holds consecutive records from its start"
+        );
+        slot[..8].copy_from_slice(&record.speedup.to_bits().to_le_bytes());
+        slot[8..16].copy_from_slice(&record.cores.to_bits().to_le_bytes());
+        slot[16..].copy_from_slice(&record.area.to_bits().to_le_bytes());
+    }
+}
+
+/// One little-endian `f64` bit pattern of a frame payload.
+fn frame_word(raw: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(raw.try_into().expect("a frame word is 8 bytes")))
+}
+
+/// Incremental decoder of a server's response stream — the one reader of
+/// it: JSON lines become their [`ResponseEnvelope`]s and chunk frames become
+/// [`Response::SweepChunk`] envelopes, from bytes pushed in whatever pieces
+/// the socket produces. A frame split anywhere — inside its header, between
+/// header and payload, inside an 8-byte word — decodes identically, and a
+/// payload byte equal to `\n` is never taken for a line end.
+///
+/// Feed it with [`ResponseDecoder::push`], drain it by iterating (`None`
+/// means *more bytes needed*, not *finished* — iterate again after the next
+/// push), and on EOF ask [`ResponseDecoder::finish`] whether the stream
+/// stopped between messages. The first error is final: the position of the
+/// next message is unknown after it, so every later call repeats it and the
+/// connection should be dropped.
+///
+/// No length is trusted before it is checked: a header whose
+/// `count × FRAME_RECORD_BYTES` or `start + count` overflows is an error, and
+/// records are allocated only once their payload bytes have all arrived —
+/// never from the count alone.
+#[derive(Debug)]
+pub struct ResponseDecoder {
+    lines: LineDecoder,
+    /// The frame whose header has been read and whose payload is owed.
+    owed: Option<FrameHeader>,
+    failed: Option<String>,
+}
+
+impl Default for ResponseDecoder {
+    fn default() -> Self {
+        ResponseDecoder::new()
+    }
+}
+
+impl ResponseDecoder {
+    /// A decoder at the start of a response stream. Response lines are not
+    /// capped: the server is trusted, and a `Records` or `Metrics` line is
+    /// legitimately large.
+    pub fn new() -> Self {
+        ResponseDecoder { lines: LineDecoder::new(usize::MAX / 2), owed: None, failed: None }
+    }
+
+    /// Append newly received bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.lines.push(bytes);
+    }
+
+    /// At EOF: `Ok` when the stream stopped between messages, otherwise
+    /// where inside one it stopped (`mid-line`, `mid-frame (…)`) — a
+    /// truncated message is never decoded short.
+    pub fn finish(&self) -> Result<(), String> {
+        match self.owed {
+            Some(FrameHeader { frame, .. }) => Err(format!(
+                "mid-frame ({} of {} payload bytes arrived)",
+                self.lines.buffered(),
+                frame.count * FRAME_RECORD_BYTES
+            )),
+            None if self.lines.buffered() > 0 => Err("mid-line".to_string()),
+            None => Ok(()),
+        }
+    }
+
+    /// Decode one line: an envelope to yield, or a frame header to hold
+    /// until its payload arrives.
+    fn take_line(&mut self, line: &str) -> Result<Option<ResponseEnvelope>, String> {
+        let value = serde_json::parse(line).map_err(|e| e.to_string())?;
+        let is_frame = value.as_map().is_some_and(|map| map.iter().any(|(key, _)| key == "frame"));
+        if !is_frame {
+            return ResponseEnvelope::from_value(&value).map(Some).map_err(|e| e.to_string());
+        }
+        let header = FrameHeader::from_value(&value).map_err(|e| e.to_string())?;
+        let FrameSpan { start, count } = header.frame;
+        if count.checked_mul(FRAME_RECORD_BYTES).is_none() || start.checked_add(count).is_none() {
+            return Err(format!("chunk frame of {count} records from {start} overflows"));
+        }
+        self.owed = Some(header);
+        Ok(None)
+    }
+}
+
+impl Iterator for ResponseDecoder {
+    type Item = Result<ResponseEnvelope, String>;
+
+    /// The next complete response, an error (see the type docs), or `None`
+    /// when more bytes are needed.
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(message) = &self.failed {
+            return Some(Err(message.clone()));
+        }
+        if self.owed.is_none() {
+            let taken = self.lines.next_line()?.and_then(|line| self.take_line(&line));
+            match taken {
+                Ok(Some(envelope)) => return Some(Ok(envelope)),
+                Ok(None) => {}
+                Err(message) => {
+                    self.failed = Some(message.clone());
+                    return Some(Err(message));
+                }
+            }
+        }
+        let FrameHeader { id, frame: FrameSpan { start, count } } = self.owed?;
+        let payload = self.lines.next_bytes(count * FRAME_RECORD_BYTES)?;
+        let records = payload
+            .chunks_exact(FRAME_RECORD_BYTES)
+            .enumerate()
+            .map(|(offset, raw)| {
+                WireRecord(EvalRecord {
+                    index: start + offset,
+                    speedup: frame_word(&raw[..8]),
+                    cores: frame_word(&raw[8..16]),
+                    area: frame_word(&raw[16..]),
+                })
+            })
+            .collect();
+        self.owed = None;
+        Some(Ok(ResponseEnvelope { id, response: Response::SweepChunk { start, records } }))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The text chunk codec. Retired from the wire in mp-serve/6 (chunks travel as
+// frames, see `encode_chunk_frame`); delete `push_number`,
+// `encode_chunk_line`, `decode_chunk_line`, `take_integer` and
+// `take_hex_field` when ROADMAP item 1(a) unpins them — layerbench times the
+// two public ones by name. Until then they are the frame codec's test oracle.
+// ---------------------------------------------------------------------------
+
 /// Replicate the workspace JSON printer's number formatting exactly (whole
 /// numbers as integers, otherwise shortest round-trip), appending without
 /// intermediate allocation. Byte-identity with [`encode_line`] is what lets
@@ -590,8 +809,12 @@ fn push_number(out: &mut String, n: f64) {
     }
 }
 
-/// Fast encoder for the protocol's dominant line — a sweep chunk — building
-/// the JSON text directly instead of materialising the intermediate value
+/// **Retired from the wire in `mp-serve/6`** (see [`encode_chunk_frame`]);
+/// kept, signature unchanged, for layerbench and as the frame codec's test
+/// oracle. Delete when ROADMAP item 1(a) unpins it.
+///
+/// Fast encoder for a sweep chunk as one JSON line, building the text
+/// directly instead of materialising the intermediate value
 /// tree (which costs ~8 heap allocations *per record* in the workspace's
 /// offline serde). Produces **byte-identical** output to
 /// `encode_line(&ResponseEnvelope { id, response: Response::SweepChunk {
@@ -623,6 +846,10 @@ pub fn encode_chunk_line(id: u64, start: usize, records: &[EvalRecord]) -> Strin
     out
 }
 
+/// **Retired from the wire in `mp-serve/6`** (see [`ResponseDecoder`]);
+/// kept, signature unchanged, for layerbench and as the frame codec's test
+/// oracle. Delete when ROADMAP item 1(a) unpins it.
+///
 /// Fast decoder for lines produced by [`encode_chunk_line`] (or the generic
 /// encoder — same bytes). Returns `None` for anything that is not exactly a
 /// compact sweep-chunk envelope, in which case the caller falls back to the
@@ -700,11 +927,6 @@ fn take_hex_field(s: &str) -> Option<(u64, &str)> {
         return None;
     }
     Some((u64::from_str_radix(&rest[..16], 16).ok()?, &rest[17..]))
-}
-
-/// Decode one wire line.
-pub fn decode_line<T: Deserialize>(line: &str) -> Result<T, String> {
-    serde_json::from_str(line).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -893,6 +1115,207 @@ mod tests {
         // The eventual newline ends the skip and decoding resumes cleanly.
         decoder.push(b"tail\n{\"id\":5}\n");
         assert_eq!(decoder.next_line().unwrap().unwrap(), "{\"id\":5}");
+    }
+
+    /// Bit patterns a decimal or lossy codec would mangle: quiet and
+    /// signalling NaNs with payloads, signed zeros, subnormals, infinities —
+    /// and words made of `\n` bytes.
+    const AWKWARD_BITS: [u64; 12] = [
+        0x7ff8_0000_0000_0000, // quiet NaN
+        0x7ff8_0000_dead_beef, // quiet NaN with a payload
+        0x7ff0_0000_0000_0001, // signalling NaN
+        0xfff4_0000_0000_0a0a, // negative signalling NaN with a payload
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0000, // +0.0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x800f_ffff_ffff_ffff, // largest negative subnormal
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x0a0a_0a0a_0a0a_0a0a, // eight newline bytes
+        0x405a_2200_0000_0000, // 104.53125, the paper's fig4 peak
+    ];
+
+    /// `count` consecutive records from `start` cycling through
+    /// [`AWKWARD_BITS`], each field on its own phase.
+    fn awkward_records(start: usize, count: usize) -> Vec<EvalRecord> {
+        let bits = |i: usize| f64::from_bits(AWKWARD_BITS[i % AWKWARD_BITS.len()]);
+        (0..count)
+            .map(|i| EvalRecord {
+                index: start + i,
+                speedup: bits(i),
+                cores: bits(i + 5),
+                area: bits(i + 10),
+            })
+            .collect()
+    }
+
+    fn sweep_done(scenarios: usize) -> Response {
+        Response::SweepDone {
+            stats: SweepStats {
+                scenarios,
+                valid: scenarios,
+                cache_hits: 0,
+                cache_misses: scenarios as u64,
+                warm_entries: 0,
+                threads: 1,
+                coalesced: false,
+                elapsed_seconds: 0.25,
+            },
+        }
+    }
+
+    fn push_json_line(wire: &mut Vec<u8>, id: u64, response: Response) {
+        wire.extend_from_slice(encode_line(&ResponseEnvelope { id, response }).as_bytes());
+        wire.push(b'\n');
+    }
+
+    /// *frame, JSON line, frame, `SweepDone`* — the stream the splitting and
+    /// truncation tests cut up — and the envelopes it must decode to, as
+    /// their (bit-exact, hex) generic JSON text.
+    fn framed_stream() -> (Vec<u8>, Vec<String>) {
+        let (first, second) = (awkward_records(40, 13), awkward_records(53, 5));
+        let mut wire = Vec::new();
+        encode_chunk_frame(&mut wire, 7, 40, &first);
+        push_json_line(&mut wire, 7, Response::Pong { version: "between".into() });
+        encode_chunk_frame(&mut wire, 7, 53, &second);
+        push_json_line(&mut wire, 7, sweep_done(18));
+        let expected = [
+            Response::SweepChunk { start: 40, records: to_wire(&first) },
+            Response::Pong { version: "between".into() },
+            Response::SweepChunk { start: 53, records: to_wire(&second) },
+            sweep_done(18),
+        ]
+        .into_iter()
+        .map(|response| encode_line(&ResponseEnvelope { id: 7, response }))
+        .collect();
+        (wire, expected)
+    }
+
+    /// Decode `wire` pushed in the given pieces; every yielded item must be
+    /// `Ok`. Returns the envelopes' generic JSON text and the decoder.
+    fn decode_pieces<'a>(
+        pieces: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<String>, ResponseDecoder) {
+        let mut decoder = ResponseDecoder::new();
+        let mut decoded = Vec::new();
+        for piece in pieces {
+            decoder.push(piece);
+            for envelope in decoder.by_ref() {
+                decoded.push(encode_line(&envelope.expect("a well-formed stream decodes")));
+            }
+        }
+        (decoded, decoder)
+    }
+
+    #[test]
+    fn chunk_frames_round_trip_every_bit_pattern_and_agree_with_the_text_oracle() {
+        for count in [0usize, 1, 12, 8192] {
+            let records = awkward_records(1 << 33, count);
+            let mut wire = Vec::new();
+            encode_chunk_frame(&mut wire, 9, 1 << 33, &records);
+            let header = wire.iter().position(|&b| b == b'\n').expect("a header line") + 1;
+            assert_eq!(wire.len(), header + count * FRAME_RECORD_BYTES, "24 bytes a record");
+            assert!(header < 64, "the header stays small: {header}");
+
+            let mut decoder = ResponseDecoder::new();
+            decoder.push(&wire);
+            let envelope = decoder.next().expect("a whole frame decodes").unwrap();
+            assert!(decoder.next().is_none() && decoder.finish().is_ok());
+            assert_eq!(envelope.id, 9);
+            let Response::SweepChunk { start, records: got } = &envelope.response else {
+                panic!("a frame decodes to a chunk: {envelope:?}");
+            };
+            assert_eq!((*start, got.len()), (1 << 33, count));
+            for (a, b) in got.iter().zip(&records) {
+                assert_eq!(a.0.index, b.index);
+                assert_eq!(a.0.speedup.to_bits(), b.speedup.to_bits());
+                assert_eq!(a.0.cores.to_bits(), b.cores.to_bits());
+                assert_eq!(a.0.area.to_bits(), b.area.to_bits());
+            }
+            // The retired text codec, fed the same input, yields the same
+            // envelope (compared through the bit-exact generic encoding).
+            let oracle = decode_chunk_line(&encode_chunk_line(9, 1 << 33, &records)).unwrap();
+            assert_eq!(encode_line(&envelope), encode_line(&oracle));
+        }
+    }
+
+    #[test]
+    fn framed_streams_decode_identically_however_they_are_split() {
+        let (wire, expected) = framed_stream();
+        assert!(
+            wire.iter().filter(|&&b| b == b'\n').count() > 4 + 8,
+            "the payloads must contain newline bytes for this test to mean anything"
+        );
+        assert_eq!(decode_pieces([&wire[..]]).0, expected, "pushed whole");
+        assert_eq!(decode_pieces(wire.chunks(1)).0, expected, "one byte at a time");
+        for split in 0..=wire.len() {
+            let (decoded, decoder) = decode_pieces([&wire[..split], &wire[split..]]);
+            assert_eq!(decoded, expected, "split at {split}");
+            assert_eq!(decoder.finish(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn truncated_streams_end_in_a_named_error_never_a_short_chunk() {
+        let (wire, expected) = framed_stream();
+        // Where each message ends: only there may EOF pass for a clean close.
+        let mut boundaries = vec![0];
+        let mut probe = ResponseDecoder::new();
+        for (offset, byte) in wire.iter().enumerate() {
+            probe.push(std::slice::from_ref(byte));
+            if probe.next().is_some() {
+                boundaries.push(offset + 1);
+            }
+        }
+        assert_eq!(boundaries.len(), 5);
+        assert_eq!(boundaries[4], wire.len());
+
+        for cut in 0..=wire.len() {
+            let (decoded, decoder) = decode_pieces([&wire[..cut]]);
+            let complete = boundaries.iter().filter(|&&b| b != 0 && b <= cut).count();
+            assert_eq!(decoded, expected[..complete], "cut at {cut}: only whole messages");
+            match decoder.finish() {
+                Ok(()) => assert!(boundaries.contains(&cut), "cut at {cut} is inside a message"),
+                Err(inside) => {
+                    assert!(!boundaries.contains(&cut), "cut at {cut} is between messages");
+                    assert!(
+                        inside.starts_with("mid-line") || inside.starts_with("mid-frame"),
+                        "cut at {cut}: {inside}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_headers_are_checked_before_they_are_believed() {
+        for (header, why) in [
+            ("{\"id\":1,\"frame\":{\"start\":0,\"count\":1e300}}", "overflows"),
+            ("{\"id\":1,\"frame\":{\"start\":1e300,\"count\":2}}", "overflows"),
+            ("{\"id\":1,\"frame\":{\"start\":0}}", "count"),
+            ("{\"id\":1,\"frame\":7}", "expected"),
+            ("{\"id\":1,\"frame\":{\"start\":0,\"count\":2}", "expected `,` or `}`"),
+        ] {
+            let mut decoder = ResponseDecoder::new();
+            decoder.push(header.as_bytes());
+            decoder.push(b"\n");
+            decoder.push(&[0u8; 48]);
+            let message = decoder.next().expect("a bad header is reported").unwrap_err();
+            assert!(
+                message.to_lowercase().contains(&why.to_lowercase()),
+                "{header}: expected an error about `{why}`, got: {message}"
+            );
+            // The error is final: where the next message starts is unknown.
+            assert_eq!(decoder.next().expect("the error repeats").unwrap_err(), message);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "consecutive records")]
+    fn the_frame_encoder_refuses_a_non_consecutive_slice() {
+        let mut records = awkward_records(0, 4);
+        records[2].index = 7;
+        encode_chunk_frame(&mut Vec::new(), 1, 0, &records);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Socket front-end: an event-driven reactor serving line-delimited JSON
-//! over TCP or Unix-domain sockets.
+//! Socket front-end: an event-driven reactor serving the `mp-serve` protocol
+//! (line-delimited JSON, sweep chunks as binary frames) over TCP or
+//! Unix-domain sockets.
 //!
 //! ## Architecture (serve v2)
 //!
@@ -50,7 +51,7 @@ use mp_obs::trace::{RequestTrace, Stage, TraceLog};
 
 use crate::conn::{Conn, InFlight, HIGH_WATERMARK, LOW_WATERMARK};
 use crate::protocol::{
-    decode_line, encode_chunk_line, encode_line, Request, RequestEnvelope, Response,
+    decode_line, encode_chunk_frame, encode_line, Request, RequestEnvelope, Response,
     ResponseEnvelope,
 };
 use crate::reactor::{Poller, Waker, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -857,7 +858,7 @@ fn stamp_plan(trace: Option<&mut RequestTrace>) {
     }
 }
 
-/// Pull one window of a streaming sweep: encode its chunks, then either
+/// Pull one window of a streaming sweep: frame its chunks, then either
 /// finish the request (`SweepDone`) or hand the ticket back for parking.
 fn stream_window(
     service: &SweepService,
@@ -871,11 +872,9 @@ fn stream_window(
     match result {
         Ok(Some(records)) => {
             for slice in records.chunks(ticket.chunk()) {
-                // The dominant line of the protocol: encoded by the direct
-                // (value-tree-free) fast path, byte-identical to push_line.
-                done.bytes
-                    .extend_from_slice(encode_chunk_line(id, slice[0].index, slice).as_bytes());
-                done.bytes.push(b'\n');
+                // The dominant message of the protocol: the records' bits go
+                // into the output buffer as they are, behind a header line.
+                encode_chunk_frame(&mut done.bytes, id, slice[0].index, slice);
             }
             if ticket.is_done() {
                 push_line(&mut done.bytes, id, Response::SweepDone { stats: ticket.stats() });

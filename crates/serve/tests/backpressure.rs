@@ -137,15 +137,15 @@ fn slow_read_sweep(endpoint: &Endpoint, space: &ScenarioSpace, chunk: usize) -> 
     stream.write_all(&line).unwrap();
     stream.flush().unwrap();
 
-    let mut decoder = LineDecoder::new(usize::MAX / 2);
+    let mut decoder = ResponseDecoder::new();
     let mut responses = Vec::new();
     let mut buf = [0u8; 8 * 1024];
     'read: loop {
         let n = stream.read(&mut buf).unwrap();
         assert!(n > 0, "server closed before the sweep finished");
         decoder.push(&buf[..n]);
-        while let Some(line) = decoder.next_line() {
-            let envelope: ResponseEnvelope = decode_line(&line.unwrap()).unwrap();
+        for envelope in decoder.by_ref() {
+            let envelope = envelope.unwrap();
             assert_eq!(envelope.id, 1);
             let terminal = envelope.response.is_terminal();
             responses.push(envelope.response);
@@ -163,12 +163,15 @@ fn slow_read_sweep(endpoint: &Endpoint, space: &ScenarioSpace, chunk: usize) -> 
 
 #[test]
 fn slow_readers_park_their_sweep_and_never_block_fast_clients() {
-    // Big enough that the full wire answer (~60 bytes/record, tens of
-    // thousands of records) is far above the 256 KiB outbox high watermark,
-    // so the sweep must park and re-arm several times.
+    // Big enough that the full wire answer (24 bytes/record, 85 k records ≈
+    // 2 MiB) is 8× the 256 KiB outbox high watermark — and served over a
+    // Unix socket, whose kernel buffer is a fixed ~200 KiB: loopback TCP
+    // autotunes its buffers to several MiB and would swallow the whole
+    // answer, so the sweep would never park at all. Here nearly every one of
+    // its windows parks and is re-armed from `EPOLLOUT`.
     let space = ScenarioSpace::new()
         .with_apps(mp_model::params::AppParams::table2_all())
-        .with_budgets(vec![64.0, 256.0])
+        .with_budgets((1..=8).map(|i| 64.0 * i as f64).collect())
         .with_growths(vec![
             mp_model::growth::GrowthFunction::Linear,
             mp_model::growth::GrowthFunction::Logarithmic,
@@ -176,13 +179,16 @@ fn slow_readers_park_their_sweep_and_never_block_fast_clients() {
         .clear_designs()
         .add_symmetric_grid((0..1024).map(|i| 1.0 + i as f64 * 0.25))
         .add_asymmetric_grid([1.0, 2.0, 4.0, 8.0], (0..192).map(|i| 2.0 + i as f64));
-    assert!(space.len() > 20_000, "space must dwarf the watermark: {}", space.len());
+    assert!(space.len() > 80_000, "space must dwarf the watermark: {}", space.len());
     let service = Arc::new(SweepService::new(
         Arc::new(AnalyticBackend),
         &ServiceConfig { shards: 2, threads_per_shard: 1, ..ServiceConfig::default() },
     ));
+    let socket =
+        std::env::temp_dir().join(format!("mp-serve-backpressure-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
     let server = Server::bind_with(
-        &Endpoint::Tcp("127.0.0.1:0".into()),
+        &Endpoint::Unix(socket),
         service,
         ServerConfig { event_loops: 1, executors: 2 },
     )

@@ -113,6 +113,38 @@ fn prepared_ids_work_over_the_socket_and_survive_pipelining() {
     serving.join().unwrap();
 }
 
+/// Ranges that do not fill their frames: one that is not a multiple of the
+/// chunk (a short last frame), a single record, and an empty range (no frame
+/// at all, just `SweepDone`) assemble to the direct engine answer, bit for
+/// bit, over a real socket.
+#[test]
+fn ragged_single_and_empty_ranges_assemble_to_the_direct_answer() {
+    let space = space();
+    let direct = Engine::new(2).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), service(2)).unwrap();
+    let endpoint = server.endpoint().clone();
+    let serving = std::thread::spawn(move || server.run().unwrap());
+
+    let mut client = Client::connect(&endpoint).unwrap();
+    let (id, n) = client.prepare(&space).unwrap();
+    let ragged = 3..n - 2;
+    assert_ne!(ragged.len() % 7, 0, "the last frame of the ragged range must be short");
+    for (range, chunk) in [(ragged, 7), (0..n, 0), (5..6, 7), (n - 1..n, 0), (9..9, 7)] {
+        let (records, stats) = client.sweep_prepared(&id, range.clone(), chunk).unwrap();
+        assert_eq!(stats.scenarios, range.len());
+        assert_eq!(records.len(), range.len());
+        for (a, b) in records.iter().zip(&direct.records[range]) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
+            assert_eq!(a.cores.to_bits(), b.cores.to_bits());
+            assert_eq!(a.area.to_bits(), b.area.to_bits());
+        }
+    }
+
+    client.shutdown().unwrap();
+    serving.join().unwrap();
+}
+
 #[test]
 fn evicted_prepared_ids_report_expiry_not_wrong_answers() {
     let service = service(1);

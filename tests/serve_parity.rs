@@ -1,8 +1,8 @@
 //! Differential tests of the mp-serve service: every query answer must be
 //! **bit-identical** to a direct `Engine::sweep` over the same space —
 //! across engine sizes, cold and warm caches, the in-process API and the
-//! real socket protocol (where records additionally survive the hex-bits
-//! wire encoding).
+//! real socket protocol (where records additionally survive the wire:
+//! binary chunk frames for sweeps, hex-bits JSON for `top_k`/`pareto`).
 
 use std::sync::Arc;
 
@@ -92,7 +92,7 @@ fn socket_protocol_preserves_bit_identity_across_shard_counts_and_cache_states()
         let serving = std::thread::spawn(move || server.run().unwrap());
 
         let mut client = Client::connect(&endpoint).unwrap();
-        assert_eq!(client.ping().unwrap(), "mp-serve/5");
+        assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION);
 
         for pass in ["cold", "warm"] {
             let what = format!("{shards}-shard {pass} socket");

@@ -2,7 +2,8 @@
 //! parser fed byte-at-a-time and split at arbitrary boundaries, oversized
 //! and garbage lines, interleaved pipelined exchanges over a real socket,
 //! and property-based round-trips of the request/response encoding —
-//! including the 16-hex-digit float bit patterns that carry `NaN` markers.
+//! the binary chunk frames and the 16-hex-digit float bit patterns that
+//! carry `NaN` markers both.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -135,16 +136,14 @@ fn interleaved_pipelined_requests_split_across_writes_answer_in_order() {
 
     // Collect responses: sweep chunks + done on id 7, then the id-0 parse
     // error, then the pong on id 8 — strictly in that order.
-    let mut decoder = LineDecoder::new(usize::MAX / 2);
+    let mut decoder = ResponseDecoder::new();
     let mut envelopes: Vec<ResponseEnvelope> = Vec::new();
     let mut buf = [0u8; 4096];
     while envelopes.iter().filter(|e| e.response.is_terminal()).count() < 3 {
         let n = stream.read(&mut buf).unwrap();
         assert!(n > 0, "server closed early");
         decoder.push(&buf[..n]);
-        while let Some(line) = decoder.next_line() {
-            envelopes.push(decode_line(&line.unwrap()).unwrap());
-        }
+        envelopes.extend(decoder.by_ref().map(|envelope| envelope.unwrap()));
     }
     let ids: Vec<u64> = envelopes.iter().map(|e| e.id).collect();
     let chunks = space.len().div_ceil(5);
@@ -224,6 +223,40 @@ fn client_tolerates_short_reads_and_reports_mid_line_closes() {
     fake_server.join().unwrap();
 }
 
+/// A connection that dies inside a chunk frame's payload — after the header
+/// line, part-way through a record — is a transport error naming the frame,
+/// never a short `SweepChunk`.
+#[test]
+fn client_reports_a_close_inside_a_chunk_frame() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let records: Vec<EvalRecord> = (0..10)
+        .map(|index| EvalRecord { index, speedup: index as f64, cores: 4.0, area: 64.0 })
+        .collect();
+    let fake_server = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let mut byte = [0u8; 1];
+        while byte[0] != b'\n' {
+            socket.read_exact(&mut byte).unwrap();
+        }
+        // The client's first request is id 1.
+        let mut wire = Vec::new();
+        encode_chunk_frame(&mut wire, 1, 0, &records);
+        let inside_the_fourth_record = wire.len() - 7 * FRAME_RECORD_BYTES + 5;
+        socket.write_all(&wire[..inside_the_fourth_record]).unwrap();
+        socket.flush().unwrap();
+    });
+
+    let mut client = Client::connect(&Endpoint::Tcp(addr)).unwrap();
+    let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([1.0]);
+    let error = client.sweep(&space, Some(0..10), 0).unwrap_err();
+    assert!(
+        error.message.contains("mid-frame") && error.message.contains("77 of 240"),
+        "mid-frame close is a clean transport error: {error}"
+    );
+    fake_server.join().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -298,6 +331,74 @@ proptest! {
             }
             other => return Err(format!("fast decode yielded {other:?}")),
         }
+    }
+
+    /// A response stream of *frame, JSON line, frame, `SweepDone`* with
+    /// arbitrary float bit patterns — every NaN payload, signed zero,
+    /// subnormal and infinity, and bytes equal to `\n` — decodes to the same
+    /// envelopes pushed whole or in pieces of any size, and the frames'
+    /// records equal the retired text codec's for the same input.
+    #[test]
+    fn chunk_frames_round_trip_any_bit_pattern_however_the_stream_is_cut(
+        id in 1u64..(1u64 << 53),
+        start in 0usize..1_000_000usize,
+        bits in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 0..40),
+        cut in 0usize..40usize,
+        piece in 1usize..97usize,
+    ) {
+        let records: Vec<EvalRecord> = bits
+            .iter()
+            .enumerate()
+            .map(|(offset, (a, b, c))| EvalRecord {
+                index: start + offset,
+                speedup: f64::from_bits(*a),
+                cores: f64::from_bits(*b),
+                area: f64::from_bits(*c),
+            })
+            .collect();
+        let (head, tail) = records.split_at(cut.min(records.len()));
+        let mut wire = Vec::new();
+        encode_chunk_frame(&mut wire, id, start, head);
+        let pong = ResponseEnvelope { id, response: Response::Pong { version: "v".into() } };
+        wire.extend_from_slice(format!("{}\n", encode_line(&pong)).as_bytes());
+        encode_chunk_frame(&mut wire, id, start + head.len(), tail);
+        let stats = SweepStats {
+            scenarios: records.len(),
+            valid: records.len(),
+            cache_hits: 0,
+            cache_misses: records.len() as u64,
+            warm_entries: 0,
+            threads: 1,
+            coalesced: false,
+            elapsed_seconds: 0.25,
+        };
+        let done = ResponseEnvelope { id, response: Response::SweepDone { stats } };
+        wire.extend_from_slice(format!("{}\n", encode_line(&done)).as_bytes());
+        let decode = |piece: usize| -> Vec<ResponseEnvelope> {
+            let mut decoder = ResponseDecoder::new();
+            let mut envelopes = Vec::new();
+            for bytes in wire.chunks(piece) {
+                decoder.push(bytes);
+                envelopes.extend(decoder.by_ref().map(|envelope| envelope.unwrap()));
+            }
+            assert_eq!(decoder.finish(), Ok(()), "the stream ends between messages");
+            envelopes
+        };
+        let whole = decode(wire.len());
+        prop_assert_eq!(whole.len(), 4);
+        let text = |envelopes: &[ResponseEnvelope]| -> Vec<String> {
+            envelopes.iter().map(encode_line).collect()
+        };
+        prop_assert_eq!(text(&decode(piece)), text(&whole));
+
+        // The retired text codec is the oracle: same ids, starts and bits.
+        let oracle = |start: usize, slice: &[EvalRecord]| {
+            decode_chunk_line(&encode_chunk_line(id, start, slice)).expect("the oracle decodes")
+        };
+        prop_assert_eq!(encode_line(&whole[0]), encode_line(&oracle(start, head)));
+        prop_assert_eq!(encode_line(&whole[2]), encode_line(&oracle(start + head.len(), tail)));
+        prop_assert_eq!(encode_line(&whole[1]), encode_line(&pong));
+        prop_assert_eq!(encode_line(&whole[3]), encode_line(&done));
     }
 
     /// Random byte streams never panic the decoder, and whatever it yields
