@@ -7,11 +7,14 @@
 //! then reports the top designs, per-axis optima and the Pareto frontier of
 //! speedup against core count, and exports the full sweep as JSON and CSV.
 //!
-//! The sweep runs twice: the second pass is answered entirely from the
-//! memoisation cache and must reproduce the first pass bit-for-bit, which the
-//! command verifies and reports. Only the two exports are written: a cold full
-//! sweep costs less than parsing a persisted cache back would, so the cache
-//! dies with the process and a re-run rewrites the same records.
+//! The sweep runs twice and the second pass must reproduce the first
+//! bit-for-bit, which the command verifies and reports. For a backend that
+//! memoises (`sim`, `comm`) the second pass is answered entirely from the
+//! cache; the analytic and measured backends recompute a scenario for less
+//! than a cache probe costs, so they do not memoise, their second pass
+//! recomputes and `rescan_hits` reads 0. Only the two exports are written: a
+//! cold full sweep costs less than parsing a persisted cache back would, so
+//! the cache dies with the process and a re-run rewrites the same records.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -273,7 +276,8 @@ pub fn run(args: &[String]) -> ExitCode {
     let first = engine.sweep(&space, backend.as_ref(), &config);
     let allocs_first = alloc_track::allocation_count() - allocs_before_first;
 
-    // Second pass: must be answered from the cache and reproduce the first
+    // Second pass: answered from the cache when the backend memoises,
+    // recomputed when it does not; either way it must reproduce the first
     // pass bit-for-bit.
     let allocs_before_second = alloc_track::allocation_count();
     let second = engine.sweep(&space, backend.as_ref(), &config);
@@ -289,8 +293,8 @@ pub fn run(args: &[String]) -> ExitCode {
     let frontier = pareto_frontier(&first.records, CostAxis::Cores);
 
     if let Some(trace_path) = &options.trace {
-        // Both passes' spans (per-window batches, table builds, cached
-        // re-sweep) in one timeline, viewable at chrome://tracing or Perfetto.
+        // Both passes' spans (per-window batches, table builds, repeat
+        // sweep) in one timeline, viewable at chrome://tracing or Perfetto.
         let profiler = mp_obs::profile::Profiler::global();
         profiler.set_enabled(false);
         let spans = profiler.take();
@@ -364,8 +368,12 @@ pub fn run(args: &[String]) -> ExitCode {
         first.stats.cache_hits, first.stats.cache_misses,
     );
     println!(
-        "  repeat pass: {} cache hits, {} misses in {:.3}s — outputs bit-identical: {}",
-        second.stats.cache_hits, second.stats.cache_misses, second.stats.elapsed_seconds, identical,
+        "  repeat pass: {} cache hits, {} misses in {:.3}s{} — outputs bit-identical: {}",
+        second.stats.cache_hits,
+        second.stats.cache_misses,
+        second.stats.elapsed_seconds,
+        if backend.memoise() { "" } else { " (recomputed: the backend does not memoise)" },
+        identical,
     );
     println!(
         "  exports: {} (JSON), {} (CSV)",
@@ -416,7 +424,7 @@ pub fn run(args: &[String]) -> ExitCode {
     if identical {
         ExitCode::SUCCESS
     } else {
-        eprintln!("cached re-sweep diverged from the first pass");
+        eprintln!("the repeat sweep diverged from the first pass");
         ExitCode::FAILURE
     }
 }

@@ -12,8 +12,9 @@
 //!   re-queue a job by `--id`.
 //!
 //! `--wait SECS` (on `submit` and `resume`) polls until the job settles;
-//! `--verify` then fetches the swept records with a normal (warm) sweep
-//! and checks them **bit-identical** against a direct local
+//! `--verify` then fetches the swept records with a normal sweep (warm on
+//! a backend that memoises, recomputed on analytic or measured) and checks
+//! them **bit-identical** against a direct local
 //! `Engine::sweep` of the same space — the CI crash-recovery drill's
 //! parity gate. The verification fetch goes through the shared
 //! [`RetryPolicy`], so a server still draining job windows answers when
@@ -48,7 +49,7 @@ struct Options {
     id: Option<String>,
     /// Poll until settled for this long after submit/resume.
     wait: Option<Duration>,
-    /// After a waited job completes, check warm-fetched records against a
+    /// After a waited job completes, check the served records against a
     /// local reference sweep.
     verify: bool,
 }
@@ -149,7 +150,7 @@ fn print_snapshot(snapshot: &JobSnapshot) {
     );
 }
 
-/// Fetch the job's records with a normal (warm) sweep through the shared
+/// Fetch the job's records with a normal sweep through the shared
 /// retry policy and compare them bit-for-bit against a direct local
 /// engine sweep — the crash-recovery drill's parity gate.
 fn verify_records(

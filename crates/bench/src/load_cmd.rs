@@ -8,7 +8,10 @@
 //! hit rate. Every response is checked **bit-identical** against a direct
 //! local `Engine::sweep` of the same space with the same backend, so the run
 //! doubles as a differential test; the command exits non-zero on any parity
-//! failure, or when the warm pass's hit rate is not above 90%.
+//! failure, or when the cache did not behave as the backend says it should:
+//! a backend that memoises (`sim`, `comm`) must answer the warm pass with a
+//! hit rate above 90%, one that does not (analytic, measured) must leave the
+//! server's cache untouched — no probes, inserts or entries.
 //!
 //! `--pipelined` switches each connection to the v2 protocol's pipelined
 //! mode: `--depth` requests are written back-to-back before any response is
@@ -200,11 +203,12 @@ fn metrics_series<'a>(
 }
 
 /// Verify the server's `metrics` snapshot carries the core series — and
-/// that they are nonzero where this load's shape guarantees activity.
-/// Returns the problems found (empty = pass); the CI smoke steps fail on
-/// any. The check runs against the *server's* registry (over the wire), so
-/// with `--spawn` it exercises the whole export path end to end.
-fn check_metrics(metrics_json: &str, options: &Options) -> Vec<String> {
+/// that they are nonzero where this load's shape guarantees activity
+/// (`cache_hits` only when the backend memoises). Returns the problems found
+/// (empty = pass); the CI smoke steps fail on any. The check runs against
+/// the *server's* registry (over the wire), so with `--spawn` it exercises
+/// the whole export path end to end.
+fn check_metrics(metrics_json: &str, options: &Options, memoises: bool) -> Vec<String> {
     let mut problems = Vec::new();
     let value = match serde_json::parse(metrics_json) {
         Ok(value) => value,
@@ -216,8 +220,10 @@ fn check_metrics(metrics_json: &str, options: &Options) -> Vec<String> {
         "requests_total_stats",
         "requests_total_sweep",
         "requests_total_prepare",
-        "cache_hits",
     ];
+    if memoises {
+        nonzero_counters.push("cache_hits");
+    }
     if options.clients >= 2 && options.requests >= 3 && !options.overlap {
         // The deterministic query mix covers top-k (even connections) and
         // Pareto (odd connections) from the third request on — except in
@@ -763,8 +769,9 @@ pub fn run(args: &[String]) -> ExitCode {
                 ExitCode::SUCCESS
             } else {
                 eprintln!(
-                    "load run failed its acceptance checks (parity, >90% warm hit rate, live \
-                     metrics, and under --overlap observed coalescing)"
+                    "load run failed its acceptance checks (parity; >90% warm hit rate, or an \
+                     untouched cache for a backend that does not memoise; live metrics; and \
+                     under --overlap observed coalescing)"
                 );
                 ExitCode::FAILURE
             }
@@ -874,14 +881,24 @@ fn drive(
 
     let warm = reports.last().expect("two passes ran");
     let warm_hit_rate = warm.hit_rate;
-    let nonzero_hits = warm.cache_hits > 0;
+
+    // The cache check follows the backend (the local reference is built by
+    // the same constructor the server uses): one that memoises must answer
+    // the warm pass from the cache; one that does not must never touch it.
+    let memoises = backend.memoise();
+    let cache = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
+    let cache_ok = if memoises {
+        warm_hit_rate > 0.9 && warm.cache_hits > 0
+    } else {
+        cache.probes == 0 && cache.inserts == 0 && cache.entries == 0
+    };
 
     // Observability smoke: the server's `metrics` snapshot (fetched over the
     // wire, so with `--spawn` this is the child process's registry) must
     // carry the core series, nonzero where this load guarantees activity.
     let (metrics_json, _prometheus) =
         control.metrics().map_err(|e| format!("metrics failed: {e}"))?;
-    let metrics_problems = check_metrics(&metrics_json, options);
+    let metrics_problems = check_metrics(&metrics_json, options, memoises);
     let metrics_ok = metrics_problems.is_empty();
 
     // Overlap acceptance: the all-duplicate workload must actually
@@ -891,12 +908,7 @@ fn drive(
         reports.iter().filter_map(|r| r.overlap.as_ref()).map(|o| o.coalesced_requests).sum();
     let coalesce_ok = !options.overlap || coalesced_total > 0;
 
-    let ok = parity_failures == 0
-        && busy_exhausted == 0
-        && warm_hit_rate > 0.9
-        && nonzero_hits
-        && metrics_ok
-        && coalesce_ok;
+    let ok = parity_failures == 0 && busy_exhausted == 0 && cache_ok && metrics_ok && coalesce_ok;
 
     if options.shutdown || options.spawn {
         control.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
@@ -982,7 +994,7 @@ fn drive(
             }
         }
         println!(
-            "  parity: {}{} | warm hit rate {:.1}% ({}) ",
+            "  parity: {}{} | {} ({}) ",
             if parity_failures == 0 {
                 "every response bit-identical to Engine::sweep".to_string()
             } else {
@@ -995,7 +1007,14 @@ fn drive(
                 // never answered, so they are reported apart from parity.
                 format!(" | {busy_exhausted} queries unanswered after busy-retry budget")
             },
-            warm_hit_rate * 100.0,
+            if memoises {
+                format!("warm hit rate {:.1}%", warm_hit_rate * 100.0)
+            } else {
+                format!(
+                    "backend does not memoise: cache {} probes / {} inserts / {} entries",
+                    cache.probes, cache.inserts, cache.entries
+                )
+            },
             if ok { "PASS" } else { "FAIL" },
         );
     }
@@ -1087,11 +1106,11 @@ mod tests {
     fn metrics_check_flags_missing_and_zero_series() {
         let options = parse(&[]).unwrap();
         assert!(
-            !check_metrics("not json", &options).is_empty(),
+            !check_metrics("not json", &options, true).is_empty(),
             "malformed payloads must be reported"
         );
         let empty = r#"{"counters":{},"gauges":{},"histograms":{}}"#;
-        let problems = check_metrics(empty, &options);
+        let problems = check_metrics(empty, &options, true);
         assert!(problems.iter().any(|p| p.contains("requests_total_sweep")), "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("executor_queue_depth")), "{problems:?}");
 
@@ -1112,15 +1131,17 @@ mod tests {
             ),
             h = hist
         );
-        assert_eq!(check_metrics(&good, &options), Vec::<String>::new());
+        assert_eq!(check_metrics(&good, &options, true), Vec::<String>::new());
 
-        // Zero where load guarantees activity is a failure, not a pass.
+        // Zero where load guarantees activity is a failure, not a pass —
+        // but a backend that does not memoise guarantees no cache hits.
         let zeroed = good.replace("\"cache_hits\":100", "\"cache_hits\":0");
-        assert!(check_metrics(&zeroed, &options).iter().any(|p| p.contains("cache_hits")));
+        assert!(check_metrics(&zeroed, &options, true).iter().any(|p| p.contains("cache_hits")));
+        assert_eq!(check_metrics(&zeroed, &options, false), Vec::<String>::new());
 
         // The planner series must be exported even at zero activity...
         let no_planner = good.replace("\"planner_coalesced_requests\":0,", "");
-        assert!(check_metrics(&no_planner, &options)
+        assert!(check_metrics(&no_planner, &options, true)
             .iter()
             .any(|p| p.contains("planner_coalesced_requests")));
         // ...and overlap mode does not demand the mixed-workload verbs its
@@ -1129,8 +1150,8 @@ mod tests {
         let no_mix = good
             .replace("\"requests_total_top_k\":3,", "\"requests_total_top_k\":0,")
             .replace("\"requests_total_pareto\":3,", "\"requests_total_pareto\":0,");
-        assert_eq!(check_metrics(&no_mix, &overlap), Vec::<String>::new());
-        assert!(check_metrics(&no_mix, &options)
+        assert_eq!(check_metrics(&no_mix, &overlap, true), Vec::<String>::new());
+        assert!(check_metrics(&no_mix, &options, true)
             .iter()
             .any(|p| p.contains("requests_total_top_k")));
     }

@@ -6,7 +6,9 @@
 //! sweep's streamed chunks as binary frames — until a client sends
 //! `shutdown`. The service owns one long-lived engine (`--shards` ×
 //! `--threads` sweep threads) and its lock-free memoisation cache, so
-//! repeated queries are answered warm; the `measured`
+//! repeated queries on a backend that memoises (`sim`, `comm`) are answered
+//! warm — analytic and measured recompute, which is cheaper than a probe; the
+//! readiness line's `cache=` says which. The `measured`
 //! backend additionally exposes its synthetic calibration catalogue so
 //! clients can address applications by fingerprint id.
 
@@ -227,7 +229,7 @@ pub fn run(args: &[String]) -> ExitCode {
         server.endpoint(),
         service.backend_name(),
         service.stats().threads,
-        if options.use_cache { "on" } else { "off" },
+        if service.memoises() { "on" } else { "off" },
     );
     match server.run() {
         Ok(()) => {

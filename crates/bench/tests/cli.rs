@@ -74,7 +74,8 @@ fn unknown_experiments_and_flags_fail_with_usage() {
 /// `repro dse` writes its two exports and nothing else: a re-run into the
 /// same directory recomputes, reports the same in-process check and rewrites
 /// a byte-identical `sweep.csv`, and a cache file left there by an older binary is
-/// neither read nor rewritten.
+/// neither read nor rewritten. The analytic backend does not memoise, so the
+/// in-process second pass recomputes too: bit-identical, with no cache hits.
 #[test]
 fn dse_rerun_is_bit_identical_and_ignores_cache_files() {
     let dir = std::env::temp_dir().join(format!("mp-cli-dse-{}", std::process::id()));
@@ -85,6 +86,7 @@ fn dse_rerun_is_bit_identical_and_ignores_cache_files() {
         let report = String::from_utf8_lossy(&output.stdout).into_owned();
         assert!(output.status.success(), "repro dse failed: {report}");
         assert!(report.contains("\"identical\":true"), "report: {report}");
+        assert!(report.contains("\"rescan_hits\":0,"), "report: {report}");
         assert!(!report.contains("warm_entries"), "report: {report}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(!stderr.contains("cache"), "a cache file was looked at: {stderr}");
@@ -110,4 +112,29 @@ fn dse_rerun_is_bit_identical_and_ignores_cache_files() {
     assert_eq!(files(), ["cache-analytic.json", "sweep.csv", "sweep.json"]);
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Whether the in-process second pass of `repro dse` is answered from the
+/// cache is the backend's property: analytic and measured recompute it
+/// (`rescan_hits` 0), comm and the simulator answer every scenario from the
+/// cache. Both passes are bit-identical either way.
+#[test]
+fn dse_second_pass_hits_the_cache_only_for_memoising_backends() {
+    let number = |report: &str, name: &str| -> f64 {
+        let value = serde_json::parse(report.trim()).expect("the report is one JSON object");
+        let fields = value.as_map().expect("the report is a JSON object");
+        let (_, field) = fields.iter().find(|(key, _)| key == name).expect("the field is reported");
+        field.as_f64().expect("the field is a number")
+    };
+    for (backend, memoises) in [("measured", false), ("comm", true), ("sim", true)] {
+        let dir = std::env::temp_dir().join(format!("mp-cli-dse-{backend}-{}", std::process::id()));
+        let out = dir.to_str().expect("temp paths are UTF-8");
+        let output = repro(&["dse", "--quick", "--json", "--backend", backend, "--out", out]);
+        let report = String::from_utf8_lossy(&output.stdout).into_owned();
+        assert!(output.status.success(), "repro dse --backend {backend} failed: {report}");
+        assert!(report.contains("\"identical\":true"), "{backend}: {report}");
+        let expected = if memoises { number(&report, "scenarios") } else { 0.0 };
+        assert_eq!(number(&report, "rescan_hits"), expected, "{backend}: {report}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -81,9 +81,29 @@ impl From<ModelError> for DseError {
 }
 
 /// A design-space evaluation backend.
+///
+/// Whether a sweep goes through the engine's memoisation cache is the
+/// backend's call ([`EvalBackend::memoise`]) as much as the sweep's
+/// ([`SweepConfig::use_cache`]): analytic and measured, which share the
+/// Eq. 4/5 kernel, recompute a scenario for less than one cache probe costs
+/// and opt out; comm and the simulator, which each cost about a probe hit,
+/// keep the default.
+///
+/// [`SweepConfig::use_cache`]: crate::engine::SweepConfig::use_cache
 pub trait EvalBackend: Sync {
     /// Stable name, used in reports.
     fn name(&self) -> &'static str;
+
+    /// Whether sweeps with this backend go through the memoisation cache.
+    /// A property of the backend, not a setting: `true` (the default) when
+    /// evaluating a scenario costs more than probing for it, `false` when
+    /// recomputing is cheaper than the table traffic (probe, insert,
+    /// `reserve`). A non-memoising backend's sweeps never touch the cache —
+    /// no probes, no inserts, no entries — and report every scenario as a
+    /// miss, exactly as a `use_cache: false` sweep does.
+    fn memoise(&self) -> bool {
+        true
+    }
 
     /// Salt mixed into every memoisation-cache key. Must change whenever the
     /// backend is configured to produce different numbers for the same
@@ -133,6 +153,10 @@ pub trait EvalBackend: Sync {
 impl<B: EvalBackend + Send + ?Sized> EvalBackend for std::sync::Arc<B> {
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn memoise(&self) -> bool {
+        (**self).memoise()
     }
 
     fn cache_salt(&self) -> String {
@@ -317,6 +341,12 @@ pub struct AnalyticBackend;
 impl EvalBackend for AnalyticBackend {
     fn name(&self) -> &'static str {
         "analytic"
+    }
+
+    /// The columnar kernel evaluates a scenario in about a nanosecond; a
+    /// cache probe costs tens.
+    fn memoise(&self) -> bool {
+        false
     }
 
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
@@ -536,6 +566,11 @@ impl MeasuredBackend {
 impl EvalBackend for MeasuredBackend {
     fn name(&self) -> &'static str {
         "measured"
+    }
+
+    /// The analytic backend's columnar kernel, so the analytic trade-off.
+    fn memoise(&self) -> bool {
+        false
     }
 
     fn cache_salt(&self) -> String {

@@ -11,10 +11,15 @@
 //! deterministic and ordered regardless of scheduling, and the borrow
 //! checker, not a comment, is what keeps two workers off one slot.
 //!
-//! With memoisation enabled, each batch first probes the [`EvalCache`] by
-//! canonical scenario fingerprint; only the misses are evaluated (and
-//! back-filled into the cache). Because the cache stores raw `f64` bit
-//! patterns, cached and uncached sweeps produce bit-identical records.
+//! A sweep memoises when its [`SweepConfig::use_cache`] allows it and its
+//! backend asks for it ([`EvalBackend::memoise`]): each batch then first
+//! probes the [`EvalCache`] by canonical scenario fingerprint; only the
+//! misses are evaluated (and back-filled into the cache). The analytic and
+//! measured backends recompute for less than a probe costs, so their sweeps
+//! take the uncached path whatever the config says — no
+//! `reserve`, no key folding, no back-fill — and report every scenario as a
+//! miss. Because the cache stores raw `f64` bit patterns, cached and uncached
+//! sweeps produce bit-identical records.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +92,9 @@ pub struct SweepConfig {
     /// Scenarios per work batch. Batches are contiguous index ranges, so this
     /// is also the granularity of the backend's model-hoisting fast path.
     pub batch_size: usize,
-    /// Whether to consult and fill the engine's memoisation cache.
+    /// Whether the sweep may consult and fill the engine's memoisation
+    /// cache. It does only if the backend also memoises
+    /// ([`EvalBackend::memoise`]).
     pub use_cache: bool,
 }
 
@@ -217,7 +224,7 @@ impl Engine {
         // make it near-free and every element is still initialised.
         let mut records: Vec<EvalRecord> = zeroed_records(n);
         crate::mem::advise_huge_pages(records.as_mut_ptr(), n * std::mem::size_of::<EvalRecord>());
-        let cache = config.use_cache.then_some(&self.cache);
+        let cache = (config.use_cache && backend.memoise()).then_some(&self.cache);
         // An empty cache cannot answer any probe, so the sweep skips the
         // guaranteed-miss lookups entirely and goes straight to the columnar
         // evaluation plus back-fill — this halves the cache's memory traffic
@@ -228,10 +235,13 @@ impl Engine {
         let cold_start = cache.is_some() && warm_entries == 0;
         // The cache never rehashes mid-sweep, and the salt string is built
         // once instead of once per batch.
-        if cache.is_some() {
-            self.cache.reserve(n);
-        }
-        let salt = backend.cache_salt();
+        let salt = match cache {
+            Some(cache) => {
+                cache.reserve(n);
+                backend.cache_salt()
+            }
+            None => String::new(),
+        };
         let ctx = BatchCtx {
             space,
             tables,
@@ -687,7 +697,7 @@ fn process_batch_holes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::AnalyticBackend;
+    use crate::backend::{AnalyticBackend, SimBackend};
     use mp_model::params::{AppClass, AppParams};
 
     fn space() -> ScenarioSpace {
@@ -717,13 +727,16 @@ mod tests {
 
     #[test]
     fn cached_resweep_hits_every_scenario() {
+        // The simulator memoises; the analytic and measured backends never
+        // touch the cache (tests/sweep_parity.rs).
         let space = space();
         let engine = Engine::new(2);
         let config = SweepConfig { batch_size: 32, use_cache: true };
-        let first = engine.sweep(&space, &AnalyticBackend, &config);
+        let sim = SimBackend::new();
+        let first = engine.sweep(&space, &sim, &config);
         assert_eq!(first.stats.cache_hits, 0);
         assert_eq!(first.stats.cache_misses, space.len() as u64);
-        let second = engine.sweep(&space, &AnalyticBackend, &config);
+        let second = engine.sweep(&space, &sim, &config);
         assert_eq!(second.stats.cache_hits, space.len() as u64);
         assert_eq!(second.stats.cache_misses, 0);
         for (x, y) in first.records.iter().zip(second.records.iter()) {
@@ -761,7 +774,6 @@ mod tests {
 
     #[test]
     fn reconfigured_backend_does_not_read_stale_cache_entries() {
-        use crate::backend::SimBackend;
         // A grid whose merge tables spill the L1 at the default operation
         // budget but not at a smaller one, so the two configurations truly
         // disagree.
@@ -832,13 +844,14 @@ mod tests {
         let handle = SweepHandle::owned(space.clone());
         let config = SweepConfig { batch_size: 32, use_cache: true };
         let n = handle.len();
+        let sim = SimBackend::new();
         // Two engines (distinct caches) share the handle; each answers its
         // second pass entirely from its own cache.
         for threads in [1usize, 2] {
             let engine = Engine::new(threads);
-            let first = engine.sweep_range(&handle, &AnalyticBackend, &config, 0..n);
+            let first = engine.sweep_range(&handle, &sim, &config, 0..n);
             assert_eq!(first.stats.warm_entries, 0, "cold cache reports no warm entries");
-            let second = engine.sweep_range(&handle, &AnalyticBackend, &config, 0..n);
+            let second = engine.sweep_range(&handle, &sim, &config, 0..n);
             assert_eq!(second.stats.cache_hits, n as u64);
             assert!(second.stats.warm_entries > 0, "warm sweep reports its warm-start budget");
             for (a, b) in first.records.iter().zip(second.records.iter()) {
@@ -890,11 +903,13 @@ mod tests {
         // the value its twin just inserted, not leave the NaN placeholder.
         let engine = Engine::new(1);
         let config = SweepConfig { batch_size: 8, use_cache: true };
+        let sim = SimBackend::new();
         let warm = ScenarioSpace::new().clear_designs().add_symmetric_grid([8.0]);
-        engine.sweep(&warm, &AnalyticBackend, &config);
+        engine.sweep(&warm, &sim, &config);
 
         let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([4.0, 4.0, 8.0]);
-        let result = engine.sweep(&space, &AnalyticBackend, &config);
+        let result = engine.sweep(&space, &sim, &config);
+        assert_eq!(result.stats.cache_hits, 2, "the warm design and the re-probed twin");
         assert_eq!(result.stats.valid, 3, "every duplicate slot must be filled");
         assert_eq!(result.records[0].speedup.to_bits(), result.records[1].speedup.to_bits());
     }

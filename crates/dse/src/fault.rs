@@ -6,9 +6,9 @@
 //! every batch until the fault is cleared, inject a fixed latency per batch
 //! (to widen the window a crash drill must hit), or halt after N batches
 //! until released (to park a sweep at a known point). The wrapper is
-//! **transparent** when no fault fires — it delegates `name`, `cache_salt`
-//! and every evaluation verbatim, so its records (and its cache entries) are
-//! bit-identical to the inner backend's.
+//! **transparent** when no fault fires — it delegates `name`, `memoise`,
+//! `cache_salt` and every evaluation verbatim, so its records (and its cache
+//! entries) are bit-identical to the inner backend's.
 //!
 //! Faults are controlled through the shared [`FaultPlan`] handle, which the
 //! injecting test keeps while the backend is owned by an engine or service.
@@ -160,6 +160,11 @@ impl<B: EvalBackend> EvalBackend for FaultyBackend<B> {
         self.inner.name()
     }
 
+    // Wrapping never changes whether a sweep goes through the cache.
+    fn memoise(&self) -> bool {
+        self.inner.memoise()
+    }
+
     // The salt deliberately delegates too: the wrapper never changes
     // *values*, so its cache entries must interoperate with the plain
     // backend's (a resumed job warm-starts from spills a faulted run wrote).
@@ -186,7 +191,7 @@ impl<B: EvalBackend> EvalBackend for FaultyBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::AnalyticBackend;
+    use crate::backend::{AnalyticBackend, SimBackend};
     use crate::engine::{Engine, SweepConfig};
 
     fn space() -> ScenarioSpace {
@@ -211,29 +216,36 @@ mod tests {
         let space = space();
         // Several batches per sweep, so the armed one exists on every path.
         let config = SweepConfig { batch_size: 8, use_cache: true };
-        let reference = Engine::new(1).sweep(&space, &AnalyticBackend, &config);
-        // The inline engine and the pooled one share one fork-join contract.
-        for threads in [1usize, 2] {
-            let faulty = FaultyBackend::new(AnalyticBackend, FaultPlan::new());
-            faulty.plan().fail_batch(3);
-            let engine = Engine::new(threads);
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.sweep(&space, &faulty, &config)
-            }))
-            .expect_err("the armed batch must panic");
-            assert_eq!(
-                payload.downcast_ref::<String>().map(String::as_str),
-                Some("injected fault: batch 3"),
-                "{threads} thread(s): the backend's own payload reaches the caller"
-            );
-            // The fault was consumed: the retry completes on the same engine
-            // (same pool workers, same half-filled cache), bit-identically.
-            let retry = engine.sweep(&space, &faulty, &config);
-            assert_eq!(retry.stats.threads, threads);
-            assert_eq!(retry.records.len(), reference.records.len());
-            for (record, truth) in retry.records.iter().zip(&reference.records) {
-                assert_eq!(record.index, truth.index, "{threads} thread(s)");
-                assert_eq!(record.speedup.to_bits(), truth.speedup.to_bits());
+        // One backend that bypasses the cache and one that memoises.
+        let backends: [Arc<dyn EvalBackend + Send + Sync>; 2] =
+            [Arc::new(AnalyticBackend), Arc::new(SimBackend::new())];
+        for inner in backends {
+            let reference = Engine::new(1).sweep(&space, &inner, &config);
+            // The inline engine and the pooled one share one fork-join contract.
+            for threads in [1usize, 2] {
+                let faulty = FaultyBackend::new(Arc::clone(&inner), FaultPlan::new());
+                faulty.plan().fail_batch(3);
+                let engine = Engine::new(threads);
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.sweep(&space, &faulty, &config)
+                }))
+                .expect_err("the armed batch must panic");
+                let what = format!("{} at {threads} thread(s)", inner.name());
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("injected fault: batch 3"),
+                    "{what}: the backend's own payload reaches the caller"
+                );
+                // The fault was consumed: the retry completes on the same
+                // engine (same pool workers and, for the memoising backend,
+                // the same half-filled cache), bit-identically.
+                let retry = engine.sweep(&space, &faulty, &config);
+                assert_eq!(retry.stats.threads, threads);
+                assert_eq!(retry.records.len(), reference.records.len());
+                for (record, truth) in retry.records.iter().zip(&reference.records) {
+                    assert_eq!(record.index, truth.index, "{what}");
+                    assert_eq!(record.speedup.to_bits(), truth.speedup.to_bits(), "{what}");
+                }
             }
         }
     }

@@ -13,7 +13,9 @@
 //! * one binary **cache segment spill** (`cache-shard-0.seg`, the
 //!   [`EvalCache`] segment format), so a restarted process re-evaluates
 //!   only the windows the manifest says are incomplete and answers the
-//!   rest from the warmed cache.
+//!   rest from the warmed cache. A service whose backend does not memoise
+//!   ([`SweepService::memoises`]) spills and warms nothing: its answers
+//!   are recomputed, which costs less than loading them would.
 //!
 //! Failed windows are retried with capped exponential backoff and
 //! deterministic jitter (honouring the admission gate's

@@ -25,7 +25,10 @@
 //! [`SpaceTables`]) are cached by content fingerprint and shared across
 //! requests — racing first queries over the same new space share one table
 //! build — so a repeated query pays neither the table precomputation nor —
-//! thanks to the engine's cache — the evaluation.
+//! for a backend that memoises ([`EvalBackend::memoise`]), thanks to the
+//! engine's cache — the evaluation. The analytic and measured backends
+//! recompute a repeated query for less than answering it from the cache
+//! would cost.
 //!
 //! [`SpaceTables`]: mp_dse::tables::SpaceTables
 
@@ -117,7 +120,8 @@ pub struct ServiceConfig {
     pub threads_per_shard: usize,
     /// Sweep batch size handed to the engine.
     pub batch_size: usize,
-    /// Whether the engine memoises evaluations.
+    /// Whether the engine may memoise evaluations. It does only if the
+    /// backend also memoises ([`EvalBackend::memoise`]).
     pub use_cache: bool,
     /// Admission cap: evaluations in flight per service before new queries
     /// are rejected with a retryable [`Response::Busy`] instead of piling
@@ -312,6 +316,14 @@ impl SweepService {
         crate::planner::obs_coalesced_requests();
         crate::planner::obs_shared_scenarios();
         crate::planner::obs_cost_rejections();
+        // The engine applies the same predicate per sweep; holding the
+        // result here is what gates the service's own cache traffic
+        // (per-ticket `reserve`, segment spill and warm-start; see
+        // `memoises`).
+        let sweep_config = SweepConfig {
+            batch_size: config.batch_size,
+            use_cache: config.use_cache && backend.memoise(),
+        };
         SweepService {
             backend,
             engine: Engine::new(config.shards * config.threads_per_shard),
@@ -323,10 +335,7 @@ impl SweepService {
             coalescer: SingleFlight::default(),
             cost_model: CostModel::new(config.cost_per_scenario_ms),
             registry: CatalogueRegistry::new(),
-            sweep_config: SweepConfig {
-                batch_size: config.batch_size,
-                use_cache: config.use_cache,
-            },
+            sweep_config,
             queue_capacity: config.queue_capacity,
             cost_budget_ms: config.cost_budget_ms,
             queries: AtomicU64::new(0),
@@ -350,10 +359,16 @@ impl SweepService {
     /// Spill the engine's [`EvalCache`] to `dir` as one binary segment file
     /// (`cache-shard-0.seg`), written atomically (tmp file + fsync + rename).
     /// Returns the number of entries spilled. Part of a durable job's
-    /// checkpoint; also callable on its own for an orderly shutdown.
+    /// checkpoint; also callable on its own for an orderly shutdown. A
+    /// service that does not [memoise](SweepService::memoises) has nothing
+    /// to spill: no file is written and the count is `0` — resuming its
+    /// jobs recomputes the incomplete windows.
     ///
     /// [`EvalCache`]: mp_dse::cache::EvalCache
     pub fn save_cache_segments(&self, dir: &Path) -> std::io::Result<usize> {
+        if !self.memoises() {
+            return Ok(0);
+        }
         std::fs::create_dir_all(dir)?;
         let cache = self.engine.cache();
         crate::jobs::atomic_write(&dir.join("cache-shard-0.seg"), &cache.save_segment())?;
@@ -368,8 +383,12 @@ impl SweepService {
     ///
     /// Returns the number of entries restored. Corrupt, truncated or
     /// version-stale segments are **skipped with a warning** — a damaged
-    /// spill degrades to a colder cache, it never aborts startup.
+    /// spill degrades to a colder cache, it never aborts startup. A service
+    /// that does not memoise reads nothing and restores `0`.
     pub fn load_cache_segments(&self, dir: &Path) -> usize {
+        if !self.memoises() {
+            return 0;
+        }
         let mut restored = 0usize;
         for index in 0.. {
             let path = dir.join(format!("cache-shard-{index}.seg"));
@@ -390,6 +409,13 @@ impl SweepService {
     pub fn with_registry(mut self, registry: CatalogueRegistry) -> Self {
         self.registry = registry;
         self
+    }
+
+    /// Whether the service's sweeps go through the engine's cache:
+    /// [`ServiceConfig::use_cache`] allows it and the backend memoises
+    /// ([`EvalBackend::memoise`]).
+    pub fn memoises(&self) -> bool {
+        self.sweep_config.use_cache
     }
 
     /// The backend's stable name.
@@ -708,7 +734,7 @@ impl SweepService {
         // Size the cache for the whole sweep up front — exactly what a
         // one-shot `Engine::sweep` does — so the window-by-window inserts
         // never rehash (and transiently double) a table mid-stream.
-        if self.sweep_config.use_cache {
+        if self.memoises() {
             self.engine.cache().reserve(range.len());
         }
         let chunk = if chunk == 0 { DEFAULT_CHUNK } else { chunk };
@@ -1004,7 +1030,8 @@ fn space_fingerprint(space: &ScenarioSpace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_dse::backend::AnalyticBackend;
+    use mp_dse::backend::{AnalyticBackend, SimBackend};
+    use mp_dse::cache::EvalCache;
     use mp_model::params::AppParams;
 
     fn space() -> ScenarioSpace {
@@ -1016,8 +1043,17 @@ mod tests {
     }
 
     fn service(shards: usize) -> SweepService {
+        service_with(shards, Arc::new(AnalyticBackend))
+    }
+
+    /// A service over the simulator, a backend that memoises.
+    fn sim_service(shards: usize) -> SweepService {
+        service_with(shards, Arc::new(SimBackend::new()))
+    }
+
+    fn service_with(shards: usize, backend: Arc<dyn EvalBackend + Send + Sync>) -> SweepService {
         SweepService::new(
-            Arc::new(AnalyticBackend),
+            backend,
             &ServiceConfig { shards, threads_per_shard: 2, ..ServiceConfig::default() },
         )
     }
@@ -1047,9 +1083,9 @@ mod tests {
         // answer repeats from it.
         let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([2.0]);
         assert_eq!(space.len(), 1);
-        let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+        let direct = Engine::new(1).sweep(&space, &SimBackend::new(), &SweepConfig::default());
         for shards in [1usize, 4, 8] {
-            let service = service(shards);
+            let service = sim_service(shards);
             let cold = service.sweep(&space, None).unwrap();
             assert_eq!(cold.records.len(), 1, "{shards} shards");
             assert_eq!(cold.records[0].speedup.to_bits(), direct.records[0].speedup.to_bits());
@@ -1114,7 +1150,7 @@ mod tests {
     #[test]
     fn warm_repeat_queries_hit_the_cache() {
         let space = space();
-        let service = service(4);
+        let service = sim_service(4);
         let first = service.sweep(&space, None).unwrap();
         assert_eq!(first.stats.cache_hits, 0);
         let second = service.sweep(&space, None).unwrap();
@@ -1127,6 +1163,28 @@ mod tests {
         // The prepared handle was reused, not rebuilt.
         assert_eq!(service.stats().prepared_spaces, 1);
         assert_eq!(service.stats().queries, 2);
+    }
+
+    #[test]
+    fn a_backend_that_does_not_memoise_leaves_the_cache_untouched() {
+        // Blocking sweeps, a streamed ticket and a segment spill on a
+        // backend that does not memoise: no reserve, probe, insert or file.
+        let space = space();
+        let service = service(2);
+        for _ in 0..2 {
+            let result = service.sweep(&space, None).unwrap();
+            assert_eq!(result.stats.cache_hits, 0);
+            assert_eq!(result.stats.cache_misses, space.len() as u64);
+        }
+        let mut ticket = service.begin_sweep(&space, 0..space.len(), 64).unwrap();
+        while service.next_window(&mut ticket).unwrap().is_some() {}
+        assert_eq!(ticket.stats().cache_misses, space.len() as u64);
+        let dir = std::env::temp_dir().join(format!("mp-serve-nomemo-{}", std::process::id()));
+        assert_eq!(service.save_cache_segments(&dir).unwrap(), 0);
+        assert!(!dir.join("cache-shard-0.seg").exists(), "nothing to spill");
+        assert_eq!(service.load_cache_segments(&dir), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(service.stats().cache, EvalCache::new().stats());
     }
 
     #[test]
@@ -1143,7 +1201,7 @@ mod tests {
     #[test]
     fn pulled_windows_are_bit_identical_to_a_blocking_sweep() {
         let space = space();
-        let service = service(3);
+        let service = sim_service(3);
         let blocking = service.sweep(&space, None).unwrap();
         // A ragged sub-range and a chunk size that does not divide it.
         let range = 7..space.len() - 5;

@@ -76,7 +76,9 @@ proptest! {
     }
 
     /// (b) Memoised and un-memoised sweeps are bit-identical, as is a re-sweep
-    /// answered entirely from the warm cache.
+    /// answered entirely from the warm cache — on the simulator, the backend
+    /// that memoises — and the analytic backend, which never does, recomputes
+    /// the same bits on every pass.
     #[test]
     fn cached_and_uncached_sweeps_are_bit_identical(
         params in arb_params(),
@@ -90,15 +92,19 @@ proptest! {
             .clear_designs()
             .add_symmetric_grid((0..24).map(|i| 1.0 + i as f64 * 13.0))
             .add_asymmetric_grid([1.0, 4.0], [8.0, 64.0, 300.0]);
-        let engine = Engine::new(2);
-        let cold = engine.sweep(&space, &AnalyticBackend, &SweepConfig { batch_size: 8, use_cache: false });
-        let caching = engine.sweep(&space, &AnalyticBackend, &SweepConfig { batch_size: 8, use_cache: true });
-        let warm = engine.sweep(&space, &AnalyticBackend, &SweepConfig { batch_size: 8, use_cache: true });
-        prop_assert_eq!(warm.stats.cache_misses, 0);
-        prop_assert!(warm.stats.cache_hits as usize == space.len());
-        for ((a, b), c) in cold.records.iter().zip(caching.records.iter()).zip(warm.records.iter()) {
-            prop_assert!(a.speedup.to_bits() == b.speedup.to_bits(), "cold vs caching at {}", a.index);
-            prop_assert!(a.speedup.to_bits() == c.speedup.to_bits(), "cold vs warm at {}", a.index);
+        let sim = SimBackend::new().with_total_ops(1e5);
+        for backend in [&sim as &dyn EvalBackend, &AnalyticBackend] {
+            let engine = Engine::new(2);
+            let cold = engine.sweep(&space, backend, &SweepConfig { batch_size: 8, use_cache: false });
+            let caching = engine.sweep(&space, backend, &SweepConfig { batch_size: 8, use_cache: true });
+            let warm = engine.sweep(&space, backend, &SweepConfig { batch_size: 8, use_cache: true });
+            let hits = if backend.memoise() { space.len() } else { 0 };
+            prop_assert_eq!(warm.stats.cache_misses as usize, space.len() - hits);
+            prop_assert!(warm.stats.cache_hits as usize == hits);
+            for ((a, b), c) in cold.records.iter().zip(caching.records.iter()).zip(warm.records.iter()) {
+                prop_assert!(a.speedup.to_bits() == b.speedup.to_bits(), "cold vs caching at {}", a.index);
+                prop_assert!(a.speedup.to_bits() == c.speedup.to_bits(), "cold vs warm at {}", a.index);
+            }
         }
     }
 
@@ -160,7 +166,8 @@ proptest! {
 fn parallel_sweep_of_a_mixed_space_is_deterministic() {
     // A deterministic cross-backend smoke test kept out of proptest to bound
     // runtime: a mixed symmetric/asymmetric space with unfit designs, swept
-    // in parallel with memoisation, twice, through two engines.
+    // in parallel with memoisation (the simulator memoises), twice, through
+    // two engines.
     let space = ScenarioSpace::new()
         .with_apps(AppParams::table2_all())
         .with_budgets(vec![64.0, 256.0])
@@ -170,11 +177,11 @@ fn parallel_sweep_of_a_mixed_space_is_deterministic() {
         .add_asymmetric_grid([1.0, 2.0], [4.0, 32.0, 128.0]);
     let a = Engine::new(4);
     let b = Engine::new(1);
+    let sim = SimBackend::new();
     let config = SweepConfig { batch_size: 32, use_cache: true };
-    let first = a.sweep(&space, &AnalyticBackend, &config);
-    let second = a.sweep(&space, &AnalyticBackend, &config);
-    let reference =
-        b.sweep(&space, &AnalyticBackend, &SweepConfig { batch_size: 1024, use_cache: false });
+    let first = a.sweep(&space, &sim, &config);
+    let second = a.sweep(&space, &sim, &config);
+    let reference = b.sweep(&space, &sim, &SweepConfig { batch_size: 1024, use_cache: false });
     assert_eq!(first.stats.scenarios, space.len());
     assert!(first.stats.valid < space.len(), "some designs must not fit the 64-BCE budget");
     assert_eq!(second.stats.cache_misses, 0);

@@ -7,7 +7,10 @@
 //! in its own file (one test binary = one process = one counter).
 //!
 //! The final records must be bit-identical to an uninterrupted
-//! `Engine::sweep` of the same space.
+//! `Engine::sweep` of the same space. The drill runs on the simulator, a
+//! backend that memoises, so there is a cache to spill and restore; a
+//! backend that does not memoise (analytic, measured) spills nothing and
+//! recomputes (`tests/serve_jobs.rs`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,7 +41,7 @@ fn killed_job_resumes_from_its_checkpoint_and_reevaluates_only_incomplete_window
     let job_id;
     {
         let faulty: Arc<dyn EvalBackend + Send + Sync> =
-            Arc::new(FaultyBackend::new(AnalyticBackend, Arc::clone(&plan)));
+            Arc::new(FaultyBackend::new(SimBackend::new(), Arc::clone(&plan)));
         let service = Arc::new(SweepService::new(faulty, &config));
         let manager =
             JobManager::new(Arc::clone(&service), Some(dir.clone()), JobConfig::default()).unwrap();
@@ -75,7 +78,7 @@ fn killed_job_resumes_from_its_checkpoint_and_reevaluates_only_incomplete_window
     );
 
     // ---- Phase 2: fresh process-equivalent — restore, resume, complete. ----
-    let service = Arc::new(SweepService::new(Arc::new(AnalyticBackend), &config));
+    let service = Arc::new(SweepService::new(Arc::new(SimBackend::new()), &config));
     let manager =
         JobManager::new(Arc::clone(&service), Some(dir.clone()), JobConfig::default()).unwrap();
     let restored = manager.status(&job_id).unwrap();
@@ -114,7 +117,7 @@ fn killed_job_resumes_from_its_checkpoint_and_reevaluates_only_incomplete_window
     assert_eq!(warm.stats.cache_hits as usize, space.len(), "restart must reload the cache");
 
     // Bit-parity with an uninterrupted single-engine sweep.
-    let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+    let direct = Engine::new(1).sweep(&space, &SimBackend::new(), &SweepConfig::default());
     assert_eq!(warm.records.len(), direct.records.len());
     for (a, b) in warm.records.iter().zip(direct.records.iter()) {
         assert_eq!(a.index, b.index);

@@ -130,9 +130,11 @@ fn test_config(failure_cap: u32) -> JobConfig {
 
 #[test]
 fn submitted_job_completes_checkpoints_and_warms_the_cache() {
+    // On the simulator, a backend that memoises: its checkpoints spill
+    // the cache and a restart warms from the spill.
     let store = StoreDir::new("lifecycle");
     let space = space(512);
-    let service = service(2, Arc::new(AnalyticBackend));
+    let service = service(2, Arc::new(SimBackend::new()));
     let manager =
         JobManager::new(Arc::clone(&service), Some(store.0.clone()), test_config(5)).unwrap();
 
@@ -157,7 +159,7 @@ fn submitted_job_completes_checkpoints_and_warms_the_cache() {
     // bit-identical to a direct engine sweep.
     let warm = service.sweep(&space, None).unwrap();
     assert_eq!(warm.stats.cache_hits as usize, space.len());
-    let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+    let direct = Engine::new(1).sweep(&space, &SimBackend::new(), &SweepConfig::default());
     for (a, b) in warm.records.iter().zip(direct.records.iter()) {
         assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
     }
@@ -169,14 +171,14 @@ fn submitted_job_completes_checkpoints_and_warms_the_cache() {
     let half = space.len() / 2;
     for (index, band) in [0..half, half..space.len()].into_iter().enumerate() {
         let shard = Engine::new(1);
-        shard.sweep_range(&handle, &AnalyticBackend, &SweepConfig::default(), band);
+        shard.sweep_range(&handle, &SimBackend::new(), &SweepConfig::default(), band);
         atomic_write(
             &store.0.join(format!("cache-shard-{index}.seg")),
             &shard.cache().save_segment(),
         )
         .unwrap();
     }
-    let restarted = self::service(2, Arc::new(AnalyticBackend));
+    let restarted = self::service(2, Arc::new(SimBackend::new()));
     assert_eq!(restarted.load_cache_segments(&store.0), space.len(), "both files load");
     let warm = restarted.sweep(&space, None).unwrap();
     assert_eq!(warm.stats.warm_entries, space.len());
@@ -188,8 +190,9 @@ fn submitted_job_completes_checkpoints_and_warms_the_cache() {
 fn persistent_faults_park_the_job_failed_and_resume_completes_after_clearing() {
     let space = space(256);
     let plan = FaultPlan::new();
+    // The simulator memoises, so the resumed job's product is a warm cache.
     let faulty: Arc<dyn EvalBackend + Send + Sync> =
-        Arc::new(FaultyBackend::new(AnalyticBackend, Arc::clone(&plan)));
+        Arc::new(FaultyBackend::new(SimBackend::new(), Arc::clone(&plan)));
     let service = service(2, faulty);
     let manager = JobManager::new(Arc::clone(&service), None, test_config(3)).unwrap();
 
@@ -239,6 +242,9 @@ fn one_shot_fault_is_retried_in_place_and_the_job_still_completes() {
     assert_eq!(done.windows_completed, done.windows_total);
 }
 
+/// On the analytic backend, which does not memoise, every checkpoint
+/// writes a manifest and no cache segment; the resumed job recomputes and
+/// its answers are bit-identical to a direct sweep.
 #[test]
 fn cancel_is_graceful_and_a_cancelled_job_resumes_to_completion() {
     let store = StoreDir::new("cancel");
@@ -264,9 +270,11 @@ fn cancel_is_graceful_and_a_cancelled_job_resumes_to_completion() {
     assert!(parked.windows_completed < parked.windows_total, "cancelled before the end");
     assert!(parked.checkpoints >= 1, "graceful cancel checkpoints before parking");
 
-    // The manifest on disk agrees with the parked snapshot.
+    // The manifest on disk agrees with the parked snapshot; there is no
+    // cache to spill beside it.
     let manifest = wait_manifest(&store.0.join(format!("{}.manifest", parked.id)), "cancelled");
     assert_eq!(manifest.completed.len(), parked.windows_completed);
+    assert!(!store.0.join("cache-shard-0.seg").exists(), "nothing to spill");
 
     // No faults to clear: speed the rest up and resume to completion.
     plan.set_latency(Duration::ZERO);
@@ -276,8 +284,17 @@ fn cancel_is_graceful_and_a_cancelled_job_resumes_to_completion() {
     // Cancelling a completed job is refused.
     assert!(manager.cancel(&done.id).is_err());
     // The cancelled manifest was a live resume point and survived; the
-    // eventual completion collects it along with the segments.
+    // eventual completion collects it.
     wait_clean(&store.0);
+    // The job's product, recomputed: bit-identical to a direct sweep, and
+    // the cache was never touched.
+    let again = service.sweep(&space, None).unwrap();
+    assert_eq!(again.stats.cache_misses as usize, space.len());
+    let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+    for (a, b) in again.records.iter().zip(direct.records.iter()) {
+        assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
+    }
+    assert_eq!(service.stats().cache, EvalCache::new().stats());
 }
 
 #[test]
@@ -371,7 +388,7 @@ fn one_scenario_jobs_complete_at_shard_counts_beyond_the_space() {
     for shards in [4, 8] {
         let space = space(1);
         assert_eq!(space.len(), 1);
-        let service = service(shards, Arc::new(AnalyticBackend));
+        let service = service(shards, Arc::new(SimBackend::new()));
         let manager = JobManager::new(Arc::clone(&service), None, test_config(5)).unwrap();
         let submitted = manager.submit(space.clone(), 0..1, 0, 1).unwrap();
         assert_eq!(submitted.windows_total, 1, "one window at {shards} shards");
@@ -383,7 +400,7 @@ fn one_scenario_jobs_complete_at_shard_counts_beyond_the_space() {
         let warm = service.sweep(&space, None).unwrap();
         assert_eq!(warm.stats.cache_hits, 1, "warm repeat at {shards} shards");
         assert_eq!(warm.records.len(), 1);
-        let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+        let direct = Engine::new(1).sweep(&space, &SimBackend::new(), &SweepConfig::default());
         assert_eq!(warm.records[0].speedup.to_bits(), direct.records[0].speedup.to_bits());
     }
 }

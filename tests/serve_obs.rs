@@ -20,9 +20,11 @@ fn space() -> ScenarioSpace {
         .with_growths(vec![merging_phases::model::growth::GrowthFunction::Linear])
 }
 
+/// A service over the simulator: a backend that memoises, so the cache
+/// counters and sweep stats below have traffic to account for.
 fn service(shards: usize) -> SweepService {
     SweepService::new(
-        Arc::new(AnalyticBackend),
+        Arc::new(SimBackend::new()),
         &ServiceConfig { shards, threads_per_shard: 2, ..ServiceConfig::default() },
     )
 }
@@ -126,7 +128,7 @@ fn sweep_stats_stay_exact_under_concurrent_queries() {
     // every scenario is counted once, as a hit or as a miss.
     let space = space();
     let n = space.len();
-    let direct = Engine::new(2).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+    let direct = Engine::new(2).sweep(&space, &SimBackend::new(), &SweepConfig::default());
     let sequential = service(4);
 
     let cold = sequential.sweep(&space, None).unwrap();

@@ -1,7 +1,8 @@
 //! Differential tests of the mp-serve service: every query answer must be
 //! **bit-identical** to a direct `Engine::sweep` over the same space —
-//! across engine sizes, cold and warm caches, the in-process API and the
-//! real socket protocol (where records additionally survive the wire:
+//! across engine sizes, cold and warm caches (on the simulator, which
+//! memoises; the analytic backend recomputes every pass), the in-process API
+//! and the real socket protocol (where records additionally survive the wire:
 //! binary chunk frames for sweeps, hex-bits JSON for `top_k`/`pareto`).
 
 use std::sync::Arc;
@@ -25,8 +26,24 @@ fn space() -> ScenarioSpace {
         ])
 }
 
-fn direct_sweep(space: &ScenarioSpace) -> SweepResult {
-    Engine::new(2).sweep(space, &AnalyticBackend, &SweepConfig::default())
+type Backend = Arc<dyn EvalBackend + Send + Sync>;
+
+/// The analytic backend every parity check runs on (it never memoises)
+/// and the simulator, which memoises — the cache-state checks run on it.
+fn backends() -> [Backend; 2] {
+    [analytic(), sim()]
+}
+
+fn analytic() -> Backend {
+    Arc::new(AnalyticBackend)
+}
+
+fn sim() -> Backend {
+    Arc::new(SimBackend::new())
+}
+
+fn direct_sweep(space: &ScenarioSpace, backend: &Backend) -> SweepResult {
+    Engine::new(2).sweep(space, backend, &SweepConfig::default())
 }
 
 fn assert_records_identical(got: &[EvalRecord], want: &[EvalRecord], what: &str) {
@@ -39,9 +56,9 @@ fn assert_records_identical(got: &[EvalRecord], want: &[EvalRecord], what: &str)
     }
 }
 
-fn service(shards: usize) -> SweepService {
+fn service(shards: usize, backend: &Backend) -> SweepService {
     SweepService::new(
-        Arc::new(AnalyticBackend),
+        Arc::clone(backend),
         &ServiceConfig { shards, threads_per_shard: 2, ..ServiceConfig::default() },
     )
 }
@@ -49,90 +66,105 @@ fn service(shards: usize) -> SweepService {
 #[test]
 fn in_process_queries_are_bit_identical_across_shard_counts_and_cache_states() {
     let space = space();
-    let direct = direct_sweep(&space);
-    let direct_top = top_k(&direct.records, 12);
-    let direct_pareto = pareto_frontier(&direct.records, CostAxis::Cores);
+    let n = space.len() as u64;
+    for backend in backends() {
+        let direct = direct_sweep(&space, &backend);
+        let direct_top = top_k(&direct.records, 12);
+        let direct_pareto = pareto_frontier(&direct.records, CostAxis::Cores);
+        // A repeat is answered from the cache only if the backend memoises;
+        // otherwise it is recomputed.
+        let warm_hits = if backend.memoise() { n } else { 0 };
 
-    for shards in [1usize, 4] {
-        let service = service(shards);
-        // Cold pass.
-        let cold = service.sweep(&space, None).unwrap();
-        assert_records_identical(&cold.records, &direct.records, &format!("{shards}-shard cold"));
-        assert_eq!(cold.stats.cache_hits, 0, "{shards}-shard cold pass must not hit");
-        // Warm pass: answered from the cache, still bit-identical.
-        let warm = service.sweep(&space, None).unwrap();
-        assert_records_identical(&warm.records, &direct.records, &format!("{shards}-shard warm"));
-        assert_eq!(warm.stats.cache_hits, space.len() as u64);
-        assert_eq!(warm.stats.cache_misses, 0);
-        // Analysis queries on both cache states.
-        assert_records_identical(
-            &service.top_k(&space, 12).unwrap(),
-            &direct_top,
-            &format!("{shards}-shard top_k"),
-        );
-        assert_records_identical(
-            &service.pareto(&space, CostAxis::Cores).unwrap(),
-            &direct_pareto,
-            &format!("{shards}-shard pareto"),
-        );
+        for shards in [1usize, 4] {
+            let what = format!("{} {shards}-shard", backend.name());
+            let service = service(shards, &backend);
+            // Cold pass.
+            let cold = service.sweep(&space, None).unwrap();
+            assert_records_identical(&cold.records, &direct.records, &format!("{what} cold"));
+            assert_eq!(cold.stats.cache_hits, 0, "{what} cold pass must not hit");
+            // Warm pass: still bit-identical.
+            let warm = service.sweep(&space, None).unwrap();
+            assert_records_identical(&warm.records, &direct.records, &format!("{what} warm"));
+            assert_eq!(warm.stats.cache_hits, warm_hits, "{what}");
+            assert_eq!(warm.stats.cache_misses, n - warm_hits, "{what}");
+            // Analysis queries on both cache states.
+            assert_records_identical(
+                &service.top_k(&space, 12).unwrap(),
+                &direct_top,
+                &format!("{what} top_k"),
+            );
+            assert_records_identical(
+                &service.pareto(&space, CostAxis::Cores).unwrap(),
+                &direct_pareto,
+                &format!("{what} pareto"),
+            );
+        }
     }
 }
 
 #[test]
 fn socket_protocol_preserves_bit_identity_across_shard_counts_and_cache_states() {
     let space = space();
-    let direct = direct_sweep(&space);
+    for backend in backends() {
+        let direct = direct_sweep(&space, &backend);
+        for shards in [1usize, 4] {
+            socket_parity(&space, &backend, &direct, shards);
+        }
+    }
+}
+
+fn socket_parity(space: &ScenarioSpace, backend: &Backend, direct: &SweepResult, shards: usize) {
     let direct_top = top_k(&direct.records, 7);
     let direct_pareto = pareto_frontier(&direct.records, CostAxis::Area);
+    let server =
+        Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(shards, backend)))
+            .unwrap();
+    let endpoint = server.endpoint().clone();
+    let serving = std::thread::spawn(move || server.run().unwrap());
 
-    for shards in [1usize, 4] {
-        let server =
-            Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(shards))).unwrap();
-        let endpoint = server.endpoint().clone();
-        let serving = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(&endpoint).unwrap();
+    assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION);
 
-        let mut client = Client::connect(&endpoint).unwrap();
-        assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION);
-
-        for pass in ["cold", "warm"] {
-            let what = format!("{shards}-shard {pass} socket");
-            // Tiny chunk size so reassembly of many streamed chunks is
-            // exercised, not just the single-chunk path.
-            let (records, stats) = client.sweep(&space, None, 100).unwrap();
-            assert_records_identical(&records, &direct.records, &what);
-            assert_eq!(stats.scenarios, space.len());
-            if pass == "warm" {
-                assert_eq!(stats.cache_hits, space.len() as u64, "{what}");
-            }
-            assert_records_identical(&client.top_k(&space, 7).unwrap(), &direct_top, &what);
-            assert_records_identical(
-                &client.pareto(&space, CostAxis::Area).unwrap(),
-                &direct_pareto,
-                &what,
-            );
-        }
-
-        // Sub-range sweeps (the incremental/resumable path) over the wire.
-        let n = space.len();
-        for window in [0..n / 3, n / 3..n - 1, n - 1..n] {
-            let (records, _) = client.sweep(&space, Some(window.clone()), 64).unwrap();
-            assert_records_identical(
-                &records,
-                &direct.records[window],
-                &format!("{shards}-shard range sweep"),
-            );
-        }
-
-        client.shutdown().unwrap();
-        serving.join().unwrap();
+    for pass in ["cold", "warm"] {
+        let what = format!("{} {shards}-shard {pass} socket", backend.name());
+        // Tiny chunk size so reassembly of many streamed chunks is
+        // exercised, not just the single-chunk path.
+        let (records, stats) = client.sweep(space, None, 100).unwrap();
+        assert_records_identical(&records, &direct.records, &what);
+        assert_eq!(stats.scenarios, space.len());
+        let hits = if pass == "warm" && backend.memoise() { space.len() } else { 0 };
+        assert_eq!(stats.cache_hits, hits as u64, "{what}");
+        assert_records_identical(&client.top_k(space, 7).unwrap(), &direct_top, &what);
+        assert_records_identical(
+            &client.pareto(space, CostAxis::Area).unwrap(),
+            &direct_pareto,
+            &what,
+        );
     }
+
+    // Sub-range sweeps (the incremental/resumable path) over the wire.
+    let n = space.len();
+    for window in [0..n / 3, n / 3..n - 1, n - 1..n] {
+        let (records, _) = client.sweep(space, Some(window.clone()), 64).unwrap();
+        assert_records_identical(
+            &records,
+            &direct.records[window],
+            &format!("{} {shards}-shard range sweep", backend.name()),
+        );
+    }
+
+    client.shutdown().unwrap();
+    serving.join().unwrap();
 }
 
 #[test]
 fn concurrent_socket_clients_all_observe_identical_answers() {
+    // On the simulator, so repeats are answered from the one cache.
     let space = space();
-    let direct = Arc::new(direct_sweep(&space));
-    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(4))).unwrap();
+    let backend = sim();
+    let direct = Arc::new(direct_sweep(&space, &backend));
+    let server =
+        Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(4, &backend))).unwrap();
     let endpoint = server.endpoint().clone();
     let serving = std::thread::spawn(move || server.run().unwrap());
 
@@ -172,11 +204,12 @@ fn overlapping_sweeps_coalesce_without_breaking_bit_identity() {
     // bit-identical to a direct engine sweep — across engine sizes, client
     // counts and cache states.
     let space = space();
-    let direct = Arc::new(direct_sweep(&space));
+    let backend = analytic();
+    let direct = Arc::new(direct_sweep(&space, &backend));
 
     for shards in [1usize, 4] {
         for clients in [2usize, 8] {
-            let service = Arc::new(service(shards));
+            let service = Arc::new(service(shards, &backend));
             for pass in ["cold", "warm"] {
                 let barrier = std::sync::Barrier::new(clients);
                 std::thread::scope(|scope| {
@@ -213,8 +246,10 @@ fn overlapping_socket_clients_get_identical_answers_and_shared_stats_markers() {
     // from a shared evaluation carries `stats.coalesced` (never on the
     // records themselves — those are always bit-exact).
     let space = space();
-    let direct = Arc::new(direct_sweep(&space));
-    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(4))).unwrap();
+    let backend = analytic();
+    let direct = Arc::new(direct_sweep(&space, &backend));
+    let server =
+        Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(4, &backend))).unwrap();
     let endpoint = server.endpoint().clone();
     let serving = std::thread::spawn(move || server.run().unwrap());
 
@@ -257,8 +292,9 @@ fn skewed_query_mixes_stay_bit_identical() {
     // bit-identical to the direct engine sweep.
     let space = space();
     let n = space.len();
-    let direct = Arc::new(direct_sweep(&space));
-    let service = Arc::new(service(4));
+    let backend = analytic();
+    let direct = Arc::new(direct_sweep(&space, &backend));
+    let service = Arc::new(service(4, &backend));
     let hot_span = n / 4;
 
     let barrier = std::sync::Barrier::new(8);
@@ -295,7 +331,9 @@ fn skewed_query_mixes_stay_bit_identical() {
 
 #[test]
 fn curve_queries_match_the_figure_family_bitwise() {
-    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(1))).unwrap();
+    let server =
+        Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(1, &analytic())))
+            .unwrap();
     let endpoint = server.endpoint().clone();
     let serving = std::thread::spawn(move || server.run().unwrap());
     let mut client = Client::connect(&endpoint).unwrap();
@@ -320,12 +358,15 @@ fn unix_socket_transport_behaves_like_tcp() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("parity.sock");
     let _ = std::fs::remove_file(&path);
-    let server = Server::bind(&Endpoint::Unix(path.clone()), Arc::new(service(2))).unwrap();
+    // On the simulator, so the cache counters have something to count.
+    let backend = sim();
+    let server =
+        Server::bind(&Endpoint::Unix(path.clone()), Arc::new(service(2, &backend))).unwrap();
     let endpoint = server.endpoint().clone();
     let serving = std::thread::spawn(move || server.run().unwrap());
 
     let space = space();
-    let direct = direct_sweep(&space);
+    let direct = direct_sweep(&space, &backend);
     let mut client = Client::connect(&endpoint).unwrap();
     let (records, _) = client.sweep(&space, None, 0).unwrap();
     assert_records_identical(&records, &direct.records, "unix socket");

@@ -7,6 +7,9 @@
 //! multi-threaded. These tests sweep mixed analytic + cmpsim + measured
 //! spaces through both paths and compare raw `f64` bit patterns.
 
+use std::sync::Arc;
+
+use mp_dse::fault::{FaultPlan, FaultyBackend};
 use mp_dse::prelude::*;
 use mp_model::calibrate::{CalibratedParams, MeasuredRun};
 use mp_model::growth::GrowthFunction;
@@ -103,7 +106,7 @@ fn parity_for(backend: &dyn EvalBackend, space: &ScenarioSpace, label: &str) {
                 &result.records,
             );
         }
-        // Re-sweep against the now-warm cache: answered from memo bits.
+        // Re-sweep: answered from memo bits where the backend memoises.
         let warm = engine.sweep(space, backend, &SweepConfig { batch_size: 64, use_cache: true });
         assert_bit_identical(&format!("{label} warm threads={threads}"), &reference, &warm.records);
     }
@@ -143,6 +146,59 @@ fn measured_columnar_path_is_bit_identical_in_both_growth_modes() {
     let exact = measured_backend().with_exact_growth();
     let space = mixed_space().with_apps(exact.apps());
     parity_for(&exact, &space, "measured-exact");
+}
+
+/// The analytic and measured backends recompute a scenario for less than a
+/// probe costs, so a `use_cache: true` sweep with either — called
+/// directly, through an `Arc`, or wrapped in a `FaultyBackend` — leaves the
+/// engine's cache exactly as constructed (no reserve, probe, insert or
+/// entry), reports every scenario as a miss, and returns the bits of a
+/// `use_cache: false` sweep. Comm and the simulator memoise: on the same
+/// terms their second pass hits every scenario.
+#[test]
+fn analytic_and_measured_backends_never_touch_the_cache() {
+    let cached = SweepConfig { batch_size: 64, use_cache: true };
+    let uncached = SweepConfig { use_cache: false, ..cached };
+    let sim_space = ScenarioSpace::new()
+        .with_apps(AppParams::table2_all())
+        .with_budgets(vec![16.0, 64.0])
+        .clear_designs()
+        .add_symmetric_grid([1.0, 2.0, 4.0, 8.0, 100.0])
+        .add_asymmetric_grid([1.0, 2.0], [4.0, 16.0]);
+    let measured = measured_backend();
+    let measured_space = mixed_space().with_apps(measured.apps());
+    // (backend, its space, whether it memoises)
+    let backends: [(Arc<dyn EvalBackend + Send + Sync>, ScenarioSpace, bool); 4] = [
+        (Arc::new(AnalyticBackend), mixed_space(), false),
+        (Arc::new(measured), measured_space, false),
+        (Arc::new(CommBackend::new()), mixed_space(), true),
+        (Arc::new(SimBackend::new().with_total_ops(1e5)), sim_space, true),
+    ];
+    for (backend, space, memoises) in &backends {
+        let (n, memoises) = (space.len() as u64, *memoises);
+        let truth = Engine::new(1).sweep(space, backend, &uncached);
+        let faulty = FaultyBackend::new(Arc::clone(backend), FaultPlan::new());
+        let shapes: [(&str, &dyn EvalBackend); 3] =
+            [("direct", &**backend), ("arc", backend), ("faulty", &faulty)];
+        for (shape, wrapped) in shapes {
+            let label = format!("{} {shape}", backend.name());
+            assert_eq!(wrapped.memoise(), memoises, "{label}");
+            let engine = Engine::new(2);
+            let first = engine.sweep(space, wrapped, &cached);
+            let second = engine.sweep(space, wrapped, &cached);
+            assert_bit_identical(&format!("{label} first"), &truth.records, &first.records);
+            assert_bit_identical(&format!("{label} second"), &truth.records, &second.records);
+            assert_eq!((first.stats.cache_hits, first.stats.cache_misses), (0, n), "{label}");
+            if memoises {
+                assert_eq!((second.stats.cache_hits, second.stats.cache_misses), (n, 0), "{label}");
+                assert_eq!(engine.cache().stats().entries as u64, n, "{label}");
+            } else {
+                assert_eq!((second.stats.cache_hits, second.stats.cache_misses), (0, n), "{label}");
+                assert_eq!(second.stats.warm_entries, 0, "{label}");
+                assert_eq!(engine.cache().stats(), EvalCache::new().stats(), "{label}: untouched");
+            }
+        }
+    }
 }
 
 #[test]
