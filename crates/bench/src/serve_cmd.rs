@@ -5,7 +5,7 @@
 //! `pareto`, `curve`, `stats`, `catalogue`, `ping`, `shutdown`), with a
 //! sweep's streamed chunks as binary frames — until a client sends
 //! `shutdown`. The service owns one long-lived engine (`--shards` ×
-//! `--threads` sweep threads) and its lock-free memoisation cache, so
+//! `--threads` sweep threads) and its memoisation cache, so
 //! repeated queries on a backend that memoises (`sim`, `comm`) are answered
 //! warm — analytic and measured recompute, which is cheaper than a probe; the
 //! readiness line's `cache=` says which. The `measured`

@@ -1,4 +1,4 @@
-//! Lock-free, sharded, memoising evaluation cache.
+//! Memoising evaluation cache: one hash map behind one reader-writer lock.
 //!
 //! Keys are the 128-bit canonical scenario fingerprints of
 //! [`crate::scenario::Scenario::canonical_key`]; values are the raw bit
@@ -8,28 +8,13 @@
 //!
 //! ## Structure
 //!
-//! The cache is split into a fixed number of shards selected by the key's
-//! low bits.
-//! Each shard is an **open-addressed table of atomic slots** (state word,
-//! two key words, one value word): probes and inserts are plain atomic loads
-//! and one CAS — no locks, no per-probe allocation — so the worker threads of
-//! a parallel sweep never serialise on the cache. This replaces the previous
-//! `Vec<Mutex<HashMap>>`, whose per-probe lock was the last piece of
-//! cross-thread synchronisation on the sweep hot path.
-//!
-//! ## Growth
-//!
-//! Each shard grows independently: when its table passes a ¾ load factor,
-//! the inserting thread takes the shard's (cold-path) grow lock, publishes a
-//! double-size table, waits for in-flight writers to drain, and migrates the
-//! old entries. Readers are never blocked — at worst a probe against the old
-//! table reports a miss and the scenario is recomputed, which is harmless
-//! because every cached value is a deterministic function of its key.
-//! [`EvalCache::reserve`] pre-sizes all shards so a sweep of known size (the
-//! engine reserves `space.len()` up front) never grows mid-run. Retired
-//! tables are kept until the cache is dropped, so concurrent readers can
-//! finish probing them safely; total retired memory is bounded by the final
-//! table size (geometric series).
+//! One `HashMap<(u64, u64), u64>` behind one `RwLock`. A sweep talks to it
+//! once per batch, not once per key: [`EvalCache::get_batch`] probes a whole
+//! batch under one read lock and [`EvalCache::insert_batch`] back-fills one
+//! under one write lock. The key words are already FNV-64 outputs, so the
+//! map's hasher only folds them together. [`EvalCache::reserve`] pre-sizes
+//! the map so a sweep of known size (the engine reserves `space.len()` up
+//! front) never grows mid-run.
 //!
 //! The cache serialises to JSON (hex-encoded keys and value bits) so a sweep
 //! can warm-start from a previous process — see [`EvalCache::save_json`] /
@@ -40,17 +25,19 @@
 //! where the JSON path re-parses hex strings. Both loaders validate the
 //! whole document before inserting anything and report a typed
 //! [`CacheLoadError`]; a corrupt or torn file degrades to a cold cache,
-//! never a panic or a half-populated table.
+//! never a panic or a half-populated cache.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use parking_lot::RwLock;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mp_obs::metrics::Counter;
 
 /// Process-wide cache metrics in the global mp-obs registry, mirroring the
 /// per-instance counters across every live cache. Only cold/bulk paths
-/// touch them (migrations, inserts); per-probe traffic is mirrored at batch
+/// touch them (growths, inserts); per-probe traffic is mirrored at batch
 /// granularity by the engine.
 fn obs_inserts() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -62,276 +49,53 @@ fn obs_migrations() -> &'static Counter {
     CELL.get_or_init(|| mp_obs::counter("cache_migrations"))
 }
 
-/// Number of independent shards (power of two). Shards only gate the cold
-/// grow/migrate paths — probes and inserts are per-slot atomics — so the
-/// count is chosen for *reserve* behaviour: fewer, larger shards keep the
-/// relative hash imbalance between shards small (√n̄/n̄), which lets `reserve`
-/// run the tables denser without any shard outgrowing its slack mid-sweep.
-const SHARDS: usize = 32;
+type Map = HashMap<(u64, u64), u64, KeyHash>;
 
-/// Initial slot count per shard (power of two). [`SHARDS`] × 64 slots ≈ 2k
-/// slots before any growth; `reserve` raises this for real sweeps.
-const INITIAL_SLOTS: usize = 64;
+/// The map's hasher. Both key words are FNV-64 outputs already, so hashing
+/// them again would buy nothing: a key hashes to its first word rotated by
+/// half a word, XOR its second, which keeps well-mixed bits at both ends.
+/// Like any unkeyed hash it does not resist keys crafted to collide; the
+/// engine's keys are fingerprints it computes itself (or reloads from
+/// segments it saved), not words a client sends.
+#[derive(Default)]
+struct KeyHash;
 
-/// Slot states.
-const EMPTY: u8 = 0;
-const BUSY: u8 = 1;
-const FULL: u8 = 2;
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
 
-/// One open-addressed slot: a state word guarding two key words and a value.
-struct Slot {
-    state: AtomicU8,
-    k0: AtomicU64,
-    k1: AtomicU64,
-    value: AtomicU64,
-}
-
-/// Outcome of one table-level insert attempt.
-enum InsertOutcome {
-    /// A fresh slot was claimed; the table now holds `len` entries.
-    Inserted { len: usize },
-    /// The key already existed; its value was overwritten (values are
-    /// deterministic per key, so this is a no-op bit-wise in normal use).
-    Updated,
-    /// No free slot within the probe budget: the table must grow.
-    TableFull,
-}
-
-/// A fixed-capacity open-addressed table. Never grows in place; a full table
-/// is replaced wholesale by the owning shard.
-struct Table {
-    mask: usize,
-    len: AtomicUsize,
-    slots: Box<[Slot]>,
-}
-
-impl Table {
-    fn with_capacity(capacity: usize) -> Box<Table> {
-        debug_assert!(capacity.is_power_of_two());
-        // The all-zero byte pattern is exactly a table of EMPTY slots, so the
-        // slot array comes from `alloc_zeroed`: for the multi-megabyte tables
-        // a reserved sweep uses, the kernel's lazily-mapped zero pages make
-        // this near-free instead of a full init write pass.
-        let slots: Box<[Slot]> = unsafe {
-            let layout = std::alloc::Layout::array::<Slot>(capacity).expect("table layout");
-            let ptr = std::alloc::alloc_zeroed(layout) as *mut Slot;
-            assert!(!ptr.is_null(), "cache table allocation failed");
-            crate::mem::advise_huge_pages(ptr, layout.size());
-            Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
-        };
-        Box::new(Table { mask: capacity - 1, len: AtomicUsize::new(0), slots })
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The load-factor ceiling: grow once the table holds more than ⅞ of its
-    /// capacity. Linear probing at ⅞ load averages a handful of adjacent
-    /// slots per probe — cheap, since consecutive slots share cachelines —
-    /// while the denser table halves the memory footprint (and first-touch
-    /// fault count) of a reserved sweep compared to a ¾ ceiling.
-    fn threshold(&self) -> usize {
-        self.capacity() - self.capacity() / 8
-    }
-
-    /// Slot index of the first probe. The shard was selected by `key.0`'s low
-    /// bits, so the in-shard position uses the independent second stream.
-    fn home(&self, key: (u64, u64)) -> usize {
-        (key.1 as usize) & self.mask
-    }
-
-    /// Probe for `key`; `Some(bits)` when present and fully published.
-    fn probe(&self, key: (u64, u64)) -> Option<u64> {
-        let mut index = self.home(key);
-        for _ in 0..self.capacity() {
-            let slot = &self.slots[index];
-            match slot.state.load(Ordering::Acquire) {
-                EMPTY => return None,
-                FULL if slot.k0.load(Ordering::Relaxed) == key.0
-                    && slot.k1.load(Ordering::Relaxed) == key.1 =>
-                {
-                    return Some(slot.value.load(Ordering::Relaxed));
-                }
-                // Other key, or BUSY — a writer mid-publish: treat as
-                // occupied-by-unknown and keep probing. If a busy slot held
-                // our key, the caller simply recomputes a deterministic
-                // value.
-                _ => {}
-            }
-            index = (index + 1) & self.mask;
-        }
-        None
-    }
-
-    /// Insert or overwrite `key`, publishing the `FULL` state with `publish`
-    /// ordering. The optimistic insert protocol (see [`Shard::insert`])
-    /// requires the publication to be ordered before the post-insert check
-    /// of the shard's migration flag: single inserts publish `SeqCst`,
-    /// batched inserts publish `Release` and order the whole batch with one
-    /// trailing `SeqCst` fence.
-    fn insert(&self, key: (u64, u64), bits: u64, publish: Ordering) -> InsertOutcome {
-        let mut index = self.home(key);
-        for _ in 0..self.capacity() {
-            let slot = &self.slots[index];
-            match slot.state.compare_exchange(EMPTY, BUSY, Ordering::Acquire, Ordering::Acquire) {
-                Ok(_) => {
-                    // Claimed a fresh slot: publish key and value, then flip
-                    // to FULL so readers (Acquire on state) see them.
-                    slot.k0.store(key.0, Ordering::Relaxed);
-                    slot.k1.store(key.1, Ordering::Relaxed);
-                    slot.value.store(bits, Ordering::Relaxed);
-                    slot.state.store(FULL, publish);
-                    let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
-                    return InsertOutcome::Inserted { len };
-                }
-                Err(mut state) => {
-                    // Someone owns this slot. Wait out a concurrent publish
-                    // (a handful of stores), then match on the key.
-                    while state == BUSY {
-                        std::hint::spin_loop();
-                        state = slot.state.load(Ordering::Acquire);
-                    }
-                    if slot.k0.load(Ordering::Relaxed) == key.0
-                        && slot.k1.load(Ordering::Relaxed) == key.1
-                    {
-                        slot.value.store(bits, Ordering::Relaxed);
-                        return InsertOutcome::Updated;
-                    }
-                }
-            }
-            index = (index + 1) & self.mask;
-        }
-        InsertOutcome::TableFull
-    }
-
-    /// Snapshot every published entry. `SeqCst` state loads so a migration
-    /// scan sequenced after the `migrating` flag store observes every
-    /// publication that was `SeqCst`-ordered before the flag (writers whose
-    /// publication came later re-insert themselves instead).
-    fn entries(&self) -> impl Iterator<Item = ((u64, u64), u64)> + '_ {
-        self.slots.iter().filter(|s| s.state.load(Ordering::SeqCst) == FULL).map(|s| {
-            (
-                (s.k0.load(Ordering::Relaxed), s.k1.load(Ordering::Relaxed)),
-                s.value.load(Ordering::Relaxed),
-            )
-        })
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(0)
     }
 }
 
-/// One shard: the live table, a `migrating` flag gating writers during
-/// migration, and the cold-path grow lock holding retired tables.
-struct Shard {
-    current: AtomicPtr<Table>,
-    /// Set while a migration is in flight. Writers insert *optimistically*
-    /// (no registration) and re-check this flag plus the table pointer after
-    /// publishing: a publication the migration scan could have missed is
-    /// always followed by a re-check that observes the flag or the swapped
-    /// pointer, and that writer re-inserts into the live table. Readers
-    /// never check the flag: probes stay lock-free and a racy miss merely
-    /// recomputes a deterministic value.
-    migrating: AtomicBool,
-    grow: Mutex<Vec<*mut Table>>,
-    /// Completed table migrations (growth events) of this shard.
-    migrations: AtomicU64,
-}
+/// State of one [`KeyHash`] hash: a `(u64, u64)` key arrives as two words.
+struct KeyHasher(u64);
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            current: AtomicPtr::new(Box::into_raw(Table::with_capacity(INITIAL_SLOTS))),
-            migrating: AtomicBool::new(false),
-            grow: Mutex::new(Vec::new()),
-            migrations: AtomicU64::new(0),
-        }
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(u64::from(byte)));
     }
 
-    /// The live table. Safe because tables are only retired, never freed,
-    /// while the cache is alive.
-    fn table(&self) -> &Table {
-        unsafe { &*self.current.load(Ordering::Acquire) }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(32) ^ word;
     }
 
-    fn insert(&self, key: (u64, u64), bits: u64) {
-        loop {
-            while self.migrating.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            let table_ptr = self.current.load(Ordering::SeqCst);
-            let table = unsafe { &*table_ptr };
-            let outcome = table.insert(key, bits, Ordering::SeqCst);
-            // Post-publication check, `SeqCst` like the publication: either
-            // the publication is ordered before a concurrent migration's
-            // flag store — then the migration scan (`SeqCst` loads,
-            // sequenced after that store) sees the entry and copies it — or
-            // this load observes the flag / the swapped pointer and the
-            // insert retries against the live table. No entry is lost either
-            // way.
-            if self.migrating.load(Ordering::SeqCst)
-                || self.current.load(Ordering::SeqCst) != table_ptr
-            {
-                continue;
-            }
-            match outcome {
-                InsertOutcome::Inserted { len } if len > table.threshold() => {
-                    self.grow_to(table.capacity() * 2);
-                    return;
-                }
-                InsertOutcome::Inserted { .. } | InsertOutcome::Updated => return,
-                InsertOutcome::TableFull => {
-                    self.grow_to(table.capacity() * 2);
-                    // Retry against the (possibly freshly grown) table.
-                }
-            }
-        }
-    }
-
-    /// Replace the live table with one of at least `capacity` slots,
-    /// migrating every entry. No-op if the live table is already big enough
-    /// (e.g. a racing grower got there first).
-    fn grow_to(&self, capacity: usize) {
-        let capacity = capacity.next_power_of_two();
-        let mut retired = self.grow.lock();
-        let old_ptr = self.current.load(Ordering::SeqCst);
-        let old = unsafe { &*old_ptr };
-        if old.capacity() >= capacity {
-            return;
-        }
-        // Gate new writers out, then copy. Writers whose publication raced
-        // the flag re-insert themselves (see `insert`), so the scan below
-        // may miss them; everything it does see lands in the new table,
-        // which — at least double the old capacity and filled by no one
-        // else — cannot overflow. Racing re-inserts spin on the flag and
-        // land in the new table after the swap.
-        self.migrating.store(true, Ordering::SeqCst);
-        let new_ptr = Box::into_raw(Table::with_capacity(capacity));
-        let new = unsafe { &*new_ptr };
-        for (key, bits) in old.entries() {
-            if matches!(new.insert(key, bits, Ordering::Release), InsertOutcome::TableFull) {
-                unreachable!("migration target cannot fill up");
-            }
-        }
-        self.current.store(new_ptr, Ordering::SeqCst);
-        self.migrating.store(false, Ordering::SeqCst);
-        retired.push(old_ptr);
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-        obs_migrations().inc();
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-// SAFETY: the raw table pointers are only created from `Box::into_raw`, only
-// freed in `Drop`, and all shared access goes through atomics.
-unsafe impl Send for Shard {}
-unsafe impl Sync for Shard {}
-
-/// A sharded, lock-free memoisation cache for scenario evaluations.
+/// A memoisation cache for scenario evaluations, shared by a sweep's
+/// workers.
 pub struct EvalCache {
-    shards: Vec<Shard>,
+    map: RwLock<Map>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Misses recorded without a probe (the engine's cold-start bypass).
     bypassed: AtomicU64,
     inserts: AtomicU64,
+    /// Write-locked sections that grew the map.
+    migrations: AtomicU64,
 }
 
 /// Snapshot of a cache's warm-start state — see [`EvalCache::stats`].
@@ -339,19 +103,19 @@ pub struct EvalCache {
 pub struct CacheStats {
     /// Entries currently cached.
     pub entries: usize,
-    /// Total slot capacity across all shards.
+    /// Entries the map holds before it next grows.
     pub capacity: usize,
     /// Probes answered from the cache since construction / the last reset.
     pub hits: u64,
     /// Probes that missed since construction / the last reset.
     pub misses: u64,
-    /// Slot probes actually performed (`hits + misses` minus the cold-start
-    /// bypassed lookups, which are counted as misses but never walk a table).
+    /// Probes actually performed (`hits + misses` minus the cold-start
+    /// bypassed lookups, which are counted as misses but never look).
     pub probes: u64,
     /// Entries stored (single and batched) since construction / the last
     /// reset.
     pub inserts: u64,
-    /// Shard-table migrations (growth events) since construction.
+    /// Map growths since construction.
     pub migrations: u64,
 }
 
@@ -370,18 +134,6 @@ impl CacheStats {
 impl Default for EvalCache {
     fn default() -> Self {
         EvalCache::new()
-    }
-}
-
-impl Drop for EvalCache {
-    fn drop(&mut self) {
-        for shard in &self.shards {
-            let current = shard.current.load(Ordering::Relaxed);
-            drop(unsafe { Box::from_raw(current) });
-            for &retired in shard.grow.lock().iter() {
-                drop(unsafe { Box::from_raw(retired) });
-            }
-        }
     }
 }
 
@@ -405,11 +157,12 @@ impl EvalCache {
         obs_inserts();
         obs_migrations();
         EvalCache {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            map: RwLock::new(Map::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bypassed: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
+            migrations: AtomicU64::new(0),
         }
     }
 
@@ -420,61 +173,39 @@ impl EvalCache {
         cache
     }
 
-    fn shard(&self, key: (u64, u64)) -> &Shard {
-        &self.shards[(key.0 as usize) & (SHARDS - 1)]
+    /// Run `f` on the map under the write lock, counting a map growth if it
+    /// grew.
+    fn write(&self, f: impl FnOnce(&mut Map)) {
+        let mut map = self.map.write();
+        let capacity = map.capacity();
+        f(&mut map);
+        if map.capacity() > capacity {
+            self.migrations.fetch_add(1, Ordering::Relaxed);
+            obs_migrations().inc();
+        }
     }
 
-    /// Pre-size every shard so `entries` total entries fit without growing:
-    /// large sweeps reserve their scenario count up front and the hot loop
-    /// then never migrates a table mid-run.
+    /// Pre-size the map so `entries` entries **in total** fit without
+    /// growing: large sweeps reserve their scenario count up front and the
+    /// hot loop then never rehashes mid-run. Unlike `HashMap::reserve`, the
+    /// entries already cached count towards `entries`, so re-reserving a
+    /// warm cache for the sweep that filled it is a no-op.
     pub fn reserve(&self, entries: usize) {
-        let per_shard = entries.div_ceil(SHARDS);
-        // FNV-sharded keys spread binomially, so a shard can exceed the mean
-        // by a few standard deviations; four of them (plus a small constant
-        // for tiny reservations) makes mid-sweep growth vanishingly unlikely
-        // without doubling the tables for it.
-        let target = per_shard + 4 * (per_shard as f64).sqrt() as usize + 8;
-        let mut capacity = INITIAL_SLOTS.max(target.next_power_of_two());
-        while capacity - capacity / 8 < target {
-            capacity *= 2;
-        }
-        for shard in &self.shards {
-            if shard.table().capacity() < capacity {
-                shard.grow_to(capacity);
-            }
-        }
+        self.write(|map| map.reserve(entries.saturating_sub(map.len())));
     }
 
-    /// Total slot capacity across all shards.
+    /// Entries the map holds before it next grows.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.table().capacity()).sum()
-    }
-
-    /// Touch the home slot of every key with a plain load. Independent loads
-    /// pipeline through the memory system (unlike the locked operations of
-    /// `insert`, which drain the store buffer and serialise their cache
-    /// misses), so warming a whole batch's cachelines first and then
-    /// probing/inserting against L2 is several times faster than paying one
-    /// serialised DRAM round-trip per key. A batch of ~1k keys touches ~64
-    /// KiB — comfortably cache-resident.
-    pub fn prefetch(&self, keys: &[(u64, u64)]) {
-        for &key in keys {
-            let table = self.shard(key).table();
-            let slot = &table.slots[table.home(key)];
-            prefetch_slot(slot);
-        }
+        self.map.read().capacity()
     }
 
     /// Probe a whole batch: hits fill `speedups`, misses mark `holes`
     /// (slots whose key is absent are left untouched otherwise). Returns the
-    /// number of misses. Equivalent to [`EvalCache::prefetch`] followed by a
-    /// per-key [`EvalCache::get`] loop — same probes, same hit/miss *totals*
-    /// — but the home slot of the key `PROBE_AHEAD` positions ahead is
-    /// prefetched each step, so the dependent probe walk overlaps its memory
-    /// traffic instead of serialising one cache-line fetch per key, and the
-    /// shared hit/miss counters are bumped once per batch: a per-probe
-    /// `fetch_add` would bounce their cache line between every sweep worker
-    /// once per scenario. Panics if the slices differ in length.
+    /// number of misses. Equivalent to a per-key [`EvalCache::get`] loop —
+    /// same probes, same hit/miss *totals* — but the batch takes the read
+    /// lock once and bumps the shared hit/miss counters once: per-key, both
+    /// would bounce a cache line between every sweep worker once per
+    /// scenario. Panics if the slices differ in length.
     pub fn get_batch(
         &self,
         keys: &[(u64, u64)],
@@ -483,21 +214,16 @@ impl EvalCache {
     ) -> usize {
         assert_eq!(keys.len(), speedups.len(), "one speedup slot per key");
         assert_eq!(keys.len(), holes.len(), "one hole flag per key");
-        /// How far ahead of the probe walk the pipeline warms cachelines:
-        /// far enough to cover a DRAM round-trip at a few cycles per probe,
-        /// near enough that the warmed lines survive until their turn.
-        const PROBE_AHEAD: usize = 16;
         let mut missing = 0usize;
-        for i in 0..keys.len() {
-            if let Some(&ahead) = keys.get(i + PROBE_AHEAD) {
-                let table = self.shard(ahead).table();
-                prefetch_slot(&table.slots[table.home(ahead)]);
-            }
-            match self.peek(keys[i]) {
-                Some(speedup) => speedups[i] = speedup,
-                None => {
-                    holes[i] = true;
-                    missing += 1;
+        {
+            let map = self.map.read();
+            for ((key, speedup), hole) in keys.iter().zip(speedups).zip(holes) {
+                match map.get(key) {
+                    Some(&bits) => *speedup = f64::from_bits(bits),
+                    None => {
+                        *hole = true;
+                        missing += 1;
+                    }
                 }
             }
         }
@@ -508,97 +234,47 @@ impl EvalCache {
 
     /// Look up a cached speedup, counting the probe as a hit or miss.
     pub fn get(&self, key: (u64, u64)) -> Option<f64> {
-        match self.shard(key).table().probe(key) {
-            Some(bits) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(f64::from_bits(bits))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.peek(key);
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Look up a cached speedup without touching the hit/miss counters.
     /// Used for internal re-probes (a batch re-checking its own first-probe
     /// holes), which would otherwise double-count and skew the statistics.
     pub fn peek(&self, key: (u64, u64)) -> Option<f64> {
-        self.shard(key).table().probe(key).map(f64::from_bits)
+        self.map.read().get(&key).copied().map(f64::from_bits)
     }
 
     /// Store an evaluated speedup (bit pattern preserved, NaNs included).
     pub fn insert(&self, key: (u64, u64), speedup: f64) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         obs_inserts().inc();
-        self.shard(key).insert(key, speedup.to_bits());
+        self.write(|map| {
+            map.insert(key, speedup.to_bits());
+        });
     }
 
     /// Store a batch of evaluated speedups. Equivalent to calling
-    /// [`EvalCache::insert`] per entry, but the publications are `Release`
-    /// with **one** trailing `SeqCst` fence ordering the whole batch against
-    /// concurrent shard migrations — on the sweep's cold back-fill path this
-    /// replaces a full fence per scenario with one per batch. Panics if the
+    /// [`EvalCache::insert`] per entry, but the whole batch takes the write
+    /// lock once: on the sweep's cold back-fill path that is one
+    /// synchronisation per batch instead of one per scenario. Panics if the
     /// slices differ in length.
     pub fn insert_batch(&self, keys: &[(u64, u64)], speedups: &[f64]) {
         assert_eq!(keys.len(), speedups.len(), "one speedup per key");
         self.inserts.fetch_add(keys.len() as u64, Ordering::Relaxed);
         obs_inserts().add(keys.len() as u64);
-        self.prefetch(keys);
-        // The table pointer each shard's inserts went through (null =
-        // untouched). If the post-fence check finds a shard migrated (or
-        // migrating) since, its keys are re-inserted through the fully
-        // fenced single path — idempotent, values are deterministic per key.
-        let mut seen: [*mut Table; SHARDS] = [std::ptr::null_mut(); SHARDS];
-        for (&key, &speedup) in keys.iter().zip(speedups) {
-            let index = (key.0 as usize) & (SHARDS - 1);
-            let shard = &self.shards[index];
-            if shard.migrating.load(Ordering::Acquire) {
-                // Rare: fall back to the single path, which parks and
-                // retries; the shard still gets a post-fence check below
-                // for any earlier unfenced inserts.
-                shard.insert(key, speedup.to_bits());
-                continue;
+        self.write(|map| {
+            for (&key, &speedup) in keys.iter().zip(speedups) {
+                map.insert(key, speedup.to_bits());
             }
-            let table_ptr = shard.current.load(Ordering::Acquire);
-            if seen[index].is_null() {
-                seen[index] = table_ptr;
-            }
-            // Keep the *earliest* observed pointer in `seen`: if the shard
-            // migrates between two inserts of this batch, the final check
-            // sees the mismatch and replays the shard's keys.
-            let table = unsafe { &*table_ptr };
-            match table.insert(key, speedup.to_bits(), Ordering::Release) {
-                InsertOutcome::Inserted { len } if len > table.threshold() => {
-                    shard.grow_to(table.capacity() * 2);
-                }
-                InsertOutcome::Inserted { .. } | InsertOutcome::Updated => {}
-                InsertOutcome::TableFull => shard.insert(key, speedup.to_bits()),
-            }
-        }
-        std::sync::atomic::fence(Ordering::SeqCst);
-        for (index, &table_ptr) in seen.iter().enumerate() {
-            if table_ptr.is_null() {
-                continue;
-            }
-            let shard = &self.shards[index];
-            if shard.migrating.load(Ordering::SeqCst)
-                || shard.current.load(Ordering::SeqCst) != table_ptr
-            {
-                for (&key, &speedup) in keys.iter().zip(speedups) {
-                    if (key.0 as usize) & (SHARDS - 1) == index {
-                        shard.insert(key, speedup.to_bits());
-                    }
-                }
-            }
-        }
+        });
     }
 
-    /// Number of cached entries (exact while no inserts are in flight): the
-    /// sum of the live tables' entry counters, which a migration carries
-    /// over by re-inserting — never a walk over the slots.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.table().len.load(Ordering::Relaxed)).sum()
+        self.map.read().len()
     }
 
     /// Whether the cache is empty.
@@ -626,9 +302,9 @@ impl EvalCache {
         self.bypassed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Slot probes actually performed: every [`EvalCache::get`] call, i.e.
+    /// Probes actually performed: every [`EvalCache::get`] call, i.e.
     /// `hits + misses` minus the bypassed cold-start misses (which are
-    /// counted as misses without walking a table).
+    /// counted as misses without looking).
     pub fn probes(&self) -> u64 {
         (self.hits() + self.misses()).saturating_sub(self.bypassed.load(Ordering::Relaxed))
     }
@@ -640,13 +316,14 @@ impl EvalCache {
         self.inserts.load(Ordering::Relaxed)
     }
 
-    /// Completed shard-table migrations (growth events) since construction.
+    /// Map growths since construction: write-locked sections (an insert, a
+    /// batch, a reserve or a load) that grew the map.
     pub fn migrations(&self) -> u64 {
-        self.shards.iter().map(|s| s.migrations.load(Ordering::Relaxed)).sum()
+        self.migrations.load(Ordering::Relaxed)
     }
 
     /// Reset the hit/miss/probe/insert counters (entries — and the
-    /// structural migration count — are kept).
+    /// structural growth count — are kept).
     pub fn reset_counters(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -656,13 +333,17 @@ impl EvalCache {
 
     /// One consistent-enough snapshot of the cache's warm-start state:
     /// entry/capacity footprint plus the lifetime hit/miss counters. Cheap to
-    /// take (counter reads only) and safe concurrently with inserts — counts may
-    /// lag in-flight writers by a few entries, which is fine for the service
-    /// stats and hit-rate reporting this feeds.
+    /// take (one read lock plus counter reads) and safe concurrently with
+    /// inserts — the counters may lag in-flight writers by a few entries,
+    /// which is fine for the service stats and hit-rate reporting this feeds.
     pub fn stats(&self) -> CacheStats {
+        let (entries, capacity) = {
+            let map = self.map.read();
+            (map.len(), map.capacity())
+        };
         CacheStats {
-            entries: self.len(),
-            capacity: self.capacity(),
+            entries,
+            capacity,
             hits: self.hits(),
             misses: self.misses(),
             probes: self.probes(),
@@ -682,14 +363,13 @@ impl EvalCache {
     /// entries are `[key_hi, key_lo, value_bits]` hex-string triplets (hex so
     /// no `f64` precision is lost in transit).
     pub fn save_json(&self) -> String {
-        let mut entries: Vec<(String, String, String)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for ((hi, lo), bits) in shard.table().entries() {
-                entries.push((format!("{hi:016x}"), format!("{lo:016x}"), format!("{bits:016x}")));
-            }
-        }
-        // Deterministic order regardless of slot placement.
-        entries.sort();
+        let entries: Vec<(String, String, String)> = self
+            .sorted_entries()
+            .into_iter()
+            .map(|((hi, lo), bits)| {
+                (format!("{hi:016x}"), format!("{lo:016x}"), format!("{bits:016x}"))
+            })
+            .collect();
         serde_json::to_string(&(Self::format_version(), entries))
             .expect("cache entries always serialise")
     }
@@ -737,11 +417,7 @@ impl EvalCache {
     ///
     /// Entries are sorted, so equal cache contents serialise to equal bytes.
     pub fn save_segment(&self) -> Vec<u8> {
-        let mut entries: Vec<((u64, u64), u64)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            entries.extend(shard.table().entries());
-        }
-        entries.sort_unstable();
+        let entries = self.sorted_entries();
         let version = Self::format_version();
         let mut bytes =
             Vec::with_capacity(SEGMENT_MAGIC.len() + 12 + version.len() + entries.len() * 24 + 4);
@@ -839,12 +515,20 @@ impl EvalCache {
         }
     }
 
+    /// Every entry, sorted by key: equal contents give equal order whatever
+    /// the map's iteration order (shared head of both savers).
+    fn sorted_entries(&self) -> Vec<((u64, u64), u64)> {
+        let mut entries: Vec<_> = self.map.read().iter().map(|(&key, &bits)| (key, bits)).collect();
+        entries.sort_unstable();
+        entries
+    }
+
     /// Bulk-insert fully validated entries (shared tail of both loaders).
     fn insert_validated(&self, entries: &[((u64, u64), u64)]) {
-        self.reserve(entries.len());
-        for &(key, bits) in entries {
-            self.shard(key).insert(key, bits);
-        }
+        self.write(|map| {
+            map.reserve(entries.len().saturating_sub(map.len()));
+            map.extend(entries.iter().copied());
+        });
     }
 }
 
@@ -929,22 +613,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Warm the cacheline of one slot ahead of a dependent probe. On x86-64 this
-/// is a dedicated `prefetcht0` (no load port, no dependency); elsewhere a
-/// plain relaxed load of the state byte.
-#[inline]
-fn prefetch_slot(slot: &Slot) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(slot as *const Slot as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = slot.state.load(Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,17 +647,16 @@ mod tests {
     #[test]
     fn growth_keeps_every_entry() {
         let cache = EvalCache::new();
-        // Far beyond the initial SHARDS × 64-slot capacity, with keys
-        // crafted to hammer a handful of shards (same low bits of key.0).
+        // Many growths past the empty map, with keys whose first words share
+        // their low bits.
         let n = 40_000u64;
         for i in 0..n {
-            cache.insert((i * SHARDS as u64, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as f64);
+            cache.insert((i * 32, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as f64);
         }
         assert_eq!(cache.len(), n as usize);
         for i in 0..n {
-            let got = cache
-                .peek((i * SHARDS as u64, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                .unwrap_or(f64::NAN);
+            let got =
+                cache.peek((i * 32, i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).unwrap_or(f64::NAN);
             assert_eq!(got.to_bits(), (i as f64).to_bits(), "entry {i} lost in growth");
         }
     }
@@ -999,12 +666,32 @@ mod tests {
         let cache = EvalCache::new();
         cache.reserve(100_000);
         let capacity = cache.capacity();
-        assert!(capacity >= 100_000 * 8 / 7, "got {capacity}");
+        assert!(capacity >= 100_000, "got {capacity}");
         for i in 0..100_000u64 {
             cache.insert((i, i * 31), i as f64);
         }
         assert_eq!(cache.capacity(), capacity, "a reserved cache must not grow mid-run");
         assert_eq!(cache.len(), 100_000);
+    }
+
+    #[test]
+    fn reserve_counts_entries_in_total() {
+        let n = 1_000u64;
+        let cache = EvalCache::new();
+        for i in 0..n {
+            cache.insert((i, i * 31), i as f64);
+        }
+        let capacity = cache.capacity();
+        assert!(capacity < 2 * n as usize, "n more entries would not fit: {capacity}");
+        cache.reserve(n as usize);
+        assert_eq!(cache.capacity(), capacity, "the n cached entries already fit");
+        cache.reserve(2 * n as usize);
+        let reserved = cache.capacity();
+        for i in n..2 * n {
+            cache.insert((i, i * 31), i as f64);
+        }
+        assert_eq!(cache.capacity(), reserved, "2n entries in total fit without growing");
+        assert_eq!(cache.len(), 2 * n as usize);
     }
 
     #[test]
@@ -1164,8 +851,8 @@ mod tests {
     #[test]
     fn len_counts_distinct_keys_across_concurrent_growth_and_overwrites() {
         // Eight threads insert overlapping windows of one key sequence into
-        // an unreserved cache, so every shard migrates several times while
-        // other threads are mid-insert and half of all inserts overwrite.
+        // an unreserved cache, so the map grows while other threads wait to
+        // insert and half of all inserts overwrite.
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 6_000;
         const STRIDE: u64 = PER_THREAD / 2;
@@ -1184,8 +871,8 @@ mod tests {
             }
         });
         let distinct = ((THREADS - 1) * STRIDE + PER_THREAD) as usize;
-        assert!(cache.migrations() >= 3 * SHARDS as u64, "the tables must have grown repeatedly");
-        assert_eq!(cache.len(), distinct, "the counter survives migration and overwrite");
+        assert!(cache.migrations() >= 1, "the map must have grown");
+        assert_eq!(cache.len(), distinct, "the count survives growth and overwrite");
         assert_eq!(cache.stats().entries, distinct);
         assert!(!cache.is_empty());
         let restored = EvalCache::new();

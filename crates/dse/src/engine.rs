@@ -597,9 +597,7 @@ fn process_batch(
                     cache.insert_batch(keys, speedups);
                     None
                 } else {
-                    // Pipelined probe walk: each step prefetches the home
-                    // slot a fixed distance ahead, overlapping the batch's
-                    // cacheline fetches with the dependent probes.
+                    // One read lock for the whole batch's probes.
                     let missing = cache.get_batch(keys, speedups, holes);
                     ctx.hits.fetch_add((len - missing) as u64, Ordering::Relaxed);
                     obs_cache_hits().add((len - missing) as u64);

@@ -22,11 +22,12 @@
 //! * [`tables`] — [`SpaceTables`]: per-sweep columnar (SoA) precomputation
 //!   of every design-axis quantity (geometry, `perf(r)`, growth samples),
 //!   feeding the backends' zero-allocation batch kernels.
-//! * [`cache`] — [`EvalCache`]: lock-free, sharded, open-addressed
-//!   memoisation keyed on canonicalised scenario bits; cached and uncached
-//!   sweeps are bit-identical, large sweeps reserve their size up front so
-//!   the table never rehashes mid-run. It persists as binary segments (the
-//!   durable jobs of `mp-serve`); only the repo's benchmark calls the JSON form.
+//! * [`cache`] — [`EvalCache`]: one hash map behind one reader-writer lock,
+//!   taken once per batch, memoising on canonicalised scenario bits; cached
+//!   and uncached sweeps are bit-identical, large sweeps reserve their size
+//!   up front so the map never rehashes mid-run. It persists as binary
+//!   segments (the durable jobs of `mp-serve`); only the repo's benchmark
+//!   calls the JSON form.
 //! * [`merge`] — Merge-Path even-partition merging of index-sorted record
 //!   runs, bit-identical to a stable sequential k-way merge. Called only by
 //!   the repo's benchmark; see the module docs.

@@ -1,12 +1,11 @@
 //! Large-allocation memory hints.
 //!
-//! The sweep's two big flat allocations — the memoisation cache's slot
-//! tables and the record vector — are tens of megabytes of first-touch
-//! memory per run. On hosts where transparent huge pages are in `madvise`
-//! mode (the common distro default), asking for huge pages collapses
-//! thousands of 4 KiB first-touch faults into a handful of 2 MiB ones,
-//! which is a measurable slice of a cold sweep's wall clock. The hint is
-//! best-effort: failures (and non-Linux targets) are ignored.
+//! The sweep's one big flat allocation, the record vector, is tens of
+//! megabytes of first-touch memory per run. On hosts where transparent huge
+//! pages are in `madvise` mode (the common distro default), asking for huge
+//! pages collapses thousands of 4 KiB first-touch faults into a handful of
+//! 2 MiB ones, which is a measurable slice of a cold sweep's wall clock. The
+//! hint is best-effort: failures (and non-Linux targets) are ignored.
 
 /// Advise the kernel to back `[ptr, ptr + len)` with transparent huge pages.
 /// No-op for small regions, on errors and on non-Linux targets.

@@ -7,7 +7,7 @@
 //! chunks as binary frames.
 //!
 //! * [`service`] — [`SweepService`]: one long-lived
-//!   [`Engine`](mp_dse::engine::Engine) + lock-free `EvalCache` behind one
+//!   [`Engine`](mp_dse::engine::Engine) + its `EvalCache` behind one
 //!   admission gate. Every admitted range is a single `Engine::sweep_range`
 //!   on the calling thread, so an answer is **bit-identical** to a direct
 //!   `Engine::sweep`, and repeated queries on a backend that memoises hit

@@ -1,7 +1,7 @@
 //! The resident sweep service: one engine behind a query planner.
 //!
 //! A [`SweepService`] owns **one** long-lived [`Engine`] — one worker pool,
-//! one lock-free memoisation cache — and answers every admitted range with a
+//! one memoisation cache — and answers every admitted range with a
 //! single [`Engine::sweep_range`] on the calling thread. The engine's batch
 //! queue is the only scheduler: an idle pool worker takes the next batch,
 //! every worker writes its own disjoint slice of one preallocated record

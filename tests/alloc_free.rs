@@ -76,7 +76,6 @@ fn cache_probe_and_insert_allocate_nothing_after_reserve() {
     let cache = EvalCache::new();
     cache.reserve(n);
     let before = allocations();
-    cache.prefetch(&keys);
     cache.insert_batch(&keys, &out);
     for &key in &keys {
         assert!(cache.peek(key).is_some());

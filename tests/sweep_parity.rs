@@ -1,6 +1,6 @@
 //! Bit-parity regression suite for the columnar sweep path.
 //!
-//! The zero-allocation pipeline (prepared models, space tables, lock-free
+//! The zero-allocation pipeline (prepared models, space tables, batched
 //! memoisation cache, allocation-free simulator kernel) is only allowed to
 //! be *faster* — every sweep must reproduce the reference per-scenario
 //! evaluation bit for bit, NaN markers included, cached or not, single- or
@@ -371,10 +371,10 @@ proptest! {
         }
     }
 
-    /// Hammer the lock-free cache from 8 threads with overlapping key ranges
-    /// and assert nothing is lost or corrupted — including entries written
-    /// while shards migrate (the initial tables are small, so unreserved
-    /// inserts migrate several times per run).
+    /// Hammer the cache from 8 threads with overlapping key ranges and
+    /// assert nothing is lost or corrupted — including entries written while
+    /// the map grows (it starts empty, so unreserved inserts grow it several
+    /// times per run).
     #[test]
     fn concurrent_cache_hammering_loses_nothing(seed in 0u64..u64::MAX) {
         let cache = EvalCache::new();
