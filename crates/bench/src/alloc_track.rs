@@ -1,13 +1,13 @@
 //! Heap-allocation accounting for the throughput profile.
 //!
-//! [`CountingAllocator`] wraps the system allocator and counts every
-//! allocation (and reallocation) plus the bytes requested. The `repro`
-//! binary installs it as its global allocator; `repro dse --profile` then
+//! [`CountingAllocator`] wraps the system allocator, counts every
+//! allocation (and reallocation) and tracks the bytes live on the heap. The
+//! `repro` binary installs it as its global allocator; `repro dse --profile` then
 //! reports the exact number of heap allocations each sweep pass performed —
 //! the observable the zero-allocation hot path is held to.
 //!
 //! The counters are process-global atomics with relaxed ordering: they cost
-//! two uncontended atomic increments per allocation, which is noise next to
+//! a few uncontended atomic operations per allocation, which is noise next to
 //! the allocation itself, and reads are only ever approximate snapshots
 //! around timed regions.
 //!
@@ -21,7 +21,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 
@@ -35,7 +34,6 @@ thread_local! {
 /// counters, then the live/peak gauges.
 fn track_alloc(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(size as u64, Ordering::Relaxed);
     THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
     let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
     // Monotone max via CAS; races only ever under-report transiently.
@@ -95,12 +93,6 @@ pub fn thread_allocation_count() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
 }
 
-/// Bytes requested from the heap since process start (0 if no
-/// [`CountingAllocator`] is installed in this binary).
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
-
 /// Bytes currently live on the heap (allocated minus freed; 0 if no
 /// [`CountingAllocator`] is installed). The gauge the soak tests use to
 /// assert the server's buffering stays *bounded*, not just that churn is
@@ -115,9 +107,9 @@ pub fn peak_live_bytes() -> i64 {
     PEAK.load(Ordering::Relaxed)
 }
 
-/// Restart peak tracking from the current live level, so a test or a load
-/// pass can measure the high-water mark of one region of interest without
-/// inheriting an earlier region's peak.
+/// Restart peak tracking from the current live level, so a test can measure
+/// the high-water mark of one region of interest without inheriting an
+/// earlier region's peak.
 pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }

@@ -132,13 +132,13 @@ fn usage() {
         "       repro calibrate [--threads N] [--out DIR] [--top K] [--quick] [--exact] [--json]"
     );
     eprintln!(
-        "       repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] [--backend B] [--no-cache] [--loops N] [--executors N] [--queue N]"
+        "       repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] [--backend B] [--loops N] [--executors N] [--queue N] [--cost-budget MS] [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]"
     );
     eprintln!(
         "       repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] [--pipelined] [--depth N] [--quick] [--json] [--spawn]"
     );
     eprintln!(
-        "       repro job submit|status|cancel|resume [--addr HOST:PORT | --socket PATH] [--id ID] [--chunk N] [--checkpoint-every K] [--wait SECS] [--verify] [--quick] [--dse-space]"
+        "       repro job submit|status|cancel|resume [--addr HOST:PORT | --socket PATH] [--backend B] [--id ID] [--chunk N] [--checkpoint-every K] [--wait SECS] [--verify] [--quick] [--dse-space]"
     );
     eprintln!("experiments:");
     for e in EXPERIMENTS {

@@ -44,7 +44,7 @@ use mp_model::params::AppClass;
 use mp_obs::hist::{percentile_of_sorted, HistogramSnapshot, LATENCY_BOUNDS_MS};
 use mp_serve::prelude::*;
 
-use crate::{alloc_track, cli};
+use crate::cli;
 
 /// The `load` flags that consume a value token (see
 /// [`crate::dse_cmd::VALUE_FLAGS`] for why this lives next to `parse`).
@@ -820,10 +820,6 @@ fn drive(
     let mut parity_failures = 0usize;
     let mut busy_exhausted = 0usize;
     for pass in ["cold", "warm"] {
-        // Each pass measures its own allocator high-water mark; without the
-        // reset the warm pass would inherit (and report) the cold pass's
-        // peak forever.
-        alloc_track::reset_peak();
         let before = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
         let planner_before =
             if options.overlap { Some(planner_counters(&mut control)?) } else { None };

@@ -30,7 +30,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--shards",
     "--threads",
     "--backend",
-    "--batch",
     "--loops",
     "--executors",
     "--queue",
@@ -48,8 +47,6 @@ pub struct Options {
     /// `None` = the host's cores divided by `shards`.
     threads: Option<usize>,
     backend: String,
-    batch_size: usize,
-    use_cache: bool,
     /// Reactor event-loop threads (`0` = auto).
     event_loops: usize,
     /// Reactor executor threads (`0` = auto).
@@ -75,8 +72,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         shards: 4,
         threads: None,
         backend: "analytic".to_string(),
-        batch_size: 1024,
-        use_cache: true,
         event_loops: 0,
         executors: 0,
         queue_capacity: ServiceConfig::default().queue_capacity,
@@ -96,9 +91,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--shards" => options.shards = cli::parse_parallelism(arg, &value)?,
                 "--threads" => options.threads = Some(cli::parse_parallelism(arg, &value)?),
                 "--backend" => options.backend = value,
-                "--batch" => {
-                    options.batch_size = cli::parse_count(arg, &value, 1, cli::MAX_COUNT)?;
-                }
                 "--loops" => options.event_loops = cli::parse_parallelism(arg, &value)?,
                 "--executors" => options.executors = cli::parse_parallelism(arg, &value)?,
                 "--queue" => {
@@ -129,10 +121,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 other => unreachable!("{other} is listed in VALUE_FLAGS but unhandled"),
             }
         } else {
-            match arg {
-                "--no-cache" => options.use_cache = false,
-                other => return Err(format!("unknown serve option `{other}`")),
-            }
+            return Err(format!("unknown serve option `{arg}`"));
         }
     }
     Ok(options)
@@ -168,8 +157,6 @@ pub fn build_service(options: &Options) -> Result<SweepService, String> {
     let config = ServiceConfig {
         shards: options.shards,
         threads_per_shard,
-        batch_size: options.batch_size,
-        use_cache: options.use_cache,
         queue_capacity: options.queue_capacity,
         cost_budget_ms: options.cost_budget_ms,
         cost_per_scenario_ms: None,
@@ -185,9 +172,9 @@ pub fn run(args: &[String]) -> ExitCode {
             eprintln!("{message}");
             eprintln!(
                 "usage: repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] \
-                 [--backend analytic|comm|sim|measured] [--batch N] [--no-cache] [--loops N] \
-                 [--executors N] [--queue N] [--cost-budget MS] [--jobs-dir DIR] \
-                 [--fail-nth N] [--fault-latency-ms MS]"
+                 [--backend analytic|comm|sim|measured] [--loops N] [--executors N] \
+                 [--queue N] [--cost-budget MS] [--jobs-dir DIR] [--fail-nth N] \
+                 [--fault-latency-ms MS]"
             );
             return ExitCode::FAILURE;
         }
@@ -224,11 +211,12 @@ pub fn run(args: &[String]) -> ExitCode {
     };
     // The `listening on` line is the readiness signal `repro load --spawn`
     // (and the CI smoke step) waits for — keep its shape stable.
+    let stats = service.stats();
     println!(
         "mp-serve listening on {} (backend={}, engine threads={}, cache={})",
         server.endpoint(),
-        service.backend_name(),
-        service.stats().threads,
+        stats.backend,
+        stats.threads,
         if service.memoises() { "on" } else { "off" },
     );
     match server.run() {
@@ -258,18 +246,15 @@ mod tests {
             "3".to_string(),
             "--backend".to_string(),
             "measured".to_string(),
-            "--no-cache".to_string(),
         ])
         .unwrap();
         assert_eq!(options.endpoint, Endpoint::Unix("/tmp/mp.sock".into()));
         assert_eq!(options.shards, 2);
         assert_eq!(options.threads, Some(3));
         assert_eq!(options.backend, "measured");
-        assert!(!options.use_cache);
 
         assert!(parse(&["--shards".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--threads".to_string(), "0".to_string()]).is_err());
-        assert!(parse(&["--batch".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--loops".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--executors".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--queue".to_string(), "0".to_string()]).is_err());
@@ -289,9 +274,9 @@ mod tests {
         assert!(parse(&["--cost-budget".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--cost-budget".to_string(), "soon".to_string()]).is_err());
         assert!(parse(&["--bogus".to_string()]).is_err());
-        // The removed baseline switches are unknown options like any other.
-        for removed in ["steal", "coalesce"] {
-            let message = parse(&[format!("--no-{removed}")]).err().expect(removed);
+        // Removed switches are unknown options like any other.
+        for removed in ["--no-steal", "--no-coalesce", "--no-cache", "--batch"] {
+            let message = parse(&[removed.to_string()]).err().expect(removed);
             assert!(message.contains("unknown serve option"), "{message}");
         }
 

@@ -47,7 +47,7 @@ fn calibrate_rejects_zero_and_oversized_counts() {
 fn serve_rejects_zero_shards_and_unknown_backends() {
     assert_rejects(&["serve", "--shards", "0"], "--shards must be at least 1");
     assert_rejects(&["serve", "--threads", "0"], "--threads must be at least 1");
-    assert_rejects(&["serve", "--batch", "0"], "--batch must be at least 1");
+    assert_rejects(&["serve", "--batch", "0"], "unknown serve option");
     assert_rejects(&["serve", "--backend", "nope"], "unknown backend `nope`");
 }
 

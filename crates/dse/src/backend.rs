@@ -661,15 +661,6 @@ impl SimBackend {
         }
     }
 
-    /// Override the machine configuration.
-    pub fn with_config(mut self, config: MachineConfig) -> Self {
-        self.config = config;
-        // Baseline cycles were simulated under the previous configuration;
-        // keeping them would mix two machines in one speedup ratio.
-        self.baselines.lock().clear();
-        self
-    }
-
     /// Override the synthetic single-core operation budget. Smaller budgets
     /// shrink the merge working set (keeping it cache-resident — closer to
     /// the analytic model); larger budgets surface cache-spill effects.

@@ -105,15 +105,14 @@ pub struct CacheStats {
     pub entries: usize,
     /// Entries the map holds before it next grows.
     pub capacity: usize,
-    /// Probes answered from the cache since construction / the last reset.
+    /// Probes answered from the cache since construction.
     pub hits: u64,
-    /// Probes that missed since construction / the last reset.
+    /// Probes that missed since construction.
     pub misses: u64,
     /// Probes actually performed (`hits + misses` minus the cold-start
     /// bypassed lookups, which are counted as misses but never look).
     pub probes: u64,
-    /// Entries stored (single and batched) since construction / the last
-    /// reset.
+    /// Entries stored (single and batched) since construction.
     pub inserts: u64,
     /// Map growths since construction.
     pub migrations: u64,
@@ -282,12 +281,12 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Probes answered from the cache since construction / the last reset.
+    /// Probes answered from the cache since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Probes that missed since construction / the last reset.
+    /// Probes that missed since construction.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -309,8 +308,8 @@ impl EvalCache {
         (self.hits() + self.misses()).saturating_sub(self.bypassed.load(Ordering::Relaxed))
     }
 
-    /// Entries stored (single and batched) since construction / the last
-    /// reset. Counts insert *calls*; overwrites of duplicate keys are not
+    /// Entries stored (single and batched) since construction. Counts
+    /// insert *calls*; overwrites of duplicate keys are not
     /// distinguished.
     pub fn inserts(&self) -> u64 {
         self.inserts.load(Ordering::Relaxed)
@@ -320,15 +319,6 @@ impl EvalCache {
     /// batch, a reserve or a load) that grew the map.
     pub fn migrations(&self) -> u64 {
         self.migrations.load(Ordering::Relaxed)
-    }
-
-    /// Reset the hit/miss/probe/insert counters (entries — and the
-    /// structural growth count — are kept).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.bypassed.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
     }
 
     /// One consistent-enough snapshot of the cache's warm-start state:

@@ -105,7 +105,7 @@ impl Default for SweepConfig {
 }
 
 /// Bookkeeping of one sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepStats {
     /// Total scenarios submitted.
     pub scenarios: usize,

@@ -60,13 +60,6 @@ impl PerfModel {
         }
     }
 
-    /// Evaluate `perf(r)`, panicking on invalid input.
-    ///
-    /// Convenience for plotting code where the inputs are known-valid constants.
-    pub fn perf_unchecked(&self, r: f64) -> f64 {
-        self.perf(r).expect("perf(r) evaluation failed")
-    }
-
     /// A short, human-readable name for reports.
     pub fn name(&self) -> &'static str {
         match self {

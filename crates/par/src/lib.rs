@@ -14,7 +14,6 @@
 //!   serial linear accumulation, logarithmic tree combining and privatised
 //!   parallel (element-partitioned) reduction, together with operation
 //!   counters that feed the timing simulator.
-//! * [`barrier`] — a sense-reversing spin barrier used by iterative kernels.
 //!
 //! The API is synchronous and panic-propagating: if a worker panics, the panic
 //! is re-raised on the calling thread after all workers have stopped.
@@ -22,11 +21,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod barrier;
 pub mod pool;
 pub mod reduce;
 
-pub use barrier::SpinBarrier;
 pub use pool::{parallel_for, parallel_partials, run_scoped, ThreadCtx, ThreadPool};
 pub use reduce::{
     reduce_elementwise, reduce_partials, ReduceOp, ReduceStats, ReductionStrategy, SumOp,

@@ -31,14 +31,14 @@ use crate::service::SweepTicket;
 
 /// Times a connection's reads were paused because its pipeline hit
 /// [`MAX_PIPELINE`] (TCP backpressure engaged).
-fn obs_read_pauses() -> &'static Counter {
+pub(crate) fn obs_read_pauses() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     CELL.get_or_init(|| mp_obs::counter("serve_read_pauses"))
 }
 
 /// Times a connection's outbox crossed [`HIGH_WATERMARK`] from below
 /// (response production about to stop for that connection).
-fn obs_outbox_high_water() -> &'static Counter {
+pub(crate) fn obs_outbox_high_water() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     CELL.get_or_init(|| mp_obs::counter("serve_outbox_high_water"))
 }

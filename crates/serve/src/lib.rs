@@ -13,7 +13,10 @@
 //!   `Engine::sweep`, and repeated queries on a backend that memoises hit
 //!   the warm cache (analytic and measured recompute instead). Prepared
 //!   [`SweepHandle`](mp_dse::engine::SweepHandle)s (space + columnar tables)
-//!   are cached by content fingerprint and shared across requests.
+//!   are cached by content fingerprint and shared across requests. Every
+//!   protocol request has one answerer, [`SweepService::handle`]: a `sweep`
+//!   gets an admitted [`SweepTicket`] whose windows are pulled one at a
+//!   time, every other verb its one response.
 //! * [`protocol`] — the wire types: `sweep` (streamed, chunked, resumable via
 //!   index sub-ranges), `top_k`, `pareto`, `curve(figure)`, `stats`,
 //!   `catalogue` (fingerprint-keyed calibration addressing), `ping`,
@@ -84,7 +87,7 @@ pub mod prelude {
     };
     pub use crate::server::{Endpoint, Server, ServerConfig, Stream};
     pub use crate::service::{
-        ServeError, ServeErrorKind, ServiceConfig, SweepService, SweepTicket,
+        Answer, ServeError, ServeErrorKind, ServiceConfig, SweepService, SweepTicket,
     };
 }
 

@@ -1000,12 +1000,10 @@ mod tests {
             stats: SweepStats {
                 scenarios: 1,
                 valid: 1,
-                cache_hits: 0,
                 cache_misses: 1,
-                warm_entries: 0,
                 threads: 1,
-                coalesced: false,
                 elapsed_seconds: 0.25,
+                ..SweepStats::default()
             },
         };
         assert!(done.is_terminal());
@@ -1154,12 +1152,10 @@ mod tests {
             stats: SweepStats {
                 scenarios,
                 valid: scenarios,
-                cache_hits: 0,
                 cache_misses: scenarios as u64,
-                warm_entries: 0,
                 threads: 1,
-                coalesced: false,
                 elapsed_seconds: 0.25,
+                ..SweepStats::default()
             },
         }
     }

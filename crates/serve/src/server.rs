@@ -55,7 +55,7 @@ use crate::protocol::{
     ResponseEnvelope,
 };
 use crate::reactor::{Poller, Waker, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::service::{count_request, SweepService, SweepTicket};
+use crate::service::{Answer, SweepService, SweepTicket};
 
 /// Completed request traces retained per server (oldest evicted first).
 pub const TRACE_LOG_CAPACITY: usize = 4096;
@@ -111,15 +111,6 @@ impl Stream {
         match endpoint {
             Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
             Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-        }
-    }
-
-    /// An independently-owned handle to the same connection (for split
-    /// read/write halves).
-    pub fn try_clone(&self) -> std::io::Result<Stream> {
-        match self {
-            Stream::Tcp(stream) => stream.try_clone().map(Stream::Tcp),
-            Stream::Unix(stream) => stream.try_clone().map(Stream::Unix),
         }
     }
 
@@ -249,6 +240,12 @@ impl Server {
                 (Listener::Unix(listener), Endpoint::Unix(path.clone()), Some(path.clone()))
             }
         };
+        // Register the reactor's event-driven series now, so a scrape of an
+        // idle server shows them at zero instead of not at all.
+        obs_epoll_wakeups();
+        obs_pipeline_depth();
+        crate::conn::obs_read_pauses();
+        crate::conn::obs_outbox_high_water();
         Ok(Server {
             listener,
             endpoint,
@@ -728,9 +725,7 @@ impl Drop for EventLoop {
 /// completion back to the origin loop.
 fn run_executor(service: &SweepService, jobs: &Receiver<ExecJob>) {
     while let Ok(mut job) = jobs.recv() {
-        if let Some(trace) = &mut job.trace {
-            trace.stamp(Stage::Queue, mp_obs::monotonic_ns());
-        }
+        stamp(job.trace.as_mut(), Stage::Queue);
         let done = execute(service, job.token, job.seq, job.kind, job.trace);
         // A dropped mailbox just means the loop (or whole server) wound
         // down while this job ran.
@@ -741,8 +736,9 @@ fn run_executor(service: &SweepService, jobs: &Receiver<ExecJob>) {
 }
 
 /// Run one job to completion-or-parking, encoding every produced response.
-/// The trace (if any) gets its verb and its [`Stage::Evaluate`] /
-/// [`Stage::Encode`] stamps here and rides back on the completion.
+/// The trace (if any) gets its verb and its [`Stage::Plan`] (sweeps only),
+/// [`Stage::Evaluate`] and [`Stage::Encode`] stamps here and rides back on
+/// the completion.
 fn execute(
     service: &SweepService,
     token: u64,
@@ -752,143 +748,88 @@ fn execute(
 ) -> JobDone {
     let mut done =
         JobDone { token, seq, bytes: Vec::new(), next: None, shutdown: false, trace: None };
-    match kind {
-        JobKind::Line(Err(message)) => {
-            if let Some(t) = &mut trace {
-                t.verb = "invalid";
+    let (id, answer) = match kind {
+        JobKind::Window { id, ticket } => (id, Answer::Sweep(*ticket)),
+        JobKind::Line(line) => match decode_request(line) {
+            Ok(RequestEnvelope { id, request }) => {
+                let answer = service.handle(&request);
+                if let Some(t) = &mut trace {
+                    t.verb = request.verb();
+                    if matches!(request, Request::Sweep { .. }) {
+                        // The planner has now resolved the prepared space,
+                        // costed the query and ruled on admission.
+                        t.stamp(Stage::Plan, mp_obs::monotonic_ns());
+                    }
+                }
+                (id, answer)
             }
-            push_line(&mut done.bytes, 0, Response::Error { message })
-        }
-        JobKind::Line(Ok(line)) => match decode_line::<RequestEnvelope>(&line) {
             Err(message) => {
                 if let Some(t) = &mut trace {
                     t.verb = "invalid";
                 }
-                push_line(&mut done.bytes, 0, Response::Error { message })
-            }
-            // Enforce the protocol's id reservation: a request on id 0 would
-            // be indistinguishable from server parse-error responses.
-            Ok(envelope) if envelope.id == 0 => {
-                if let Some(t) = &mut trace {
-                    t.verb = "invalid";
-                }
-                push_line(
-                    &mut done.bytes,
-                    0,
-                    Response::Error {
-                        message: "request id 0 is reserved for server errors; use ids >= 1"
-                            .to_string(),
-                    },
-                )
-            }
-            Ok(envelope) => {
-                let id = envelope.id;
-                if let Some(t) = &mut trace {
-                    t.verb = envelope.request.verb();
-                }
-                // The sweep and shutdown arms answer without going through
-                // `handle_streaming` (which counts every request it sees),
-                // so their per-verb series are counted here.
-                if matches!(envelope.request, Request::Sweep { .. } | Request::Shutdown) {
-                    count_request(&envelope.request);
-                }
-                match envelope.request {
-                    Request::Sweep { space, start, end, chunk } => {
-                        let planned = service.resolve_handle(&space).and_then(|handle| {
-                            service.begin_sweep_handle(handle, start..end, chunk)
-                        });
-                        // The planner has now resolved the prepared space,
-                        // costed the query and ruled on admission.
-                        stamp_plan(trace.as_mut());
-                        match planned {
-                            Ok(ticket) => stream_window(
-                                service,
-                                id,
-                                Box::new(ticket),
-                                &mut done,
-                                trace.as_mut(),
-                            ),
-                            Err(e) => {
-                                stamp_evaluate(trace.as_mut());
-                                push_line(&mut done.bytes, id, e.into_response())
-                            }
-                        }
-                    }
-                    Request::Shutdown => {
-                        stamp_evaluate(trace.as_mut());
-                        push_line(&mut done.bytes, id, Response::ShuttingDown);
-                        done.shutdown = true;
-                    }
-                    request => {
-                        let responses = service.handle(&request);
-                        stamp_evaluate(trace.as_mut());
-                        for response in responses {
-                            push_line(&mut done.bytes, id, response);
-                        }
-                    }
-                }
+                (0, Answer::Response(Response::Error { message }))
             }
         },
-        JobKind::Window { id, ticket } => stream_window(service, id, ticket, &mut done, None),
-    }
-    if let Some(mut t) = trace {
-        // Error paths above answer without a service call; give them an
-        // evaluate stamp so completed traces are stage-monotonic throughout.
-        if t.stage_ns[Stage::Evaluate.index()] == 0 {
-            t.stamp(Stage::Evaluate, mp_obs::monotonic_ns());
+    };
+    match answer {
+        Answer::Response(response) => {
+            stamp(trace.as_mut(), Stage::Evaluate);
+            done.push_line(id, response);
         }
-        t.stamp(Stage::Encode, mp_obs::monotonic_ns());
-        done.trace = Some(t);
+        // Pull one window of the sweep and frame its chunks, then finish the
+        // request (`SweepDone`) or hand the ticket back for parking.
+        Answer::Sweep(mut ticket) => {
+            let window = service.next_window(&mut ticket);
+            stamp(trace.as_mut(), Stage::Evaluate);
+            match window {
+                Err(e) => done.push_line(id, e.into_response()),
+                Ok(records) => {
+                    // The dominant message of the protocol: the records' bits
+                    // go into the output buffer as they are, behind a header.
+                    for slice in records.iter().flat_map(|records| records.chunks(ticket.chunk())) {
+                        encode_chunk_frame(&mut done.bytes, id, slice[0].index, slice);
+                    }
+                    if ticket.is_done() {
+                        done.push_line(id, Response::SweepDone { stats: ticket.stats() });
+                    } else {
+                        done.next = Some((id, Box::new(ticket)));
+                    }
+                }
+            }
+        }
     }
+    stamp(trace.as_mut(), Stage::Encode);
+    done.trace = trace;
     done
 }
 
-/// Stamp [`Stage::Evaluate`] on a trace (no-op for untraced jobs).
-fn stamp_evaluate(trace: Option<&mut RequestTrace>) {
+/// Decode one received line into a request. Every way a line can fail to
+/// be one — a receive-side error (oversized or non-UTF-8 line), malformed
+/// JSON, or the reserved id 0, which would be indistinguishable from the
+/// server's own parse-error replies — comes back as the message of the
+/// id-0 error that answers it.
+fn decode_request(line: Result<String, String>) -> Result<RequestEnvelope, String> {
+    let envelope = decode_line::<RequestEnvelope>(&line?)?;
+    if envelope.id == 0 {
+        return Err("request id 0 is reserved for server errors; use ids >= 1".to_string());
+    }
+    Ok(envelope)
+}
+
+/// Stamp `stage` on a trace now (no-op for untraced jobs).
+fn stamp(trace: Option<&mut RequestTrace>, stage: Stage) {
     if let Some(t) = trace {
-        t.stamp(Stage::Evaluate, mp_obs::monotonic_ns());
+        t.stamp(stage, mp_obs::monotonic_ns());
     }
 }
 
-/// Stamp [`Stage::Plan`] on a trace (no-op for untraced jobs). Only the
-/// planned verbs — sweeps — stamp this stage; everywhere else it stays `0`.
-fn stamp_plan(trace: Option<&mut RequestTrace>) {
-    if let Some(t) = trace {
-        t.stamp(Stage::Plan, mp_obs::monotonic_ns());
+impl JobDone {
+    /// Append one encoded response line (with its newline) to the output.
+    /// The acknowledgement of a [`Request::Shutdown`] also marks the job as
+    /// the one that stops the server once it is flushed.
+    fn push_line(&mut self, id: u64, response: Response) {
+        self.shutdown |= matches!(response, Response::ShuttingDown);
+        self.bytes.extend_from_slice(encode_line(&ResponseEnvelope { id, response }).as_bytes());
+        self.bytes.push(b'\n');
     }
-}
-
-/// Pull one window of a streaming sweep: frame its chunks, then either
-/// finish the request (`SweepDone`) or hand the ticket back for parking.
-fn stream_window(
-    service: &SweepService,
-    id: u64,
-    mut ticket: Box<SweepTicket>,
-    done: &mut JobDone,
-    trace: Option<&mut RequestTrace>,
-) {
-    let result = service.next_window(&mut ticket);
-    stamp_evaluate(trace);
-    match result {
-        Ok(Some(records)) => {
-            for slice in records.chunks(ticket.chunk()) {
-                // The dominant message of the protocol: the records' bits go
-                // into the output buffer as they are, behind a header line.
-                encode_chunk_frame(&mut done.bytes, id, slice[0].index, slice);
-            }
-            if ticket.is_done() {
-                push_line(&mut done.bytes, id, Response::SweepDone { stats: ticket.stats() });
-            } else {
-                done.next = Some((id, ticket));
-            }
-        }
-        Ok(None) => push_line(&mut done.bytes, id, Response::SweepDone { stats: ticket.stats() }),
-        Err(e) => push_line(&mut done.bytes, id, e.into_response()),
-    }
-}
-
-/// Append one encoded response line (with its newline) to an output buffer.
-fn push_line(bytes: &mut Vec<u8>, id: u64, response: Response) {
-    bytes.extend_from_slice(encode_line(&ResponseEnvelope { id, response }).as_bytes());
-    bytes.push(b'\n');
 }

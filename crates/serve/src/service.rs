@@ -30,8 +30,15 @@
 //! recompute a repeated query for less than answering it from the cache
 //! would cost.
 //!
+//! Every protocol request has one answerer, [`SweepService::handle`]: it
+//! counts the request, and answers a `sweep` with an admitted
+//! [`SweepTicket`] ([`Answer::Sweep`]) and everything else with one
+//! [`Response`] ([`Answer::Response`]). The socket server pulls a ticket's
+//! windows and frames them; an in-process caller pulls them the same way.
+//!
 //! [`SpaceTables`]: mp_dse::tables::SpaceTables
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,15 +51,14 @@ use mp_obs::metrics::{Counter, Gauge};
 use mp_obs::profile::{thread_lane, Profiler};
 use parking_lot::Mutex;
 
-use mp_dse::analysis::{pareto_frontier, top_k, CostAxis};
+use mp_dse::analysis::{pareto_frontier, top_k};
 use mp_dse::backend::EvalBackend;
-use mp_dse::curves::{figure_curves, Figure};
+use mp_dse::curves::figure_curves;
 use mp_dse::engine::{
     Engine, EvalRecord, RangeCursor, SweepConfig, SweepHandle, SweepResult, SweepStats,
 };
 use mp_dse::scenario::ScenarioSpace;
 use mp_model::catalogue::CatalogueRegistry;
-use mp_model::explore::Curve;
 
 use crate::planner::{CostModel, PlanKey, Role, SingleFlight};
 use crate::protocol::{
@@ -74,39 +80,18 @@ fn obs_queue_depth() -> &'static Gauge {
     CELL.get_or_init(|| mp_obs::gauge("executor_queue_depth"))
 }
 
-/// Per-verb request counter (`requests_total_<verb>`), counted once per
-/// protocol request at dispatch — socket-served and in-process alike.
-fn obs_requests(request: &Request) -> &'static Counter {
-    macro_rules! verb_counter {
-        ($verb:literal) => {{
-            static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-            CELL.get_or_init(|| mp_obs::counter(concat!("requests_total_", $verb)))
-        }};
+/// Count one request on its per-verb series (`requests_total_<verb>`) —
+/// called once per protocol request, by [`SweepService::handle`]. Each
+/// thread keeps the counters it has used, so only a thread's first request
+/// of a verb takes the registry lock.
+fn obs_request(verb: &'static str) {
+    thread_local! {
+        static COUNTERS: RefCell<HashMap<&'static str, Arc<Counter>>> = RefCell::default();
     }
-    match request {
-        Request::Ping => verb_counter!("ping"),
-        Request::Stats => verb_counter!("stats"),
-        Request::Metrics => verb_counter!("metrics"),
-        Request::Catalogue => verb_counter!("catalogue"),
-        Request::Shutdown => verb_counter!("shutdown"),
-        Request::Sweep { .. } => verb_counter!("sweep"),
-        Request::TopK { .. } => verb_counter!("top_k"),
-        Request::Pareto { .. } => verb_counter!("pareto"),
-        Request::Curve { .. } => verb_counter!("curve"),
-        Request::Prepare { .. } => verb_counter!("prepare"),
-        Request::JobSubmit { .. } => verb_counter!("job_submit"),
-        Request::JobStatus { .. } => verb_counter!("job_status"),
-        Request::JobCancel { .. } => verb_counter!("job_cancel"),
-        Request::JobResume { .. } => verb_counter!("job_resume"),
-    }
-}
-
-/// Count one request on its per-verb series. The socket path calls this for
-/// the verbs it answers without delegating to
-/// [`SweepService::handle_streaming`] (sweeps and shutdowns), so every
-/// request is counted exactly once on either path.
-pub(crate) fn count_request(request: &Request) {
-    obs_requests(request).inc();
+    COUNTERS.with_borrow_mut(|counters| {
+        let counter = counters.entry(verb);
+        counter.or_insert_with(|| mp_obs::counter(&format!("requests_total_{verb}"))).inc();
+    });
 }
 
 /// Construction knobs of a [`SweepService`].
@@ -118,11 +103,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// The other factor of the engine's thread count. Must be ≥ 1.
     pub threads_per_shard: usize,
-    /// Sweep batch size handed to the engine.
-    pub batch_size: usize,
-    /// Whether the engine may memoise evaluations. It does only if the
-    /// backend also memoises ([`EvalBackend::memoise`]).
-    pub use_cache: bool,
     /// Admission cap: evaluations in flight per service before new queries
     /// are rejected with a retryable [`Response::Busy`] instead of piling
     /// onto the engine. Must be ≥ 1. The backstop behind the primary,
@@ -145,8 +125,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 1,
             threads_per_shard: 1,
-            batch_size: 1024,
-            use_cache: true,
             queue_capacity: 1024,
             cost_budget_ms: 30_000.0,
             cost_per_scenario_ms: None,
@@ -305,7 +283,6 @@ impl SweepService {
     pub fn new(backend: Arc<dyn EvalBackend + Send + Sync>, config: &ServiceConfig) -> Self {
         assert!(config.shards > 0, "service needs at least one shard");
         assert!(config.threads_per_shard > 0, "service needs at least one thread per shard");
-        assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.queue_capacity > 0, "admission queue capacity must be positive");
         assert!(config.cost_budget_ms > 0.0, "cost budget must be positive");
         // Register the core series now: a scrape must see `busy_rejections`
@@ -316,14 +293,11 @@ impl SweepService {
         crate::planner::obs_coalesced_requests();
         crate::planner::obs_shared_scenarios();
         crate::planner::obs_cost_rejections();
-        // The engine applies the same predicate per sweep; holding the
-        // result here is what gates the service's own cache traffic
-        // (per-ticket `reserve`, segment spill and warm-start; see
-        // `memoises`).
-        let sweep_config = SweepConfig {
-            batch_size: config.batch_size,
-            use_cache: config.use_cache && backend.memoise(),
-        };
+        // Memoising is the backend's call. The engine asks the backend per
+        // sweep too; holding the answer here is what gates the service's own
+        // cache traffic (per-ticket `reserve`, segment spill and warm-start;
+        // see `memoises`).
+        let sweep_config = SweepConfig { use_cache: backend.memoise(), ..SweepConfig::default() };
         SweepService {
             backend,
             engine: Engine::new(config.shards * config.threads_per_shard),
@@ -411,16 +385,10 @@ impl SweepService {
         self
     }
 
-    /// Whether the service's sweeps go through the engine's cache:
-    /// [`ServiceConfig::use_cache`] allows it and the backend memoises
-    /// ([`EvalBackend::memoise`]).
+    /// Whether the service's sweeps go through the engine's cache: whether
+    /// its backend memoises ([`EvalBackend::memoise`]).
     pub fn memoises(&self) -> bool {
         self.sweep_config.use_cache
-    }
-
-    /// The backend's stable name.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// [`ServiceConfig::shards`] as configured — what the server's executor
@@ -746,16 +714,7 @@ impl SweepService {
             handle,
             cursor,
             chunk,
-            stats: SweepStats {
-                scenarios: 0,
-                valid: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                warm_entries: 0,
-                threads: 0,
-                coalesced: false,
-                elapsed_seconds: 0.0,
-            },
+            stats: SweepStats::default(),
             started: Instant::now(),
             first_window: true,
         })
@@ -797,26 +756,6 @@ impl SweepService {
         Ok(Some(result.records))
     }
 
-    /// The `k` highest-speedup records of a full sweep of `space`.
-    pub fn top_k(&self, space: &ScenarioSpace, k: usize) -> Result<Vec<EvalRecord>, ServeError> {
-        Ok(top_k(&self.sweep(space, None)?.records, k))
-    }
-
-    /// The Pareto frontier (speedup vs `cost`) of a full sweep of `space`.
-    pub fn pareto(
-        &self,
-        space: &ScenarioSpace,
-        cost: CostAxis,
-    ) -> Result<Vec<EvalRecord>, ServeError> {
-        Ok(pareto_frontier(&self.sweep(space, None)?.records, cost))
-    }
-
-    /// The engine-reproduced curve family of one paper figure.
-    pub fn curves(&self, figure: Figure) -> Result<Vec<Curve>, ServeError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        figure_curves(figure).map_err(|e| err(format!("figure {figure} failed: {e}")))
-    }
-
     /// Aggregate service statistics.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
@@ -845,111 +784,72 @@ impl SweepService {
             .collect()
     }
 
-    /// Answer one protocol request, emitting responses through `emit` as
-    /// they are produced: a sweep's chunks are built (records → wire form)
-    /// and emitted **one at a time**, so beyond the sweep result itself at
-    /// most one chunk's wire copy is ever alive — the server writes and
-    /// flushes each line before the next is built. An `Err` from `emit`
-    /// (a dead connection) aborts the remaining chunks.
-    /// [`Request::Shutdown`] is acknowledged here but acted on by the
-    /// server loop.
-    pub fn handle_streaming(
-        &self,
-        request: &Request,
-        emit: &mut dyn FnMut(Response) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        obs_requests(request).inc();
-        match request {
-            Request::Ping => emit(Response::Pong { version: PROTOCOL_VERSION.to_string() }),
-            Request::Stats => emit(Response::Stats(self.stats())),
+    /// Answer one protocol request — the one dispatch every request goes
+    /// through, counted once on its `requests_total_<verb>` series. A
+    /// `sweep` is resolved and admitted here and answered with its
+    /// [`SweepTicket`]; the caller pulls the windows
+    /// ([`SweepService::next_window`]) and ends the stream with
+    /// [`Response::SweepDone`]. Every other verb, and a sweep that fails to
+    /// resolve or is not admitted, is answered with its one terminal
+    /// [`Response`]. [`Request::Shutdown`] is acknowledged here but acted on
+    /// by the server loop.
+    pub fn handle(&self, request: &Request) -> Answer {
+        obs_request(request.verb());
+        let response = match request {
+            Request::Ping => Ok(Response::Pong { version: PROTOCOL_VERSION.to_string() }),
+            Request::Stats => Ok(Response::Stats(self.stats())),
             Request::Metrics => {
                 let snapshot = mp_obs::registry().snapshot();
-                emit(Response::Metrics {
+                Ok(Response::Metrics {
                     json: snapshot.to_json(),
                     prometheus: snapshot.to_prometheus(),
                 })
             }
-            Request::Catalogue => emit(Response::Catalogue { entries: self.catalogue_entries() }),
-            Request::Shutdown => emit(Response::ShuttingDown),
-            Request::Sweep { space, start, end, chunk } => {
-                let handle = match self.resolve_handle(space) {
-                    Ok(handle) => handle,
-                    Err(e) => return emit(e.into_response()),
-                };
-                let mut ticket = match self.begin_sweep_handle(handle, *start..*end, *chunk) {
-                    Ok(ticket) => ticket,
-                    Err(e) => return emit(e.into_response()),
-                };
-                loop {
-                    match self.next_window(&mut ticket) {
-                        Ok(Some(records)) => {
-                            for slice in records.chunks(ticket.chunk()) {
-                                emit(Response::SweepChunk {
-                                    start: slice[0].index,
-                                    records: to_wire(slice),
-                                })?;
-                            }
-                        }
-                        Ok(None) => return emit(Response::SweepDone { stats: ticket.stats() }),
-                        Err(e) => return emit(e.into_response()),
-                    }
-                }
-            }
-            Request::TopK { space, k } => {
-                self.record_query(space, |records| top_k(records, *k), emit)
-            }
+            Request::Catalogue => Ok(Response::Catalogue { entries: self.catalogue_entries() }),
+            Request::Shutdown => Ok(Response::ShuttingDown),
+            Request::Sweep { space, start, end, chunk } => match self
+                .resolve_handle(space)
+                .and_then(|handle| self.begin_sweep_handle(handle, *start..*end, *chunk))
+            {
+                Ok(ticket) => return Answer::Sweep(ticket),
+                Err(e) => Err(e),
+            },
+            Request::TopK { space, k } => self.record_query(space, |records| top_k(records, *k)),
             Request::Pareto { space, cost } => {
-                self.record_query(space, |records| pareto_frontier(records, *cost), emit)
+                self.record_query(space, |records| pareto_frontier(records, *cost))
             }
-            Request::Curve { figure } => match self.curves(*figure) {
-                Ok(curves) => emit(Response::Curves { curves }),
-                Err(e) => emit(e.into_response()),
-            },
-            Request::Prepare { space } => match self.prepare_spec(space) {
-                Ok((id, scenarios)) => emit(Response::Prepared { id, scenarios }),
-                Err(e) => emit(e.into_response()),
-            },
+            Request::Curve { figure } => {
+                self.queries.fetch_add(1, Ordering::Relaxed);
+                figure_curves(*figure)
+                    .map(|curves| Response::Curves { curves })
+                    .map_err(|e| err(format!("figure {figure} failed: {e}")))
+            }
+            Request::Prepare { space } => {
+                self.prepare_spec(space).map(|(id, scenarios)| Response::Prepared { id, scenarios })
+            }
             Request::JobSubmit { space, start, end, chunk, checkpoint_every } => {
-                self.job_verb(emit, |jobs| {
+                self.job_verb(|jobs| {
                     let space = self.resolve_space(space)?;
                     jobs.submit(space, *start..*end, *chunk, *checkpoint_every)
                 })
             }
-            Request::JobStatus { id } => self.job_verb(emit, |jobs| jobs.status(id)),
-            Request::JobCancel { id } => self.job_verb(emit, |jobs| jobs.cancel(id)),
-            Request::JobResume { id } => self.job_verb(emit, |jobs| jobs.resume(id)),
-        }
+            Request::JobStatus { id } => self.job_verb(|jobs| jobs.status(id)),
+            Request::JobCancel { id } => self.job_verb(|jobs| jobs.cancel(id)),
+            Request::JobResume { id } => self.job_verb(|jobs| jobs.resume(id)),
+        };
+        Answer::Response(response.unwrap_or_else(ServeError::into_response))
     }
 
     /// Shared dispatch of the four job verbs: resolve the attached manager,
-    /// run the verb, answer with the resulting snapshot or error.
+    /// run the verb, answer with the resulting snapshot.
     fn job_verb(
         &self,
-        emit: &mut dyn FnMut(Response) -> std::io::Result<()>,
         verb: impl FnOnce(&crate::jobs::JobManager) -> Result<crate::protocol::JobSnapshot, ServeError>,
-    ) -> std::io::Result<()> {
-        let Some(jobs) = self.jobs() else {
-            return emit(
-                err("durable jobs are not enabled on this server (start it with a jobs manager)")
-                    .into_response(),
-            );
-        };
-        match verb(&jobs) {
-            Ok(snapshot) => emit(Response::Job(snapshot)),
-            Err(e) => emit(e.into_response()),
-        }
-    }
-
-    /// [`SweepService::handle_streaming`] with the responses collected into
-    /// a vector — the convenient form for in-process use and tests.
-    pub fn handle(&self, request: &Request) -> Vec<Response> {
-        let mut responses = Vec::new();
-        self.handle_streaming(request, &mut |response| {
-            responses.push(response);
-            Ok(())
-        })
-        .expect("collecting emitter never fails");
-        responses
+    ) -> Result<Response, ServeError> {
+        let jobs = self.jobs().ok_or_else(|| {
+            err("durable jobs are not enabled on this server (start it with a jobs manager)")
+        })?;
+        verb(&jobs).map(Response::Job)
     }
 
     /// Shared resolve → sweep → analyse path of the record-returning queries.
@@ -957,17 +857,20 @@ impl SweepService {
         &self,
         spec: &SpaceSpec,
         analyse: impl FnOnce(&[EvalRecord]) -> Vec<EvalRecord>,
-        emit: &mut dyn FnMut(Response) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let handle = match self.resolve_handle(spec) {
-            Ok(handle) => handle,
-            Err(e) => return emit(e.into_response()),
-        };
-        match self.sweep_handle(&handle, None) {
-            Ok(result) => emit(Response::Records { records: to_wire(&analyse(&result.records)) }),
-            Err(e) => emit(e.into_response()),
-        }
+    ) -> Result<Response, ServeError> {
+        let result = self.sweep_handle(&self.resolve_handle(spec)?, None)?;
+        Ok(Response::Records { records: to_wire(&analyse(&result.records)) })
     }
+}
+
+/// What [`SweepService::handle`] answers a request with.
+#[derive(Debug)]
+pub enum Answer {
+    /// The request's one, terminal response.
+    Response(Response),
+    /// An admitted sweep, not yet evaluated: its windows are pulled with
+    /// [`SweepService::next_window`].
+    Sweep(SweepTicket),
 }
 
 /// Validate a sweep range against a space length.
@@ -1030,6 +933,8 @@ fn space_fingerprint(space: &ScenarioSpace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::from_wire;
+    use mp_dse::analysis::CostAxis;
     use mp_dse::backend::{AnalyticBackend, SimBackend};
     use mp_dse::cache::EvalCache;
     use mp_model::params::AppParams;
@@ -1187,15 +1092,25 @@ mod tests {
         assert_eq!(service.stats().cache, EvalCache::new().stats());
     }
 
+    /// The records of a `top_k` / `pareto` answer.
+    fn records(answer: Answer) -> Vec<EvalRecord> {
+        match answer {
+            Answer::Response(Response::Records { records }) => from_wire(&records),
+            other => panic!("expected records, got {other:?}"),
+        }
+    }
+
     #[test]
     fn analysis_queries_match_direct_analysis() {
         let space = space();
         let service = service(2);
         let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
-        let top = service.top_k(&space, 5).unwrap();
+        let spec = || SpaceSpec::Explicit(space.clone());
+        let top = records(service.handle(&Request::TopK { space: spec(), k: 5 }));
         assert_eq!(top, top_k(&direct.records, 5));
-        let frontier = service.pareto(&space, CostAxis::Cores).unwrap();
-        assert_eq!(frontier, pareto_frontier(&direct.records, CostAxis::Cores));
+        let cost = CostAxis::Cores;
+        let frontier = records(service.handle(&Request::Pareto { space: spec(), cost }));
+        assert_eq!(frontier, pareto_frontier(&direct.records, cost));
     }
 
     #[test]
@@ -1234,35 +1149,34 @@ mod tests {
     }
 
     #[test]
-    fn protocol_dispatch_streams_chunks_and_reports_errors() {
+    fn protocol_dispatch_answers_sweeps_with_tickets_and_reports_errors() {
         let space = space();
         let service = service(2);
-        let responses = service.handle(&Request::Sweep {
-            space: SpaceSpec::Explicit(space.clone()),
-            start: 0,
-            end: space.len(),
-            chunk: 64,
-        });
-        let terminal = responses.last().unwrap();
-        assert!(matches!(terminal, Response::SweepDone { .. }));
-        let chunks = responses.len() - 1;
+        let sweep =
+            |space, start, end, chunk| service.handle(&Request::Sweep { space, start, end, chunk });
+        let explicit = || SpaceSpec::Explicit(space.clone());
+        let answer = sweep(explicit(), 0, space.len(), 64);
+        let Answer::Sweep(mut ticket) = answer else { panic!("expected a ticket, got {answer:?}") };
+        assert_eq!(ticket.chunk(), 64);
+        // The pulled windows tile the range in order, every one but the last
+        // a whole number of chunks.
+        let (mut next, mut chunks) = (0, 0);
+        while let Some(window) = service.next_window(&mut ticket).unwrap() {
+            assert_eq!(window[0].index, next, "windows are consecutive");
+            if !ticket.is_done() {
+                assert_eq!(window.len() % 64, 0, "non-final windows are chunk-aligned");
+            }
+            next += window.len();
+            chunks += window.chunks(ticket.chunk()).count();
+        }
+        assert_eq!(next, space.len());
         assert_eq!(chunks, space.len().div_ceil(64));
-        assert!(responses[..chunks].iter().all(|r| !r.is_terminal()));
+        assert_eq!(ticket.stats().scenarios, space.len());
 
-        let bad = service.handle(&Request::Sweep {
-            space: SpaceSpec::Explicit(space.clone()),
-            start: 5,
-            end: 1,
-            chunk: 0,
-        });
-        assert!(matches!(bad.as_slice(), [Response::Error { .. }]));
-
-        let unknown = service.handle(&Request::Sweep {
-            space: SpaceSpec::Catalogue { ids: vec!["0123456789abcdef".into()], space },
-            start: 0,
-            end: 1,
-            chunk: 0,
-        });
-        assert!(matches!(unknown.as_slice(), [Response::Error { .. }]));
+        let bad = sweep(explicit(), 5, 1, 0);
+        assert!(matches!(bad, Answer::Response(Response::Error { .. })), "{bad:?}");
+        let ids = vec!["0123456789abcdef".to_string()];
+        let unknown = sweep(SpaceSpec::Catalogue { ids, space: space.clone() }, 0, 1, 0);
+        assert!(matches!(unknown, Answer::Response(Response::Error { .. })), "{unknown:?}");
     }
 }

@@ -94,11 +94,10 @@ fn full_admission_queue_rejects_with_busy_then_recovers() {
     let rejected = service.sweep(&space, None).unwrap_err();
     assert!(rejected.is_busy(), "expected busy, got: {rejected}");
     assert_eq!(rejected.kind, ServeErrorKind::Busy);
-    let responses =
-        service.handle(&Request::TopK { space: SpaceSpec::Explicit(space.clone()), k: 3 });
+    let answer = service.handle(&Request::TopK { space: SpaceSpec::Explicit(space.clone()), k: 3 });
     assert!(
-        matches!(responses.as_slice(), [Response::Busy { .. }]),
-        "protocol reports busy: {responses:?}"
+        matches!(answer, Answer::Response(Response::Busy { .. })),
+        "protocol reports busy: {answer:?}"
     );
     let streaming = service.begin_sweep(&space, 0..space.len(), 0).unwrap_err();
     assert!(streaming.is_busy(), "streaming admission uses the same gate");

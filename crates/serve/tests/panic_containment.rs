@@ -52,8 +52,11 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
     let space = ScenarioSpace::new()
         .with_apps(AppParams::table2_all())
         .clear_designs()
-        .add_symmetric_grid((0..200).map(|i| 1.0 + i as f64));
+        .add_symmetric_grid((0..720).map(|i| 1.0 + i as f64 * 0.25));
     let n = space.len();
+    // More than two batches of the engine's default size, so the third one
+    // exists on the inline (1-thread) path too.
+    assert!(n > 2 * SweepConfig::default().batch_size, "{n} scenarios");
     let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
     let queue_depth = || mp_obs::registry().snapshot().gauge("executor_queue_depth");
 
@@ -65,16 +68,12 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
             &ServiceConfig {
                 shards,
                 threads_per_shard,
-                // Several batches per sweep, so the third one exists on the
-                // inline path too.
-                batch_size: 64,
                 // One slot and a budget any leaked pending cost would blow:
                 // the follow-up query is admitted only if the failed one
                 // credited both gauges back.
                 queue_capacity: 1,
                 cost_budget_ms: 1.0,
                 cost_per_scenario_ms: Some(1.0),
-                ..ServiceConfig::default()
             },
         );
         assert_eq!(queue_depth(), Some(0), "{what}: idle service");
@@ -93,13 +92,15 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
             assert_eq!(record.speedup.to_bits(), truth.speedup.to_bits(), "{what}");
         }
         // The streaming path crosses the same gate and the same engine.
-        let responses = service.handle(&Request::Sweep {
+        let answer = service.handle(&Request::Sweep {
             space: SpaceSpec::Explicit(space.clone()),
             start: 0,
             end: n,
             chunk: 0,
         });
-        assert!(matches!(responses.last(), Some(Response::SweepDone { .. })), "{what}");
+        let Answer::Sweep(mut ticket) = answer else { panic!("{what}: {answer:?}") };
+        while service.next_window(&mut ticket).unwrap().is_some() {}
+        assert_eq!(ticket.stats().scenarios, n, "{what}");
         assert_eq!(queue_depth(), Some(0), "{what}");
     }
 }

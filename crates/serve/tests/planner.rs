@@ -47,6 +47,11 @@ impl EvalBackend for GateBackend {
         "gate"
     }
 
+    /// Every sweep evaluates: `entered` counts evaluations, never cache hits.
+    fn memoise(&self) -> bool {
+        false
+    }
+
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
         self.entered.fetch_add(1, Ordering::SeqCst);
         self.enter_signal.notify_all();
@@ -89,12 +94,7 @@ fn overlapping_inflight_sweeps_evaluate_once_and_fan_out_marked_clones() {
         ScenarioSpace::new().clear_designs().add_symmetric_grid((0..48).map(|i| 1.0 + i as f64));
     let service = Arc::new(SweepService::new(
         Arc::new(backend),
-        &ServiceConfig {
-            shards: 1,
-            threads_per_shard: 1,
-            use_cache: false,
-            ..ServiceConfig::default()
-        },
+        &ServiceConfig { shards: 1, threads_per_shard: 1, ..ServiceConfig::default() },
     ));
 
     let coalesced_before = series("planner_coalesced_requests");
@@ -171,7 +171,6 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
         &ServiceConfig {
             shards: 1,
             threads_per_shard: 1,
-            use_cache: false,
             cost_budget_ms: 10.0,
             cost_per_scenario_ms: Some(1.0),
             ..ServiceConfig::default()
@@ -199,10 +198,10 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
     assert_eq!(rejected.estimated_cost_ms, 64.0, "estimate = scenarios × pinned cost");
     assert_eq!(series("planner_cost_rejections") - rejections_before, 1);
     // The same rejection over the protocol carries the estimate.
-    let responses =
-        service.handle(&Request::TopK { space: SpaceSpec::Explicit(space.clone()), k: 2 });
-    match responses.as_slice() {
-        [Response::Busy { estimated_cost_ms, .. }] => assert_eq!(*estimated_cost_ms, 64.0),
+    match service.handle(&Request::TopK { space: SpaceSpec::Explicit(space.clone()), k: 2 }) {
+        Answer::Response(Response::Busy { estimated_cost_ms, .. }) => {
+            assert_eq!(estimated_cost_ms, 64.0)
+        }
         other => panic!("expected a busy response, got {other:?}"),
     }
 

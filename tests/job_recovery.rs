@@ -36,8 +36,7 @@ fn killed_job_resumes_from_its_checkpoint_and_reevaluates_only_incomplete_window
     let plan = FaultPlan::new();
     plan.set_latency(Duration::from_millis(50));
     let shards = 2usize;
-    let config =
-        ServiceConfig { shards, threads_per_shard: 1, batch_size: 256, ..ServiceConfig::default() };
+    let config = ServiceConfig { shards, threads_per_shard: 1, ..ServiceConfig::default() };
     let job_id;
     {
         let faulty: Arc<dyn EvalBackend + Send + Sync> =

@@ -26,12 +26,7 @@ fn space(points: usize) -> ScenarioSpace {
 fn service(shards: usize, backend: Arc<dyn EvalBackend + Send + Sync>) -> Arc<SweepService> {
     Arc::new(SweepService::new(
         backend,
-        &ServiceConfig {
-            shards,
-            threads_per_shard: 1,
-            batch_size: 256,
-            ..ServiceConfig::default()
-        },
+        &ServiceConfig { shards, threads_per_shard: 1, ..ServiceConfig::default() },
     ))
 }
 
@@ -405,14 +400,22 @@ fn one_scenario_jobs_complete_at_shard_counts_beyond_the_space() {
     }
 }
 
+/// The one response the service's dispatch answers a job verb with.
+fn respond(service: &SweepService, request: Request) -> Response {
+    match service.handle(&request) {
+        Answer::Response(response) => response,
+        Answer::Sweep(ticket) => panic!("a job verb answered with a sweep ticket: {ticket:?}"),
+    }
+}
+
 #[test]
 fn job_verbs_dispatch_through_the_service_and_answer_without_a_manager() {
     let space = space(128);
 
     // Without a manager: every job verb answers a descriptive error.
     let bare = service(1, Arc::new(AnalyticBackend));
-    match bare.handle(&Request::JobStatus { id: "j00001".to_string() }).as_slice() {
-        [Response::Error { message }] => {
+    match respond(&bare, Request::JobStatus { id: "j00001".to_string() }) {
+        Response::Error { message } => {
             assert!(message.contains("durable jobs are not enabled"), "got: {message}")
         }
         other => panic!("expected an error response, got {other:?}"),
@@ -421,41 +424,37 @@ fn job_verbs_dispatch_through_the_service_and_answer_without_a_manager() {
     // With one: submit/status/cancel/resume round-trip as Job snapshots.
     let service = service(1, Arc::new(AnalyticBackend));
     let _manager = JobManager::new(Arc::clone(&service), None, test_config(5)).unwrap();
-    let submitted = match service
-        .handle(&Request::JobSubmit {
-            space: SpaceSpec::Explicit(space.clone()),
-            start: 0,
-            end: space.len(),
-            chunk: 32,
-            checkpoint_every: 2,
-        })
-        .as_slice()
-    {
-        [Response::Job(snapshot)] => snapshot.clone(),
+    let submit = Request::JobSubmit {
+        space: SpaceSpec::Explicit(space.clone()),
+        start: 0,
+        end: space.len(),
+        chunk: 32,
+        checkpoint_every: 2,
+    };
+    let submitted = match respond(&service, submit) {
+        Response::Job(snapshot) => snapshot,
         other => panic!("expected a job snapshot, got {other:?}"),
     };
     assert_eq!(submitted.window, 32);
-    match service.handle(&Request::JobStatus { id: submitted.id.clone() }).as_slice() {
-        [Response::Job(snapshot)] => assert_eq!(snapshot.id, submitted.id),
+    match respond(&service, Request::JobStatus { id: submitted.id.clone() }) {
+        Response::Job(snapshot) => assert_eq!(snapshot.id, submitted.id),
         other => panic!("expected a job snapshot, got {other:?}"),
     }
     // Unknown ids are invalid, not busy.
-    match service.handle(&Request::JobStatus { id: "nope".to_string() }).as_slice() {
-        [Response::Error { message }] => assert!(message.contains("unknown job id")),
+    match respond(&service, Request::JobStatus { id: "nope".to_string() }) {
+        Response::Error { message } => assert!(message.contains("unknown job id")),
         other => panic!("expected an error response, got {other:?}"),
     }
     // Submitting an empty range is refused up front.
-    match service
-        .handle(&Request::JobSubmit {
-            space: SpaceSpec::Explicit(space),
-            start: 5,
-            end: 5,
-            chunk: 0,
-            checkpoint_every: 0,
-        })
-        .as_slice()
-    {
-        [Response::Error { message }] => assert!(message.contains("invalid")),
+    let empty = Request::JobSubmit {
+        space: SpaceSpec::Explicit(space),
+        start: 5,
+        end: 5,
+        chunk: 0,
+        checkpoint_every: 0,
+    };
+    match respond(&service, empty) {
+        Response::Error { message } => assert!(message.contains("invalid")),
         other => panic!("expected an error response, got {other:?}"),
     }
 }

@@ -1,7 +1,8 @@
 //! Observability tests of the serve stack: the protocol v2 `metrics` verb
 //! round-trips the registry snapshot through the real client across engine
-//! sizes, the `stats` response carries the same snapshot, and every socket
-//! request leaves exactly one trace with monotone stage timestamps.
+//! sizes, the `stats` response carries the same snapshot, every request
+//! counts once on its per-verb series, and every socket request leaves
+//! exactly one trace with monotone stage timestamps.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,6 +119,58 @@ fn metrics_verb_round_trips_through_the_real_client() {
         client.shutdown().unwrap();
         serving.join().unwrap();
     }
+}
+
+/// One request of every non-job verb (the job verbs have their own suite),
+/// plus a sweep the service answers with an error; `Shutdown` comes last.
+fn one_of_each(space: &ScenarioSpace) -> Vec<Request> {
+    let spec = || SpaceSpec::Explicit(space.clone());
+    vec![
+        Request::Ping,
+        Request::Stats,
+        Request::Metrics,
+        Request::Catalogue,
+        Request::Prepare { space: spec() },
+        Request::Sweep { space: spec(), start: 0, end: space.len(), chunk: 0 },
+        Request::Sweep { space: spec(), start: 5, end: 1, chunk: 0 },
+        Request::TopK { space: spec(), k: 3 },
+        Request::Pareto { space: spec(), cost: CostAxis::Cores },
+        Request::Curve { figure: Figure::Fig3 },
+        Request::Shutdown,
+    ]
+}
+
+#[test]
+fn every_request_counts_once_on_its_verb_in_process_and_over_the_socket() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let total = |request: &Request| {
+        let name = format!("requests_total_{}", request.verb());
+        mp_obs::registry().snapshot().counter(&name).unwrap_or(0)
+    };
+    let space = space();
+
+    // In process: a sweep is counted when its ticket is issued, not again
+    // per pulled window.
+    let service = Arc::new(service(1));
+    for request in one_of_each(&space) {
+        let before = total(&request);
+        if let Answer::Sweep(mut ticket) = service.handle(&request) {
+            while service.next_window(&mut ticket).unwrap().is_some() {}
+        }
+        assert_eq!(total(&request) - before, 1, "in process: {request:?}");
+    }
+
+    // Over the socket, through the same dispatch.
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), service).unwrap();
+    let endpoint = server.endpoint().clone();
+    let serving = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(&endpoint).unwrap();
+    for request in one_of_each(&space) {
+        let before = total(&request);
+        client.call(request.clone()).unwrap();
+        assert_eq!(total(&request) - before, 1, "over the socket: {request:?}");
+    }
+    serving.join().unwrap();
 }
 
 #[test]

@@ -87,17 +87,17 @@ fn in_process_queries_are_bit_identical_across_shard_counts_and_cache_states() {
             assert_records_identical(&warm.records, &direct.records, &format!("{what} warm"));
             assert_eq!(warm.stats.cache_hits, warm_hits, "{what}");
             assert_eq!(warm.stats.cache_misses, n - warm_hits, "{what}");
-            // Analysis queries on both cache states.
-            assert_records_identical(
-                &service.top_k(&space, 12).unwrap(),
-                &direct_top,
-                &format!("{what} top_k"),
-            );
-            assert_records_identical(
-                &service.pareto(&space, CostAxis::Cores).unwrap(),
-                &direct_pareto,
-                &format!("{what} pareto"),
-            );
+            // Analysis queries on both cache states, through the protocol's
+            // in-process dispatch.
+            let spec = || SpaceSpec::Explicit(space.clone());
+            let records = |request| match service.handle(&request) {
+                Answer::Response(Response::Records { records }) => from_wire(&records),
+                other => panic!("{what}: expected records, got {other:?}"),
+            };
+            let top = records(Request::TopK { space: spec(), k: 12 });
+            assert_records_identical(&top, &direct_top, &format!("{what} top_k"));
+            let frontier = records(Request::Pareto { space: spec(), cost: CostAxis::Cores });
+            assert_records_identical(&frontier, &direct_pareto, &format!("{what} pareto"));
         }
     }
 }

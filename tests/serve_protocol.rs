@@ -365,12 +365,10 @@ proptest! {
         let stats = SweepStats {
             scenarios: records.len(),
             valid: records.len(),
-            cache_hits: 0,
             cache_misses: records.len() as u64,
-            warm_entries: 0,
             threads: 1,
-            coalesced: false,
             elapsed_seconds: 0.25,
+            ..SweepStats::default()
         };
         let done = ResponseEnvelope { id, response: Response::SweepDone { stats } };
         wire.extend_from_slice(format!("{}\n", encode_line(&done)).as_bytes());
