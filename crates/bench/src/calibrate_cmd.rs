@@ -184,7 +184,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let space = build_space(&options, &backend);
     let engine = Engine::with_all_cores();
     let result = engine.sweep(&space, &backend, &SweepConfig::default());
-    let top = top_k(&result.records, options.top_k);
+    let top = TopK::new(options.top_k).reduce(&result.records);
     let optima = per_axis_optima(&space, &result.records);
 
     if let Err(e) = export_sweep(&options.out_dir, &space, &result) {

@@ -288,9 +288,9 @@ pub fn run(args: &[String]) -> ExitCode {
         .zip(second.records.iter())
         .all(|(a, b)| a.index == b.index && a.speedup.to_bits() == b.speedup.to_bits());
 
-    let top = top_k(&first.records, options.top_k);
+    let top = TopK::new(options.top_k).reduce(&first.records);
     let optima = per_axis_optima(&space, &first.records);
-    let frontier = pareto_frontier(&first.records, CostAxis::Cores);
+    let frontier = Pareto::new(&space, CostAxis::Cores).reduce(&first.records);
 
     if let Some(trace_path) = &options.trace {
         // Both passes' spans (per-window batches, table builds, repeat

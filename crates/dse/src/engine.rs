@@ -5,11 +5,20 @@
 //! fastest, so a batch shares the application/growth/perf axes and the
 //! backend's batched path can hoist model construction). One scoped
 //! fork-join ([`ThreadPool::run_scoped`]) runs the same worker closure on
-//! every thread: it pulls the next batch from a locked queue of disjoint
-//! `&mut` slices of the one preallocated record vector — one uncontended
-//! lock per batch, no per-scenario synchronisation — so the output is
-//! deterministic and ordered regardless of scheduling, and the borrow
-//! checker, not a comment, is what keeps two workers off one slot.
+//! every thread: it pulls the next batch from a locked queue — one
+//! uncontended lock per batch, no per-scenario synchronisation. Two entry
+//! points share that one batch loop:
+//!
+//! * [`Engine::sweep_range`] queues disjoint `&mut` slices of the one
+//!   preallocated record vector, so the output is deterministic and ordered
+//!   regardless of scheduling, and the borrow checker, not a comment, is
+//!   what keeps two workers off one slot.
+//! * [`Engine::reduce_range`] answers a query that wants a few records back
+//!   (the top `k`, a Pareto frontier) without that vector: each worker
+//!   evaluates a batch into a buffer of its own, folds it into a private
+//!   [`Reducer`] partial while it is still in cache, and the partials are
+//!   merged after the fork-join. Its memory grows with the partials
+//!   (`k` records; one record per cost value), not with the space.
 //!
 //! A sweep memoises when its [`SweepConfig::use_cache`] allows it and its
 //! backend asks for it ([`EvalBackend::memoise`]): each batch then first
@@ -210,11 +219,7 @@ impl Engine {
         config: &SweepConfig,
         range: std::ops::Range<usize>,
     ) -> SweepResult {
-        assert!(config.batch_size > 0, "batch size must be positive");
-        let space = handle.space();
-        let tables = handle.tables();
-        assert!(range.end <= space.len(), "sweep range {range:?} exceeds the space");
-        let started = std::time::Instant::now();
+        assert!(range.end <= handle.len(), "sweep range {range:?} exceeds the space");
         let n = range.len();
         // The batches cover `0..n` exactly once and overwrite every record,
         // so a `vec![placeholder; n]` would be a second full write pass over
@@ -224,6 +229,90 @@ impl Engine {
         // make it near-free and every element is still initialised.
         let mut records: Vec<EvalRecord> = zeroed_records(n);
         crate::mem::advise_huge_pages(records.as_mut_ptr(), n * std::mem::size_of::<EvalRecord>());
+        // Batch `i` is the `i`-th disjoint slice of the record vector: each
+        // worker evaluates straight into the answer.
+        let (_, stats) = self.drive(
+            handle,
+            backend,
+            config,
+            range,
+            |batch| records.chunks_mut(batch),
+            |_| (),
+            |(), ctx, batch, out, scratch| process_batch(ctx, batch, out, scratch),
+        );
+        SweepResult { records, stats }
+    }
+
+    /// Fold the contiguous index sub-range `range` of a prepared sweep into
+    /// a [`Reducer`], without materialising its records.
+    ///
+    /// Workers pull batches exactly as [`Engine::sweep_range`]'s do, but each
+    /// evaluates a batch into a batch-sized buffer of its own and folds it
+    /// into a private partial (a clone of `init`) while the values are still
+    /// in cache; no record vector of the range's length is ever allocated.
+    /// The partials are merged once the fork-join has returned. A reducer is
+    /// a commutative, associative fold, so the merged partial is the same
+    /// for any batch size, thread count or interleaving — the same as
+    /// folding a full sweep's records in one piece.
+    pub fn reduce_range<R: Reducer>(
+        &self,
+        handle: &SweepHandle<'_>,
+        backend: &dyn EvalBackend,
+        config: &SweepConfig,
+        range: std::ops::Range<usize>,
+        init: R,
+    ) -> (R, SweepStats) {
+        assert!(range.end <= handle.len(), "reduce range {range:?} exceeds the space");
+        let n = range.len();
+        let (partials, stats) = self.drive(
+            handle,
+            backend,
+            config,
+            range,
+            |batch| 0..n.div_ceil(batch),
+            |batch| (init.clone(), zeroed_records(batch.min(n))),
+            |(partial, buffer), ctx, batch, _, scratch| {
+                let out = &mut buffer[..batch.len()];
+                process_batch(ctx, batch, out, scratch);
+                partial.fold(out);
+            },
+        );
+        let merged = partials.into_iter().map(|(partial, _)| partial).reduce(|mut all, partial| {
+            all.merge(partial);
+            all
+        });
+        (merged.unwrap_or(init), stats)
+    }
+
+    /// The one batch loop behind [`Engine::sweep_range`] and
+    /// [`Engine::reduce_range`]: cache and salt setup, batch sizing, the work
+    /// queue and the sweep's statistics.
+    ///
+    /// `queue(batch)` yields one item per batch, in index order; whoever holds
+    /// the queue's lock takes the next one. Each worker builds its own state
+    /// with `worker(batch)` and hands every batch it pulls — its global index
+    /// range, queue item and scratch — to `run`. The worker states come back
+    /// in the order the workers finished.
+    #[allow(clippy::too_many_arguments)]
+    fn drive<Q, W>(
+        &self,
+        handle: &SweepHandle<'_>,
+        backend: &dyn EvalBackend,
+        config: &SweepConfig,
+        range: std::ops::Range<usize>,
+        queue: impl FnOnce(usize) -> Q,
+        worker: impl Fn(usize) -> W + Sync,
+        run: impl Fn(&mut W, &BatchCtx<'_>, std::ops::Range<usize>, Q::Item, &mut BatchScratch) + Sync,
+    ) -> (Vec<W>, SweepStats)
+    where
+        Q: Iterator + Send,
+        W: Send,
+    {
+        assert!(config.batch_size > 0, "batch size must be positive");
+        let space = handle.space();
+        let tables = handle.tables();
+        let started = std::time::Instant::now();
+        let n = range.len();
         let cache = (config.use_cache && backend.memoise()).then_some(&self.cache);
         // An empty cache cannot answer any probe, so the sweep skips the
         // guaranteed-miss lookups entirely and goes straight to the columnar
@@ -251,6 +340,7 @@ impl Engine {
             salt: &salt,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            valid: AtomicU64::new(0),
         };
 
         // Shrink the batch when the space is small relative to the worker
@@ -265,45 +355,77 @@ impl Engine {
         // The caller is one of the workers, so exactly `workers` threads
         // evaluate; a sweep of one batch stays on the calling thread.
         let workers = self.threads.min(n.div_ceil(batch)).max(1);
+        let states = Mutex::new(Vec::with_capacity(workers));
         {
-            // The work queue: batch `i` is the `i`-th disjoint slice of the
-            // record vector, and whoever holds the lock takes the next one.
-            let queue = Mutex::new(records.chunks_mut(batch).enumerate());
-            let worker = |_: ThreadCtx| {
+            let queue = Mutex::new(queue(batch).enumerate());
+            let body = |_: ThreadCtx| {
                 // One scratch per worker, reused across every batch it pulls:
                 // the per-batch working sets allocate only on the worker's
                 // first batch (and never per scenario).
                 let mut scratch = BatchScratch::with_capacity(batch);
+                let mut state = worker(batch);
                 loop {
                     // Taken in its own statement, so the lock is released
                     // before the batch is evaluated — and never held across
                     // a panic.
                     let next = queue.lock().expect("no batch runs under the queue lock").next();
-                    let Some((i, out)) = next else { break };
+                    let Some((i, item)) = next else { break };
                     let start = range.start + i * batch;
-                    process_batch(&ctx, start..start + out.len(), out, &mut scratch);
+                    let end = (start + batch).min(range.end);
+                    run(&mut state, &ctx, start..end, item, &mut scratch);
                 }
+                states.lock().expect("no batch runs under the state lock").push(state);
             };
             match &self.pool {
-                Some(pool) => pool.run_scoped(workers, worker),
-                None => mp_par::run_scoped(workers, worker),
+                Some(pool) => pool.run_scoped(workers, body),
+                None => mp_par::run_scoped(workers, body),
             }
         }
 
-        let valid = records.iter().filter(|r| r.is_valid()).count();
-        SweepResult {
-            records,
-            stats: SweepStats {
-                scenarios: n,
-                valid,
-                cache_hits: ctx.hits.into_inner(),
-                cache_misses: ctx.misses.into_inner(),
-                warm_entries,
-                threads: workers,
-                coalesced: false,
-                elapsed_seconds: started.elapsed().as_secs_f64(),
-            },
-        }
+        let stats = SweepStats {
+            scenarios: n,
+            valid: ctx.valid.into_inner() as usize,
+            cache_hits: ctx.hits.into_inner(),
+            cache_misses: ctx.misses.into_inner(),
+            warm_entries,
+            threads: workers,
+            coalesced: false,
+            elapsed_seconds: started.elapsed().as_secs_f64(),
+        };
+        (states.into_inner().expect("no batch runs under the state lock"), stats)
+    }
+}
+
+/// A commutative, associative fold over evaluated records — what
+/// [`Engine::reduce_range`] runs in its workers instead of materialising a
+/// sweep.
+///
+/// Each worker folds the batches it pulls into its own clone of the initial
+/// value; the partials are then merged. For the answer to be independent of
+/// how the records were split and in which order the pieces met, folding
+/// and merging must agree with folding every record into one partial, in
+/// any order: the reducers of [`crate::analysis`] keep, under a total order,
+/// what the sort-based oracles ([`crate::analysis::top_k`],
+/// [`crate::analysis::pareto_frontier`]) would.
+pub trait Reducer: Clone + Send + Sync {
+    /// The finished answer.
+    type Output;
+
+    /// Fold records, any subset of the sweep in any order, into this
+    /// partial.
+    fn fold(&mut self, records: &[EvalRecord]);
+
+    /// Fold another partial into this one.
+    fn merge(&mut self, other: Self);
+
+    /// The answer of everything folded so far.
+    fn finish(self) -> Self::Output;
+
+    /// Fold `records` as one partial and finish — the in-memory path, for
+    /// callers that already hold a sweep's records.
+    fn reduce(mut self, records: &[EvalRecord]) -> Self::Output {
+        self.fold(records);
+        self.finish()
     }
 }
 
@@ -541,6 +663,8 @@ struct BatchCtx<'a> {
     salt: &'a str,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Scenarios with a finite speedup.
+    valid: AtomicU64,
 }
 
 /// Evaluate one contiguous batch into `out`, going through the cache when one
@@ -612,6 +736,8 @@ fn process_batch(
 
     obs_scenarios().add(len as u64);
     obs_batch_ms().record(batch_started.elapsed().as_secs_f64() * 1e3);
+    let valid = scratch.speedups.iter().filter(|speedup| speedup.is_finite()).count();
+    ctx.valid.fetch_add(valid as u64, Ordering::Relaxed);
 
     // Records read their geometry from the precomputed columns — no
     // per-scenario decode, derivation or scenario materialisation. The
@@ -740,6 +866,49 @@ mod tests {
         for (x, y) in first.records.iter().zip(second.records.iter()) {
             assert_eq!(x.speedup.to_bits(), y.speedup.to_bits());
         }
+    }
+
+    #[test]
+    fn reductions_report_the_stats_and_answer_of_the_same_sweep() {
+        use crate::analysis::{top_k, TopK};
+        let space = space();
+        let handle = SweepHandle::new(&space);
+        let config = SweepConfig { batch_size: 16, use_cache: false };
+        let engine = Engine::new(3);
+        for range in [0..0, 5..6, 7..handle.len() - 2] {
+            let swept = engine.sweep_range(&handle, &AnalyticBackend, &config, range.clone());
+            let (top, stats) =
+                engine.reduce_range(&handle, &AnalyticBackend, &config, range, TopK::new(3));
+            assert_eq!(
+                (stats.scenarios, stats.valid, stats.threads, stats.cache_misses),
+                (
+                    swept.stats.scenarios,
+                    swept.stats.valid,
+                    swept.stats.threads,
+                    swept.stats.cache_misses
+                )
+            );
+            assert_eq!(top.finish(), top_k(&swept.records, 3));
+        }
+    }
+
+    #[test]
+    fn reductions_memoise_like_sweeps() {
+        use crate::analysis::{pareto_frontier, CostAxis, Pareto};
+        let space = space();
+        let handle = SweepHandle::new(&space);
+        let n = handle.len();
+        let config = SweepConfig { batch_size: 32, use_cache: true };
+        let sim = SimBackend::new();
+        let engine = Engine::new(2);
+        let pareto = Pareto::new(&space, CostAxis::Area);
+        let (cold, cold_stats) = engine.reduce_range(&handle, &sim, &config, 0..n, pareto.clone());
+        assert_eq!(cold_stats.cache_misses, n as u64);
+        let (warm, warm_stats) = engine.reduce_range(&handle, &sim, &config, 0..n, pareto);
+        assert_eq!(warm_stats.cache_hits, n as u64, "a reduction reads what it cached");
+        let truth = pareto_frontier(&engine.sweep(&space, &sim, &config).records, CostAxis::Area);
+        assert_eq!(cold.finish(), truth);
+        assert_eq!(warm.finish(), truth);
     }
 
     #[test]

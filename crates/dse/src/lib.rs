@@ -15,10 +15,13 @@
 //!   and the trace-driven `mp-cmpsim` timing simulation ([`SimBackend`]).
 //! * [`engine`] — [`Engine`]: one scoped fork-join per sweep on an
 //!   [`mp_par::ThreadPool`], its workers pulling batches from one locked
-//!   queue of disjoint `&mut` slices of one preallocated record vector;
-//!   contiguous batches share every axis but the design, so backends stream
-//!   through the columnar prepared path, and results land in deterministic
-//!   index order with no merge.
+//!   queue; contiguous batches share every axis but the design, so backends
+//!   stream through the columnar prepared path. A sweep's batches are
+//!   disjoint `&mut` slices of one preallocated record vector, so results
+//!   land in deterministic index order with no merge; a reduction
+//!   ([`Engine::reduce_range`]) folds each batch into a per-worker
+//!   [`Reducer`] partial instead and merges the partials at the end, so its
+//!   memory does not grow with the space.
 //! * [`tables`] — [`SpaceTables`]: per-sweep columnar (SoA) precomputation
 //!   of every design-axis quantity (geometry, `perf(r)`, growth samples),
 //!   feeding the backends' zero-allocation batch kernels.
@@ -32,7 +35,9 @@
 //!   runs, bit-identical to a stable sequential k-way merge. Called only by
 //!   the repo's benchmark; see the module docs.
 //! * [`analysis`] — top-k designs, per-axis optima and 2-D Pareto frontiers
-//!   of speedup against cores or area.
+//!   of speedup against cores or area: the [`TopK`] and [`Pareto`] reducers,
+//!   and the sort-based [`top_k`] / [`pareto_frontier`] they are checked
+//!   against.
 //! * [`export`] — streaming JSON / CSV writers.
 //! * [`curves`] — drop-in replacements for the `mp_model::explore` figure
 //!   sweeps, routed through the engine so Figures 3, 4, 5 and 7 share the
@@ -57,6 +62,15 @@
 //! let best = top_k(&result.records, 3);
 //! let frontier = pareto_frontier(&result.records, CostAxis::Cores);
 //! assert!(!best.is_empty() && !frontier.is_empty());
+//!
+//! // The same answers folded while sweeping, with no record vector.
+//! let handle = SweepHandle::new(&space);
+//! let config = SweepConfig::default();
+//! let (top, _) = engine.reduce_range(&handle, &AnalyticBackend, &config, 0..space.len(), TopK::new(3));
+//! assert_eq!(top.finish(), best);
+//! let pareto = Pareto::new(&space, CostAxis::Cores);
+//! let (pareto, _) = engine.reduce_range(&handle, &AnalyticBackend, &config, 0..space.len(), pareto);
+//! assert_eq!(pareto.finish(), frontier);
 //! ```
 
 #![warn(missing_docs)]
@@ -78,7 +92,7 @@ pub mod tables;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::analysis::{
-        dominates, pareto_frontier, per_axis_optima, top_k, AxisOptimum, CostAxis,
+        dominates, pareto_frontier, per_axis_optima, top_k, AxisOptimum, CostAxis, Pareto, TopK,
     };
     pub use crate::backend::{
         AnalyticBackend, CommBackend, DseError, EvalBackend, MeasuredBackend, SimBackend,
@@ -86,7 +100,7 @@ pub mod prelude {
     pub use crate::cache::{CacheLoadError, CacheStats, EvalCache};
     pub use crate::curves::{figure_curves, Figure};
     pub use crate::engine::{
-        Engine, EvalRecord, RangeCursor, SweepConfig, SweepHandle, SweepResult, SweepStats,
+        Engine, EvalRecord, RangeCursor, Reducer, SweepConfig, SweepHandle, SweepResult, SweepStats,
     };
     pub use crate::export::{write_csv, write_json};
     pub use crate::merge::{merge_runs, sequential_merge};

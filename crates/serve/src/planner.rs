@@ -3,11 +3,14 @@
 //! Sits between the executor pool and the engine. Three concerns:
 //!
 //! * **Coalescing** (`SingleFlight`) — a table of in-flight evaluations
-//!   keyed by `(prepared-space fingerprint, normalized range)`. The first
+//!   keyed by `(prepared-space fingerprint, normalized range, query kind)`
+//!   — the records of a range, its top `k`, or its Pareto frontier on one
+//!   cost axis. The first
 //!   query to arrive for a key becomes the **leader** and evaluates as
 //!   usual; queries that arrive while it is in flight become **followers**,
 //!   block until the leader publishes, and receive the shared result — one
-//!   evaluation, fanned back out per subscriber. Pull-based streaming
+//!   evaluation, fanned back out per subscriber (for a reduction, a clone of
+//!   its few records). Pull-based streaming
 //!   sweeps request deterministic chunk-aligned windows, so overlapping
 //!   full sweeps coalesce window by window without any range arithmetic.
 //! * **Cost model** ([`CostModel`]) — estimates a query's evaluation cost
@@ -180,9 +183,11 @@ impl CostModel {
     }
 }
 
-/// A coalescing-table key: which prepared space, which exact index range.
-/// Streaming windows are chunk-aligned and deterministic, so overlapping
-/// sweeps of the same space produce *equal* keys window by window.
+/// A coalescing-table key: which prepared space, which exact index range,
+/// and what is asked of it. Streaming windows are chunk-aligned and
+/// deterministic, so overlapping sweeps of the same space produce *equal*
+/// keys window by window; a reduction only shares an evaluation with the
+/// same reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     /// Content fingerprint of the prepared space.
@@ -191,6 +196,19 @@ pub(crate) struct PlanKey {
     pub start: usize,
     /// Window end (exclusive).
     pub end: usize,
+    /// What the evaluation answers.
+    pub query: Query,
+}
+
+/// What an evaluation of a range answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Query {
+    /// Every record, in index order.
+    Records,
+    /// The `k` best records ([`mp_dse::analysis::TopK`]).
+    TopK(usize),
+    /// The Pareto frontier on a cost axis ([`mp_dse::analysis::Pareto`]).
+    Pareto(mp_dse::analysis::CostAxis),
 }
 
 /// One in-flight shared computation: the slot the leader publishes into and
@@ -338,7 +356,7 @@ mod tests {
 
         let coalescer: SingleFlight<PlanKey, Result<Arc<SweepResult>, ServeError>> =
             SingleFlight::default();
-        let key = PlanKey { fingerprint: 7, start: 0, end: 4 };
+        let key = PlanKey { fingerprint: 7, start: 0, end: 4, query: Query::Records };
         assert!(matches!(coalescer.join(key), Role::Leader));
         let Role::Follower(entry) = coalescer.join(key) else {
             panic!("second join while in flight must follow");

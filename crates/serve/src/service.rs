@@ -2,14 +2,23 @@
 //!
 //! A [`SweepService`] owns **one** long-lived [`Engine`] — one worker pool,
 //! one memoisation cache — and answers every admitted range with a
-//! single [`Engine::sweep_range`] on the calling thread. The engine's batch
-//! queue is the only scheduler: an idle pool worker takes the next batch,
-//! every worker writes its own disjoint slice of one preallocated record
-//! vector, and that vector *is* the answer — no partial results, no
-//! merge, no copy. A served answer is therefore **bit-identical** to a direct
-//! [`Engine::sweep`] over the same space by construction: every scenario's
-//! value is a deterministic function of the scenario and backend alone,
-//! independent of batch boundaries and of which thread evaluated it.
+//! single engine call on the calling thread. The engine's batch
+//! queue is the only scheduler: an idle pool worker takes the next batch.
+//! For a sweep ([`Engine::sweep_range`]) every worker writes its own
+//! disjoint slice of one preallocated record vector, and that vector *is*
+//! the answer — no partial results, no merge, no copy. A served answer is
+//! therefore **bit-identical** to a direct [`Engine::sweep`] over the same
+//! space by construction: every scenario's value is a deterministic function
+//! of the scenario and backend alone, independent of batch boundaries and of
+//! which thread evaluated it.
+//!
+//! `top_k` and `pareto` want a handful of records back, so they never build
+//! that vector: [`Engine::reduce_range`] folds each batch into a per-worker
+//! [`TopK`] or [`Pareto`] partial and merges the partials, and the
+//! service's memory for them does not grow with the space. The reducers are
+//! exact folds under a total order, so the answer is bit-identical to the
+//! sort-based [`mp_dse::analysis::top_k`] / [`mp_dse::analysis::pareto_frontier`]
+//! over a direct sweep.
 //!
 //! Between the callers and the engine sits the **query planner**
 //! ([`crate::planner`]): concurrent queries over the same prepared space
@@ -51,16 +60,16 @@ use mp_obs::metrics::{Counter, Gauge};
 use mp_obs::profile::{thread_lane, Profiler};
 use parking_lot::Mutex;
 
-use mp_dse::analysis::{pareto_frontier, top_k};
+use mp_dse::analysis::{Pareto, TopK};
 use mp_dse::backend::EvalBackend;
 use mp_dse::curves::figure_curves;
 use mp_dse::engine::{
-    Engine, EvalRecord, RangeCursor, SweepConfig, SweepHandle, SweepResult, SweepStats,
+    Engine, EvalRecord, RangeCursor, Reducer, SweepConfig, SweepHandle, SweepResult, SweepStats,
 };
 use mp_dse::scenario::ScenarioSpace;
 use mp_model::catalogue::CatalogueRegistry;
 
-use crate::planner::{CostModel, PlanKey, Role, SingleFlight};
+use crate::planner::{CostModel, PlanKey, Query, Role, SingleFlight};
 use crate::protocol::{
     to_wire, CatalogueEntry, Request, Response, ServiceStats, SpaceSpec, DEFAULT_CHUNK,
     PROTOCOL_VERSION,
@@ -542,12 +551,23 @@ impl SweepService {
         handle: &Arc<SweepHandle<'static>>,
         range: Option<Range<usize>>,
     ) -> Result<SweepResult, ServeError> {
+        self.query(handle, range, Query::Records)
+    }
+
+    /// Validate, count and admit one query over `range` of a prepared
+    /// handle (`None` = the whole space), then evaluate it.
+    fn query(
+        &self,
+        handle: &Arc<SweepHandle<'static>>,
+        range: Option<Range<usize>>,
+        query: Query,
+    ) -> Result<SweepResult, ServeError> {
         let n = handle.len();
         let range = range.unwrap_or(0..n);
         check_range(&range, n)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.admit(&range)?;
-        self.sweep_prepared(handle, range)
+        self.evaluate(handle, range, query)
     }
 
     /// The admission gate, checked once per *query* — the windows of an
@@ -600,23 +620,29 @@ impl SweepService {
     /// The planner's evaluation entry point: every query path (one-shot
     /// sweeps, streaming windows, analysis queries) funnels its admitted,
     /// validated ranges through here. Concurrent calls with the same
-    /// `(prepared-space fingerprint, range)` key share one
+    /// `(prepared-space fingerprint, range, query)` key share one
     /// evaluation: the first becomes the leader and evaluates, the rest
     /// block and receive the published result — records bit-identical,
     /// follower stats marked [`SweepStats::coalesced`] so the shared work is
     /// counted once by aggregators but still reported to every subscriber.
-    fn sweep_prepared(
+    fn evaluate(
         &self,
         handle: &Arc<SweepHandle<'static>>,
         range: Range<usize>,
+        query: Query,
     ) -> Result<SweepResult, ServeError> {
         if range.is_empty() {
-            return self.sweep_scheduled(handle, range);
+            return self.evaluate_scheduled(handle, range, query);
         }
-        let key = PlanKey { fingerprint: handle.fingerprint(), start: range.start, end: range.end };
+        let key = PlanKey {
+            fingerprint: handle.fingerprint(),
+            start: range.start,
+            end: range.end,
+            query,
+        };
         match self.coalescer.join(key) {
             Role::Leader => {
-                let result = self.sweep_scheduled(handle, range).map(Arc::new);
+                let result = self.evaluate_scheduled(handle, range, query).map(Arc::new);
                 self.coalescer.publish(&key, result.clone());
                 // No follower joined: the published Arc is already dropped
                 // and the result is returned without a copy.
@@ -636,28 +662,44 @@ impl SweepService {
         }
     }
 
-    /// The evaluation core: one [`Engine::sweep_range`] on the calling
-    /// thread, bracketed by the admission gauges. The engine's record vector
-    /// is returned as is. A backend panic is contained to this query — the
-    /// engine has already joined its workers when it re-raises, and whatever
-    /// the panicking sweep cached is deterministic, so a retry re-reads it
-    /// warm. No admission check — callers gate first.
-    fn sweep_scheduled(
+    /// The evaluation core, on the calling thread, bracketed by the
+    /// admission gauges: [`Query::Records`] is one [`Engine::sweep_range`],
+    /// whose record vector is returned as is; a reduction is one
+    /// [`Engine::reduce_range`], whose few records are the answer. A
+    /// backend panic is contained to this query — the engine has already
+    /// joined its workers when it re-raises, and whatever the panicking
+    /// sweep cached is deterministic, so a retry re-reads it warm. No
+    /// admission check — callers gate first.
+    fn evaluate_scheduled(
         &self,
         handle: &SweepHandle<'static>,
         range: Range<usize>,
+        query: Query,
     ) -> Result<SweepResult, ServeError> {
         let cost_us = (self.cost_model.estimate_ms(range.len()) * 1e3) as u64;
         self.depth.fetch_add(1, Ordering::AcqRel);
         self.pending_cost_us.fetch_add(cost_us, Ordering::AcqRel);
         obs_queue_depth().add(1);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.engine.sweep_range(
-                handle,
-                self.backend.as_ref(),
-                &self.sweep_config,
-                range.clone(),
-            )
+            let (engine, backend, config) =
+                (&self.engine, self.backend.as_ref(), &self.sweep_config);
+            let range = range.clone();
+            match query {
+                Query::Records => engine.sweep_range(handle, backend, config, range),
+                Query::TopK(k) => {
+                    // The buffer never outgrows the range, whatever `k` the
+                    // wire carried.
+                    let top = TopK::new(k.min(range.len()));
+                    let (top, stats) = engine.reduce_range(handle, backend, config, range, top);
+                    SweepResult { records: top.finish(), stats }
+                }
+                Query::Pareto(cost) => {
+                    let pareto = Pareto::new(handle.space(), cost);
+                    let (pareto, stats) =
+                        engine.reduce_range(handle, backend, config, range, pareto);
+                    SweepResult { records: pareto.finish(), stats }
+                }
+            }
         }));
         obs_queue_depth().sub(1);
         self.pending_cost_us.fetch_sub(cost_us, Ordering::Release);
@@ -739,7 +781,7 @@ impl SweepService {
                 thread_lane(),
             )
         });
-        let result = self.sweep_prepared(&ticket.handle, window)?;
+        let result = self.evaluate(&ticket.handle, window, Query::Records)?;
         ticket.stats.scenarios += result.stats.scenarios;
         ticket.stats.valid += result.stats.valid;
         ticket.stats.cache_hits += result.stats.cache_hits;
@@ -814,10 +856,8 @@ impl SweepService {
                 Ok(ticket) => return Answer::Sweep(ticket),
                 Err(e) => Err(e),
             },
-            Request::TopK { space, k } => self.record_query(space, |records| top_k(records, *k)),
-            Request::Pareto { space, cost } => {
-                self.record_query(space, |records| pareto_frontier(records, *cost))
-            }
+            Request::TopK { space, k } => self.reduce_space(space, Query::TopK(*k)),
+            Request::Pareto { space, cost } => self.reduce_space(space, Query::Pareto(*cost)),
             Request::Curve { figure } => {
                 self.queries.fetch_add(1, Ordering::Relaxed);
                 figure_curves(*figure)
@@ -852,14 +892,11 @@ impl SweepService {
         verb(&jobs).map(Response::Job)
     }
 
-    /// Shared resolve → sweep → analyse path of the record-returning queries.
-    fn record_query(
-        &self,
-        spec: &SpaceSpec,
-        analyse: impl FnOnce(&[EvalRecord]) -> Vec<EvalRecord>,
-    ) -> Result<Response, ServeError> {
-        let result = self.sweep_handle(&self.resolve_handle(spec)?, None)?;
-        Ok(Response::Records { records: to_wire(&analyse(&result.records)) })
+    /// Shared resolve → admit → reduce path of the record-returning
+    /// analysis verbs: the whole space, folded while it is swept.
+    fn reduce_space(&self, spec: &SpaceSpec, query: Query) -> Result<Response, ServeError> {
+        let result = self.query(&self.resolve_handle(spec)?, None, query)?;
+        Ok(Response::Records { records: to_wire(&result.records) })
     }
 }
 
@@ -934,7 +971,7 @@ fn space_fingerprint(space: &ScenarioSpace) -> u64 {
 mod tests {
     use super::*;
     use crate::protocol::from_wire;
-    use mp_dse::analysis::CostAxis;
+    use mp_dse::analysis::{pareto_frontier, top_k, CostAxis};
     use mp_dse::backend::{AnalyticBackend, SimBackend};
     use mp_dse::cache::EvalCache;
     use mp_model::params::AppParams;

@@ -4,7 +4,9 @@
 //! * **coalescing** — overlapping in-flight sweeps share one evaluation:
 //!   the leader evaluates every scenario exactly once, followers receive a
 //!   bit-identical clone marked `stats.coalesced`, and the planner counters
-//!   account the shared work;
+//!   account the shared work; a reduction (`top_k`, `pareto`) coalesces
+//!   only with the same reduction, never with another kind of query over
+//!   the same range;
 //! * **cost-based admission** — a service whose estimated pending cost would
 //!   exceed the budget rejects new queries with a busy error carrying the
 //!   query's own cost estimate, and admission reopens once the backlog
@@ -14,6 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use mp_dse::backend::{DseError, EvalBackend};
+use mp_dse::engine::EvalRecord;
 use mp_dse::scenario::{Scenario, ScenarioSpace};
 use mp_serve::prelude::*;
 
@@ -214,4 +217,121 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
     for (a, b) in first.records.iter().zip(second.records.iter()) {
         assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
     }
+}
+
+/// The records of a `top_k` / `pareto` answer.
+fn records(answer: Answer) -> Vec<EvalRecord> {
+    match answer {
+        Answer::Response(Response::Records { records }) => from_wire(&records),
+        other => panic!("expected records, got {other:?}"),
+    }
+}
+
+fn bits(records: &[EvalRecord]) -> Vec<(usize, u64, u64, u64)> {
+    records
+        .iter()
+        .map(|r| (r.index, r.speedup.to_bits(), r.cores.to_bits(), r.area.to_bits()))
+        .collect()
+}
+
+/// Spin until `done`, failing the test after 30 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A gated one-thread service with `space` prepared, its prepared spec, and
+/// the gate's `entered` count and release latch.
+#[allow(clippy::type_complexity)]
+fn gated_service(
+    space: &ScenarioSpace,
+) -> (Arc<SweepService>, SpaceSpec, Arc<AtomicUsize>, Arc<(Mutex<bool>, Condvar)>) {
+    let (backend, entered, release) = GateBackend::new();
+    let service = Arc::new(SweepService::new(
+        Arc::new(backend),
+        &ServiceConfig { shards: 1, threads_per_shard: 1, ..ServiceConfig::default() },
+    ));
+    let (id, _) = service.prepare_spec(&SpaceSpec::Explicit(space.clone())).unwrap();
+    (service, SpaceSpec::Prepared { id }, entered, release)
+}
+
+/// Answer `request` on a thread of its own.
+fn spawn_handle(
+    service: &Arc<SweepService>,
+    request: Request,
+) -> std::thread::JoinHandle<Vec<EvalRecord>> {
+    let service = Arc::clone(service);
+    std::thread::spawn(move || records(service.handle(&request)))
+}
+
+#[test]
+fn concurrent_identical_top_k_queries_evaluate_once_and_share_the_answer() {
+    let space =
+        ScenarioSpace::new().clear_designs().add_symmetric_grid((0..48).map(|i| 1.0 + i as f64));
+    let (service, prepared, entered, release) = gated_service(&space);
+    let top_k = || Request::TopK { space: prepared.clone(), k: 10 };
+    let coalesced_before = series("planner_coalesced_requests");
+
+    let leader = spawn_handle(&service, top_k());
+    wait_until("the leader evaluates", || entered.load(Ordering::SeqCst) > 0);
+    let follower = spawn_handle(&service, top_k());
+    // The follower is counted as a query before it joins, and counted as
+    // coalesced when it does.
+    wait_until("the follower joins", || {
+        service.stats().queries == 2 && series("planner_coalesced_requests") > coalesced_before
+    });
+
+    open(&release);
+    let (lead, follow) = (leader.join().unwrap(), follower.join().unwrap());
+    assert_eq!(entered.load(Ordering::SeqCst), space.len(), "one evaluation for both queries");
+    assert_eq!(lead.len(), 10);
+    assert_eq!(bits(&follow), bits(&lead), "the follower's answer is the leader's, bit for bit");
+    let direct = service.sweep(&space, None).unwrap();
+    assert_eq!(bits(&lead), bits(&mp_dse::analysis::top_k(&direct.records, 10)));
+}
+
+#[test]
+fn a_pareto_or_a_sweep_window_does_not_join_a_top_k_leader() {
+    let space =
+        ScenarioSpace::new().clear_designs().add_symmetric_grid((0..48).map(|i| 1.0 + i as f64));
+    let n = space.len();
+    let (service, prepared, entered, release) = gated_service(&space);
+    let evaluating = |count: usize| {
+        let entered = Arc::clone(&entered);
+        move || entered.load(Ordering::SeqCst) >= count
+    };
+
+    let top = spawn_handle(&service, Request::TopK { space: prepared.clone(), k: 10 });
+    wait_until("the top_k leader evaluates", evaluating(1));
+    // Same space and range, another query: each must enter an evaluation of
+    // its own while the top_k leader is still blocked in the backend.
+    let cost = mp_dse::analysis::CostAxis::Cores;
+    let pareto = spawn_handle(&service, Request::Pareto { space: prepared.clone(), cost });
+    wait_until("the pareto query evaluates on its own", evaluating(2));
+    let window = {
+        let service = Arc::clone(&service);
+        let request = Request::Sweep { space: prepared, start: 0, end: n, chunk: 0 };
+        std::thread::spawn(move || {
+            let Answer::Sweep(mut ticket) = service.handle(&request) else {
+                panic!("a sweep is answered with a ticket")
+            };
+            let mut records = Vec::new();
+            while let Some(window) = service.next_window(&mut ticket).unwrap() {
+                records.extend(window);
+            }
+            records
+        })
+    };
+    wait_until("the sweep window evaluates on its own", evaluating(3));
+
+    open(&release);
+    let (top, frontier, swept) =
+        (top.join().unwrap(), pareto.join().unwrap(), window.join().unwrap());
+    assert_eq!(entered.load(Ordering::SeqCst), 3 * n, "three queries, three evaluations");
+    assert_eq!(swept.len(), n);
+    assert_eq!(bits(&top), bits(&mp_dse::analysis::top_k(&swept, 10)));
+    assert_eq!(bits(&frontier), bits(&mp_dse::analysis::pareto_frontier(&swept, cost)));
 }

@@ -47,7 +47,7 @@ fn main() {
     );
 
     println!("\ntop 5 designs:");
-    for (rank, record) in top_k(&result.records, 5).iter().enumerate() {
+    for (rank, record) in TopK::new(5).reduce(&result.records).iter().enumerate() {
         let s = space.scenario(record.index);
         println!(
             "  {}. speedup {:>8.2}  {} under {} BCE ({} cores), {} growth, {}",
@@ -64,7 +64,7 @@ fn main() {
         );
     }
 
-    let frontier = pareto_frontier(&result.records, CostAxis::Cores);
+    let frontier = Pareto::new(&space, CostAxis::Cores).reduce(&result.records);
     println!("\nPareto frontier (speedup vs cores): {} points", frontier.len());
     for record in frontier.iter().take(8) {
         println!("  {:>8.2} cores -> speedup {:>8.2}", record.cores, record.speedup);

@@ -139,27 +139,29 @@ fn batched_cache_probe_allocates_nothing_after_reserve() {
     }
 }
 
+/// A space and the same space with 16× the scenarios (more budgets and
+/// perf models, the same designs).
+fn small_and_large() -> (ScenarioSpace, ScenarioSpace) {
+    let small = ScenarioSpace::new()
+        .with_apps(AppParams::table2_all())
+        .clear_designs()
+        .add_symmetric_grid((0..24).map(|i| 1.0 + i as f64));
+    let large = small.clone().with_budgets(vec![64.0, 128.0, 192.0, 256.0]).with_perfs(vec![
+        PerfModel::Pollack,
+        PerfModel::Power(0.75),
+        PerfModel::Power(0.6),
+        PerfModel::Linear,
+    ]);
+    assert_eq!(large.len(), 16 * small.len());
+    (small, large)
+}
+
 #[test]
 fn full_engine_sweep_allocations_do_not_scale_with_scenario_count() {
     // The engine may allocate during setup (records vector, tables, scratch)
     // but per-scenario allocation must be zero: growing the space 16× must
     // not grow the allocation count beyond the setup's own (bounded) needs.
-    let small = ScenarioSpace::new()
-        .with_apps(AppParams::table2_all())
-        .clear_designs()
-        .add_symmetric_grid((0..24).map(|i| 1.0 + i as f64));
-    let large = ScenarioSpace::new()
-        .with_apps(AppParams::table2_all())
-        .clear_designs()
-        .add_symmetric_grid((0..24).map(|i| 1.0 + i as f64))
-        .with_budgets(vec![64.0, 128.0, 192.0, 256.0])
-        .with_perfs(vec![
-            PerfModel::Pollack,
-            PerfModel::Power(0.75),
-            PerfModel::Power(0.6),
-            PerfModel::Linear,
-        ]);
-    assert_eq!(large.len(), 16 * small.len());
+    let (small, large) = small_and_large();
     let engine = Engine::new(1);
     let config = SweepConfig { batch_size: 64, use_cache: false };
 
@@ -181,6 +183,42 @@ fn full_engine_sweep_allocations_do_not_scale_with_scenario_count() {
     assert!(
         large_allocs < small_allocs + 64,
         "sweep allocations scale with the space: {small_allocs} -> {large_allocs}"
+    );
+}
+
+#[test]
+fn fused_reduction_allocations_do_not_scale_with_scenario_count() {
+    // The same bound for `reduce_range`: tables, scratch, the batch buffer
+    // and the reducer's partial are setup; nothing is per scenario.
+    let (small, large) = small_and_large();
+    let engine = Engine::new(1);
+    let config = SweepConfig { batch_size: 64, use_cache: false };
+    let reduce = |space: &ScenarioSpace| {
+        let handle = SweepHandle::new(space);
+        let n = handle.len();
+        let (top, _) = engine.reduce_range(&handle, &AnalyticBackend, &config, 0..n, TopK::new(10));
+        let pareto = Pareto::new(space, CostAxis::Cores);
+        let (pareto, _) = engine.reduce_range(&handle, &AnalyticBackend, &config, 0..n, pareto);
+        (top.finish().len(), pareto.finish().len())
+    };
+
+    // Warm both shapes once so lazily-allocated state exists.
+    reduce(&small);
+    reduce(&large);
+
+    let before_small = allocations();
+    reduce(&small);
+    let small_allocs = allocations() - before_small;
+
+    let before_large = allocations();
+    let (top, frontier) = reduce(&large);
+    let large_allocs = allocations() - before_large;
+
+    assert_eq!(top, 10);
+    assert!(frontier > 0);
+    assert!(
+        large_allocs < small_allocs + 64,
+        "reduction allocations scale with the space: {small_allocs} -> {large_allocs}"
     );
 }
 

@@ -11,7 +11,13 @@
 //!   deterministic tie-breaks;
 //! * `ScenarioSpace::labels` has **one label per axis value, in axis order**,
 //!   and every per-axis optimum is named from those tables and is the first
-//!   best record of its axis value.
+//!   best record of its axis value;
+//! * the fused reducers are **bit-identical to the sort-based oracles**:
+//!   `Engine::reduce_range` with `TopK` / `Pareto` at 1, 2 and 4 threads and
+//!   any batch size answers exactly what `top_k` / `pareto_frontier` answer
+//!   over a full sweep, on spaces with duplicate designs (speedup ties) and
+//!   unfit (NaN) designs; and however a record slice is split into partials,
+//!   shuffled, and merged in whatever order, the answer does not move.
 
 use merging_phases::dse::prelude::*;
 use merging_phases::prelude::*;
@@ -61,8 +67,53 @@ fn arb_space() -> impl Strategy<Value = ScenarioSpace> {
         })
 }
 
+/// [`arb_space`] with its first `dups` symmetric designs swept twice, so
+/// equal speedups (ties broken by cores, then index) reach the reducers.
+fn arb_tied_space() -> impl Strategy<Value = ScenarioSpace> {
+    (arb_space(), 1usize..6)
+        .prop_map(|(space, dups)| space.add_symmetric_grid((0..dups).map(|i| 1.0 + i as f64 * 7.0)))
+}
+
 fn sweep(space: &ScenarioSpace) -> Vec<EvalRecord> {
     Engine::new(1).sweep(space, &AnalyticBackend, &SweepConfig::default()).records
+}
+
+/// Every field of every record, as bits: `==` on `f64` would equate `-0.0`
+/// with `0.0`.
+fn bits(records: &[EvalRecord]) -> Vec<(usize, u64, u64, u64)> {
+    records
+        .iter()
+        .map(|r| (r.index, r.speedup.to_bits(), r.cores.to_bits(), r.area.to_bits()))
+        .collect()
+}
+
+/// A deterministic Fisher–Yates shuffle driven by splitmix64.
+fn shuffle<T>(items: &mut [T], mut seed: u64) {
+    for i in (1..items.len()).rev() {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        items.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+}
+
+/// Fold each part into its own clone of `init`, merge the partials in
+/// `order`, and finish.
+fn fold_parts<R: Reducer>(init: &R, parts: &[&[EvalRecord]], order: &[usize]) -> R::Output {
+    let partials: Vec<R> = parts
+        .iter()
+        .map(|part| {
+            let mut partial = init.clone();
+            partial.fold(part);
+            partial
+        })
+        .collect();
+    let mut merged = init.clone();
+    for &i in order {
+        merged.merge(partials[i].clone());
+    }
+    merged.finish()
 }
 
 proptest! {
@@ -189,5 +240,78 @@ proptest! {
         }
         // Axis order, then value order within an axis, no duplicates.
         prop_assert!(order.windows(2).all(|pair| pair[0] < pair[1]), "order: {:?}", order);
+    }
+
+    /// The fused path: `reduce_range` at 1, 2 and 4 threads and any batch
+    /// size is bit-identical to the sort-based oracle on a full sweep.
+    #[test]
+    fn reduce_range_is_bit_identical_to_the_sort_based_oracle(
+        space in arb_tied_space(),
+        batch_size in 1usize..=4096,
+    ) {
+        let records = sweep(&space);
+        let n = records.len();
+        let handle = SweepHandle::new(&space);
+        let config = SweepConfig { batch_size, use_cache: false };
+        for threads in [1usize, 2, 4] {
+            let engine = Engine::new(threads);
+            for k in [0usize, 1, 7, n / 2, n, n + 1, usize::MAX] {
+                let (top, stats) =
+                    engine.reduce_range(&handle, &AnalyticBackend, &config, 0..n, TopK::new(k));
+                prop_assert!(
+                    bits(&top.finish()) == bits(&top_k(&records, k)),
+                    "top_k({}) at {} threads, batch {}", k, threads, batch_size
+                );
+                prop_assert_eq!(stats.scenarios, n);
+                prop_assert_eq!(stats.valid, records.iter().filter(|r| r.is_valid()).count());
+            }
+            for cost in [CostAxis::Cores, CostAxis::Area] {
+                let pareto = Pareto::new(&space, cost);
+                let (pareto, _) =
+                    engine.reduce_range(&handle, &AnalyticBackend, &config, 0..n, pareto);
+                prop_assert!(
+                    bits(&pareto.finish()) == bits(&pareto_frontier(&records, cost)),
+                    "{} frontier at {} threads, batch {}", cost.name(), threads, batch_size
+                );
+            }
+        }
+    }
+
+    /// The merge: however the records are shuffled, cut into partials and
+    /// merged, the answer is the oracle's.
+    #[test]
+    fn partials_merge_to_the_oracle_in_any_split_and_order(
+        space in arb_tied_space(),
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..8),
+        seed in 0u64..u64::MAX,
+        shuffled in proptest::bool::ANY,
+    ) {
+        let records = sweep(&space);
+        let mut pieces = records.clone();
+        if shuffled {
+            shuffle(&mut pieces, seed);
+        }
+        let mut at: Vec<usize> = cuts.iter().map(|c| (c * pieces.len() as f64) as usize).collect();
+        at.push(0);
+        at.push(pieces.len());
+        at.sort_unstable();
+        let parts: Vec<&[EvalRecord]> = at.windows(2).map(|w| &pieces[w[0]..w[1]]).collect();
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        shuffle(&mut order, seed.rotate_left(17));
+
+        let valid = records.iter().filter(|r| r.is_valid()).count();
+        for k in [0usize, 1, 5, valid, usize::MAX] {
+            prop_assert!(
+                bits(&fold_parts(&TopK::new(k), &parts, &order)) == bits(&top_k(&records, k)),
+                "top_k({}) over {} partials", k, parts.len()
+            );
+        }
+        for cost in [CostAxis::Cores, CostAxis::Area] {
+            let frontier = fold_parts(&Pareto::new(&space, cost), &parts, &order);
+            prop_assert!(
+                bits(&frontier) == bits(&pareto_frontier(&records, cost)),
+                "{} frontier over {} partials", cost.name(), parts.len()
+            );
+        }
     }
 }

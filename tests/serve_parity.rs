@@ -158,6 +158,41 @@ fn socket_parity(space: &ScenarioSpace, backend: &Backend, direct: &SweepResult,
 }
 
 #[test]
+fn top_k_answers_every_k_in_process_and_over_the_socket() {
+    // `k` is an unchecked count on the wire. None, one, all, one more than
+    // all and `usize::MAX` must each equal the oracle over a direct sweep —
+    // the last three are "every valid record, sorted" — and the huge ones
+    // must not size a buffer by `k`.
+    let space = space();
+    let backend = analytic();
+    let direct = direct_sweep(&space, &backend);
+    let n = space.len();
+    let service = Arc::new(service(2, &backend));
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::clone(&service)).unwrap();
+    let endpoint = server.endpoint().clone();
+    let serving = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(&endpoint).unwrap();
+
+    for k in [0, 1, n, n + 1, usize::MAX] {
+        let want = top_k(&direct.records, k);
+        let request = Request::TopK { space: SpaceSpec::Explicit(space.clone()), k };
+        let in_process = match service.handle(&request) {
+            Answer::Response(Response::Records { records }) => from_wire(&records),
+            other => panic!("top_k({k}): expected records, got {other:?}"),
+        };
+        assert_records_identical(&in_process, &want, &format!("in-process top_k({k})"));
+        let over_socket = client.top_k(&space, k).unwrap();
+        assert_records_identical(&over_socket, &want, &format!("socket top_k({k})"));
+    }
+    let valid = direct.records.iter().filter(|r| r.is_valid()).count();
+    assert!(valid < n, "the space has unfit designs, so `n` is more than every valid record");
+    assert_eq!(top_k(&direct.records, usize::MAX).len(), valid);
+
+    client.shutdown().unwrap();
+    serving.join().unwrap();
+}
+
+#[test]
 fn concurrent_socket_clients_all_observe_identical_answers() {
     // On the simulator, so repeats are answered from the one cache.
     let space = space();
