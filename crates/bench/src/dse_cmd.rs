@@ -16,7 +16,6 @@
 //! cold full sweep costs less than parsing a persisted cache back would, so
 //! the cache dies with the process and a re-run rewrites the same records.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -446,19 +445,17 @@ pub fn export_sweep(
     result: &SweepResult,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let create = |name: &str| std::fs::File::create(dir.join(name)).map(std::io::BufWriter::new);
-    // The files share no mutable state: JSON streams on a scoped thread, CSV
-    // on the caller's, and both have finished (or failed) before this returns.
+    // The writers hand the files large chunks themselves, so they get the
+    // bare `File`s. The files share no mutable state: JSON streams on a
+    // scoped thread, CSV on the caller's, and both have finished (or failed)
+    // before this returns.
+    let create = |name: &str| std::fs::File::create(dir.join(name));
     std::thread::scope(|scope| {
         let json = scope.spawn(|| {
-            let mut json = create("sweep.json")?;
-            write_json(&mut json, space, &result.records, &result.stats)?;
-            json.flush()
+            write_json(&mut create("sweep.json")?, space, &result.records, &result.stats)
         });
-        let csv = create("sweep.csv").and_then(|mut csv| {
-            write_csv(&mut csv, space, &result.records)?;
-            csv.flush()
-        });
+        let csv =
+            create("sweep.csv").and_then(|mut csv| write_csv(&mut csv, space, &result.records));
         json.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
         csv
     })
