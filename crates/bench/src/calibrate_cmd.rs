@@ -135,8 +135,7 @@ fn build_space(options: &Options, backend: &MeasuredBackend) -> ScenarioSpace {
     let (sym_points, budgets) =
         if options.quick { (32usize, vec![256.0]) } else { (256usize, vec![64.0, 256.0, 1024.0]) };
     let max_r: f64 = 64.0; // valid under every budget
-    let sym = (0..sym_points)
-        .map(move |i| max_r.powf(i as f64 / (sym_points.saturating_sub(1).max(1)) as f64));
+    let sym = mp_dse::scenario::log_spaced(sym_points, max_r);
     let pow2 = |limit: f64| {
         std::iter::successors(Some(1.0f64), move |r| (r * 2.0 <= limit).then_some(r * 2.0))
     };

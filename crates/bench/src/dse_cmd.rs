@@ -141,8 +141,7 @@ fn build_space(options: &Options) -> ScenarioSpace {
         if options.quick { (48usize, vec![256.0]) } else { (512usize, vec![128.0, 256.0, 512.0]) };
     // Log-spaced per-core areas in [1, 128] BCE — valid under every budget.
     let max_r: f64 = 128.0;
-    let sym = (0..sym_points)
-        .map(move |i| max_r.powf(i as f64 / (sym_points.saturating_sub(1).max(1)) as f64));
+    let sym = mp_dse::scenario::log_spaced(sym_points, max_r);
     let pow2 = |limit: f64| {
         std::iter::successors(Some(1.0f64), move |r| (r * 2.0 <= limit).then_some(r * 2.0))
     };
@@ -482,6 +481,34 @@ mod tests {
         let result = engine.sweep(&space, &AnalyticBackend, &SweepConfig::default());
         // Every scenario of the quick grid fits its budget.
         assert_eq!(result.stats.valid, space.len());
+    }
+
+    /// Every float cell of the full space's `sweep.csv` — `r`, `rl`, `cores`,
+    /// `area` and the speedup of each of its 214k scenarios — is `std`'s
+    /// spelling of the value. `sweep.json` spells through the same function.
+    #[test]
+    #[ignore = "sweeps and exports the full space; CI runs it in release"]
+    fn shortest_spelling_of_the_full_space_matches_std() {
+        let space = experiment_space(false);
+        let result = Engine::new(2).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+        let mut csv = Vec::new();
+        write_csv(&mut csv, &space, &result.records).unwrap();
+        let text = String::from_utf8(csv).unwrap();
+        let spell = |v: f64| if v.is_finite() { format!("{v}") } else { String::new() };
+        let mut rows = 0;
+        for (line, record) in text.lines().skip(1).zip(&result.records) {
+            let (r, rl) = match space.scenario(record.index).design {
+                ChipSpec::Symmetric { r } => (r, f64::NAN),
+                ChipSpec::Asymmetric { r, rl } => (r, rl),
+            };
+            let cells: Vec<&str> = line.split(',').collect();
+            let floats = [cells[4], cells[5], cells[6], cells[7], cells[12]];
+            let expected = [r, rl, record.cores, record.area, record.speedup].map(spell);
+            assert_eq!(floats, expected.each_ref().map(String::as_str), "row {line}");
+            rows += 1;
+        }
+        assert_eq!(rows, space.len());
+        assert!(rows >= 200_000, "{rows} rows");
     }
 
     #[test]

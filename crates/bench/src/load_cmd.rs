@@ -158,8 +158,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
 pub fn load_space(quick: bool, backend: &dyn EvalBackend) -> ScenarioSpace {
     let sym_points = if quick { 96usize } else { 384 };
     let max_r: f64 = 128.0;
-    let sym = (0..sym_points)
-        .map(move |i| max_r.powf(i as f64 / (sym_points.saturating_sub(1).max(1)) as f64));
+    let sym = mp_dse::scenario::log_spaced(sym_points, max_r);
     let pow2 = |limit: f64| {
         std::iter::successors(Some(1.0f64), move |r| (r * 2.0 <= limit).then_some(r * 2.0))
     };

@@ -138,3 +138,35 @@ fn dse_second_pass_hits_the_cache_only_for_memoising_backends() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// `repro dse --quick` exports the same bytes from every build and every
+/// backend: FNV-1a digests of `sweep.csv`, and of `sweep.json` past its first
+/// line (which holds timings), pinned from a release build. Debug builds
+/// compute the design grid and spell its floats the same way, so a change to
+/// the float spelling, the grid or the models shows here in either profile.
+#[test]
+fn dse_quick_exports_match_pinned_digests() {
+    let digest = |bytes: &[u8]| {
+        let mut hash = mp_model::fingerprint::Fnv64::new();
+        bytes.iter().for_each(|&byte| hash.write_u8(byte));
+        hash.finish()
+    };
+    for (backend, csv, json) in [
+        ("analytic", 0xd98d_468f_7f0d_128b, 0xd733_67f9_d8a0_ae85),
+        ("comm", 0xd943_9f9d_e5b8_7f53, 0xf051_3ff1_5d33_36e9),
+        ("sim", 0x3ffa_647b_43f2_91f3, 0xbbe7_5038_3f49_00a9),
+        ("measured", 0x651f_a6be_2fa2_43db, 0xc816_4194_f1ed_fa55),
+    ] {
+        let dir =
+            std::env::temp_dir().join(format!("mp-cli-digest-{backend}-{}", std::process::id()));
+        let out = dir.to_str().expect("temp paths are UTF-8");
+        let output = repro(&["dse", "--quick", "--backend", backend, "--out", out]);
+        assert!(output.status.success(), "repro dse --backend {backend} failed: {output:?}");
+        let read = |name: &str| std::fs::read(dir.join(name)).expect("the export is written");
+        let json_file = read("sweep.json");
+        let records = json_file.splitn(2, |&byte| byte == b'\n').nth(1).expect("records follow");
+        assert_eq!(digest(&read("sweep.csv")), csv, "{backend}: sweep.csv");
+        assert_eq!(digest(records), json, "{backend}: sweep.json from line 2");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

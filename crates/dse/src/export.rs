@@ -14,6 +14,11 @@
 //! - The index and one shortest round-trip float, the speedup, are all that
 //!   is spelled per record.
 //!
+//! Every float goes through one function, `push_float`, which spells it with
+//! the crate's own shortest round-trip writer (`shortest`, Ryu laid out as
+//! `Display` lays it out) instead of `core::fmt`. The tests hold the writers
+//! to a per-record `format!` oracle, so `std` still defines the bytes.
+//!
 //! Rows collect in one buffer that goes to the underlying writer in pieces of
 //! at least 256 KiB, so a file takes a few hundred `write` calls and
 //! wants no `BufWriter`. Nothing is allocated per record. Field order and
@@ -26,6 +31,7 @@ use mp_model::chip::ChipBudget;
 
 use crate::engine::{EvalRecord, SweepStats};
 use crate::scenario::{ChipSpec, ScenarioSpace};
+use crate::shortest::push_f64;
 
 /// The writers hand rows to the underlying writer in pieces of at least this
 /// many bytes (the last piece excepted).
@@ -77,7 +83,7 @@ const JSON: Format = Format {
 /// is not finite.
 fn push_float(buf: &mut Vec<u8>, value: f64, missing: &str) {
     if value.is_finite() {
-        write!(buf, "{value}").expect("a Vec accepts every write");
+        push_f64(buf, value);
     } else {
         buf.extend_from_slice(missing.as_bytes());
     }

@@ -87,6 +87,7 @@ pub mod fault;
 mod mem;
 pub mod merge;
 pub mod scenario;
+mod shortest;
 pub mod tables;
 
 /// Commonly used items.

@@ -237,6 +237,16 @@ impl Fnv128 {
     }
 }
 
+/// `points` values log-spaced from 1 to `max`: `max^(i / (points − 1))`.
+///
+/// Computed as `exp2(log2(max) · t)`, which is what an optimised build makes
+/// of `max.powf(t)` for a constant `max` while a debug build calls `pow`, so
+/// that both builds sweep, and export, the same bits.
+pub fn log_spaced(points: usize, max: f64) -> impl Iterator<Item = f64> {
+    let steps = points.saturating_sub(1).max(1) as f64;
+    (0..points).map(move |i| (max.log2() * (i as f64 / steps)).exp2())
+}
+
 /// The cartesian product of the seven scenario axes.
 ///
 /// Build one with the fluent setters, then hand it to

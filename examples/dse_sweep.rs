@@ -24,7 +24,7 @@ fn main() {
         .with_apps(apps)
         .with_budgets(vec![256.0, 512.0, 1024.0])
         .clear_designs()
-        .add_symmetric_grid((0..512).map(|i| 256f64.powf(i as f64 / 511.0)))
+        .add_symmetric_grid(merging_phases::dse::scenario::log_spaced(512, 256.0))
         .add_asymmetric_grid([1.0, 2.0, 4.0, 8.0], [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
         .with_growths(vec![
             GrowthFunction::Constant,
