@@ -125,21 +125,15 @@ fn generate(name: &str, quick: bool) -> Vec<TableRow> {
 
 fn usage() {
     eprintln!("usage: repro [--json] [--quick] <experiment>... | all");
-    eprintln!(
-        "       repro dse [--backend analytic|comm|sim|measured] [--out DIR] [--top K] [--threads N] [--trace PATH] [--quick] [--json] [--profile]"
-    );
-    eprintln!(
-        "       repro calibrate [--threads N] [--out DIR] [--top K] [--quick] [--exact] [--json]"
-    );
-    eprintln!(
-        "       repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] [--backend B] [--loops N] [--executors N] [--queue N] [--cost-budget MS] [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]"
-    );
-    eprintln!(
-        "       repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] [--pipelined] [--depth N] [--quick] [--json] [--spawn]"
-    );
-    eprintln!(
-        "       repro job submit|status|cancel|resume [--addr HOST:PORT | --socket PATH] [--backend B] [--id ID] [--chunk N] [--checkpoint-every K] [--wait SECS] [--verify] [--quick] [--dse-space]"
-    );
+    for usage in [
+        mp_bench::dse_cmd::USAGE,
+        mp_bench::calibrate_cmd::USAGE,
+        mp_bench::serve_cmd::USAGE,
+        mp_bench::load_cmd::USAGE,
+        mp_bench::job_cmd::USAGE,
+    ] {
+        eprintln!("       {usage}");
+    }
     eprintln!("experiments:");
     for e in EXPERIMENTS {
         eprintln!("  {:<8} {}", e.name, e.title);

@@ -32,6 +32,11 @@ use crate::dse_cmd::{export_sweep, record_row, scenario_label};
 /// [`crate::dse_cmd::VALUE_FLAGS`] for why this lives next to `parse`).
 pub const VALUE_FLAGS: &[&str] = &["--threads", "--out", "--top"];
 
+/// The subcommand's usage, printed after a parse error and in `repro`'s
+/// own usage.
+pub const USAGE: &str =
+    "repro calibrate [--threads N] [--out DIR] [--top K] [--quick] [--exact] [--json]";
+
 struct Options {
     threads: usize,
     out_dir: PathBuf,
@@ -159,9 +164,7 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
-            eprintln!(
-                "usage: repro calibrate [--threads N] [--out DIR] [--top K] [--quick] [--exact] [--json]"
-            );
+            eprintln!("usage: {USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -34,6 +34,11 @@ use crate::alloc_track;
 /// precede the subcommand name, so the list lives here next to `parse`.
 pub const VALUE_FLAGS: &[&str] = &["--backend", "--out", "--top", "--threads", "--trace"];
 
+/// The subcommand's usage, printed after a parse error and in `repro`'s
+/// own usage.
+pub const USAGE: &str = "repro dse [--backend analytic|comm|sim|measured] [--out DIR] [--top K] \
+     [--threads N] [--trace PATH] [--quick] [--json] [--profile]";
+
 /// Options of one `dse` invocation.
 #[derive(Debug)]
 struct Options {
@@ -231,7 +236,7 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
-            eprintln!("usage: repro dse [--backend analytic|comm|sim|measured] [--out DIR] [--top K] [--threads N] [--trace PATH] [--quick] [--json] [--profile]");
+            eprintln!("usage: {USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -1,104 +1,33 @@
-//! Figures 4, 5 and 7: the CMP design-space study.
-//!
-//! All three figures sweep chip designs under a 256-BCE budget with
-//! `perf(r) = sqrt(r)` for the eight application classes of Table III:
-//!
-//! * Figure 4 — symmetric CMPs: speedup versus per-core area `r`, for linear
-//!   and logarithmic reduction-overhead growth.
-//! * Figure 5 — asymmetric CMPs: speedup versus large-core area `rl`, for
-//!   small-core areas `r ∈ {1, 4, 16}` (linear growth).
-//! * Figure 7 — the communication-aware model (parallel merge, 2-D mesh) for
-//!   the non-embarrassingly-parallel, moderate-constant class, symmetric and
-//!   asymmetric.
+//! Figures 4, 5 and 7 — the CMP design-space study under a 256-BCE budget —
+//! as tables, plus the ACMP-vs-CMP summary. The curve families are
+//! [`mp_model::explore::figure_curves`]; the variants of [`Figure`] describe
+//! what each figure sweeps.
 
-use mp_dse::curves::{
-    asymmetric_curve, asymmetric_curve_comm, symmetric_curve, symmetric_curve_comm,
-};
 use mp_model::chip::ChipBudget;
-use mp_model::comm::CommModel;
+use mp_model::explore::{best_asymmetric, best_symmetric, Figure};
 use mp_model::extended::ExtendedModel;
 use mp_model::growth::GrowthFunction;
 use mp_model::params::AppClass;
 use mp_model::perf::PerfModel;
 use mp_profile::TableRow;
 
-/// Small-core areas swept by the Figure 5 curves.
-pub const FIG5_SMALL_CORE_AREAS: [f64; 3] = [1.0, 4.0, 16.0];
-
-fn class_label(class: &AppClass, suffix: &str) -> String {
-    format!("{}[{}]", class.name(), suffix)
-}
-
 /// Figure 4: symmetric-CMP speedup curves. One row per
 /// (application class, growth function); the columns are per-core areas.
 pub fn fig4_symmetric_design_space() -> Vec<TableRow> {
-    let budget = ChipBudget::paper_default();
-    let mut rows = Vec::new();
-    for class in AppClass::table3_all() {
-        for growth in [GrowthFunction::Linear, GrowthFunction::Logarithmic] {
-            let model = ExtendedModel::new(class.params(), growth.clone(), PerfModel::Pollack);
-            let curve = symmetric_curve(&model, budget, class_label(&class, growth.name()))
-                .expect("paper classes are valid");
-            let mut row = TableRow::new(curve.label.clone());
-            for point in &curve.points {
-                row = row.with(format!("r={}", point.area), point.speedup);
-            }
-            rows.push(row);
-        }
-    }
-    rows
+    super::figure_rows(Figure::Fig4, |_| "r")
 }
 
 /// Figure 5: asymmetric-CMP speedup curves. One row per
 /// (application class, small-core area); the columns are large-core areas.
 pub fn fig5_asymmetric_design_space() -> Vec<TableRow> {
-    let budget = ChipBudget::paper_default();
-    let mut rows = Vec::new();
-    for class in AppClass::table3_all() {
-        let model = ExtendedModel::new(class.params(), GrowthFunction::Linear, PerfModel::Pollack);
-        for r in FIG5_SMALL_CORE_AREAS {
-            let curve = asymmetric_curve(&model, budget, r, class_label(&class, &format!("r={r}")))
-                .expect("paper classes are valid");
-            let mut row = TableRow::new(curve.label.clone());
-            for point in &curve.points {
-                row = row.with(format!("rl={}", point.area), point.speedup);
-            }
-            rows.push(row);
-        }
-    }
-    rows
+    super::figure_rows(Figure::Fig5, |_| "rl")
 }
 
 /// Figure 7: communication-aware model for the non-embarrassingly-parallel,
 /// moderate-constant class. The `symmetric` row sweeps the per-core area; the
 /// `asymmetric[r=..]` rows sweep the large-core area.
 pub fn fig7_communication_model() -> Vec<TableRow> {
-    let budget = ChipBudget::paper_default();
-    let class = AppClass {
-        embarrassingly_parallel: false,
-        high_constant: false,
-        high_reduction_overhead: true,
-    };
-    let model = CommModel::paper_figure7(class.params()).expect("valid Figure 7 parameters");
-
-    let mut rows = Vec::new();
-    let sym = symmetric_curve_comm(&model, budget, "symmetric").expect("valid sweep");
-    let mut row = TableRow::new(sym.label.clone());
-    for point in &sym.points {
-        row = row.with(format!("r={}", point.area), point.speedup);
-    }
-    rows.push(row);
-
-    for r in FIG5_SMALL_CORE_AREAS {
-        let curve = asymmetric_curve_comm(&model, budget, r, format!("asymmetric[r={r}]"))
-            .expect("valid sweep");
-        let mut row = TableRow::new(curve.label.clone());
-        for point in &curve.points {
-            row = row.with(format!("rl={}", point.area), point.speedup);
-        }
-        rows.push(row);
-    }
-    rows
+    super::figure_rows(Figure::Fig7, |curve| if curve.label == "symmetric" { "r" } else { "rl" })
 }
 
 /// Headline comparison used in the paper's Section V-D/V-E discussion: best
@@ -111,8 +40,8 @@ pub fn acmp_advantage_summary() -> Vec<TableRow> {
         .map(|class| {
             let model =
                 ExtendedModel::new(class.params(), GrowthFunction::Linear, PerfModel::Pollack);
-            let best_sym = mp_dse::curves::best_symmetric(&model, budget).unwrap();
-            let (best_r, best_asym) = mp_dse::curves::best_asymmetric(&model, budget).unwrap();
+            let best_sym = best_symmetric(&model, budget).unwrap();
+            let (best_r, best_asym) = best_asymmetric(&model, budget).unwrap();
             TableRow::new(class.name())
                 .with("best_sym_speedup", best_sym.speedup)
                 .with("best_sym_r", best_sym.area)
@@ -184,7 +113,7 @@ mod tests {
         // For low reduction overhead the r=1 curve should reach the highest
         // speedup among the three small-core choices (paper Fig. 5(a/b/e/f)).
         for class in ["emb/high-con/low-ovh", "non-emb/high-con/low-ovh"] {
-            let best_per_r: Vec<f64> = FIG5_SMALL_CORE_AREAS
+            let best_per_r: Vec<f64> = [1, 4, 16]
                 .iter()
                 .map(|r| {
                     let row =

@@ -4,6 +4,9 @@
 //! useful, richer structures) so it can be called from the `repro` binary, the
 //! Criterion benchmarks and the integration tests alike.
 
+use mp_model::explore::{figure_curves, Curve, Figure};
+use mp_profile::TableRow;
+
 pub mod characterization;
 pub mod design_space;
 pub mod scalability;
@@ -25,3 +28,19 @@ pub use tables::{
 /// The core counts used by the characterisation experiments (the paper's
 /// simulations stop at 16 cores).
 pub const CHARACTERIZATION_CORES: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The rows of one paper figure: one row per curve of
+/// [`figure_curves`]`(figure)`, one `"{axis}={area}"` column per point, where
+/// `axis(curve)` names the curve's swept axis.
+fn figure_rows(figure: Figure, axis: impl Fn(&Curve) -> &'static str) -> Vec<TableRow> {
+    let curves = figure_curves(figure).expect("paper figures always evaluate");
+    curves
+        .iter()
+        .map(|curve| {
+            let axis = axis(curve);
+            curve.points.iter().fold(TableRow::new(curve.label.clone()), |row, point| {
+                row.with(format!("{axis}={}", point.area), point.speedup)
+            })
+        })
+        .collect()
+}

@@ -4,73 +4,30 @@
 //! plain Amdahl's Law (constant serial fraction) against the extended model
 //! (reduction overhead growing linearly), scaling out to 256 baseline cores.
 
-use mp_dse::curves::unit_core_curve;
-use mp_model::amdahl::amdahl_speedup;
-use mp_model::extended::ExtendedModel;
-use mp_model::growth::GrowthFunction;
-use mp_model::params::AppParams;
-use mp_model::perf::PerfModel;
+use mp_model::explore::Figure;
 use mp_profile::TableRow;
 
-/// Core counts reported by the Figure 3 curves.
-pub const FIG3_CORES: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
-
-/// Figure 3: one row per (application, model) pair, columns are core counts.
-/// The `amdahl` rows assume a constant serial section (paper Eq. 1/2 with
-/// `r = 1`); the `with-reduction` rows use the extended model (Eq. 4).
+/// Figure 3: one row per (application, model) pair, columns are the core
+/// counts `p=1 … p=256`. The `amdahl` rows assume a constant serial section
+/// (paper Eq. 1/2 with `r = 1`); the `with-reduction` rows use the extended
+/// model (Eq. 4).
 pub fn fig3_scalability_prediction() -> Vec<TableRow> {
-    let mut rows = Vec::new();
-    for params in AppParams::table2_all() {
-        let mut amdahl_row = TableRow::new(format!("{}-amdahl", params.name));
-        for &p in &FIG3_CORES {
-            amdahl_row =
-                amdahl_row.with(format!("p={p}"), amdahl_speedup(params.f, p as f64).unwrap());
-        }
-        rows.push(amdahl_row);
-
-        let model = ExtendedModel::new(params.clone(), GrowthFunction::Linear, PerfModel::Pollack);
-        let mut ext_row = TableRow::new(format!("{}-with-reduction", params.name));
-        for (p, speedup) in unit_core_curve(&model, 256).unwrap() {
-            if FIG3_CORES.contains(&p) {
-                ext_row = ext_row.with(format!("p={p}"), speedup);
-            }
-        }
-        rows.push(ext_row);
-    }
-    rows
-}
-
-/// The ratio by which Amdahl's Law overestimates the 256-core speedup of each
-/// application (a headline number of the paper's Section V-C).
-pub fn fig3_overestimation_factors() -> Vec<TableRow> {
-    AppParams::table2_all()
-        .into_iter()
-        .map(|params| {
-            let amdahl = amdahl_speedup(params.f, 256.0).unwrap();
-            let model =
-                ExtendedModel::new(params.clone(), GrowthFunction::Linear, PerfModel::Pollack);
-            let extended = model.speedup_unit_cores(256.0).unwrap();
-            TableRow::new(params.name)
-                .with("amdahl_256", amdahl)
-                .with("with_reduction_256", extended)
-                .with("overestimation", amdahl / extended)
-        })
-        .collect()
+    super::figure_rows(Figure::Fig3, |_| "p")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_model::params::AppParams;
 
     #[test]
     fn amdahl_rows_keep_rising_to_256_cores() {
         let rows = fig3_scalability_prediction();
         for row in rows.iter().filter(|r| r.label.ends_with("amdahl")) {
             let mut prev = 0.0;
-            for &p in &FIG3_CORES {
-                let v = row.get(&format!("p={p}")).unwrap();
-                assert!(v >= prev, "{} not monotone at p={p}", row.label);
-                prev = v;
+            for (column, v) in &row.values {
+                assert!(*v >= prev, "{} not monotone at {column}", row.label);
+                prev = *v;
             }
             // Near-linear scaling at 256 cores for these tiny serial fractions.
             assert!(row.get("p=256").unwrap() > 190.0, "{}", row.label);
@@ -106,13 +63,6 @@ mod tests {
         let rows = fig3_scalability_prediction();
         for row in &rows {
             assert!((row.get("p=1").unwrap() - 1.0).abs() < 1e-9, "{}", row.label);
-        }
-    }
-
-    #[test]
-    fn overestimation_factors_exceed_one() {
-        for row in fig3_overestimation_factors() {
-            assert!(row.get("overestimation").unwrap() > 1.2, "{}", row.label);
         }
     }
 }

@@ -16,7 +16,10 @@
 //! a backend that memoises, recomputed on analytic or measured) and checks
 //! them **bit-identical** against a direct local
 //! `Engine::sweep` of the same space — the CI crash-recovery drill's
-//! parity gate. The verification fetch goes through the shared
+//! parity gate. The local reference is built from this invocation's flags,
+//! so `--verify` first checks that the server's backend and the job's
+//! space fingerprint match them, and names the submit flags to repeat when
+//! they do not. The verification fetch goes through the shared
 //! [`RetryPolicy`], so a server still draining job windows answers when
 //! it can rather than failing the check.
 //!
@@ -34,6 +37,14 @@ use crate::cli;
 /// [`crate::dse_cmd::VALUE_FLAGS`] for why this lives next to `parse`).
 pub const VALUE_FLAGS: &[&str] =
     &["--addr", "--socket", "--backend", "--chunk", "--checkpoint-every", "--id", "--wait"];
+
+/// The subcommand's usage, printed after a parse error and in `repro`'s
+/// own usage.
+pub const USAGE: &str = "repro job submit [--addr HOST:PORT | --socket PATH] \
+     [--backend analytic|comm|sim|measured] [--quick] [--dse-space] [--chunk N] \
+     [--checkpoint-every K] [--wait SECS] [--verify]\n       \
+     repro job status|cancel|resume --id ID [--addr HOST:PORT | --socket PATH] [--wait SECS] \
+     [--verify [--backend B] [--quick] [--dse-space]]";
 
 /// What one `job` invocation asks for.
 struct Options {
@@ -150,13 +161,30 @@ fn print_snapshot(snapshot: &JobSnapshot) {
     );
 }
 
+/// Check that a local reference sweep is comparable with the server's job:
+/// `server` is the server's backend `name()` and the job's space
+/// fingerprint, `local` the same pair for this invocation's flags. On a
+/// mismatch the error names both sides and the submit flags that choose
+/// them.
+fn check_reference(job: &str, server: (&str, &str), local: (&str, &str)) -> Result<(), String> {
+    if server == local {
+        return Ok(());
+    }
+    Err(format!(
+        "cannot verify job {job}: the server swept backend `{}` over space {}, the local \
+         reference would sweep backend `{}` over space {}; repeat the flags the job was \
+         submitted with (--backend, --quick, --dse-space)",
+        server.0, server.1, local.0, local.1
+    ))
+}
+
 /// Fetch the job's records with a normal sweep through the shared
 /// retry policy and compare them bit-for-bit against a direct local
 /// engine sweep — the crash-recovery drill's parity gate.
 fn verify_records(
     client: &mut Client,
     space: &ScenarioSpace,
-    backend: &str,
+    backend: &dyn EvalBackend,
 ) -> Result<bool, String> {
     let request = Request::Sweep {
         space: SpaceSpec::Explicit(space.clone()),
@@ -173,9 +201,8 @@ fn verify_records(
     }
     let (records, _stats) = mp_serve::client::assemble_sweep(outcome.responses, &(0..space.len()))
         .map_err(|e| format!("verification sweep: {e}"))?;
-    let backend = cli::backend_by_name(backend)?;
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let reference = Engine::new(threads).sweep(space, &backend, &SweepConfig::default());
+    let reference = Engine::new(threads).sweep(space, backend, &SweepConfig::default());
     Ok(crate::load_cmd::records_identical(&records, &reference.records))
 }
 
@@ -185,12 +212,7 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
-            eprintln!(
-                "usage: repro job submit [--addr HOST:PORT | --socket PATH] \
-                 [--backend analytic|comm|sim|measured] [--quick] [--dse-space] [--chunk N] \
-                 [--checkpoint-every K] [--wait SECS] [--verify]\n\
-                 \x20      repro job status|cancel|resume --id ID [--wait SECS] [--verify]"
-            );
+            eprintln!("usage: {USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -239,7 +261,14 @@ fn drive(options: &Options) -> Result<ExitCode, String> {
         return Err(format!("job {} settled as `{}`, not completed", settled.id, settled.state));
     }
     if options.verify {
-        if verify_records(&mut client, &space, &options.backend)? {
+        let server_backend = client.stats().map_err(|e| format!("stats: {e}"))?.backend;
+        let fingerprint = format!("{:016x}", mp_dse::engine::space_fingerprint(&space));
+        check_reference(
+            &settled.id,
+            (&server_backend, &settled.fingerprint),
+            (backend.name(), &fingerprint),
+        )?;
+        if verify_records(&mut client, &space, &*backend)? {
             println!("job {}: records bit-identical to the local reference sweep", settled.id);
         } else {
             return Err(format!(
@@ -292,5 +321,20 @@ mod tests {
         assert!(parse(&s(&["submit", "--dse-space"])).unwrap().dse_space);
         assert!(parse(&s(&["frobnicate"])).is_err());
         assert!(parse(&s(&[])).is_err());
+    }
+
+    #[test]
+    fn check_reference_accepts_a_match_and_names_both_sides_of_a_mismatch() {
+        let (fingerprint, other) = ("00000000deadbeef", "0123456789abcdef");
+        assert_eq!(check_reference("j1", ("cmpsim", fingerprint), ("cmpsim", fingerprint)), Ok(()));
+        for local in [("analytic", fingerprint), ("cmpsim", other)] {
+            let message = check_reference("j1", ("cmpsim", fingerprint), local).unwrap_err();
+            for needle in ["j1", "`cmpsim`", fingerprint, local.0, local.1] {
+                assert!(message.contains(needle), "{needle} missing from: {message}");
+            }
+            for flag in ["--backend", "--quick", "--dse-space"] {
+                assert!(message.contains(flag), "{flag} missing from: {message}");
+            }
+        }
     }
 }

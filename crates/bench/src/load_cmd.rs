@@ -59,6 +59,13 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--depth",
 ];
 
+/// The subcommand's usage, printed after a parse error and in `repro`'s
+/// own usage.
+pub const USAGE: &str =
+    "repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] \
+     [--backend analytic|comm|sim|measured] [--chunk N] [--shards N (with --spawn)] \
+     [--pipelined] [--depth N] [--overlap] [--quick] [--json] [--spawn] [--shutdown]";
+
 /// Deepest supported pipeline. Must stay safely below the server's
 /// per-connection pipeline cap (128): a client that writes more requests
 /// than the server is willing to buffer — while itself not reading
@@ -712,12 +719,7 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
-            eprintln!(
-                "usage: repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] \
-                 [--backend analytic|comm|sim|measured] [--chunk N] [--shards N (with --spawn)] \
-                 [--pipelined] [--depth N] [--overlap] \
-                 [--quick] [--json] [--spawn] [--shutdown]"
-            );
+            eprintln!("usage: {USAGE}");
             return ExitCode::FAILURE;
         }
     };

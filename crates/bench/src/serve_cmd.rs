@@ -39,6 +39,13 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--fault-latency-ms",
 ];
 
+/// The subcommand's usage, printed after a parse error and in `repro`'s
+/// own usage.
+pub const USAGE: &str =
+    "repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] \
+     [--backend analytic|comm|sim|measured] [--loops N] [--executors N] [--queue N] \
+     [--cost-budget MS] [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]";
+
 /// Options of one `serve` invocation.
 pub struct Options {
     endpoint: Endpoint,
@@ -170,12 +177,7 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
-            eprintln!(
-                "usage: repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] \
-                 [--backend analytic|comm|sim|measured] [--loops N] [--executors N] \
-                 [--queue N] [--cost-budget MS] [--jobs-dir DIR] [--fail-nth N] \
-                 [--fault-latency-ms MS]"
-            );
+            eprintln!("usage: {USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -71,6 +71,26 @@ fn unknown_experiments_and_flags_fail_with_usage() {
     assert_rejects(&["load", "--bogus"], "unknown load option");
 }
 
+/// `repro`'s own usage prints every subcommand's usage, the same string the
+/// subcommand prints after a parse error.
+#[test]
+fn bare_repro_prints_every_subcommand_usage() {
+    let output = repro(&[]);
+    assert!(!output.status.success(), "`repro` with no arguments should fail");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    for usage in [
+        mp_bench::dse_cmd::USAGE,
+        mp_bench::calibrate_cmd::USAGE,
+        mp_bench::serve_cmd::USAGE,
+        mp_bench::load_cmd::USAGE,
+        mp_bench::job_cmd::USAGE,
+    ] {
+        assert!(stderr.contains(usage), "`repro` usage lacks `{usage}`, got: {stderr}");
+    }
+    assert_rejects(&["load", "--bogus"], mp_bench::load_cmd::USAGE);
+    assert_rejects(&["job", "frobnicate"], mp_bench::job_cmd::USAGE);
+}
+
 /// `repro dse` writes its two exports and nothing else: a re-run into the
 /// same directory recomputes, reports the same in-process check and rewrites
 /// a byte-identical `sweep.csv`, and a cache file left there by an older binary is

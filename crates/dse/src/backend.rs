@@ -1045,4 +1045,84 @@ mod tests {
             }
         }
     }
+
+    /// Lift `model` onto a one-point space — its comp growth on the growth
+    /// axis, its perf model and topology on theirs — and sweep the
+    /// power-of-two symmetric grid plus the `r = 4` asymmetric grid on an
+    /// engine with the model's split. Asserts the swept `(area, cores,
+    /// speedup)` bits equal those of `explore`'s comm loops on the same grids
+    /// and returns them.
+    fn comm_sweep_matching_explore(model: &CommModel) -> Vec<[u64; 3]> {
+        use crate::engine::{Engine, SweepConfig};
+        use mp_model::explore::{asymmetric_curve_comm, symmetric_curve_comm};
+
+        let budget = mp_model::chip::ChipBudget::paper_default();
+        let sizes = budget.power_of_two_core_sizes();
+        let rls: Vec<f64> = sizes.iter().copied().filter(|rl| (4.0..256.0).contains(rl)).collect();
+        let space = ScenarioSpace::new()
+            .with_apps(vec![model.params().clone()])
+            .with_growths(vec![model.comp_growth().clone()])
+            .with_perfs(vec![*model.perf()])
+            .with_topologies(vec![model.topology()])
+            .clear_designs()
+            .add_symmetric_grid(sizes)
+            .add_asymmetric_grid([4.0], rls);
+        let backend = CommBackend::new().with_split(model.split());
+        let records = Engine::new(1).sweep(&space, &backend, &SweepConfig::default()).records;
+        let swept: Vec<_> =
+            records.iter().map(|r| [r.area, r.cores, r.speedup].map(f64::to_bits)).collect();
+
+        let symmetric = symmetric_curve_comm(model, budget, "s").unwrap().points;
+        let asymmetric = asymmetric_curve_comm(model, budget, 4.0, "a").unwrap().points;
+        let explored: Vec<_> = symmetric
+            .iter()
+            .chain(&asymmetric)
+            .map(|p| [p.area, p.cores, p.speedup].map(f64::to_bits))
+            .collect();
+        assert_eq!(swept.len(), 9 + 6);
+        assert_eq!(swept, explored);
+        swept
+    }
+
+    #[test]
+    fn comm_curve_honours_the_models_comp_growth() {
+        // A serial (linear-growth) merge configuration must reach the
+        // backend through the growth axis, not be replaced by the Figure 7
+        // constant growth — and the two growths genuinely disagree, so the
+        // check bites.
+        let constant = CommModel::paper_figure7(AppParams::table2_kmeans()).unwrap();
+        let linear = constant.clone().with_comp_growth(GrowthFunction::Linear);
+        assert_ne!(comm_sweep_matching_explore(&linear), comm_sweep_matching_explore(&constant));
+    }
+
+    #[test]
+    fn comm_curve_honours_the_models_perf_model() {
+        // Power(0.75) cores genuinely differ from Pollack, so the check bites.
+        let params = AppParams::table2_kmeans();
+        let power = CommModel::new(
+            params.clone(),
+            CommSplit::ideal(params.split.fred).unwrap(),
+            GrowthFunction::Constant,
+            Topology::Mesh2D,
+            PerfModel::Power(0.75),
+        );
+        let pollack = CommModel::paper_figure7(params).unwrap();
+        assert_ne!(comm_sweep_matching_explore(&power), comm_sweep_matching_explore(&pollack));
+    }
+
+    #[test]
+    fn comm_curve_honours_an_explicit_split() {
+        // The skewed split genuinely differs from the ideal one the backend
+        // derives by default, so the check bites.
+        let params = AppParams::table2_kmeans();
+        let skewed = CommModel::new(
+            params.clone(),
+            CommSplit::new(0.1, 0.33).unwrap(),
+            GrowthFunction::Constant,
+            Topology::Mesh2D,
+            PerfModel::Pollack,
+        );
+        let ideal = CommModel::paper_figure7(params).unwrap();
+        assert_ne!(comm_sweep_matching_explore(&skewed), comm_sweep_matching_explore(&ideal));
+    }
 }

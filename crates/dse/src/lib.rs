@@ -39,9 +39,6 @@
 //!   and the sort-based [`top_k`] / [`pareto_frontier`] they are checked
 //!   against.
 //! * [`export`] — streaming JSON / CSV writers.
-//! * [`curves`] — drop-in replacements for the `mp_model::explore` figure
-//!   sweeps, routed through the engine so Figures 3, 4, 5 and 7 share the
-//!   production evaluation path.
 //!
 //! ## Quick example
 //!
@@ -79,7 +76,6 @@
 pub mod analysis;
 pub mod backend;
 pub mod cache;
-pub mod curves;
 pub mod engine;
 pub mod export;
 #[cfg(feature = "fault")]
@@ -99,7 +95,6 @@ pub mod prelude {
         AnalyticBackend, CommBackend, DseError, EvalBackend, MeasuredBackend, SimBackend,
     };
     pub use crate::cache::{CacheLoadError, CacheStats, EvalCache};
-    pub use crate::curves::{figure_curves, Figure};
     pub use crate::engine::{
         Engine, EvalRecord, RangeCursor, Reducer, SweepConfig, SweepHandle, SweepResult, SweepStats,
     };

@@ -1,11 +1,19 @@
-//! Design-space exploration helpers.
+//! The paper's design-space sweeps and figure curve families.
 //!
 //! The paper's Figures 3, 4, 5 and 7 are all sweeps over chip designs for a
-//! fixed application parameter set: per-core area `r` for symmetric CMPs,
-//! large-core area `rl` (at fixed small-core area `r`) for asymmetric CMPs.
-//! This module produces those curves and locates their optima, for both the
-//! extended model and the communication-aware model, so the figure harness and
-//! the examples share one implementation.
+//! fixed application parameter set: unit-core counts `p` (Figure 3),
+//! per-core area `r` for symmetric CMPs (Figures 4 and 7(a)) and large-core
+//! area `rl` at a fixed small-core area `r` for asymmetric CMPs (Figures 5
+//! and 7(b)). The loops here produce those curves and locate their optima,
+//! for both the extended and the communication-aware model.
+//!
+//! [`figure_curves`] is the one construction of each figure's full curve
+//! family: which applications, classes, growth laws and small-core areas a
+//! figure draws. The `repro` figure tables, the golden-file snapshots under
+//! `tests/golden/` and the sweep service's `curve` verb all call it, so the
+//! printed tables, the snapshots and the served curves are the same bits.
+//! The `mp-dse` engine evaluates the same models in batches; its parity
+//! tests compare against these loops.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +21,9 @@ use crate::chip::{AsymmetricDesign, ChipBudget, SymmetricDesign};
 use crate::comm::CommModel;
 use crate::error::ModelError;
 use crate::extended::ExtendedModel;
+use crate::growth::GrowthFunction;
+use crate::params::{AppClass, AppParams};
+use crate::perf::PerfModel;
 
 /// One evaluated point of a design-space sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,12 +184,120 @@ pub fn unit_core_curve(
     Ok(points)
 }
 
+/// One of the paper's figure curve families.
+///
+/// Each figure maps to the family of [`Curve`]s its plot draws; the golden
+/// regression tests snapshot these and the serve layer answers
+/// `curve(figure)` queries with them, so both pin the exact same numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Figure {
+    /// Figure 3 — scalability to 256 unit cores: per Table II application,
+    /// plain Amdahl (`<app>-amdahl`) vs the extended model
+    /// (`<app>-with-reduction`). Points carry the core count on both the
+    /// `area` and `cores` axes.
+    Fig3,
+    /// Figure 4 — symmetric CMPs at 256 BCE: per Table III class, linear and
+    /// logarithmic reduction-overhead growth.
+    Fig4,
+    /// Figure 5 — asymmetric CMPs at 256 BCE: per Table III class, small-core
+    /// areas r ∈ {1, 4, 16} under linear growth.
+    Fig5,
+    /// Figure 7 — the communication-aware model (2-D mesh): symmetric plus
+    /// the three asymmetric small-core areas.
+    Fig7,
+}
+
+impl Figure {
+    /// Every figure family, in paper order.
+    pub const ALL: [Figure; 4] = [Figure::Fig3, Figure::Fig4, Figure::Fig5, Figure::Fig7];
+
+    /// The figure's lower-case name (`"fig3"`, …).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Figure::Fig3 => "fig3",
+            Figure::Fig4 => "fig4",
+            Figure::Fig5 => "fig5",
+            Figure::Fig7 => "fig7",
+        }
+    }
+
+    /// Parse a figure name as printed by [`Figure::name`].
+    pub fn from_name(name: &str) -> Option<Figure> {
+        Figure::ALL.into_iter().find(|figure| figure.name() == name)
+    }
+}
+
+impl std::fmt::Display for Figure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The complete curve family of one paper figure, in plot order.
+///
+/// Deterministic: every curve and point is derived from the paper-constant
+/// parameter tables through the loops above, so two builds of the same
+/// source produce bit-identical results (the property the golden-file tests
+/// and the serve differential tests rely on).
+pub fn figure_curves(figure: Figure) -> Result<Vec<Curve>, ModelError> {
+    let budget = ChipBudget::paper_default();
+    let mut curves = Vec::new();
+    match figure {
+        Figure::Fig3 => {
+            for params in AppParams::table2_all() {
+                let model =
+                    ExtendedModel::new(params.clone(), GrowthFunction::Linear, PerfModel::Pollack);
+                let extended = unit_core_curve(&model, 256)?;
+                let point =
+                    |p: usize, speedup| DesignPoint { area: p as f64, cores: p as f64, speedup };
+                let amdahl = extended
+                    .iter()
+                    .map(|&(p, _)| Ok(point(p, crate::amdahl::amdahl_speedup(params.f, p as f64)?)))
+                    .collect::<Result<_, ModelError>>()?;
+                curves.push(Curve { label: format!("{}-amdahl", params.name), points: amdahl });
+                let points = extended.into_iter().map(|(p, speedup)| point(p, speedup)).collect();
+                curves.push(Curve { label: format!("{}-with-reduction", params.name), points });
+            }
+        }
+        Figure::Fig4 => {
+            for class in AppClass::table3_all() {
+                for growth in [GrowthFunction::Linear, GrowthFunction::Logarithmic] {
+                    let label = format!("{}[{}]", class.name(), growth.name());
+                    let model = ExtendedModel::new(class.params(), growth, PerfModel::Pollack);
+                    curves.push(symmetric_curve(&model, budget, label)?);
+                }
+            }
+        }
+        Figure::Fig5 => {
+            for class in AppClass::table3_all() {
+                let model =
+                    ExtendedModel::new(class.params(), GrowthFunction::Linear, PerfModel::Pollack);
+                for r in [1.0, 4.0, 16.0] {
+                    let label = format!("{}[r={r}]", class.name());
+                    curves.push(asymmetric_curve(&model, budget, r, label)?);
+                }
+            }
+        }
+        Figure::Fig7 => {
+            let class = AppClass {
+                embarrassingly_parallel: false,
+                high_constant: false,
+                high_reduction_overhead: true,
+            };
+            let model = CommModel::paper_figure7(class.params())?;
+            curves.push(symmetric_curve_comm(&model, budget, "symmetric")?);
+            for r in [1.0, 4.0, 16.0] {
+                let label = format!("asymmetric[r={r}]");
+                curves.push(asymmetric_curve_comm(&model, budget, r, label)?);
+            }
+        }
+    }
+    Ok(curves)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::GrowthFunction;
-    use crate::params::{AppClass, AppParams};
-    use crate::perf::PerfModel;
 
     fn budget() -> ChipBudget {
         ChipBudget::paper_default()
@@ -289,6 +408,41 @@ mod tests {
         for (a, b) in c.points.iter().zip(back.points.iter()) {
             assert_eq!(a.area, b.area);
             assert!((a.speedup - b.speedup).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn figure_names_round_trip_and_families_are_complete() {
+        for figure in Figure::ALL {
+            assert_eq!(Figure::from_name(figure.name()), Some(figure));
+        }
+        assert_eq!(Figure::from_name("fig6"), None);
+        // Family sizes: fig3 = 3 apps × 2 models, fig4 = 8 classes × 2
+        // growths, fig5 = 8 classes × 3 small-core areas, fig7 = 1 + 3.
+        for (figure, expect) in
+            [(Figure::Fig3, 6), (Figure::Fig4, 16), (Figure::Fig5, 24), (Figure::Fig7, 4)]
+        {
+            let curves = figure_curves(figure).unwrap();
+            assert_eq!(curves.len(), expect, "{figure}");
+            for curve in &curves {
+                assert!(!curve.points.is_empty(), "{figure}: {}", curve.label);
+                assert!(curve.points.iter().all(|p| p.speedup.is_finite()));
+            }
+        }
+    }
+
+    #[test]
+    fn figure_curves_are_deterministic_across_calls() {
+        for figure in Figure::ALL {
+            let a = figure_curves(figure).unwrap();
+            let b = figure_curves(figure).unwrap();
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.label, y.label);
+                for (p, q) in x.points.iter().zip(y.points.iter()) {
+                    assert_eq!(p.speedup.to_bits(), q.speedup.to_bits());
+                }
+            }
         }
     }
 }

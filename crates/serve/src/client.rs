@@ -17,10 +17,9 @@ use std::ops::Range;
 use std::time::Duration;
 
 use mp_dse::analysis::CostAxis;
-use mp_dse::curves::Figure;
 use mp_dse::engine::{EvalRecord, SweepStats};
 use mp_dse::scenario::ScenarioSpace;
-use mp_model::explore::Curve;
+use mp_model::explore::{Curve, Figure};
 
 use crate::protocol::{
     encode_line, CatalogueEntry, JobSnapshot, Request, RequestEnvelope, Response, ResponseDecoder,

@@ -52,10 +52,9 @@ use serde::{Deserialize, Serialize};
 
 use mp_dse::analysis::CostAxis;
 use mp_dse::cache::CacheStats;
-use mp_dse::curves::Figure;
 use mp_dse::engine::{EvalRecord, SweepStats};
 use mp_dse::scenario::ScenarioSpace;
-use mp_model::explore::Curve;
+use mp_model::explore::{Curve, Figure};
 
 /// Protocol identity reported by `ping`; bump on incompatible changes.
 pub const PROTOCOL_VERSION: &str = "mp-serve/6";

@@ -62,12 +62,12 @@ use parking_lot::Mutex;
 
 use mp_dse::analysis::{Pareto, TopK};
 use mp_dse::backend::EvalBackend;
-use mp_dse::curves::figure_curves;
 use mp_dse::engine::{
     Engine, EvalRecord, RangeCursor, Reducer, SweepConfig, SweepHandle, SweepResult, SweepStats,
 };
 use mp_dse::scenario::ScenarioSpace;
 use mp_model::catalogue::CatalogueRegistry;
+use mp_model::explore::figure_curves;
 
 use crate::planner::{CostModel, PlanKey, Query, Role, SingleFlight};
 use crate::protocol::{

@@ -25,7 +25,8 @@
 //!   cartesian scenario spaces over every model axis, pluggable evaluation
 //!   backends (analytic, communication-aware, simulation), a parallel batch
 //!   queue with memoisation, top-k / per-axis / Pareto analysis and
-//!   streaming JSON/CSV export. The paper's figure sweeps run through it.
+//!   streaming JSON/CSV export. Its parity tests hold it to the `model`
+//!   loops that draw the paper's figures.
 //!
 //! See the repository `README.md` for a quickstart and `EXPERIMENTS.md` for
 //! the paper-vs-measured record of every table and figure.

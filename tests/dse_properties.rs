@@ -1,6 +1,6 @@
 //! Property-based tests of the `mp-dse` exploration engine: Pareto frontiers
 //! are minimal and dominating, memoisation never changes a single bit,
-//! engine-backed sweeps reproduce the legacy `model::explore` loops, and the
+//! engine sweeps reproduce the `model::explore` loops, and the
 //! analytic and simulation backends agree where their assumptions overlap.
 
 // The `proptest!` blocks below expand deeply enough to trip the default
@@ -108,26 +108,31 @@ proptest! {
         }
     }
 
-    /// (c) The engine-backed figure sweeps reproduce the legacy
-    /// `model::explore` loops bit-for-bit on the paper's power-of-two grid.
+    /// (c) An engine sweep of the paper's power-of-two grid reproduces the
+    /// `model::explore` loops bit-for-bit, symmetric and asymmetric.
     #[test]
     fn analytic_sweeps_match_legacy_explore(params in arb_params(), growth in arb_growth()) {
         let budget = ChipBudget::paper_default();
-        let model = ExtendedModel::new(params, growth, PerfModel::Pollack);
+        let model = ExtendedModel::new(params.clone(), growth.clone(), PerfModel::Pollack);
+        let sizes = budget.power_of_two_core_sizes();
+        let rls: Vec<f64> =
+            sizes.iter().copied().filter(|&rl| rl >= 4.0 && rl < budget.total_bce()).collect();
+        let space = ScenarioSpace::new()
+            .with_apps(vec![params])
+            .with_budgets(vec![budget.total_bce()])
+            .with_growths(vec![growth])
+            .clear_designs()
+            .add_symmetric_grid(sizes)
+            .add_asymmetric_grid([4.0], rls);
+        let swept = Engine::new(2).sweep(&space, &AnalyticBackend, &SweepConfig::default());
 
-        let ours = merging_phases::dse::curves::symmetric_curve(&model, budget, "x").unwrap();
-        let legacy = explore::symmetric_curve(&model, budget, "x").unwrap();
-        prop_assert_eq!(ours.points.len(), legacy.points.len());
-        for (a, b) in ours.points.iter().zip(legacy.points.iter()) {
-            prop_assert!(a.area == b.area && a.cores == b.cores);
-            prop_assert!(a.speedup.to_bits() == b.speedup.to_bits(), "r={}", a.area);
-        }
-
-        let ours = merging_phases::dse::curves::asymmetric_curve(&model, budget, 4.0, "x").unwrap();
-        let legacy = explore::asymmetric_curve(&model, budget, 4.0, "x").unwrap();
-        prop_assert_eq!(ours.points.len(), legacy.points.len());
-        for (a, b) in ours.points.iter().zip(legacy.points.iter()) {
-            prop_assert!(a.speedup.to_bits() == b.speedup.to_bits(), "rl={}", a.area);
+        let symmetric = explore::symmetric_curve(&model, budget, "x").unwrap();
+        let asymmetric = explore::asymmetric_curve(&model, budget, 4.0, "x").unwrap();
+        let legacy: Vec<_> = symmetric.points.iter().chain(&asymmetric.points).collect();
+        prop_assert_eq!(swept.records.len(), legacy.len());
+        for (a, b) in swept.records.iter().zip(legacy) {
+            prop_assert!(a.area == b.area && a.cores == b.cores, "index {}", a.index);
+            prop_assert!(a.speedup.to_bits() == b.speedup.to_bits(), "area={}", a.area);
         }
     }
 

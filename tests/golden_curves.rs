@@ -1,13 +1,14 @@
-//! Golden-file regression tests for the paper's engine-reproduced figure
-//! curves (Figures 3, 4, 5 and 7, via `mp_dse::curves::figure_curves`).
+//! Golden-file regression tests for the paper's figure curves (Figures 3,
+//! 4, 5 and 7, via `mp_model::explore::figure_curves`).
 //!
 //! Each figure's full curve family is serialised to JSON and compared
 //! **byte-for-byte** against a checked-in snapshot under `tests/golden/`.
 //! The workspace JSON printer emits every `f64` in its shortest
 //! round-trippable form, so byte equality of the serialisation is exactly
-//! bit equality of every speedup — any change to the models, the engine, the
-//! backends or the batched evaluation path that perturbs a single mantissa
-//! bit fails these tests.
+//! bit equality of every speedup — any change to the models or the
+//! `explore` loops that perturbs a single mantissa bit fails these tests.
+//! The engine's batched path is held to the same models by
+//! `tests/sweep_parity.rs`.
 //!
 //! ## Regenerating the snapshots
 //!
@@ -24,7 +25,7 @@
 
 use std::path::PathBuf;
 
-use merging_phases::dse::curves::{figure_curves, Figure};
+use merging_phases::model::explore::{figure_curves, Figure};
 
 fn golden_path(figure: Figure) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{figure}.json"))
@@ -88,6 +89,45 @@ fn golden_serialisation_round_trips_bitwise() {
                 assert_eq!(p.area.to_bits(), q.area.to_bits());
                 assert_eq!(p.cores.to_bits(), q.cores.to_bits());
                 assert_eq!(p.speedup.to_bits(), q.speedup.to_bits());
+            }
+        }
+    }
+}
+
+/// The tables `repro fig3|fig4|fig5|fig7` print are the golden curve
+/// families: the same labels in the same order, one column per point named
+/// after the swept axis (`p=` cores, `r=` per-core area, `rl=` large-core
+/// area), and bit-equal values.
+#[test]
+fn printed_figure_tables_are_the_golden_curves() {
+    use mp_bench::figures;
+    let tables = [
+        (Figure::Fig3, figures::fig3_scalability_prediction()),
+        (Figure::Fig4, figures::fig4_symmetric_design_space()),
+        (Figure::Fig5, figures::fig5_asymmetric_design_space()),
+        (Figure::Fig7, figures::fig7_communication_model()),
+    ];
+    for (figure, rows) in tables {
+        let curves = figure_curves(figure).expect("paper figures always evaluate");
+        assert_eq!(rows.len(), curves.len(), "{figure}: row count");
+        for (row, curve) in rows.iter().zip(&curves) {
+            assert_eq!(row.label, curve.label, "{figure}: row order");
+            let axis = match figure {
+                Figure::Fig3 => "p",
+                Figure::Fig4 => "r",
+                Figure::Fig5 => "rl",
+                Figure::Fig7 if curve.label == "symmetric" => "r",
+                Figure::Fig7 => "rl",
+            };
+            assert_eq!(row.values.len(), curve.points.len(), "{figure} {}", row.label);
+            for ((column, value), point) in row.values.iter().zip(&curve.points) {
+                assert_eq!(*column, format!("{axis}={}", point.area), "{figure} {}", row.label);
+                assert_eq!(
+                    value.to_bits(),
+                    point.speedup.to_bits(),
+                    "{figure} {} {column}",
+                    row.label
+                );
             }
         }
     }

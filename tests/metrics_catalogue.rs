@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use merging_phases::dse::prelude::*;
+use merging_phases::model::explore::Figure;
 use mp_serve::prelude::*;
 
 /// README's catalogue as `(snapshot section, series)`, `<verb>` expanded

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use merging_phases::dse::prelude::*;
+use merging_phases::model::explore::Figure;
 use merging_phases::model::params::AppParams;
 use mp_obs::trace::Stage;
 use mp_serve::prelude::*;

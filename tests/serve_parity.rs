@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use merging_phases::dse::prelude::*;
+use merging_phases::model::explore::{figure_curves, Figure};
 use merging_phases::model::params::AppParams;
 use mp_serve::prelude::*;
 
