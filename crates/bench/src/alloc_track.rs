@@ -1,10 +1,10 @@
-//! Heap-allocation accounting for the throughput profile.
+//! Heap-allocation accounting.
 //!
 //! [`CountingAllocator`] wraps the system allocator, counts every
 //! allocation (and reallocation) and tracks the bytes live on the heap. The
-//! `repro` binary installs it as its global allocator; `repro dse --profile` then
-//! reports the exact number of heap allocations each sweep pass performed —
-//! the observable the zero-allocation hot path is held to.
+//! `repro` binary installs it as its global allocator and exports the
+//! counters as metrics gauges ([`register_metrics`]); `tests/alloc_free.rs`
+//! installs it to hold the sweep hot path to zero allocations per scenario.
 //!
 //! The counters are process-global atomics with relaxed ordering: they cost
 //! a few uncontended atomic operations per allocation, which is noise next to

@@ -15,8 +15,8 @@ use std::process::ExitCode;
 
 use mp_bench::figures;
 
-/// Count heap allocations so `repro dse --profile` can report the sweep hot
-/// path's allocation behaviour alongside its throughput.
+/// Count heap allocations so every subcommand's metrics registry (and a
+/// spawned `repro serve`'s `metrics` verb) carries the allocator gauges.
 #[global_allocator]
 static ALLOC: mp_bench::alloc_track::CountingAllocator = mp_bench::alloc_track::CountingAllocator;
 use mp_profile::report::to_json;

@@ -56,9 +56,43 @@ pub fn backend_by_name(
     }
 }
 
+/// Bitwise record-list equality: the same length, and every record's
+/// index, speedup, cores and area bits equal. The one parity verdict of
+/// `dse`'s re-run check, `load`'s differential check and `job --verify`.
+pub fn records_identical(a: &[mp_dse::EvalRecord], b: &[mp_dse::EvalRecord]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|(x, y)| {
+            x.index == y.index
+                && x.speedup.to_bits() == y.speedup.to_bits()
+                && x.cores.to_bits() == y.cores.to_bits()
+                && x.area.to_bits() == y.area.to_bits()
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn records_identical_compares_every_field_and_the_lengths() {
+        let record = |index: usize| mp_dse::EvalRecord {
+            index,
+            speedup: 1.5 + index as f64,
+            cores: 16.0,
+            area: 256.0,
+        };
+        let first: Vec<_> = (0..4).map(record).collect();
+        assert!(records_identical(&first, &first.clone()));
+        let mut cores = first.clone();
+        cores[2].cores = f64::from_bits(cores[2].cores.to_bits() ^ 1);
+        assert!(!records_identical(&first, &cores), "records differing only in cores");
+        let mut area = first.clone();
+        area[3].area = 128.0;
+        assert!(!records_identical(&first, &area), "records differing only in area");
+        assert!(!records_identical(&first, &first[..3]), "a shorter second pass");
+        assert!(!records_identical(&first[..3], &first), "a longer second pass");
+        assert!(records_identical(&[], &[]));
+    }
 
     #[test]
     fn rejects_zero_overflow_and_garbage_with_named_messages() {

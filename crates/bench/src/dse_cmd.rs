@@ -27,8 +27,6 @@ use mp_model::perf::PerfModel;
 use mp_model::topology::Topology;
 use mp_profile::{render_table, TableRow};
 
-use crate::alloc_track;
-
 /// The `dse` flags that consume a value token. The `repro` binary's
 /// subcommand scanner uses this to step over flag values when the flags
 /// precede the subcommand name, so the list lives here next to `parse`.
@@ -37,7 +35,7 @@ pub const VALUE_FLAGS: &[&str] = &["--backend", "--out", "--top", "--threads", "
 /// The subcommand's usage, printed after a parse error and in `repro`'s
 /// own usage.
 pub const USAGE: &str = "repro dse [--backend analytic|comm|sim|measured] [--out DIR] [--top K] \
-     [--threads N] [--trace PATH] [--quick] [--json] [--profile]";
+     [--threads N] [--trace PATH] [--quick] [--json]";
 
 /// Options of one `dse` invocation.
 #[derive(Debug)]
@@ -46,7 +44,6 @@ struct Options {
     out_dir: PathBuf,
     quick: bool,
     json: bool,
-    profile: bool,
     threads: Option<usize>,
     top_k: usize,
     trace: Option<PathBuf>,
@@ -58,7 +55,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         out_dir: PathBuf::from("target/dse"),
         quick: false,
         json: false,
-        profile: false,
         threads: None,
         top_k: 10,
         trace: None,
@@ -88,7 +84,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             match arg {
                 "--json" => options.json = true,
                 "--quick" => options.quick = true,
-                "--profile" => options.profile = true,
                 other => return Err(format!("unknown dse option `{other}`")),
             }
         }
@@ -275,21 +270,12 @@ pub fn run(args: &[String]) -> ExitCode {
         mp_obs::profile::Profiler::global().set_enabled(true);
     }
 
-    let allocs_before_first = alloc_track::allocation_count();
     let first = engine.sweep(&space, backend.as_ref(), &config);
-    let allocs_first = alloc_track::allocation_count() - allocs_before_first;
-
     // Second pass: answered from the cache when the backend memoises,
     // recomputed when it does not; either way it must reproduce the first
     // pass bit-for-bit.
-    let allocs_before_second = alloc_track::allocation_count();
     let second = engine.sweep(&space, backend.as_ref(), &config);
-    let allocs_second = alloc_track::allocation_count() - allocs_before_second;
-    let identical = first
-        .records
-        .iter()
-        .zip(second.records.iter())
-        .all(|(a, b)| a.index == b.index && a.speedup.to_bits() == b.speedup.to_bits());
+    let identical = crate::cli::records_identical(&first.records, &second.records);
 
     let top = TopK::new(options.top_k).reduce(&first.records);
     let optima = per_axis_optima(&space, &first.records);
@@ -321,25 +307,9 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let scenarios_per_second = first.stats.scenarios as f64 / first.stats.elapsed_seconds.max(1e-9);
-    let cached_per_second = second.stats.scenarios as f64 / second.stats.elapsed_seconds.max(1e-9);
-
     if options.json {
-        let profile_fields = if options.profile {
-            format!(
-                ",\"simd_kernel\":\"{}\",\"scenarios_per_second\":{},\"cached_scenarios_per_second\":{},\"allocations_first_pass\":{},\"allocations_cached_pass\":{},\"allocations_per_scenario\":{}",
-                simd_kernel_label(),
-                scenarios_per_second,
-                cached_per_second,
-                allocs_first,
-                allocs_second,
-                allocs_first as f64 / first.stats.scenarios.max(1) as f64,
-            )
-        } else {
-            String::new()
-        };
         println!(
-            "{{\"experiment\":\"dse\",\"backend\":\"{}\",\"scenarios\":{},\"valid\":{},\"threads\":{},\"elapsed_seconds\":{},\"rescan_hits\":{},\"identical\":{},\"frontier_size\":{},\"best_speedup\":{}{}}}",
+            "{{\"experiment\":\"dse\",\"backend\":\"{}\",\"scenarios\":{},\"valid\":{},\"threads\":{},\"elapsed_seconds\":{},\"rescan_hits\":{},\"identical\":{},\"frontier_size\":{},\"best_speedup\":{}}}",
             options.backend,
             first.stats.scenarios,
             first.stats.valid,
@@ -352,7 +322,6 @@ pub fn run(args: &[String]) -> ExitCode {
             top.first()
                 .map(|r| r.speedup.to_string())
                 .unwrap_or_else(|| "null".to_string()),
-            profile_fields,
         );
         return if identical { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
@@ -383,21 +352,6 @@ pub fn run(args: &[String]) -> ExitCode {
         options.out_dir.join("sweep.json").display(),
         options.out_dir.join("sweep.csv").display(),
     );
-    if options.profile {
-        println!();
-        println!("  profile (throughput and heap traffic, {} kernels):", simd_kernel_label());
-        println!(
-            "    first pass:  {scenarios_per_second:>12.0} scenarios/s, {allocs_first} heap allocations ({:.4} per scenario)",
-            allocs_first as f64 / first.stats.scenarios.max(1) as f64,
-        );
-        println!(
-            "    cached pass: {cached_per_second:>12.0} scenarios/s, {allocs_second} heap allocations ({:.4} per scenario)",
-            allocs_second as f64 / second.stats.scenarios.max(1) as f64,
-        );
-        if alloc_track::allocation_count() == 0 {
-            println!("    (allocation counting unavailable: no counting allocator installed)");
-        }
-    }
     println!();
 
     let labels = space.labels();
@@ -429,16 +383,6 @@ pub fn run(args: &[String]) -> ExitCode {
     } else {
         eprintln!("the repeat sweep diverged from the first pass");
         ExitCode::FAILURE
-    }
-}
-
-/// Which instantiation of the batch evaluation loop the sweep ran, for
-/// profile output (`avx2` where the host has it, `scalar` — the baseline ISA —
-/// when absent or forced off).
-fn simd_kernel_label() -> &'static str {
-    match mp_model::simd::level() {
-        mp_model::simd::SimdLevel::Avx2 => "avx2",
-        mp_model::simd::SimdLevel::Scalar => "scalar",
     }
 }
 
@@ -521,8 +465,12 @@ mod tests {
         assert!(parse(&["--bogus".to_string()]).is_err());
         // The removed scalar switch is an unknown option like any other:
         // `MP_SIMD_FORCE_SCALAR` is the one external override.
-        let message = parse(&[format!("--force-{}", "scalar")]).unwrap_err();
-        assert!(message.contains("unknown dse option"), "{message}");
+        // So is the removed throughput/allocation report: layerbench's
+        // `dse_oneshot` and `tests/alloc_free.rs` own those numbers.
+        for removed in [format!("--force-{}", "scalar"), "--profile".to_string()] {
+            let message = parse(&[removed]).unwrap_err();
+            assert!(message.contains("unknown dse option"), "{message}");
+        }
         assert!(parse(&["--backend".to_string()]).is_err());
         let options =
             parse(&["--backend".to_string(), "sim".to_string(), "--quick".to_string()]).unwrap();

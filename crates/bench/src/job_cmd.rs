@@ -203,7 +203,7 @@ fn verify_records(
         .map_err(|e| format!("verification sweep: {e}"))?;
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let reference = Engine::new(threads).sweep(space, backend, &SweepConfig::default());
-    Ok(crate::load_cmd::records_identical(&records, &reference.records))
+    Ok(crate::cli::records_identical(&records, &reference.records))
 }
 
 /// Entry point of the `job` subcommand.

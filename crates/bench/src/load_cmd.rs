@@ -1,20 +1,21 @@
-//! The `repro load` subcommand: a closed-loop load generator for `repro
-//! serve`.
+//! The `repro load` subcommand: a closed-loop differential checker for
+//! `repro serve`.
 //!
 //! Drives N concurrent connections (default 16) against a running sweep
 //! service for two passes — `cold`, then `warm` — of mixed queries (full
-//! sweeps, index-range sweeps, top-k, Pareto), and reports queries/s, tail
-//! latency percentiles, a log-scale latency histogram and the per-pass cache
-//! hit rate. Every response is checked **bit-identical** against a direct
-//! local `Engine::sweep` of the same space with the same backend, so the run
-//! doubles as a differential test; the command exits non-zero on any parity
-//! failure, or when the cache did not behave as the backend says it should:
-//! a backend that memoises (`sim`, `comm`) must answer the warm pass with a
-//! hit rate above 90%, one that does not (analytic, measured) must leave the
-//! server's cache untouched — no probes, inserts or entries.
+//! sweeps, index-range sweeps, top-k, Pareto). Every response is checked
+//! **bit-identical** against a direct local `Engine::sweep` of the same space
+//! with the same backend; the command exits non-zero on any parity failure,
+//! on a query still rejected as `busy` after the retry budget, or when the
+//! cache did not behave as the backend says it should: a backend that
+//! memoises (`sim`, `comm`) must answer the warm pass with a hit rate above
+//! 90%, one that does not (analytic, measured) must leave the server's cache
+//! untouched — no probes, inserts or entries. The report is that verdict and
+//! the per-pass cache counts behind it; throughput and latency are
+//! layerbench's to measure (`benchmark/run.sh`, workloads `serve_*`).
 //!
 //! `--pipelined` switches each connection to the v2 protocol's pipelined
-//! mode: `--depth` requests are written back-to-back before any response is
+//! mode: up to 8 requests are written back-to-back before any response is
 //! read, exercising the server's ordered in-flight queue. Connections are
 //! multiplexed over a bounded worker-thread pool, so `--clients 2048` costs
 //! the generator 64 threads, not 2048 — the *server* is the side that has to
@@ -27,70 +28,52 @@
 //!
 //! `--overlap` switches the workload to the planner's worst-friendly case:
 //! every client issues the *same* full sweep concurrently, so in-flight
-//! windows coalesce. The report then carries per-pass planner deltas read
-//! from the server's own metrics — scenarios evaluated per distinct
-//! scenario, coalesced requests, shared scenarios — and the run fails
-//! unless coalescing actually happened.
+//! windows coalesce. The run then fails unless the server's
+//! `planner_coalesced_requests` counter moved.
 
 use std::io::BufRead;
 use std::ops::Range;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use mp_dse::backend::EvalBackend;
 use mp_dse::prelude::*;
 use mp_model::params::AppClass;
-use mp_obs::hist::{percentile_of_sorted, HistogramSnapshot, LATENCY_BOUNDS_MS};
 use mp_serve::prelude::*;
 
 use crate::cli;
 
 /// The `load` flags that consume a value token (see
 /// [`crate::dse_cmd::VALUE_FLAGS`] for why this lives next to `parse`).
-pub const VALUE_FLAGS: &[&str] = &[
-    "--addr",
-    "--socket",
-    "--clients",
-    "--requests",
-    "--shards",
-    "--backend",
-    "--chunk",
-    "--depth",
-];
+pub const VALUE_FLAGS: &[&str] = &["--addr", "--socket", "--clients", "--backend"];
 
 /// The subcommand's usage, printed after a parse error and in `repro`'s
 /// own usage.
-pub const USAGE: &str =
-    "repro load [--addr HOST:PORT | --socket PATH] [--clients N] [--requests N] \
-     [--backend analytic|comm|sim|measured] [--chunk N] [--shards N (with --spawn)] \
-     [--pipelined] [--depth N] [--overlap] [--quick] [--json] [--spawn] [--shutdown]";
+pub const USAGE: &str = "repro load [--addr HOST:PORT | --socket PATH] [--clients N] \
+     [--backend analytic|comm|sim|measured] [--pipelined] [--overlap] [--quick] [--json] \
+     [--spawn] [--shutdown]";
 
-/// Deepest supported pipeline. Must stay safely below the server's
-/// per-connection pipeline cap (128): a client that writes more requests
-/// than the server is willing to buffer — while itself not reading
-/// responses — deadlocks on its own socket, by design.
-const MAX_DEPTH: usize = 64;
+/// Queries per connection per pass: two of each kind in the mixed shape
+/// ([`Query::for_slot`] cycles full sweep, window, analysis).
+const REQUESTS: usize = 6;
 
-/// Attempts per query before a persistent `busy` rejection counts as a
-/// failure.
-const BUSY_RETRIES: usize = 200;
+/// Requests a pipelined connection writes before reading. Must stay safely
+/// below the server's per-connection pipeline cap (128): a client that
+/// writes more requests than the server is willing to buffer — while itself
+/// not reading responses — deadlocks on its own socket, by design.
+const DEPTH: usize = 8;
 
 #[derive(Debug)]
 struct Options {
     endpoint: Endpoint,
     endpoint_explicit: bool,
     clients: usize,
-    requests: usize,
     quick: bool,
     json: bool,
     spawn: bool,
-    shards: usize,
     backend: String,
     shutdown: bool,
-    chunk: usize,
     pipelined: bool,
-    depth: usize,
     overlap: bool,
 }
 
@@ -99,16 +82,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
         endpoint: Endpoint::Tcp("127.0.0.1:7077".to_string()),
         endpoint_explicit: false,
         clients: 16,
-        requests: 6,
         quick: false,
         json: false,
         spawn: false,
-        shards: 4,
         backend: "analytic".to_string(),
         shutdown: false,
-        chunk: 0,
         pipelined: false,
-        depth: 8,
         overlap: false,
     };
     let mut iter = args.iter();
@@ -126,13 +105,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     options.endpoint_explicit = true;
                 }
                 "--clients" => options.clients = cli::parse_parallelism(arg, &value)?,
-                "--requests" => {
-                    options.requests = cli::parse_count(arg, &value, 1, cli::MAX_COUNT)?;
-                }
-                "--shards" => options.shards = cli::parse_parallelism(arg, &value)?,
                 "--backend" => options.backend = value,
-                "--chunk" => options.chunk = cli::parse_count(arg, &value, 1, cli::MAX_COUNT)?,
-                "--depth" => options.depth = cli::parse_count(arg, &value, 1, MAX_DEPTH)?,
                 other => unreachable!("{other} is listed in VALUE_FLAGS but unhandled"),
             }
         } else {
@@ -186,17 +159,6 @@ pub fn load_space(quick: bool, backend: &dyn EvalBackend) -> ScenarioSpace {
         ])
 }
 
-/// Bitwise record-list equality (index, speedup, cores, area).
-pub(crate) fn records_identical(a: &[EvalRecord], b: &[EvalRecord]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|(x, y)| {
-            x.index == y.index
-                && x.speedup.to_bits() == y.speedup.to_bits()
-                && x.cores.to_bits() == y.cores.to_bits()
-                && x.area.to_bits() == y.area.to_bits()
-        })
-}
-
 /// Look one series up in a metrics-snapshot JSON value
 /// (`{"counters":{..},"gauges":{..},"histograms":{..}}`).
 fn metrics_series<'a>(
@@ -230,7 +192,7 @@ fn check_metrics(metrics_json: &str, options: &Options, memoises: bool) -> Vec<S
     if memoises {
         nonzero_counters.push("cache_hits");
     }
-    if options.clients >= 2 && options.requests >= 3 && !options.overlap {
+    if options.clients >= 2 && !options.overlap {
         // The deterministic query mix covers top-k (even connections) and
         // Pareto (odd connections) from the third request on — except in
         // overlap mode (all duplicate full sweeps), which never sends the
@@ -276,114 +238,15 @@ fn check_metrics(metrics_json: &str, options: &Options, memoises: bool) -> Vec<S
     problems
 }
 
-/// One snapshot of the server-side counters the overlap report tracks.
-struct PlannerCounters {
-    scenarios_evaluated: f64,
-    coalesced_requests: f64,
-    shared_scenarios: f64,
-}
-
-/// Read the planner-relevant counters from the server's live metrics
-/// (absent series read as zero, so deltas stay well-defined on old servers).
-fn planner_counters(control: &mut Client) -> Result<PlannerCounters, String> {
+/// The server's `planner_coalesced_requests` counter, read over the wire
+/// (an absent series reads as zero, so deltas stay well-defined).
+fn coalesced_requests(control: &mut Client) -> Result<u64, String> {
     let (json, _) = control.metrics().map_err(|e| format!("metrics failed: {e}"))?;
     let value = serde_json::parse(&json).map_err(|e| format!("metrics response: {e}"))?;
-    let counter = |name: &str| {
-        metrics_series(&value, "counters", name).and_then(|v| v.as_f64()).unwrap_or(0.0)
-    };
-    Ok(PlannerCounters {
-        scenarios_evaluated: counter("dse_scenarios_evaluated"),
-        coalesced_requests: counter("planner_coalesced_requests"),
-        shared_scenarios: counter("planner_shared_scenarios"),
-    })
-}
-
-/// The pass's latency histogram: the shared mp-obs snapshot type over the
-/// canonical [`LATENCY_BOUNDS_MS`] buckets (bit-identical bounds and JSON
-/// layout to the hand-rolled histogram this harness used to carry).
-fn latency_histogram(latencies_s: &[f64]) -> HistogramSnapshot {
-    let latencies_ms: Vec<f64> = latencies_s.iter().map(|s| s * 1e3).collect();
-    HistogramSnapshot::from_values(&LATENCY_BOUNDS_MS, &latencies_ms)
-}
-
-/// Per-pass planner activity, read as counter deltas from the *server's*
-/// metrics registry (over the wire, so `--spawn` measures the child).
-struct OverlapStats {
-    /// Scenarios in one distinct sweep of the driven space.
-    distinct_scenarios: usize,
-    /// `dse_scenarios_evaluated` delta: scenarios the engine
-    /// processed (cache-served ones included — the cache removes backend
-    /// calls, the coalescing planner removes whole duplicate engine passes).
-    scenarios_evaluated: u64,
-    /// Engine passes per distinct scenario — the overlap benchmark's cost
-    /// metric (1.0 = perfect sharing; K duplicate sweeps with coalescing
-    /// disabled score K).
-    evals_per_distinct: f64,
-    /// `planner_coalesced_requests` delta.
-    coalesced_requests: u64,
-    /// `planner_shared_scenarios` delta.
-    shared_scenarios: u64,
-}
-
-impl OverlapStats {
-    fn json(&self) -> String {
-        format!(
-            "{{\"distinct_scenarios\":{},\"scenarios_evaluated\":{},\"evals_per_distinct\":{},\"coalesced_requests\":{},\"shared_scenarios\":{}}}",
-            self.distinct_scenarios,
-            self.scenarios_evaluated,
-            self.evals_per_distinct,
-            self.coalesced_requests,
-            self.shared_scenarios,
-        )
-    }
-}
-
-/// Outcome of one load pass.
-struct PassReport {
-    name: &'static str,
-    requests: usize,
-    elapsed_seconds: f64,
-    queries_per_second: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    max_ms: f64,
-    parity_failures: usize,
-    busy_retries: u64,
-    busy_exhausted: usize,
-    cache_hits: u64,
-    cache_misses: u64,
-    hit_rate: f64,
-    histogram: HistogramSnapshot,
-    /// Planner deltas (overlap mode only).
-    overlap: Option<OverlapStats>,
-}
-
-impl PassReport {
-    fn json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"requests\":{},\"elapsed_seconds\":{},\"queries_per_second\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\"max_ms\":{},\"parity_failures\":{},\"busy_retries\":{},\"busy_exhausted\":{},\"cache_hits\":{},\"cache_misses\":{},\"hit_rate\":{},\"latency_histogram\":{}{}}}",
-            self.name,
-            self.requests,
-            self.elapsed_seconds,
-            self.queries_per_second,
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.parity_failures,
-            self.busy_retries,
-            self.busy_exhausted,
-            self.cache_hits,
-            self.cache_misses,
-            self.hit_rate,
-            self.histogram.json_buckets(),
-            match &self.overlap {
-                Some(overlap) => format!(",\"overlap\":{}", overlap.json()),
-                None => String::new(),
-            },
-        )
-    }
+    let count = metrics_series(&value, "counters", "planner_coalesced_requests")
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0);
+    Ok(count as u64)
 }
 
 /// The local ground truth every response is compared against.
@@ -405,20 +268,15 @@ enum Query {
 }
 
 impl Query {
-    /// The query for one (connection, request) slot. Overlap mode sends the
-    /// identical full sweep from every slot — maximum in-flight duplication,
-    /// the shape the planner's coalescing table exists for.
-    fn for_options(connection: usize, request: usize, n: usize, options: &Options) -> Query {
-        if options.overlap {
-            Query::Full
-        } else {
-            Query::for_slot(connection, request, n)
+    /// The query for one (connection, request) slot, deterministic so
+    /// reruns are reproducible. Overlap mode sends the identical full sweep
+    /// from every slot — maximum in-flight duplication, the shape the
+    /// planner's coalescing table exists for; otherwise the slots cycle
+    /// through the v1 generator's mixed shape.
+    fn for_slot(connection: usize, request: usize, n: usize, overlap: bool) -> Query {
+        if overlap {
+            return Query::Full;
         }
-    }
-
-    /// The same mixed workload shape the v1 generator used, deterministic in
-    /// (connection, request index) so reruns are reproducible.
-    fn for_slot(connection: usize, request: usize, n: usize) -> Query {
         match request % 3 {
             0 => Query::Full,
             1 => {
@@ -438,12 +296,13 @@ impl Query {
         }
     }
 
-    fn request(&self, reference: &Reference, spec: &SpaceSpec, chunk: usize) -> Request {
+    /// The wire request; sweeps stream in the server's default chunk size.
+    fn request(&self, reference: &Reference, spec: &SpaceSpec) -> Request {
         let space = spec.clone();
         match self {
-            Query::Full => Request::Sweep { space, start: 0, end: reference.space.len(), chunk },
+            Query::Full => Request::Sweep { space, start: 0, end: reference.space.len(), chunk: 0 },
             Query::Window(window) => {
-                Request::Sweep { space, start: window.start, end: window.end, chunk }
+                Request::Sweep { space, start: window.start, end: window.end, chunk: 0 }
             }
             Query::Top => Request::TopK { space, k: 10 },
             Query::Frontier(cost) => Request::Pareto { space, cost: *cost },
@@ -461,11 +320,13 @@ impl Query {
             Query::Full => Ok(assemble_sweep(responses, &(0..reference.space.len()))
                 .map(|(records, stats)| {
                     stats.scenarios == reference.space.len()
-                        && records_identical(&records, &reference.records)
+                        && cli::records_identical(&records, &reference.records)
                 })
                 .unwrap_or(false)),
             Query::Window(window) => Ok(assemble_sweep(responses, window)
-                .map(|(records, _)| records_identical(&records, &reference.records[window.clone()]))
+                .map(|(records, _)| {
+                    cli::records_identical(&records, &reference.records[window.clone()])
+                })
                 .unwrap_or(false)),
             Query::Top | Query::Frontier(_) => {
                 let truth = match self {
@@ -475,7 +336,7 @@ impl Query {
                 };
                 match responses.as_slice() {
                     [Response::Records { records }] => {
-                        Ok(records_identical(&from_wire(records), truth))
+                        Ok(cli::records_identical(&from_wire(records), truth))
                     }
                     _ => Ok(false),
                 }
@@ -484,84 +345,86 @@ impl Query {
     }
 }
 
-/// What one query ultimately amounted to.
-enum QueryOutcome {
-    /// A response arrived and matched the local ground truth bitwise.
-    Verified,
-    /// A response arrived and did **not** match — a real parity failure.
-    Mismatch,
-    /// The server was still rejecting with `busy` after the whole retry
-    /// budget: the query was never answered, so it is server saturation,
-    /// not a parity verdict. Counted (and failed) separately so the
-    /// differential-test report stays truthful.
-    BusyExhausted,
+/// The [`RetryPolicy`] jitter salt of one (connection, request) slot:
+/// distinct per slot, so concurrent retriers back off on different
+/// schedules instead of re-asking a busy server in lockstep. The odd
+/// multiplier is a bijection that spreads neighbouring slots over all 64
+/// bits (the policy's seed ORs in bit 0, so salts differing only there
+/// would jitter alike).
+fn retry_salt(connection: usize, request: usize) -> u64 {
+    (((connection as u64) << 32) ^ request as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Run one query with bounded busy-retry via the shared client
-/// [`RetryPolicy`] (jittered exponential backoff, floored at the server's
-/// `estimated_cost_ms` hint). Returns the outcome plus how many busy
-/// rejections were absorbed.
-fn run_query(
-    client: &mut Client,
-    query: &Query,
-    reference: &Reference,
-    spec: &SpaceSpec,
-    chunk: usize,
-) -> Result<(QueryOutcome, u64), String> {
-    let policy = RetryPolicy::backoff_ms(1, 250).with_retries(BUSY_RETRIES);
-    let request = query.request(reference, spec, chunk);
-    let salt = reference.space.len() as u64 ^ ((chunk as u64) << 32);
-    let outcome =
-        client.call_with_retry(&request, &policy, salt).map_err(|e| format!("call: {e}"))?;
-    if outcome.exhausted {
-        return Ok((QueryOutcome::BusyExhausted, outcome.busy_retries));
-    }
-    match query.verify(outcome.responses, reference) {
-        Ok(true) => Ok((QueryOutcome::Verified, outcome.busy_retries)),
-        Ok(false) => Ok((QueryOutcome::Mismatch, outcome.busy_retries)),
-        // call_with_retry only hands back a busy answer when the budget is
-        // exhausted, which is handled above.
-        Err(()) => Ok((QueryOutcome::BusyExhausted, outcome.busy_retries)),
-    }
-}
-
-/// Aggregated outcome of one pass.
-struct PassOutcome {
-    latencies: Vec<f64>,
+/// What one pass's queries amounted to, summed over its connections.
+#[derive(Default)]
+struct Tally {
+    /// Answers that did **not** match the local ground truth.
     failures: usize,
+    /// `busy` rejections absorbed by retrying.
     busy_retries: u64,
+    /// Queries the server was still rejecting with `busy` after the whole
+    /// retry budget: never answered, so server saturation rather than a
+    /// parity verdict. Counted (and failed) apart from `failures` so the
+    /// differential-test report stays truthful.
     busy_exhausted: usize,
 }
 
-/// Run one pass of `clients × requests` mixed queries. Connections are
-/// multiplexed over at most 64 generator threads. In pipelined mode each
-/// connection sends `depth` requests back-to-back per wave and the recorded
-/// latencies are wave-completion times; otherwise one latency per request.
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.failures += other.failures;
+        self.busy_retries += other.busy_retries;
+        self.busy_exhausted += other.busy_exhausted;
+    }
+
+    /// Run one query with bounded busy-retry via the shared client
+    /// [`RetryPolicy`] (jittered exponential backoff, floored at the
+    /// server's `estimated_cost_ms` hint) and count its outcome.
+    fn run_query(
+        &mut self,
+        client: &mut Client,
+        query: &Query,
+        reference: &Reference,
+        spec: &SpaceSpec,
+        salt: u64,
+    ) -> Result<(), String> {
+        // The policy's default budget: 200 retries before a persistent
+        // `busy` counts as unanswered.
+        let policy = RetryPolicy::backoff_ms(1, 250);
+        let request = query.request(reference, spec);
+        let outcome =
+            client.call_with_retry(&request, &policy, salt).map_err(|e| format!("call: {e}"))?;
+        self.busy_retries += outcome.busy_retries;
+        // call_with_retry only hands back a busy answer once the budget is
+        // exhausted.
+        match query.verify(outcome.responses, reference) {
+            Ok(true) => {}
+            Ok(false) => self.failures += 1,
+            Err(()) => self.busy_exhausted += 1,
+        }
+        Ok(())
+    }
+}
+
+/// Run one pass of `clients × REQUESTS` mixed queries. Connections are
+/// multiplexed over at most 64 generator threads. Each wave sends every
+/// connection its next request — or, pipelined, its next [`DEPTH`] requests
+/// back-to-back, retrying a `busy` answer solo.
 fn run_pass(
     endpoint: &Endpoint,
     reference: &Reference,
     options: &Options,
-) -> Result<PassOutcome, String> {
+) -> Result<Tally, String> {
     let clients = options.clients;
-    let requests = options.requests;
     let threads = clients.min(64);
-    let failures = std::sync::atomic::AtomicUsize::new(0);
-    let busy_retries = std::sync::atomic::AtomicU64::new(0);
-    let busy_exhausted = std::sync::atomic::AtomicUsize::new(0);
-    let latencies = std::sync::Mutex::new(Vec::with_capacity(clients * requests));
+    let depth = if options.pipelined { DEPTH } else { 1 };
     let n = reference.space.len();
-    std::thread::scope(|scope| -> Result<(), String> {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for thread_index in 0..threads {
-            let failures = &failures;
-            let busy_retries = &busy_retries;
-            let busy_exhausted = &busy_exhausted;
-            let latencies = &latencies;
-            handles.push(scope.spawn(move || -> Result<(), String> {
+            handles.push(scope.spawn(move || -> Result<Tally, String> {
+                let mut conns = Vec::new();
                 // This thread's share of the connection ids.
-                let mine: Vec<usize> = (thread_index..clients).step_by(threads).collect();
-                let mut conns = Vec::with_capacity(mine.len());
-                for &connection in &mine {
+                for connection in (thread_index..clients).step_by(threads) {
                     let mut client = Client::connect(endpoint)
                         .map_err(|e| format!("connection {connection}: connect failed: {e}"))?;
                     // Register the space once per connection and address it
@@ -576,108 +439,57 @@ fn run_pass(
                     }
                     conns.push((connection, client, SpaceSpec::Prepared { id }));
                 }
-                let mut local_lat: Vec<f64> = Vec::new();
-                let mut local_fail = 0usize;
-                let mut local_busy = 0u64;
-                let mut local_exhausted = 0usize;
-
-                if options.pipelined {
-                    let mut sent = 0usize;
-                    while sent < requests {
-                        let wave = options.depth.min(requests - sent);
-                        for (connection, client, spec) in conns.iter_mut() {
-                            let queries: Vec<Query> = (sent..sent + wave)
-                                .map(|request| Query::for_options(*connection, request, n, options))
-                                .collect();
-                            let wire: Vec<Request> = queries
-                                .iter()
-                                .map(|q| q.request(reference, spec, options.chunk))
-                                .collect();
-                            let started = Instant::now();
-                            let responses = client.call_pipelined(wire).map_err(|e| {
+                let mut tally = Tally::default();
+                for wave in (0..REQUESTS).step_by(depth) {
+                    for (connection, client, spec) in conns.iter_mut() {
+                        let connection = *connection;
+                        let slots = wave..(wave + depth).min(REQUESTS);
+                        let queries: Vec<Query> = slots
+                            .clone()
+                            .map(|request| Query::for_slot(connection, request, n, options.overlap))
+                            .collect();
+                        // `None`: not sent yet, so `run_query` sends it.
+                        let answers: Vec<Option<Vec<Response>>> = if options.pipelined {
+                            let wire = queries.iter().map(|q| q.request(reference, spec)).collect();
+                            let answers = client.call_pipelined(wire).map_err(|e| {
                                 format!("connection {connection}: pipelined wave: {e}")
                             })?;
-                            local_lat.push(started.elapsed().as_secs_f64());
-                            for (query, answer) in queries.iter().zip(responses) {
-                                match query.verify(answer, reference) {
-                                    Ok(true) => {}
-                                    Ok(false) => local_fail += 1,
-                                    Err(()) => {
-                                        // Busy mid-pipeline: retry solo.
-                                        let (outcome, retries) = run_query(
-                                            client,
-                                            query,
-                                            reference,
-                                            spec,
-                                            options.chunk,
-                                        )?;
-                                        local_busy += 1 + retries;
-                                        match outcome {
-                                            QueryOutcome::Verified => {}
-                                            QueryOutcome::Mismatch => local_fail += 1,
-                                            QueryOutcome::BusyExhausted => local_exhausted += 1,
-                                        }
-                                    }
+                            answers.into_iter().map(Some).collect()
+                        } else {
+                            vec![None; queries.len()]
+                        };
+                        for ((request, query), answer) in slots.zip(&queries).zip(answers) {
+                            match answer.map(|answer| query.verify(answer, reference)) {
+                                Some(Ok(true)) => {}
+                                Some(Ok(false)) => tally.failures += 1,
+                                unsent_or_busy => {
+                                    tally.busy_retries += u64::from(unsent_or_busy.is_some());
+                                    let salt = retry_salt(connection, request);
+                                    tally
+                                        .run_query(client, query, reference, spec, salt)
+                                        .map_err(|e| format!("connection {connection}: {e}"))?;
                                 }
-                            }
-                        }
-                        sent += wave;
-                    }
-                } else {
-                    for request in 0..requests {
-                        for (connection, client, spec) in conns.iter_mut() {
-                            let query = Query::for_options(*connection, request, n, options);
-                            let started = Instant::now();
-                            let (outcome, retries) =
-                                run_query(client, &query, reference, spec, options.chunk)
-                                    .map_err(|e| format!("connection {connection}: {e}"))?;
-                            local_lat.push(started.elapsed().as_secs_f64());
-                            local_busy += retries;
-                            match outcome {
-                                QueryOutcome::Verified => {}
-                                QueryOutcome::Mismatch => local_fail += 1,
-                                QueryOutcome::BusyExhausted => local_exhausted += 1,
                             }
                         }
                     }
                 }
-
-                failures.fetch_add(local_fail, std::sync::atomic::Ordering::Relaxed);
-                busy_retries.fetch_add(local_busy, std::sync::atomic::Ordering::Relaxed);
-                busy_exhausted.fetch_add(local_exhausted, std::sync::atomic::Ordering::Relaxed);
-                latencies.lock().unwrap_or_else(|e| e.into_inner()).extend(local_lat);
-                Ok(())
+                Ok(tally)
             }));
         }
+        let mut total = Tally::default();
         for handle in handles {
-            handle.join().map_err(|_| "a load thread panicked".to_string())??;
+            total.add(&handle.join().map_err(|_| "a load thread panicked".to_string())??);
         }
-        Ok(())
-    })?;
-    let latencies = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    Ok(PassOutcome {
-        latencies,
-        failures: failures.into_inner(),
-        busy_retries: busy_retries.into_inner(),
-        busy_exhausted: busy_exhausted.into_inner(),
+        Ok(total)
     })
 }
 
-/// Spawn `repro serve` as a child on a free port and wait for its readiness
-/// line. Returns the child and the endpoint it listens on.
+/// Spawn `repro serve` (default sizing) as a child on a free port and wait
+/// for its readiness line. Returns the child and the endpoint it listens on.
 fn spawn_server(options: &Options) -> Result<(std::process::Child, Endpoint), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate repro binary: {e}"))?;
-    let shards = options.shards.to_string();
     let mut child = std::process::Command::new(exe)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            &shards,
-            "--backend",
-            &options.backend,
-        ])
+        .args(["serve", "--addr", "127.0.0.1:0", "--backend", &options.backend])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .map_err(|e| format!("failed to spawn repro serve: {e}"))?;
@@ -765,17 +577,14 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 
     match outcome {
-        Ok(ok) => {
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "load run failed its acceptance checks (parity; >90% warm hit rate, or an \
-                     untouched cache for a backend that does not memoise; live metrics; and \
-                     under --overlap observed coalescing)"
-                );
-                ExitCode::FAILURE
-            }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => {
+            eprintln!(
+                "load run failed its acceptance checks (parity; >90% warm hit rate, or an \
+                 untouched cache for a backend that does not memoise; live metrics; and \
+                 under --overlap observed coalescing)"
+            );
+            ExitCode::FAILURE
         }
         Err(message) => {
             eprintln!("{message}");
@@ -784,108 +593,53 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// The measured load run proper; returns whether the acceptance checks held.
+/// The load run proper; returns whether the acceptance checks held.
 fn drive(
     options: &Options,
     backend: &(dyn EvalBackend + Send + Sync),
     endpoint: &Endpoint,
 ) -> Result<bool, String> {
     // Wait for the server (freshly spawned ones need a moment to bind).
-    let mut control = None;
     let deadline = Instant::now() + std::time::Duration::from_secs(10);
-    while control.is_none() {
+    let mut control = loop {
         match Client::connect(endpoint) {
-            Ok(client) => control = Some(client),
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
+            Ok(client) => break client,
+            Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
             Err(e) => return Err(format!("cannot reach {endpoint}: {e}")),
         }
-    }
-    let mut control = control.expect("connected above");
+    };
     let version = control.ping().map_err(|e| format!("ping failed: {e}"))?;
 
     // Local ground truth: one direct engine sweep of the same space.
     let space = load_space(options.quick, backend);
     let direct = Engine::with_all_cores().sweep(&space, backend, &SweepConfig::default());
-    let reference = Arc::new(Reference {
+    let reference = Reference {
         top: top_k(&direct.records, 10),
         frontier_cores: pareto_frontier(&direct.records, CostAxis::Cores),
         frontier_area: pareto_frontier(&direct.records, CostAxis::Area),
         records: direct.records,
         space,
-    });
+    };
 
-    let mut reports = Vec::with_capacity(2);
-    let mut parity_failures = 0usize;
-    let mut busy_exhausted = 0usize;
-    for pass in ["cold", "warm"] {
-        let before = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
-        let planner_before =
-            if options.overlap { Some(planner_counters(&mut control)?) } else { None };
-        let started = Instant::now();
-        let outcome = run_pass(endpoint, &reference, options)?;
-        let elapsed = started.elapsed().as_secs_f64();
-        let after = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
-        let overlap = match &planner_before {
-            Some(planner_before) => {
-                let planner_after = planner_counters(&mut control)?;
-                let evaluated = (planner_after.scenarios_evaluated
-                    - planner_before.scenarios_evaluated)
-                    .max(0.0) as u64;
-                let distinct = reference.space.len();
-                Some(OverlapStats {
-                    distinct_scenarios: distinct,
-                    scenarios_evaluated: evaluated,
-                    evals_per_distinct: evaluated as f64 / distinct.max(1) as f64,
-                    coalesced_requests: (planner_after.coalesced_requests
-                        - planner_before.coalesced_requests)
-                        .max(0.0) as u64,
-                    shared_scenarios: (planner_after.shared_scenarios
-                        - planner_before.shared_scenarios)
-                        .max(0.0) as u64,
-                })
-            }
-            None => None,
-        };
-        let mut latencies = outcome.latencies;
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let requests = options.clients * options.requests;
-        let hits = after.hits - before.hits;
-        let misses = after.misses - before.misses;
-        parity_failures += outcome.failures;
-        busy_exhausted += outcome.busy_exhausted;
-        reports.push(PassReport {
-            name: pass,
-            requests,
-            elapsed_seconds: elapsed,
-            queries_per_second: requests as f64 / elapsed.max(1e-9),
-            p50_ms: percentile_of_sorted(&latencies, 0.50) * 1e3,
-            p95_ms: percentile_of_sorted(&latencies, 0.95) * 1e3,
-            p99_ms: percentile_of_sorted(&latencies, 0.99) * 1e3,
-            max_ms: latencies.last().copied().unwrap_or(0.0) * 1e3,
-            parity_failures: outcome.failures,
-            busy_retries: outcome.busy_retries,
-            busy_exhausted: outcome.busy_exhausted,
-            cache_hits: hits,
-            cache_misses: misses,
-            hit_rate: if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 },
-            histogram: latency_histogram(&latencies),
-            overlap,
-        });
-    }
-
-    let warm = reports.last().expect("two passes ran");
-    let warm_hit_rate = warm.hit_rate;
+    // Two passes: a cold one that fills the cache of a backend that
+    // memoises, and a warm one whose cache traffic the check below reads.
+    let coalesced_before = coalesced_requests(&mut control)?;
+    let mut tally = run_pass(endpoint, &reference, options)?;
+    let before = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
+    tally.add(&run_pass(endpoint, &reference, options)?);
+    let cache = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
+    let coalesced = coalesced_requests(&mut control)?.saturating_sub(coalesced_before);
 
     // The cache check follows the backend (the local reference is built by
     // the same constructor the server uses): one that memoises must answer
     // the warm pass from the cache; one that does not must never touch it.
     let memoises = backend.memoise();
-    let cache = control.stats().map_err(|e| format!("stats failed: {e}"))?.cache;
+    let (warm_hits, warm_misses) = (cache.hits - before.hits, cache.misses - before.misses);
+    let warm_hit_rate = warm_hits as f64 / (warm_hits + warm_misses).max(1) as f64;
     let cache_ok = if memoises {
-        warm_hit_rate > 0.9 && warm.cache_hits > 0
+        warm_hit_rate > 0.9 && warm_hits > 0
     } else {
         cache.probes == 0 && cache.inserts == 0 && cache.entries == 0
     };
@@ -901,120 +655,81 @@ fn drive(
     // Overlap acceptance: the all-duplicate workload must actually
     // coalesce — a run where no request ever shared an in-flight evaluation
     // means the planner was not exercised.
-    let coalesced_total: u64 =
-        reports.iter().filter_map(|r| r.overlap.as_ref()).map(|o| o.coalesced_requests).sum();
-    let coalesce_ok = !options.overlap || coalesced_total > 0;
+    let coalesce_ok = !options.overlap || coalesced > 0;
 
-    let ok = parity_failures == 0 && busy_exhausted == 0 && cache_ok && metrics_ok && coalesce_ok;
+    let Tally { failures, busy_retries, busy_exhausted } = tally;
+    let ok = failures == 0 && busy_exhausted == 0 && cache_ok && metrics_ok && coalesce_ok;
 
     if options.shutdown || options.spawn {
         control.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
     }
 
     if options.json {
-        let passes: Vec<String> = reports.iter().map(PassReport::json).collect();
         println!(
-            "{{\"experiment\":\"load\",\"endpoint\":\"{endpoint}\",\"protocol\":\"{version}\",\"backend\":\"{}\",\"clients\":{},\"requests_per_client\":{},\"pipelined\":{},\"depth\":{},\"overlap_mode\":{},\"scenarios_per_sweep\":{},\"passes\":[{}],\"parity_failures\":{parity_failures},\"busy_exhausted\":{busy_exhausted},\"warm_hit_rate\":{warm_hit_rate},\"metrics_ok\":{metrics_ok},\"metrics_problems\":[{}],\"ok\":{ok}}}",
+            "{{\"experiment\":\"load\",\"endpoint\":\"{endpoint}\",\"protocol\":\"{version}\",\"backend\":\"{}\",\"clients\":{},\"pipelined\":{},\"overlap_mode\":{},\"scenarios_per_sweep\":{},\"parity_failures\":{failures},\"busy_retries\":{busy_retries},\"busy_exhausted\":{busy_exhausted},\"warm_hit_rate\":{warm_hit_rate},\"coalesced_requests\":{coalesced},\"metrics_ok\":{metrics_ok},\"metrics_problems\":[{}],\"ok\":{ok}}}",
             backend.name(),
             options.clients,
-            options.requests,
             options.pipelined,
-            if options.pipelined { options.depth } else { 1 },
             options.overlap,
             reference.space.len(),
-            passes.join(","),
             metrics_problems
                 .iter()
                 .map(|p| format!("\"{}\"", p.replace('"', "'")))
                 .collect::<Vec<_>>()
                 .join(","),
         );
-    } else {
+        return Ok(ok);
+    }
+    println!(
+        "closed-loop load against {endpoint} ({version}, backend `{}`{})",
+        backend.name(),
+        if options.pipelined { format!(", pipelined depth {DEPTH}") } else { String::new() },
+    );
+    println!(
+        "  {} connections x {REQUESTS} requests x 2 passes over a {}-scenario space{}",
+        options.clients,
+        reference.space.len(),
+        if busy_retries > 0 { format!(" | {busy_retries} busy retries") } else { String::new() },
+    );
+    if options.overlap {
         println!(
-            "closed-loop load against {endpoint} ({version}, backend `{}`{})",
-            backend.name(),
-            if options.pipelined {
-                format!(", pipelined depth {}", options.depth)
-            } else {
-                String::new()
-            },
-        );
-        println!(
-            "  {} connections x {} requests/pass over a {}-scenario space",
-            options.clients,
-            options.requests,
-            reference.space.len(),
-        );
-        let latency_unit = if options.pipelined { "wave" } else { "request" };
-        for report in &reports {
-            println!(
-                "  {:<4} pass: {:>7.1} queries/s | {latency_unit} latency p50 {:>7.1}ms p95 {:>7.1}ms p99 {:>7.1}ms max {:>7.1}ms | cache {} hits / {} misses ({:.1}% hit rate){}",
-                report.name,
-                report.queries_per_second,
-                report.p50_ms,
-                report.p95_ms,
-                report.p99_ms,
-                report.max_ms,
-                report.cache_hits,
-                report.cache_misses,
-                report.hit_rate * 100.0,
-                if report.busy_retries > 0 {
-                    format!(" | {} busy retries", report.busy_retries)
-                } else {
-                    String::new()
-                },
-            );
-            println!("       histogram: {}", report.histogram.render());
-            if let Some(overlap) = &report.overlap {
-                println!(
-                    "       overlap: {:.2} evaluations per distinct scenario ({} evaluated / {} distinct) | {} coalesced requests | {} shared scenarios",
-                    overlap.evals_per_distinct,
-                    overlap.scenarios_evaluated,
-                    overlap.distinct_scenarios,
-                    overlap.coalesced_requests,
-                    overlap.shared_scenarios,
-                );
-            }
-        }
-        if options.overlap {
-            println!(
-                "  overlap: {} coalesced requests across both passes{}",
-                coalesced_total,
-                if coalesce_ok { "" } else { " — FAIL: duplicate sweeps never coalesced" },
-            );
-        }
-        if metrics_ok {
-            println!("  metrics: all core series present and active");
-        } else {
-            for problem in &metrics_problems {
-                println!("  metrics: {problem}");
-            }
-        }
-        println!(
-            "  parity: {}{} | {} ({}) ",
-            if parity_failures == 0 {
-                "every response bit-identical to Engine::sweep".to_string()
-            } else {
-                format!("{parity_failures} FAILURES")
-            },
-            if busy_exhausted == 0 {
-                String::new()
-            } else {
-                // Saturation, not a correctness verdict: these queries were
-                // never answered, so they are reported apart from parity.
-                format!(" | {busy_exhausted} queries unanswered after busy-retry budget")
-            },
-            if memoises {
-                format!("warm hit rate {:.1}%", warm_hit_rate * 100.0)
-            } else {
-                format!(
-                    "backend does not memoise: cache {} probes / {} inserts / {} entries",
-                    cache.probes, cache.inserts, cache.entries
-                )
-            },
-            if ok { "PASS" } else { "FAIL" },
+            "  overlap: {coalesced} coalesced requests across both passes{}",
+            if coalesce_ok { "" } else { " — FAIL: duplicate sweeps never coalesced" },
         );
     }
+    if metrics_ok {
+        println!("  metrics: all core series present and active");
+    }
+    for problem in &metrics_problems {
+        println!("  metrics: {problem}");
+    }
+    println!(
+        "  parity: {}{} | {} ({}) ",
+        if failures == 0 {
+            "every response bit-identical to Engine::sweep".to_string()
+        } else {
+            format!("{failures} FAILURES")
+        },
+        if busy_exhausted == 0 {
+            String::new()
+        } else {
+            // Saturation, not a correctness verdict: these queries were
+            // never answered, so they are reported apart from parity.
+            format!(" | {busy_exhausted} queries unanswered after busy-retry budget")
+        },
+        if memoises {
+            format!(
+                "warm hit rate {:.1}% ({warm_hits} hits / {warm_misses} misses)",
+                warm_hit_rate * 100.0
+            )
+        } else {
+            format!(
+                "backend does not memoise: cache {} probes / {} inserts / {} entries",
+                cache.probes, cache.inserts, cache.entries
+            )
+        },
+        if ok { "PASS" } else { "FAIL" },
+    );
     Ok(ok)
 }
 
@@ -1026,22 +741,21 @@ mod tests {
     fn parse_defaults_sustain_sixteen_clients_and_reject_bad_counts() {
         let options = parse(&[]).unwrap();
         assert_eq!(options.clients, 16, "acceptance floor: >= 16 concurrent clients");
-        assert_eq!(options.shards, 4);
         assert!(!options.pipelined);
-        assert_eq!(options.depth, 8);
         assert!(parse(&["--clients".to_string(), "0".to_string()]).is_err());
-        assert!(parse(&["--requests".to_string(), "0".to_string()]).is_err());
-        assert!(parse(&["--chunk".to_string(), "0".to_string()]).is_err());
-        assert!(parse(&["--depth".to_string(), "0".to_string()]).is_err());
-        assert!(
-            parse(&["--depth".to_string(), "65".to_string()]).is_err(),
-            "depth must stay below the server's pipeline cap"
-        );
         assert!(parse(&["--bogus".to_string()]).is_err());
         // Removed flags are unknown options like any other.
-        for removed in
-            ["--no-steal", "--no-coalesce", "--no-prepare", "--skew", "--fault-latency-ms"]
-        {
+        for removed in [
+            "--no-steal",
+            "--no-coalesce",
+            "--no-prepare",
+            "--skew",
+            "--fault-latency-ms",
+            "--requests",
+            "--chunk",
+            "--depth",
+            "--shards",
+        ] {
             let message = parse(&[removed.to_string(), "--spawn".to_string()]).unwrap_err();
             assert!(message.contains("unknown load option"), "{message}");
         }
@@ -1050,10 +764,7 @@ mod tests {
             parse(&["--spawn".to_string(), "--addr".to_string(), "1.2.3.4:1".to_string()])
                 .unwrap_err();
         assert!(conflict.contains("cannot be combined"), "{conflict}");
-        let pipelined =
-            parse(&["--pipelined".to_string(), "--depth".to_string(), "4".to_string()]).unwrap();
-        assert!(pipelined.pipelined);
-        assert_eq!(pipelined.depth, 4);
+        assert!(parse(&["--pipelined".to_string()]).unwrap().pipelined);
 
         // Overlap mode.
         assert!(!parse(&[]).unwrap().overlap);
@@ -1062,41 +773,92 @@ mod tests {
 
     #[test]
     fn overlap_mode_sends_the_identical_full_sweep_from_every_slot() {
-        let overlap = parse(&["--overlap".to_string()]).unwrap();
-        let mixed = parse(&[]).unwrap();
         let n = 500;
         for connection in 0..8 {
-            for request in 0..6 {
-                assert!(matches!(
-                    Query::for_options(connection, request, n, &overlap),
-                    Query::Full
-                ));
+            for request in 0..REQUESTS {
+                assert!(matches!(Query::for_slot(connection, request, n, true), Query::Full));
             }
         }
         // The mixed shape still rotates through windows and analyses.
-        assert!(matches!(Query::for_options(0, 1, n, &mixed), Query::Window(_)));
-        assert!(matches!(Query::for_options(0, 2, n, &mixed), Query::Top));
+        assert!(matches!(Query::for_slot(0, 1, n, false), Query::Window(_)));
+        assert!(matches!(Query::for_slot(0, 2, n, false), Query::Top));
     }
 
+    /// Every slot of the widest CI shape (256 connections) has its own salt,
+    /// and the default shape's slots back off on distinct schedules from
+    /// the first retry on.
     #[test]
-    fn percentiles_are_monotone() {
-        let sorted: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        assert_eq!(percentile_of_sorted(&sorted, 0.0), 0.0);
-        assert_eq!(percentile_of_sorted(&sorted, 1.0), 99.0);
-        assert!(percentile_of_sorted(&sorted, 0.5) <= percentile_of_sorted(&sorted, 0.95));
-        assert_eq!(percentile_of_sorted(&[], 0.5), 0.0);
+    fn retry_salts_differ_per_slot_and_desynchronise_the_first_retry() {
+        let slots = |clients: usize| {
+            (0..clients).flat_map(|connection| (0..REQUESTS).map(move |r| (connection, r)))
+        };
+        let salts: std::collections::BTreeSet<u64> =
+            slots(256).map(|(connection, request)| retry_salt(connection, request)).collect();
+        assert_eq!(salts.len(), 256 * REQUESTS, "two slots share a retry salt");
+
+        let policy = RetryPolicy::backoff_ms(1, 250);
+        let first_retries: std::collections::BTreeSet<std::time::Duration> = slots(16)
+            .map(|(connection, request)| policy.delay(1, retry_salt(connection, request), 0.0))
+            .collect();
+        assert_eq!(first_retries.len(), 16 * REQUESTS, "two slots retry in lockstep");
     }
 
+    /// The parity gate fires on a single flipped bit in any field of any
+    /// record, for every query kind, and passes the untouched answer.
     #[test]
-    fn histogram_buckets_cover_all_latencies() {
-        // Latencies arrive in seconds; the shared snapshot type buckets them
-        // in milliseconds over the canonical bounds.
-        let latencies = [0.0001, 0.001, 0.050, 1.0, 100.0];
-        let histogram = latency_histogram(&latencies);
-        assert_eq!(histogram.count(), latencies.len() as u64);
-        assert_eq!(*histogram.counts.last().unwrap(), 1, "100s lands in +inf");
-        assert!(histogram.json_buckets().contains("\"le_ms\":0.25"));
-        assert!(!histogram.render().is_empty());
+    fn verify_rejects_an_answer_one_bit_off_the_reference() {
+        let space = load_space(true, &AnalyticBackend);
+        let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+        let reference = Reference {
+            top: top_k(&direct.records, 10),
+            frontier_cores: pareto_frontier(&direct.records, CostAxis::Cores),
+            frontier_area: pareto_frontier(&direct.records, CostAxis::Area),
+            records: direct.records.clone(),
+            space,
+        };
+        let n = reference.space.len();
+        let flips: [fn(&mut EvalRecord); 4] = [
+            |r| r.index ^= 1,
+            |r| r.speedup = f64::from_bits(r.speedup.to_bits() ^ 1),
+            |r| r.cores = f64::from_bits(r.cores.to_bits() ^ 1),
+            |r| r.area = f64::from_bits(r.area.to_bits() ^ 1),
+        ];
+        let window = n / 3..n / 3 + 40;
+        let queries = [
+            (Query::Full, reference.records.clone()),
+            (Query::Window(window.clone()), reference.records[window].to_vec()),
+            (Query::Top, reference.top.clone()),
+            (Query::Frontier(CostAxis::Cores), reference.frontier_cores.clone()),
+            (Query::Frontier(CostAxis::Area), reference.frontier_area.clone()),
+        ];
+        let chunk = |start: usize, records: &[EvalRecord]| {
+            vec![
+                Response::SweepChunk { start, records: to_wire(records) },
+                Response::SweepDone { stats: direct.stats },
+            ]
+        };
+        let answer = |query: &Query, records: &[EvalRecord]| match query {
+            Query::Full => chunk(0, records),
+            Query::Window(window) => chunk(window.start, records),
+            Query::Top | Query::Frontier(_) => {
+                vec![Response::Records { records: to_wire(records) }]
+            }
+        };
+        for (query, truth) in &queries {
+            assert!(!truth.is_empty(), "{query:?}");
+            assert_eq!(query.verify(answer(query, truth), &reference), Ok(true), "{query:?}");
+            for at in [0, truth.len() - 1] {
+                for (field, flip) in flips.iter().enumerate() {
+                    let mut wrong = truth.clone();
+                    flip(&mut wrong[at]);
+                    assert_eq!(
+                        query.verify(answer(query, &wrong), &reference),
+                        Ok(false),
+                        "{query:?}: field {field} of record {at} flipped"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1158,8 +920,8 @@ mod tests {
         let n = 1000;
         for connection in 0..20 {
             for request in 0..12 {
-                let a = Query::for_slot(connection, request, n);
-                let b = Query::for_slot(connection, request, n);
+                let a = Query::for_slot(connection, request, n, false);
+                let b = Query::for_slot(connection, request, n, false);
                 assert_eq!(format!("{a:?}"), format!("{b:?}"));
                 if let Query::Window(window) = a {
                     assert!(window.start < window.end && window.end <= n);

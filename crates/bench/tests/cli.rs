@@ -54,8 +54,11 @@ fn serve_rejects_zero_shards_and_unknown_backends() {
 #[test]
 fn load_rejects_zero_clients_and_requests() {
     assert_rejects(&["load", "--clients", "0"], "--clients must be at least 1");
-    assert_rejects(&["load", "--requests", "0"], "--requests must be at least 1");
-    assert_rejects(&["load", "--chunk", "0"], "--chunk must be at least 1");
+    // The command fixes the per-connection request count, the sweep chunk,
+    // the pipeline depth and the spawned server's sizing.
+    for removed in ["--requests", "--chunk", "--depth", "--shards"] {
+        assert_rejects(&["load", removed, "4"], &format!("unknown load option `{removed}`"));
+    }
     assert_rejects(&["load", "--backend", "nope"], "unknown backend `nope`");
     // --spawn launches its own server; silently ignoring a user-supplied
     // endpoint would report numbers for the wrong server.

@@ -99,6 +99,22 @@ mod tests {
         }
     }
 
+    /// Holds in whichever process runs it: vacuous unless
+    /// `MP_SIMD_FORCE_SCALAR` is set to something other than `0`, and then
+    /// the dispatch must never pick the wide instantiation, whatever the
+    /// programmatic override says.
+    #[test]
+    fn forcing_scalar_from_the_environment_pins_the_level() {
+        let env = std::env::var("MP_SIMD_FORCE_SCALAR").unwrap_or_default();
+        if env.is_empty() || env == "0" {
+            return;
+        }
+        assert!(forced_scalar());
+        assert_eq!(level(), SimdLevel::Scalar);
+        set_forced_scalar(false);
+        assert_eq!(level(), SimdLevel::Scalar, "the environment outranks un-forcing");
+    }
+
     #[test]
     fn non_x86_targets_report_scalar() {
         #[cfg(not(target_arch = "x86_64"))]

@@ -1,10 +1,8 @@
 //! Lock-free log-bucketed histograms with mergeable snapshots.
 //!
 //! One implementation serves every latency distribution in the workspace:
-//! the serve per-verb request histograms, the engine batch timings and
-//! `repro load`'s latency report all share [`LATENCY_BOUNDS_MS`], so their
-//! buckets are directly comparable (and bit-identical to the bounds the
-//! load harness has always printed).
+//! the serve per-verb request histograms and the engine batch timings share
+//! [`LATENCY_BOUNDS_MS`], so their buckets are directly comparable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -192,8 +190,8 @@ impl HistogramSnapshot {
     }
 
     /// The buckets as a JSON array of `{"le_ms":bound,"count":n}` objects
-    /// (the `+inf` bucket prints `"le_ms":"inf"`), matching the layout the
-    /// load harness has always reported.
+    /// (the `+inf` bucket prints `"le_ms":"inf"`), the layout of the
+    /// `metrics` verb's histograms.
     pub fn json_buckets(&self) -> String {
         let buckets: Vec<String> = self
             .counts
@@ -209,21 +207,6 @@ impl HistogramSnapshot {
             })
             .collect();
         format!("[{}]", buckets.join(","))
-    }
-
-    /// A one-line human rendering of the non-empty buckets.
-    pub fn render(&self) -> String {
-        let mut parts = Vec::new();
-        for (bucket, &count) in self.counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            match self.bounds.get(bucket) {
-                Some(bound) => parts.push(format!("<={bound}ms: {count}")),
-                None => parts.push(format!(">{}ms: {count}", self.bounds.last().unwrap())),
-            }
-        }
-        parts.join("  ")
     }
 }
 
@@ -242,7 +225,6 @@ mod tests {
         assert_eq!(*snap.counts.last().unwrap(), 1, "100s lands in +inf");
         assert!((snap.sum - 101_051.1).abs() < 1e-6);
         assert!(snap.json_buckets().contains("\"le_ms\":0.25"));
-        assert!(!snap.render().is_empty());
     }
 
     #[test]

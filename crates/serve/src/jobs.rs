@@ -618,8 +618,10 @@ impl JobManager {
     }
 
     /// Re-queue a settled job; progress is kept, only incomplete windows
-    /// will be evaluated. Resuming a job that is already queued, running
-    /// or completed is an idempotent no-op returning its snapshot.
+    /// will be evaluated. Returns the job as this call left it — `queued`
+    /// once re-queued, taken before the runner can pick it up. Resuming a
+    /// job that is already queued, running or completed is an idempotent
+    /// no-op returning its snapshot.
     pub fn resume(&self, id: &str) -> Result<JobSnapshot, ServeError> {
         let job = self.get(id)?;
         let requeue = {
@@ -637,11 +639,12 @@ impl JobManager {
                 }
             }
         };
+        let snapshot = job.snapshot();
         if requeue {
             mp_obs::gauge("jobs_active").add(1);
             self.enqueue(&job);
         }
-        Ok(job.snapshot())
+        Ok(snapshot)
     }
 
     /// Snapshots of every known job, id-ordered.
