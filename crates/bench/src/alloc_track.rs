@@ -2,8 +2,9 @@
 //!
 //! [`CountingAllocator`] wraps the system allocator, counts every
 //! allocation (and reallocation) and tracks the bytes live on the heap. The
-//! `repro` binary installs it as its global allocator and exports the
-//! counters as metrics gauges ([`register_metrics`]); `tests/alloc_free.rs`
+//! `repro` binary installs it as its global allocator and `repro serve`
+//! exports the counters as gauges of its service's registry
+//! ([`register_metrics`]); `tests/alloc_free.rs`
 //! installs it to hold the sweep hot path to zero allocations per scenario.
 //!
 //! The counters are process-global atomics with relaxed ordering: they cost
@@ -114,13 +115,12 @@ pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// Register the allocator's gauges with the process-wide mp-obs registry —
-/// `alloc_live_bytes`, `alloc_peak_bytes` (both tracking [`reset_peak`]) and
+/// Register the allocator's gauges with `registry` — `alloc_live_bytes`,
+/// `alloc_peak_bytes` (both tracking [`reset_peak`]) and
 /// `alloc_allocations` — sampled at snapshot time, so the serve `metrics`
 /// verb and the soak tests read the exact numbers this module reports.
 /// Idempotent: re-registering replaces the sampled gauges with equivalents.
-pub fn register_metrics() {
-    let registry = mp_obs::registry();
+pub fn register_metrics(registry: &mp_obs::metrics::Registry) {
     registry.gauge_sampled("alloc_live_bytes", live_bytes);
     registry.gauge_sampled("alloc_peak_bytes", peak_live_bytes);
     registry.gauge_sampled("alloc_allocations", || allocation_count() as i64);
@@ -140,9 +140,10 @@ mod tests {
 
     #[test]
     fn registered_gauges_appear_in_the_registry_snapshot() {
-        super::register_metrics();
-        super::register_metrics(); // idempotent
-        let snapshot = mp_obs::registry().snapshot();
+        let registry = mp_obs::metrics::Registry::new();
+        super::register_metrics(&registry);
+        super::register_metrics(&registry); // idempotent
+        let snapshot = registry.snapshot();
         assert!(snapshot.gauge("alloc_live_bytes").is_some());
         assert!(snapshot.gauge("alloc_peak_bytes").is_some());
         assert!(snapshot.gauge("alloc_allocations").is_some());

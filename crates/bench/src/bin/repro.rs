@@ -15,8 +15,8 @@ use std::process::ExitCode;
 
 use mp_bench::figures;
 
-/// Count heap allocations so every subcommand's metrics registry (and a
-/// spawned `repro serve`'s `metrics` verb) carries the allocator gauges.
+/// Count heap allocations, so `repro serve`'s `metrics` verb carries the
+/// allocator gauges.
 #[global_allocator]
 static ALLOC: mp_bench::alloc_track::CountingAllocator = mp_bench::alloc_track::CountingAllocator;
 use mp_profile::report::to_json;
@@ -146,9 +146,6 @@ fn usage() {
 }
 
 fn main() -> ExitCode {
-    // Every subcommand (including a spawned `repro serve`) exposes the
-    // allocator gauges through the one metrics registry.
-    mp_bench::alloc_track::register_metrics();
     let args: Vec<String> = std::env::args().skip(1).collect();
 
     // `repro dse [...]` and `repro calibrate [...]` are subcommands with

@@ -151,7 +151,7 @@ pub fn build_service(options: &Options) -> Result<SweepService, String> {
         }
         backend = Arc::new(FaultyBackend::new(backend, plan));
     }
-    let registry = if options.backend == "measured" {
+    let catalogue = if options.backend == "measured" {
         // The same deterministic calibrations the backend was built from,
         // exposed as the id-addressable catalogue.
         CatalogueRegistry::from_calibrations(crate::dse_cmd::synthetic_calibrations())
@@ -168,7 +168,7 @@ pub fn build_service(options: &Options) -> Result<SweepService, String> {
         cost_budget_ms: options.cost_budget_ms,
         cost_per_scenario_ms: None,
     };
-    Ok(SweepService::new(backend, &config).with_registry(registry))
+    Ok(SweepService::new(backend, &config).with_catalogue(catalogue))
 }
 
 /// Entry point of the `serve` subcommand.
@@ -182,7 +182,10 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     };
     let service = match build_service(&options) {
-        Ok(service) => Arc::new(service),
+        Ok(service) => {
+            crate::alloc_track::register_metrics(service.registry());
+            Arc::new(service)
+        }
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;

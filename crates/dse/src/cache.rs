@@ -31,23 +31,9 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use mp_obs::metrics::Counter;
-
-/// Process-wide cache metrics in the global mp-obs registry, mirroring the
-/// per-instance counters across every live cache. Only cold/bulk paths
-/// touch them (growths, inserts); per-probe traffic is mirrored at batch
-/// granularity by the engine.
-fn obs_inserts() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("cache_inserts"))
-}
-
-fn obs_migrations() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("cache_migrations"))
-}
+use mp_obs::metrics::{Counter, Registry};
 
 type Map = HashMap<(u64, u64), u64, KeyHash>;
 
@@ -93,9 +79,11 @@ pub struct EvalCache {
     misses: AtomicU64,
     /// Misses recorded without a probe (the engine's cold-start bypass).
     bypassed: AtomicU64,
-    inserts: AtomicU64,
-    /// Write-locked sections that grew the map.
-    migrations: AtomicU64,
+    /// Entries stored, and write-locked sections that grew the map: an
+    /// engine's cache counts them once, on its registry's `cache_inserts`
+    /// and `cache_migrations`.
+    inserts: Arc<Counter>,
+    migrations: Arc<Counter>,
 }
 
 /// Snapshot of a cache's warm-start state — see [`EvalCache::stats`].
@@ -150,18 +138,19 @@ impl std::fmt::Debug for EvalCache {
 impl EvalCache {
     /// An empty cache.
     pub fn new() -> Self {
-        // Touch the registry-backed counters now: their first use allocates
-        // (registry entry + Arc), and the probe/insert paths are covered by
-        // a zero-allocation acceptance test.
-        obs_inserts();
-        obs_migrations();
+        EvalCache::registered_in(&Registry::new())
+    }
+
+    /// An empty cache counting its inserts and map growths on `registry`'s
+    /// `cache_inserts` and `cache_migrations` series — an engine's cache.
+    pub(crate) fn registered_in(registry: &Registry) -> Self {
         EvalCache {
             map: RwLock::new(Map::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bypassed: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            migrations: AtomicU64::new(0),
+            inserts: registry.counter("cache_inserts"),
+            migrations: registry.counter("cache_migrations"),
         }
     }
 
@@ -179,8 +168,7 @@ impl EvalCache {
         let capacity = map.capacity();
         f(&mut map);
         if map.capacity() > capacity {
-            self.migrations.fetch_add(1, Ordering::Relaxed);
-            obs_migrations().inc();
+            self.migrations.inc();
         }
     }
 
@@ -248,8 +236,7 @@ impl EvalCache {
 
     /// Store an evaluated speedup (bit pattern preserved, NaNs included).
     pub fn insert(&self, key: (u64, u64), speedup: f64) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        obs_inserts().inc();
+        self.inserts.inc();
         self.write(|map| {
             map.insert(key, speedup.to_bits());
         });
@@ -262,8 +249,7 @@ impl EvalCache {
     /// slices differ in length.
     pub fn insert_batch(&self, keys: &[(u64, u64)], speedups: &[f64]) {
         assert_eq!(keys.len(), speedups.len(), "one speedup per key");
-        self.inserts.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        obs_inserts().add(keys.len() as u64);
+        self.inserts.add(keys.len() as u64);
         self.write(|map| {
             for (&key, &speedup) in keys.iter().zip(speedups) {
                 map.insert(key, speedup.to_bits());
@@ -312,13 +298,13 @@ impl EvalCache {
     /// insert *calls*; overwrites of duplicate keys are not
     /// distinguished.
     pub fn inserts(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
+        self.inserts.value()
     }
 
     /// Map growths since construction: write-locked sections (an insert, a
     /// batch, a reserve or a load) that grew the map.
     pub fn migrations(&self) -> u64 {
-        self.migrations.load(Ordering::Relaxed)
+        self.migrations.value()
     }
 
     /// One consistent-enough snapshot of the cache's warm-start state:

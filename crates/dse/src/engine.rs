@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use mp_obs::hist::Histogram;
-use mp_obs::metrics::Counter;
+use mp_obs::metrics::{Counter, Registry};
 use mp_obs::profile::{thread_lane, Profiler};
 use mp_par::{ThreadCtx, ThreadPool};
 use serde::{Deserialize, Serialize};
@@ -45,33 +45,19 @@ use crate::cache::EvalCache;
 use crate::scenario::{Scenario, ScenarioSpace};
 use crate::tables::SpaceTables;
 
-/// Process-wide engine metrics in the global mp-obs registry (see the
-/// README's observability catalogue). Handles are cached in `OnceLock`s so
-/// the hot path pays one acquire load plus a relaxed sharded `fetch_add`
-/// per *batch*, never a registry lookup.
-fn obs_scenarios() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("dse_scenarios_evaluated"))
-}
-
-fn obs_cache_hits() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("cache_hits"))
-}
-
-fn obs_cache_misses() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("cache_misses"))
-}
-
-fn obs_batch_ms() -> &'static Histogram {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::histogram_ms("dse_batch_ms"))
-}
-
-fn obs_table_build_ms() -> &'static Histogram {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::histogram_ms("dse_table_build_ms"))
+/// An engine's series in its registry (README's observability catalogue),
+/// created with the engine: the hot path pays a relaxed sharded
+/// `fetch_add` per *batch*, never a registry lookup.
+pub struct EngineMetrics {
+    /// `dse_scenarios_evaluated`.
+    pub scenarios: Arc<Counter>,
+    /// `cache_misses`.
+    pub cache_misses: Arc<Counter>,
+    /// `dse_batch_ms`.
+    pub batch_ms: Arc<Histogram>,
+    /// `dse_table_build_ms`, recorded by whoever builds a [`SweepHandle`]
+    /// for this engine: [`Engine::sweep`], or a service preparing a space.
+    pub table_build_ms: Arc<Histogram>,
 }
 
 /// One evaluated scenario of a sweep.
@@ -148,11 +134,13 @@ pub struct SweepResult {
     pub stats: SweepStats,
 }
 
-/// A reusable sweep engine: a worker pool plus a memoisation cache.
+/// A reusable sweep engine: a worker pool, a memoisation cache and their metrics registry.
 pub struct Engine {
     pool: Option<ThreadPool>,
     threads: usize,
     cache: EvalCache,
+    registry: Registry,
+    metrics: EngineMetrics,
 }
 
 impl std::fmt::Debug for Engine {
@@ -168,10 +156,18 @@ impl Engine {
     /// An engine with `threads` workers (1 evaluates inline, no pool).
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "engine needs at least one thread");
+        let registry = Registry::new();
         Engine {
             pool: (threads > 1).then(|| ThreadPool::new(threads)),
             threads,
-            cache: EvalCache::new(),
+            cache: EvalCache::registered_in(&registry),
+            metrics: EngineMetrics {
+                scenarios: registry.counter("dse_scenarios_evaluated"),
+                cache_misses: registry.counter("cache_misses"),
+                batch_ms: registry.histogram_ms("dse_batch_ms"),
+                table_build_ms: registry.histogram_ms("dse_table_build_ms"),
+            },
+            registry,
         }
     }
 
@@ -191,6 +187,17 @@ impl Engine {
         &self.cache
     }
 
+    /// The engine's metrics registry: its series, its cache's, and those of
+    /// a service built on the engine.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Handles on the engine's own series in [`Engine::registry`].
+    pub fn metrics(&self) -> &EngineMetrics {
+        &self.metrics
+    }
+
     /// Evaluate every scenario of `space` with `backend`.
     pub fn sweep(
         &self,
@@ -198,7 +205,9 @@ impl Engine {
         backend: &dyn EvalBackend,
         config: &SweepConfig,
     ) -> SweepResult {
+        let started = std::time::Instant::now();
         let handle = SweepHandle::new(space);
+        self.metrics.table_build_ms.record(started.elapsed().as_secs_f64() * 1e3);
         self.sweep_range(&handle, backend, config, 0..handle.len())
     }
 
@@ -322,6 +331,10 @@ impl Engine {
         // values, so records are unaffected.)
         let warm_entries = cache.map_or(0, EvalCache::len);
         let cold_start = cache.is_some() && warm_entries == 0;
+        // `cache_hits` is registered by the first sweep that probes the
+        // cache, so an engine that never does exports no hit series.
+        let cache_hits =
+            (cache.is_some() && !cold_start).then(|| self.registry.counter("cache_hits"));
         // The cache never rehashes mid-sweep, and the salt string is built
         // once instead of once per batch.
         let salt = match cache {
@@ -336,6 +349,8 @@ impl Engine {
             tables,
             backend,
             cache,
+            metrics: &self.metrics,
+            cache_hits,
             cold_start,
             salt: &salt,
             hits: AtomicU64::new(0),
@@ -509,17 +524,14 @@ pub fn space_fingerprint(space: &ScenarioSpace) -> u64 {
     hasher.finish()
 }
 
-/// Build the columnar tables for `space`, feeding the table-build timing
-/// into the metrics registry (and the profiler when one is recording).
+/// Build the columnar tables for `space`, under a profiler span when one is
+/// recording.
 fn build_tables(space: &ScenarioSpace) -> SpaceTables {
     let profiler = Profiler::global();
     let _span = profiler
         .is_enabled()
         .then(|| profiler.span(&format!("table_build ({})", space.len()), "engine", thread_lane()));
-    let started = std::time::Instant::now();
-    let tables = SpaceTables::new(space);
-    obs_table_build_ms().record(started.elapsed().as_secs_f64() * 1e3);
-    tables
+    SpaceTables::new(space)
 }
 
 impl std::fmt::Debug for SweepHandle<'_> {
@@ -658,6 +670,9 @@ struct BatchCtx<'a> {
     tables: &'a SpaceTables,
     backend: &'a dyn EvalBackend,
     cache: Option<&'a EvalCache>,
+    metrics: &'a EngineMetrics,
+    /// `cache_hits`, for a sweep that probes the cache.
+    cache_hits: Option<Arc<Counter>>,
     /// The cache was empty when the sweep started: probes are skipped.
     cold_start: bool,
     salt: &'a str,
@@ -694,7 +709,7 @@ fn process_batch(
                 &mut scratch.speedups[..],
             );
             ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
-            obs_cache_misses().add(len as u64);
+            ctx.metrics.cache_misses.add(len as u64);
         }
         Some(cache) => {
             let missing = {
@@ -716,7 +731,7 @@ fn process_batch(
                     // cache's memory traffic for the back-fill.
                     backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
                     ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
-                    obs_cache_misses().add(len as u64);
+                    ctx.metrics.cache_misses.add(len as u64);
                     cache.record_bypassed_misses(len as u64);
                     cache.insert_batch(keys, speedups);
                     None
@@ -724,7 +739,9 @@ fn process_batch(
                     // One read lock for the whole batch's probes.
                     let missing = cache.get_batch(keys, speedups, holes);
                     ctx.hits.fetch_add((len - missing) as u64, Ordering::Relaxed);
-                    obs_cache_hits().add((len - missing) as u64);
+                    if let Some(hits) = &ctx.cache_hits {
+                        hits.add((len - missing) as u64);
+                    }
                     Some(missing)
                 }
             };
@@ -734,8 +751,8 @@ fn process_batch(
         }
     }
 
-    obs_scenarios().add(len as u64);
-    obs_batch_ms().record(batch_started.elapsed().as_secs_f64() * 1e3);
+    ctx.metrics.scenarios.add(len as u64);
+    ctx.metrics.batch_ms.record(batch_started.elapsed().as_secs_f64() * 1e3);
     let valid = scratch.speedups.iter().filter(|speedup| speedup.is_finite()).count();
     ctx.valid.fetch_add(valid as u64, Ordering::Relaxed);
 
@@ -778,7 +795,7 @@ fn process_batch_holes(
         // Cold batch: take the backend's columnar fast path.
         backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
         ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
-        obs_cache_misses().add(len as u64);
+        ctx.metrics.cache_misses.add(len as u64);
         cache.insert_batch(keys, speedups);
     } else if missing > 0 {
         // Mixed batch: evaluate only the first-probe holes. A hole's
@@ -813,8 +830,10 @@ fn process_batch_holes(
         });
         ctx.hits.fetch_add(peeked, Ordering::Relaxed);
         ctx.misses.fetch_add(evaluated, Ordering::Relaxed);
-        obs_cache_hits().add(peeked);
-        obs_cache_misses().add(evaluated);
+        if let Some(hits) = &ctx.cache_hits {
+            hits.add(peeked);
+        }
+        ctx.metrics.cache_misses.add(evaluated);
     }
 }
 

@@ -27,11 +27,16 @@ pub fn percentile_of_sorted(sorted: &[f64], fraction: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
+/// Buckets a histogram holds at most: 15 bounds plus the `+inf` bucket.
+const MAX_BUCKETS: usize = 16;
+
 /// One shard of bucket counts; padded so shards never share a cache line.
+/// The buckets are inline, so no recorder's writes land on a line of
+/// whatever the allocator placed beside them.
 #[repr(align(64))]
 struct HistShard {
-    /// `bounds.len() + 1` buckets; the last is `+inf`.
-    counts: Vec<AtomicU64>,
+    /// The first `bounds.len() + 1` are in use; the last of those is `+inf`.
+    counts: [AtomicU64; MAX_BUCKETS],
     /// Sum of recorded values, stored as `f64` bits (CAS-accumulated).
     sum_bits: AtomicU64,
 }
@@ -47,13 +52,14 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram over `bounds` (ascending upper bucket bounds; a final
-    /// `+inf` bucket is implied).
+    /// A histogram over `bounds` (at most 15 ascending upper bucket bounds;
+    /// a final `+inf` bucket is implied).
     pub fn new(bounds: &'static [f64]) -> Histogram {
+        assert!(bounds.len() < MAX_BUCKETS, "a histogram takes at most 15 bounds");
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         let shards = (0..SHARDS)
             .map(|_| HistShard {
-                counts: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
+                counts: std::array::from_fn(|_| AtomicU64::new(0)),
                 sum_bits: AtomicU64::new(0f64.to_bits()),
             })
             .collect();
@@ -281,5 +287,24 @@ mod tests {
         assert_eq!(percentile_of_sorted(&sorted, 1.0), 99.0);
         assert!(percentile_of_sorted(&sorted, 0.5) <= percentile_of_sorted(&sorted, 0.95));
         assert_eq!(percentile_of_sorted(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn the_widest_histogram_fills_every_inline_bucket() {
+        static BOUNDS: [f64; MAX_BUCKETS - 1] =
+            [1., 2., 3., 4., 5., 6., 7., 8., 9., 10., 11., 12., 13., 14., 15.];
+        let hist = Histogram::new(&BOUNDS);
+        for value in 1..=MAX_BUCKETS {
+            hist.record(value as f64);
+        }
+        assert_eq!(hist.snapshot().counts, [1; MAX_BUCKETS]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 15 bounds")]
+    fn a_histogram_refuses_more_bounds_than_it_has_buckets_for() {
+        static BOUNDS: [f64; MAX_BUCKETS] =
+            [1., 2., 3., 4., 5., 6., 7., 8., 9., 10., 11., 12., 13., 14., 15., 16.];
+        Histogram::new(&BOUNDS);
     }
 }

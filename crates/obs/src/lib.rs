@@ -9,7 +9,10 @@
 //!   Updates are plain relaxed atomics on cache-line-padded shards, so the
 //!   always-on cost stays under the measurement noise floor; registration
 //!   and snapshotting take a mutex on the cold path only. Snapshots merge,
-//!   print as JSON and as Prometheus exposition text.
+//!   print as JSON and as Prometheus exposition text. There is no
+//!   process-wide registry: each owner (in this workspace, each sweep
+//!   engine and the service built on it) holds one and hands it to the
+//!   components that register into it.
 //! * [`trace`] — per-request traces: an id minted when the request line is
 //!   decoded, stamped at each pipeline stage
 //!   (`decode → queue → plan → evaluate → encode → flush`) and committed to
@@ -54,9 +57,9 @@ use std::time::Instant;
 pub mod prelude {
     pub use crate::hist::{percentile_of_sorted, Histogram, HistogramSnapshot, LATENCY_BOUNDS_MS};
     pub use crate::metrics::{Counter, Gauge, Registry, Snapshot};
+    pub use crate::monotonic_ns;
     pub use crate::profile::{Profiler, Span};
     pub use crate::trace::{RequestTrace, Stage, TraceLog};
-    pub use crate::{counter, gauge, histogram_ms, monotonic_ns, registry};
 }
 
 /// Nanoseconds on the process-wide monotonic clock (anchored at first use).
@@ -68,40 +71,6 @@ pub fn monotonic_ns() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// The process-wide metrics registry every subsystem registers into.
-pub fn registry() -> &'static metrics::Registry {
-    static GLOBAL: OnceLock<metrics::Registry> = OnceLock::new();
-    GLOBAL.get_or_init(metrics::Registry::new)
-}
-
-/// Get or create `name` in the global registry (see [`registry`]).
-pub fn counter(name: &str) -> std::sync::Arc<metrics::Counter> {
-    registry().counter(name)
-}
-
-/// Get or create `name` in the global registry (see [`registry`]).
-pub fn gauge(name: &str) -> std::sync::Arc<metrics::Gauge> {
-    registry().gauge(name)
-}
-
-/// Get or create a latency histogram (`LATENCY_BOUNDS_MS` buckets) in the
-/// global registry (see [`registry`]).
-pub fn histogram_ms(name: &str) -> std::sync::Arc<hist::Histogram> {
-    registry().histogram_ms(name)
-}
-
-/// Log a warning: one `[mp-obs] warn(<component>): <message>` line on
-/// stderr plus an increment of the process-wide `warnings_total` counter
-/// and of `warnings_total_<component>`, so operational degradations (a
-/// corrupt cache spill skipped, a checkpoint manifest refused) are both
-/// human-visible and scrape-visible. Warnings mean the process degraded
-/// gracefully — code that would *fail* should return an error instead.
-pub fn warn(component: &str, message: &str) {
-    counter("warnings_total").inc();
-    counter(&format!("warnings_total_{component}")).inc();
-    eprintln!("[mp-obs] warn({component}): {message}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,15 +80,5 @@ mod tests {
         let a = monotonic_ns();
         let b = monotonic_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn global_registry_returns_the_same_counter_for_the_same_name() {
-        let a = counter("lib_test_counter");
-        let b = counter("lib_test_counter");
-        a.inc();
-        b.inc();
-        assert_eq!(a.value(), b.value());
-        assert!(a.value() >= 2);
     }
 }

@@ -5,8 +5,10 @@
 //! The hot path is free of locks by construction: counters are relaxed
 //! `fetch_add`s on cache-line-padded thread-hashed shards, gauges are a
 //! single relaxed atomic, histograms shard the same way (see
-//! [`Histogram`]). Only registration (first lookup of a name — callers
-//! cache the returned `Arc`) and snapshotting take the registry mutex.
+//! [`Histogram`]). Lookups by name and snapshots take the registry mutex,
+//! so callers keep the returned `Arc` as a plain handle. Nothing here is
+//! process-wide: a registry belongs to whoever builds it (in this
+//! workspace, each sweep engine).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,7 +77,7 @@ enum GaugeKind {
     Sampled(Box<dyn Fn() -> i64 + Send + Sync>),
 }
 
-/// An instantaneous value: set/add/sub on a single relaxed atomic, or
+/// An instantaneous value: add/sub on a single relaxed atomic, or
 /// sampled from a callback at snapshot time.
 pub struct Gauge {
     kind: GaugeKind,
@@ -90,13 +92,6 @@ impl Gauge {
     /// A gauge whose value is sampled from `f` at read time.
     pub fn sampled(f: impl Fn() -> i64 + Send + Sync + 'static) -> Gauge {
         Gauge { kind: GaugeKind::Sampled(Box::new(f)) }
-    }
-
-    /// Set the value (no-op for sampled gauges).
-    pub fn set(&self, value: i64) {
-        if let GaugeKind::Stored(cell) = &self.kind {
-            cell.store(value, Ordering::Relaxed);
-        }
     }
 
     /// Add `delta` (no-op for sampled gauges).
@@ -141,8 +136,9 @@ impl RegistryInner {
     }
 }
 
-/// A named collection of metrics. Most code uses the process-wide
-/// [`registry()`](crate::registry); tests instantiate their own.
+/// A named collection of metrics, owned by one component (a sweep engine,
+/// in this workspace) and shared by reference with those that register
+/// into it.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
@@ -208,6 +204,18 @@ impl Registry {
     /// buckets).
     pub fn histogram_ms(&self, name: &str) -> Arc<Histogram> {
         self.histogram(name, &LATENCY_BOUNDS_MS)
+    }
+
+    /// Log a warning: one `[mp-obs] warn(<component>): <message>` line on
+    /// stderr plus an increment of this registry's `warnings_total` counter
+    /// and of `warnings_total_<component>`, so operational degradations (a
+    /// corrupt cache spill skipped, a checkpoint manifest refused) are both
+    /// human-visible and scrape-visible. Warnings mean the process degraded
+    /// gracefully — code that would *fail* should return an error instead.
+    pub fn warn(&self, component: &str, message: &str) {
+        self.counter("warnings_total").inc();
+        self.counter(&format!("warnings_total_{component}")).inc();
+        eprintln!("[mp-obs] warn({component}): {message}");
     }
 
     /// A point-in-time view of every registered metric, sorted by name.
@@ -391,10 +399,22 @@ mod tests {
     }
 
     #[test]
+    fn warnings_count_in_total_and_per_component() {
+        let registry = Registry::new();
+        registry.warn("jobs", "one");
+        registry.warn("jobs", "two");
+        registry.warn("serve", "three");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("warnings_total"), Some(3));
+        assert_eq!(snap.counter("warnings_total_jobs"), Some(2));
+        assert_eq!(snap.counter("warnings_total_serve"), Some(1));
+    }
+
+    #[test]
     fn snapshot_prints_json_and_prometheus() {
         let registry = Registry::new();
         registry.counter("requests_total").add(3);
-        registry.gauge("queue_depth").set(2);
+        registry.gauge("queue_depth").add(2);
         registry.histogram_ms("request_ms").record(0.3);
         let snap = registry.snapshot();
 

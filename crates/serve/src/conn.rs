@@ -20,28 +20,13 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use mp_obs::metrics::Counter;
 use mp_obs::trace::{mint_id, RequestTrace};
 
 use crate::protocol::{LineDecoder, MAX_REQUEST_LINE};
-use crate::server::Stream;
+use crate::server::{ReactorMetrics, Stream};
 use crate::service::SweepTicket;
-
-/// Times a connection's reads were paused because its pipeline hit
-/// [`MAX_PIPELINE`] (TCP backpressure engaged).
-pub(crate) fn obs_read_pauses() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("serve_read_pauses"))
-}
-
-/// Times a connection's outbox crossed [`HIGH_WATERMARK`] from below
-/// (response production about to stop for that connection).
-pub(crate) fn obs_outbox_high_water() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("serve_outbox_high_water"))
-}
 
 /// Stop producing response bytes for a connection whose outbox holds at
 /// least this much; the overshoot above the watermark is bounded by one
@@ -104,10 +89,11 @@ pub(crate) struct Conn {
     /// The connection failed (I/O error, protocol-fatal state); remove it.
     pub dead: bool,
     next_seq: u64,
+    metrics: Arc<ReactorMetrics>,
 }
 
 impl Conn {
-    pub fn new(stream: Stream) -> Conn {
+    pub fn new(stream: Stream, metrics: Arc<ReactorMetrics>) -> Conn {
         Conn {
             stream,
             decoder: LineDecoder::new(MAX_REQUEST_LINE),
@@ -121,6 +107,7 @@ impl Conn {
             shutdown_origin: false,
             dead: false,
             next_seq: 1,
+            metrics,
         }
     }
 
@@ -138,7 +125,10 @@ impl Conn {
         while !self.read_paused && !self.dead {
             match self.stream.read(&mut buf) {
                 Ok(0) => {
+                    // An unterminated tail is the connection's last line.
                     self.peer_closed = true;
+                    self.decoder.push(b"\n");
+                    self.drain_lines();
                     break;
                 }
                 Ok(n) => {
@@ -165,7 +155,7 @@ impl Conn {
         }
         if self.pipeline.len() >= MAX_PIPELINE && !self.read_paused {
             self.read_paused = true;
-            obs_read_pauses().inc();
+            self.metrics.read_pauses.inc();
         }
     }
 
@@ -183,7 +173,7 @@ impl Conn {
         let before = self.pending_out();
         self.outbox.extend_from_slice(bytes);
         if before < HIGH_WATERMARK && self.pending_out() >= HIGH_WATERMARK {
-            obs_outbox_high_water().inc();
+            self.metrics.outbox_high_water.inc();
         }
     }
 

@@ -27,12 +27,12 @@
 //! as `cancelled`.
 //!
 //! Restore is strictly validated but never fatal: a manifest that fails
-//! its checksum, version check or semantic validation is skipped with an
-//! [`mp_obs::warn`] and the job simply does not exist on the restarted
-//! server; a damaged cache segment degrades to a cold cache. Corruption
-//! costs warmth, not correctness — window evaluation is deterministic, so
-//! re-running a window that was already complete produces identical
-//! records.
+//! its checksum, version check or semantic validation is skipped with a
+//! [warning](mp_obs::metrics::Registry::warn) and the job simply does not
+//! exist on the restarted server; a damaged cache segment degrades to a
+//! cold cache. Corruption costs warmth, not correctness — window
+//! evaluation is deterministic, so re-running a window that was already
+//! complete produces identical records.
 //!
 //! Dropping the [`JobManager`] stops the runner **without** a final
 //! checkpoint — deliberately crash-equivalent, so tests (and unclean
@@ -57,6 +57,8 @@ use serde::{Deserialize, Serialize};
 use mp_dse::cache::crc32;
 use mp_dse::engine::space_fingerprint;
 use mp_dse::scenario::ScenarioSpace;
+use mp_obs::hist::Histogram;
+use mp_obs::metrics::{Counter, Gauge};
 use mp_obs::profile::{thread_lane, Profiler};
 
 use crate::client::RetryPolicy;
@@ -378,6 +380,16 @@ pub struct JobManager {
     runner: Mutex<Option<JoinHandle<()>>>,
     stop: Arc<AtomicBool>,
     seq: AtomicU64,
+    metrics: JobMetrics,
+}
+
+/// The manager's series (README's metrics catalogue), registered into its
+/// service's registry when the manager is built.
+struct JobMetrics {
+    active: Arc<Gauge>,
+    windows_completed: Arc<Counter>,
+    retries: Arc<Counter>,
+    checkpoint_ms: Arc<Histogram>,
 }
 
 impl JobManager {
@@ -390,18 +402,18 @@ impl JobManager {
         dir: Option<PathBuf>,
         config: JobConfig,
     ) -> std::io::Result<Arc<JobManager>> {
-        // Register the series up front so a scrape of an idle server shows
-        // explicit zeros rather than absent names.
-        let _ = mp_obs::counter("job_windows_completed");
-        let _ = mp_obs::counter("job_retries");
-        let _ = mp_obs::histogram_ms("job_checkpoint_ms");
-        mp_obs::gauge("jobs_active").set(0);
-
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
         }
         let (sender, receiver) = unbounded::<Arc<Job>>();
         let stop = Arc::new(AtomicBool::new(false));
+        let registry = service.registry();
+        let metrics = JobMetrics {
+            active: registry.gauge("jobs_active"),
+            windows_completed: registry.counter("job_windows_completed"),
+            retries: registry.counter("job_retries"),
+            checkpoint_ms: registry.histogram_ms("job_checkpoint_ms"),
+        };
         let manager = Arc::new(JobManager {
             service,
             dir,
@@ -411,6 +423,7 @@ impl JobManager {
             runner: Mutex::new(None),
             stop: Arc::clone(&stop),
             seq: AtomicU64::new(1),
+            metrics,
         });
         manager.restore();
         manager.service.attach_jobs(Arc::downgrade(&manager));
@@ -447,17 +460,14 @@ impl JobManager {
             let bytes = match std::fs::read(&path) {
                 Ok(bytes) => bytes,
                 Err(e) => {
-                    mp_obs::warn("jobs", &format!("unreadable manifest {}: {e}", path.display()));
+                    self.warn(&format!("unreadable manifest {}: {e}", path.display()));
                     continue;
                 }
             };
             let manifest = match Manifest::from_bytes(&bytes) {
                 Ok(manifest) => manifest,
                 Err(e) => {
-                    mp_obs::warn(
-                        "jobs",
-                        &format!("skipping manifest {} (cold start): {e}", path.display()),
-                    );
+                    self.warn(&format!("skipping manifest {} (cold start): {e}", path.display()));
                     continue;
                 }
             };
@@ -506,7 +516,7 @@ impl JobManager {
         }
         for path in collected {
             if let Err(e) = std::fs::remove_file(&path) {
-                mp_obs::warn("jobs", &format!("manifest GC {} failed: {e}", path.display()));
+                self.warn(&format!("manifest GC {} failed: {e}", path.display()));
             }
         }
         // With every manifest collected there is nothing left to resume:
@@ -514,14 +524,11 @@ impl JobManager {
         Self::prune_orphan_segments(dir);
         let warmed = self.service.load_cache_segments(dir);
         if restored > 0 || warmed > 0 {
-            mp_obs::warn(
-                "jobs",
-                &format!(
-                    "restored {restored} job(s), warmed {warmed} cache entr(ies) from {} in {:.1} ms",
-                    dir.display(),
-                    started.elapsed().as_secs_f64() * 1e3
-                ),
-            );
+            self.warn(&format!(
+                "restored {restored} job(s), warmed {warmed} cache entr(ies) from {} in {:.1} ms",
+                dir.display(),
+                started.elapsed().as_secs_f64() * 1e3
+            ));
         }
     }
 
@@ -571,7 +578,7 @@ impl JobManager {
         });
         self.jobs.lock().insert(id, Arc::clone(&job));
         self.persist(&job);
-        mp_obs::gauge("jobs_active").add(1);
+        self.metrics.active.add(1);
         self.enqueue(&job);
         Ok(job.snapshot())
     }
@@ -602,7 +609,7 @@ impl JobManager {
                 JobState::Cancelling | JobState::Cancelled => false,
                 JobState::Queued => {
                     inner.state = JobState::Cancelled;
-                    mp_obs::gauge("jobs_active").sub(1);
+                    self.metrics.active.sub(1);
                     true
                 }
                 JobState::Suspended | JobState::Failed => {
@@ -641,7 +648,7 @@ impl JobManager {
         };
         let snapshot = job.snapshot();
         if requeue {
-            mp_obs::gauge("jobs_active").add(1);
+            self.metrics.active.add(1);
             self.enqueue(&job);
         }
         Ok(snapshot)
@@ -727,7 +734,7 @@ impl JobManager {
                             inner.dirty += 1;
                             inner.dirty >= job.checkpoint_every
                         };
-                        mp_obs::counter("job_windows_completed").inc();
+                        manager.metrics.windows_completed.inc();
                         if checkpoint {
                             manager.checkpoint(job);
                         }
@@ -736,7 +743,7 @@ impl JobManager {
                     Err(e) => {
                         consecutive += 1;
                         job.inner.lock().retries += 1;
-                        mp_obs::counter("job_retries").inc();
+                        manager.metrics.retries.inc();
                         if consecutive >= manager.config.failure_cap {
                             return manager.park_failed(
                                 job,
@@ -762,7 +769,7 @@ impl JobManager {
             let mut inner = job.inner.lock();
             inner.state = JobState::Completed;
         }
-        mp_obs::gauge("jobs_active").sub(1);
+        manager.metrics.active.sub(1);
         // Final durable status write first, then collect the artifacts: a
         // crash between the two re-runs the GC on restore, never loses the
         // completion record.
@@ -770,14 +777,19 @@ impl JobManager {
         manager.gc_terminal(job);
     }
 
+    /// Log a `jobs` warning on the service's registry.
+    fn warn(&self, message: &str) {
+        self.service.registry().warn("jobs", message);
+    }
+
     fn park_failed(&self, job: &Arc<Job>, reason: String) {
-        mp_obs::warn("jobs", &format!("job {} parked failed: {reason}", job.id));
+        self.warn(&format!("job {} parked failed: {reason}", job.id));
         {
             let mut inner = job.inner.lock();
             inner.state = JobState::Failed;
             inner.reason = reason;
         }
-        mp_obs::gauge("jobs_active").sub(1);
+        self.metrics.active.sub(1);
         self.checkpoint(job);
     }
 
@@ -787,7 +799,7 @@ impl JobManager {
             inner.state = JobState::Cancelled;
         }
         job.cancel.store(false, Ordering::Relaxed);
-        mp_obs::gauge("jobs_active").sub(1);
+        self.metrics.active.sub(1);
         self.checkpoint(job);
     }
 
@@ -804,7 +816,7 @@ impl JobManager {
             .then(|| profiler.span(&format!("checkpoint {}", job.id), "checkpoint", thread_lane()));
         if let Some(dir) = &self.dir {
             if let Err(e) = self.service.save_cache_segments(dir) {
-                mp_obs::warn("jobs", &format!("cache spill to {} failed: {e}", dir.display()));
+                self.warn(&format!("cache spill to {} failed: {e}", dir.display()));
             }
         }
         self.persist(job);
@@ -813,7 +825,7 @@ impl JobManager {
             inner.checkpoints += 1;
             inner.dirty = 0;
         }
-        mp_obs::histogram_ms("job_checkpoint_ms").record(started.elapsed().as_secs_f64() * 1_000.0);
+        self.metrics.checkpoint_ms.record(started.elapsed().as_secs_f64() * 1_000.0);
     }
 
     /// Atomically write the job's manifest (durable managers only).
@@ -821,7 +833,7 @@ impl JobManager {
         let Some(dir) = &self.dir else { return };
         let path = dir.join(format!("{}.manifest", job.id));
         if let Err(e) = atomic_write(&path, &job.manifest().to_bytes()) {
-            mp_obs::warn("jobs", &format!("manifest write {} failed: {e}", path.display()));
+            self.warn(&format!("manifest write {} failed: {e}", path.display()));
         }
     }
 
@@ -836,7 +848,7 @@ impl JobManager {
         let Some(dir) = &self.dir else { return };
         let manifest = dir.join(format!("{}.manifest", job.id));
         if let Err(e) = std::fs::remove_file(&manifest) {
-            mp_obs::warn("jobs", &format!("manifest GC {} failed: {e}", manifest.display()));
+            self.warn(&format!("manifest GC {} failed: {e}", manifest.display()));
             return;
         }
         Self::prune_orphan_segments(dir);

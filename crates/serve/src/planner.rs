@@ -14,14 +14,15 @@
 //!   sweeps request deterministic chunk-aligned windows, so overlapping
 //!   full sweeps coalesce window by window without any range arithmetic.
 //! * **Cost model** ([`CostModel`]) — estimates a query's evaluation cost
-//!   in milliseconds from the per-scenario cost observed by the engine's
-//!   always-on `dse_batch_ms` histogram and `dse_scenarios_evaluated`
-//!   counter (per-backend by construction: a service owns one backend, and
-//!   the calibration is read at admission time so it tracks the live
-//!   warm/cold mix). A seeded default covers the pre-calibration window.
-//! * **Metrics** — the planner's own always-registered counters:
-//!   `planner_coalesced_requests`, `planner_shared_scenarios`,
-//!   `planner_cost_rejections`.
+//!   in milliseconds from the per-scenario cost observed by its own
+//!   engine's always-on `dse_batch_ms` histogram and
+//!   `dse_scenarios_evaluated` counter (per-backend by construction: a
+//!   service owns one engine and one backend, and the calibration is read
+//!   at admission time so it tracks the live warm/cold mix). A seeded
+//!   default covers the pre-calibration window.
+//! * **Metrics** — the planner's counters, registered with the service
+//!   into its engine's registry: `planner_coalesced_requests`,
+//!   `planner_shared_scenarios`, `planner_cost_rejections`.
 //!
 //! **Why followers can always block.** A follower waits on the leader of
 //! the *same window*, and leadership is taken inside the evaluation path —
@@ -33,47 +34,15 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
+use mp_dse::engine::EngineMetrics;
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::Counter;
 
-/// Requests answered from another request's in-flight evaluation (follower
-/// side of a coalesced window).
-pub(crate) fn obs_coalesced_requests() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("planner_coalesced_requests"))
-}
-
-/// Scenario results fanned out to followers without re-evaluation (the
-/// evaluations saved by coalescing).
-pub(crate) fn obs_shared_scenarios() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("planner_shared_scenarios"))
-}
-
-/// Queries rejected by the estimated-cost admission gate (a subset of
-/// `busy_rejections`).
-pub(crate) fn obs_cost_rejections() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("planner_cost_rejections"))
-}
-
-/// The engine-side calibration series the cost model reads (the same global
-/// series `mp_dse`'s engine records into, resolved by name).
-fn obs_dse_scenarios() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("dse_scenarios_evaluated"))
-}
-
-fn obs_dse_batch_ms() -> &'static Histogram {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::histogram_ms("dse_batch_ms"))
-}
-
 /// Seeded per-scenario cost before enough engine data exists to calibrate
 /// (2 µs — the right order for the analytic backend on one core).
-const DEFAULT_COST_PER_SCENARIO_MS: f64 = 0.002;
+pub(crate) const DEFAULT_COST_PER_SCENARIO_MS: f64 = 0.002;
 
 /// Scenarios the engine must have processed before the live calibration is
 /// trusted over the seed — below this, one pathological batch (a test
@@ -81,7 +50,7 @@ const DEFAULT_COST_PER_SCENARIO_MS: f64 = 0.002;
 const MIN_CALIBRATION_SCENARIOS: u64 = 4096;
 
 /// Calibration sanity clamp, ms per scenario. Guards the admission gate
-/// against a polluted global histogram; a real backend above the ceiling is
+/// against a polluted histogram; a real backend above the ceiling is
 /// indistinguishable from one at it as far as "this query is enormous"
 /// goes.
 const COST_CLAMP_MS: (f64, f64) = (1e-6, 100.0);
@@ -143,20 +112,27 @@ impl CalibrationWindow {
 }
 
 /// The planner's per-backend evaluation cost model. See the module docs.
-#[derive(Debug)]
 pub struct CostModel {
     /// Fixed per-scenario cost override (tests and benches); `None` reads
     /// the live engine calibration.
     override_ms: Option<f64>,
+    /// The engine's `dse_scenarios_evaluated` and `dse_batch_ms`.
+    scenarios: Arc<Counter>,
+    batch_ms: Arc<Histogram>,
     /// Windowed-delta calibration state (see [`CalibrationWindow`]).
     window: Mutex<CalibrationWindow>,
 }
 
 impl CostModel {
-    /// A model calibrating from the engine's global metrics, or pinned to
+    /// A model calibrating from one engine's series, or pinned to
     /// `override_ms` when given.
-    pub fn new(override_ms: Option<f64>) -> CostModel {
-        CostModel { override_ms, window: Mutex::new(CalibrationWindow::default()) }
+    pub fn new(override_ms: Option<f64>, engine: &EngineMetrics) -> CostModel {
+        CostModel {
+            override_ms,
+            scenarios: Arc::clone(&engine.scenarios),
+            batch_ms: Arc::clone(&engine.batch_ms),
+            window: Mutex::new(CalibrationWindow::default()),
+        }
     }
 
     /// The current estimated cost of evaluating one scenario, milliseconds:
@@ -172,8 +148,8 @@ impl CostModel {
         if let Some(ms) = self.override_ms {
             return ms;
         }
-        let scenarios = obs_dse_scenarios().value();
-        let sum_ms = obs_dse_batch_ms().snapshot().sum;
+        let scenarios = self.scenarios.value();
+        let sum_ms = self.batch_ms.snapshot().sum;
         self.window.lock().expect("planner locks are never poisoned").fold(scenarios, sum_ms)
     }
 
@@ -294,19 +270,31 @@ mod tests {
 
     #[test]
     fn cost_model_override_pins_the_estimate() {
-        let model = CostModel::new(Some(0.5));
+        let model = CostModel::new(Some(0.5), mp_dse::engine::Engine::new(1).metrics());
         assert_eq!(model.cost_per_scenario_ms(), 0.5);
         assert_eq!(model.estimate_ms(100), 50.0);
     }
 
     #[test]
     fn calibrated_cost_stays_within_the_clamp() {
-        let model = CostModel::new(None);
+        use mp_dse::backend::AnalyticBackend;
+        use mp_dse::engine::{Engine, SweepConfig};
+        use mp_dse::scenario::ScenarioSpace;
+        use mp_model::params::AppParams;
+
+        let engine = Engine::new(1);
+        let model = CostModel::new(None, engine.metrics());
+        let space = ScenarioSpace::new()
+            .with_apps(AppParams::table2_all())
+            .clear_designs()
+            .add_symmetric_grid((0..2000).map(|i| 1.0 + i as f64 * 0.125));
+        assert!(space.len() as u64 > MIN_CALIBRATION_SCENARIOS, "{}", space.len());
+        engine.sweep(&space, &AnalyticBackend, &SweepConfig::default());
         let ms = model.cost_per_scenario_ms();
-        assert!(
-            (ms >= COST_CLAMP_MS.0 && ms <= COST_CLAMP_MS.1) || ms == DEFAULT_COST_PER_SCENARIO_MS,
-            "cost {ms} outside clamp"
-        );
+        let closed = model.window.lock().expect("planner locks are never poisoned").last_scenarios;
+        assert_eq!(closed, space.len() as u64, "the sweep closed a calibration window");
+        assert_ne!(ms, DEFAULT_COST_PER_SCENARIO_MS, "the estimate is calibrated, not seeded");
+        assert!(ms >= COST_CLAMP_MS.0 && ms <= COST_CLAMP_MS.1, "cost {ms} outside clamp");
     }
 
     #[test]

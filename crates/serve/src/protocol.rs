@@ -119,7 +119,7 @@ pub enum Request {
     Ping,
     /// Service, engine and cache statistics.
     Stats,
-    /// The process-wide metrics-registry snapshot (counters, gauges,
+    /// The service's metrics-registry snapshot (counters, gauges,
     /// latency histograms) as JSON plus Prometheus exposition text.
     Metrics,
     /// List the service's calibration catalogue.
@@ -383,7 +383,7 @@ pub struct ServiceStats {
     pub prepared_spaces: usize,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
-    /// The process-wide metrics-registry snapshot at stats time, as one
+    /// The service's metrics-registry snapshot at stats time, as one
     /// JSON object (same shape as [`Response::Metrics`]'s `json`).
     pub metrics: String,
 }

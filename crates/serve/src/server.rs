@@ -42,7 +42,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mp_obs::hist::Histogram;
@@ -64,19 +64,14 @@ pub const TRACE_LOG_CAPACITY: usize = 4096;
 /// [`MAX_PIPELINE`](crate::conn::MAX_PIPELINE).
 static PIPELINE_DEPTH_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
-/// Returns from `epoll_wait` summed across every event-loop thread.
-fn obs_epoll_wakeups() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("serve_epoll_wakeups"))
-}
-
-/// Pipelined depth (requests queued plus the one being dispatched) observed
-/// at each dispatch.
-fn obs_pipeline_depth() -> &'static Histogram {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        mp_obs::registry().histogram("serve_pipeline_depth", &PIPELINE_DEPTH_BOUNDS)
-    })
+/// The reactor's series (README's metrics catalogue), registered into the
+/// service's registry when the server binds and shared by its event loops
+/// and their connections.
+pub(crate) struct ReactorMetrics {
+    epoll_wakeups: Arc<Counter>,
+    pipeline_depth: Arc<Histogram>,
+    pub(crate) read_pauses: Arc<Counter>,
+    pub(crate) outbox_high_water: Arc<Counter>,
 }
 
 /// Where a server listens (or a client connects).
@@ -197,6 +192,7 @@ pub struct Server {
     cleanup: Option<PathBuf>,
     /// Completed request traces, newest [`TRACE_LOG_CAPACITY`] retained.
     trace_log: Arc<TraceLog>,
+    metrics: Arc<ReactorMetrics>,
 }
 
 impl Server {
@@ -240,12 +236,13 @@ impl Server {
                 (Listener::Unix(listener), Endpoint::Unix(path.clone()), Some(path.clone()))
             }
         };
-        // Register the reactor's event-driven series now, so a scrape of an
-        // idle server shows them at zero instead of not at all.
-        obs_epoll_wakeups();
-        obs_pipeline_depth();
-        crate::conn::obs_read_pauses();
-        crate::conn::obs_outbox_high_water();
+        let registry = service.registry();
+        let metrics = Arc::new(ReactorMetrics {
+            epoll_wakeups: registry.counter("serve_epoll_wakeups"),
+            pipeline_depth: registry.histogram("serve_pipeline_depth", &PIPELINE_DEPTH_BOUNDS),
+            read_pauses: registry.counter("serve_read_pauses"),
+            outbox_high_water: registry.counter("serve_outbox_high_water"),
+        });
         Ok(Server {
             listener,
             endpoint,
@@ -254,6 +251,7 @@ impl Server {
             shutdown: Arc::new(AtomicBool::new(false)),
             cleanup,
             trace_log: Arc::new(TraceLog::new(TRACE_LOG_CAPACITY)),
+            metrics,
         })
     }
 
@@ -326,6 +324,8 @@ impl Server {
                 conns: HashMap::new(),
                 next_token: FIRST_CONN_TOKEN,
                 trace_log: Arc::clone(&self.trace_log),
+                service: Arc::clone(&self.service),
+                metrics: Arc::clone(&self.metrics),
                 verb_hists: HashMap::new(),
             };
             loop_threads.push(
@@ -483,8 +483,10 @@ struct EventLoop {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     trace_log: Arc<TraceLog>,
-    /// Per-verb request-latency histograms (`serve_request_ms_<verb>`),
-    /// cached so the flush path never takes the registry lock.
+    service: Arc<SweepService>,
+    metrics: Arc<ReactorMetrics>,
+    /// Per-verb request-latency histograms (`serve_request_ms_<verb>`) in
+    /// the service's registry, kept so the flush path never takes its lock.
     verb_hists: HashMap<&'static str, Arc<Histogram>>,
 }
 
@@ -501,7 +503,7 @@ impl EventLoop {
             if self.poller.wait(&mut events).is_err() {
                 return;
             }
-            obs_epoll_wakeups().inc();
+            self.metrics.epoll_wakeups.inc();
             // Drain the batch by value: handlers mutate the connection map.
             for event in events.drain(..) {
                 if event.token == WAKER_TOKEN {
@@ -536,7 +538,7 @@ impl EventLoop {
                 if self.poller.add(stream.as_raw_fd(), token, interest).is_err() {
                     return;
                 }
-                let mut conn = Conn::new(stream);
+                let mut conn = Conn::new(stream, Arc::clone(&self.metrics));
                 // Bytes may already be waiting (pipelined clients write
                 // eagerly); the edge for them fired before registration.
                 conn.fill();
@@ -632,7 +634,7 @@ impl EventLoop {
             // time entirely.
             if matches!(conn.inflight, InFlight::Idle) && conn.pending_out() < HIGH_WATERMARK {
                 if let Some((line, trace)) = conn.pipeline.pop_front() {
-                    obs_pipeline_depth().record((conn.pipeline.len() + 1) as f64);
+                    self.metrics.pipeline_depth.record((conn.pipeline.len() + 1) as f64);
                     let seq = conn.take_seq();
                     conn.inflight = InFlight::Dispatched { seq };
                     let job = ExecJob {
@@ -695,8 +697,9 @@ impl EventLoop {
     /// verb's histogram and push it into the server's trace log.
     fn commit_trace(&mut self, trace: RequestTrace) {
         if let Some(total_ms) = trace.total_ms() {
+            let registry = self.service.registry();
             let histogram = self.verb_hists.entry(trace.verb).or_insert_with(|| {
-                mp_obs::registry().histogram_ms(&format!("serve_request_ms_{}", trace.verb))
+                registry.histogram_ms(&format!("serve_request_ms_{}", trace.verb))
             });
             histogram.record(total_ms);
         }

@@ -47,7 +47,6 @@
 //!
 //! [`SpaceTables`]: mp_dse::tables::SpaceTables
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,7 +55,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use mp_obs::metrics::{Counter, Gauge};
+use mp_obs::metrics::{Counter, Gauge, Registry};
 use mp_obs::profile::{thread_lane, Profiler};
 use parking_lot::Mutex;
 
@@ -75,32 +74,17 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 
-/// Queries rejected by admission control with a retryable
-/// [`Response::Busy`].
-fn obs_busy_rejections() -> &'static Counter {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::counter("busy_rejections"))
-}
-
-/// Evaluations admitted and not yet finished — the depth the admission
-/// gate reads.
-fn obs_queue_depth() -> &'static Gauge {
-    static CELL: OnceLock<Arc<Gauge>> = OnceLock::new();
-    CELL.get_or_init(|| mp_obs::gauge("executor_queue_depth"))
-}
-
-/// Count one request on its per-verb series (`requests_total_<verb>`) —
-/// called once per protocol request, by [`SweepService::handle`]. Each
-/// thread keeps the counters it has used, so only a thread's first request
-/// of a verb takes the registry lock.
-fn obs_request(verb: &'static str) {
-    thread_local! {
-        static COUNTERS: RefCell<HashMap<&'static str, Arc<Counter>>> = RefCell::default();
-    }
-    COUNTERS.with_borrow_mut(|counters| {
-        let counter = counters.entry(verb);
-        counter.or_insert_with(|| mp_obs::counter(&format!("requests_total_{verb}"))).inc();
-    });
+/// The service's series and its planner's (README's metrics catalogue),
+/// registered into its engine's registry when the service is built.
+struct ServiceMetrics {
+    busy_rejections: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    coalesced_requests: Arc<Counter>,
+    shared_scenarios: Arc<Counter>,
+    cost_rejections: Arc<Counter>,
+    /// `requests_total_<verb>`, registered at a verb's first request into the
+    /// first free slot (16 for the 14 verbs), so counting takes no lock.
+    requests: [OnceLock<(&'static str, Arc<Counter>)>; 16],
 }
 
 /// Construction knobs of a [`SweepService`].
@@ -264,7 +248,8 @@ pub struct SweepService {
     /// The planner's in-flight coalescing table.
     coalescer: SingleFlight<PlanKey, Result<Arc<SweepResult>, ServeError>>,
     cost_model: CostModel,
-    registry: CatalogueRegistry,
+    metrics: ServiceMetrics,
+    catalogue: CatalogueRegistry,
     sweep_config: SweepConfig,
     queue_capacity: usize,
     cost_budget_ms: f64,
@@ -294,30 +279,32 @@ impl SweepService {
         assert!(config.threads_per_shard > 0, "service needs at least one thread per shard");
         assert!(config.queue_capacity > 0, "admission queue capacity must be positive");
         assert!(config.cost_budget_ms > 0.0, "cost budget must be positive");
-        // Register the core series now: a scrape must see `busy_rejections`
-        // at zero on an idle server, not have the series appear at the first
-        // rejection. Same for the planner's series.
-        obs_busy_rejections();
-        obs_queue_depth();
-        crate::planner::obs_coalesced_requests();
-        crate::planner::obs_shared_scenarios();
-        crate::planner::obs_cost_rejections();
         // Memoising is the backend's call. The engine asks the backend per
         // sweep too; holding the answer here is what gates the service's own
         // cache traffic (per-ticket `reserve`, segment spill and warm-start;
         // see `memoises`).
         let sweep_config = SweepConfig { use_cache: backend.memoise(), ..SweepConfig::default() };
+        let engine = Engine::new(config.shards * config.threads_per_shard);
+        let registry = engine.registry();
         SweepService {
             backend,
-            engine: Engine::new(config.shards * config.threads_per_shard),
+            cost_model: CostModel::new(config.cost_per_scenario_ms, engine.metrics()),
+            metrics: ServiceMetrics {
+                busy_rejections: registry.counter("busy_rejections"),
+                queue_depth: registry.gauge("executor_queue_depth"),
+                coalesced_requests: registry.counter("planner_coalesced_requests"),
+                shared_scenarios: registry.counter("planner_shared_scenarios"),
+                cost_rejections: registry.counter("planner_cost_rejections"),
+                requests: Default::default(),
+            },
+            engine,
             shards: config.shards,
             depth: AtomicUsize::new(0),
             pending_cost_us: AtomicU64::new(0),
             prepared: Mutex::new(PreparedCache::default()),
             builds: SingleFlight::default(),
             coalescer: SingleFlight::default(),
-            cost_model: CostModel::new(config.cost_per_scenario_ms),
-            registry: CatalogueRegistry::new(),
+            catalogue: CatalogueRegistry::new(),
             sweep_config,
             queue_capacity: config.queue_capacity,
             cost_budget_ms: config.cost_budget_ms,
@@ -378,7 +365,7 @@ impl SweepService {
             let Ok(bytes) = std::fs::read(&path) else { break };
             match self.engine.cache().load_segment(&bytes) {
                 Ok(loaded) => restored += loaded,
-                Err(e) => mp_obs::warn(
+                Err(e) => self.registry().warn(
                     "jobs",
                     &format!("skipping cache segment {} (cold start): {e}", path.display()),
                 ),
@@ -389,9 +376,16 @@ impl SweepService {
 
     /// Attach a calibration catalogue (what [`SpaceSpec::Catalogue`] resolves
     /// against and [`Request::Catalogue`] lists).
-    pub fn with_registry(mut self, registry: CatalogueRegistry) -> Self {
-        self.registry = registry;
+    pub fn with_catalogue(mut self, catalogue: CatalogueRegistry) -> Self {
+        self.catalogue = catalogue;
         self
+    }
+
+    /// The service's metrics registry (its engine's), which its planner,
+    /// server and job manager register into too: what `stats` and `metrics`
+    /// snapshot.
+    pub fn registry(&self) -> &Registry {
+        self.engine.registry()
     }
 
     /// Whether the service's sweeps go through the engine's cache: whether
@@ -418,8 +412,8 @@ impl SweepService {
     ) -> Result<Arc<SweepHandle<'static>>, ServeError> {
         match spec {
             SpaceSpec::Prepared { id } => self.lookup_prepared(id),
-            SpaceSpec::Explicit(space) => Ok(self.prepared(space)),
-            SpaceSpec::Catalogue { .. } => Ok(self.prepared(&self.resolve_space(spec)?)),
+            SpaceSpec::Explicit(space) => self.prepared(space),
+            SpaceSpec::Catalogue { .. } => self.prepared(&self.resolve_space(spec)?),
         }
     }
 
@@ -462,7 +456,7 @@ impl SweepService {
                     let parsed = CatalogueRegistry::parse_id(id)
                         .ok_or_else(|| err(format!("malformed catalogue id `{id}`")))?;
                     let calibration = self
-                        .registry
+                        .catalogue
                         .get(parsed)
                         .ok_or_else(|| err(format!("unknown catalogue id `{id}`")))?;
                     apps.push(calibration.app_params().clone());
@@ -486,8 +480,12 @@ impl SweepService {
     /// leader, the rest block for its handle instead of redundantly
     /// deriving the same columns.
     ///
+    /// A space with a budget that is not finite and positive is refused
+    /// before anything is built.
+    ///
     /// [`SpaceTables`]: mp_dse::tables::SpaceTables
-    fn prepared(&self, space: &ScenarioSpace) -> Arc<SweepHandle<'static>> {
+    fn prepared(&self, space: &ScenarioSpace) -> Result<Arc<SweepHandle<'static>>, ServeError> {
+        check_budgets(space)?;
         let key = space_fingerprint(space);
         {
             let mut prepared = self.prepared.lock();
@@ -495,14 +493,14 @@ impl SweepService {
                 if handle.space() == space {
                     let handle = Arc::clone(handle);
                     prepared.touch(key);
-                    return handle;
+                    return Ok(handle);
                 }
-                return Arc::new(SweepHandle::owned(space.clone()));
+                return Ok(self.build_handle(space));
             }
         }
-        match self.builds.join(key) {
+        Ok(match self.builds.join(key) {
             Role::Leader => {
-                let handle = Arc::new(SweepHandle::owned(space.clone()));
+                let handle = self.build_handle(space);
                 {
                     let mut prepared = self.prepared.lock();
                     match prepared.handles.get(&key) {
@@ -524,10 +522,18 @@ impl SweepService {
                     // Fingerprint collision with the leader's space: build
                     // a fresh uncached handle rather than answer for the
                     // wrong space.
-                    Arc::new(SweepHandle::owned(space.clone()))
+                    self.build_handle(space)
                 }
             }
-        }
+        })
+    }
+
+    /// Build the handle for `space`, timed on the engine's `dse_table_build_ms`.
+    fn build_handle(&self, space: &ScenarioSpace) -> Arc<SweepHandle<'static>> {
+        let started = Instant::now();
+        let handle = SweepHandle::owned(space.clone());
+        self.engine.metrics().table_build_ms.record(started.elapsed().as_secs_f64() * 1e3);
+        Arc::new(handle)
     }
 
     /// Evaluate `range` of `space` (`None` = the whole space), returning
@@ -540,7 +546,7 @@ impl SweepService {
         space: &ScenarioSpace,
         range: Option<Range<usize>>,
     ) -> Result<SweepResult, ServeError> {
-        self.sweep_handle(&self.prepared(space), range)
+        self.sweep_handle(&self.prepared(space)?, range)
     }
 
     /// [`SweepService::sweep`] over an already-prepared handle (what the
@@ -592,7 +598,7 @@ impl SweepService {
         let query_cost_ms = self.cost_model.estimate_ms(range.len());
         let depth = self.depth.load(Ordering::Acquire);
         if depth >= self.queue_capacity {
-            obs_busy_rejections().inc();
+            self.metrics.busy_rejections.inc();
             return Err(busy(
                 format!(
                     "the service's admission queue is full ({depth} sweeps in flight, cap {})",
@@ -603,8 +609,8 @@ impl SweepService {
         }
         let pending_ms = self.pending_cost_us.load(Ordering::Acquire) as f64 / 1e3;
         if pending_ms > 0.0 && pending_ms + query_cost_ms > self.cost_budget_ms {
-            crate::planner::obs_cost_rejections().inc();
-            obs_busy_rejections().inc();
+            self.metrics.cost_rejections.inc();
+            self.metrics.busy_rejections.inc();
             return Err(busy(
                 format!(
                     "the service's estimated backlog {pending_ms:.1} ms + this query's \
@@ -652,8 +658,8 @@ impl SweepService {
                 })
             }
             Role::Follower(inflight) => {
-                crate::planner::obs_coalesced_requests().inc();
-                crate::planner::obs_shared_scenarios().add(range.len() as u64);
+                self.metrics.coalesced_requests.inc();
+                self.metrics.shared_scenarios.add(range.len() as u64);
                 let shared = inflight.wait()?;
                 let mut result = SweepResult::clone(&shared);
                 result.stats.coalesced = true;
@@ -679,7 +685,7 @@ impl SweepService {
         let cost_us = (self.cost_model.estimate_ms(range.len()) * 1e3) as u64;
         self.depth.fetch_add(1, Ordering::AcqRel);
         self.pending_cost_us.fetch_add(cost_us, Ordering::AcqRel);
-        obs_queue_depth().add(1);
+        self.metrics.queue_depth.add(1);
         let result = catch_unwind(AssertUnwindSafe(|| {
             let (engine, backend, config) =
                 (&self.engine, self.backend.as_ref(), &self.sweep_config);
@@ -701,15 +707,13 @@ impl SweepService {
                 }
             }
         }));
-        obs_queue_depth().sub(1);
+        self.metrics.queue_depth.sub(1);
         self.pending_cost_us.fetch_sub(cost_us, Ordering::Release);
         self.depth.fetch_sub(1, Ordering::Release);
         result.map_err(|payload| {
             let reason = panic_reason(payload.as_ref());
-            mp_obs::warn(
-                "serve",
-                &format!("sweep {}..{} panicked: {reason}", range.start, range.end),
-            );
+            self.registry()
+                .warn("serve", &format!("sweep {}..{} panicked: {reason}", range.start, range.end));
             err(format!("sweep evaluation failed: {reason}"))
         })
     }
@@ -728,7 +732,7 @@ impl SweepService {
         range: Range<usize>,
         chunk: usize,
     ) -> Result<SweepTicket, ServeError> {
-        self.begin_sweep_handle(self.prepared(space), range, chunk)
+        self.begin_sweep_handle(self.prepared(space)?, range, chunk)
     }
 
     /// [`SweepService::begin_sweep`] over an already-prepared handle.
@@ -807,13 +811,13 @@ impl SweepService {
             queries: self.queries.load(Ordering::Relaxed),
             prepared_spaces: self.prepared.lock().handles.len(),
             uptime_seconds: self.started.elapsed().as_secs_f64(),
-            metrics: mp_obs::registry().snapshot().to_json(),
+            metrics: self.registry().snapshot().to_json(),
         }
     }
 
     /// The calibration catalogue in wire form.
     pub fn catalogue_entries(&self) -> Vec<CatalogueEntry> {
-        self.registry
+        self.catalogue
             .entries()
             .iter()
             .map(|calibration| CatalogueEntry {
@@ -836,12 +840,12 @@ impl SweepService {
     /// [`Response`]. [`Request::Shutdown`] is acknowledged here but acted on
     /// by the server loop.
     pub fn handle(&self, request: &Request) -> Answer {
-        obs_request(request.verb());
+        self.count_request(request.verb());
         let response = match request {
             Request::Ping => Ok(Response::Pong { version: PROTOCOL_VERSION.to_string() }),
             Request::Stats => Ok(Response::Stats(self.stats())),
             Request::Metrics => {
-                let snapshot = mp_obs::registry().snapshot();
+                let snapshot = self.registry().snapshot();
                 Ok(Response::Metrics {
                     json: snapshot.to_json(),
                     prometheus: snapshot.to_prometheus(),
@@ -870,6 +874,7 @@ impl SweepService {
             Request::JobSubmit { space, start, end, chunk, checkpoint_every } => {
                 self.job_verb(|jobs| {
                     let space = self.resolve_space(space)?;
+                    check_budgets(&space)?;
                     jobs.submit(space, *start..*end, *chunk, *checkpoint_every)
                 })
             }
@@ -878,6 +883,20 @@ impl SweepService {
             Request::JobResume { id } => self.job_verb(|jobs| jobs.resume(id)),
         };
         Answer::Response(response.unwrap_or_else(ServeError::into_response))
+    }
+
+    /// Count one request on its verb's `requests_total_<verb>`. Slots are
+    /// claimed in order and never change, so a verb's racing first requests
+    /// meet at one slot.
+    fn count_request(&self, verb: &'static str) {
+        for slot in &self.metrics.requests {
+            let (name, counter) = slot
+                .get_or_init(|| (verb, self.registry().counter(&format!("requests_total_{verb}"))));
+            if *name == verb {
+                return counter.inc();
+            }
+        }
+        unreachable!("more protocol verbs than request-counter slots");
     }
 
     /// Shared dispatch of the four job verbs: resolve the attached manager,
@@ -919,6 +938,16 @@ fn check_range(range: &Range<usize>, n: usize) -> Result<(), ServeError> {
         )));
     }
     Ok(())
+}
+
+/// Refuse a space with a budget that is not finite and positive — the rule
+/// `ScenarioSpace::with_budgets` asserts, which a deserialised space skips.
+/// Building its tables would panic on such a budget.
+fn check_budgets(space: &ScenarioSpace) -> Result<(), ServeError> {
+    match space.budgets().iter().find(|b| !(b.is_finite() && **b > 0.0)) {
+        Some(budget) => Err(err(format!("budgets must be finite and positive, got {budget}"))),
+        None => Ok(()),
+    }
 }
 
 /// An open, admitted streaming sweep: the prepared handle plus a
@@ -970,6 +999,7 @@ fn space_fingerprint(space: &ScenarioSpace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::DEFAULT_COST_PER_SCENARIO_MS;
     use crate::protocol::from_wire;
     use mp_dse::analysis::{pareto_frontier, top_k, CostAxis};
     use mp_dse::backend::{AnalyticBackend, SimBackend};
@@ -998,6 +1028,102 @@ mod tests {
             backend,
             &ServiceConfig { shards, threads_per_shard: 2, ..ServiceConfig::default() },
         )
+    }
+
+    /// `space()` with the budget axis `[budget]`, decoded from JSON the way
+    /// a request carries it — `with_budgets` would refuse the value.
+    fn space_with_budget(budget: &str) -> ScenarioSpace {
+        let json = serde_json::to_string(&space()).unwrap();
+        let (head, rest) = json.split_once("\"budgets\":[").unwrap();
+        let (_, tail) = rest.split_once(']').unwrap();
+        serde_json::from_str(&format!("{head}\"budgets\":[{budget}]{tail}")).unwrap()
+    }
+
+    #[test]
+    fn budgets_that_are_not_finite_and_positive_are_refused_on_every_verb() {
+        let service = Arc::new(service(1));
+        let config = crate::jobs::JobConfig::default();
+        let _jobs = crate::jobs::JobManager::new(Arc::clone(&service), None, config).unwrap();
+        for budget in ["0", "-5", "1e999"] {
+            let space = space_with_budget(budget);
+            let value = space.budgets()[0];
+            assert!(!(value.is_finite() && value > 0.0), "{budget} decodes to {value}");
+            let spec = || SpaceSpec::Explicit(space.clone());
+            let n = space.len();
+            for request in [
+                Request::Sweep { space: spec(), start: 0, end: n, chunk: 0 },
+                Request::TopK { space: spec(), k: 3 },
+                Request::Prepare { space: spec() },
+                Request::JobSubmit {
+                    space: spec(),
+                    start: 0,
+                    end: n,
+                    chunk: 0,
+                    checkpoint_every: 0,
+                },
+            ] {
+                match service.handle(&request) {
+                    Answer::Response(Response::Error { message }) => {
+                        assert!(
+                            message.contains("budgets must be finite and positive"),
+                            "{message}"
+                        )
+                    }
+                    other => panic!(
+                        "budget {budget}, {}: expected an error, got {other:?}",
+                        request.verb()
+                    ),
+                }
+            }
+        }
+        assert_eq!(service.stats().prepared_spaces, 0, "nothing was built");
+    }
+
+    #[test]
+    fn a_services_cost_model_calibrates_on_its_own_engine_alone() {
+        let (a, b) = (service(1), service(1));
+        let space = ScenarioSpace::new()
+            .with_apps(AppParams::table2_all())
+            .clear_designs()
+            .add_symmetric_grid((0..2000).map(|i| 1.0 + i as f64 * 0.125));
+        // More than one calibration window's worth of scenarios.
+        assert!(space.len() > 4096, "{}", space.len());
+        a.sweep(&space, None).unwrap();
+        assert_ne!(a.cost_model.cost_per_scenario_ms(), DEFAULT_COST_PER_SCENARIO_MS);
+        assert_eq!(b.cost_model.cost_per_scenario_ms(), DEFAULT_COST_PER_SCENARIO_MS);
+    }
+
+    #[test]
+    fn racing_first_requests_of_every_verb_register_one_series_each() {
+        let service = service(1);
+        let verbs = [
+            "ping",
+            "stats",
+            "metrics",
+            "catalogue",
+            "shutdown",
+            "sweep",
+            "top_k",
+            "pareto",
+            "curve",
+            "prepare",
+            "job_submit",
+            "job_status",
+            "job_cancel",
+            "job_resume",
+        ];
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| verbs.iter().for_each(|verb| service.count_request(verb)));
+            }
+        });
+        let snapshot = service.registry().snapshot();
+        for verb in verbs {
+            assert_eq!(snapshot.counter(&format!("requests_total_{verb}")), Some(4), "{verb}");
+        }
+        let series =
+            snapshot.counters.iter().filter(|(name, _)| name.starts_with("requests_total_"));
+        assert_eq!(series.count(), verbs.len());
     }
 
     #[test]

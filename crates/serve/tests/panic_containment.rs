@@ -2,9 +2,6 @@
 //! typed error, the admission gauges are credited back, and the service
 //! answers the next query bit-identically — on the inline (1-thread) engine
 //! path and on the pooled one.
-//!
-//! This binary holds exactly one test, so the process-global
-//! `executor_queue_depth` gauge it reads is moved by nothing else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,7 +55,8 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
     // exists on the inline (1-thread) path too.
     assert!(n > 2 * SweepConfig::default().batch_size, "{n} scenarios");
     let direct = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
-    let queue_depth = || mp_obs::registry().snapshot().gauge("executor_queue_depth");
+    let queue_depth =
+        |service: &SweepService| service.registry().snapshot().gauge("executor_queue_depth");
 
     for (shards, threads_per_shard) in [(1usize, 1usize), (2, 2)] {
         let what = format!("{} engine threads", shards * threads_per_shard);
@@ -76,13 +74,13 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
                 cost_per_scenario_ms: Some(1.0),
             },
         );
-        assert_eq!(queue_depth(), Some(0), "{what}: idle service");
+        assert_eq!(queue_depth(&service), Some(0), "{what}: idle service");
 
         let failed = service.sweep(&space, None).unwrap_err();
         assert_eq!(failed.kind, ServeErrorKind::Invalid, "{what}: {failed}");
         assert!(failed.message.starts_with("sweep evaluation failed"), "{what}: {failed}");
         assert!(backend.batches.load(Ordering::SeqCst) > 2, "{what}: the armed batch ran");
-        assert_eq!(queue_depth(), Some(0), "{what}: the failed query released its slot");
+        assert_eq!(queue_depth(&service), Some(0), "{what}: the failed query released its slot");
 
         let retried = service.sweep(&space, None).unwrap();
         assert_eq!(retried.stats.scenarios, n, "{what}");
@@ -101,6 +99,6 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
         let Answer::Sweep(mut ticket) = answer else { panic!("{what}: {answer:?}") };
         while service.next_window(&mut ticket).unwrap().is_some() {}
         assert_eq!(ticket.stats().scenarios, n, "{what}");
-        assert_eq!(queue_depth(), Some(0), "{what}");
+        assert_eq!(queue_depth(&service), Some(0), "{what}");
     }
 }

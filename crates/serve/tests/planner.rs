@@ -77,17 +77,9 @@ fn open(release: &Arc<(Mutex<bool>, Condvar)>) {
     signal.notify_all();
 }
 
-/// Read a counter's current value from the global metrics registry.
-fn series(name: &str) -> u64 {
-    let json = mp_obs::registry().snapshot().to_json();
-    let marker = format!("\"{name}\":");
-    let Some(at) = json.find(&marker) else { return 0 };
-    json[at + marker.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
+/// A counter's current value in `service`'s registry.
+fn series(service: &SweepService, name: &str) -> u64 {
+    service.registry().snapshot().counter(name).unwrap_or(0)
 }
 
 #[test]
@@ -99,9 +91,6 @@ fn overlapping_inflight_sweeps_evaluate_once_and_fan_out_marked_clones() {
         Arc::new(backend),
         &ServiceConfig { shards: 1, threads_per_shard: 1, ..ServiceConfig::default() },
     ));
-
-    let coalesced_before = series("planner_coalesced_requests");
-    let shared_before = series("planner_shared_scenarios");
 
     // The leader: takes the coalescing slot for the (single) window, then
     // blocks inside the gated backend.
@@ -126,7 +115,7 @@ fn overlapping_inflight_sweeps_evaluate_once_and_fan_out_marked_clones() {
         })
         .collect();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while series("planner_coalesced_requests") - coalesced_before < FOLLOWERS as u64 {
+    while series(&service, "planner_coalesced_requests") < FOLLOWERS as u64 {
         assert!(std::time::Instant::now() < deadline, "followers never joined the leader");
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
@@ -149,10 +138,7 @@ fn overlapping_inflight_sweeps_evaluate_once_and_fan_out_marked_clones() {
     // The whole fan-out cost exactly one evaluation per scenario, and the
     // planner accounted the scenarios it saved.
     assert_eq!(entered.load(Ordering::SeqCst), space.len(), "shared work is evaluated once");
-    assert_eq!(
-        series("planner_shared_scenarios") - shared_before,
-        (FOLLOWERS * space.len()) as u64
-    );
+    assert_eq!(series(&service, "planner_shared_scenarios"), (FOLLOWERS * space.len()) as u64);
 
     // With nothing in flight the table is empty again: a fresh sweep leads
     // its own evaluation (total evaluations grow by the full space).
@@ -180,8 +166,6 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
         },
     ));
 
-    let rejections_before = series("planner_cost_rejections");
-
     // An idle service admits even an over-budget query (work conservation:
     // rejecting it would leave the engine idle forever).
     let occupied = {
@@ -199,7 +183,7 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
     assert!(rejected.is_busy(), "cost rejections are retryable: {rejected}");
     assert_eq!(rejected.kind, ServeErrorKind::Busy);
     assert_eq!(rejected.estimated_cost_ms, 64.0, "estimate = scenarios × pinned cost");
-    assert_eq!(series("planner_cost_rejections") - rejections_before, 1);
+    assert_eq!(series(&service, "planner_cost_rejections"), 1);
     // The same rejection over the protocol carries the estimate.
     match service.handle(&Request::TopK { space: SpaceSpec::Explicit(space.clone()), k: 2 }) {
         Answer::Response(Response::Busy { estimated_cost_ms, .. }) => {
@@ -273,7 +257,6 @@ fn concurrent_identical_top_k_queries_evaluate_once_and_share_the_answer() {
         ScenarioSpace::new().clear_designs().add_symmetric_grid((0..48).map(|i| 1.0 + i as f64));
     let (service, prepared, entered, release) = gated_service(&space);
     let top_k = || Request::TopK { space: prepared.clone(), k: 10 };
-    let coalesced_before = series("planner_coalesced_requests");
 
     let leader = spawn_handle(&service, top_k());
     wait_until("the leader evaluates", || entered.load(Ordering::SeqCst) > 0);
@@ -281,7 +264,7 @@ fn concurrent_identical_top_k_queries_evaluate_once_and_share_the_answer() {
     // The follower is counted as a query before it joins, and counted as
     // coalesced when it does.
     wait_until("the follower joins", || {
-        service.stats().queries == 2 && series("planner_coalesced_requests") > coalesced_before
+        service.stats().queries == 2 && series(&service, "planner_coalesced_requests") > 0
     });
 
     open(&release);

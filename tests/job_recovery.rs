@@ -2,9 +2,8 @@
 //! (manager dropped without a final checkpoint — deliberately
 //! crash-equivalent), a fresh service restores it from the manifest and
 //! cache segment spills, and `resume` completes it **re-evaluating only
-//! the incomplete windows** — asserted through the process-global
-//! `dse_scenarios_evaluated` counter, which is why this test lives alone
-//! in its own file (one test binary = one process = one counter).
+//! the incomplete windows** — asserted through the restarted service's own
+//! `dse_scenarios_evaluated` counter.
 //!
 //! The final records must be bit-identical to an uninterrupted
 //! `Engine::sweep` of the same space. The drill runs on the simulator, a
@@ -85,8 +84,6 @@ fn killed_job_resumes_from_its_checkpoint_and_reevaluates_only_incomplete_window
     assert_eq!(restored.windows_completed, completed_durable);
     assert_eq!(restored.scenarios_completed, completed_durable * window);
 
-    let evaluated = mp_obs::counter("dse_scenarios_evaluated");
-    let before = evaluated.value();
     manager.resume(&job_id).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     let done = loop {
@@ -97,15 +94,15 @@ fn killed_job_resumes_from_its_checkpoint_and_reevaluates_only_incomplete_window
         assert!(Instant::now() < deadline, "resumed job did not complete: {snapshot:?}");
         std::thread::sleep(Duration::from_millis(2));
     };
-    let delta = evaluated.value() - before;
+    let evaluated = service.registry().snapshot().counter("dse_scenarios_evaluated");
     assert_eq!(done.windows_completed, total_windows);
 
     // The heart of the drill: the resumed run swept EXACTLY the incomplete
     // windows — completed ones were never pulled through the engine again.
     let expected = ((total_windows - completed_durable) * window) as u64;
     assert_eq!(
-        delta,
-        expected,
+        evaluated,
+        Some(expected),
         "resume must re-evaluate only the {} incomplete windows",
         total_windows - completed_durable
     );

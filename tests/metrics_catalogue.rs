@@ -3,8 +3,6 @@
 //! with a `JobManager` attached. Afterwards every catalogued series is
 //! exported, in the section its type column names, with `<verb>` expanded
 //! over `Request::verb()`, and every exported series is catalogued.
-//!
-//! The registry is process-global, so this binary holds exactly one test.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -52,8 +50,6 @@ fn matches(series: &str, name: &str) -> bool {
 
 #[test]
 fn the_readme_catalogue_is_exactly_the_exported_series() {
-    // What `repro` registers at start-up.
-    mp_bench::alloc_track::register_metrics();
     // A store holding a damaged manifest: restoring it logs a warning.
     let store = std::env::temp_dir().join(format!("mp-metrics-catalogue-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
@@ -65,9 +61,11 @@ fn the_readme_catalogue_is_exactly_the_exported_series() {
         Arc::new(SimBackend::new()),
         &ServiceConfig { shards: 2, ..ServiceConfig::default() },
     ));
+    // What `repro serve` registers beside the service's own series.
+    mp_bench::alloc_track::register_metrics(service.registry());
     let jobs = JobManager::new(Arc::clone(&service), Some(store.clone()), JobConfig::default())
         .expect("the job store opens");
-    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), service).unwrap();
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::clone(&service)).unwrap();
     let endpoint = server.endpoint().clone();
     let serving = std::thread::spawn(move || server.run().unwrap());
 
@@ -104,7 +102,7 @@ fn the_readme_catalogue_is_exactly_the_exported_series() {
     drop(jobs);
     let _ = std::fs::remove_dir_all(&store);
 
-    let snapshot = mp_obs::registry().snapshot();
+    let snapshot = service.registry().snapshot();
     let counters = snapshot.counters.iter().map(|(name, _)| ("counters", name));
     let gauges = snapshot.gauges.iter().map(|(name, _)| ("gauges", name));
     let histograms = snapshot.histograms.iter().map(|(name, _)| ("histograms", name));

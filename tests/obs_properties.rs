@@ -4,25 +4,22 @@
 //! percentile estimators stay monotone and bracketed by the data.
 
 use mp_obs::hist::{percentile_of_sorted, HistogramSnapshot, LATENCY_BOUNDS_MS};
+use mp_obs::metrics::Registry;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// N threads hammering one counter (and one gauge) concurrently lose
-    /// nothing: the snapshot equals the arithmetic sum. The registry is
-    /// process-global, so the expectation is a *delta* against the value the
-    /// series held when the case started.
+    /// nothing: the snapshot equals the arithmetic sum.
     #[test]
     fn concurrent_counter_traffic_is_never_lost(
         threads in 2usize..8,
         increments in 1u64..400,
     ) {
-        let counter = mp_obs::counter("obs_prop_counter");
-        let gauge = mp_obs::gauge("obs_prop_gauge");
-        let before = mp_obs::registry().snapshot();
-        let before_count = before.counter("obs_prop_counter").unwrap_or(0);
-        let before_level = before.gauge("obs_prop_gauge").unwrap_or(0);
+        let registry = Registry::new();
+        let counter = registry.counter("obs_prop_counter");
+        let gauge = registry.gauge("obs_prop_gauge");
 
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -36,15 +33,9 @@ proptest! {
             }
         });
 
-        let after = mp_obs::registry().snapshot();
-        prop_assert_eq!(
-            after.counter("obs_prop_counter").unwrap() - before_count,
-            threads as u64 * increments,
-        );
-        prop_assert_eq!(
-            after.gauge("obs_prop_gauge").unwrap() - before_level,
-            (threads as u64 * increments) as i64,
-        );
+        let after = registry.snapshot();
+        prop_assert_eq!(after.counter("obs_prop_counter"), Some(threads as u64 * increments));
+        prop_assert_eq!(after.gauge("obs_prop_gauge"), Some((threads as u64 * increments) as i64));
     }
 
     /// Merging histogram snapshots is associative and order-independent:
@@ -130,8 +121,9 @@ proptest! {
 fn sampled_gauges_track_their_source() {
     use std::sync::atomic::{AtomicI64, Ordering};
     static SOURCE: AtomicI64 = AtomicI64::new(7);
-    mp_obs::registry().gauge_sampled("obs_prop_sampled", || SOURCE.load(Ordering::Relaxed));
-    assert_eq!(mp_obs::registry().snapshot().gauge("obs_prop_sampled"), Some(7));
+    let registry = Registry::new();
+    registry.gauge_sampled("obs_prop_sampled", || SOURCE.load(Ordering::Relaxed));
+    assert_eq!(registry.snapshot().gauge("obs_prop_sampled"), Some(7));
     SOURCE.store(42, Ordering::Relaxed);
-    assert_eq!(mp_obs::registry().snapshot().gauge("obs_prop_sampled"), Some(42));
+    assert_eq!(registry.snapshot().gauge("obs_prop_sampled"), Some(42));
 }

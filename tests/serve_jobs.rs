@@ -3,9 +3,7 @@
 //! resume-after-fault, graceful cancellation, and the protocol's `job_*`
 //! verb dispatch (with and without a manager attached).
 //!
-//! The crash/restart recovery drill lives in `tests/job_recovery.rs` — its
-//! `dse_scenarios_evaluated` delta assertion needs a test process of its
-//! own (the counter is process-global).
+//! The crash/restart recovery drill lives in `tests/job_recovery.rs`.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -1,8 +1,12 @@
 //! Observability tests of the serve stack: the protocol v2 `metrics` verb
 //! round-trips the registry snapshot through the real client across engine
 //! sizes, the `stats` response carries the same snapshot, every request
-//! counts once on its per-verb series, and every socket request leaves
-//! exactly one trace with monotone stage timestamps.
+//! counts once on its per-verb series, two services in one process keep
+//! their series apart, and every socket request leaves exactly one trace
+//! with monotone stage timestamps.
+//!
+//! Each service owns its registry, so the tests assert exact values and run
+//! in parallel.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,11 +35,6 @@ fn service(shards: usize) -> SweepService {
     )
 }
 
-/// The tests assert exact counter deltas on the process-global
-/// `mp_obs::registry()`, so their bodies run one at a time. Injecting a
-/// registry per service (ROADMAP item 1) is what removes this lock.
-static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Pull one named series out of a metrics-snapshot JSON document.
 fn series(json: &str, section: &str, name: &str) -> Option<f64> {
     let value = serde_json::parse(json).expect("metrics json parses");
@@ -54,17 +53,12 @@ fn histogram_count(json: &str, name: &str) -> Option<f64> {
 
 #[test]
 fn metrics_verb_round_trips_through_the_real_client() {
-    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    // The registry is process-global, so assert *deltas* across the driven
-    // load rather than absolute values other tests may have contributed to.
     for shards in [1usize, 4] {
         let server =
             Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(shards))).unwrap();
         let endpoint = server.endpoint().clone();
         let serving = std::thread::spawn(move || server.run().unwrap());
         let mut client = Client::connect(&endpoint).unwrap();
-
-        let (before_json, _) = client.metrics().unwrap();
         let count = |json: &str, name: &str| series(json, "counters", name).unwrap_or(0.0);
 
         let space = space();
@@ -76,11 +70,13 @@ fn metrics_verb_round_trips_through_the_real_client() {
         client.top_k(&space, 5).unwrap();
 
         let (after_json, prometheus) = client.metrics().unwrap();
-        let delta = |name: &str| count(&after_json, name) - count(&before_json, name);
-        assert_eq!(delta("requests_total_ping"), 1.0, "shards={shards}");
-        assert_eq!(delta("requests_total_sweep"), 2.0, "shards={shards}");
-        assert_eq!(delta("requests_total_top_k"), 1.0, "shards={shards}");
-        assert!(delta("cache_hits") >= space.len() as f64, "shards={shards}: warm pass hits");
+        let value = |name: &str| count(&after_json, name);
+        assert_eq!(value("requests_total_ping"), 1.0, "shards={shards}");
+        assert_eq!(value("requests_total_sweep"), 2.0, "shards={shards}");
+        assert_eq!(value("requests_total_top_k"), 1.0, "shards={shards}");
+        assert_eq!(value("requests_total_metrics"), 1.0, "shards={shards}");
+        // The warm sweep and the top_k over the same space hit every scenario.
+        assert_eq!(value("cache_hits"), 2.0 * space.len() as f64, "shards={shards}: warm hits");
         assert!(
             series(&after_json, "gauges", "executor_queue_depth").is_some(),
             "shards={shards}: queue depth gauge exported"
@@ -101,7 +97,7 @@ fn metrics_verb_round_trips_through_the_real_client() {
                 "shards={shards}: {planner_counter} always exported"
             );
         }
-        assert_eq!(delta("planner_coalesced_requests"), 0.0, "shards={shards}: no overlap here");
+        assert_eq!(value("planner_coalesced_requests"), 0.0, "shards={shards}: no overlap here");
 
         // The Prometheus rendering carries the same series under the
         // scrape-friendly names.
@@ -143,16 +139,16 @@ fn one_of_each(space: &ScenarioSpace) -> Vec<Request> {
 
 #[test]
 fn every_request_counts_once_on_its_verb_in_process_and_over_the_socket() {
-    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let space = space();
+    let service = Arc::new(service(1));
+    let counted = Arc::clone(&service);
     let total = |request: &Request| {
         let name = format!("requests_total_{}", request.verb());
-        mp_obs::registry().snapshot().counter(&name).unwrap_or(0)
+        counted.registry().snapshot().counter(&name).unwrap_or(0)
     };
-    let space = space();
 
     // In process: a sweep is counted when its ticket is issued, not again
     // per pulled window.
-    let service = Arc::new(service(1));
     for request in one_of_each(&space) {
         let before = total(&request);
         if let Answer::Sweep(mut ticket) = service.handle(&request) {
@@ -176,7 +172,6 @@ fn every_request_counts_once_on_its_verb_in_process_and_over_the_socket() {
 
 #[test]
 fn sweep_stats_stay_exact_under_concurrent_queries() {
-    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     // Result stats come straight from the engine's own sweep and must stay
     // exact however many pool workers and concurrent callers share it:
     // every scenario is counted once, as a hit or as a miss.
@@ -232,18 +227,52 @@ fn sweep_stats_stay_exact_under_concurrent_queries() {
     });
     assert_eq!(service.stats().cache.entries, n, "overlapping fills leave one entry per scenario");
 
-    // Nothing in the process registers a series of the removed work-unit
-    // scheduler any more: its four `sched_*` series, its queue-wait
-    // histogram and the planner's assembly timer.
-    let exported = mp_obs::registry().snapshot().to_json();
+    // Nothing registers a series of the removed work-unit scheduler any
+    // more: its four `sched_*` series, its queue-wait histogram and the
+    // planner's assembly timer.
+    let exported = service.registry().snapshot().to_json();
     for family in ["\"sched_", "\"serve_queue_wait", "\"planner_merge"] {
         assert!(!exported.contains(family), "a {family}… series is still exported");
     }
 }
 
 #[test]
+fn two_services_in_one_process_keep_their_series_apart() {
+    let space = space();
+    let (a, b) = (service(1), service(1));
+    // B serves a little first, so its series exist and hold values.
+    b.handle(&Request::Ping);
+    b.sweep(&space, None).unwrap();
+    let watched = |service: &SweepService| {
+        let json = service.stats().metrics;
+        let requests: Vec<f64> = ["ping", "sweep", "top_k"]
+            .iter()
+            .map(|verb| series(&json, "counters", &format!("requests_total_{verb}")).unwrap_or(0.0))
+            .collect();
+        let scenarios = series(&json, "counters", "dse_scenarios_evaluated").unwrap_or(0.0);
+        (requests, scenarios, histogram_count(&json, "dse_batch_ms").unwrap_or(0.0))
+    };
+    let before = watched(&b);
+
+    a.handle(&Request::Ping);
+    let spec = SpaceSpec::Explicit(space.clone());
+    let Answer::Sweep(mut ticket) =
+        a.handle(&Request::Sweep { space: spec.clone(), start: 0, end: space.len(), chunk: 0 })
+    else {
+        panic!("a sweep opens a ticket");
+    };
+    while a.next_window(&mut ticket).unwrap().is_some() {}
+    a.handle(&Request::TopK { space: spec, k: 3 });
+
+    assert_eq!(watched(&b), before, "A's traffic moved B's series");
+    let (requests, scenarios, batches) = watched(&a);
+    assert_eq!(requests, [1.0; 3], "A counts its own ping, sweep and top_k");
+    assert_eq!(scenarios, 2.0 * space.len() as f64, "A's sweep and top_k");
+    assert!(batches > 0.0);
+}
+
+#[test]
 fn every_request_traces_exactly_once_with_monotone_stages() {
-    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(2))).unwrap();
     let endpoint = server.endpoint().clone();
     let trace_log = server.trace_log();

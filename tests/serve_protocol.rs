@@ -257,6 +257,124 @@ fn client_reports_a_close_inside_a_chunk_frame() {
     fake_server.join().unwrap();
 }
 
+/// A raw TCP connection to `endpoint` whose reads give up after ten
+/// seconds, so a server that never answers fails the test instead of
+/// hanging it.
+fn raw_connection(endpoint: &Endpoint) -> std::net::TcpStream {
+    let Endpoint::Tcp(addr) = endpoint else { panic!("a TCP endpoint") };
+    let socket = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    socket.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    socket
+}
+
+/// Read one `\n`-terminated response line off a raw connection.
+fn read_response(socket: &mut std::net::TcpStream) -> ResponseEnvelope {
+    let mut line = Vec::new();
+    let mut byte = [0u8; 1];
+    while byte[0] != b'\n' {
+        socket.read_exact(&mut byte).expect("the server answers before the read deadline");
+        line.push(byte[0]);
+    }
+    decode_line(std::str::from_utf8(&line).unwrap().trim_end()).unwrap()
+}
+
+/// A reactor with one event loop and two executors over the analytic
+/// backend, answering on a thread of its own.
+fn small_server() -> (Endpoint, std::thread::JoinHandle<()>) {
+    let service = Arc::new(SweepService::new(Arc::new(AnalyticBackend), &ServiceConfig::default()));
+    let server = Server::bind_with(
+        &Endpoint::Tcp("127.0.0.1:0".into()),
+        service,
+        ServerConfig { event_loops: 1, executors: 2 },
+    )
+    .unwrap();
+    let endpoint = server.endpoint().clone();
+    (endpoint, std::thread::spawn(move || server.run().unwrap()))
+}
+
+/// Two `top_k` requests over a space whose budget axis is `[0]` — which a
+/// decoded request can carry, though `with_budgets` would refuse it — are
+/// answered with errors, on two connections at once, and the server goes on
+/// answering: no executor dies building the space's tables.
+#[test]
+fn a_non_positive_budget_is_refused_and_the_server_keeps_answering() {
+    let (endpoint, serving) = small_server();
+    let mut control = Client::connect(&endpoint).unwrap();
+    assert_eq!(control.ping().unwrap(), PROTOCOL_VERSION);
+
+    let json = serde_json::to_string(&ScenarioSpace::new()).unwrap();
+    let (head, rest) = json.split_once("\"budgets\":[").unwrap();
+    let (_, tail) = rest.split_once(']').unwrap();
+    let space: ScenarioSpace =
+        serde_json::from_str(&format!("{head}\"budgets\":[0]{tail}")).unwrap();
+    assert_eq!(space.budgets(), [0.0]);
+    let request = encode_line(&RequestEnvelope {
+        id: 1,
+        request: Request::TopK { space: SpaceSpec::Explicit(space), k: 3 },
+    });
+    let mut sockets = [raw_connection(&endpoint), raw_connection(&endpoint)];
+    for socket in &mut sockets {
+        socket.write_all(format!("{request}\n").as_bytes()).unwrap();
+    }
+    for socket in &mut sockets {
+        let answer = read_response(socket);
+        assert_eq!(answer.id, 1);
+        match answer.response {
+            Response::Error { message } => assert!(message.contains("budget"), "{message}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+
+    let mut late = raw_connection(&endpoint);
+    let ping = encode_line(&RequestEnvelope { id: 2, request: Request::Ping });
+    late.write_all(format!("{ping}\n").as_bytes()).unwrap();
+    assert!(matches!(read_response(&mut late).response, Response::Pong { .. }));
+    control.shutdown().unwrap();
+    serving.join().unwrap();
+}
+
+/// A client that half-closes after a last line without its `\n` gets that
+/// line answered like any other — a whole request its reply, a fragment the
+/// id-0 parse error, a blank tail nothing — and then end of stream: the
+/// server closes the connection once the reply is flushed.
+#[test]
+fn an_unterminated_last_line_is_answered_and_the_connection_closes() {
+    let (endpoint, serving) = small_server();
+    let ping = encode_line(&RequestEnvelope { id: 1, request: Request::Ping });
+    let cases = [
+        (format!("{ping}\n"), Some(1)),
+        (ping.clone(), Some(1)),
+        ("{\"id\":1".to_string(), Some(0)),
+        ("  ".to_string(), None),
+    ];
+    for (tail, answered_id) in cases {
+        let mut socket = raw_connection(&endpoint);
+        socket.write_all(tail.as_bytes()).unwrap();
+        socket.shutdown(std::net::Shutdown::Write).unwrap();
+        // Everything the server sends, up to the end of stream; a server
+        // that keeps the connection open fails the read deadline.
+        let mut received = String::new();
+        socket.read_to_string(&mut received).expect("the server closes before the read deadline");
+        let replies: Vec<ResponseEnvelope> =
+            received.lines().map(|line| decode_line(line).unwrap()).collect();
+        match answered_id {
+            Some(1) => {
+                assert_eq!(replies.len(), 1, "{tail:?}: {received}");
+                assert_eq!(replies[0].id, 1);
+                assert!(matches!(replies[0].response, Response::Pong { .. }), "{tail:?}");
+            }
+            Some(_) => {
+                assert_eq!(replies.len(), 1, "{tail:?}: {received}");
+                assert_eq!(replies[0].id, 0);
+                assert!(matches!(replies[0].response, Response::Error { .. }), "{tail:?}");
+            }
+            None => assert!(replies.is_empty(), "{tail:?}: {received}"),
+        }
+    }
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    serving.join().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

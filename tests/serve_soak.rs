@@ -267,9 +267,11 @@ fn slow_reader_memory_stays_bounded_by_the_watermarks() {
             Arc::new(AnalyticBackend),
             &ServiceConfig { shards: 2, threads_per_shard: 1, ..ServiceConfig::default() },
         ));
+        // The allocator gauges, registered as `repro serve` registers them.
+        alloc_track::register_metrics(service.registry());
         let server = Server::bind_with(
             &Endpoint::Tcp("127.0.0.1:0".into()),
-            service,
+            Arc::clone(&service),
             ServerConfig { event_loops: 1, executors: 2 },
         )
         .unwrap();
@@ -285,15 +287,16 @@ fn slow_reader_memory_stays_bounded_by_the_watermarks() {
         // Read the allocator through the metrics registry — the same sampled
         // gauges the serve `metrics` verb exports — so this bound holds for
         // exactly the numbers an operator would scrape.
-        alloc_track::register_metrics();
         alloc_track::reset_peak();
-        let before = mp_obs::registry()
+        let before = service
+            .registry()
             .snapshot()
             .gauge("alloc_live_bytes")
             .expect("alloc gauges registered");
         let stats = slow_reader(&endpoint, &space, 512);
         assert_eq!(stats.scenarios, n);
-        let peak_growth = mp_obs::registry()
+        let peak_growth = service
+            .registry()
             .snapshot()
             .gauge("alloc_peak_bytes")
             .expect("alloc gauges registered")
