@@ -573,7 +573,8 @@ impl RangeCursor {
             return None;
         }
         let start = self.pos;
-        self.pos = (start + self.step).min(self.end);
+        // Saturating: a step near `usize::MAX` is one window to the end.
+        self.pos = start.saturating_add(self.step).min(self.end);
         Some(start..self.pos)
     }
 
@@ -1058,6 +1059,16 @@ mod tests {
         let mut empty = RangeCursor::new(7..7, 4);
         assert!(empty.is_done());
         assert_eq!(empty.next_window(), None);
+    }
+
+    #[test]
+    fn a_step_near_usize_max_is_one_window_to_the_range_end() {
+        for step in [usize::MAX, usize::MAX - 1, usize::MAX - 16] {
+            let mut cursor = RangeCursor::new(3..20, step);
+            let windows: Vec<_> = std::iter::from_fn(|| cursor.next_window()).collect();
+            assert_eq!(windows, vec![3..20], "step {step}");
+            assert!(cursor.is_done());
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! or chunk frame split across reads — or a read containing several
 //! pipelined responses — decodes identically. A connection that closes in
 //! the middle of a line or a frame is a transport error, never a truncated
-//! parse.
+//! parse. Socket reads land in the decoder's buffer, and a sweep's frames
+//! decode from there straight onto the answer's record vector
+//! ([`collect_sweep`]): one user-space copy of each record after the read.
 //!
 //! [`Client::call_pipelined`] issues many requests back-to-back on one
 //! connection (one write, one flush) and then collects every answer in
@@ -22,8 +24,8 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::explore::{Curve, Figure};
 
 use crate::protocol::{
-    encode_line, CatalogueEntry, JobSnapshot, Request, RequestEnvelope, Response, ResponseDecoder,
-    ResponseEnvelope, ServiceStats,
+    encode_line, CatalogueEntry, Decoded, JobSnapshot, Request, RequestEnvelope, Response,
+    ResponseDecoder, ResponseEnvelope, ServiceStats,
 };
 use crate::server::{Endpoint, Stream};
 
@@ -137,15 +139,10 @@ pub struct RetryOutcome {
     pub exhausted: bool,
 }
 
-/// Bytes asked of the socket per read.
-const READ_BYTES: usize = 64 * 1024;
-
 /// A blocking connection to a sweep service.
 pub struct Client {
     stream: Stream,
     decoder: ResponseDecoder,
-    /// The one read buffer, reused by every read of the connection.
-    read_buf: Vec<u8>,
     next_id: u64,
 }
 
@@ -153,12 +150,7 @@ impl Client {
     /// Connect to a server.
     pub fn connect(endpoint: &Endpoint) -> std::io::Result<Client> {
         let stream = Stream::connect(endpoint)?;
-        Ok(Client {
-            stream,
-            decoder: ResponseDecoder::new(),
-            read_buf: vec![0; READ_BYTES],
-            next_id: 1,
-        })
+        Ok(Client { stream, decoder: ResponseDecoder::new(), next_id: 1 })
     }
 
     /// One complete response, reassembled across however many reads the
@@ -169,15 +161,8 @@ impl Client {
             match self.decoder.next() {
                 Some(Ok(envelope)) => return Ok(envelope),
                 Some(Err(message)) => return Err(err(format!("malformed response: {message}"))),
-                None => {}
+                None => fill(&mut self.decoder, &mut self.stream)?,
             }
-            let read = self.stream.read(&mut self.read_buf)?;
-            if read == 0 {
-                let inside =
-                    self.decoder.finish().err().unwrap_or_else(|| "mid-request".to_string());
-                return Err(err(format!("server closed the connection {inside}")));
-            }
-            self.decoder.push(&self.read_buf[..read]);
         }
     }
 
@@ -186,12 +171,7 @@ impl Client {
         let mut responses = Vec::new();
         loop {
             let envelope = self.read_response()?;
-            if envelope.id != id {
-                return Err(err(format!(
-                    "response id {} does not match request id {id}",
-                    envelope.id
-                )));
-            }
+            check_id(envelope.id, id).map_err(err)?;
             let terminal = envelope.response.is_terminal();
             responses.push(envelope.response);
             if terminal {
@@ -204,13 +184,32 @@ impl Client {
     /// Responses for other ids are a protocol violation (this method keeps
     /// one request in flight at a time).
     pub fn call(&mut self, request: Request) -> Result<Vec<Response>, ClientError> {
+        let id = self.send(request)?;
+        self.collect(id)
+    }
+
+    /// Write one request; returns the id its responses will carry.
+    fn send(&mut self, request: Request) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let mut line = encode_line(&RequestEnvelope { id, request }).into_bytes();
         line.push(b'\n');
         self.stream.write_all(&line)?;
         self.stream.flush()?;
-        self.collect(id)
+        Ok(id)
+    }
+
+    /// Send a sweep request over `range` and collect its answer straight
+    /// off the socket ([`collect_sweep`]).
+    fn sweep_request(
+        &mut self,
+        space: super::protocol::SpaceSpec,
+        range: Range<usize>,
+        chunk: usize,
+    ) -> Result<(Vec<EvalRecord>, SweepStats), ClientError> {
+        let request = Request::Sweep { space, start: range.start, end: range.end, chunk };
+        let id = self.send(request)?;
+        collect_sweep(&mut self.decoder, &mut self.stream, id, &range)
     }
 
     /// Pipeline `requests` on this connection: every request line is written
@@ -328,13 +327,11 @@ impl Client {
         range: Range<usize>,
         chunk: usize,
     ) -> Result<(Vec<EvalRecord>, SweepStats), ClientError> {
-        let responses = self.call(Request::Sweep {
-            space: super::protocol::SpaceSpec::Prepared { id: id.to_string() },
-            start: range.start,
-            end: range.end,
+        self.sweep_request(
+            super::protocol::SpaceSpec::Prepared { id: id.to_string() },
+            range,
             chunk,
-        })?;
-        assemble_sweep(responses, &range)
+        )
     }
 
     /// [`Client::top_k`] against a prepared space id.
@@ -372,13 +369,7 @@ impl Client {
         chunk: usize,
     ) -> Result<(Vec<EvalRecord>, SweepStats), ClientError> {
         let range = range.unwrap_or(0..space.len());
-        let responses = self.call(Request::Sweep {
-            space: super::protocol::SpaceSpec::Explicit(space.clone()),
-            start: range.start,
-            end: range.end,
-            chunk,
-        })?;
-        assemble_sweep(responses, &range)
+        self.sweep_request(super::protocol::SpaceSpec::Explicit(space.clone()), range, chunk)
     }
 
     /// The `k` best records of a full sweep of `space`.
@@ -508,39 +499,140 @@ fn check_single(response: Response) -> Result<Response, ClientError> {
     }
 }
 
-/// Reassemble one sweep's streamed responses (chunks in index order, then
-/// `SweepDone`) into records plus statistics. Shared by the one-shot and
-/// pipelined sweep paths.
+/// Read more of a response stream into `decoder`. End of stream is an
+/// error naming where inside a message it stopped.
+fn fill(decoder: &mut ResponseDecoder, source: &mut impl Read) -> Result<(), ClientError> {
+    if decoder.read_from(source)? == 0 {
+        let inside = decoder.finish().err().unwrap_or_else(|| "mid-request".to_string());
+        return Err(err(format!("server closed the connection {inside}")));
+    }
+    Ok(())
+}
+
+/// Collect the streamed answer to sweep request `id` over `range` from
+/// `decoder`, reading more of `source` whenever it runs dry — the path
+/// [`Client::sweep`] takes. Each frame's header is checked before any of its
+/// payload is read: it must carry `id`, start where the answer so far stops
+/// and end inside `range`. Its records are then decoded straight onto the
+/// answer, so the answer never outgrows `range` and holds the only copy of a
+/// record on this side of the read.
+pub fn collect_sweep(
+    decoder: &mut ResponseDecoder,
+    source: &mut impl Read,
+    id: u64,
+    range: &Range<usize>,
+) -> Result<(Vec<EvalRecord>, SweepStats), ClientError> {
+    let mut answer = SweepAnswer::new(range);
+    loop {
+        let next = answer.next();
+        let decoded = decoder.next_into(&mut answer.records, |got, start, count| {
+            check_id(got, id)?;
+            check_chunk(range, next, start, count)
+        });
+        match decoded {
+            Some(Ok(Decoded::Frame { .. })) => {}
+            Some(Ok(Decoded::Line(envelope))) => {
+                check_id(envelope.id, id).map_err(err)?;
+                if let Some(stats) = answer.take(envelope.response)? {
+                    return Ok((answer.records, stats));
+                }
+            }
+            Some(Err(message)) => return Err(err(format!("malformed response: {message}"))),
+            None => fill(decoder, source)?,
+        }
+    }
+}
+
+/// Reassemble one sweep's already-decoded responses (chunks in index order,
+/// then `SweepDone`) into records plus statistics, under the same rules as
+/// [`collect_sweep`]. The pipelined path's sweep answers go through here.
 pub fn assemble_sweep(
     responses: Vec<Response>,
     range: &Range<usize>,
 ) -> Result<(Vec<EvalRecord>, SweepStats), ClientError> {
-    let mut records: Vec<EvalRecord> = Vec::with_capacity(range.len());
-    let mut stats = None;
-    for response in responses {
-        match response {
-            Response::SweepChunk { start, records: wire } => {
-                if records.len() + range.start != start {
-                    return Err(err(format!(
-                        "out-of-order sweep chunk: expected start {}, got {start}",
-                        records.len() + range.start
-                    )));
-                }
-                records.extend(wire.into_iter().map(EvalRecord::from));
+    let mut answer = SweepAnswer::new(range);
+    let mut responses = responses.into_iter();
+    while let Some(response) = responses.next() {
+        if let Some(stats) = answer.take(response)? {
+            if responses.next().is_some() {
+                return Err(err("a response follows the sweep's SweepDone"));
             }
-            Response::SweepDone { stats: s } => stats = Some(s),
-            Response::Error { message } => return Err(err(format!("server error: {message}"))),
-            Response::Busy { message, estimated_cost_ms } => {
-                return Err(busy_error(&message, estimated_cost_ms))
-            }
-            other => return Err(unexpected("SweepChunk/SweepDone", &other)),
+            return Ok((answer.records, stats));
         }
     }
-    let stats = stats.ok_or_else(|| err("sweep ended without a SweepDone"))?;
-    if records.len() != range.len() {
-        return Err(err(format!("sweep returned {} of {} records", records.len(), range.len())));
+    Err(err("sweep ended without a SweepDone"))
+}
+
+/// One sweep's answer as it arrives: the order and length rules every way
+/// of receiving a sweep shares.
+struct SweepAnswer<'a> {
+    range: &'a Range<usize>,
+    records: Vec<EvalRecord>,
+}
+
+impl<'a> SweepAnswer<'a> {
+    fn new(range: &'a Range<usize>) -> Self {
+        SweepAnswer { range, records: Vec::with_capacity(range.len()) }
     }
-    Ok((records, stats))
+
+    /// The index the next chunk must start at.
+    fn next(&self) -> usize {
+        self.range.start + self.records.len()
+    }
+
+    /// Take one decoded response of the sweep: a chunk is checked and
+    /// appended (`None`), `SweepDone` ends the answer with its statistics if
+    /// the records cover the range, and anything else is the sweep's error.
+    fn take(&mut self, response: Response) -> Result<Option<SweepStats>, ClientError> {
+        match response {
+            Response::SweepChunk { start, records } => {
+                check_chunk(self.range, self.next(), start, records.len()).map_err(err)?;
+                self.records.extend(records.into_iter().map(EvalRecord::from));
+                Ok(None)
+            }
+            Response::SweepDone { stats } if self.records.len() == self.range.len() => {
+                Ok(Some(stats))
+            }
+            Response::SweepDone { .. } => Err(err(format!(
+                "sweep returned {} of {} records",
+                self.records.len(),
+                self.range.len()
+            ))),
+            Response::Error { message } => Err(err(format!("server error: {message}"))),
+            Response::Busy { message, estimated_cost_ms } => {
+                Err(busy_error(&message, estimated_cost_ms))
+            }
+            other => Err(unexpected("SweepChunk/SweepDone", &other)),
+        }
+    }
+}
+
+/// Refuse a chunk of `count` records from `start` that does not continue
+/// the answer at `next` or that ends past `range`.
+fn check_chunk(
+    range: &Range<usize>,
+    next: usize,
+    start: usize,
+    count: usize,
+) -> Result<(), String> {
+    if start != next {
+        return Err(format!("out-of-order sweep chunk: expected start {next}, got {start}"));
+    }
+    if start.checked_add(count).map_or(true, |end| end > range.end) {
+        return Err(format!(
+            "sweep chunk of {count} records from {start} overruns the requested range {}..{}",
+            range.start, range.end
+        ));
+    }
+    Ok(())
+}
+
+fn check_id(got: u64, id: u64) -> Result<(), String> {
+    if got == id {
+        Ok(())
+    } else {
+        Err(format!("response id {got} does not match request id {id}"))
+    }
 }
 
 /// A busy rejection as a retryable client error, carrying the planner's

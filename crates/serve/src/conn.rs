@@ -168,10 +168,17 @@ impl Conn {
             && self.pipeline.len() <= RESUME_PIPELINE
     }
 
-    /// Queue encoded response bytes for writing.
-    pub fn enqueue(&mut self, bytes: &[u8]) {
+    /// Queue encoded response bytes for writing. With nothing pending they
+    /// become the outbox — a move, not a copy; otherwise they go behind the
+    /// unsent bytes.
+    pub fn enqueue(&mut self, bytes: Vec<u8>) {
         let before = self.pending_out();
-        self.outbox.extend_from_slice(bytes);
+        if before == 0 {
+            self.outbox = bytes;
+            self.written = 0;
+        } else {
+            self.outbox.extend_from_slice(&bytes);
+        }
         if before < HIGH_WATERMARK && self.pending_out() >= HIGH_WATERMARK {
             self.metrics.outbox_high_water.inc();
         }

@@ -195,7 +195,7 @@ impl Job {
 
     fn window_range(&self, ordinal: usize) -> Range<usize> {
         let lo = self.start + ordinal * self.window;
-        lo..(lo + self.window).min(self.end)
+        lo..lo.saturating_add(self.window).min(self.end)
     }
 
     fn snapshot(&self) -> JobSnapshot {

@@ -34,7 +34,8 @@
 //!   `EPOLLOUT` drains the outbox — a slow client costs a parked cursor,
 //!   not a pinned thread or an unbounded buffer).
 //! * [`client`] — a blocking client with an incremental (short-read-proof)
-//!   decode path, [`Client::call_pipelined`], and prepared-space queries
+//!   decode path that writes a sweep's frames straight onto its answer,
+//!   [`Client::call_pipelined`], and prepared-space queries
 //!   (`prepare` once, then address the space by 16-hex id — the protocol's
 //!   prepared-statement analogue).
 //!
@@ -77,13 +78,15 @@ pub mod service;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::client::{assemble_sweep, Client, ClientError, RetryOutcome, RetryPolicy};
+    pub use crate::client::{
+        assemble_sweep, collect_sweep, Client, ClientError, RetryOutcome, RetryPolicy,
+    };
     pub use crate::jobs::{atomic_write, JobConfig, JobManager, Manifest, MANIFEST_VERSION};
     pub use crate::protocol::{
         decode_chunk_line, decode_line, encode_chunk_frame, encode_chunk_line, encode_line,
         from_wire, to_wire, CatalogueEntry, JobSnapshot, LineDecoder, Request, RequestEnvelope,
         Response, ResponseDecoder, ResponseEnvelope, ServiceStats, SpaceSpec, WireRecord,
-        DEFAULT_CHUNK, FRAME_RECORD_BYTES, MAX_REQUEST_LINE, PROTOCOL_VERSION,
+        DEFAULT_CHUNK, FRAME_RECORD_BYTES, MAX_FRAME_HEADER, MAX_REQUEST_LINE, PROTOCOL_VERSION,
     };
     pub use crate::server::{Endpoint, Server, ServerConfig, Stream};
     pub use crate::service::{

@@ -29,9 +29,12 @@
 //! run. The header is an ordinary line, so [`LineDecoder`] stays the one
 //! framing layer and ids and ordering are uniform with every other reply;
 //! the payload carries the engine's bits themselves, so `NaN` markers and
-//! every other bit pattern are exact by construction. [`ResponseDecoder`]
-//! turns a frame back into the in-memory [`Response::SweepChunk`] and is the
-//! one reader of a response stream.
+//! every other bit pattern are exact by construction. Each record is copied
+//! once on either side of the wire: [`encode_chunk_frame`] writes its words
+//! into a buffer the server sized for the whole window, and
+//! [`ResponseDecoder`] — the one reader of a response stream — decodes them
+//! from its read buffer either into a [`Response::SweepChunk`] or straight
+//! onto a sweep's answer (`client::collect_sweep`).
 //!
 //! ## Bit-exactness of `Records`
 //!
@@ -484,9 +487,13 @@ impl Deserialize for WireRecord {
 /// server's behaviour since protocol v1.
 #[derive(Debug)]
 pub struct LineDecoder {
+    /// Received bytes are `buf[start..end]`; `buf[end..]` is initialised
+    /// room a read can land in directly.
     buf: Vec<u8>,
     /// Bytes before `start` have been consumed.
     start: usize,
+    /// Bytes from `end` on have not been received.
+    end: usize,
     /// Scan for the next newline resumes here (never rescans consumed bytes).
     scanned: usize,
     max_line: usize,
@@ -499,26 +506,66 @@ impl LineDecoder {
     /// A decoder that rejects lines longer than `max_line` bytes.
     pub fn new(max_line: usize) -> Self {
         assert!(max_line > 0, "line limit must be positive");
-        LineDecoder { buf: Vec::new(), start: 0, scanned: 0, max_line, skipping: false }
+        LineDecoder { buf: Vec::new(), start: 0, end: 0, scanned: 0, max_line, skipping: false }
     }
 
     /// Append newly received bytes.
     pub fn push(&mut self, bytes: &[u8]) {
         self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
+    }
+
+    /// One read of `source` straight into the buffer, with room for at least
+    /// `room` bytes — [`LineDecoder::push`] without a caller-side buffer to
+    /// copy from. Returns what `source.read` returned (`0` at end of stream).
+    pub(crate) fn read_from(
+        &mut self,
+        source: &mut impl std::io::Read,
+        room: usize,
+    ) -> std::io::Result<usize> {
+        self.compact();
+        if self.buf.len() - self.end < room {
+            // Twice the room: the partial message compaction leaves at the
+            // front then never makes a later read grow the buffer again.
+            self.buf.resize(self.end + 2 * room, 0);
+        }
+        let read = source.read(&mut self.buf[self.end..])?;
+        self.end += read;
+        Ok(read)
     }
 
     /// Bytes currently buffered (diagnostics; bounded by `max_line` plus one
     /// read's worth).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// The next complete line, `Err` for a line that cannot become a request
     /// (oversized or not UTF-8), or `None` when more bytes are needed.
     pub fn next_line(&mut self) -> Option<Result<String, String>> {
+        self.next_str().map(|line| line.map(str::to_string))
+    }
+
+    /// [`LineDecoder::next_line`], borrowing the line from the buffer.
+    fn next_str(&mut self) -> Option<Result<&str, String>> {
+        let line = match self.next_span()? {
+            Ok(line) => line,
+            Err(message) => return Some(Err(message)),
+        };
+        Some(
+            std::str::from_utf8(&self.buf[line])
+                .map(|s| s.trim_end_matches('\r'))
+                .map_err(|_| "request line is not valid UTF-8".to_string()),
+        )
+    }
+
+    /// Where in the buffer the next complete, non-blank line lies (its
+    /// newline excluded), or the oversize error that replaces it.
+    fn next_span(&mut self) -> Option<Result<std::ops::Range<usize>, String>> {
         loop {
-            let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            let newline = self.buf[self.scanned..self.end].iter().position(|&b| b == b'\n');
             match newline {
                 Some(offset) => {
                     let end = self.scanned + offset;
@@ -530,8 +577,7 @@ impl LineDecoder {
                         self.skipping = false;
                         continue;
                     }
-                    let raw = &self.buf[line_start..end];
-                    if raw.len() > self.max_line {
+                    if end - line_start > self.max_line {
                         // The whole over-limit line (newline included)
                         // arrived inside one read, so the no-newline cap
                         // check never fired; the limit must not depend on
@@ -541,34 +587,29 @@ impl LineDecoder {
                             self.max_line
                         )));
                     }
-                    if raw.iter().all(|b| b.is_ascii_whitespace()) {
+                    if self.buf[line_start..end].iter().all(|b| b.is_ascii_whitespace()) {
                         continue;
                     }
-                    return Some(
-                        std::str::from_utf8(raw)
-                            .map(|s| s.trim_end_matches('\r').to_string())
-                            .map_err(|_| "request line is not valid UTF-8".to_string()),
-                    );
+                    return Some(Ok(line_start..end));
                 }
                 None => {
-                    self.scanned = self.buf.len();
+                    self.scanned = self.end;
                     if self.skipping {
                         // Still inside a line already reported as oversized:
                         // discard its continuation *now*, not at the
                         // newline — otherwise a client streaming a
                         // newline-free torrent would grow this buffer
                         // without bound despite the cap.
-                        self.start = self.buf.len();
+                        self.start = self.end;
                         return None;
                     }
-                    let pending = self.buf.len() - self.start;
-                    if pending <= self.max_line {
+                    if self.buffered() <= self.max_line {
                         return None;
                     }
                     // Discard the oversized prefix now (the bytes can never
                     // be part of a valid line) and keep discarding until the
                     // newline arrives.
-                    self.start = self.buf.len();
+                    self.start = self.end;
                     self.skipping = true;
                     return Some(Err(format!(
                         "request line exceeds the {}-byte limit",
@@ -597,12 +638,13 @@ impl LineDecoder {
     /// tracks the *unconsumed* tail instead of growing with connection
     /// lifetime.
     fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
+        if self.start == self.end {
             self.start = 0;
+            self.end = 0;
             self.scanned = 0;
-        } else if self.start > 4096 && self.start >= self.buf.len() / 2 {
-            self.buf.drain(..self.start);
+        } else if self.start > 4096 && self.start >= self.end / 2 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.scanned -= self.start;
             self.start = 0;
         }
@@ -634,8 +676,19 @@ struct FrameSpan {
     count: usize,
 }
 
+/// Most bytes a chunk frame's header line takes, newline included: what a
+/// caller reserves per frame, beside `FRAME_RECORD_BYTES` a record, so that
+/// [`encode_chunk_frame`] never grows its buffer.
+pub const MAX_FRAME_HEADER: usize = 96;
+
+/// Whole numbers below this travel as plain JSON integers; from here on the
+/// workspace's JSON printer spells them through `f64`.
+const EXACT_INTEGERS: u64 = 1 << 53;
+
 /// Append one sweep chunk to `out` as a frame (module docs, § Chunk frames):
 /// the header line, then `records.len() × FRAME_RECORD_BYTES` payload bytes.
+/// Every byte is written once, straight behind what `out` already holds; a
+/// buffer with room for [`MAX_FRAME_HEADER`] plus the payload is not grown.
 ///
 /// # Panics
 ///
@@ -643,21 +696,29 @@ struct FrameSpan {
 /// payload carries no indices, so any other slice would decode to a wrong
 /// answer.
 pub fn encode_chunk_frame(out: &mut Vec<u8>, id: u64, start: usize, records: &[EvalRecord]) {
-    let header = FrameHeader { id, frame: FrameSpan { start, count: records.len() } };
-    out.extend_from_slice(encode_line(&header).as_bytes());
-    out.push(b'\n');
-    let payload = out.len();
-    out.resize(payload + records.len() * FRAME_RECORD_BYTES, 0);
-    let slots = out[payload..].chunks_exact_mut(FRAME_RECORD_BYTES);
-    for (offset, (slot, record)) in slots.zip(records).enumerate() {
+    out.reserve(MAX_FRAME_HEADER + records.len() * FRAME_RECORD_BYTES);
+    let count = records.len();
+    if [id, start as u64, count as u64].iter().all(|&n| n < EXACT_INTEGERS) {
+        use std::io::Write;
+        // `encode_line`'s bytes for these integers, without its value tree.
+        writeln!(out, "{{\"id\":{id},\"frame\":{{\"start\":{start},\"count\":{count}}}}}")
+            .expect("writing to a Vec cannot fail");
+    } else {
+        let header = FrameHeader { id, frame: FrameSpan { start, count } };
+        out.extend_from_slice(encode_line(&header).as_bytes());
+        out.push(b'\n');
+    }
+    for (offset, record) in records.iter().enumerate() {
         assert_eq!(
             record.index,
             start + offset,
             "a chunk frame holds consecutive records from its start"
         );
+        let mut slot = [0u8; FRAME_RECORD_BYTES];
         slot[..8].copy_from_slice(&record.speedup.to_bits().to_le_bytes());
         slot[8..16].copy_from_slice(&record.cores.to_bits().to_le_bytes());
         slot[16..].copy_from_slice(&record.area.to_bits().to_le_bytes());
+        out.extend_from_slice(&slot);
     }
 }
 
@@ -666,12 +727,108 @@ fn frame_word(raw: &[u8]) -> f64 {
     f64::from_bits(u64::from_le_bytes(raw.try_into().expect("a frame word is 8 bytes")))
 }
 
+/// Parse a plain non-negative decimal integer prefix (the only form the
+/// compact printer emits for ids, starts, counts and indices).
+fn take_integer(s: &str) -> Option<(u128, &str)> {
+    let bytes = s.as_bytes();
+    let mut end = 0;
+    let mut value: u128 = 0;
+    while end < bytes.len() && bytes[end].is_ascii_digit() {
+        value = value.checked_mul(10)?.checked_add((bytes[end] - b'0') as u128)?;
+        end += 1;
+    }
+    // Reject empty matches, and any value past f64's exact-integer range —
+    // the generic path round-trips numbers through f64, so the fast path
+    // only accepts what both paths decode identically.
+    if end == 0 || value >= (1u128 << 53) {
+        return None;
+    }
+    Some((value, &s[end..]))
+}
+
+/// A frame header spelled exactly as [`encode_chunk_frame`] spells one with
+/// integers below 2^53, read without building a value tree; `None` for
+/// anything else, which then takes the generic parser — so this can decline
+/// a header, never misread one.
+fn decode_frame_header(line: &str) -> Option<FrameHeader> {
+    let rest = line.strip_prefix("{\"id\":")?;
+    let (id, rest) = take_integer(rest)?;
+    let rest = rest.strip_prefix(",\"frame\":{\"start\":")?;
+    let (start, rest) = take_integer(rest)?;
+    let rest = rest.strip_prefix(",\"count\":")?;
+    let (count, rest) = take_integer(rest)?;
+    (rest == "}}").then_some(FrameHeader {
+        id: id as u64,
+        frame: FrameSpan { start: start as usize, count: count as usize },
+    })
+}
+
+/// One response line: an envelope, or the header of a frame whose payload
+/// follows.
+enum ResponseLine {
+    Envelope(ResponseEnvelope),
+    Frame(FrameHeader),
+}
+
+fn parse_response_line(line: &str) -> Result<ResponseLine, String> {
+    let header = match decode_frame_header(line) {
+        Some(header) => header,
+        None => {
+            let value = serde_json::parse(line).map_err(|e| e.to_string())?;
+            if !value.as_map().is_some_and(|map| map.iter().any(|(key, _)| key == "frame")) {
+                return ResponseEnvelope::from_value(&value)
+                    .map(ResponseLine::Envelope)
+                    .map_err(|e| e.to_string());
+            }
+            FrameHeader::from_value(&value).map_err(|e| e.to_string())?
+        }
+    };
+    let FrameSpan { start, count } = header.frame;
+    if count.checked_mul(FRAME_RECORD_BYTES).is_none() || start.checked_add(count).is_none() {
+        return Err(format!("chunk frame of {count} records from {start} overflows"));
+    }
+    Ok(ResponseLine::Frame(header))
+}
+
+/// A frame whose header has been read and whose payload is still arriving.
+#[derive(Debug, Clone, Copy)]
+struct OwedFrame {
+    id: u64,
+    start: usize,
+    count: usize,
+    /// Records of the payload already decoded.
+    decoded: usize,
+}
+
+/// A whole message of a response stream, as [`ResponseDecoder::next_into`]
+/// yields it.
+pub(crate) enum Decoded {
+    /// A JSON response line.
+    Line(ResponseEnvelope),
+    /// A chunk frame, its records all appended to the caller's vector.
+    Frame {
+        /// Correlation id from the frame header.
+        id: u64,
+        /// Flat scenario index of the frame's first record.
+        start: usize,
+    },
+}
+
+/// Bytes asked of the source per [`ResponseDecoder::read_from`].
+const READ_BYTES: usize = 64 * 1024;
+
 /// Incremental decoder of a server's response stream — the one reader of
 /// it: JSON lines become their [`ResponseEnvelope`]s and chunk frames become
-/// [`Response::SweepChunk`] envelopes, from bytes pushed in whatever pieces
-/// the socket produces. A frame split anywhere — inside its header, between
-/// header and payload, inside an 8-byte word — decodes identically, and a
-/// payload byte equal to `\n` is never taken for a line end.
+/// records, from bytes pushed in whatever pieces the socket produces. A
+/// frame split anywhere — inside its header, between header and payload,
+/// inside an 8-byte word — decodes identically, and a payload byte equal to
+/// `\n` is never taken for a line end.
+///
+/// Drained as an [`Iterator`], a frame comes out as a
+/// [`Response::SweepChunk`] envelope. A sweep's collector instead decodes
+/// each frame straight onto its answer (`client::collect_sweep`), after
+/// checking the frame's header against the range it asked for; both go
+/// through the same frame decoder.
 ///
 /// Feed it with [`ResponseDecoder::push`], drain it by iterating (`None`
 /// means *more bytes needed*, not *finished* — iterate again after the next
@@ -682,13 +839,15 @@ fn frame_word(raw: &[u8]) -> f64 {
 ///
 /// No length is trusted before it is checked: a header whose
 /// `count × FRAME_RECORD_BYTES` or `start + count` overflows is an error, and
-/// records are allocated only once their payload bytes have all arrived —
-/// never from the count alone.
+/// records are allocated as their payload bytes arrive — never from the
+/// count alone.
 #[derive(Debug)]
 pub struct ResponseDecoder {
     lines: LineDecoder,
-    /// The frame whose header has been read and whose payload is owed.
-    owed: Option<FrameHeader>,
+    owed: Option<OwedFrame>,
+    /// The records of the frame in flight while the decoder is drained as an
+    /// iterator.
+    chunk: Vec<EvalRecord>,
     failed: Option<String>,
 }
 
@@ -703,7 +862,12 @@ impl ResponseDecoder {
     /// capped: the server is trusted, and a `Records` or `Metrics` line is
     /// legitimately large.
     pub fn new() -> Self {
-        ResponseDecoder { lines: LineDecoder::new(usize::MAX / 2), owed: None, failed: None }
+        ResponseDecoder {
+            lines: LineDecoder::new(usize::MAX / 2),
+            owed: None,
+            chunk: Vec::new(),
+            failed: None,
+        }
     }
 
     /// Append newly received bytes.
@@ -711,14 +875,20 @@ impl ResponseDecoder {
         self.lines.push(bytes);
     }
 
+    /// One read of `source` straight into the decoder's buffer: what
+    /// `source.read` returned, `0` at end of stream.
+    pub(crate) fn read_from(&mut self, source: &mut impl std::io::Read) -> std::io::Result<usize> {
+        self.lines.read_from(source, READ_BYTES)
+    }
+
     /// At EOF: `Ok` when the stream stopped between messages, otherwise
     /// where inside one it stopped (`mid-line`, `mid-frame (…)`) — a
     /// truncated message is never decoded short.
     pub fn finish(&self) -> Result<(), String> {
         match self.owed {
-            Some(FrameHeader { frame, .. }) => Err(format!(
+            Some(frame) => Err(format!(
                 "mid-frame ({} of {} payload bytes arrived)",
-                self.lines.buffered(),
+                frame.decoded * FRAME_RECORD_BYTES + self.lines.buffered(),
                 frame.count * FRAME_RECORD_BYTES
             )),
             None if self.lines.buffered() > 0 => Err("mid-line".to_string()),
@@ -726,21 +896,63 @@ impl ResponseDecoder {
         }
     }
 
-    /// Decode one line: an envelope to yield, or a frame header to hold
-    /// until its payload arrives.
-    fn take_line(&mut self, line: &str) -> Result<Option<ResponseEnvelope>, String> {
-        let value = serde_json::parse(line).map_err(|e| e.to_string())?;
-        let is_frame = value.as_map().is_some_and(|map| map.iter().any(|(key, _)| key == "frame"));
-        if !is_frame {
-            return ResponseEnvelope::from_value(&value).map(Some).map_err(|e| e.to_string());
+    /// The next whole message, an error (see the type docs), or `None` when
+    /// more bytes are needed. A frame's header is shown to `admit` (`id`,
+    /// `start`, `count`) before any of its payload is read, and an `Err` from
+    /// it is the decoder's error; the payload's records are then appended to
+    /// `records` as their bytes arrive, across as many calls as that takes,
+    /// and the call that appends the last one returns [`Decoded::Frame`].
+    pub(crate) fn next_into(
+        &mut self,
+        records: &mut Vec<EvalRecord>,
+        admit: impl FnOnce(u64, usize, usize) -> Result<(), String>,
+    ) -> Option<Result<Decoded, String>> {
+        if let Some(message) = &self.failed {
+            return Some(Err(message.clone()));
         }
-        let header = FrameHeader::from_value(&value).map_err(|e| e.to_string())?;
-        let FrameSpan { start, count } = header.frame;
-        if count.checked_mul(FRAME_RECORD_BYTES).is_none() || start.checked_add(count).is_none() {
-            return Err(format!("chunk frame of {count} records from {start} overflows"));
+        let decoded = self.decode_into(records, admit);
+        if let Some(Err(message)) = &decoded {
+            self.failed = Some(message.clone());
         }
-        self.owed = Some(header);
-        Ok(None)
+        decoded
+    }
+
+    fn decode_into(
+        &mut self,
+        records: &mut Vec<EvalRecord>,
+        admit: impl FnOnce(u64, usize, usize) -> Result<(), String>,
+    ) -> Option<Result<Decoded, String>> {
+        if self.owed.is_none() {
+            let header = match self.lines.next_str()?.and_then(parse_response_line) {
+                Ok(ResponseLine::Envelope(envelope)) => return Some(Ok(Decoded::Line(envelope))),
+                Ok(ResponseLine::Frame(header)) => header,
+                Err(message) => return Some(Err(message)),
+            };
+            let FrameHeader { id, frame: FrameSpan { start, count } } = header;
+            if let Err(message) = admit(id, start, count) {
+                return Some(Err(message));
+            }
+            self.owed = Some(OwedFrame { id, start, count, decoded: 0 });
+        }
+        let owed = self.owed.as_mut()?;
+        let whole = (self.lines.buffered() / FRAME_RECORD_BYTES).min(owed.count - owed.decoded);
+        let first = owed.start + owed.decoded;
+        let payload =
+            self.lines.next_bytes(whole * FRAME_RECORD_BYTES).expect("whole records are buffered");
+        records.extend(payload.chunks_exact(FRAME_RECORD_BYTES).enumerate().map(
+            |(offset, raw)| EvalRecord {
+                index: first + offset,
+                speedup: frame_word(&raw[..8]),
+                cores: frame_word(&raw[8..16]),
+                area: frame_word(&raw[16..]),
+            },
+        ));
+        owed.decoded += whole;
+        if owed.decoded < owed.count {
+            return None;
+        }
+        let OwedFrame { id, start, .. } = self.owed.take()?;
+        Some(Ok(Decoded::Frame { id, start }))
     }
 }
 
@@ -750,44 +962,27 @@ impl Iterator for ResponseDecoder {
     /// The next complete response, an error (see the type docs), or `None`
     /// when more bytes are needed.
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(message) = &self.failed {
-            return Some(Err(message.clone()));
-        }
-        if self.owed.is_none() {
-            let taken = self.lines.next_line()?.and_then(|line| self.take_line(&line));
-            match taken {
-                Ok(Some(envelope)) => return Some(Ok(envelope)),
-                Ok(None) => {}
-                Err(message) => {
-                    self.failed = Some(message.clone());
-                    return Some(Err(message));
-                }
+        let mut records = std::mem::take(&mut self.chunk);
+        let Some(decoded) = self.next_into(&mut records, |_, _, _| Ok(())) else {
+            // A frame's records so far wait for the rest of its payload.
+            self.chunk = records;
+            return None;
+        };
+        Some(decoded.map(|decoded| match decoded {
+            Decoded::Line(envelope) => envelope,
+            Decoded::Frame { id, start } => {
+                let records = records.into_iter().map(WireRecord).collect();
+                ResponseEnvelope { id, response: Response::SweepChunk { start, records } }
             }
-        }
-        let FrameHeader { id, frame: FrameSpan { start, count } } = self.owed?;
-        let payload = self.lines.next_bytes(count * FRAME_RECORD_BYTES)?;
-        let records = payload
-            .chunks_exact(FRAME_RECORD_BYTES)
-            .enumerate()
-            .map(|(offset, raw)| {
-                WireRecord(EvalRecord {
-                    index: start + offset,
-                    speedup: frame_word(&raw[..8]),
-                    cores: frame_word(&raw[8..16]),
-                    area: frame_word(&raw[16..]),
-                })
-            })
-            .collect();
-        self.owed = None;
-        Some(Ok(ResponseEnvelope { id, response: Response::SweepChunk { start, records } }))
+        }))
     }
 }
 
 // ---------------------------------------------------------------------------
 // The text chunk codec. Retired from the wire in mp-serve/6 (chunks travel as
 // frames, see `encode_chunk_frame`); delete `push_number`,
-// `encode_chunk_line`, `decode_chunk_line`, `take_integer` and
-// `take_hex_field` when ROADMAP item 1(a) unpins them — layerbench times the
+// `encode_chunk_line`, `decode_chunk_line` and `take_hex_field` when ROADMAP
+// item 1(a) unpins them — layerbench times the
 // two public ones by name. Until then they are the frame codec's test oracle.
 // ---------------------------------------------------------------------------
 
@@ -897,25 +1092,6 @@ pub fn decode_chunk_line(line: &str) -> Option<ResponseEnvelope> {
             _ => return None,
         }
     }
-}
-
-/// Parse a plain non-negative decimal integer prefix (the only form the
-/// compact printer emits for ids, starts and indices).
-fn take_integer(s: &str) -> Option<(u128, &str)> {
-    let bytes = s.as_bytes();
-    let mut end = 0;
-    let mut value: u128 = 0;
-    while end < bytes.len() && bytes[end].is_ascii_digit() {
-        value = value.checked_mul(10)?.checked_add((bytes[end] - b'0') as u128)?;
-        end += 1;
-    }
-    // Reject empty matches, and any value past f64's exact-integer range —
-    // the generic path round-trips numbers through f64, so the fast path
-    // only accepts what both paths decode identically.
-    if end == 0 || value >= (1u128 << 53) {
-        return None;
-    }
-    Some((value, &s[end..]))
 }
 
 /// Parse `,"<16 hex digits>"`.
@@ -1303,6 +1479,51 @@ mod tests {
             // The error is final: where the next message starts is unknown.
             assert_eq!(decoder.next().expect("the error repeats").unwrap_err(), message);
         }
+    }
+
+    /// The frame encoder as `mp-serve/6` first shipped it: the header
+    /// through the generic JSON printer, then a zero-filled payload
+    /// overwritten word by word — the byte oracle for the one-pass encoder.
+    fn reference_frame(id: u64, start: usize, records: &[EvalRecord]) -> Vec<u8> {
+        let header = FrameHeader { id, frame: FrameSpan { start, count: records.len() } };
+        let mut out = encode_line(&header).into_bytes();
+        out.push(b'\n');
+        let payload = out.len();
+        out.resize(payload + records.len() * FRAME_RECORD_BYTES, 0);
+        for (slot, record) in out[payload..].chunks_exact_mut(FRAME_RECORD_BYTES).zip(records) {
+            slot[..8].copy_from_slice(&record.speedup.to_bits().to_le_bytes());
+            slot[8..16].copy_from_slice(&record.cores.to_bits().to_le_bytes());
+            slot[16..].copy_from_slice(&record.area.to_bits().to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn chunk_frames_are_byte_identical_to_the_reference_encoder() {
+        let exact = EXACT_INTEGERS as usize;
+        for (id, start, count) in [
+            (1u64, 0usize, 0usize),
+            (7, 8192, 8192),
+            (EXACT_INTEGERS - 1, exact - 40, 39),
+            (EXACT_INTEGERS, 5, 3),
+            (u64::MAX, exact, 2),
+            (3, usize::MAX - 2, 2),
+        ] {
+            let records = awkward_records(start, count);
+            let mut wire = b"behind earlier bytes".to_vec();
+            encode_chunk_frame(&mut wire, id, start, &records);
+            assert_eq!(
+                &wire[20..],
+                &reference_frame(id, start, &records)[..],
+                "id {id}, start {start}"
+            );
+            let header = wire[20..].iter().position(|&b| b == b'\n').unwrap() + 1;
+            assert!(header <= MAX_FRAME_HEADER, "{header}-byte header for id {id}");
+        }
+        // The longest header there is: every number 20 digits.
+        let longest =
+            FrameHeader { id: u64::MAX, frame: FrameSpan { start: usize::MAX, count: usize::MAX } };
+        assert_eq!(encode_line(&longest).len() + 1, MAX_FRAME_HEADER);
     }
 
     #[test]

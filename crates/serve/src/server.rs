@@ -52,7 +52,7 @@ use mp_obs::trace::{RequestTrace, Stage, TraceLog};
 use crate::conn::{Conn, InFlight, HIGH_WATERMARK, LOW_WATERMARK};
 use crate::protocol::{
     decode_line, encode_chunk_frame, encode_line, Request, RequestEnvelope, Response,
-    ResponseEnvelope,
+    ResponseEnvelope, FRAME_RECORD_BYTES, MAX_FRAME_HEADER,
 };
 use crate::reactor::{Poller, Waker, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::service::{Answer, SweepService, SweepTicket};
@@ -557,7 +557,7 @@ impl EventLoop {
                     // (impossible by construction — one job per connection).
                     _ => return,
                 }
-                conn.enqueue(&done.bytes);
+                conn.enqueue(done.bytes);
                 if done.shutdown {
                     conn.close_after_flush = true;
                     conn.shutdown_origin = true;
@@ -787,15 +787,29 @@ fn execute(
             match window {
                 Err(e) => done.push_line(id, e.into_response()),
                 Ok(records) => {
+                    let records = records.unwrap_or_default();
+                    let last = ticket.is_done().then(|| {
+                        let response = Response::SweepDone { stats: ticket.stats() };
+                        encode_line(&ResponseEnvelope { id, response })
+                    });
                     // The dominant message of the protocol: the records' bits
-                    // go into the output buffer as they are, behind a header.
-                    for slice in records.iter().flat_map(|records| records.chunks(ticket.chunk())) {
+                    // go once into a buffer sized for the whole window, which
+                    // then moves into the connection's outbox.
+                    let frames = records.len().div_ceil(ticket.chunk());
+                    done.bytes.reserve(
+                        frames * MAX_FRAME_HEADER
+                            + records.len() * FRAME_RECORD_BYTES
+                            + last.as_ref().map_or(0, |line| line.len() + 1),
+                    );
+                    for slice in records.chunks(ticket.chunk()) {
                         encode_chunk_frame(&mut done.bytes, id, slice[0].index, slice);
                     }
-                    if ticket.is_done() {
-                        done.push_line(id, Response::SweepDone { stats: ticket.stats() });
-                    } else {
-                        done.next = Some((id, Box::new(ticket)));
+                    match last {
+                        Some(line) => {
+                            done.bytes.extend_from_slice(line.as_bytes());
+                            done.bytes.push(b'\n');
+                        }
+                        None => done.next = Some((id, Box::new(ticket))),
                     }
                 }
             }

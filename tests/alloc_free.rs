@@ -245,3 +245,64 @@ fn export_allocations_do_not_scale_with_record_count() {
     assert_eq!(json_twice, json, "write_json allocates per record");
     assert!(csv < once.len() as u64 / 8, "axis tables, not rows: {csv} for {}", once.len());
 }
+
+/// `n` records from 0 streamed as `frames` chunk frames, then `SweepDone`.
+fn streamed_sweep(records: &[EvalRecord], frames: usize) -> Vec<u8> {
+    use mp_serve::protocol::{encode_chunk_frame, encode_line, Response, ResponseEnvelope};
+    let mut wire = Vec::new();
+    for slice in records.chunks(records.len() / frames) {
+        encode_chunk_frame(&mut wire, 1, slice[0].index, slice);
+    }
+    let stats = SweepStats { scenarios: records.len(), ..SweepStats::default() };
+    let done = ResponseEnvelope { id: 1, response: Response::SweepDone { stats } };
+    wire.extend_from_slice(encode_line(&done).as_bytes());
+    wire.push(b'\n');
+    wire
+}
+
+fn records(n: usize) -> Vec<EvalRecord> {
+    (0..n)
+        .map(|index| EvalRecord { index, speedup: index as f64, cores: 4.0, area: f64::NAN })
+        .collect()
+}
+
+#[test]
+fn collecting_a_streamed_sweep_allocates_the_same_for_few_or_many_frames() {
+    use mp_serve::client::collect_sweep;
+    use mp_serve::protocol::ResponseDecoder;
+    let n = 64 * 384;
+    let records = records(n);
+    let collect = |wire: &[u8]| {
+        let before = allocations();
+        let (got, _) =
+            collect_sweep(&mut ResponseDecoder::new(), &mut &wire[..], 1, &(0..n)).unwrap();
+        let taken = allocations() - before;
+        assert_eq!(got.len(), n);
+        assert!(got.iter().zip(&records).all(|(a, b)| a.speedup.to_bits() == b.speedup.to_bits()));
+        taken
+    };
+    let (few, many) = (streamed_sweep(&records, 4), streamed_sweep(&records, 64));
+    collect(&few);
+    assert_eq!(
+        collect(&few),
+        collect(&many),
+        "no allocation per frame: the frames decode straight onto the answer"
+    );
+}
+
+#[test]
+fn framing_a_window_into_its_reserved_buffer_allocates_nothing() {
+    use mp_serve::protocol::{encode_chunk_frame, FRAME_RECORD_BYTES, MAX_FRAME_HEADER};
+    let records = records(8192);
+    for chunk in [8192, 1000, 1] {
+        let frames = records.len().div_ceil(chunk);
+        let mut out =
+            Vec::with_capacity(frames * MAX_FRAME_HEADER + records.len() * FRAME_RECORD_BYTES);
+        let before = allocations();
+        for slice in records.chunks(chunk) {
+            encode_chunk_frame(&mut out, 7, slice[0].index, slice);
+        }
+        assert_eq!(allocations() - before, 0, "{frames} frames of {chunk}");
+        assert!(out.len() > records.len() * FRAME_RECORD_BYTES);
+    }
+}

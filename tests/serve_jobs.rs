@@ -398,6 +398,21 @@ fn one_scenario_jobs_complete_at_shard_counts_beyond_the_space() {
     }
 }
 
+#[test]
+fn a_window_near_usize_max_is_one_window_to_the_range_end() {
+    let space = space(64);
+    let n = space.len();
+    let service = service(2, Arc::new(AnalyticBackend));
+    let manager = JobManager::new(Arc::clone(&service), None, test_config(1)).unwrap();
+    for window in [usize::MAX, usize::MAX - 7] {
+        let submitted = manager.submit(space.clone(), 5..n, window, 0).unwrap();
+        assert_eq!(submitted.windows_total, 1);
+        let done = wait_for(&manager, &submitted.id, Duration::from_secs(30), |s| s.is_settled());
+        assert_eq!(done.state, "completed", "window {window}: {done:?}");
+        assert_eq!(done.scenarios_completed, n - 5);
+    }
+}
+
 /// The one response the service's dispatch answers a job verb with.
 fn respond(service: &SweepService, request: Request) -> Response {
     match service.handle(&request) {

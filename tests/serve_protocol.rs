@@ -257,6 +257,104 @@ fn client_reports_a_close_inside_a_chunk_frame() {
     fake_server.join().unwrap();
 }
 
+/// `count` records from `start` whose float bits come from `bits`, cycled.
+fn records_from_bits(start: usize, count: usize, bits: &[(u64, u64, u64)]) -> Vec<EvalRecord> {
+    (0..count)
+        .map(|offset| {
+            let (a, b, c) = bits.get(offset % bits.len().max(1)).copied().unwrap_or((0, 0, 0));
+            EvalRecord {
+                index: start + offset,
+                speedup: f64::from_bits(a),
+                cores: f64::from_bits(b),
+                area: f64::from_bits(c),
+            }
+        })
+        .collect()
+}
+
+fn push_response(wire: &mut Vec<u8>, id: u64, response: Response) {
+    wire.extend_from_slice(
+        format!("{}\n", encode_line(&ResponseEnvelope { id, response })).as_bytes(),
+    );
+}
+
+fn sweep_done(scenarios: usize) -> Response {
+    Response::SweepDone {
+        stats: SweepStats {
+            scenarios,
+            valid: scenarios,
+            cache_misses: scenarios as u64,
+            threads: 1,
+            elapsed_seconds: 0.25,
+            ..SweepStats::default()
+        },
+    }
+}
+
+/// An answer that breaks the sweep's contract — a frame past the range, a
+/// gap, a repeated frame, a foreign id, a short `SweepDone`, a `busy` —
+/// ends the collection in an error, decided from the frame header before
+/// its payload is read: a header claiming 2^40 records past the range is
+/// refused as an overrun with no payload behind it, not waited on.
+#[test]
+fn the_sweep_collector_refuses_answers_outside_the_request() {
+    let range = 10..20;
+    let frame = |wire: &mut Vec<u8>, id: u64, start: usize, count: usize| {
+        encode_chunk_frame(wire, id, start, &records_from_bits(start, count, &[(1, 2, 3)]));
+    };
+    let mut cases: Vec<(&str, Vec<u8>, &str)> = Vec::new();
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 1, 10, 6);
+    frame(&mut wire, 1, 16, 6);
+    push_response(&mut wire, 1, sweep_done(12));
+    cases.push(("overrun", wire, "overruns the requested range 10..20"));
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 1, 10, 4);
+    wire.extend_from_slice(b"{\"id\":1,\"frame\":{\"start\":14,\"count\":1099511627776}}\n");
+    cases.push(("a huge overrun, header only", wire, "overruns"));
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 1, 10, 4);
+    frame(&mut wire, 1, 15, 5);
+    cases.push(("gap", wire, "expected start 14, got 15"));
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 1, 10, 5);
+    frame(&mut wire, 1, 10, 5);
+    cases.push(("repeated frame", wire, "expected start 15, got 10"));
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 2, 10, 10);
+    cases.push(("foreign frame id", wire, "response id 2 does not match request id 1"));
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 1, 10, 10);
+    push_response(&mut wire, 2, sweep_done(10));
+    cases.push(("foreign line id", wire, "response id 2 does not match request id 1"));
+
+    let mut wire = Vec::new();
+    frame(&mut wire, 1, 10, 6);
+    push_response(&mut wire, 1, sweep_done(6));
+    cases.push(("short SweepDone", wire, "sweep returned 6 of 10 records"));
+
+    let mut wire = Vec::new();
+    push_response(
+        &mut wire,
+        1,
+        Response::Busy { message: "queue full".into(), estimated_cost_ms: 3.0 },
+    );
+    cases.push(("busy", wire, "server busy: queue full"));
+
+    for (what, wire, why) in cases {
+        let error =
+            collect_sweep(&mut ResponseDecoder::new(), &mut &wire[..], 1, &range).expect_err(what);
+        assert!(error.message.contains(why), "{what}: expected `{why}`, got: {error}");
+        assert_eq!(error.is_busy(), what == "busy", "{what}: {error}");
+    }
+}
+
 /// A raw TCP connection to `endpoint` whose reads give up after ten
 /// seconds, so a server that never answers fails the test instead of
 /// hanging it.
@@ -290,6 +388,69 @@ fn small_server() -> (Endpoint, std::thread::JoinHandle<()>) {
     .unwrap();
     let endpoint = server.endpoint().clone();
     (endpoint, std::thread::spawn(move || server.run().unwrap()))
+}
+
+/// A sweep whose `chunk` is close to `usize::MAX` is one window to the end
+/// of its range: in process and over the socket it returns exactly records
+/// `5..n`, bit-identical to `Engine::sweep_range`, and the server answers on.
+#[test]
+fn a_chunk_near_usize_max_streams_exactly_the_requested_range() {
+    let space = ScenarioSpace::new()
+        .with_budgets(vec![16.0, 256.0])
+        .clear_designs()
+        .add_symmetric_grid((0..24).map(|i| 1.0 + i as f64 * 3.0));
+    let n = space.len();
+    let range = 5..n;
+    let want = Engine::new(1)
+        .sweep_range(
+            &SweepHandle::new(&space),
+            &AnalyticBackend,
+            &SweepConfig::default(),
+            range.clone(),
+        )
+        .records;
+    let same = |got: &[EvalRecord], what: &str| {
+        assert_eq!(got.len(), want.len(), "{what}: record count");
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.index, b.index, "{what}");
+            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "{what} @{}", a.index);
+            assert_eq!(a.cores.to_bits(), b.cores.to_bits(), "{what} @{}", a.index);
+            assert_eq!(a.area.to_bits(), b.area.to_bits(), "{what} @{}", a.index);
+        }
+    };
+
+    let service = SweepService::new(Arc::new(AnalyticBackend), &ServiceConfig::default());
+    for chunk in [usize::MAX, usize::MAX - 7] {
+        let mut ticket = service.begin_sweep(&space, range.clone(), chunk).unwrap();
+        let mut got = Vec::new();
+        while let Some(window) = service.next_window(&mut ticket).unwrap() {
+            got.extend(window);
+        }
+        same(&got, &format!("in process, chunk {chunk}"));
+    }
+
+    let (endpoint, serving) = small_server();
+    let mut socket = raw_connection(&endpoint);
+    let mut decoder = ResponseDecoder::new();
+    for (id, chunk) in [(1u64, usize::MAX), (2, usize::MAX - 7)] {
+        let request = Request::Sweep {
+            space: SpaceSpec::Explicit(space.clone()),
+            start: range.start,
+            end: range.end,
+            chunk,
+        };
+        let line = encode_line(&RequestEnvelope { id, request });
+        socket.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let (got, stats) = collect_sweep(&mut decoder, &mut socket, id, &range)
+            .expect("the server answers before the read deadline");
+        same(&got, &format!("over the socket, chunk {chunk}"));
+        assert_eq!(stats.scenarios, n - 5);
+    }
+    let ping = encode_line(&RequestEnvelope { id: 3, request: Request::Ping });
+    socket.write_all(format!("{ping}\n").as_bytes()).unwrap();
+    assert!(matches!(read_response(&mut socket).response, Response::Pong { .. }));
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    serving.join().unwrap();
 }
 
 /// Two `top_k` requests over a space whose budget axis is `[0]` — which a
@@ -517,6 +678,61 @@ proptest! {
         prop_assert_eq!(encode_line(&whole[3]), encode_line(&done));
     }
 
+    /// One frame decoder, two consumers: a sweep's answer collected straight
+    /// off the bytes ([`collect_sweep`]) equals [`assemble_sweep`] over the
+    /// iterator's envelopes bit for bit, for any records, any chunk size and
+    /// reads of 1 byte, of a random size and of the whole stream — splits
+    /// inside a header and inside an 8-byte word included. The frames
+    /// themselves are the retired text codec's records, byte for byte.
+    #[test]
+    fn collector_and_iterator_assemble_the_same_sweep_bit_for_bit(
+        id in 1u64..(1u64 << 53),
+        start in 0usize..1_000_000usize,
+        bits in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 0..60),
+        chunk in 1usize..17usize,
+        piece in 1usize..4096usize,
+    ) {
+        let records = records_from_bits(start, bits.len(), &bits);
+        let range = start..start + records.len();
+        let mut wire = Vec::new();
+        for (ordinal, slice) in records.chunks(chunk).enumerate() {
+            let at = wire.len();
+            encode_chunk_frame(&mut wire, id, start + ordinal * chunk, slice);
+            prop_assert_eq!(&wire[at..], &oracle_frame(id, start + ordinal * chunk, slice)[..]);
+        }
+        push_response(&mut wire, id, sweep_done(records.len()));
+
+        for piece in [1, piece.min(wire.len()), wire.len()] {
+            let mut source = Pieces { wire: &wire, piece };
+            let (direct, direct_stats) =
+                collect_sweep(&mut ResponseDecoder::new(), &mut source, id, &range).unwrap();
+
+            let mut decoder = ResponseDecoder::new();
+            let mut responses = Vec::new();
+            for bytes in wire.chunks(piece) {
+                decoder.push(bytes);
+                for envelope in decoder.by_ref() {
+                    let envelope = envelope.unwrap();
+                    prop_assert_eq!(envelope.id, id);
+                    responses.push(envelope.response);
+                }
+            }
+            let (assembled, assembled_stats) = assemble_sweep(responses, &range).unwrap();
+
+            prop_assert_eq!(encode_line(&direct_stats), encode_line(&assembled_stats));
+            prop_assert_eq!(direct.len(), records.len());
+            prop_assert_eq!(assembled.len(), records.len());
+            for ((a, b), want) in direct.iter().zip(&assembled).zip(&records) {
+                for got in [a, b] {
+                    prop_assert_eq!(got.index, want.index);
+                    prop_assert_eq!(got.speedup.to_bits(), want.speedup.to_bits());
+                    prop_assert_eq!(got.cores.to_bits(), want.cores.to_bits());
+                    prop_assert_eq!(got.area.to_bits(), want.area.to_bits());
+                }
+            }
+        }
+    }
+
     /// Random byte streams never panic the decoder, and whatever it yields
     /// respects the size cap.
     #[test]
@@ -535,4 +751,40 @@ proptest! {
         }
         prop_assert!(decoder.buffered() <= cap + 2048);
     }
+}
+
+/// A byte source handing out `wire` at most `piece` bytes a read.
+struct Pieces<'a> {
+    wire: &'a [u8],
+    piece: usize,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.piece.min(buf.len()).min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+/// A frame as spelled from the retired text codec's line for the same
+/// records: the header line, then each record's three 16-hex-digit words as
+/// little-endian bytes.
+fn oracle_frame(id: u64, start: usize, records: &[EvalRecord]) -> Vec<u8> {
+    let count = records.len();
+    let mut frame =
+        format!("{{\"id\":{id},\"frame\":{{\"start\":{start},\"count\":{count}}}}}\n").into_bytes();
+    let line = encode_chunk_line(id, start, records);
+    let words = line
+        .split('"')
+        .filter(|field| field.len() == 16 && field.bytes().all(|b| b.is_ascii_hexdigit()));
+    for word in words {
+        frame.extend_from_slice(&u64::from_str_radix(word, 16).unwrap().to_le_bytes());
+    }
+    assert_eq!(
+        frame.len(),
+        frame.iter().position(|&b| b == b'\n').unwrap() + 1 + count * FRAME_RECORD_BYTES
+    );
+    frame
 }
