@@ -265,10 +265,9 @@ pub fn run(args: &[String]) -> ExitCode {
     let config = SweepConfig::default();
 
     // Profiling is opt-in per run: spans cost an allocation each, so the
-    // recorder only arms when an export path was requested.
-    if options.trace.is_some() {
-        mp_obs::profile::Profiler::global().set_enabled(true);
-    }
+    // engine's recorder only arms when an export path was requested.
+    let profiler = engine.registry().profiler();
+    profiler.set_enabled(options.trace.is_some());
 
     let first = engine.sweep(&space, backend.as_ref(), &config);
     // Second pass: answered from the cache when the backend memoises,
@@ -282,9 +281,8 @@ pub fn run(args: &[String]) -> ExitCode {
     let frontier = Pareto::new(&space, CostAxis::Cores).reduce(&first.records);
 
     if let Some(trace_path) = &options.trace {
-        // Both passes' spans (per-window batches, table builds, repeat
-        // sweep) in one timeline, viewable at chrome://tracing or Perfetto.
-        let profiler = mp_obs::profile::Profiler::global();
+        // Both passes' spans (table builds and batches) in one timeline,
+        // viewable at chrome://tracing or Perfetto.
         profiler.set_enabled(false);
         let spans = profiler.take();
         if let Some(parent) = trace_path.parent().filter(|p| !p.as_os_str().is_empty()) {

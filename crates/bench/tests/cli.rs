@@ -137,6 +137,26 @@ fn dse_rerun_is_bit_identical_and_ignores_cache_files() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `repro dse --trace` arms its engine's span recorder and writes chrome
+/// JSON that holds both kinds of span the engine records: the table builds
+/// of `Engine::sweep` and the batches.
+#[test]
+fn dse_trace_export_holds_batch_and_table_build_spans() {
+    let dir = std::env::temp_dir().join(format!("mp-cli-dse-trace-{}", std::process::id()));
+    let trace = dir.join("trace.json");
+    let out = dir.to_str().expect("temp paths are UTF-8");
+    let output =
+        repro(&["dse", "--quick", "--out", out, "--trace", trace.to_str().expect("UTF-8")]);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+
+    let json = std::fs::read_to_string(&trace).expect("the trace file is written");
+    serde_json::parse(&json).expect("the trace is JSON");
+    for kind in ["batch ", "table_build "] {
+        assert!(json.contains(&format!("\"name\":\"{kind}")), "no `{kind}…` span in {json}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Whether the in-process second pass of `repro dse` is answered from the
 /// cache is the backend's property: analytic and measured recompute it
 /// (`rescan_hits` 0), comm and the simulator answer every scenario from the

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::{Counter, Registry};
-use mp_obs::profile::{thread_lane, Profiler};
+use mp_obs::profile::thread_lane;
 use mp_par::{ThreadCtx, ThreadPool};
 use serde::{Deserialize, Serialize};
 
@@ -55,8 +55,9 @@ pub struct EngineMetrics {
     pub cache_misses: Arc<Counter>,
     /// `dse_batch_ms`.
     pub batch_ms: Arc<Histogram>,
-    /// `dse_table_build_ms`, recorded by whoever builds a [`SweepHandle`]
-    /// for this engine: [`Engine::sweep`], or a service preparing a space.
+    /// `dse_table_build_ms`, recorded by [`Engine::build_handle`] for
+    /// whoever builds a [`SweepHandle`] for this engine: [`Engine::sweep`],
+    /// or a service preparing a space.
     pub table_build_ms: Arc<Histogram>,
 }
 
@@ -205,10 +206,26 @@ impl Engine {
         backend: &dyn EvalBackend,
         config: &SweepConfig,
     ) -> SweepResult {
-        let started = std::time::Instant::now();
-        let handle = SweepHandle::new(space);
-        self.metrics.table_build_ms.record(started.elapsed().as_secs_f64() * 1e3);
+        let handle = self.build_handle(space.len(), || SweepHandle::new(space));
         self.sweep_range(&handle, backend, config, 0..handle.len())
+    }
+
+    /// Run `build`, which prepares a [`SweepHandle`] over `scenarios`
+    /// scenarios, timed on `dse_table_build_ms` and under a `table_build`
+    /// span of the registry's profiler.
+    pub fn build_handle<'a>(
+        &self,
+        scenarios: usize,
+        build: impl FnOnce() -> SweepHandle<'a>,
+    ) -> SweepHandle<'a> {
+        let profiler = self.registry.profiler();
+        let _span = profiler
+            .is_enabled()
+            .then(|| profiler.span(&format!("table_build ({scenarios})"), "engine", thread_lane()));
+        let started = std::time::Instant::now();
+        let handle = build();
+        self.metrics.table_build_ms.record(started.elapsed().as_secs_f64() * 1e3);
+        handle
     }
 
     /// Evaluate the contiguous index sub-range `range` of a prepared sweep.
@@ -349,7 +366,7 @@ impl Engine {
             tables,
             backend,
             cache,
-            metrics: &self.metrics,
+            engine: self,
             cache_hits,
             cold_start,
             salt: &salt,
@@ -464,7 +481,7 @@ impl<'a> SweepHandle<'a> {
     /// Prepare a sweep over a borrowed space.
     pub fn new(space: &'a ScenarioSpace) -> Self {
         SweepHandle {
-            tables: build_tables(space),
+            tables: SpaceTables::new(space),
             space: Cow::Borrowed(space),
             fingerprint: OnceLock::new(),
         }
@@ -473,7 +490,7 @@ impl<'a> SweepHandle<'a> {
     /// Prepare a sweep that owns its space (`'static`: storable in caches).
     pub fn owned(space: ScenarioSpace) -> SweepHandle<'static> {
         SweepHandle {
-            tables: build_tables(&space),
+            tables: SpaceTables::new(&space),
             space: Cow::Owned(space),
             fingerprint: OnceLock::new(),
         }
@@ -522,16 +539,6 @@ pub fn space_fingerprint(space: &ScenarioSpace) -> u64 {
     let mut hasher = mp_model::fingerprint::Fnv64::new();
     hasher.write_str(&serde_json::to_string(space).expect("spaces always serialise"));
     hasher.finish()
-}
-
-/// Build the columnar tables for `space`, under a profiler span when one is
-/// recording.
-fn build_tables(space: &ScenarioSpace) -> SpaceTables {
-    let profiler = Profiler::global();
-    let _span = profiler
-        .is_enabled()
-        .then(|| profiler.span(&format!("table_build ({})", space.len()), "engine", thread_lane()));
-    SpaceTables::new(space)
 }
 
 impl std::fmt::Debug for SweepHandle<'_> {
@@ -671,7 +678,8 @@ struct BatchCtx<'a> {
     tables: &'a SpaceTables,
     backend: &'a dyn EvalBackend,
     cache: Option<&'a EvalCache>,
-    metrics: &'a EngineMetrics,
+    /// The sweeping engine: its series and its registry's span recorder.
+    engine: &'a Engine,
     /// `cache_hits`, for a sweep that probes the cache.
     cache_hits: Option<Arc<Counter>>,
     /// The cache was empty when the sweep started: probes are skipped.
@@ -694,7 +702,7 @@ fn process_batch(
     debug_assert_eq!(out.len(), range.len());
     let BatchCtx { space, tables, backend, .. } = *ctx;
     let len = range.len();
-    let profiler = Profiler::global();
+    let profiler = ctx.engine.registry.profiler();
     let _span = profiler.is_enabled().then(|| {
         profiler.span(&format!("batch {}..{}", range.start, range.end), "engine", thread_lane())
     });
@@ -710,7 +718,7 @@ fn process_batch(
                 &mut scratch.speedups[..],
             );
             ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
-            ctx.metrics.cache_misses.add(len as u64);
+            ctx.engine.metrics.cache_misses.add(len as u64);
         }
         Some(cache) => {
             let missing = {
@@ -732,7 +740,7 @@ fn process_batch(
                     // cache's memory traffic for the back-fill.
                     backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
                     ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
-                    ctx.metrics.cache_misses.add(len as u64);
+                    ctx.engine.metrics.cache_misses.add(len as u64);
                     cache.record_bypassed_misses(len as u64);
                     cache.insert_batch(keys, speedups);
                     None
@@ -752,8 +760,8 @@ fn process_batch(
         }
     }
 
-    ctx.metrics.scenarios.add(len as u64);
-    ctx.metrics.batch_ms.record(batch_started.elapsed().as_secs_f64() * 1e3);
+    ctx.engine.metrics.scenarios.add(len as u64);
+    ctx.engine.metrics.batch_ms.record(batch_started.elapsed().as_secs_f64() * 1e3);
     let valid = scratch.speedups.iter().filter(|speedup| speedup.is_finite()).count();
     ctx.valid.fetch_add(valid as u64, Ordering::Relaxed);
 
@@ -796,7 +804,7 @@ fn process_batch_holes(
         // Cold batch: take the backend's columnar fast path.
         backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
         ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
-        ctx.metrics.cache_misses.add(len as u64);
+        ctx.engine.metrics.cache_misses.add(len as u64);
         cache.insert_batch(keys, speedups);
     } else if missing > 0 {
         // Mixed batch: evaluate only the first-probe holes. A hole's
@@ -834,7 +842,7 @@ fn process_batch_holes(
         if let Some(hits) = &ctx.cache_hits {
             hits.add(peeked);
         }
-        ctx.metrics.cache_misses.add(evaluated);
+        ctx.engine.metrics.cache_misses.add(evaluated);
     }
 }
 

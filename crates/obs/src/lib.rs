@@ -13,14 +13,17 @@
 //!   process-wide registry: each owner (in this workspace, each sweep
 //!   engine and the service built on it) holds one and hands it to the
 //!   components that register into it.
-//! * [`trace`] — per-request traces: an id minted when the request line is
-//!   decoded, stamped at each pipeline stage
-//!   (`decode → queue → plan → evaluate → encode → flush`) and committed to
-//!   a bounded [`TraceLog`](trace::TraceLog).
-//! * [`profile`] — a sweep [`Profiler`](profile::Profiler) recording
-//!   per-batch / per-shard / per-window spans, exported as
-//!   chrome://tracing-compatible JSON (load the file in `about:tracing` or
-//!   [Perfetto](https://ui.perfetto.dev)).
+//! * [`profile`] — a span [`Profiler`](profile::Profiler) that is dark
+//!   until armed, exported as chrome://tracing-compatible JSON (load the
+//!   file in `about:tracing` or [Perfetto](https://ui.perfetto.dev)). Each
+//!   registry carries one ([`Registry::profiler`](metrics::Registry::profiler)),
+//!   so whatever reaches a service's registry records into the same
+//!   timeline: the engine's `batch` and `table_build` spans, the service's
+//!   `window` spans, the job manager's `checkpoint` spans and the server's
+//!   request spans, one per socket request, named for its verb. Only
+//!   `repro dse --trace` arms one from the command line; a server's spans
+//!   are read by whoever holds its service, through
+//!   `service.registry().profiler()`.
 //!
 //! The crate is dependency-free by design: every consumer in the workspace
 //! (engine hot loops, the epoll reactor, the global allocator hooks) must be
@@ -48,7 +51,6 @@
 pub mod hist;
 pub mod metrics;
 pub mod profile;
-pub mod trace;
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -59,12 +61,11 @@ pub mod prelude {
     pub use crate::metrics::{Counter, Gauge, Registry, Snapshot};
     pub use crate::monotonic_ns;
     pub use crate::profile::{Profiler, Span};
-    pub use crate::trace::{RequestTrace, Stage, TraceLog};
 }
 
 /// Nanoseconds on the process-wide monotonic clock (anchored at first use).
 ///
-/// Every trace and span timestamp in the workspace comes from this one
+/// Every span and latency timestamp in the workspace comes from this one
 /// clock, so stamps taken on different threads are directly comparable.
 pub fn monotonic_ns() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();

@@ -8,26 +8,24 @@
 //! [`Histogram`]). Lookups by name and snapshots take the registry mutex,
 //! so callers keep the returned `Arc` as a plain handle. Nothing here is
 //! process-wide: a registry belongs to whoever builds it (in this
-//! workspace, each sweep engine).
+//! workspace, each sweep engine), and so does the span [`Profiler`] it
+//! carries.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{Histogram, HistogramSnapshot, LATENCY_BOUNDS_MS};
+use crate::profile::{thread_lane, Profiler};
 
 /// Increment shards per counter; enough that the handful of threads a
 /// 1-CPU-to-few-CPU host runs rarely collide on a cache line.
 const COUNTER_SHARDS: usize = 8;
 
-/// The calling thread's shard slot in `0..shards`. Slots are handed out
-/// round-robin at first use per thread, so up to `shards` concurrent
-/// threads get distinct cache lines.
+/// The calling thread's shard slot in `0..shards`. Slots follow the
+/// threads' [`thread_lane`]s, handed out in first-use order, so up to
+/// `shards` concurrent threads get distinct cache lines.
 pub(crate) fn thread_shard(shards: usize) -> usize {
-    static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
-    }
-    SLOT.with(|slot| *slot % shards)
+    thread_lane() as usize % shards
 }
 
 /// A padded atomic cell: one per shard, one per cache line.
@@ -138,16 +136,23 @@ impl RegistryInner {
 
 /// A named collection of metrics, owned by one component (a sweep engine,
 /// in this workspace) and shared by reference with those that register
-/// into it.
+/// into it, plus the span [`Profiler`] they all record into.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
+    profiler: Profiler,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// The span recorder of everything that registers here, dark until
+    /// [`Profiler::set_enabled`] arms it.
+    pub fn profiler(&self) -> &Profiler {
+        &self.profiler
     }
 
     /// Get or create the counter `name`. Cache the handle — lookup takes
@@ -396,6 +401,17 @@ mod tests {
         registry.histogram_ms("h").record(1.0);
         registry.histogram_ms("h").record(2.0);
         assert_eq!(registry.snapshot().histogram("h").unwrap().count(), 2);
+    }
+
+    #[test]
+    fn each_registry_records_spans_into_its_own_dark_profiler() {
+        let (a, b) = (Registry::new(), Registry::new());
+        drop(a.profiler().span("batch 0..1", "engine", 0));
+        assert!(a.profiler().is_empty(), "dark until armed");
+        a.profiler().set_enabled(true);
+        drop(a.profiler().span("batch 0..1", "engine", 0));
+        assert_eq!(a.profiler().len(), 1);
+        assert!(b.profiler().is_empty() && !b.profiler().is_enabled(), "B is untouched");
     }
 
     #[test]

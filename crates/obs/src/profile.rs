@@ -1,26 +1,35 @@
-//! The sweep profiler: per-batch / per-shard / per-window spans recorded
-//! while enabled, exported as chrome://tracing-compatible JSON.
+//! The span profiler: spans recorded while armed, exported as
+//! chrome://tracing-compatible JSON.
 //!
-//! Disabled (the default) it costs one relaxed atomic load per would-be
-//! span; enabled, each span is a clock pair plus one short mutex push, far
-//! off the per-scenario hot path (spans cover whole batches and windows).
-//! Load the exported file in `about:tracing` or
+//! There is one profiler per [`Registry`](crate::metrics::Registry), reached
+//! as [`Registry::profiler`](crate::metrics::Registry::profiler), and none
+//! per process. Everything built on one sweep engine records into its
+//! registry's profiler: `table_build` and `batch` spans from the engine,
+//! `window` spans from the service, `checkpoint` spans from the job manager
+//! and one span per socket request, named for its verb, from the server.
+//!
+//! Disarmed (the default) it costs one relaxed atomic load per would-be
+//! span; armed, each span is a clock pair plus one short mutex push, far
+//! off the per-scenario hot path (spans cover whole batches, windows and
+//! requests). Load the exported file in `about:tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::monotonic_ns;
 
 /// One completed span on the profiler timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// What the span covers (`"batch"`, `"window"`, `"table_build"`, …).
+    /// What the span covers (`"batch …"`, `"window …"`, `"table_build …"`,
+    /// `"checkpoint …"`, or a request's verb).
     pub name: String,
     /// Coarse grouping shown as the chrome trace category
-    /// (`"engine"`, `"serve"`).
+    /// (`"engine"`, `"serve"`, `"checkpoint"`, `"request"`).
     pub category: &'static str,
-    /// Timeline lane: worker index, shard index, or window ordinal.
+    /// Timeline lane, the chrome trace's thread id: in this workspace, the
+    /// recording thread's [`thread_lane`].
     pub lane: u64,
     /// Start on the process monotonic clock, nanoseconds.
     pub start_ns: u64,
@@ -53,8 +62,8 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// A span recorder that is dark until enabled. Most code uses the
-/// process-wide [`Profiler::global`]; tests instantiate their own.
+/// A span recorder that is dark until enabled. Each
+/// [`Registry`](crate::metrics::Registry) owns one.
 #[derive(Default)]
 pub struct Profiler {
     enabled: AtomicBool,
@@ -65,12 +74,6 @@ impl Profiler {
     /// A fresh, disabled profiler.
     pub fn new() -> Profiler {
         Profiler::default()
-    }
-
-    /// The process-wide profiler the engine and service record into.
-    pub fn global() -> &'static Profiler {
-        static GLOBAL: OnceLock<Profiler> = OnceLock::new();
-        GLOBAL.get_or_init(Profiler::new)
     }
 
     /// Start (or stop) recording spans.

@@ -22,8 +22,6 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use mp_obs::trace::{mint_id, RequestTrace};
-
 use crate::protocol::{LineDecoder, MAX_REQUEST_LINE};
 use crate::server::{ReactorMetrics, Stream};
 use crate::service::SweepTicket;
@@ -59,6 +57,8 @@ pub(crate) enum InFlight {
         id: u64,
         /// The resumable sweep: prepared handle + range cursor + statistics.
         ticket: Box<SweepTicket>,
+        /// When the sweep's request line was decoded.
+        decode_ns: u64,
     },
 }
 
@@ -71,11 +71,9 @@ pub(crate) struct Conn {
     /// Prefix of `outbox` already written.
     written: usize,
     /// Parsed request lines (or receive-side errors to report) awaiting
-    /// dispatch, oldest first, each paired with its request trace (id minted
-    /// and [`Stage::Decode`] stamped when the line left the decoder).
-    ///
-    /// [`Stage::Decode`]: mp_obs::trace::Stage::Decode
-    pub pipeline: VecDeque<(Result<String, String>, RequestTrace)>,
+    /// dispatch, oldest first, each paired with the monotonic-clock
+    /// nanosecond at which it left the decoder.
+    pub pipeline: VecDeque<(Result<String, String>, u64)>,
     pub inflight: InFlight,
     /// Reading is suspended because the pipeline is full.
     pub read_paused: bool,
@@ -150,8 +148,7 @@ impl Conn {
     /// further reads, it never drops input).
     fn drain_lines(&mut self) {
         while let Some(line) = self.decoder.next_line() {
-            let trace = RequestTrace::begin(mint_id(), mp_obs::monotonic_ns());
-            self.pipeline.push_back((line, trace));
+            self.pipeline.push_back((line, mp_obs::monotonic_ns()));
         }
         if self.pipeline.len() >= MAX_PIPELINE && !self.read_paused {
             self.read_paused = true;

@@ -59,7 +59,7 @@ use mp_dse::engine::space_fingerprint;
 use mp_dse::scenario::ScenarioSpace;
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::{Counter, Gauge};
-use mp_obs::profile::{thread_lane, Profiler};
+use mp_obs::profile::thread_lane;
 
 use crate::client::RetryPolicy;
 use crate::protocol::{JobSnapshot, SpaceSpec, DEFAULT_CHUNK};
@@ -188,14 +188,19 @@ struct Job {
     inner: Mutex<JobInner>,
 }
 
-impl Job {
-    fn windows_total(&self) -> usize {
-        (self.end - self.start).div_ceil(self.window)
-    }
+/// The windows a job over `range` runs, in order: `window` scenarios each,
+/// the last one cut at `range.end`. These are the windows a
+/// [`RangeCursor`](mp_dse::engine::RangeCursor) over `range` hands out, and
+/// the one place a job's geometry is tiled.
+fn windows(range: Range<usize>, window: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let end = range.end;
+    // Saturating: a window near `usize::MAX` is one window to the end.
+    range.step_by(window).map(move |lo| lo..lo.saturating_add(window).min(end))
+}
 
-    fn window_range(&self, ordinal: usize) -> Range<usize> {
-        let lo = self.start + ordinal * self.window;
-        lo..lo.saturating_add(self.window).min(self.end)
+impl Job {
+    fn windows(&self) -> impl ExactSizeIterator<Item = Range<usize>> {
+        windows(self.start..self.end, self.window)
     }
 
     fn snapshot(&self) -> JobSnapshot {
@@ -204,9 +209,9 @@ impl Job {
         let scenarios_completed = inner
             .completed
             .iter()
-            .enumerate()
-            .filter(|(_, c)| **c)
-            .map(|(i, _)| self.window_range(i).len())
+            .zip(self.windows())
+            .filter(|(c, _)| **c)
+            .map(|(_, window)| window.len())
             .sum();
         JobSnapshot {
             id: self.id.clone(),
@@ -216,7 +221,7 @@ impl Job {
             start: self.start,
             end: self.end,
             window: self.window,
-            windows_total: self.windows_total(),
+            windows_total: self.windows().len(),
             windows_completed,
             scenarios_completed,
             retries: inner.retries,
@@ -350,7 +355,7 @@ impl Manifest {
                 self.space.len()
             ));
         }
-        let total = (self.end - self.start).div_ceil(self.window);
+        let total = windows(self.start..self.end, self.window).len();
         let mut last: Option<usize> = None;
         for &ordinal in &self.completed {
             if ordinal >= total {
@@ -477,7 +482,7 @@ impl JobManager {
                 JobState::Queued | JobState::Running | JobState::Cancelling => JobState::Suspended,
                 settled => settled,
             };
-            let total = (manifest.end - manifest.start).div_ceil(manifest.window);
+            let total = windows(manifest.start..manifest.end, manifest.window).len();
             let mut completed = vec![false; total];
             for &ordinal in &manifest.completed {
                 completed[ordinal] = true;
@@ -557,7 +562,7 @@ impl JobManager {
             if checkpoint_every == 0 { self.config.checkpoint_every } else { checkpoint_every };
         let fingerprint = space_fingerprint(&space);
         let id = format!("j{:05}", self.seq.fetch_add(1, Ordering::Relaxed));
-        let total = (range.end - range.start).div_ceil(window);
+        let total = windows(range.clone(), window).len();
         let job = Arc::new(Job {
             id: id.clone(),
             space,
@@ -707,7 +712,7 @@ impl JobManager {
             }
         };
         let mut consecutive = 0u32;
-        for ordinal in 0..job.windows_total() {
+        for (ordinal, window) in job.windows().enumerate() {
             if job.inner.lock().completed[ordinal] {
                 continue;
             }
@@ -722,7 +727,7 @@ impl JobManager {
                 if job.cancel.load(Ordering::Relaxed) {
                     return manager.park_cancelled(job);
                 }
-                match manager.service.sweep_handle(&handle, Some(job.window_range(ordinal))) {
+                match manager.service.sweep_handle(&handle, Some(window.clone())) {
                     Ok(_result) => {
                         // Records are not stored: a job's product is the
                         // warmed cache plus the completion record; clients
@@ -810,8 +815,8 @@ impl JobManager {
     /// keeps running with its previous durable state.
     fn checkpoint(&self, job: &Arc<Job>) {
         let started = Instant::now();
-        let profiler = Profiler::global();
-        let _span = profiler
+        let profiler = self.service.registry().profiler();
+        let span = profiler
             .is_enabled()
             .then(|| profiler.span(&format!("checkpoint {}", job.id), "checkpoint", thread_lane()));
         if let Some(dir) = &self.dir {
@@ -820,6 +825,9 @@ impl JobManager {
             }
         }
         self.persist(job);
+        // Recorded before it is counted: a snapshot never counts a
+        // checkpoint whose span is missing.
+        drop(span);
         {
             let mut inner = job.inner.lock();
             inner.checkpoints += 1;
@@ -901,5 +909,34 @@ impl JobManager {
 impl Drop for JobManager {
     fn drop(&mut self) {
         self.kill();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mp_dse::engine::RangeCursor;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any range, any window up to `usize::MAX`: a job runs exactly the
+        /// windows a cursor over its range hands out, and counts them.
+        #[test]
+        fn job_windows_are_the_cursor_windows(
+            start in prop_oneof![0usize..1024, 0usize..usize::MAX, Just(usize::MAX)],
+            window in prop_oneof![1usize..64, 1usize..usize::MAX, Just(usize::MAX)],
+            full in 0usize..8,
+            tail in 0usize..usize::MAX,
+        ) {
+            // At most `full + 1` windows, however large the numbers are.
+            let len = window.saturating_mul(full).saturating_add(tail % window);
+            let range = start..start.saturating_add(len);
+            let mut cursor = RangeCursor::new(range.clone(), window);
+            let expected: Vec<_> = std::iter::from_fn(|| cursor.next_window()).collect();
+            let tiled = super::windows(range.clone(), window);
+            prop_assert_eq!(tiled.len(), expected.len());
+            prop_assert_eq!(tiled.collect::<Vec<_>>(), expected);
+        }
     }
 }

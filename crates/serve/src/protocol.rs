@@ -209,8 +209,8 @@ pub enum Request {
 
 impl Request {
     /// The request's stable verb name: the label used for per-verb metric
-    /// series (`requests_total_<verb>`, `serve_request_ms_<verb>`) and for
-    /// request traces.
+    /// series (`requests_total_<verb>`, `serve_request_ms_<verb>`) and the
+    /// name of the request's span.
     pub fn verb(&self) -> &'static str {
         match self {
             Request::Ping => "ping",

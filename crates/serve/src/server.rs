@@ -47,18 +47,15 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::Counter;
-use mp_obs::trace::{RequestTrace, Stage, TraceLog};
+use mp_obs::profile::{thread_lane, Span};
 
 use crate::conn::{Conn, InFlight, HIGH_WATERMARK, LOW_WATERMARK};
 use crate::protocol::{
-    decode_line, encode_chunk_frame, encode_line, Request, RequestEnvelope, Response,
-    ResponseEnvelope, FRAME_RECORD_BYTES, MAX_FRAME_HEADER,
+    decode_line, encode_chunk_frame, encode_line, RequestEnvelope, Response, ResponseEnvelope,
+    FRAME_RECORD_BYTES, MAX_FRAME_HEADER,
 };
 use crate::reactor::{Poller, Waker, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::service::{Answer, SweepService, SweepTicket};
-
-/// Completed request traces retained per server (oldest evicted first).
-pub const TRACE_LOG_CAPACITY: usize = 4096;
 
 /// Bucket bounds for the pipeline-depth histogram: powers of two up to
 /// [`MAX_PIPELINE`](crate::conn::MAX_PIPELINE).
@@ -190,8 +187,6 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     /// Unix socket path to unlink when the server stops.
     cleanup: Option<PathBuf>,
-    /// Completed request traces, newest [`TRACE_LOG_CAPACITY`] retained.
-    trace_log: Arc<TraceLog>,
     metrics: Arc<ReactorMetrics>,
 }
 
@@ -250,7 +245,6 @@ impl Server {
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
             cleanup,
-            trace_log: Arc::new(TraceLog::new(TRACE_LOG_CAPACITY)),
             metrics,
         })
     }
@@ -258,14 +252,6 @@ impl Server {
     /// The bound endpoint (with the real port for TCP port-0 binds).
     pub fn endpoint(&self) -> &Endpoint {
         &self.endpoint
-    }
-
-    /// The server's request-trace log: every completed request's per-stage
-    /// timestamps, newest [`TRACE_LOG_CAPACITY`] retained. Clone the handle
-    /// before [`Server::run`] consumes the server to inspect traces while
-    /// (or after) it serves.
-    pub fn trace_log(&self) -> Arc<TraceLog> {
-        Arc::clone(&self.trace_log)
     }
 
     /// The resolved reactor sizing (auto knobs filled in).
@@ -323,7 +309,6 @@ impl Server {
                 endpoint: self.endpoint.clone(),
                 conns: HashMap::new(),
                 next_token: FIRST_CONN_TOKEN,
-                trace_log: Arc::clone(&self.trace_log),
                 service: Arc::clone(&self.service),
                 metrics: Arc::clone(&self.metrics),
                 verb_hists: HashMap::new(),
@@ -434,10 +419,10 @@ struct ExecJob {
     token: u64,
     seq: u64,
     kind: JobKind,
-    /// The request's trace (minted at decode). `None` for the continuation
-    /// jobs of a parked streaming sweep — the sweep's trace completed with
-    /// its first window's flush.
-    trace: Option<RequestTrace>,
+    /// When the request's line was decoded. A streamed sweep's
+    /// continuation jobs carry it on, to the flush of the sweep's last
+    /// window.
+    decode_ns: u64,
 }
 
 enum JobKind {
@@ -465,9 +450,10 @@ struct JobDone {
     next: Option<(u64, Box<SweepTicket>)>,
     /// The request was a shutdown: flush, then stop the server.
     shutdown: bool,
-    /// The request's trace, stamped through [`Stage::Encode`]; the event
-    /// loop stamps [`Stage::Flush`] and commits it.
-    trace: Option<RequestTrace>,
+    /// The request's verb (`"invalid"` for a line that is no request).
+    verb: &'static str,
+    /// When the request's line was decoded.
+    decode_ns: u64,
 }
 
 /// One event-loop thread: owns a poller, a waker, and a set of connections.
@@ -482,7 +468,6 @@ struct EventLoop {
     endpoint: Endpoint,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    trace_log: Arc<TraceLog>,
     service: Arc<SweepService>,
     metrics: Arc<ReactorMetrics>,
     /// Per-verb request-latency histograms (`serve_request_ms_<verb>`) in
@@ -562,14 +547,16 @@ impl EventLoop {
                     conn.close_after_flush = true;
                     conn.shutdown_origin = true;
                 }
+                let terminal = done.next.is_none();
                 conn.inflight = match done.next {
-                    Some((id, ticket)) => InFlight::Parked { id, ticket },
+                    Some((id, ticket)) => {
+                        InFlight::Parked { id, ticket, decode_ns: done.decode_ns }
+                    }
                     None => InFlight::Idle,
                 };
                 conn.flush_out();
-                if let Some(mut trace) = done.trace {
-                    trace.stamp(Stage::Flush, mp_obs::monotonic_ns());
-                    self.commit_trace(trace);
+                if terminal {
+                    self.record_request(done.verb, done.decode_ns);
                 }
                 self.pump(done.token);
             }
@@ -607,7 +594,7 @@ impl EventLoop {
             if matches!(conn.inflight, InFlight::Parked { .. })
                 && conn.pending_out() < LOW_WATERMARK
             {
-                let InFlight::Parked { id, ticket } =
+                let InFlight::Parked { id, ticket, decode_ns } =
                     std::mem::replace(&mut conn.inflight, InFlight::Idle)
                 else {
                     unreachable!("matched Parked above");
@@ -620,7 +607,7 @@ impl EventLoop {
                     token,
                     seq,
                     kind: JobKind::Window { id, ticket },
-                    trace: None,
+                    decode_ns,
                 };
                 if self.exec.send(job).is_err() {
                     conn.dead = true;
@@ -633,7 +620,7 @@ impl EventLoop {
             // watermark, so a non-draining client stops consuming executor
             // time entirely.
             if matches!(conn.inflight, InFlight::Idle) && conn.pending_out() < HIGH_WATERMARK {
-                if let Some((line, trace)) = conn.pipeline.pop_front() {
+                if let Some((line, decode_ns)) = conn.pipeline.pop_front() {
                     self.metrics.pipeline_depth.record((conn.pipeline.len() + 1) as f64);
                     let seq = conn.take_seq();
                     conn.inflight = InFlight::Dispatched { seq };
@@ -643,7 +630,7 @@ impl EventLoop {
                         token,
                         seq,
                         kind: JobKind::Line(line),
-                        trace: Some(trace),
+                        decode_ns,
                     };
                     if self.exec.send(job).is_err() {
                         conn.dead = true;
@@ -693,17 +680,28 @@ impl EventLoop {
         }
     }
 
-    /// Commit a flushed trace: record its decode-to-flush latency on the
-    /// verb's histogram and push it into the server's trace log.
-    fn commit_trace(&mut self, trace: RequestTrace) {
-        if let Some(total_ms) = trace.total_ms() {
-            let registry = self.service.registry();
-            let histogram = self.verb_hists.entry(trace.verb).or_insert_with(|| {
-                registry.histogram_ms(&format!("serve_request_ms_{}", trace.verb))
+    /// A request's terminal response has been flushed: record its
+    /// decode-to-flush latency on the verb's histogram and, while the
+    /// service's profiler is armed, a span named for the verb over the same
+    /// interval on this loop's lane.
+    fn record_request(&mut self, verb: &'static str, decode_ns: u64) {
+        let duration_ns = mp_obs::monotonic_ns().saturating_sub(decode_ns);
+        let registry = self.service.registry();
+        let histogram = self
+            .verb_hists
+            .entry(verb)
+            .or_insert_with(|| registry.histogram_ms(&format!("serve_request_ms_{verb}")));
+        histogram.record(duration_ns as f64 / 1e6);
+        let profiler = registry.profiler();
+        if profiler.is_enabled() {
+            profiler.record(Span {
+                name: verb.to_string(),
+                category: "request",
+                lane: thread_lane(),
+                start_ns: decode_ns,
+                duration_ns,
             });
-            histogram.record(total_ms);
         }
-        self.trace_log.push(trace);
     }
 
     /// Stop the whole server: flag, wake every loop, and poke the listener
@@ -727,9 +725,8 @@ impl Drop for EventLoop {
 /// Executor thread body: pull jobs, run them against the service, post the
 /// completion back to the origin loop.
 fn run_executor(service: &SweepService, jobs: &Receiver<ExecJob>) {
-    while let Ok(mut job) = jobs.recv() {
-        stamp(job.trace.as_mut(), Stage::Queue);
-        let done = execute(service, job.token, job.seq, job.kind, job.trace);
+    while let Ok(job) = jobs.recv() {
+        let done = execute(service, job.token, job.seq, job.kind, job.decode_ns);
         // A dropped mailbox just means the loop (or whole server) wound
         // down while this job ran.
         if job.reply.send(LoopMsg::Done(done)).is_ok() {
@@ -739,52 +736,24 @@ fn run_executor(service: &SweepService, jobs: &Receiver<ExecJob>) {
 }
 
 /// Run one job to completion-or-parking, encoding every produced response.
-/// The trace (if any) gets its verb and its [`Stage::Plan`] (sweeps only),
-/// [`Stage::Evaluate`] and [`Stage::Encode`] stamps here and rides back on
-/// the completion.
-fn execute(
-    service: &SweepService,
-    token: u64,
-    seq: u64,
-    kind: JobKind,
-    mut trace: Option<RequestTrace>,
-) -> JobDone {
-    let mut done =
-        JobDone { token, seq, bytes: Vec::new(), next: None, shutdown: false, trace: None };
-    let (id, answer) = match kind {
-        JobKind::Window { id, ticket } => (id, Answer::Sweep(*ticket)),
+/// The completion carries the request's verb and decode time back to the
+/// event loop, which times the request when its terminal response flushes.
+fn execute(service: &SweepService, token: u64, seq: u64, kind: JobKind, decode_ns: u64) -> JobDone {
+    let (id, verb, answer) = match kind {
+        JobKind::Window { id, ticket } => (id, "sweep", Answer::Sweep(*ticket)),
         JobKind::Line(line) => match decode_request(line) {
-            Ok(RequestEnvelope { id, request }) => {
-                let answer = service.handle(&request);
-                if let Some(t) = &mut trace {
-                    t.verb = request.verb();
-                    if matches!(request, Request::Sweep { .. }) {
-                        // The planner has now resolved the prepared space,
-                        // costed the query and ruled on admission.
-                        t.stamp(Stage::Plan, mp_obs::monotonic_ns());
-                    }
-                }
-                (id, answer)
-            }
-            Err(message) => {
-                if let Some(t) = &mut trace {
-                    t.verb = "invalid";
-                }
-                (0, Answer::Response(Response::Error { message }))
-            }
+            Ok(RequestEnvelope { id, request }) => (id, request.verb(), service.handle(&request)),
+            Err(message) => (0, "invalid", Answer::Response(Response::Error { message })),
         },
     };
+    let mut done =
+        JobDone { token, seq, bytes: Vec::new(), next: None, shutdown: false, verb, decode_ns };
     match answer {
-        Answer::Response(response) => {
-            stamp(trace.as_mut(), Stage::Evaluate);
-            done.push_line(id, response);
-        }
+        Answer::Response(response) => done.push_line(id, response),
         // Pull one window of the sweep and frame its chunks, then finish the
         // request (`SweepDone`) or hand the ticket back for parking.
         Answer::Sweep(mut ticket) => {
-            let window = service.next_window(&mut ticket);
-            stamp(trace.as_mut(), Stage::Evaluate);
-            match window {
+            match service.next_window(&mut ticket) {
                 Err(e) => done.push_line(id, e.into_response()),
                 Ok(records) => {
                     let records = records.unwrap_or_default();
@@ -815,8 +784,6 @@ fn execute(
             }
         }
     }
-    stamp(trace.as_mut(), Stage::Encode);
-    done.trace = trace;
     done
 }
 
@@ -833,16 +800,10 @@ fn decode_request(line: Result<String, String>) -> Result<RequestEnvelope, Strin
     Ok(envelope)
 }
 
-/// Stamp `stage` on a trace now (no-op for untraced jobs).
-fn stamp(trace: Option<&mut RequestTrace>, stage: Stage) {
-    if let Some(t) = trace {
-        t.stamp(stage, mp_obs::monotonic_ns());
-    }
-}
-
 impl JobDone {
     /// Append one encoded response line (with its newline) to the output.
-    /// The acknowledgement of a [`Request::Shutdown`] also marks the job as
+    /// The acknowledgement of a
+    /// [`Request::Shutdown`](crate::protocol::Request::Shutdown) also marks the job as
     /// the one that stops the server once it is flushed.
     fn push_line(&mut self, id: u64, response: Response) {
         self.shutdown |= matches!(response, Response::ShuttingDown);

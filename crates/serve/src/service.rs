@@ -56,7 +56,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mp_obs::metrics::{Counter, Gauge, Registry};
-use mp_obs::profile::{thread_lane, Profiler};
+use mp_obs::profile::thread_lane;
 use parking_lot::Mutex;
 
 use mp_dse::analysis::{Pareto, TopK};
@@ -528,12 +528,10 @@ impl SweepService {
         })
     }
 
-    /// Build the handle for `space`, timed on the engine's `dse_table_build_ms`.
+    /// Build the handle for `space`, timed on the engine's `dse_table_build_ms`
+    /// and under its `table_build` span.
     fn build_handle(&self, space: &ScenarioSpace) -> Arc<SweepHandle<'static>> {
-        let started = Instant::now();
-        let handle = SweepHandle::owned(space.clone());
-        self.engine.metrics().table_build_ms.record(started.elapsed().as_secs_f64() * 1e3);
-        Arc::new(handle)
+        Arc::new(self.engine.build_handle(space.len(), || SweepHandle::owned(space.clone())))
     }
 
     /// Evaluate `range` of `space` (`None` = the whole space), returning
@@ -777,7 +775,7 @@ impl SweepService {
         let Some(window) = ticket.cursor.next_window() else {
             return Ok(None);
         };
-        let profiler = Profiler::global();
+        let profiler = self.registry().profiler();
         let _span = profiler.is_enabled().then(|| {
             profiler.span(
                 &format!("window {}..{}", window.start, window.end),

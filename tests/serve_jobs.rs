@@ -471,3 +471,26 @@ fn job_verbs_dispatch_through_the_service_and_answer_without_a_manager() {
         other => panic!("expected an error response, got {other:?}"),
     }
 }
+
+/// A manager whose service has an armed recorder records one `checkpoint`
+/// span there for every checkpoint its snapshot counts.
+#[test]
+fn an_armed_recorder_holds_one_checkpoint_span_per_counted_checkpoint() {
+    let space = space(1024);
+    let service = service(1, Arc::new(AnalyticBackend));
+    service.registry().profiler().set_enabled(true);
+    let manager = JobManager::new(Arc::clone(&service), None, test_config(5)).unwrap();
+    let submitted = manager.submit(space.clone(), 0..space.len(), 128, 2).unwrap();
+    wait_for(&manager, &submitted.id, Duration::from_secs(30), |s| s.state == "completed");
+    // With the runner joined, every checkpoint it took is counted.
+    manager.kill();
+    let done = manager.status(&submitted.id).unwrap();
+    assert!(done.checkpoints >= 4, "cadence 2 over 8 windows, then the final one: {done:?}");
+
+    let spans = service.registry().profiler().take();
+    let checkpoints: Vec<_> = spans.iter().filter(|span| span.category == "checkpoint").collect();
+    assert_eq!(checkpoints.len() as u64, done.checkpoints, "one span per counted checkpoint");
+    for span in checkpoints {
+        assert_eq!(span.name, format!("checkpoint {}", done.id));
+    }
+}

@@ -2,8 +2,9 @@
 //! round-trips the registry snapshot through the real client across engine
 //! sizes, the `stats` response carries the same snapshot, every request
 //! counts once on its per-verb series, two services in one process keep
-//! their series apart, and every socket request leaves exactly one trace
-//! with monotone stage timestamps.
+//! their series and their spans apart, and every socket request leaves
+//! exactly one request span, timed like its `serve_request_ms_<verb>`
+//! sample, from its decode to the flush of its terminal response.
 //!
 //! Each service owns its registry, so the tests assert exact values and run
 //! in parallel.
@@ -14,7 +15,8 @@ use std::sync::Arc;
 use merging_phases::dse::prelude::*;
 use merging_phases::model::explore::Figure;
 use merging_phases::model::params::AppParams;
-use mp_obs::trace::Stage;
+use mp_dse::fault::{FaultPlan, FaultyBackend};
+use mp_obs::profile::Span;
 use mp_serve::prelude::*;
 
 fn space() -> ScenarioSpace {
@@ -33,6 +35,22 @@ fn service(shards: usize) -> SweepService {
         Arc::new(SimBackend::new()),
         &ServiceConfig { shards, threads_per_shard: 2, ..ServiceConfig::default() },
     )
+}
+
+/// Whether `outer` covers `inner` on the one monotonic clock.
+fn contains(outer: &Span, inner: &Span) -> bool {
+    outer.start_ns <= inner.start_ns
+        && inner.start_ns + inner.duration_ns <= outer.start_ns + outer.duration_ns
+}
+
+/// A server's request spans (one per socket request, named for its verb).
+fn is_request(span: &Span) -> bool {
+    span.category == "request"
+}
+
+/// A streamed sweep's per-window spans (`window a..b`).
+fn is_window(span: &Span) -> bool {
+    span.category == "serve" && span.name.starts_with("window ")
 }
 
 /// Pull one named series out of a metrics-snapshot JSON document.
@@ -240,6 +258,8 @@ fn sweep_stats_stay_exact_under_concurrent_queries() {
 fn two_services_in_one_process_keep_their_series_apart() {
     let space = space();
     let (a, b) = (service(1), service(1));
+    // Only A's span recorder is armed, before either service serves.
+    a.registry().profiler().set_enabled(true);
     // B serves a little first, so its series exist and hold values.
     b.handle(&Request::Ping);
     b.sweep(&space, None).unwrap();
@@ -269,17 +289,26 @@ fn two_services_in_one_process_keep_their_series_apart() {
     assert_eq!(requests, [1.0; 3], "A counts its own ping, sweep and top_k");
     assert_eq!(scenarios, 2.0 * space.len() as f64, "A's sweep and top_k");
     assert!(batches > 0.0);
+
+    // A's recorder holds A's batch spans, one per batch on A's own
+    // `dse_batch_ms`, and its sweep's window spans; B's holds nothing.
+    let spans = a.registry().profiler().take();
+    let batch_spans = spans.iter().filter(|span| span.name.starts_with("batch ")).count();
+    assert_eq!(batch_spans as f64, batches, "one span per batch A evaluated, none of B's");
+    assert_eq!(spans.iter().filter(|span| is_window(span)).count(), 1, "A's one-window sweep");
+    assert!(b.registry().profiler().is_empty(), "B's recorder stays empty");
 }
 
 #[test]
-fn every_request_traces_exactly_once_with_monotone_stages() {
-    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service(2))).unwrap();
+fn every_request_records_one_span_timed_like_its_latency_sample() {
+    let service = Arc::new(service(2));
+    service.registry().profiler().set_enabled(true);
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::clone(&service)).unwrap();
     let endpoint = server.endpoint().clone();
-    let trace_log = server.trace_log();
     let serving = std::thread::spawn(move || server.run().unwrap());
 
-    // Drive a mixed load over two connections; every socket request must
-    // produce exactly one trace.
+    // Drive a mixed load over two connections, one request at a time; every
+    // socket request must produce exactly one request span.
     let space = space();
     let mut requests = 0usize;
     for _ in 0..2 {
@@ -296,53 +325,109 @@ fn every_request_traces_exactly_once_with_monotone_stages() {
     requests += 1;
     serving.join().unwrap();
 
-    let traces = trace_log.snapshot();
-    assert_eq!(traces.len(), requests, "one trace per socket request");
+    let spans = service.registry().profiler().take();
+    let request_spans: Vec<&Span> = spans.iter().filter(|span| is_request(span)).collect();
+    let windows: Vec<&Span> = spans.iter().filter(|span| is_window(span)).collect();
+    assert_eq!(request_spans.len(), requests, "one request span per socket request");
 
-    let mut seen: HashMap<u64, usize> = HashMap::new();
-    for trace in &traces {
-        *seen.entry(trace.id).or_default() += 1;
+    let mut verbs: HashMap<&str, Vec<&Span>> = HashMap::new();
+    for span in &request_spans {
+        verbs.entry(span.name.as_str()).or_default().push(span);
     }
-    for (id, occurrences) in &seen {
-        assert_eq!(*occurrences, 1, "request id {id} traced more than once");
+    for (verb, count) in [("ping", 2), ("stats", 2), ("sweep", 2), ("top_k", 2), ("metrics", 2)] {
+        assert_eq!(verbs.get(verb).map_or(0, Vec::len), count, "{verb} request spans");
     }
+    assert_eq!(verbs.get("shutdown").map_or(0, Vec::len), 1, "shutdown request spans");
 
-    let mut verbs: HashMap<&str, usize> = HashMap::new();
-    for trace in &traces {
-        *verbs.entry(trace.verb).or_default() += 1;
-        // Stage timestamps are stamped off one monotonic clock in pipeline
-        // order; every stamped stage must be >= the stages before it.
-        let mut previous = 0u64;
-        for stage in Stage::ALL {
-            let at = trace.stage_ns[stage.index()];
-            if at != 0 {
-                assert!(
-                    at >= previous,
-                    "request {} verb {}: stage {} at {at} precedes {previous}",
-                    trace.id,
-                    trace.verb,
-                    stage.name(),
-                );
-                previous = at;
-            }
-        }
-        // A completed request carries the full pipeline: decode and flush
-        // are stamped for everything the server answered.
-        assert!(trace.stage_ns[Stage::Decode.index()] > 0, "decode stamped");
-        assert!(trace.stage_ns[Stage::Flush.index()] > 0, "flush stamped");
-        assert!(trace.total_ms().unwrap() >= 0.0);
-        // The plan stage is stamped for planned verbs (sweeps) only.
-        let planned = trace.stage_ns[Stage::Plan.index()] > 0;
-        match trace.verb {
-            "sweep" => assert!(planned, "sweeps pass through the planner"),
-            "ping" | "stats" | "metrics" | "shutdown" => {
-                assert!(!planned, "{} requests are not planned", trace.verb)
-            }
-            _ => {}
+    // The requests ran one after another, so each window span lies inside
+    // exactly one request span, and that is a sweep's; the other verbs
+    // pull no windows.
+    assert!(!windows.is_empty());
+    for window in &windows {
+        let owners: Vec<&str> = request_spans
+            .iter()
+            .filter(|span| contains(span, window))
+            .map(|span| span.name.as_str())
+            .collect();
+        assert_eq!(owners, ["sweep"], "{window:?} lies inside exactly one sweep's request span");
+    }
+    for sweep in &verbs["sweep"] {
+        let pulled = windows.iter().filter(|window| contains(sweep, window)).count();
+        assert_eq!(pulled, space.len().div_ceil(DEFAULT_CHUNK), "{sweep:?}: one span a window");
+    }
+    for verb in ["ping", "stats", "metrics", "shutdown"] {
+        for span in &verbs[verb] {
+            assert!(!windows.iter().any(|window| contains(span, window)), "{span:?} has windows");
         }
     }
-    assert_eq!(verbs.get("ping"), Some(&2));
-    assert_eq!(verbs.get("sweep"), Some(&2));
-    assert_eq!(verbs.get("metrics"), Some(&2));
-    assert_eq!(verbs.get("shutdown"), Some(&1));
+
+    // The always-on latency series and the spans time the same intervals.
+    let snapshot = service.registry().snapshot();
+    for (verb, spans) in &verbs {
+        let histogram = snapshot
+            .histogram(&format!("serve_request_ms_{verb}"))
+            .unwrap_or_else(|| panic!("serve_request_ms_{verb} is exported"));
+        assert_eq!(histogram.count(), spans.len() as u64, "{verb}: one sample per span");
+        let span_ms: f64 = spans.iter().map(|span| span.duration_ns as f64 / 1e6).sum();
+        assert!(
+            (histogram.sum - span_ms).abs() <= 1e-9 * span_ms,
+            "{verb}: samples sum to {} ms, spans to {span_ms} ms",
+            histogram.sum
+        );
+    }
+}
+
+/// `serve_request_ms_sweep` runs from the request's decode to the flush of
+/// its last window: over a backend that sleeps in every batch, the sample
+/// of a socket sweep of six windows covers every window span, and the
+/// request span holds one window span per window pulled.
+#[test]
+fn a_streamed_sweeps_latency_sample_covers_every_window() {
+    // Five default-sized windows and a short sixth (a chunk of 0 streams
+    // windows of `DEFAULT_CHUNK` scenarios). Most of the space is on the
+    // budget axis, which keeps the tables cheap to build next to the
+    // windows' injected latency.
+    let space = ScenarioSpace::new()
+        .with_budgets(
+            (0..(5 * DEFAULT_CHUNK + 100).div_ceil(64)).map(|i| 64.0 + i as f64).collect(),
+        )
+        .clear_designs()
+        .add_symmetric_grid((0..64).map(|i| 1.0 + i as f64));
+    let plan = FaultPlan::new();
+    plan.set_latency(std::time::Duration::from_millis(5));
+    let service = Arc::new(SweepService::new(
+        Arc::new(FaultyBackend::new(AnalyticBackend, plan)),
+        &ServiceConfig { shards: 1, threads_per_shard: 1, ..ServiceConfig::default() },
+    ));
+    service.registry().profiler().set_enabled(true);
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::clone(&service)).unwrap();
+    let endpoint = server.endpoint().clone();
+    let serving = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let (records, _) = client.sweep(&space, None, 0).unwrap();
+    assert_eq!(records.len(), space.len());
+    client.shutdown().unwrap();
+    serving.join().unwrap();
+
+    let spans = service.registry().profiler().take();
+    let sweeps: Vec<&Span> =
+        spans.iter().filter(|span| is_request(span) && span.name == "sweep").collect();
+    assert_eq!(sweeps.len(), 1, "one request span for the one sweep");
+    let windows: Vec<&Span> = spans.iter().filter(|span| is_window(span)).collect();
+    assert_eq!(windows.len(), space.len().div_ceil(DEFAULT_CHUNK), "one span per window");
+    for window in &windows {
+        assert!(contains(sweeps[0], window), "{window:?} lies outside {:?}", sweeps[0]);
+    }
+
+    let snapshot = service.registry().snapshot();
+    let histogram = snapshot.histogram("serve_request_ms_sweep").expect("the sweep is timed");
+    assert_eq!(histogram.count(), 1, "one sweep, one sample");
+    let first_start = windows.iter().map(|span| span.start_ns).min().unwrap();
+    let last_end = windows.iter().map(|span| span.start_ns + span.duration_ns).max().unwrap();
+    let sample_ns = histogram.sum * 1e6;
+    assert!(
+        sample_ns >= (last_end - first_start) as f64,
+        "the sample ({sample_ns} ns) ends before the last window does ({} ns after the first began)",
+        last_end - first_start
+    );
 }
