@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use mp_profile::NullSink;
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::runner::{ClusteringWorkload, WorkloadKind};
 
@@ -32,7 +33,7 @@ fn bench_clustering(c: &mut Criterion) {
         group.sample_size(10);
         for &threads in &thread_counts() {
             group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-                b.iter(|| job.run_uninstrumented(t));
+                b.iter(|| job.run(t, &NullSink));
             });
         }
         group.finish();

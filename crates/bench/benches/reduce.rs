@@ -1,7 +1,7 @@
 //! Merging-phase microbenchmarks (`reduce` target): the three reduction
 //! strategies versus the number of partials (threads) and the number of
-//! reduction elements, plus the phase-graph scheduler's instrumented
-//! map-reduce path.
+//! reduction elements, plus the phase scheduler's instrumented map-reduce
+//! path.
 //!
 //! This quantifies the paper's Section II-B/V-E discussion directly: the
 //! serial linear merge grows with the thread count, the tree merge grows
@@ -13,7 +13,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mp_par::reduce::{reduce_elementwise, ReductionStrategy};
-use mp_runtime::{Control, PhaseExec, PhaseGraph, PhaseScheduler, PhasedWorkload};
+use mp_profile::{NullSink, Profiler};
+use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
 
 fn make_partials(threads: usize, elements: usize) -> Vec<Vec<f64>> {
     (0..threads)
@@ -57,13 +58,8 @@ impl PhasedWorkload for MapReduce {
         "bench-map-reduce"
     }
 
-    fn graph(&self) -> PhaseGraph {
-        PhaseGraph::builder(1)
-            .parallel("map")
-            .reduction("merge")
-            .serial("store")
-            .build()
-            .expect("bench graph is valid")
+    fn max_iterations(&self) -> usize {
+        1
     }
 
     fn init(&self, _exec: &PhaseExec<'_>) -> Vec<f64> {
@@ -97,12 +93,12 @@ fn bench_scheduler_map_reduce(c: &mut Criterion) {
         let scheduler = PhaseScheduler::new(threads);
         group.bench_with_input(BenchmarkId::new("instrumented", threads), &threads, |b, _| {
             b.iter(|| {
-                let profiler = mp_profile::Profiler::new("bench", threads);
+                let profiler = Profiler::new("bench", threads);
                 scheduler.run(std::hint::black_box(&workload), &profiler)
             });
         });
         group.bench_with_input(BenchmarkId::new("uninstrumented", threads), &threads, |b, _| {
-            b.iter(|| scheduler.run_uninstrumented(std::hint::black_box(&workload)));
+            b.iter(|| scheduler.run(std::hint::black_box(&workload), &NullSink));
         });
     }
     group.finish();

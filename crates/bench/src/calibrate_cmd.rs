@@ -114,7 +114,7 @@ fn calibrate_jobs(
     for job in workloads {
         let extractor = StreamingExtractor::new(job.kind().name());
         for &threads in thread_counts {
-            job.run_with_sink(threads, &extractor.run_sink(threads));
+            job.run(threads, &extractor.run_sink(threads));
         }
         let calibrated = extractor
             .calibrate()

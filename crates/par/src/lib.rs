@@ -7,9 +7,9 @@
 //! instrumentable:
 //!
 //! * [`pool`] — scoped fork-join execution: [`pool::run_scoped`] and the
-//!   statically chunked [`pool::parallel_for`] / [`pool::parallel_partials`]
-//!   on per-call threads, and [`pool::ThreadPool::run_scoped`], the same
-//!   contract on persistent workers (what every sweep forks on).
+//!   statically chunked [`pool::parallel_partials`] on per-call threads, and
+//!   [`pool::ThreadPool::run_scoped`], the same contract on persistent
+//!   workers (what every sweep forks on).
 //! * [`reduce`] — the three merge implementations analysed by the paper:
 //!   serial linear accumulation, logarithmic tree combining and privatised
 //!   parallel (element-partitioned) reduction, together with operation
@@ -24,7 +24,5 @@
 pub mod pool;
 pub mod reduce;
 
-pub use pool::{parallel_for, parallel_partials, run_scoped, ThreadCtx, ThreadPool};
-pub use reduce::{
-    reduce_elementwise, reduce_partials, ReduceOp, ReduceStats, ReductionStrategy, SumOp,
-};
+pub use pool::{parallel_partials, run_scoped, ThreadCtx, ThreadPool};
+pub use reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};

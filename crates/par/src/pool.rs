@@ -5,7 +5,7 @@
 //! only when every thread has finished, and a worker's panic is re-raised on
 //! the caller with its original payload.
 //!
-//! * [`run_scoped`], [`parallel_for`], [`parallel_partials`] spawn their
+//! * [`run_scoped`] and [`parallel_partials`] spawn their
 //!   threads per call. This is the primitive the clustering workloads use for
 //!   their parallel phases; the per-thread *partial results* returned by
 //!   [`parallel_partials`] are the inputs of the merging phase.
@@ -80,21 +80,6 @@ where
             }
         }
     });
-}
-
-/// Statically-chunked parallel loop over `0..len`: each thread receives one
-/// contiguous chunk and calls `f(ctx, range)` once.
-///
-/// The chunking is deterministic (identical to [`ThreadCtx::chunk`]), which
-/// keeps per-thread partial results reproducible across runs — important for
-/// the instrumentation experiments. Every thread calls `f` exactly once, even
-/// when `len < num_threads` leaves its chunk empty, so per-thread bookkeeping
-/// (one slot per tid) never depends on the data size.
-pub fn parallel_for<F>(num_threads: usize, len: usize, f: F)
-where
-    F: Fn(ThreadCtx, std::ops::Range<usize>) + Sync,
-{
-    run_scoped(num_threads, |ctx| f(ctx, ctx.chunk(len)));
 }
 
 /// Fork-join map producing one *partial result* per thread: thread `tid`
@@ -334,7 +319,7 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     #[test]
@@ -404,19 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_calls_every_thread_even_with_empty_chunks() {
-        // Each thread must be called exactly once regardless of len, so
-        // per-tid bookkeeping never depends on the data size.
-        for len in [0usize, 3, 100] {
-            let calls = AtomicUsize::new(0);
-            parallel_for(16, len, |_ctx, _range| {
-                calls.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(calls.into_inner(), 16, "len={len}");
-        }
-    }
-
-    #[test]
     fn run_scoped_uses_all_threads() {
         let seen = Mutex::new(Vec::new());
         run_scoped(8, |ctx| {
@@ -453,27 +425,6 @@ mod tests {
             });
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn parallel_for_sums_correctly() {
-        let n = 100_000usize;
-        let total = AtomicU64::new(0);
-        parallel_for(7, n, |_ctx, range| {
-            let local: u64 = range.map(|i| i as u64).sum();
-            total.fetch_add(local, Ordering::Relaxed);
-        });
-        let expect: u64 = (0..n as u64).sum();
-        assert_eq!(total.into_inner(), expect);
-    }
-
-    #[test]
-    fn parallel_for_handles_more_threads_than_items() {
-        let count = AtomicUsize::new(0);
-        parallel_for(16, 3, |_ctx, range| {
-            count.fetch_add(range.len(), Ordering::Relaxed);
-        });
-        assert_eq!(count.into_inner(), 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::pool::{chunk_range, parallel_partials, run_scoped};
+use crate::pool::{chunk_range, parallel_partials};
 
 /// How the per-thread partial results are merged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -52,32 +52,6 @@ impl ReductionStrategy {
             ReductionStrategy::TreeLog,
             ReductionStrategy::ParallelPrivatized,
         ]
-    }
-}
-
-/// A binary combine operation over partial results of type `T`.
-pub trait ReduceOp<T>: Sync {
-    /// Combine `other` into `acc`.
-    fn combine(&self, acc: &mut T, other: &T);
-    /// Number of reduction *elements* in one partial (used for bookkeeping).
-    fn elements(&self, value: &T) -> usize;
-}
-
-/// Element-wise sum over `Vec<f64>` partials — the shape of the kmeans /
-/// fuzzy c-means merging phase (per-cluster, per-dimension accumulators).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SumOp;
-
-impl ReduceOp<Vec<f64>> for SumOp {
-    fn combine(&self, acc: &mut Vec<f64>, other: &Vec<f64>) {
-        assert_eq!(acc.len(), other.len(), "partials must have equal length");
-        for (a, b) in acc.iter_mut().zip(other.iter()) {
-            *a += *b;
-        }
-    }
-
-    fn elements(&self, value: &Vec<f64>) -> usize {
-        value.len()
     }
 }
 
@@ -127,56 +101,17 @@ impl ReduceStats {
     }
 }
 
-/// Merge `partials` with the given strategy and combine operation, using up to
-/// `num_threads` threads for the strategies that can exploit them.
-///
-/// Returns the merged result together with the operation counts of the chosen
-/// strategy. For the generic entry point the `ParallelPrivatized` strategy
-/// falls back to the tree implementation (element-partitioning requires the
-/// element-wise representation of [`reduce_elementwise`]); its stats still
-/// reflect the privatised cost model.
-///
-/// # Panics
-/// Panics if `partials` is empty.
-pub fn reduce_partials<T, Op>(
-    mut partials: Vec<T>,
-    op: &Op,
-    strategy: ReductionStrategy,
-    num_threads: usize,
-) -> (T, ReduceStats)
-where
-    T: Send,
-    Op: ReduceOp<T>,
-{
-    assert!(!partials.is_empty(), "cannot reduce zero partials");
-    let elements = op.elements(&partials[0]);
-    let stats = ReduceStats::for_strategy(strategy, partials.len(), elements);
-    let result = match strategy {
-        ReductionStrategy::SerialLinear => {
-            let mut iter = partials.into_iter();
-            let mut acc = iter.next().expect("non-empty");
-            for p in iter {
-                op.combine(&mut acc, &p);
-            }
-            acc
-        }
-        ReductionStrategy::TreeLog | ReductionStrategy::ParallelPrivatized => {
-            let mut slots: Vec<Option<T>> = partials.drain(..).map(Some).collect();
-            tree_reduce(&mut slots, op, num_threads.max(1));
-            slots[0].take().expect("tree reduce leaves the result in slot 0")
-        }
-    };
-    (result, stats)
+/// Add `other` into `acc` element by element.
+fn add_into(acc: &mut [f64], other: &[f64]) {
+    for (a, b) in acc.iter_mut().zip(other) {
+        *a += *b;
+    }
 }
 
 /// Recursive pairwise tree reduction over `slots`, combining the right half
 /// into the left half; the final result ends up in `slots[0]`. When more than
 /// one thread is available the two halves are reduced concurrently.
-fn tree_reduce<T, Op>(slots: &mut [Option<T>], op: &Op, threads: usize)
-where
-    T: Send,
-    Op: ReduceOp<T>,
-{
+fn tree_reduce(slots: &mut [Vec<f64>], threads: usize) {
     let len = slots.len();
     if len <= 1 {
         return;
@@ -185,27 +120,26 @@ where
     let (left, right) = slots.split_at_mut(mid);
     if threads > 1 && right.len() > 1 {
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| tree_reduce(right, op, threads / 2));
-            tree_reduce(left, op, threads - threads / 2);
+            let handle = scope.spawn(|| tree_reduce(right, threads / 2));
+            tree_reduce(left, threads - threads / 2);
             handle.join().expect("tree reduce worker panicked");
         });
     } else {
-        tree_reduce(left, op, 1);
-        tree_reduce(right, op, 1);
+        tree_reduce(left, 1);
+        tree_reduce(right, 1);
     }
-    let rhs = right[0].take().expect("right half reduced");
-    let lhs = left[0].as_mut().expect("left half reduced");
-    op.combine(lhs, &rhs);
+    add_into(&mut left[0], &right[0]);
 }
 
 /// Merge element-wise `Vec<f64>` partials (the kmeans/fuzzy accumulator shape)
-/// with the given strategy.
+/// with the given strategy, using up to `num_threads` threads for the
+/// strategies that can exploit them.
 ///
-/// Unlike [`reduce_partials`] this entry point implements the privatised
-/// parallel strategy faithfully: the element space is split among
-/// `num_threads` threads and each thread sums its slice across *all* partials,
-/// which is exactly the access pattern whose communication cost the paper's
-/// Section V-E models.
+/// The tree strategy combines pairs, the two halves of each level
+/// concurrently. The privatised parallel strategy splits the element space
+/// among `num_threads` threads and each thread sums its slice across *all*
+/// partials, which is exactly the access pattern whose communication cost
+/// the paper's Section V-E models.
 ///
 /// # Panics
 /// Panics if `partials` is empty or the partials have differing lengths.
@@ -225,16 +159,14 @@ pub fn reduce_elementwise(
         ReductionStrategy::SerialLinear => {
             let mut acc = partials[0].clone();
             for p in &partials[1..] {
-                for (a, b) in acc.iter_mut().zip(p.iter()) {
-                    *a += *b;
-                }
+                add_into(&mut acc, p);
             }
             acc
         }
         ReductionStrategy::TreeLog => {
-            let owned: Vec<Vec<f64>> = partials.to_vec();
-            let (r, _) = reduce_partials(owned, &SumOp, ReductionStrategy::TreeLog, num_threads);
-            r
+            let mut slots = partials.to_vec();
+            tree_reduce(&mut slots, num_threads.max(1));
+            slots.swap_remove(0)
         }
         ReductionStrategy::ParallelPrivatized => {
             let threads = num_threads.max(1).min(elements.max(1));
@@ -256,51 +188,6 @@ pub fn reduce_elementwise(
         }
     };
     (result, stats)
-}
-
-/// Convenience: run a full "parallel phase + merging phase" fork-join where
-/// each thread produces an element-wise partial over its chunk of `0..len`
-/// and the partials are merged with `strategy`. Returns the merged vector and
-/// the reduction stats. Used by tests and microbenchmarks.
-pub fn map_reduce_elementwise<F>(
-    num_threads: usize,
-    len: usize,
-    elements: usize,
-    strategy: ReductionStrategy,
-    per_thread: F,
-) -> (Vec<f64>, ReduceStats)
-where
-    F: Fn(usize, std::ops::Range<usize>) -> Vec<f64> + Sync,
-{
-    let partials = parallel_partials(num_threads, len, |ctx, range| {
-        let p = per_thread(ctx.tid, range);
-        assert_eq!(p.len(), elements, "per-thread partial has wrong element count");
-        p
-    });
-    reduce_elementwise(&partials, strategy, num_threads)
-}
-
-/// Run a closure on every thread and merge per-thread `Vec<f64>` partials,
-/// but keep the merging phase on the calling thread (serial linear), the
-/// common pattern in the original MineBench code. Provided for parity tests.
-pub fn fork_join_serial_merge<F>(num_threads: usize, len: usize, per_thread: F) -> Vec<f64>
-where
-    F: Fn(usize, std::ops::Range<usize>) -> Vec<f64> + Sync,
-{
-    let mut result: Option<Vec<f64>> = None;
-    let partials = parallel_partials(num_threads, len, |ctx, range| per_thread(ctx.tid, range));
-    run_scoped(1, |_| {});
-    for p in partials {
-        match &mut result {
-            None => result = Some(p),
-            Some(acc) => {
-                for (a, b) in acc.iter_mut().zip(p.iter()) {
-                    *a += *b;
-                }
-            }
-        }
-    }
-    result.expect("at least one partial")
 }
 
 #[cfg(test)]
@@ -334,18 +221,6 @@ mod tests {
                         assert!((g - e).abs() < 1e-9, "{strategy:?} p={p} x={x}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn generic_reduce_matches_elementwise() {
-        let partials = make_partials(9, 40);
-        let expect = expected_sum(&partials);
-        for strategy in [ReductionStrategy::SerialLinear, ReductionStrategy::TreeLog] {
-            let (got, _) = reduce_partials(partials.clone(), &SumOp, strategy, 4);
-            for (g, e) in got.iter().zip(expect.iter()) {
-                assert!((g - e).abs() < 1e-9);
             }
         }
     }
@@ -431,33 +306,6 @@ mod tests {
             assert!(par.critical_path_ops < tree.critical_path_ops);
             assert!(tree.critical_path_ops < lin.critical_path_ops);
         }
-    }
-
-    #[test]
-    fn map_reduce_elementwise_counts_items() {
-        // Each thread contributes a histogram of its chunk size; the merged
-        // vector must contain the total item count in slot 0.
-        let (merged, stats) = map_reduce_elementwise(
-            6,
-            600,
-            4,
-            ReductionStrategy::ParallelPrivatized,
-            |_tid, range| vec![range.len() as f64, 0.0, 0.0, 0.0],
-        );
-        assert_eq!(merged[0], 600.0);
-        assert_eq!(stats.partials, 6);
-        assert_eq!(stats.elements, 4);
-    }
-
-    #[test]
-    fn fork_join_serial_merge_matches_strategies() {
-        let per_thread = |_tid: usize, range: std::ops::Range<usize>| {
-            vec![range.len() as f64, range.start as f64]
-        };
-        let serial = fork_join_serial_merge(5, 50, per_thread);
-        let (via_reduce, _) =
-            map_reduce_elementwise(5, 50, 2, ReductionStrategy::TreeLog, per_thread);
-        assert_eq!(serial[0], via_reduce[0]);
     }
 
     #[test]

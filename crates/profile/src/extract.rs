@@ -95,21 +95,6 @@ pub fn speedup_series(profiles: &[RunProfile]) -> Vec<(usize, f64)> {
     series
 }
 
-/// Normalised reduction-time growth: reduction time at each thread count over
-/// the single-thread reduction time. This is the series `fored` is fitted
-/// from ("the relative increase in reduction operation time over fcred when
-/// using multiple cores").
-pub fn reduction_growth(profiles: &[RunProfile]) -> Vec<(usize, f64)> {
-    let base = match profiles.iter().find(|p| p.threads == 1) {
-        Some(b) if b.reduction_time() > 0.0 => b.reduction_time(),
-        _ => return Vec::new(),
-    };
-    let mut series: Vec<(usize, f64)> =
-        profiles.iter().map(|p| (p.threads, p.reduction_time() / base)).collect();
-    series.sort_by_key(|&(t, _)| t);
-    series
-}
-
 /// Extract the full parameter set from section totals ([`MeasuredRun`]s) of
 /// the same workload at different thread counts. This is the streaming core:
 /// the phase-graph scheduler's record sink aggregates straight into
@@ -227,15 +212,6 @@ mod tests {
         for w in speedups.windows(2) {
             assert!(w[1].1 >= w[0].1);
         }
-    }
-
-    #[test]
-    fn reduction_growth_tracks_only_the_merging_phase() {
-        let profiles = synthetic_profiles(0.99, 0.5, 1.0);
-        let growth = reduction_growth(&profiles);
-        let (_, g16) = growth.iter().find(|(t, _)| *t == 16).copied().unwrap();
-        // fred_abs·(1 + 15)/fred_abs = 16
-        assert!((g16 - 16.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! * [`phase`] — the phase taxonomy ([`PhaseKind`]) and per-run profiles
 //!   ([`RunProfile`]) holding one timed record per executed phase,
-//! * [`profiler`] — a thread-safe [`Profiler`] that wraps closures in
-//!   wall-clock timers (for real executions) and accepts externally computed
-//!   durations (for the timing simulator),
+//! * [`profiler`] — a thread-safe [`Profiler`] that keeps every record a
+//!   run streams into it,
 //! * [`extract`] — derivation of the paper's parameters (`f`, `fcon`, `fred`,
 //!   `fored`, speedups, serial-growth series) from section totals
 //!   ([`mp_model::calibrate::MeasuredRun`]) or from sets of profiles taken at
@@ -37,4 +36,4 @@ pub use extract::{
 pub use phase::{PhaseKind, PhaseRecord, RunProfile};
 pub use profiler::Profiler;
 pub use report::{render_table, TableRow};
-pub use stream::{NullSink, RecordSink, StreamingExtractor, TeeSink};
+pub use stream::{NullSink, RecordSink, StreamingExtractor};

@@ -1,16 +1,13 @@
 //! A thread-safe phase profiler.
 //!
-//! The [`Profiler`] accumulates [`PhaseRecord`]s for one run. Phases are
-//! usually recorded by wrapping the phase body in [`Profiler::time`]; the
-//! timing simulator instead reports pre-computed durations through
-//! [`Profiler::record_seconds`]. A profiler is cheap to clone-out into a
-//! [`RunProfile`] at the end of the run.
-
-use std::time::Instant;
+//! The [`Profiler`] accumulates [`PhaseRecord`]s for one run: the phase
+//! scheduler streams them in through its [`crate::RecordSink`] impl. A
+//! profiler is cheap to clone-out into a [`RunProfile`] at the end of the
+//! run.
 
 use parking_lot::Mutex;
 
-use crate::phase::{PhaseKind, PhaseRecord, RunProfile};
+use crate::phase::{PhaseRecord, RunProfile};
 
 /// Accumulates timed phases for a single run of a workload.
 #[derive(Debug)]
@@ -18,25 +15,12 @@ pub struct Profiler {
     app: String,
     threads: usize,
     records: Mutex<Vec<PhaseRecord>>,
-    enabled: bool,
 }
 
 impl Profiler {
     /// Create a profiler for a run of `app` at `threads` threads.
     pub fn new(app: impl Into<String>, threads: usize) -> Self {
-        Profiler { app: app.into(), threads, records: Mutex::new(Vec::new()), enabled: true }
-    }
-
-    /// Create a disabled profiler: phase bodies still run, but nothing is
-    /// recorded and the timing overhead is skipped. Useful for benchmarking
-    /// the workloads without instrumentation noise.
-    pub fn disabled() -> Self {
-        Profiler { app: String::new(), threads: 0, records: Mutex::new(Vec::new()), enabled: false }
-    }
-
-    /// Whether this profiler records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Profiler { app: app.into(), threads, records: Mutex::new(Vec::new()) }
     }
 
     /// The thread count this profiler was created for.
@@ -44,32 +28,9 @@ impl Profiler {
         self.threads
     }
 
-    /// Time a closure as one phase and record it.
-    pub fn time<T>(&self, kind: PhaseKind, label: &str, body: impl FnOnce() -> T) -> T {
-        if !self.enabled {
-            return body();
-        }
-        let start = Instant::now();
-        let out = body();
-        let seconds = start.elapsed().as_secs_f64();
-        self.record_seconds(kind, label, seconds);
-        out
-    }
-
-    /// Record a phase whose duration was measured (or simulated) externally.
-    pub fn record_seconds(&self, kind: PhaseKind, label: &str, seconds: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.records.lock().push(PhaseRecord::new(kind, label.to_owned(), seconds, self.threads));
-    }
-
     /// Record a fully-formed phase record (e.g. one carrying per-thread
     /// samples from the phase-graph scheduler).
     pub fn record_phase(&self, record: PhaseRecord) {
-        if !self.enabled {
-            return;
-        }
         self.records.lock().push(record);
     }
 
@@ -96,44 +57,40 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::PhaseKind;
+
+    fn record(kind: PhaseKind, label: &'static str, seconds: f64, threads: usize) -> PhaseRecord {
+        PhaseRecord::new(kind, label, seconds, threads)
+    }
 
     #[test]
-    fn time_records_a_phase_and_returns_the_value() {
+    fn record_phase_keeps_the_record_as_given() {
         let p = Profiler::new("test", 2);
-        let v = p.time(PhaseKind::Parallel, "work", || 40 + 2);
-        assert_eq!(v, 42);
+        p.record_phase(
+            record(PhaseKind::Parallel, "work", 0.5, 2).with_thread_seconds(vec![0.25, 0.5]),
+        );
         let profile = p.finish();
         assert_eq!(profile.records.len(), 1);
         assert_eq!(profile.records[0].kind, PhaseKind::Parallel);
         assert_eq!(profile.records[0].threads, 2);
-        assert!(profile.records[0].seconds >= 0.0);
+        assert_eq!(profile.records[0].thread_seconds, vec![0.25, 0.5]);
     }
 
     #[test]
-    fn record_seconds_stores_exact_duration() {
+    fn recorded_durations_are_stored_exactly() {
         let p = Profiler::new("test", 8);
-        p.record_seconds(PhaseKind::Reduction, "merge", 1.25);
-        p.record_seconds(PhaseKind::Reduction, "merge", 0.75);
+        p.record_phase(record(PhaseKind::Reduction, "merge", 1.25, 8));
+        p.record_phase(record(PhaseKind::Reduction, "merge", 0.75, 8));
         let profile = p.finish();
         assert_eq!(profile.reduction_time(), 2.0);
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let p = Profiler::disabled();
-        assert!(!p.is_enabled());
-        let v = p.time(PhaseKind::Parallel, "work", || 7);
-        assert_eq!(v, 7);
-        p.record_seconds(PhaseKind::Reduction, "merge", 3.0);
-        assert_eq!(p.record_count(), 0);
-    }
-
-    #[test]
     fn snapshot_does_not_consume() {
         let p = Profiler::new("snap", 4);
-        p.record_seconds(PhaseKind::SerialConstant, "check", 0.5);
+        p.record_phase(record(PhaseKind::SerialConstant, "check", 0.5, 1));
         let s1 = p.snapshot();
-        p.record_seconds(PhaseKind::SerialConstant, "check", 0.5);
+        p.record_phase(record(PhaseKind::SerialConstant, "check", 0.5, 1));
         let s2 = p.snapshot();
         assert_eq!(s1.records.len(), 1);
         assert_eq!(s2.records.len(), 2);
@@ -146,7 +103,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..10 {
-                        p.record_seconds(PhaseKind::Parallel, "chunk", 0.01);
+                        p.record_phase(record(PhaseKind::Parallel, "chunk", 0.01, 4));
                     }
                 });
             }

@@ -53,10 +53,6 @@ pub trait RecordSink: Sync {
 }
 
 impl RecordSink for Profiler {
-    fn is_live(&self) -> bool {
-        self.is_enabled()
-    }
-
     fn record(&self, record: PhaseRecord) {
         self.record_phase(record);
     }
@@ -72,36 +68,6 @@ impl RecordSink for NullSink {
     }
 
     fn record(&self, _record: PhaseRecord) {}
-}
-
-/// Broadcast every record to both sinks (e.g. keep a full profile *and*
-/// stream the totals).
-#[derive(Debug)]
-pub struct TeeSink<'a, A: RecordSink + ?Sized, B: RecordSink + ?Sized> {
-    a: &'a A,
-    b: &'a B,
-}
-
-impl<'a, A: RecordSink + ?Sized, B: RecordSink + ?Sized> TeeSink<'a, A, B> {
-    /// Combine two sinks.
-    pub fn new(a: &'a A, b: &'a B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: RecordSink + ?Sized, B: RecordSink + ?Sized> RecordSink for TeeSink<'_, A, B> {
-    fn is_live(&self) -> bool {
-        self.a.is_live() || self.b.is_live()
-    }
-
-    fn record(&self, record: PhaseRecord) {
-        if self.a.is_live() {
-            self.a.record(record.clone());
-        }
-        if self.b.is_live() {
-            self.b.record(record);
-        }
-    }
 }
 
 /// Running per-section sums of one run (one thread count). This is all the
@@ -312,17 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_dead_and_tee_combines() {
-        let null = NullSink;
-        assert!(!null.is_live());
-        let profiler = Profiler::new("tee", 2);
-        let extractor = StreamingExtractor::new("tee");
-        let run = extractor.run_sink(2);
-        let tee = TeeSink::new(&profiler, &run);
-        assert!(tee.is_live());
-        tee.record(PhaseRecord::new(PhaseKind::Parallel, "p", 1.0, 2));
+    fn null_sink_is_dead_and_profiler_is_live() {
+        assert!(!NullSink.is_live());
+        let profiler = Profiler::new("live", 2);
+        assert!(profiler.is_live());
+        profiler.record(PhaseRecord::new(PhaseKind::Parallel, "p", 1.0, 2));
         assert_eq!(profiler.record_count(), 1);
-        assert!(!extractor.is_empty());
     }
 
     #[test]

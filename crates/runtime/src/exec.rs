@@ -1,20 +1,19 @@
 //! The instrumented phase executor.
 //!
 //! A [`PhaseExec`] is the only handle a phased workload receives to run its
-//! phases. Every call
-//!
-//! 1. checks the phase against the workload's declared
-//!    [`PhaseGraph`](crate::graph::PhaseGraph) region (label, kind and
-//!    scaling must match, in declaration order),
-//! 2. executes the phase with the right fork-join primitive,
-//! 3. times it — including one sample per worker thread for fork-join phases
-//!    — and streams a [`PhaseRecord`] into the scheduler's [`RecordSink`].
+//! phases. The method a workload calls fixes the phase's accounting kind —
+//! [`init`](PhaseExec::init) is setup, [`parallel`](PhaseExec::parallel) and
+//! [`parallel_task`](PhaseExec::parallel_task) are parallel work,
+//! [`reduce`](PhaseExec::reduce) and [`reduce_with`](PhaseExec::reduce_with)
+//! are the merging phase, [`serial`](PhaseExec::serial) is constant serial
+//! work. Every call executes the phase with the right fork-join primitive,
+//! times it — including one sample per worker thread for fork-join phases —
+//! and streams a [`PhaseRecord`] into the scheduler's [`RecordSink`].
 //!
 //! The workload never touches a timer or a profiler; the conventions the
 //! paper's accounting depends on (what counts as parallel vs. reduction vs.
 //! constant serial time) live here, once.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use mp_par::pool::{parallel_partials, ThreadCtx};
@@ -22,26 +21,16 @@ use mp_par::reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};
 use mp_profile::stream::RecordSink;
 use mp_profile::{PhaseKind, PhaseRecord};
 
-use crate::graph::{PhaseNodeSpec, Region, Scaling};
-
-/// Executes and instruments the phases of one graph region.
+/// Executes and instruments the phases of one scheduled run.
 pub struct PhaseExec<'a> {
     sink: &'a dyn RecordSink,
     threads: usize,
-    region: Region,
-    expected: Vec<&'a PhaseNodeSpec>,
-    cursor: Cell<usize>,
 }
 
 impl<'a> PhaseExec<'a> {
-    pub(crate) fn new(
-        sink: &'a dyn RecordSink,
-        threads: usize,
-        region: Region,
-        expected: Vec<&'a PhaseNodeSpec>,
-    ) -> Self {
+    pub(crate) fn new(sink: &'a dyn RecordSink, threads: usize) -> Self {
         assert!(threads > 0, "threads must be positive");
-        PhaseExec { sink, threads, region, expected, cursor: Cell::new(0) }
+        PhaseExec { sink, threads }
     }
 
     /// The scheduler's thread count.
@@ -49,89 +38,53 @@ impl<'a> PhaseExec<'a> {
         self.threads
     }
 
-    /// The region this executor serves.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// Advance the conformance cursor to the declared node matching the
-    /// executed phase; panics when the execution deviates from the graph.
-    fn expect(&self, kind: PhaseKind, label: &str) -> &PhaseNodeSpec {
-        let at = self.cursor.get();
-        let Some(node) = self.expected.get(at) else {
-            panic!(
-                "phase `{label}` executed after the last declared node of the {} region",
-                self.region.name()
-            );
-        };
-        assert!(
-            node.label == label,
-            "phase `{label}` executed out of order in the {} region: the graph declares `{}` next",
-            self.region.name(),
-            node.label
-        );
-        assert!(
-            node.kind == kind,
-            "phase `{label}` executed as {:?} but declared as {:?}",
-            kind,
-            node.kind
-        );
-        self.cursor.set(at + 1);
-        node
-    }
-
     fn record(&self, kind: PhaseKind, label: &str, seconds: f64, threads: usize) {
         self.sink.record(PhaseRecord::new(kind, label.to_owned(), seconds, threads));
     }
 
-    /// Run a declared init phase (setup excluded from the paper's
-    /// accounting).
+    /// Run an init phase (setup excluded from the paper's accounting).
     pub fn init<T>(&self, label: &str, body: impl FnOnce() -> T) -> T {
-        self.expect(PhaseKind::Init, label);
         self.timed_serial(PhaseKind::Init, label, body)
     }
 
-    /// Run a declared fully-scaling parallel phase: fork-join over chunks of
-    /// `0..len` with one partial result per thread (in thread order), timing
-    /// every worker individually.
+    /// Run a parallel phase: fork-join over chunks of `0..len` with one
+    /// partial result per thread (in thread order), timing every worker
+    /// individually.
     pub fn parallel<T, F>(&self, label: &str, len: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(ThreadCtx, std::ops::Range<usize>) -> T + Sync,
     {
-        let node = self.expect(PhaseKind::Parallel, label);
-        assert!(
-            node.scaling == Scaling::Full,
-            "phase `{label}` is declared with limited scaling; use `parallel_limited` or `parallel_task`"
+        if !self.sink.is_live() {
+            return parallel_partials(self.threads, len, f);
+        }
+        let start = Instant::now();
+        let timed: Vec<(T, f64)> = parallel_partials(self.threads, len, |ctx, range| {
+            let thread_start = Instant::now();
+            let out = f(ctx, range);
+            (out, thread_start.elapsed().as_secs_f64())
+        });
+        let seconds = start.elapsed().as_secs_f64();
+        let mut results = Vec::with_capacity(timed.len());
+        let mut samples = Vec::with_capacity(timed.len());
+        for (out, sample) in timed {
+            results.push(out);
+            samples.push(sample);
+        }
+        self.sink.record(
+            PhaseRecord::new(PhaseKind::Parallel, label.to_owned(), seconds, self.threads)
+                .with_thread_seconds(samples),
         );
-        self.fork_join(label, self.threads, len, f)
+        results
     }
 
-    /// Run a declared limited-parallelism phase: like [`PhaseExec::parallel`]
-    /// but capped at the thread count the graph declares for this node.
-    pub fn parallel_limited<T, F>(&self, label: &str, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ThreadCtx, std::ops::Range<usize>) -> T + Sync,
-    {
-        let node = self.expect(PhaseKind::Parallel, label);
-        let Scaling::Limited(cap) = node.scaling else {
-            panic!("phase `{label}` is not declared with limited scaling");
-        };
-        self.fork_join(label, self.threads.min(cap), len, f)
-    }
-
-    /// Run a declared parallel phase whose kernel manages its own threads
-    /// (e.g. a recursive tree build). The closure receives the effective
-    /// thread count — the scheduler's, clamped by a `Limited` declaration —
-    /// and the phase is timed as a whole.
-    pub fn parallel_task<T>(&self, label: &str, body: impl FnOnce(usize) -> T) -> T {
-        let node = self.expect(PhaseKind::Parallel, label);
-        let effective = match node.scaling {
-            Scaling::Full => self.threads,
-            Scaling::Limited(cap) => self.threads.min(cap),
-            Scaling::Serial => 1,
-        };
+    /// Run a parallel phase whose kernel manages its own threads (e.g. a
+    /// recursive tree build) on at most `cap` threads — MineBench's
+    /// limited-parallelism kernels. The closure receives the effective thread
+    /// count, `min(threads, cap)`, and the phase is timed as a whole.
+    pub fn parallel_task<T>(&self, label: &str, cap: usize, body: impl FnOnce(usize) -> T) -> T {
+        assert!(cap > 0, "phase `{label}` must allow at least one thread");
+        let effective = self.threads.min(cap);
         if !self.sink.is_live() {
             return body(effective);
         }
@@ -141,15 +94,14 @@ impl<'a> PhaseExec<'a> {
         out
     }
 
-    /// Run the declared merging phase over element-wise partials with the
-    /// given [`ReductionStrategy`], recording the merge as reduction time.
+    /// Run the merging phase over element-wise partials with the given
+    /// [`ReductionStrategy`], recording the merge as reduction time.
     pub fn reduce(
         &self,
         label: &str,
         partials: &[Vec<f64>],
         strategy: ReductionStrategy,
     ) -> (Vec<f64>, ReduceStats) {
-        self.expect(PhaseKind::Reduction, label);
         // The serial-linear merge runs on the calling thread; the tree and
         // privatised merges fan out over the scheduler's workers, and the
         // record reflects that.
@@ -166,21 +118,15 @@ impl<'a> PhaseExec<'a> {
         out
     }
 
-    /// Run a declared merging phase with a custom combine (e.g. hashed group
-    /// tables); the whole closure is recorded as reduction time.
+    /// Run a merging phase with a custom combine (e.g. hashed group tables);
+    /// the whole closure is recorded as reduction time.
     pub fn reduce_with<T>(&self, label: &str, body: impl FnOnce() -> T) -> T {
-        self.expect(PhaseKind::Reduction, label);
         self.timed_serial(PhaseKind::Reduction, label, body)
     }
 
-    /// Run a declared constant serial phase.
+    /// Run a constant serial phase.
     pub fn serial<T>(&self, label: &str, body: impl FnOnce() -> T) -> T {
-        let kind = match self.region {
-            Region::Init => PhaseKind::Init,
-            _ => PhaseKind::SerialConstant,
-        };
-        self.expect(kind, label);
-        self.timed_serial(kind, label, body)
+        self.timed_serial(PhaseKind::SerialConstant, label, body)
     }
 
     fn timed_serial<T>(&self, kind: PhaseKind, label: &str, body: impl FnOnce() -> T) -> T {
@@ -192,69 +138,18 @@ impl<'a> PhaseExec<'a> {
         self.record(kind, label, start.elapsed().as_secs_f64(), 1);
         out
     }
-
-    /// Instrumented fork-join: wall-clock for the whole region plus one
-    /// duration sample per worker.
-    fn fork_join<T, F>(&self, label: &str, threads: usize, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ThreadCtx, std::ops::Range<usize>) -> T + Sync,
-    {
-        if !self.sink.is_live() {
-            return parallel_partials(threads, len, f);
-        }
-        let start = Instant::now();
-        let timed: Vec<(T, f64)> = parallel_partials(threads, len, |ctx, range| {
-            let thread_start = Instant::now();
-            let out = f(ctx, range);
-            (out, thread_start.elapsed().as_secs_f64())
-        });
-        let seconds = start.elapsed().as_secs_f64();
-        let mut results = Vec::with_capacity(timed.len());
-        let mut samples = Vec::with_capacity(timed.len());
-        for (out, sample) in timed {
-            results.push(out);
-            samples.push(sample);
-        }
-        self.sink.record(
-            PhaseRecord::new(PhaseKind::Parallel, label.to_owned(), seconds, threads)
-                .with_thread_seconds(samples),
-        );
-        results
-    }
-
-    /// Number of declared nodes of this region that were actually executed.
-    pub fn executed(&self) -> usize {
-        self.cursor.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PhaseGraph;
+    use mp_profile::stream::NullSink;
     use mp_profile::Profiler;
-
-    fn graph() -> PhaseGraph {
-        PhaseGraph::builder(3)
-            .init("setup")
-            .parallel("work")
-            .parallel_limited("limited", 2)
-            .reduction("merge")
-            .serial("check")
-            .build()
-            .unwrap()
-    }
-
-    fn body_exec<'a>(g: &'a PhaseGraph, sink: &'a Profiler, threads: usize) -> PhaseExec<'a> {
-        PhaseExec::new(sink, threads, Region::Body, g.region_nodes(Region::Body))
-    }
 
     #[test]
     fn phases_record_with_per_thread_samples() {
-        let g = graph();
         let profiler = Profiler::new("t", 4);
-        let exec = body_exec(&g, &profiler, 4);
+        let exec = PhaseExec::new(&profiler, 4);
         let partials = exec.parallel("work", 100, |_ctx, range| range.len() as f64);
         assert_eq!(partials.len(), 4);
         assert_eq!(partials.iter().sum::<f64>(), 100.0);
@@ -268,67 +163,34 @@ mod tests {
 
     #[test]
     fn limited_phase_caps_the_thread_count() {
-        let g = graph();
         let profiler = Profiler::new("t", 8);
-        let exec = body_exec(&g, &profiler, 8);
+        let exec = PhaseExec::new(&profiler, 8);
         exec.parallel("work", 8, |_ctx, r| r.len());
-        let partials = exec.parallel_limited("limited", 8, |_ctx, r| r.len());
-        assert_eq!(partials.len(), 2, "cap of 2 must override 8 scheduler threads");
+        exec.parallel_task("limited", 2, |_threads| ());
         let profile = profiler.finish();
-        assert_eq!(profile.records[1].threads, 2);
-    }
-
-    #[test]
-    fn out_of_order_execution_panics() {
-        let g = graph();
-        let profiler = Profiler::new("t", 2);
-        let exec = body_exec(&g, &profiler, 2);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.reduce_with("merge", || 0);
-        }));
-        assert!(err.is_err(), "merge before work must violate the graph");
-    }
-
-    #[test]
-    fn undeclared_phase_panics() {
-        let g = graph();
-        let profiler = Profiler::new("t", 2);
-        let exec = body_exec(&g, &profiler, 2);
-        exec.parallel("work", 4, |_ctx, r| r.len());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.parallel("not-declared", 4, |_ctx, r| r.len());
-        }));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn kind_mismatch_panics() {
-        let g = graph();
-        let profiler = Profiler::new("t", 2);
-        let exec = body_exec(&g, &profiler, 2);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.serial("work", || 0);
-        }));
-        assert!(err.is_err(), "declared-parallel phase must not run as serial");
+        assert_eq!(profile.records[0].threads, 8);
+        assert_eq!(profile.records[1].threads, 2, "cap of 2 must override 8 scheduler threads");
+        assert!(profile.records[1].thread_seconds.is_empty());
     }
 
     #[test]
     fn dead_sink_skips_instrumentation_but_runs_bodies() {
-        let g = graph();
-        let profiler = Profiler::disabled();
-        let exec = body_exec(&g, &profiler, 2);
+        let exec = PhaseExec::new(&NullSink, 2);
         let partials = exec.parallel("work", 10, |_ctx, r| r.len());
         assert_eq!(partials.iter().sum::<usize>(), 10);
-        assert_eq!(profiler.record_count(), 0);
+        assert_eq!(exec.parallel_task("limited", 4, |threads| threads), 2);
+        let (merged, _) =
+            exec.reduce("merge", &[vec![1.0], vec![2.0]], ReductionStrategy::SerialLinear);
+        assert_eq!(merged, vec![3.0]);
+        assert_eq!(exec.serial("check", || 7), 7);
     }
 
     #[test]
     fn reduce_merges_and_counts() {
-        let g = graph();
         let profiler = Profiler::new("t", 3);
-        let exec = body_exec(&g, &profiler, 3);
+        let exec = PhaseExec::new(&profiler, 3);
         let partials = exec.parallel("work", 30, |_ctx, range| vec![range.len() as f64]);
-        exec.parallel_limited("limited", 0, |_ctx, _r| ());
+        exec.parallel_task("limited", 2, |_threads| ());
         let (merged, stats) = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
         assert_eq!(merged, vec![30.0]);
         assert_eq!(stats.partials, 3);
@@ -341,11 +203,40 @@ mod tests {
 
     #[test]
     fn parallel_task_receives_effective_threads() {
-        let g = graph();
         let profiler = Profiler::new("t", 8);
-        let exec = body_exec(&g, &profiler, 8);
-        exec.parallel("work", 1, |_ctx, r| r.len());
-        let seen = exec.parallel_task("limited", |threads| threads);
-        assert_eq!(seen, 2);
+        let exec = PhaseExec::new(&profiler, 8);
+        assert_eq!(exec.parallel_task("limited", 2, |threads| threads), 2);
+        assert_eq!(exec.parallel_task("uncapped", usize::MAX, |threads| threads), 8);
+    }
+
+    #[test]
+    fn the_called_method_fixes_the_recorded_kind() {
+        let profiler = Profiler::new("t", 2);
+        let exec = PhaseExec::new(&profiler, 2);
+        exec.init("setup", || ());
+        exec.parallel("work", 4, |_ctx, r| r.len());
+        exec.parallel_task("build", 1, |_threads| ());
+        exec.reduce("merge", &[vec![1.0], vec![1.0]], ReductionStrategy::TreeLog);
+        exec.reduce_with("merge-tables", || ());
+        exec.serial("check", || ());
+        let kinds: Vec<(PhaseKind, usize)> =
+            profiler.finish().records.iter().map(|r| (r.kind, r.threads)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (PhaseKind::Init, 1),
+                (PhaseKind::Parallel, 2),
+                (PhaseKind::Parallel, 1),
+                (PhaseKind::Reduction, 2),
+                (PhaseKind::Reduction, 1),
+                (PhaseKind::SerialConstant, 1),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_thread_cap_is_rejected() {
+        PhaseExec::new(&NullSink, 2).parallel_task("build", 0, |_threads| ());
     }
 }

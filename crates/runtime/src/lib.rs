@@ -1,4 +1,4 @@
-//! # mp-runtime — the phase-graph execution runtime
+//! # mp-runtime — the phased-workload execution runtime
 //!
 //! The reproduced paper's whole argument rests on measuring the phase
 //! structure of real workloads — parallel sections, merging (reduction)
@@ -6,18 +6,16 @@
 //! scalability models. This crate makes that structure a first-class runtime
 //! concept instead of a per-workload convention:
 //!
-//! * [`graph`] — a workload *declares* its phase graph ([`PhaseGraph`]):
-//!   init region, a repeated body of parallel kernels + reduction + constant
-//!   serial work, and a finalize region, with per-node thread-scaling
-//!   declarations (full, limited, serial).
 //! * [`exec`] — the [`PhaseExec`] executor runs each phase with the right
-//!   fork-join primitive, checks it against the declaration, and records
-//!   per-phase **and per-thread** timings automatically.
-//! * [`scheduler`] — [`PhaseScheduler`] drives the declared loop
+//!   fork-join primitive and records per-phase **and per-thread** timings
+//!   automatically. The method a workload calls is the phase's kind: there
+//!   is no separate declaration to keep in step with the calls.
+//! * [`scheduler`] — [`PhaseScheduler`] drives a workload's loop
 //!   (init → body* → finalize) and streams the instrumented records into any
 //!   [`mp_profile::stream::RecordSink`]: a [`mp_profile::Profiler`] for full
-//!   profiles, or a [`mp_profile::StreamingExtractor`] that folds them
-//!   straight into model parameters.
+//!   profiles, a [`mp_profile::StreamingExtractor`] that folds them straight
+//!   into model parameters, or a [`mp_profile::NullSink`] for an
+//!   uninstrumented run.
 //!
 //! Any type implementing [`PhasedWorkload`] is a drop-in scenario for the
 //! characterisation sweep, the streaming parameter extraction and — through
@@ -28,6 +26,7 @@
 //! ```
 //! use mp_runtime::prelude::*;
 //! use mp_par::ReductionStrategy;
+//! use mp_profile::Profiler;
 //!
 //! /// Parallel dot-product with an explicit merging phase.
 //! struct Dot(Vec<f64>, Vec<f64>);
@@ -38,14 +37,7 @@
 //!
 //!     fn name(&self) -> &str { "dot" }
 //!
-//!     fn graph(&self) -> PhaseGraph {
-//!         PhaseGraph::builder(1)
-//!             .parallel("multiply")
-//!             .reduction("merge")
-//!             .serial("store")
-//!             .build()
-//!             .unwrap()
-//!     }
+//!     fn max_iterations(&self) -> usize { 1 }
 //!
 //!     fn init(&self, _exec: &PhaseExec<'_>) -> f64 { 0.0 }
 //!
@@ -62,7 +54,9 @@
 //! }
 //!
 //! let x: Vec<f64> = (0..64).map(|i| i as f64).collect();
-//! let (outcome, profile) = PhaseScheduler::new(4).run_profiled(&Dot(x.clone(), x));
+//! let profiler = Profiler::new("dot", 4);
+//! let outcome = PhaseScheduler::new(4).run(&Dot(x.clone(), x), &profiler);
+//! let profile = profiler.finish();
 //! assert_eq!(outcome.output, (0..64).map(|i| (i * i) as f64).sum::<f64>());
 //! assert!(profile.parallel_time() >= 0.0 && profile.reduction_time() >= 0.0);
 //! ```
@@ -72,13 +66,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod exec;
-pub mod graph;
 pub mod scheduler;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::exec::PhaseExec;
-    pub use crate::graph::{GraphError, PhaseGraph, PhaseNodeSpec, Region, Scaling};
     pub use crate::scheduler::{Control, PhaseScheduler, PhasedWorkload, RunOutcome};
 }
 

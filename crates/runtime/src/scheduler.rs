@@ -1,51 +1,49 @@
-//! The phase-graph scheduler.
+//! The phased-workload scheduler.
 //!
-//! [`PhaseScheduler::run`] drives a [`PhasedWorkload`] through its declared
-//! graph — init region once, body region until the workload breaks or the
-//! declared iteration limit is reached, finalize region once — handing the
-//! workload a fresh conformance-checked [`PhaseExec`] per region pass and
-//! streaming every instrumented record into the caller's [`RecordSink`].
+//! [`PhaseScheduler::run`] drives a [`PhasedWorkload`] through its loop —
+//! init once, the body until the workload breaks or its iteration limit is
+//! reached, finalize once — handing the workload a [`PhaseExec`] that
+//! streams every instrumented record into the caller's [`RecordSink`].
 
-use mp_profile::stream::{NullSink, RecordSink};
-use mp_profile::{Profiler, RunProfile};
+use mp_profile::stream::RecordSink;
 
 use crate::exec::PhaseExec;
-use crate::graph::{PhaseGraph, Region};
 
 /// Loop control returned by one body iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
-    /// Run another iteration (until the graph's limit).
+    /// Run another iteration (until the workload's limit).
     Continue,
-    /// The workload converged; skip to the finalize region.
+    /// The workload converged; skip to finalize.
     Break,
 }
 
-/// A workload expressed as a phase graph: declarative structure plus the
-/// phase bodies, executed and instrumented by [`PhaseScheduler`].
+/// A workload expressed as phases, executed and instrumented by
+/// [`PhaseScheduler`]. The [`PhaseExec`] calls it makes are its phase
+/// structure: each call's method fixes the phase's accounting kind.
 ///
 /// The four clustering workloads implement this; anything that does makes
 /// itself a drop-in scenario for the characterisation sweep, the streaming
 /// parameter extraction and (through calibration) the design-space engine.
 pub trait PhasedWorkload {
-    /// Mutable state threaded through the regions.
+    /// Mutable state threaded through the run.
     type State;
-    /// Final result assembled by the finalize region.
+    /// Final result assembled by finalize.
     type Output;
 
     /// Workload name, used for profiles and reports.
     fn name(&self) -> &str;
 
-    /// The declared phase graph. Called once per run; must validate.
-    fn graph(&self) -> PhaseGraph;
+    /// Upper bound on the number of body iterations (1 for a single pass).
+    fn max_iterations(&self) -> usize;
 
-    /// Execute the init region and build the initial state.
+    /// Run the init phases and build the initial state.
     fn init(&self, exec: &PhaseExec<'_>) -> Self::State;
 
-    /// Execute one pass of the body region. `iter` counts from zero.
+    /// Run one pass of the body. `iter` counts from zero.
     fn iteration(&self, state: &mut Self::State, exec: &PhaseExec<'_>, iter: usize) -> Control;
 
-    /// Execute the finalize region and assemble the output.
+    /// Run the finalize phases and assemble the output.
     fn finalize(&self, state: Self::State, exec: &PhaseExec<'_>) -> Self::Output;
 }
 
@@ -79,30 +77,17 @@ impl PhaseScheduler {
     }
 
     /// Run `workload` to completion, streaming instrumented records into
-    /// `sink`.
-    ///
-    /// # Panics
-    /// Panics when the workload's graph fails validation or its execution
-    /// deviates from the declaration (see [`PhaseExec`]).
+    /// `sink` (a [`mp_profile::NullSink`] skips the timing entirely).
     pub fn run<W: PhasedWorkload>(
         &self,
         workload: &W,
         sink: &dyn RecordSink,
     ) -> RunOutcome<W::Output> {
-        let graph = workload.graph();
-        if let Err(e) = graph.validate() {
-            panic!("workload `{}` declares an {e}", workload.name());
-        }
-
-        let init_exec =
-            PhaseExec::new(sink, self.threads, Region::Init, graph.region_nodes(Region::Init));
-        let mut state = workload.init(&init_exec);
-
+        let exec = PhaseExec::new(sink, self.threads);
+        let mut state = workload.init(&exec);
         let mut iterations = 0usize;
         let mut converged = false;
-        for iter in 0..graph.max_iterations() {
-            let exec =
-                PhaseExec::new(sink, self.threads, Region::Body, graph.region_nodes(Region::Body));
+        for iter in 0..workload.max_iterations() {
             let control = workload.iteration(&mut state, &exec, iter);
             iterations += 1;
             if control == Control::Break {
@@ -110,38 +95,15 @@ impl PhaseScheduler {
                 break;
             }
         }
-
-        let final_exec = PhaseExec::new(
-            sink,
-            self.threads,
-            Region::Finalize,
-            graph.region_nodes(Region::Finalize),
-        );
-        let output = workload.finalize(state, &final_exec);
+        let output = workload.finalize(state, &exec);
         RunOutcome { output, iterations, converged }
-    }
-
-    /// Run with a fresh [`Profiler`] and return the output together with the
-    /// collected [`RunProfile`].
-    pub fn run_profiled<W: PhasedWorkload>(
-        &self,
-        workload: &W,
-    ) -> (RunOutcome<W::Output>, RunProfile) {
-        let profiler = Profiler::new(workload.name(), self.threads);
-        let outcome = self.run(workload, &profiler);
-        (outcome, profiler.finish())
-    }
-
-    /// Run without any instrumentation (timing overhead skipped entirely).
-    pub fn run_uninstrumented<W: PhasedWorkload>(&self, workload: &W) -> RunOutcome<W::Output> {
-        self.run(workload, &NullSink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_profile::{PhaseKind, StreamingExtractor};
+    use mp_profile::{NullSink, PhaseKind, Profiler, StreamingExtractor};
 
     /// A miniature kmeans-shaped workload: sums chunks in parallel, merges,
     /// and converges after a fixed number of iterations.
@@ -158,15 +120,8 @@ mod tests {
             "mini"
         }
 
-        fn graph(&self) -> PhaseGraph {
-            PhaseGraph::builder(10)
-                .init("alloc")
-                .parallel("sum-chunks")
-                .reduction("merge")
-                .serial("check")
-                .finalize_serial("report")
-                .build()
-                .unwrap()
+        fn max_iterations(&self) -> usize {
+            10
         }
 
         fn init(&self, exec: &PhaseExec<'_>) -> Self::State {
@@ -197,10 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_runs_the_declared_loop() {
+    fn scheduler_runs_the_workload_loop() {
         let w = MiniWorkload { items: 100, converge_after: 3 };
-        let scheduler = PhaseScheduler::new(4);
-        let (outcome, profile) = scheduler.run_profiled(&w);
+        let profiler = Profiler::new(w.name(), 4);
+        let outcome = PhaseScheduler::new(4).run(&w, &profiler);
+        let profile = profiler.finish();
         let expect: f64 = (0..100).map(|i| i as f64).sum();
         assert_eq!(outcome.output, expect);
         assert_eq!(outcome.iterations, 3);
@@ -215,7 +171,7 @@ mod tests {
     #[test]
     fn iteration_limit_stops_a_non_converging_workload() {
         let w = MiniWorkload { items: 10, converge_after: usize::MAX };
-        let outcome = PhaseScheduler::new(2).run_uninstrumented(&w);
+        let outcome = PhaseScheduler::new(2).run(&w, &NullSink);
         assert_eq!(outcome.iterations, 10);
         assert!(!outcome.converged);
     }
@@ -223,9 +179,9 @@ mod tests {
     #[test]
     fn results_are_thread_count_independent() {
         let w = MiniWorkload { items: 1000, converge_after: 2 };
-        let base = PhaseScheduler::new(1).run_uninstrumented(&w).output;
+        let base = PhaseScheduler::new(1).run(&w, &NullSink).output;
         for threads in [2usize, 3, 8, 16] {
-            assert_eq!(PhaseScheduler::new(threads).run_uninstrumented(&w).output, base);
+            assert_eq!(PhaseScheduler::new(threads).run(&w, &NullSink).output, base);
         }
     }
 

@@ -21,8 +21,8 @@
 use serde::{Deserialize, Serialize};
 
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::Profiler;
-use mp_runtime::{Control, PhaseExec, PhaseGraph, PhaseScheduler, PhasedWorkload};
+use mp_profile::stream::RecordSink;
+use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
 
 use crate::data::Dataset;
 
@@ -94,25 +94,20 @@ impl FuzzyCMeans {
         &self.config
     }
 
-    /// The phase-graph view of this workload over `data`, ready for a
+    /// The phased view of this workload over `data`, ready for a
     /// [`PhaseScheduler`].
     pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedFuzzy<'a> {
         PhasedFuzzy { workload: self, data }
     }
 
-    /// Run fuzzy c-means on `data` with `threads` worker threads, recording
-    /// phases into `profiler` (executed through the phase-graph scheduler).
-    pub fn run(&self, data: &Dataset, threads: usize, profiler: &Profiler) -> FuzzyResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), profiler).output
-    }
-
-    /// Convenience: run without instrumentation.
-    pub fn run_uninstrumented(&self, data: &Dataset, threads: usize) -> FuzzyResult {
-        PhaseScheduler::new(threads).run_uninstrumented(&self.phased(data)).output
+    /// Run fuzzy c-means on `data` with `threads` worker threads, streaming
+    /// every phase record into `sink`.
+    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> FuzzyResult {
+        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
     }
 }
 
-/// [`FuzzyCMeans`] expressed as a phase-graph workload: a parallel membership
+/// [`FuzzyCMeans`] expressed as a phased workload: a parallel membership
 /// kernel, the merging phase over `C·D + C` accumulator elements, a constant
 /// serial centre update, and a final parallel hard-assignment pass.
 pub struct PhasedFuzzy<'a> {
@@ -136,15 +131,8 @@ impl PhasedWorkload for PhasedFuzzy<'_> {
         "fuzzy"
     }
 
-    fn graph(&self) -> PhaseGraph {
-        PhaseGraph::builder(self.workload.config.max_iters)
-            .init("init-centers")
-            .parallel("memberships")
-            .reduction("merge-partials")
-            .serial("recompute-centers")
-            .finalize_parallel("final-assignments")
-            .build()
-            .expect("fuzzy phase graph is valid")
+    fn max_iterations(&self) -> usize {
+        self.workload.config.max_iters
     }
 
     fn init(&self, exec: &PhaseExec<'_>) -> FuzzyState {
@@ -296,6 +284,7 @@ impl PhasedWorkload for PhasedFuzzy<'_> {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
+    use mp_profile::{NullSink, Profiler};
 
     fn tiny_data() -> Dataset {
         DatasetSpec::new(600, 4, 3, 7).generate()
@@ -305,7 +294,7 @@ mod tests {
     fn fuzzy_converges_on_separable_data() {
         let data = tiny_data();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r = fcm.run_uninstrumented(&data, 4);
+        let r = fcm.run(&data, 4, &NullSink);
         assert!(r.iterations <= 50);
         assert!(r.final_delta <= 1e-3 || r.iterations == 50);
         assert_eq!(r.centers.len(), 12);
@@ -316,7 +305,7 @@ mod tests {
     fn centers_are_close_to_generating_centers() {
         let data = DatasetSpec::new(2400, 3, 4, 13).generate();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r = fcm.run_uninstrumented(&data, 4);
+        let r = fcm.run(&data, 4, &NullSink);
         for c in 0..4 {
             let truth = &data.true_centers()[c * 3..(c + 1) * 3];
             let min_d2 = (0..4)
@@ -336,9 +325,9 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         let data = tiny_data();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r1 = fcm.run_uninstrumented(&data, 1);
+        let r1 = fcm.run(&data, 1, &NullSink);
         for threads in [2usize, 5, 8] {
-            let rt = fcm.run_uninstrumented(&data, threads);
+            let rt = fcm.run(&data, threads, &NullSink);
             assert_eq!(r1.iterations, rt.iterations, "threads={threads}");
             for (a, b) in r1.centers.iter().zip(rt.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "threads={threads}");
@@ -350,10 +339,10 @@ mod tests {
     fn result_is_independent_of_reduction_strategy() {
         let data = tiny_data();
         let mut config = FuzzyConfig::for_dataset(&data);
-        let baseline = FuzzyCMeans::new(config).run_uninstrumented(&data, 4);
+        let baseline = FuzzyCMeans::new(config).run(&data, 4, &NullSink);
         for strategy in ReductionStrategy::all() {
             config.reduction = strategy;
-            let r = FuzzyCMeans::new(config).run_uninstrumented(&data, 4);
+            let r = FuzzyCMeans::new(config).run(&data, 4, &NullSink);
             for (a, b) in baseline.centers.iter().zip(r.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "{strategy:?}");
             }
@@ -381,7 +370,7 @@ mod tests {
         // should mostly agree with the ground-truth labels.
         let data = DatasetSpec::new(1500, 3, 3, 21).generate();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r = fcm.run_uninstrumented(&data, 4);
+        let r = fcm.run(&data, 4, &NullSink);
         // Build the best cluster → label mapping by majority vote.
         let mut agree = 0usize;
         for c in 0..3 {
@@ -406,6 +395,6 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let data = tiny_data();
-        FuzzyCMeans::new(FuzzyConfig::default()).run_uninstrumented(&data, 0);
+        FuzzyCMeans::new(FuzzyConfig::default()).run(&data, 0, &NullSink);
     }
 }

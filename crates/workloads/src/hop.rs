@@ -33,8 +33,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use mp_profile::Profiler;
-use mp_runtime::{Control, PhaseExec, PhaseGraph, PhaseScheduler, PhasedWorkload};
+use mp_profile::stream::RecordSink;
+use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
 
 use crate::data::Dataset;
 use crate::kdtree::KdTree;
@@ -91,25 +91,20 @@ impl Hop {
         &self.config
     }
 
-    /// The phase-graph view of this workload over `data`, ready for a
+    /// The phased view of this workload over `data`, ready for a
     /// [`PhaseScheduler`].
     pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedHop<'a> {
         PhasedHop { workload: self, data }
     }
 
-    /// Run HOP on `data` with `threads` worker threads, recording phases into
-    /// `profiler` (executed through the phase-graph scheduler).
-    pub fn run(&self, data: &Dataset, threads: usize, profiler: &Profiler) -> HopResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), profiler).output
-    }
-
-    /// Convenience: run without instrumentation.
-    pub fn run_uninstrumented(&self, data: &Dataset, threads: usize) -> HopResult {
-        PhaseScheduler::new(threads).run_uninstrumented(&self.phased(data)).output
+    /// Run HOP on `data` with `threads` worker threads, streaming every
+    /// phase record into `sink`.
+    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> HopResult {
+        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
     }
 }
 
-/// [`Hop`] expressed as a phase-graph workload: four parallel kernels (the
+/// [`Hop`] expressed as a phased workload: four parallel kernels (the
 /// tree build with limited scaling), the scattered-memory group-table merge,
 /// and the constant serial group filter — a single pass through the body.
 pub struct PhasedHop<'a> {
@@ -133,17 +128,8 @@ impl PhasedWorkload for PhasedHop<'_> {
         "hop"
     }
 
-    fn graph(&self) -> PhaseGraph {
-        PhaseGraph::builder(1)
-            .parallel_limited("build-kdtree", self.workload.config.max_tree_build_threads)
-            .parallel("density")
-            .parallel("hop")
-            .parallel("chase-roots")
-            .parallel("partial-group-tables")
-            .reduction("merge-group-tables")
-            .serial("filter-groups")
-            .build()
-            .expect("hop phase graph is valid")
+    fn max_iterations(&self) -> usize {
+        1
     }
 
     fn init(&self, _exec: &PhaseExec<'_>) -> HopState {
@@ -156,9 +142,11 @@ impl PhasedWorkload for PhasedHop<'_> {
         let k = self.workload.config.neighbors.min(n.saturating_sub(1)).max(1);
 
         // -------- Parallel kernel 1: tree construction (limited scaling). ----
-        let tree = exec.parallel_task("build-kdtree", |build_threads| {
-            KdTree::build(data.values(), data.dims(), build_threads)
-        });
+        let tree = exec.parallel_task(
+            "build-kdtree",
+            self.workload.config.max_tree_build_threads,
+            |build_threads| KdTree::build(data.values(), data.dims(), build_threads),
+        );
 
         // -------- Parallel kernel 2: density estimation. ----------------------
         let densities: Vec<f64> = exec
@@ -289,6 +277,7 @@ impl PhasedWorkload for PhasedHop<'_> {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
+    use mp_profile::{NullSink, Profiler};
 
     fn blobs() -> Dataset {
         // Three well-separated blobs in 3-D.
@@ -304,7 +293,7 @@ mod tests {
         // smooth the density estimate enough that each blob keeps a handful
         // of peaks at most, independent of the data seed.
         let hop = Hop::new(HopConfig { neighbors: 24, ..HopConfig::default() });
-        let r = hop.run_uninstrumented(&data, 4);
+        let r = hop.run(&data, 4, &NullSink);
         assert!(r.groups >= 2, "expected at least two groups, got {}", r.groups);
         assert!(r.groups <= 12, "expected few groups, got {}", r.groups);
         assert_eq!(r.group_of.len(), data.len());
@@ -317,7 +306,7 @@ mod tests {
     #[test]
     fn group_sizes_are_sorted_and_match_assignments() {
         let data = blobs();
-        let r = Hop::new(HopConfig::default()).run_uninstrumented(&data, 3);
+        let r = Hop::new(HopConfig::default()).run(&data, 3, &NullSink);
         assert_eq!(r.group_sizes.len(), r.groups);
         // Sizes recomputed from assignments must match the reported sizes.
         let mut counts = vec![0usize; r.groups];
@@ -333,9 +322,9 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         let data = blobs();
         let hop = Hop::new(HopConfig::default());
-        let r1 = hop.run_uninstrumented(&data, 1);
+        let r1 = hop.run(&data, 1, &NullSink);
         for threads in [2usize, 4, 8] {
-            let rt = hop.run_uninstrumented(&data, threads);
+            let rt = hop.run(&data, threads, &NullSink);
             assert_eq!(r1.groups, rt.groups, "threads={threads}");
             assert_eq!(r1.group_of, rt.group_of, "threads={threads}");
         }
@@ -344,7 +333,7 @@ mod tests {
     #[test]
     fn densities_are_positive_and_peak_inside_blobs() {
         let data = blobs();
-        let r = Hop::new(HopConfig::default()).run_uninstrumented(&data, 2);
+        let r = Hop::new(HopConfig::default()).run(&data, 2, &NullSink);
         assert!(r.densities.iter().all(|&d| d > 0.0));
     }
 
@@ -352,9 +341,9 @@ mod tests {
     fn min_group_size_filters_noise() {
         let data = blobs();
         let permissive = Hop::new(HopConfig { min_group_size: 1, ..Default::default() })
-            .run_uninstrumented(&data, 2);
+            .run(&data, 2, &NullSink);
         let strict = Hop::new(HopConfig { min_group_size: 50, ..Default::default() })
-            .run_uninstrumented(&data, 2);
+            .run(&data, 2, &NullSink);
         assert!(strict.groups <= permissive.groups);
     }
 
@@ -377,7 +366,7 @@ mod tests {
         let spec = DatasetSpec::new(64, 2, 1, 5);
         let data = spec.generate();
         let r = Hop::new(HopConfig { min_group_size: 1, ..Default::default() })
-            .run_uninstrumented(&data, 4);
+            .run(&data, 4, &NullSink);
         assert!(r.groups >= 1);
     }
 
@@ -391,6 +380,6 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let data = blobs();
-        Hop::new(HopConfig::default()).run_uninstrumented(&data, 0);
+        Hop::new(HopConfig::default()).run(&data, 0, &NullSink);
     }
 }

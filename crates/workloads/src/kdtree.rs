@@ -19,8 +19,8 @@ use std::collections::BinaryHeap;
 use serde::{Deserialize, Serialize};
 
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::Profiler;
-use mp_runtime::{Control, PhaseExec, PhaseGraph, PhaseScheduler, PhasedWorkload};
+use mp_profile::stream::RecordSink;
+use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
 
 use crate::data::Dataset;
 
@@ -318,25 +318,20 @@ impl KdTreeWorkload {
         &self.config
     }
 
-    /// The phase-graph view of this workload over `data`, ready for a
+    /// The phased view of this workload over `data`, ready for a
     /// [`PhaseScheduler`].
     pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedKdTree<'a> {
         PhasedKdTree { workload: self, data }
     }
 
-    /// Run the workload on `data` with `threads` worker threads, recording
-    /// phases into `profiler` (executed through the phase-graph scheduler).
-    pub fn run(&self, data: &Dataset, threads: usize, profiler: &Profiler) -> KdTreeResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), profiler).output
-    }
-
-    /// Convenience: run without instrumentation.
-    pub fn run_uninstrumented(&self, data: &Dataset, threads: usize) -> KdTreeResult {
-        PhaseScheduler::new(threads).run_uninstrumented(&self.phased(data)).output
+    /// Run the workload on `data` with `threads` worker threads, streaming
+    /// every phase record into `sink`.
+    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> KdTreeResult {
+        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
     }
 }
 
-/// [`KdTreeWorkload`] expressed as a phase-graph workload.
+/// [`KdTreeWorkload`] expressed as a phased workload.
 pub struct PhasedKdTree<'a> {
     workload: &'a KdTreeWorkload,
     data: &'a Dataset,
@@ -359,15 +354,8 @@ impl PhasedWorkload for PhasedKdTree<'_> {
         "kdtree"
     }
 
-    fn graph(&self) -> PhaseGraph {
-        PhaseGraph::builder(1)
-            .init("measure-extent")
-            .parallel_limited("build-kdtree", self.workload.config.max_tree_build_threads)
-            .parallel("knn-histogram")
-            .reduction("merge-histograms")
-            .serial("summarize")
-            .build()
-            .expect("kd-tree phase graph is valid")
+    fn max_iterations(&self) -> usize {
+        1
     }
 
     fn init(&self, exec: &PhaseExec<'_>) -> KdTreeState {
@@ -403,9 +391,11 @@ impl PhasedWorkload for PhasedKdTree<'_> {
         let scale = state.scale;
 
         // -------- Limited-scaling kernel: tree construction. -----------------
-        let tree = exec.parallel_task("build-kdtree", |build_threads| {
-            KdTree::build(data.values(), data.dims(), build_threads)
-        });
+        let tree = exec.parallel_task(
+            "build-kdtree",
+            self.workload.config.max_tree_build_threads,
+            |build_threads| KdTree::build(data.values(), data.dims(), build_threads),
+        );
 
         // -------- Parallel phase: all-points kNN with per-thread histograms. -
         // Partial layout: [bucket counts (buckets) | distance sum].
@@ -447,6 +437,7 @@ impl PhasedWorkload for PhasedKdTree<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_profile::{NullSink, Profiler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -576,7 +567,7 @@ mod tests {
     fn workload_histogram_counts_every_point() {
         let data = crate::data::DatasetSpec::new(500, 3, 3, 23).generate();
         let w = KdTreeWorkload::new(KdTreeConfig::default());
-        let r = w.run_uninstrumented(&data, 4);
+        let r = w.run(&data, 4, &NullSink);
         assert_eq!(r.queries, 500);
         assert_eq!(r.histogram.len(), KdTreeConfig::default().buckets);
         assert_eq!(r.histogram.iter().sum::<f64>(), 500.0);
@@ -587,9 +578,9 @@ mod tests {
     fn workload_result_is_thread_count_independent() {
         let data = crate::data::DatasetSpec::new(400, 2, 2, 9).generate();
         let w = KdTreeWorkload::new(KdTreeConfig::default());
-        let base = w.run_uninstrumented(&data, 1);
+        let base = w.run(&data, 1, &NullSink);
         for threads in [2usize, 4, 8] {
-            let r = w.run_uninstrumented(&data, threads);
+            let r = w.run(&data, threads, &NullSink);
             assert_eq!(r.histogram, base.histogram, "threads={threads}");
             assert!((r.mean_kth_distance - base.mean_kth_distance).abs() < 1e-9);
         }
@@ -612,13 +603,13 @@ mod tests {
     #[test]
     fn workload_reduction_strategy_does_not_change_the_histogram() {
         let data = crate::data::DatasetSpec::new(300, 3, 3, 5).generate();
-        let base = KdTreeWorkload::new(KdTreeConfig::default()).run_uninstrumented(&data, 4);
+        let base = KdTreeWorkload::new(KdTreeConfig::default()).run(&data, 4, &NullSink);
         for strategy in ReductionStrategy::all() {
             let r = KdTreeWorkload::new(KdTreeConfig {
                 reduction: strategy,
                 ..KdTreeConfig::default()
             })
-            .run_uninstrumented(&data, 4);
+            .run(&data, 4, &NullSink);
             assert_eq!(r.histogram, base.histogram, "{strategy:?}");
         }
     }

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 
 use mp_par::pool::chunk_range;
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::Profiler;
-use mp_runtime::{Control, PhaseExec, PhaseGraph, PhaseScheduler, PhasedWorkload};
+use mp_profile::stream::RecordSink;
+use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
 
 use crate::data::Dataset;
 
@@ -110,25 +110,20 @@ impl KMeans {
         &self.config
     }
 
-    /// The phase-graph view of this workload over `data`, ready for a
+    /// The phased view of this workload over `data`, ready for a
     /// [`PhaseScheduler`].
     pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedKMeans<'a> {
         PhasedKMeans { workload: self, data }
     }
 
-    /// Run k-means on `data` with `threads` worker threads, recording phases
-    /// into `profiler` (executed through the phase-graph scheduler).
-    pub fn run(&self, data: &Dataset, threads: usize, profiler: &Profiler) -> KMeansResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), profiler).output
-    }
-
-    /// Convenience: run without instrumentation.
-    pub fn run_uninstrumented(&self, data: &Dataset, threads: usize) -> KMeansResult {
-        PhaseScheduler::new(threads).run_uninstrumented(&self.phased(data)).output
+    /// Run k-means on `data` with `threads` worker threads, streaming
+    /// every phase record into `sink`.
+    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> KMeansResult {
+        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
     }
 }
 
-/// [`KMeans`] expressed as a phase-graph workload: one parallel
+/// [`KMeans`] expressed as a phased workload: one parallel
 /// assign-and-accumulate kernel, the merging phase over per-thread partials,
 /// and a constant serial centre recomputation, repeated until convergence.
 pub struct PhasedKMeans<'a> {
@@ -153,14 +148,8 @@ impl PhasedWorkload for PhasedKMeans<'_> {
         "kmeans"
     }
 
-    fn graph(&self) -> PhaseGraph {
-        PhaseGraph::builder(self.workload.config.max_iters)
-            .init("init-centers")
-            .parallel("assign-and-accumulate")
-            .reduction("merge-partials")
-            .serial("recompute-centers")
-            .build()
-            .expect("kmeans phase graph is valid")
+    fn max_iterations(&self) -> usize {
+        self.workload.config.max_iters
     }
 
     fn init(&self, exec: &PhaseExec<'_>) -> KMeansState {
@@ -279,6 +268,7 @@ mod tests {
     use super::*;
     use crate::data::DatasetSpec;
     use mp_profile::PhaseKind;
+    use mp_profile::{NullSink, Profiler};
 
     fn tiny_data() -> Dataset {
         DatasetSpec::new(600, 4, 3, 7).generate()
@@ -288,7 +278,7 @@ mod tests {
     fn kmeans_converges_on_separable_data() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let result = km.run_uninstrumented(&data, 4);
+        let result = km.run(&data, 4, &NullSink);
         assert!(result.iterations <= 50);
         assert_eq!(result.centers.len(), 3 * 4);
         assert_eq!(result.assignments.len(), 600);
@@ -302,9 +292,9 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let r1 = km.run_uninstrumented(&data, 1);
+        let r1 = km.run(&data, 1, &NullSink);
         for threads in [2usize, 3, 8] {
-            let rt = km.run_uninstrumented(&data, threads);
+            let rt = km.run(&data, threads, &NullSink);
             assert_eq!(r1.iterations, rt.iterations, "threads={threads}");
             for (a, b) in r1.centers.iter().zip(rt.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "threads={threads}");
@@ -317,10 +307,10 @@ mod tests {
     fn result_is_independent_of_reduction_strategy() {
         let data = tiny_data();
         let mut config = KMeansConfig::for_dataset(&data);
-        let baseline = KMeans::new(config).run_uninstrumented(&data, 4);
+        let baseline = KMeans::new(config).run(&data, 4, &NullSink);
         for strategy in ReductionStrategy::all() {
             config.reduction = strategy;
-            let r = KMeans::new(config).run_uninstrumented(&data, 4);
+            let r = KMeans::new(config).run(&data, 4, &NullSink);
             for (a, b) in baseline.centers.iter().zip(r.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "{strategy:?}");
             }
@@ -331,7 +321,7 @@ mod tests {
     fn recovered_centers_match_generating_centers() {
         let data = DatasetSpec::new(3000, 3, 4, 11).generate();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let result = km.run_uninstrumented(&data, 4);
+        let result = km.run(&data, 4, &NullSink);
         // Every generating centre should have a fitted centre within ~3σ.
         for c in 0..4 {
             let truth = &data.true_centers()[c * 3..(c + 1) * 3];
@@ -366,7 +356,7 @@ mod tests {
     fn single_cluster_degenerates_to_mean() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig { clusters: 1, ..KMeansConfig::default() });
-        let result = km.run_uninstrumented(&data, 2);
+        let result = km.run(&data, 2, &NullSink);
         let d = data.dims();
         let mut mean = vec![0.0; d];
         for i in 0..data.len() {
@@ -387,7 +377,7 @@ mod tests {
     fn more_threads_than_points_is_handled() {
         let data = DatasetSpec::new(10, 2, 2, 3).generate();
         let km = KMeans::new(KMeansConfig { clusters: 2, ..Default::default() });
-        let result = km.run_uninstrumented(&data, 16);
+        let result = km.run(&data, 16, &NullSink);
         assert_eq!(result.assignments.len(), 10);
     }
 
@@ -397,9 +387,9 @@ mod tests {
         // larger after more iterations (k-means monotonically improves SSE).
         let data = tiny_data();
         let one = KMeans::new(KMeansConfig { max_iters: 1, clusters: 3, ..Default::default() })
-            .run_uninstrumented(&data, 4);
+            .run(&data, 4, &NullSink);
         let full = KMeans::new(KMeansConfig { clusters: 3, ..Default::default() })
-            .run_uninstrumented(&data, 4);
+            .run(&data, 4, &NullSink);
         assert!(full.sse <= one.sse + 1e-9);
     }
 
@@ -407,7 +397,7 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let data = tiny_data();
-        KMeans::new(KMeansConfig::default()).run_uninstrumented(&data, 0);
+        KMeans::new(KMeansConfig::default()).run(&data, 0, &NullSink);
     }
 
     #[test]

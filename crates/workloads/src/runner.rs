@@ -4,11 +4,11 @@
 //! the same procedure for every application: run it at 1, 2, 4, … threads,
 //! record the phase profile of each run, and feed the set of profiles to the
 //! parameter extraction. [`ClusteringWorkload`] wraps the applications behind
-//! one interface — every run goes through the `mp-runtime` phase-graph
-//! scheduler — and [`run_sweep`] produces exactly that set of profiles, while
-//! [`ClusteringWorkload::run_with_sink`] streams the scheduler's records
-//! directly into any [`RecordSink`] (e.g. a
-//! [`mp_profile::StreamingExtractor`]) without materialising profiles at all.
+//! one interface — every run goes through the `mp-runtime` scheduler — and
+//! [`run_sweep`] produces exactly that set of profiles, while
+//! [`ClusteringWorkload::run`] streams the scheduler's records directly into
+//! any [`RecordSink`] (e.g. a [`mp_profile::StreamingExtractor`]) without
+//! materialising profiles at all.
 
 use serde::{Deserialize, Serialize};
 
@@ -163,9 +163,10 @@ impl ClusteringWorkload {
         self
     }
 
-    /// Run the job once at `threads` threads through the phase-graph
-    /// scheduler, streaming every instrumented record into `sink`.
-    pub fn run_with_sink(&self, threads: usize, sink: &dyn RecordSink) {
+    /// Run the job once at `threads` threads through the phase scheduler,
+    /// streaming every instrumented record into `sink` (a
+    /// [`mp_profile::NullSink`] runs it uninstrumented).
+    pub fn run(&self, threads: usize, sink: &dyn RecordSink) {
         let scheduler = PhaseScheduler::new(threads);
         match self.kind {
             WorkloadKind::KMeans => {
@@ -186,14 +187,8 @@ impl ClusteringWorkload {
     /// Run the job once at `threads` threads and return its phase profile.
     pub fn run_profiled(&self, threads: usize) -> RunProfile {
         let profiler = Profiler::new(self.kind.name(), threads);
-        self.run_with_sink(threads, &profiler);
+        self.run(threads, &profiler);
         profiler.finish()
-    }
-
-    /// Run the job once at `threads` threads without instrumentation (used by
-    /// wall-clock benchmarks).
-    pub fn run_uninstrumented(&self, threads: usize) {
-        self.run_with_sink(threads, &mp_profile::NullSink);
     }
 }
 
@@ -305,7 +300,7 @@ mod tests {
         let job = ClusteringWorkload::kmeans(tiny());
         let extractor = StreamingExtractor::new(job.kind().name());
         for threads in [1usize, 2, 4] {
-            job.run_with_sink(threads, &extractor.run_sink(threads));
+            job.run(threads, &extractor.run_sink(threads));
         }
         let calibrated = extractor.calibrate().unwrap();
         assert!(calibrated.app_params().f > 0.5, "f = {}", calibrated.app_params().f);
