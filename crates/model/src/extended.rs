@@ -21,6 +21,7 @@ use crate::error::{check_finite, ModelError};
 use crate::growth::GrowthFunction;
 use crate::params::AppParams;
 use crate::perf::PerfModel;
+use crate::prepared::PreparedModel;
 
 /// The extended speedup model of paper Section III.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,6 +78,12 @@ impl ExtendedModel {
         self.params.serial_fraction() * self.serial_multiplier(threads)
     }
 
+    /// The borrowed hot-path view of this model, whose `_from_parts`
+    /// arithmetic is the one encoding of Eq. 4/5.
+    fn prepared(&self) -> PreparedModel<'_> {
+        PreparedModel::new(&self.params, &self.growth, self.perf)
+    }
+
     /// Speedup of a symmetric CMP (paper Eq. 4).
     ///
     /// The serial section (including the grown reduction) runs on one core of
@@ -86,19 +93,14 @@ impl ExtendedModel {
     /// Propagates performance-model validation errors.
     pub fn speedup_symmetric(&self, design: &SymmetricDesign) -> Result<f64, ModelError> {
         let r = design.r();
-        let n = design.budget().total_bce();
         let perf_r = self.perf.perf(r)?;
-        let threads = design.threads();
-        // Single-divide form of `1 / (eff/perf_r + f·r/(perf_r·n))`
-        // (multiply through by `perf_r·n`): algebraically identical, one
-        // IEEE division instead of three. This is the evaluation hot path's
-        // arithmetic — [`PreparedModel`] replicates this exact operation
-        // order and is compared against it bit for bit, so any change here
-        // must be made there too (and the golden curves regenerated).
-        //
-        // [`PreparedModel`]: crate::prepared::PreparedModel
-        let eff = self.effective_serial_fraction(threads);
-        check_finite("extended symmetric speedup", (perf_r * n) / (eff * n + self.params.f * r))
+        let speedup = self.prepared().speedup_symmetric_from_parts(
+            design.budget().total_bce(),
+            r,
+            perf_r,
+            self.growth.eval(design.threads()),
+        );
+        check_finite("extended symmetric speedup", speedup)
     }
 
     /// Speedup of an asymmetric CMP (paper Eq. 5).
@@ -113,15 +115,13 @@ impl ExtendedModel {
     pub fn speedup_asymmetric(&self, design: &AsymmetricDesign) -> Result<f64, ModelError> {
         let perf_l = self.perf.perf(design.rl())?;
         let perf_r = self.perf.perf(design.r())?;
-        let threads = design.threads();
-        // Single-divide form of `1 / (eff/perf_l + f/pt)` (multiply through
-        // by `perf_l·pt`); `PreparedModel` replicates the operation order.
-        let eff = self.effective_serial_fraction(threads);
-        let parallel_throughput = perf_r * design.small_cores() + perf_l;
-        check_finite(
-            "extended asymmetric speedup",
-            (perf_l * parallel_throughput) / (eff * parallel_throughput + self.params.f * perf_l),
-        )
+        let speedup = self.prepared().speedup_asymmetric_from_parts(
+            design.small_cores(),
+            perf_r,
+            perf_l,
+            self.growth.eval(design.threads()),
+        );
+        check_finite("extended asymmetric speedup", speedup)
     }
 
     /// Speedup on `p` identical unit cores (the Figure 3 setting: the baseline
@@ -135,9 +135,9 @@ impl ExtendedModel {
         if !(p.is_finite() && p > 0.0) {
             return Err(ModelError::NonPositive { name: "p", value: p });
         }
-        // Single-divide form of `1 / (eff + f/p)` (multiply through by `p`).
-        let eff = self.effective_serial_fraction(p);
-        check_finite("extended unit-core speedup", p / (eff * p + self.params.f))
+        let speedup =
+            self.prepared().speedup_symmetric_from_parts(p, 1.0, 1.0, self.growth.eval(p));
+        check_finite("extended unit-core speedup", speedup)
     }
 }
 

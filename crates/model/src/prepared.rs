@@ -14,8 +14,9 @@
 //! [`PreparedModel::speedup_symmetric`] / [`PreparedModel::speedup_asymmetric`]
 //! produce exactly the bits the `ExtendedModel` +
 //! [`SymmetricDesign`] / [`AsymmetricDesign`] path produces (`NaN` where that
-//! path errors). The arithmetic below therefore replicates the owned path's
-//! operations and association order verbatim — do not "simplify" expressions
+//! path errors). The `_from_parts` methods are the one encoding of the Eq. 4/5
+//! arithmetic — `ExtendedModel` calls them too — and the golden figure curves
+//! pin their operation and association order: do not "simplify" expressions
 //! here without re-running the bitwise parity tests.
 //!
 //! [`ExtendedModel`]: crate::extended::ExtendedModel
@@ -112,9 +113,9 @@ impl<'a> PreparedModel<'a> {
         perf_r: f64,
         growth_sample: f64,
     ) -> f64 {
-        // Single-divide form of Eq. 4, replicating
-        // `ExtendedModel::speedup_symmetric` verbatim: numerator
-        // `perf_r · n`, denominator `eff·n + f·r`, one IEEE division.
+        // Single-divide form of `1 / (eff/perf_r + f·r/(perf_r·n))`
+        // (multiply through by `perf_r·n`): numerator `perf_r · n`,
+        // denominator `eff·n + f·r`, one IEEE division instead of three.
         let eff = self.effective_serial_fraction_from_sample(growth_sample);
         let speedup = (perf_r * total_bce) / (eff * total_bce + self.f * r);
         if speedup.is_finite() {
@@ -137,8 +138,8 @@ impl<'a> PreparedModel<'a> {
         perf_l: f64,
         growth_sample: f64,
     ) -> f64 {
-        // Single-divide form of Eq. 5, replicating
-        // `ExtendedModel::speedup_asymmetric` verbatim.
+        // Single-divide form of `1 / (eff/perf_l + f/pt)` (multiply through
+        // by `perf_l·pt`).
         let eff = self.effective_serial_fraction_from_sample(growth_sample);
         let parallel_throughput = perf_r * small_cores + perf_l;
         let speedup =
