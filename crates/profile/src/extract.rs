@@ -97,7 +97,7 @@ pub fn speedup_series(profiles: &[RunProfile]) -> Vec<(usize, f64)> {
 
 /// Extract the full parameter set from section totals ([`MeasuredRun`]s) of
 /// the same workload at different thread counts. This is the streaming core:
-/// the phase-graph scheduler's record sink aggregates straight into
+/// the phase scheduler's record sink aggregates straight into
 /// [`MeasuredRun`]s, so extraction never needs the flat per-phase record
 /// lists. A single-thread run must be present; multi-thread runs refine the
 /// `fored` fit and populate the growth/speedup series.

@@ -13,7 +13,7 @@
 //!   `fored`, speedups, serial-growth series) from section totals
 //!   ([`mp_model::calibrate::MeasuredRun`]) or from sets of profiles taken at
 //!   different thread counts,
-//! * [`stream`] — live [`stream::RecordSink`]s: the phase-graph scheduler
+//! * [`stream`] — live [`stream::RecordSink`]s: the phase scheduler
 //!   streams its instrumented records straight into a
 //!   [`stream::StreamingExtractor`], which folds them into per-thread-count
 //!   totals and calibrates the model without flat record lists,

@@ -64,7 +64,7 @@ pub struct PhaseRecord {
     /// Number of threads active during the phase.
     pub threads: usize,
     /// Per-thread durations in seconds, indexed by thread id, when the phase
-    /// was executed through the phase-graph scheduler (empty otherwise). For a
+    /// was executed through the phase scheduler (empty otherwise). For a
     /// fork-join phase `seconds` is the wall-clock of the whole region while
     /// these samples expose the per-worker imbalance.
     pub thread_seconds: Vec<f64>,

@@ -29,7 +29,7 @@ impl Profiler {
     }
 
     /// Record a fully-formed phase record (e.g. one carrying per-thread
-    /// samples from the phase-graph scheduler).
+    /// samples from the phase scheduler).
     pub fn record_phase(&self, record: PhaseRecord) {
         self.records.lock().push(record);
     }

@@ -1,7 +1,7 @@
 //! Streaming record sinks: from scheduler instrumentation to calibration
 //! without intermediate flat record lists.
 //!
-//! The phase-graph scheduler (`mp-runtime`) emits one [`PhaseRecord`] per
+//! The phase scheduler (`mp-runtime`) emits one [`PhaseRecord`] per
 //! executed phase. A [`RecordSink`] receives them as they happen; two sinks
 //! are provided:
 //!
@@ -40,7 +40,7 @@ use crate::extract::{extract_params_from_runs, ExtractedParams};
 use crate::phase::{PhaseKind, PhaseRecord, RunProfile};
 use crate::profiler::Profiler;
 
-/// A consumer of phase records, fed live by the phase-graph scheduler.
+/// A consumer of phase records, fed live by the phase scheduler.
 pub trait RecordSink: Sync {
     /// Whether the sink wants records at all. Schedulers may skip the timing
     /// overhead entirely when this returns `false`.

@@ -10,7 +10,7 @@
 //!   behind a checksum line) holding the space itself, its fingerprint,
 //!   the window geometry and the completed-window set, written atomically
 //!   (tmp file + fsync + rename, see [`atomic_write`]);
-//! * one binary **cache segment spill** (`cache-shard-0.seg`, the
+//! * one binary **cache segment spill** (`cache.seg`, the
 //!   [`EvalCache`] segment format), so a restarted process re-evaluates
 //!   only the windows the manifest says are incomplete and answers the
 //!   rest from the warmed cache. A service whose backend does not memoise

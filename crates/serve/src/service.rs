@@ -202,6 +202,9 @@ fn busy(message: impl Into<String>, estimated_cost_ms: f64) -> ServeError {
 /// alive through their `Arc`).
 const MAX_PREPARED: usize = 32;
 
+/// File name of the cache spill inside a durable-job store.
+const CACHE_SEGMENT: &str = "cache.seg";
+
 /// The prepared-handle cache: fingerprint-keyed, LRU-bounded.
 #[derive(Default)]
 struct PreparedCache {
@@ -327,7 +330,7 @@ impl SweepService {
     }
 
     /// Spill the engine's [`EvalCache`] to `dir` as one binary segment file
-    /// (`cache-shard-0.seg`), written atomically (tmp file + fsync + rename).
+    /// (`cache.seg`), written atomically (tmp file + fsync + rename).
     /// Returns the number of entries spilled. Part of a durable job's
     /// checkpoint; also callable on its own for an orderly shutdown. A
     /// service that does not [memoise](SweepService::memoises) has nothing
@@ -341,37 +344,30 @@ impl SweepService {
         }
         std::fs::create_dir_all(dir)?;
         let cache = self.engine.cache();
-        crate::jobs::atomic_write(&dir.join("cache-shard-0.seg"), &cache.save_segment())?;
+        crate::jobs::atomic_write(&dir.join(CACHE_SEGMENT), &cache.save_segment())?;
         Ok(cache.len())
     }
 
-    /// Warm-start the cache from the segment files a previous process
-    /// spilled to `dir`: every consecutive `cache-shard-<i>.seg` from `0`
-    /// loads into the one cache, so a store written by a build that spilled
-    /// one file per shard still warms a restart (values are keyed by
-    /// scenario fingerprint and salt, not by file).
+    /// Warm-start the cache from the segment file (`cache.seg`) a previous
+    /// process spilled to `dir`.
     ///
-    /// Returns the number of entries restored. Corrupt, truncated or
-    /// version-stale segments are **skipped with a warning** — a damaged
-    /// spill degrades to a colder cache, it never aborts startup. A service
+    /// Returns the number of entries restored. A corrupt, truncated or
+    /// version-stale segment is **skipped with a warning** — a damaged
+    /// spill degrades to a cold cache, it never aborts startup. A service
     /// that does not memoise reads nothing and restores `0`.
     pub fn load_cache_segments(&self, dir: &Path) -> usize {
         if !self.memoises() {
             return 0;
         }
-        let mut restored = 0usize;
-        for index in 0.. {
-            let path = dir.join(format!("cache-shard-{index}.seg"));
-            let Ok(bytes) = std::fs::read(&path) else { break };
-            match self.engine.cache().load_segment(&bytes) {
-                Ok(loaded) => restored += loaded,
-                Err(e) => self.registry().warn(
-                    "jobs",
-                    &format!("skipping cache segment {} (cold start): {e}", path.display()),
-                ),
-            }
-        }
-        restored
+        let path = dir.join(CACHE_SEGMENT);
+        let Ok(bytes) = std::fs::read(&path) else { return 0 };
+        self.engine.cache().load_segment(&bytes).unwrap_or_else(|e| {
+            self.registry().warn(
+                "jobs",
+                &format!("skipping cache segment {} (cold start): {e}", path.display()),
+            );
+            0
+        })
     }
 
     /// Attach a calibration catalogue (what [`SpaceSpec::Catalogue`] resolves
@@ -1247,7 +1243,7 @@ mod tests {
         assert_eq!(ticket.stats().cache_misses, space.len() as u64);
         let dir = std::env::temp_dir().join(format!("mp-serve-nomemo-{}", std::process::id()));
         assert_eq!(service.save_cache_segments(&dir).unwrap(), 0);
-        assert!(!dir.join("cache-shard-0.seg").exists(), "nothing to spill");
+        assert!(!dir.join(CACHE_SEGMENT).exists(), "nothing to spill");
         assert_eq!(service.load_cache_segments(&dir), 0);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(service.stats().cache, EvalCache::new().stats());

@@ -3,11 +3,11 @@
 //! From-scratch Rust implementations of the clustering applications the paper
 //! studies (MineBench's `kmeans`, `fuzzy` c-means and `hop`, plus hop's
 //! kd-tree kernel as a standalone scenario). Every workload is an
-//! [`mp_runtime::PhasedWorkload`]: it *declares* its phase graph — parallel
-//! kernels, the merging (reduction) phase whose growth with the thread count
-//! is the subject of the paper, and constant serial work — and the
-//! `mp-runtime` scheduler executes it with automatic per-phase, per-thread
-//! instrumentation.
+//! [`mp_runtime::PhasedWorkload`]: it runs its phases — parallel kernels, the
+//! merging (reduction) phase whose growth with the thread count is the
+//! subject of the paper, and constant serial work — through the
+//! `mp-runtime` executor, whose calls fix each phase's kind and record it
+//! with per-phase, per-thread timing.
 //!
 //! The crate also contains:
 //!

@@ -9,14 +9,15 @@
 //!   (Eq. 6–8).
 //! * [`par`] — the fork-join primitives and the three reduction strategies
 //!   (serial linear, logarithmic tree, privatised parallel).
-//! * [`runtime`] — the phase-graph execution runtime: workloads declare
-//!   their phase structure ([`runtime::PhaseGraph`]) and a scheduler executes
-//!   it with automatic per-phase, per-thread instrumentation.
+//! * [`runtime`] — the phased-workload execution runtime: a workload runs
+//!   each phase through a [`runtime::PhaseExec`] call that fixes its kind,
+//!   and a scheduler drives the loop with automatic per-phase, per-thread
+//!   instrumentation.
 //! * [`profile`] — phase instrumentation, streaming record sinks and
 //!   extraction of the model parameters (`f`, `fcon`, `fred`, `fored`) from
 //!   instrumented runs.
 //! * [`workloads`] — MineBench-style clustering workloads (kmeans, fuzzy
-//!   c-means, HOP, the kd-tree scenario) declared as phased workloads over a
+//!   c-means, HOP, the kd-tree scenario) written as phased workloads over a
 //!   synthetic data generator.
 //! * [`cmpsim`] — an abstract CMP/ACMP timing simulator (cores with
 //!   area-dependent performance, two-level cache cost model, 2-D-mesh NoC)

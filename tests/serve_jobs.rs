@@ -146,7 +146,7 @@ fn submitted_job_completes_checkpoints_and_warms_the_cache() {
     // — with no other job left to resume — the spilled cache segments.
     wait_clean(&store.0);
     assert!(!store.0.join(format!("{}.manifest", done.id)).exists());
-    assert!(!store.0.join("cache-shard-0.seg").exists());
+    assert!(!store.0.join("cache.seg").exists());
 
     // The job's product: a warm cache answering the whole space, records
     // bit-identical to a direct engine sweep.
@@ -157,22 +157,10 @@ fn submitted_job_completes_checkpoints_and_warms_the_cache() {
         assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
     }
 
-    // A store spilled by a build that kept one cache per shard holds one
-    // segment file per shard, each with that shard's band of the space.
-    // Every file found warms the one cache.
-    let handle = SweepHandle::new(&space);
-    let half = space.len() / 2;
-    for (index, band) in [0..half, half..space.len()].into_iter().enumerate() {
-        let shard = Engine::new(1);
-        shard.sweep_range(&handle, &SimBackend::new(), &SweepConfig::default(), band);
-        atomic_write(
-            &store.0.join(format!("cache-shard-{index}.seg")),
-            &shard.cache().save_segment(),
-        )
-        .unwrap();
-    }
+    // A restart warms from the one spilled segment file.
+    assert_eq!(service.save_cache_segments(&store.0).unwrap(), space.len());
     let restarted = self::service(2, Arc::new(SimBackend::new()));
-    assert_eq!(restarted.load_cache_segments(&store.0), space.len(), "both files load");
+    assert_eq!(restarted.load_cache_segments(&store.0), space.len(), "the spill loads");
     let warm = restarted.sweep(&space, None).unwrap();
     assert_eq!(warm.stats.warm_entries, space.len());
     assert_eq!(warm.stats.cache_hits as usize, space.len(), "every restored entry answers");
@@ -267,7 +255,7 @@ fn cancel_is_graceful_and_a_cancelled_job_resumes_to_completion() {
     // cache to spill beside it.
     let manifest = wait_manifest(&store.0.join(format!("{}.manifest", parked.id)), "cancelled");
     assert_eq!(manifest.completed.len(), parked.windows_completed);
-    assert!(!store.0.join("cache-shard-0.seg").exists(), "nothing to spill");
+    assert!(!store.0.join("cache.seg").exists(), "nothing to spill");
 
     // No faults to clear: speed the rest up and resume to completion.
     plan.set_latency(Duration::ZERO);
@@ -361,7 +349,7 @@ fn restart_after_completion_finds_a_clean_dir_and_sweeps_crash_leftovers() {
         drop(probe);
         atomic_write(&store.0.join(format!("{}.manifest", manifest.id)), &manifest.to_bytes())
             .unwrap();
-        std::fs::write(store.0.join("cache-shard-0.seg"), b"orphan").unwrap();
+        std::fs::write(store.0.join("cache.seg"), b"orphan").unwrap();
         std::fs::write(store.0.join("j99999.manifest.tmp"), b"torn").unwrap();
     }
 
