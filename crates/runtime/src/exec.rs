@@ -210,31 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn the_called_method_fixes_the_recorded_kind() {
-        let profiler = Profiler::new("t", 2);
-        let exec = PhaseExec::new(&profiler, 2);
-        exec.init("setup", || ());
-        exec.parallel("work", 4, |_ctx, r| r.len());
-        exec.parallel_task("build", 1, |_threads| ());
-        exec.reduce("merge", &[vec![1.0], vec![1.0]], ReductionStrategy::TreeLog);
-        exec.reduce_with("merge-tables", || ());
-        exec.serial("check", || ());
-        let kinds: Vec<(PhaseKind, usize)> =
-            profiler.finish().records.iter().map(|r| (r.kind, r.threads)).collect();
-        assert_eq!(
-            kinds,
-            [
-                (PhaseKind::Init, 1),
-                (PhaseKind::Parallel, 2),
-                (PhaseKind::Parallel, 1),
-                (PhaseKind::Reduction, 2),
-                (PhaseKind::Reduction, 1),
-                (PhaseKind::SerialConstant, 1),
-            ]
-        );
-    }
-
-    #[test]
     #[should_panic]
     fn zero_thread_cap_is_rejected() {
         PhaseExec::new(&NullSink, 2).parallel_task("build", 0, |_threads| ());
