@@ -139,3 +139,29 @@ fn scheduler_run_calibrates_and_sweeps_end_to_end() {
     assert_eq!(result.stats.valid, space.len());
     assert!(result.records.iter().all(|r| r.speedup > 0.0));
 }
+
+/// The fingerprint of a calibration covers its name, fractions, `fored`,
+/// growth shape and every serial multiplier bit for bit, so pinning it pins
+/// the whole fold from phase records to the fitted parameters.
+#[test]
+fn calibration_fingerprints_are_pinned() {
+    use merging_phases::cmpsim::program::ReductionKind;
+    let fit = |name: &str, profiles: &[RunProfile]| {
+        let runs: Vec<_> = profiles.iter().map(RunProfile::to_measured_run).collect();
+        CalibratedParams::fit(name, &runs).expect("sweep calibrates").fingerprint()
+    };
+    let injected: Vec<RunProfile> = [1usize, 2, 4, 8, 16]
+        .iter()
+        .map(|&p| injected_profile("injected", p, 0.99, 0.6, 0.8))
+        .collect();
+    let simulated: Vec<RunProfile> = [1usize, 2, 4, 8, 16]
+        .iter()
+        .map(|&cores| {
+            let program =
+                kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+            simulate_profile(&program, &Machine::table1(cores))
+        })
+        .collect();
+    assert_eq!(fit("injected", &injected), 12708202034689614534);
+    assert_eq!(fit("kmeans-sim", &simulated), 10416462893556453624);
+}
