@@ -2,8 +2,8 @@
 //!
 //! 1. **Measure** — run all four phased workloads (kmeans, fuzzy, hop,
 //!    kdtree) through the `mp-runtime` scheduler across a thread sweep,
-//!    streaming the instrumented records into one
-//!    [`StreamingExtractor`] per workload (no flat profile lists).
+//!    recording each run into its own `mp_profile::Profiler` and folding the
+//!    records into one [`mp_model::calibrate::MeasuredRun`] per thread count.
 //! 2. **Calibrate** — fit a [`CalibratedParams`] set per workload:
 //!    `f`/`fcon`/`fred` from the single-thread run plus the growth shape and
 //!    `fored` that best explain the measured serial-section multipliers.
@@ -21,10 +21,10 @@ use std::process::ExitCode;
 use mp_dse::prelude::*;
 use mp_model::calibrate::CalibratedParams;
 use mp_model::perf::PerfModel;
-use mp_profile::{render_table, StreamingExtractor, TableRow};
+use mp_profile::{render_table, RunProfile, TableRow};
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::kmeans::KMeansConfig;
-use mp_workloads::runner::{default_thread_sweep, ClusteringWorkload};
+use mp_workloads::runner::{default_thread_sweep, run_sweep, ClusteringWorkload};
 
 use crate::dse_cmd::{export_sweep, record_row, scenario_label};
 
@@ -112,12 +112,9 @@ fn calibrate_jobs(
 ) -> Result<Vec<CalibratedParams>, String> {
     let mut calibrations = Vec::with_capacity(workloads.len());
     for job in workloads {
-        let extractor = StreamingExtractor::new(job.kind().name());
-        for &threads in thread_counts {
-            job.run(threads, &extractor.run_sink(threads));
-        }
-        let calibrated = extractor
-            .calibrate()
+        let runs: Vec<_> =
+            run_sweep(job, thread_counts).iter().map(RunProfile::to_measured_run).collect();
+        let calibrated = CalibratedParams::fit(job.kind().name(), &runs)
             .map_err(|e| format!("calibration of `{}` failed: {e}", job.kind().name()))?;
         calibrations.push(calibrated);
     }

@@ -10,10 +10,11 @@ use mp_cmpsim::program::ReductionKind;
 use mp_cmpsim::{
     fuzzy_program, hop_program, kmeans_program, simulate_profile, Machine, WorkloadShape,
 };
+use mp_model::calibrate::{MeasuredRun, RunAccounting};
 use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
 use mp_model::serial_time::serial_growth_factor;
-use mp_profile::{extract_params, serial_growth, speedup_series, RunProfile, TableRow};
+use mp_profile::{RunProfile, TableRow};
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::runner::{run_sweep, ClusteringWorkload};
 
@@ -22,40 +23,41 @@ use super::CHARACTERIZATION_CORES;
 /// The three applications of the characterisation study, in paper order.
 pub const APPLICATIONS: [&str; 3] = ["kmeans", "fuzzy", "hop"];
 
-/// Simulated profiles of one application across the characterisation core
-/// counts (the paper's 1–16-core SESC runs).
-pub fn simulated_profiles(app: &str) -> Vec<RunProfile> {
-    CHARACTERIZATION_CORES
+/// The data-set shape Figure 2 and Table II simulate `app` on.
+fn base_shape(app: &str) -> WorkloadShape {
+    match app {
+        "hop" => WorkloadShape::hop_default(),
+        _ => WorkloadShape::kmeans_base(),
+    }
+}
+
+/// The Section V-A accounting of `app` simulated on a data set of `shape`
+/// at the characterisation core counts (the paper's 1–16-core SESC runs).
+pub fn simulated_accounting(app: &str, shape: &WorkloadShape) -> RunAccounting {
+    let program = match app {
+        "kmeans" => kmeans_program(shape, ReductionKind::SerialLinear),
+        "fuzzy" => fuzzy_program(shape, ReductionKind::SerialLinear),
+        "hop" => hop_program(shape, ReductionKind::SerialLinear, 4),
+        other => panic!("unknown application {other}"),
+    };
+    let runs: Vec<MeasuredRun> = CHARACTERIZATION_CORES
         .iter()
-        .map(|&cores| {
-            let machine = Machine::table1(cores);
-            let program = match app {
-                "kmeans" => {
-                    kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear)
-                }
-                "fuzzy" => {
-                    fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear)
-                }
-                "hop" => hop_program(&WorkloadShape::hop_default(), ReductionKind::SerialLinear, 4),
-                other => panic!("unknown application {other}"),
-            };
-            simulate_profile(&program, &machine)
-        })
-        .collect()
+        .map(|&cores| simulate_profile(&program, &Machine::table1(cores)).to_measured_run())
+        .collect();
+    RunAccounting::from_runs(&runs).expect("characterisation sweep includes a single-core run")
+}
+
+/// One row per application: its label and one `p={threads}` column per
+/// point of `series`.
+fn series_row(app: &str, series: &[(usize, f64)]) -> TableRow {
+    series.iter().fold(TableRow::new(app), |row, &(p, v)| row.with(format!("p={p}"), v))
 }
 
 /// Figure 2(a): application speedup at 1–16 cores (simulation).
 pub fn fig2a_scalability() -> Vec<TableRow> {
     APPLICATIONS
         .iter()
-        .map(|app| {
-            let profiles = simulated_profiles(app);
-            let mut row = TableRow::new(*app);
-            for (cores, speedup) in speedup_series(&profiles) {
-                row = row.with(format!("p={cores}"), speedup);
-            }
-            row
-        })
+        .map(|app| series_row(app, &simulated_accounting(app, &base_shape(app)).speedups))
         .collect()
 }
 
@@ -63,14 +65,7 @@ pub fn fig2a_scalability() -> Vec<TableRow> {
 pub fn fig2b_serial_growth() -> Vec<TableRow> {
     APPLICATIONS
         .iter()
-        .map(|app| {
-            let profiles = simulated_profiles(app);
-            let mut row = TableRow::new(*app);
-            for (cores, growth) in serial_growth(&profiles) {
-                row = row.with(format!("p={cores}"), growth);
-            }
-            row
-        })
+        .map(|app| series_row(app, &simulated_accounting(app, &base_shape(app)).serial_multipliers))
         .collect()
 }
 
@@ -102,14 +97,21 @@ pub fn fig2c_real_serial_growth(thread_counts: &[usize], reduced_size: bool) -> 
     ];
     jobs.iter()
         .map(|job| {
-            let profiles = run_sweep(job, thread_counts);
-            let mut row = TableRow::new(job.kind().name());
-            for (threads, growth) in serial_growth(&profiles) {
-                row = row.with(format!("p={threads}"), growth);
-            }
-            row
+            let runs: Vec<MeasuredRun> =
+                run_sweep(job, thread_counts).iter().map(RunProfile::to_measured_run).collect();
+            let accounting =
+                RunAccounting::from_runs(&runs).expect("the sweep includes a single-thread run");
+            series_row(job.kind().name(), &accounting.serial_multipliers)
         })
         .collect()
+}
+
+/// The extended-model parameters of `app` with `fored` fitted under the
+/// paper's linear growth (Table II's procedure).
+fn linear_params(app: &str, accounting: &RunAccounting) -> AppParams {
+    let fored = accounting.fored(&GrowthFunction::Linear);
+    AppParams::new(app, accounting.f, accounting.fcon, fored, 0.0)
+        .expect("accounted fractions are valid")
 }
 
 /// Figure 2(d): model accuracy — the serial-section growth predicted by the
@@ -120,20 +122,19 @@ pub fn fig2d_model_accuracy() -> Vec<TableRow> {
     APPLICATIONS
         .iter()
         .map(|app| {
-            let profiles = simulated_profiles(app);
-            let extracted = extract_params(&profiles, &GrowthFunction::Linear)
-                .expect("characterisation sweep includes a single-core run");
-            let params = extracted.to_app_params();
-            let mut row = TableRow::new(*app);
-            for (cores, observed) in serial_growth(&profiles) {
-                if cores == 1 {
-                    continue;
-                }
-                let predicted =
-                    serial_growth_factor(&params, &GrowthFunction::Linear, cores as f64);
-                row = row.with(format!("p={cores}"), predicted / observed);
-            }
-            row
+            let accounting = simulated_accounting(app, &base_shape(app));
+            let params = linear_params(app, &accounting);
+            let ratios: Vec<(usize, f64)> = accounting
+                .serial_multipliers
+                .iter()
+                .filter(|&&(cores, _)| cores > 1)
+                .map(|&(cores, observed)| {
+                    let predicted =
+                        serial_growth_factor(&params, &GrowthFunction::Linear, cores as f64);
+                    (cores, predicted / observed)
+                })
+                .collect();
+            series_row(app, &ratios)
         })
         .collect()
 }
@@ -146,15 +147,13 @@ pub fn table2_extracted_parameters() -> Vec<TableRow> {
         .iter()
         .zip(paper.iter())
         .map(|(app, reference)| {
-            let profiles = simulated_profiles(app);
-            let extracted = extract_params(&profiles, &GrowthFunction::Linear)
-                .expect("characterisation sweep includes a single-core run");
+            let accounting = simulated_accounting(app, &base_shape(app));
             TableRow::new(*app)
-                .with("serial_pct", extracted.serial_fraction * 100.0)
-                .with("f", extracted.f)
-                .with("fcon_pct", extracted.fcon * 100.0)
-                .with("fred_pct", extracted.fred * 100.0)
-                .with("fored_pct", extracted.fored * 100.0)
+                .with("serial_pct", accounting.serial_fraction * 100.0)
+                .with("f", accounting.f)
+                .with("fcon_pct", accounting.fcon * 100.0)
+                .with("fred_pct", accounting.fred * 100.0)
+                .with("fored_pct", accounting.fored(&GrowthFunction::Linear) * 100.0)
                 .with("paper_serial_pct", reference.serial_fraction() * 100.0)
                 .with("paper_fcon_pct", reference.split.fcon * 100.0)
                 .with("paper_fred_pct", reference.split.fred * 100.0)

@@ -14,7 +14,7 @@ pub mod tables;
 
 pub use characterization::{
     fig2a_scalability, fig2b_serial_growth, fig2c_real_serial_growth, fig2d_model_accuracy,
-    simulated_profiles, table2_extracted_parameters,
+    simulated_accounting, table2_extracted_parameters,
 };
 pub use design_space::{
     fig4_symmetric_design_space, fig5_asymmetric_design_space, fig7_communication_model,

@@ -1,15 +1,10 @@
 //! Table I, Table III, Table IV and the Figure 6 split.
 
-use mp_cmpsim::program::ReductionKind;
-use mp_cmpsim::{
-    fuzzy_program, hop_program, kmeans_program, simulate_profile, Machine, MachineConfig,
-    WorkloadShape,
-};
-use mp_model::growth::GrowthFunction;
+use mp_cmpsim::{MachineConfig, WorkloadShape};
 use mp_model::params::{AppClass, AppParams, DatasetVariant};
-use mp_profile::{extract_params, RunProfile, TableRow};
+use mp_profile::TableRow;
 
-use super::CHARACTERIZATION_CORES;
+use super::characterization::simulated_accounting;
 
 /// Table I: the simulated machine configuration.
 pub fn table1_machine_config() -> Vec<TableRow> {
@@ -59,24 +54,6 @@ pub fn fig6_reduction_split() -> Vec<TableRow> {
         .collect()
 }
 
-/// Simulated characterisation sweep for an arbitrary data-set shape (used by
-/// the Table IV sensitivity study).
-fn profiles_for_shape(app: &str, shape: &WorkloadShape) -> Vec<RunProfile> {
-    CHARACTERIZATION_CORES
-        .iter()
-        .map(|&cores| {
-            let machine = Machine::table1(cores);
-            let program = match app {
-                "kmeans" => kmeans_program(shape, ReductionKind::SerialLinear),
-                "fuzzy" => fuzzy_program(shape, ReductionKind::SerialLinear),
-                "hop" => hop_program(shape, ReductionKind::SerialLinear, 4),
-                other => panic!("unknown application {other}"),
-            };
-            simulate_profile(&program, &machine)
-        })
-        .collect()
-}
-
 /// Table IV: data-set sensitivity. Every paper variant is re-simulated with
 /// its N/D/C attributes and the extracted `f`, `fred`, `fcon` are reported
 /// next to the paper's values.
@@ -95,13 +72,11 @@ pub fn table4_dataset_sensitivity() -> Vec<TableRow> {
             } else {
                 WorkloadShape::from_attributes(variant.points, variant.dims, variant.centers)
             };
-            let profiles = profiles_for_shape(&variant.application, &shape);
-            let extracted = extract_params(&profiles, &GrowthFunction::Linear)
-                .expect("sweep includes a single-core run");
+            let accounting = simulated_accounting(&variant.application, &shape);
             TableRow::new(variant.label.clone())
-                .with("f", extracted.f)
-                .with("fred_pct", extracted.fred * 100.0)
-                .with("fcon_pct", extracted.fcon * 100.0)
+                .with("f", accounting.f)
+                .with("fred_pct", accounting.fred * 100.0)
+                .with("fcon_pct", accounting.fcon * 100.0)
                 .with("paper_f", variant.f)
                 .with("paper_fred_pct", variant.fred * 100.0)
                 .with("paper_fcon_pct", variant.fcon * 100.0)

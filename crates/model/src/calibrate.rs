@@ -1,21 +1,23 @@
 //! Calibration: fitting the paper's model parameters to measured phase times.
 //!
-//! The extraction in `mp-profile` reads one instrumented run at a time; this
-//! module closes the loop the paper describes in Section V-A — *measure →
-//! extract `f`, `fred`, `fcon` → model* — by fitting a complete
-//! [`CalibratedParams`] set (application parameters **plus** a growth
-//! function) to a sweep of [`MeasuredRun`]s across thread counts:
+//! A run is its phase records; `mp-profile` folds them into one
+//! [`MeasuredRun`] of section totals per thread count. This module closes the
+//! loop the paper describes in Section V-A — *measure → extract `f`, `fred`,
+//! `fcon` → model*:
 //!
-//! * `f`, `fcon`, `fred` come from the single-thread run exactly as in the
-//!   paper (initialisation excluded),
-//! * the reduction-overhead coefficient `fored` and the growth *shape* are
-//!   chosen together: every candidate shape (constant, linear, logarithmic,
-//!   super-linear) is least-squares fitted to the observed serial-section
-//!   multipliers and the shape with the smallest residual wins,
-//! * the raw observations are additionally preserved as a
-//!   [`GrowthFunction::Measured`] curve, so a consumer can choose between the
-//!   best closed form (extrapolates smoothly) and the exact empirical curve
-//!   (reproduces the measurements bit-for-bit at the measured counts).
+//! * [`RunAccounting`] reads `f`, `fcon`, `fred` from the single-thread run
+//!   exactly as in the paper (initialisation excluded), the Figure 2(a)/(b)
+//!   series from the whole sweep, and fits `fored` for a given growth shape
+//!   ([`RunAccounting::fored`], the paper's fixed-linear fit for Table II),
+//! * [`CalibratedParams::fit`] fits a complete set (application parameters
+//!   **plus** a growth function): `fored` and the growth *shape* are chosen
+//!   together — every candidate shape (constant, linear, logarithmic,
+//!   super-linear) goes through [`RunAccounting::fored`] and the shape with
+//!   the smallest residual wins — and the raw observations are additionally
+//!   preserved as a [`GrowthFunction::Measured`] curve, so a consumer can
+//!   choose between the best closed form (extrapolates smoothly) and the
+//!   exact empirical curve (reproduces the measurements bit-for-bit at the
+//!   measured counts).
 //!
 //! The result plugs straight into [`crate::extended::ExtendedModel`] and the
 //! design-space backends.
@@ -26,7 +28,6 @@ use crate::error::ModelError;
 use crate::fingerprint::Fnv64;
 use crate::growth::GrowthFunction;
 use crate::params::AppParams;
-use crate::serial_time::fit_fored;
 
 /// Aggregated per-phase times of one instrumented run at a fixed thread
 /// count. This is the model-level view of a run profile: only the section
@@ -80,10 +81,9 @@ impl MeasuredRun {
 }
 
 /// The paper's Section V-A accounting over a sweep of measured runs: the
-/// single-thread fractions plus the per-thread-count series. Computed once
-/// here and shared by the streaming extraction (`mp-profile`) and
-/// [`CalibratedParams::fit`], so the two can never disagree on the same
-/// data.
+/// single-thread fractions plus the per-thread-count series. Every parameter
+/// the figures, tables and [`CalibratedParams::fit`] report is read from
+/// here, so there is one fold from section totals to the paper's numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunAccounting {
     /// Parallel fraction `f` of the single-thread run (init excluded).
@@ -154,6 +154,29 @@ impl RunAccounting {
 
         Ok(RunAccounting { f, serial_fraction, fcon, fred, serial_multipliers, speedups })
     }
+
+    /// The reduction-overhead coefficient `fored` that best explains the
+    /// serial-section growth under the given growth shape: the least-squares
+    /// solution of `multiplier(p) − 1 = fred·fored·grow(p)` over every
+    /// observation with `grow(p) > 0`, clamped at zero. Zero when no
+    /// observation constrains it (no merge time, or only single-thread runs).
+    pub fn fored(&self, growth: &GrowthFunction) -> f64 {
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for &(p, mult) in &self.serial_multipliers {
+            let g = growth.eval(p as f64);
+            if g > 0.0 && self.fred > 0.0 {
+                let x = self.fred * g;
+                num += x * (mult - 1.0);
+                den += x * x;
+            }
+        }
+        if den > 0.0 {
+            (num / den).max(0.0)
+        } else {
+            0.0
+        }
+    }
 }
 
 /// One candidate growth shape with its least-squares fit.
@@ -204,12 +227,11 @@ impl CalibratedParams {
     /// present or its measured times are degenerate.
     pub fn fit(name: impl Into<String>, runs: &[MeasuredRun]) -> Result<Self, ModelError> {
         let accounting = RunAccounting::from_runs(runs)?;
-        let RunAccounting { f, fcon, fred, serial_multipliers, .. } = accounting;
 
         let mut candidates = Vec::new();
         for shape in candidate_shapes() {
-            let fored = fit_fored(fred, &shape, &serial_multipliers).unwrap_or(0.0);
-            let rmse = fit_rmse(fcon, fred, fored, &shape, &serial_multipliers);
+            let fored = accounting.fored(&shape);
+            let rmse = fit_rmse(&accounting, fored, &shape);
             candidates.push(GrowthFit { growth: shape, fored, rmse });
         }
         let best = candidates
@@ -218,12 +240,12 @@ impl CalibratedParams {
             .cloned()
             .expect("candidate list is never empty");
 
-        let app = AppParams::new(name, f, fcon, best.fored, 0.0)?;
+        let app = AppParams::new(name, accounting.f, accounting.fcon, best.fored, 0.0)?;
         Ok(CalibratedParams {
             app,
             growth: best.growth,
             fit_rmse: best.rmse,
-            serial_multipliers,
+            serial_multipliers: accounting.serial_multipliers,
             candidates,
         })
     }
@@ -304,16 +326,11 @@ impl CalibratedParams {
 
 /// RMS residual of `mult(p) ≈ fcon + fred·(1 + fored·grow(p))` over the
 /// multi-thread observations (the single-thread point is 1 by construction).
-fn fit_rmse(
-    fcon: f64,
-    fred: f64,
-    fored: f64,
-    growth: &GrowthFunction,
-    observed: &[(usize, f64)],
-) -> f64 {
+fn fit_rmse(accounting: &RunAccounting, fored: f64, growth: &GrowthFunction) -> f64 {
+    let (fcon, fred) = (accounting.fcon, accounting.fred);
     let mut sum = 0.0;
     let mut n = 0usize;
-    for &(p, mult) in observed {
+    for &(p, mult) in &accounting.serial_multipliers {
         if p <= 1 {
             continue;
         }
@@ -365,6 +382,31 @@ mod tests {
         assert!((acc.serial_multipliers[0].1 - 1.0).abs() < 1e-12);
         assert_eq!(acc.speedups.len(), 5);
         assert!(acc.speedups[4].1 > acc.speedups[0].1);
+    }
+
+    fn accounting(fred: f64, serial_multipliers: Vec<(usize, f64)>) -> RunAccounting {
+        RunAccounting {
+            f: 0.99,
+            serial_fraction: 0.01,
+            fcon: 1.0 - fred,
+            fred,
+            serial_multipliers,
+            speedups: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn fored_without_information_is_zero() {
+        assert_eq!(accounting(0.4, vec![(1, 1.0)]).fored(&GrowthFunction::Linear), 0.0);
+        assert_eq!(accounting(0.0, vec![(8, 3.0)]).fored(&GrowthFunction::Linear), 0.0);
+    }
+
+    #[test]
+    fn fored_clamps_negative_noise_to_zero() {
+        // Observations *below* 1.0 (measurement noise) must not produce a
+        // negative coefficient.
+        let acc = accounting(0.4, vec![(1, 1.0), (8, 0.9), (16, 0.95)]);
+        assert_eq!(acc.fored(&GrowthFunction::Linear), 0.0);
     }
 
     #[test]

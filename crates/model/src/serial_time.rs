@@ -3,9 +3,8 @@
 //! Figure 2(b) plots the time spent in serial sections at `p` cores normalised
 //! to the single-core serial-section time; the extended model predicts this as
 //! `serial_multiplier(p) = fcon + fred·(1 + fored·grow(p))`. Figure 2(d)
-//! normalises the model prediction by the value obtained from simulation to
-//! quantify accuracy. This module provides both computations as free functions
-//! so they can be applied to either paper parameters or measured ones.
+//! divides that prediction by the multiplier observed in simulation
+//! ([`crate::calibrate::RunAccounting`]'s series) to quantify accuracy.
 
 use crate::extended::ExtendedModel;
 use crate::growth::GrowthFunction;
@@ -20,74 +19,6 @@ pub fn serial_growth_factor(params: &AppParams, growth: &GrowthFunction, threads
         .serial_multiplier(threads)
 }
 
-/// The full Figure 2(b) series: normalised serial time for each thread count in
-/// `thread_counts`.
-pub fn serial_growth_series(
-    params: &AppParams,
-    growth: &GrowthFunction,
-    thread_counts: &[usize],
-) -> Vec<(usize, f64)> {
-    thread_counts.iter().map(|&p| (p, serial_growth_factor(params, growth, p as f64))).collect()
-}
-
-/// Figure 2(d): the ratio of the model-predicted serial time to an observed
-/// (simulated or measured) serial time, both normalised to their single-core
-/// values. A value of 1.0 means the model tracks the observation exactly;
-/// values below 1 are underestimation, above 1 overestimation.
-pub fn model_accuracy_ratio(predicted_multiplier: f64, observed_multiplier: f64) -> f64 {
-    if observed_multiplier <= 0.0 {
-        f64::NAN
-    } else {
-        predicted_multiplier / observed_multiplier
-    }
-}
-
-/// Convenience: the whole Figure 2(d) series given observed multipliers per
-/// thread count.
-pub fn model_accuracy_series(
-    params: &AppParams,
-    growth: &GrowthFunction,
-    observed: &[(usize, f64)],
-) -> Vec<(usize, f64)> {
-    observed
-        .iter()
-        .map(|&(p, obs)| {
-            let pred = serial_growth_factor(params, growth, p as f64);
-            (p, model_accuracy_ratio(pred, obs))
-        })
-        .collect()
-}
-
-/// Fit a reduction-overhead coefficient `fored` from observed serial-time
-/// multipliers by least squares, assuming the given growth function and the
-/// application's `fcon`/`fred` split.
-///
-/// Solves `multiplier(p) − 1 = fred·fored·grow(p)` for `fored` over all
-/// observations with `grow(p) > 0`. Returns `None` if no observation
-/// constrains the coefficient (e.g. all at a single thread).
-pub fn fit_fored(
-    split_fred: f64,
-    growth: &GrowthFunction,
-    observed: &[(usize, f64)],
-) -> Option<f64> {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for &(p, mult) in observed {
-        let g = growth.eval(p as f64);
-        if g > 0.0 && split_fred > 0.0 {
-            let x = split_fred * g;
-            let y = mult - 1.0;
-            num += x * y;
-            den += x * x;
-        }
-    }
-    if den > 0.0 {
-        Some((num / den).max(0.0))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,15 +28,6 @@ mod tests {
         for p in AppParams::table2_all() {
             let v = serial_growth_factor(&p, &GrowthFunction::Linear, 1.0);
             assert!((v - 1.0).abs() < 1e-12, "{}", p.name);
-        }
-    }
-
-    #[test]
-    fn series_is_monotone_for_linear_growth() {
-        let params = AppParams::table2_kmeans();
-        let series = serial_growth_series(&params, &GrowthFunction::Linear, &[1, 2, 4, 8, 16, 32]);
-        for w in series.windows(2) {
-            assert!(w[1].1 >= w[0].1);
         }
     }
 
@@ -124,53 +46,5 @@ mod tests {
         let h = serial_growth_factor(&AppParams::table2_hop(), &GrowthFunction::Linear, 16.0);
         assert!(h < k);
         assert!(h > 1.0);
-    }
-
-    #[test]
-    fn accuracy_ratio_detects_over_and_under_estimation() {
-        assert!((model_accuracy_ratio(2.0, 2.0) - 1.0).abs() < 1e-12);
-        assert!(model_accuracy_ratio(1.8, 2.0) < 1.0); // underestimate
-        assert!(model_accuracy_ratio(2.2, 2.0) > 1.0); // overestimate
-        assert!(model_accuracy_ratio(2.0, 0.0).is_nan());
-    }
-
-    #[test]
-    fn accuracy_series_against_perfect_observation_is_unity() {
-        let params = AppParams::table2_fuzzy();
-        let growth = GrowthFunction::Linear;
-        let observed: Vec<(usize, f64)> = [2usize, 4, 8, 16]
-            .iter()
-            .map(|&p| (p, serial_growth_factor(&params, &growth, p as f64)))
-            .collect();
-        let series = model_accuracy_series(&params, &growth, &observed);
-        for (_, ratio) in series {
-            assert!((ratio - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fit_fored_recovers_the_coefficient() {
-        let params = AppParams::table2_kmeans();
-        let growth = GrowthFunction::Linear;
-        let observed: Vec<(usize, f64)> = [2usize, 4, 8, 16]
-            .iter()
-            .map(|&p| (p, serial_growth_factor(&params, &growth, p as f64)))
-            .collect();
-        let fitted = fit_fored(params.split.fred, &growth, &observed).unwrap();
-        assert!((fitted - params.fored).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fit_fored_with_no_information_is_none() {
-        assert_eq!(fit_fored(0.4, &GrowthFunction::Linear, &[(1, 1.0)]), None);
-        assert_eq!(fit_fored(0.0, &GrowthFunction::Linear, &[(8, 3.0)]), None);
-    }
-
-    #[test]
-    fn fit_fored_clamps_negative_noise_to_zero() {
-        // Observations *below* 1.0 (measurement noise) should not produce a
-        // negative coefficient.
-        let fitted = fit_fored(0.4, &GrowthFunction::Linear, &[(8, 0.9), (16, 0.95)]).unwrap();
-        assert!(fitted >= 0.0);
     }
 }

@@ -18,6 +18,8 @@
 //! simulator and the analytical model can be cross-validated against the same
 //! run.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::pool::{chunk_range, parallel_partials};
@@ -108,27 +110,27 @@ fn add_into(acc: &mut [f64], other: &[f64]) {
     }
 }
 
-/// Recursive pairwise tree reduction over `slots`, combining the right half
-/// into the left half; the final result ends up in `slots[0]`. When more than
-/// one thread is available the two halves are reduced concurrently.
-fn tree_reduce(slots: &mut [Vec<f64>], threads: usize) {
-    let len = slots.len();
-    if len <= 1 {
-        return;
+/// Recursive pairwise tree reduction of `partials`: each half is reduced,
+/// then the right half's sum is added into the left half's. When more than
+/// one thread is available the two halves are reduced concurrently. A leaf
+/// is borrowed until it is the left operand of a combine, so a merge of `p`
+/// partials copies at most `⌈p/2⌉` of them.
+fn tree_reduce(partials: &[Vec<f64>], threads: usize) -> Cow<'_, [f64]> {
+    if let [leaf] = partials {
+        return Cow::Borrowed(leaf);
     }
-    let mid = len.div_ceil(2);
-    let (left, right) = slots.split_at_mut(mid);
-    if threads > 1 && right.len() > 1 {
+    let (left, right) = partials.split_at(partials.len().div_ceil(2));
+    let (mut acc, other) = if threads > 1 && right.len() > 1 {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| tree_reduce(right, threads / 2));
-            tree_reduce(left, threads - threads / 2);
-            handle.join().expect("tree reduce worker panicked");
-        });
+            let acc = tree_reduce(left, threads - threads / 2);
+            (acc, handle.join().expect("tree reduce worker panicked"))
+        })
     } else {
-        tree_reduce(left, 1);
-        tree_reduce(right, 1);
-    }
-    add_into(&mut left[0], &right[0]);
+        (tree_reduce(left, 1), tree_reduce(right, 1))
+    };
+    add_into(acc.to_mut(), &other);
+    acc
 }
 
 /// Merge element-wise `Vec<f64>` partials (the kmeans/fuzzy accumulator shape)
@@ -163,11 +165,7 @@ pub fn reduce_elementwise(
             }
             acc
         }
-        ReductionStrategy::TreeLog => {
-            let mut slots = partials.to_vec();
-            tree_reduce(&mut slots, num_threads.max(1));
-            slots.swap_remove(0)
-        }
+        ReductionStrategy::TreeLog => tree_reduce(partials, num_threads.max(1)).into_owned(),
         ReductionStrategy::ParallelPrivatized => {
             let threads = num_threads.max(1).min(elements.max(1));
             let chunks = parallel_partials(threads, elements, |ctx, range| {
@@ -220,6 +218,57 @@ mod tests {
                     for (g, e) in got.iter().zip(expect.iter()) {
                         assert!((g - e).abs() < 1e-9, "{strategy:?} p={p} x={x}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Reference tree merge: clone every partial, then combine the right half
+    /// into the left half in place. The merge that borrows its leaves must
+    /// reproduce its combine tree, and so its bits.
+    fn tree_reduce_cloning_every_partial(partials: &[Vec<f64>], threads: usize) -> Vec<f64> {
+        fn reduce(slots: &mut [Vec<f64>], threads: usize) {
+            if slots.len() <= 1 {
+                return;
+            }
+            let mid = slots.len().div_ceil(2);
+            let (left, right) = slots.split_at_mut(mid);
+            if threads > 1 && right.len() > 1 {
+                std::thread::scope(|scope| {
+                    let handle = scope.spawn(|| reduce(right, threads / 2));
+                    reduce(left, threads - threads / 2);
+                    handle.join().unwrap();
+                });
+            } else {
+                reduce(left, 1);
+                reduce(right, 1);
+            }
+            add_into(&mut left[0], &right[0]);
+        }
+        let mut slots = partials.to_vec();
+        reduce(&mut slots, threads.max(1));
+        slots.swap_remove(0)
+    }
+
+    #[test]
+    fn tree_merge_is_bit_identical_to_cloning_every_partial() {
+        // Values whose sums round differently in different orders, so any
+        // change to the combine tree shows in the bits.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 10f64.powi((state % 9) as i32)
+        };
+        for p in 1..=33usize {
+            for x in [0usize, 1, 80] {
+                let partials: Vec<Vec<f64>> =
+                    (0..p).map(|_| (0..x).map(|_| next()).collect()).collect();
+                for threads in [1usize, 2, 4] {
+                    let (got, _) =
+                        reduce_elementwise(&partials, ReductionStrategy::TreeLog, threads);
+                    let want = tree_reduce_cloning_every_partial(&partials, threads);
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "p={p} x={x} threads={threads}");
                 }
             }
         }

@@ -122,79 +122,22 @@ impl RunProfile {
         self.records.push(record);
     }
 
-    /// Total time across all phases, *excluding* initialisation (the paper's
-    /// accounting subtracts initialisation before computing fractions).
-    pub fn total_time(&self) -> f64 {
-        self.records.iter().filter(|r| r.kind != PhaseKind::Init).map(|r| r.seconds).sum()
-    }
-
-    /// Total time including initialisation.
-    pub fn total_time_with_init(&self) -> f64 {
-        self.records.iter().map(|r| r.seconds).sum()
-    }
-
-    /// Total time spent in phases of the given kind.
-    pub fn time_in(&self, kind: PhaseKind) -> f64 {
-        self.records.iter().filter(|r| r.kind == kind).map(|r| r.seconds).sum()
-    }
-
-    /// Time spent in the serial section (constant serial + reduction +
-    /// communication), the quantity whose growth Figure 2(b)/(c) plots.
-    pub fn serial_time(&self) -> f64 {
-        self.records.iter().filter(|r| r.kind.is_serial()).map(|r| r.seconds).sum()
-    }
-
-    /// Time spent in the parallel section.
-    pub fn parallel_time(&self) -> f64 {
-        self.time_in(PhaseKind::Parallel)
-    }
-
-    /// Time spent in the merging phase (reduction + its communication).
-    pub fn reduction_time(&self) -> f64 {
-        self.time_in(PhaseKind::Reduction) + self.time_in(PhaseKind::Communication)
-    }
-
-    /// Time spent in constant serial work.
-    pub fn constant_serial_time(&self) -> f64 {
-        self.time_in(PhaseKind::SerialConstant)
-    }
-
-    /// Serial fraction of this run: serial time over total (init excluded).
-    pub fn serial_fraction(&self) -> f64 {
-        let total = self.total_time();
-        if total > 0.0 {
-            self.serial_time() / total
-        } else {
-            0.0
-        }
-    }
-
-    /// Parallel fraction of this run.
-    pub fn parallel_fraction(&self) -> f64 {
-        let total = self.total_time();
-        if total > 0.0 {
-            self.parallel_time() / total
-        } else {
-            0.0
-        }
-    }
-
-    /// Merge another profile's records into this one (used when a run is
-    /// composed of several instrumented stages).
-    pub fn absorb(&mut self, other: RunProfile) {
-        self.records.extend(other.records);
-    }
-
-    /// Collapse the profile into the model-level section totals used by the
-    /// paper's accounting (and by [`mp_model::calibrate::CalibratedParams`]).
+    /// Fold the records into the model-level section totals the paper's
+    /// accounting reads ([`mp_model::calibrate::MeasuredRun`]):
+    /// initialisation is dropped, every other kind is summed in record order.
     pub fn to_measured_run(&self) -> mp_model::calibrate::MeasuredRun {
-        mp_model::calibrate::MeasuredRun {
-            threads: self.threads,
-            parallel_seconds: self.parallel_time(),
-            serial_constant_seconds: self.constant_serial_time(),
-            reduction_seconds: self.time_in(PhaseKind::Reduction),
-            communication_seconds: self.time_in(PhaseKind::Communication),
+        let mut run = mp_model::calibrate::MeasuredRun::new(self.threads, 0.0, 0.0, 0.0);
+        for record in &self.records {
+            let total = match record.kind {
+                PhaseKind::Init => continue,
+                PhaseKind::Parallel => &mut run.parallel_seconds,
+                PhaseKind::SerialConstant => &mut run.serial_constant_seconds,
+                PhaseKind::Reduction => &mut run.reduction_seconds,
+                PhaseKind::Communication => &mut run.communication_seconds,
+            };
+            *total += record.seconds;
         }
+        run
     }
 }
 
@@ -226,43 +169,22 @@ mod tests {
     }
 
     #[test]
-    fn totals_exclude_init() {
-        let p = sample_profile();
-        assert_eq!(p.total_time(), 86.0);
-        assert_eq!(p.total_time_with_init(), 91.0);
+    fn measured_run_sums_each_kind_and_drops_init() {
+        let mut p = sample_profile();
+        p.push(rec(PhaseKind::Reduction, 0.5));
+        let run = p.to_measured_run();
+        assert_eq!(run.threads, 4);
+        assert_eq!(run.parallel_seconds, 80.0);
+        assert_eq!(run.serial_constant_seconds, 2.0);
+        assert_eq!(run.reduction_seconds, 3.5);
+        assert_eq!(run.communication_seconds, 1.0);
+        assert_eq!(run.total_seconds(), 86.5);
     }
 
     #[test]
-    fn section_accessors() {
-        let p = sample_profile();
-        assert_eq!(p.parallel_time(), 80.0);
-        assert_eq!(p.serial_time(), 6.0);
-        assert_eq!(p.reduction_time(), 4.0);
-        assert_eq!(p.constant_serial_time(), 2.0);
-    }
-
-    #[test]
-    fn fractions_sum_to_one() {
-        let p = sample_profile();
-        assert!((p.serial_fraction() + p.parallel_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_profile_has_zero_fractions() {
-        let p = RunProfile::new("empty", 1);
-        assert_eq!(p.total_time(), 0.0);
-        assert_eq!(p.serial_fraction(), 0.0);
-        assert_eq!(p.parallel_fraction(), 0.0);
-    }
-
-    #[test]
-    fn absorb_concatenates_records() {
-        let mut a = sample_profile();
-        let b = sample_profile();
-        let before = a.records.len();
-        a.absorb(b);
-        assert_eq!(a.records.len(), before * 2);
-        assert_eq!(a.parallel_time(), 160.0);
+    fn empty_profile_has_zero_totals() {
+        let run = RunProfile::new("empty", 1).to_measured_run();
+        assert_eq!(run, mp_model::calibrate::MeasuredRun::new(1, 0.0, 0.0, 0.0));
     }
 
     #[test]

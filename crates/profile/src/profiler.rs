@@ -1,13 +1,13 @@
 //! A thread-safe phase profiler.
 //!
-//! The [`Profiler`] accumulates [`PhaseRecord`]s for one run: the phase
-//! scheduler streams them in through its [`crate::RecordSink`] impl. A
-//! profiler is cheap to clone-out into a [`RunProfile`] at the end of the
-//! run.
+//! The [`Profiler`] keeps every [`PhaseRecord`] of one run: the phase
+//! scheduler streams them in through its [`RecordSink`] impl, and
+//! [`Profiler::finish`] hands them over as a [`RunProfile`].
 
 use parking_lot::Mutex;
 
 use crate::phase::{PhaseRecord, RunProfile};
+use crate::stream::RecordSink;
 
 /// Accumulates timed phases for a single run of a workload.
 #[derive(Debug)]
@@ -23,34 +23,15 @@ impl Profiler {
         Profiler { app: app.into(), threads, records: Mutex::new(Vec::new()) }
     }
 
-    /// The thread count this profiler was created for.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Record a fully-formed phase record (e.g. one carrying per-thread
-    /// samples from the phase scheduler).
-    pub fn record_phase(&self, record: PhaseRecord) {
-        self.records.lock().push(record);
-    }
-
-    /// Number of records accumulated so far.
-    pub fn record_count(&self) -> usize {
-        self.records.lock().len()
-    }
-
     /// Produce the final [`RunProfile`], consuming the profiler.
     pub fn finish(self) -> RunProfile {
         RunProfile { app: self.app, threads: self.threads, records: self.records.into_inner() }
     }
+}
 
-    /// Produce a snapshot [`RunProfile`] without consuming the profiler.
-    pub fn snapshot(&self) -> RunProfile {
-        RunProfile {
-            app: self.app.clone(),
-            threads: self.threads,
-            records: self.records.lock().clone(),
-        }
+impl RecordSink for Profiler {
+    fn record(&self, record: PhaseRecord) {
+        self.records.lock().push(record);
     }
 }
 
@@ -64,12 +45,12 @@ mod tests {
     }
 
     #[test]
-    fn record_phase_keeps_the_record_as_given() {
+    fn record_keeps_the_record_as_given() {
         let p = Profiler::new("test", 2);
-        p.record_phase(
-            record(PhaseKind::Parallel, "work", 0.5, 2).with_thread_seconds(vec![0.25, 0.5]),
-        );
+        p.record(record(PhaseKind::Parallel, "work", 0.5, 2).with_thread_seconds(vec![0.25, 0.5]));
         let profile = p.finish();
+        assert_eq!(profile.app, "test");
+        assert_eq!(profile.threads, 2);
         assert_eq!(profile.records.len(), 1);
         assert_eq!(profile.records[0].kind, PhaseKind::Parallel);
         assert_eq!(profile.records[0].threads, 2);
@@ -79,21 +60,10 @@ mod tests {
     #[test]
     fn recorded_durations_are_stored_exactly() {
         let p = Profiler::new("test", 8);
-        p.record_phase(record(PhaseKind::Reduction, "merge", 1.25, 8));
-        p.record_phase(record(PhaseKind::Reduction, "merge", 0.75, 8));
+        p.record(record(PhaseKind::Reduction, "merge", 1.25, 8));
+        p.record(record(PhaseKind::Reduction, "merge", 0.75, 8));
         let profile = p.finish();
-        assert_eq!(profile.reduction_time(), 2.0);
-    }
-
-    #[test]
-    fn snapshot_does_not_consume() {
-        let p = Profiler::new("snap", 4);
-        p.record_phase(record(PhaseKind::SerialConstant, "check", 0.5, 1));
-        let s1 = p.snapshot();
-        p.record_phase(record(PhaseKind::SerialConstant, "check", 0.5, 1));
-        let s2 = p.snapshot();
-        assert_eq!(s1.records.len(), 1);
-        assert_eq!(s2.records.len(), 2);
+        assert_eq!(profile.to_measured_run().reduction_seconds, 2.0);
     }
 
     #[test]
@@ -103,11 +73,11 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..10 {
-                        p.record_phase(record(PhaseKind::Parallel, "chunk", 0.01, 4));
+                        p.record(record(PhaseKind::Parallel, "chunk", 0.01, 4));
                     }
                 });
             }
         });
-        assert_eq!(p.record_count(), 40);
+        assert_eq!(p.finish().records.len(), 40);
     }
 }

@@ -12,14 +12,15 @@
 //!   is no separate declaration to keep in step with the calls.
 //! * [`scheduler`] — [`PhaseScheduler`] drives a workload's loop
 //!   (init → body* → finalize) and streams the instrumented records into any
-//!   [`mp_profile::stream::RecordSink`]: a [`mp_profile::Profiler`] for full
-//!   profiles, a [`mp_profile::StreamingExtractor`] that folds them straight
-//!   into model parameters, or a [`mp_profile::NullSink`] for an
+//!   [`mp_profile::stream::RecordSink`]: a [`mp_profile::Profiler`] that
+//!   keeps one run's records, or a [`mp_profile::NullSink`] for an
 //!   uninstrumented run.
 //!
 //! Any type implementing [`PhasedWorkload`] is a drop-in scenario for the
-//! characterisation sweep, the streaming parameter extraction and — through
-//! `mp_model::calibrate` — the design-space exploration engine.
+//! characterisation sweep and — one [`mp_profile::Profiler`] per thread
+//! count, folded by `RunProfile::to_measured_run` into
+//! `mp_model::calibrate::CalibratedParams::fit` — the design-space
+//! exploration engine.
 //!
 //! ## Example
 //!
@@ -58,7 +59,8 @@
 //! let outcome = PhaseScheduler::new(4).run(&Dot(x.clone(), x), &profiler);
 //! let profile = profiler.finish();
 //! assert_eq!(outcome.output, (0..64).map(|i| (i * i) as f64).sum::<f64>());
-//! assert!(profile.parallel_time() >= 0.0 && profile.reduction_time() >= 0.0);
+//! let run = profile.to_measured_run();
+//! assert!(run.parallel_seconds >= 0.0 && run.reduction_seconds >= 0.0);
 //! ```
 
 #![forbid(unsafe_code)]

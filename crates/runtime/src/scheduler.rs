@@ -103,7 +103,7 @@ impl PhaseScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_profile::{NullSink, PhaseKind, Profiler, StreamingExtractor};
+    use mp_profile::{NullSink, PhaseKind, Profiler};
 
     /// A miniature kmeans-shaped workload: sums chunks in parallel, merges,
     /// and converges after a fixed number of iterations.
@@ -164,8 +164,8 @@ mod tests {
         // 1 init + 3 iterations × 3 phases + 1 finalize = 11 records.
         assert_eq!(profile.records.len(), 11);
         assert_eq!(profile.app, "mini");
-        assert!(profile.parallel_time() >= 0.0);
-        assert!(profile.time_in(PhaseKind::Init) >= 0.0);
+        assert_eq!(profile.records[0].kind, PhaseKind::Init);
+        assert_eq!(profile.records[10].kind, PhaseKind::SerialConstant);
     }
 
     #[test]
@@ -186,17 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn records_stream_into_an_extractor() {
+    fn records_fold_into_one_measured_run_per_thread_count() {
         let w = MiniWorkload { items: 5000, converge_after: 4 };
-        let extractor = StreamingExtractor::new("mini");
         for threads in [1usize, 2, 4] {
-            let sink = extractor.run_sink(threads);
-            PhaseScheduler::new(threads).run(&w, &sink);
+            let profiler = Profiler::new(w.name(), threads);
+            PhaseScheduler::new(threads).run(&w, &profiler);
+            let run = profiler.finish().to_measured_run();
+            assert_eq!(run.threads, threads);
+            assert!(run.parallel_seconds > 0.0, "threads={threads}");
         }
-        assert_eq!(extractor.thread_counts(), vec![1, 2, 4]);
-        let runs = extractor.measured_runs();
-        assert_eq!(runs.len(), 3);
-        assert!(runs.iter().all(|r| r.parallel_seconds > 0.0));
     }
 
     #[test]

@@ -356,12 +356,13 @@ mod tests {
         let profiler = Profiler::new("fuzzy", 4);
         fcm.run(&data, 4, &profiler);
         let profile = profiler.finish();
-        assert!(profile.parallel_time() > 0.0);
-        assert!(profile.reduction_time() > 0.0);
-        assert!(profile.constant_serial_time() > 0.0);
+        let run = profile.to_measured_run();
+        assert!(run.parallel_seconds > 0.0);
+        assert!(run.reduction_seconds > 0.0);
+        assert!(run.serial_constant_seconds > 0.0);
         // Fuzzy's per-point work is heavier than kmeans', so the parallel
         // fraction should be very high.
-        assert!(profile.parallel_fraction() > 0.8);
+        assert!(run.parallel_seconds / run.total_seconds() > 0.8);
     }
 
     #[test]

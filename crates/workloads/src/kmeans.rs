@@ -345,11 +345,12 @@ mod tests {
         let profiler = Profiler::new("kmeans", 4);
         km.run(&data, 4, &profiler);
         let profile = profiler.finish();
-        assert!(profile.time_in(PhaseKind::Init) >= 0.0);
-        assert!(profile.parallel_time() > 0.0);
-        assert!(profile.reduction_time() > 0.0);
-        assert!(profile.constant_serial_time() > 0.0);
-        assert!(profile.parallel_fraction() > 0.5);
+        assert_eq!(profile.records[0].kind, PhaseKind::Init);
+        let run = profile.to_measured_run();
+        assert!(run.parallel_seconds > 0.0);
+        assert!(run.reduction_seconds > 0.0);
+        assert!(run.serial_constant_seconds > 0.0);
+        assert!(run.parallel_seconds / run.total_seconds() > 0.5);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * [`kdtree`] — the k-d tree substrate used by HOP's neighbour searches and
 //!   the standalone kd-tree workload built on it,
 //! * [`runner`] — a uniform driver that runs any workload across thread
-//!   counts, producing `mp-profile` run profiles or streaming scheduler
-//!   records straight into a `StreamingExtractor` for calibration.
+//!   counts into any `mp-profile` record sink: one `Profiler` per thread
+//!   count gives the run profiles whose section totals
+//!   (`RunProfile::to_measured_run`) calibrate the model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,10 @@
 //! parameter extraction. [`ClusteringWorkload`] wraps the applications behind
 //! one interface — every run goes through the `mp-runtime` scheduler — and
 //! [`run_sweep`] produces exactly that set of profiles, while
-//! [`ClusteringWorkload::run`] streams the scheduler's records directly into
-//! any [`RecordSink`] (e.g. a [`mp_profile::StreamingExtractor`]) without
-//! materialising profiles at all.
+//! [`ClusteringWorkload::run`] streams the scheduler's records into any
+//! [`RecordSink`]. Each profile folds into one
+//! [`mp_model::calibrate::MeasuredRun`] (`RunProfile::to_measured_run`), the
+//! input of `RunAccounting::from_runs` and `CalibratedParams::fit`.
 
 use serde::{Deserialize, Serialize};
 
@@ -193,7 +194,7 @@ impl ClusteringWorkload {
 }
 
 /// Run the job at every thread count in `thread_counts` and collect the
-/// profiles (the input expected by `mp_profile::extract_params`).
+/// profiles, one per thread count.
 pub fn run_sweep(workload: &ClusteringWorkload, thread_counts: &[usize]) -> Vec<RunProfile> {
     thread_counts.iter().map(|&t| workload.run_profiled(t)).collect()
 }
@@ -217,8 +218,7 @@ pub fn default_thread_sweep(max: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
-    use mp_model::growth::GrowthFunction;
-    use mp_profile::extract_params;
+    use mp_model::calibrate::{CalibratedParams, RunAccounting};
 
     fn tiny() -> Dataset {
         DatasetSpec::new(400, 3, 3, 19).generate()
@@ -253,8 +253,9 @@ mod tests {
             let profile = job.run_profiled(2);
             assert_eq!(profile.app, kind.name());
             assert_eq!(profile.threads, 2);
-            assert!(profile.total_time() > 0.0, "{kind:?}");
-            assert!(profile.parallel_time() > 0.0, "{kind:?}");
+            let run = profile.to_measured_run();
+            assert!(run.total_seconds() > 0.0, "{kind:?}");
+            assert!(run.parallel_seconds > 0.0, "{kind:?}");
         }
     }
 
@@ -263,8 +264,9 @@ mod tests {
         let job = ClusteringWorkload::kmeans(tiny());
         let profiles = run_sweep(&job, &[1, 2, 4]);
         assert_eq!(profiles.len(), 3);
-        let params = extract_params(&profiles, &GrowthFunction::Linear).unwrap();
-        assert_eq!(params.app, "kmeans");
+        assert!(profiles.iter().all(|p| p.app == "kmeans"));
+        let runs: Vec<_> = profiles.iter().map(RunProfile::to_measured_run).collect();
+        let params = RunAccounting::from_runs(&runs).unwrap();
         assert!(params.f > 0.5, "parallel fraction should dominate, got {}", params.f);
         assert!(params.fcon >= 0.0 && params.fcon <= 1.0);
         assert!(params.fred >= 0.0 && params.fred <= 1.0);
@@ -295,14 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_streams_into_an_extractor_and_calibrates() {
-        use mp_profile::StreamingExtractor;
+    fn one_profiler_per_thread_count_calibrates() {
         let job = ClusteringWorkload::kmeans(tiny());
-        let extractor = StreamingExtractor::new(job.kind().name());
-        for threads in [1usize, 2, 4] {
-            job.run(threads, &extractor.run_sink(threads));
-        }
-        let calibrated = extractor.calibrate().unwrap();
+        let runs: Vec<_> = [1usize, 2, 4]
+            .iter()
+            .map(|&threads| {
+                let profiler = Profiler::new(job.kind().name(), threads);
+                job.run(threads, &profiler);
+                profiler.finish().to_measured_run()
+            })
+            .collect();
+        let calibrated = CalibratedParams::fit(job.kind().name(), &runs).unwrap();
         assert!(calibrated.app_params().f > 0.5, "f = {}", calibrated.app_params().f);
         let split = calibrated.app_params().split;
         assert!(split.fcon >= 0.0 && split.fcon <= 1.0);

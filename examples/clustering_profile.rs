@@ -10,7 +10,6 @@
 
 use merging_phases::model::explore::best_symmetric;
 use merging_phases::prelude::*;
-use merging_phases::profile::extract_params;
 use merging_phases::workloads::runner::{default_thread_sweep, run_sweep};
 
 fn main() {
@@ -28,35 +27,37 @@ fn main() {
     println!("running instrumented kmeans at thread counts {sweep:?}\n");
 
     let job = ClusteringWorkload::kmeans(data);
-    let profiles = run_sweep(&job, &sweep);
+    let runs: Vec<MeasuredRun> =
+        run_sweep(&job, &sweep).iter().map(RunProfile::to_measured_run).collect();
+    let accounting = RunAccounting::from_runs(&runs).expect("sweep contains a single-thread run");
 
     println!(
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
         "threads", "total (ms)", "speedup", "serial (us)", "serial growth"
     );
-    let base_total = profiles[0].total_time();
-    let base_serial = profiles[0].serial_time();
-    for p in &profiles {
+    for ((run, &(_, speedup)), &(_, growth)) in
+        runs.iter().zip(&accounting.speedups).zip(&accounting.serial_multipliers)
+    {
         println!(
             "{:>8} {:>12.2} {:>12.2} {:>14.1} {:>14.2}",
-            p.threads,
-            p.total_time() * 1e3,
-            base_total / p.total_time(),
-            p.serial_time() * 1e6,
-            p.serial_time() / base_serial,
+            run.threads,
+            run.total_seconds() * 1e3,
+            speedup,
+            run.serial_seconds() * 1e6,
+            growth,
         );
     }
 
-    let extracted = extract_params(&profiles, &GrowthFunction::Linear)
-        .expect("sweep contains a single-thread run");
+    let fored = accounting.fored(&GrowthFunction::Linear);
     println!("\nextracted parameters (paper Table II format):");
-    println!("  f      = {:.6}", extracted.f);
-    println!("  serial = {:.4} %", extracted.serial_fraction * 100.0);
-    println!("  fcon   = {:.1} % of serial", extracted.fcon * 100.0);
-    println!("  fred   = {:.1} % of serial", extracted.fred * 100.0);
-    println!("  fored  = {:.1} %", extracted.fored * 100.0);
+    println!("  f      = {:.6}", accounting.f);
+    println!("  serial = {:.4} %", accounting.serial_fraction * 100.0);
+    println!("  fcon   = {:.1} % of serial", accounting.fcon * 100.0);
+    println!("  fred   = {:.1} % of serial", accounting.fred * 100.0);
+    println!("  fored  = {:.1} %", fored * 100.0);
 
-    let params = extracted.to_app_params();
+    let params = AppParams::new("kmeans", accounting.f, accounting.fcon, fored, 0.0)
+        .expect("accounted fractions are valid");
     let model = ExtendedModel::new(params.clone(), GrowthFunction::Linear, PerfModel::Pollack);
     let budget = ChipBudget::paper_default();
     let best = best_symmetric(&model, budget).unwrap();

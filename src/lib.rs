@@ -13,9 +13,10 @@
 //!   each phase through a [`runtime::PhaseExec`] call that fixes its kind,
 //!   and a scheduler drives the loop with automatic per-phase, per-thread
 //!   instrumentation.
-//! * [`profile`] — phase instrumentation, streaming record sinks and
-//!   extraction of the model parameters (`f`, `fcon`, `fred`, `fored`) from
-//!   instrumented runs.
+//! * [`profile`] — phase instrumentation: the record sinks a run streams
+//!   its phases into, and the fold of one run's records into the section
+//!   totals from which `model::calibrate` reads the paper's parameters
+//!   (`f`, `fcon`, `fred`, `fored`).
 //! * [`workloads`] — MineBench-style clustering workloads (kmeans, fuzzy
 //!   c-means, HOP, the kd-tree scenario) written as phased workloads over a
 //!   synthetic data generator.
@@ -58,7 +59,7 @@ pub use mp_workloads as workloads;
 pub mod prelude {
     pub use mp_model::prelude::*;
     pub use mp_par::{ReductionStrategy, ThreadPool};
-    pub use mp_profile::{PhaseKind, Profiler, RunProfile, StreamingExtractor};
+    pub use mp_profile::{PhaseKind, Profiler, RunProfile};
     pub use mp_runtime::prelude::*;
     pub use mp_workloads::prelude::*;
 

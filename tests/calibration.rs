@@ -1,14 +1,16 @@
 //! End-to-end calibration tests: simulated/synthetic profiles with known
 //! injected fractions must calibrate back to those fractions, and the
 //! measured DSE backend must agree with the analytic backend when both are
-//! given the same fractions.
+//! given the same fractions. Every calibration here is the one fold the
+//! library has: records → `RunProfile::to_measured_run` →
+//! `CalibratedParams::fit`.
 
 use merging_phases::cmpsim::{kmeans_program, simulate_profile, Machine, WorkloadShape};
 use merging_phases::dse::{AnalyticBackend, EvalBackend, MeasuredBackend, ScenarioSpace};
 use merging_phases::model::calibrate::CalibratedParams;
 use merging_phases::model::growth::GrowthFunction;
 use merging_phases::prelude::*;
-use merging_phases::profile::{extract_params, PhaseKind, PhaseRecord, StreamingExtractor};
+use merging_phases::profile::{PhaseKind, PhaseRecord};
 use merging_phases::runtime::PhaseScheduler;
 
 /// A synthetic profile following the extended model exactly: parallel `f/p`,
@@ -29,11 +31,11 @@ fn injected_profile(app: &str, p: usize, f: f64, fcon: f64, fored: f64) -> RunPr
 }
 
 fn injected_calibration(f: f64, fcon: f64, fored: f64) -> CalibratedParams {
-    let extractor = StreamingExtractor::new("injected");
-    for p in [1usize, 2, 4, 8, 16] {
-        extractor.absorb_profile(&injected_profile("injected", p, f, fcon, fored));
-    }
-    extractor.calibrate().expect("synthetic sweep calibrates")
+    let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16]
+        .iter()
+        .map(|&p| injected_profile("injected", p, f, fcon, fored).to_measured_run())
+        .collect();
+    CalibratedParams::fit("injected", &runs).expect("synthetic sweep calibrates")
 }
 
 #[test]
@@ -76,27 +78,16 @@ fn measured_backend_agrees_with_analytic_on_injected_fractions() {
 }
 
 #[test]
-fn calibration_from_cmpsim_simulation_matches_direct_extraction() {
+fn calibration_from_cmpsim_simulation_tracks_the_observed_growth() {
     use merging_phases::cmpsim::program::ReductionKind;
     // Deterministic source: the timing simulator's kmeans phase programs at
     // 1–16 cores, the same runs Figure 2 is generated from.
-    let extractor = StreamingExtractor::new("kmeans-sim");
-    let mut profiles = Vec::new();
-    for cores in [1usize, 2, 4, 8, 16] {
-        let machine = Machine::table1(cores);
-        let program = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
-        let profile = simulate_profile(&program, &machine);
-        extractor.absorb_profile(&profile);
-        profiles.push(profile);
-    }
-    let calibrated = extractor.calibrate().unwrap();
-    let extracted = extract_params(&profiles, &GrowthFunction::Linear).unwrap();
-    let app = calibrated.app_params();
-    // The streaming calibration and the classic post-hoc extraction read the
-    // same simulated runs, so the single-core fractions must agree exactly.
-    assert!((app.f - extracted.f).abs() < 1e-12);
-    assert!((app.split.fcon - extracted.fcon).abs() < 1e-12);
-    assert!((app.split.fred - extracted.fred).abs() < 1e-12);
+    let program = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+    let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16]
+        .iter()
+        .map(|&cores| simulate_profile(&program, &Machine::table1(cores)).to_measured_run())
+        .collect();
+    let calibrated = CalibratedParams::fit("kmeans-sim", &runs).unwrap();
     // The simulated kmeans merge grows essentially linearly while the partial
     // tables stay cache-resident, so the calibrated closed form must track
     // the observed multipliers tightly.
@@ -111,19 +102,22 @@ fn calibration_from_cmpsim_simulation_matches_direct_extraction() {
 
 #[test]
 fn scheduler_run_calibrates_and_sweeps_end_to_end() {
-    // The full pipeline on a real (tiny) workload: scheduler → streaming
-    // extractor → calibration → measured backend → engine sweep.
+    // The full pipeline on a real (tiny) workload: scheduler → one profiler
+    // per thread count → calibration → measured backend → engine sweep.
     let data = DatasetSpec::new(600, 3, 3, 13).generate();
     let mut config = KMeansConfig::for_dataset(&data);
     config.threshold = -1.0; // fixed iteration count for stable ratios
     config.max_iters = 6;
     let workload = KMeans::new(config);
-    let extractor = StreamingExtractor::new("kmeans");
-    for threads in [1usize, 2, 4] {
-        let sink = extractor.run_sink(threads);
-        PhaseScheduler::new(threads).run(&workload.phased(&data), &sink);
-    }
-    let calibrated = extractor.calibrate().unwrap();
+    let runs: Vec<MeasuredRun> = [1usize, 2, 4]
+        .iter()
+        .map(|&threads| {
+            let profiler = Profiler::new("kmeans", threads);
+            PhaseScheduler::new(threads).run(&workload.phased(&data), &profiler);
+            profiler.finish().to_measured_run()
+        })
+        .collect();
+    let calibrated = CalibratedParams::fit("kmeans", &runs).unwrap();
     let app = calibrated.app_params();
     assert!(app.f > 0.5 && app.f < 1.0, "f = {}", app.f);
     assert!((app.split.fcon + app.split.fred - 1.0).abs() < 1e-9);

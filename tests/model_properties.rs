@@ -125,19 +125,19 @@ proptest! {
     /// parameters yield those parameters back.
     #[test]
     fn extraction_roundtrip(f in 0.9f64..=0.9999, fcon in 0.05f64..=0.95, fored in 0.05f64..=1.5) {
-        use merging_phases::profile::{extract_params, PhaseKind, PhaseRecord, RunProfile};
+        use merging_phases::profile::{PhaseKind, PhaseRecord, RunProfile};
         let s = 1.0 - f;
-        let profiles: Vec<RunProfile> = [1usize, 2, 4, 8, 16].iter().map(|&p| {
+        let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16].iter().map(|&p| {
             let mut profile = RunProfile::new("roundtrip", p);
             let mut push = |kind, seconds| profile.push(PhaseRecord::new(kind, "x", seconds, p));
             push(PhaseKind::Parallel, f / p as f64);
             push(PhaseKind::SerialConstant, s * fcon);
             push(PhaseKind::Reduction, s * (1.0 - fcon) * (1.0 + fored * (p as f64 - 1.0)));
-            profile
+            profile.to_measured_run()
         }).collect();
-        let ex = extract_params(&profiles, &GrowthFunction::Linear).unwrap();
-        prop_assert!((ex.f - f).abs() < 1e-6);
-        prop_assert!((ex.fcon - fcon).abs() < 1e-6);
-        prop_assert!((ex.fored - fored).abs() < 1e-4);
+        let accounting = RunAccounting::from_runs(&runs).unwrap();
+        prop_assert!((accounting.f - f).abs() < 1e-6);
+        prop_assert!((accounting.fcon - fcon).abs() < 1e-6);
+        prop_assert!((accounting.fored(&GrowthFunction::Linear) - fored).abs() < 1e-4);
     }
 }

@@ -5,11 +5,15 @@
 
 use merging_phases::model::explore::{best_asymmetric, best_symmetric};
 use merging_phases::prelude::*;
-use merging_phases::profile::extract_params;
 use merging_phases::workloads::runner::run_sweep;
 
 fn small_dataset() -> Dataset {
     DatasetSpec::new(3000, 6, 4, 0xABCD).generate()
+}
+
+/// The section totals of `profiles`, one run per profile, in sweep order.
+fn measured_runs(profiles: &[RunProfile]) -> Vec<MeasuredRun> {
+    profiles.iter().map(RunProfile::to_measured_run).collect()
 }
 
 #[test]
@@ -18,19 +22,21 @@ fn kmeans_pipeline_from_threads_to_design_space() {
     let profiles = run_sweep(&job, &[1, 2, 4]);
     assert_eq!(profiles.len(), 3);
 
-    // Every profile contains a merging phase and is dominated by parallel work.
-    for p in &profiles {
-        assert!(p.reduction_time() > 0.0, "threads={}", p.threads);
-        assert!(p.parallel_fraction() > 0.5, "threads={}", p.threads);
+    // Every run contains a merging phase and is dominated by parallel work.
+    let runs = measured_runs(&profiles);
+    for run in &runs {
+        assert!(run.merge_seconds() > 0.0, "threads={}", run.threads);
+        assert!(run.parallel_seconds / run.total_seconds() > 0.5, "threads={}", run.threads);
     }
 
-    let extracted = extract_params(&profiles, &GrowthFunction::Linear).unwrap();
-    assert!(extracted.f > 0.9);
-    assert!(extracted.fcon + extracted.fred > 0.99 && extracted.fcon + extracted.fred < 1.01);
+    let accounting = RunAccounting::from_runs(&runs).unwrap();
+    assert!(accounting.f > 0.9);
+    assert!(accounting.fcon + accounting.fred > 0.99 && accounting.fcon + accounting.fred < 1.01);
 
     // The extracted parameters feed the analytical model and produce a finite,
     // meaningful design space.
-    let params = extracted.to_app_params();
+    let fored = accounting.fored(&GrowthFunction::Linear);
+    let params = AppParams::new("kmeans", accounting.f, accounting.fcon, fored, 0.0).unwrap();
     let model = ExtendedModel::new(params, GrowthFunction::Linear, PerfModel::Pollack);
     let budget = ChipBudget::paper_default();
     let sym = best_symmetric(&model, budget).unwrap();
@@ -49,16 +55,16 @@ fn all_three_workloads_produce_extractable_profiles() {
         ClusteringWorkload::hop(hop_data),
     ];
     for job in jobs {
-        let profiles = run_sweep(&job, &[1, 2]);
-        let extracted = extract_params(&profiles, &GrowthFunction::Linear)
-            .unwrap_or_else(|| panic!("{}: extraction failed", job.kind().name()));
+        let runs = measured_runs(&run_sweep(&job, &[1, 2]));
+        let accounting = RunAccounting::from_runs(&runs)
+            .unwrap_or_else(|e| panic!("{}: extraction failed: {e}", job.kind().name()));
         assert!(
-            extracted.f > 0.5,
+            accounting.f > 0.5,
             "{}: expected a mostly parallel workload, got f = {}",
             job.kind().name(),
-            extracted.f
+            accounting.f
         );
-        assert!(extracted.serial_fraction < 0.5);
+        assert!(accounting.serial_fraction < 0.5);
     }
 }
 
@@ -72,28 +78,27 @@ fn reduction_strategy_changes_merge_cost_but_not_results() {
     let privat = ClusteringWorkload::kmeans(data)
         .with_reduction(merging_phases::par::ReductionStrategy::ParallelPrivatized);
 
-    let serial_profiles = run_sweep(&serial, &[1, 4]);
-    let privat_profiles = run_sweep(&privat, &[1, 4]);
-    for profiles in [&serial_profiles, &privat_profiles] {
-        assert!(extract_params(profiles, &GrowthFunction::Linear).is_some());
+    for job in [&serial, &privat] {
+        let runs = measured_runs(&run_sweep(job, &[1, 4]));
+        assert!(RunAccounting::from_runs(&runs).is_ok());
     }
 }
 
 #[test]
-fn speedup_series_is_reported_relative_to_single_thread() {
+fn speedups_are_reported_relative_to_single_thread() {
     let job = ClusteringWorkload::kmeans(small_dataset());
-    let profiles = run_sweep(&job, &[1, 2, 4]);
-    let series = merging_phases::profile::speedup_series(&profiles);
+    let runs = measured_runs(&run_sweep(&job, &[1, 2, 4]));
+    let series = RunAccounting::from_runs(&runs).unwrap().speedups;
     // The series is a pure function of the recorded phase times: one entry
-    // per profile in thread order, the single-thread run as the unit, every
+    // per run in thread order, the single-thread run as the unit, every
     // other value that run's total over this one's. How large the values are
     // is the host's business, not this test's.
-    assert_eq!(series.len(), profiles.len());
+    assert_eq!(series.len(), runs.len());
     assert_eq!(series[0], (1, 1.0));
-    let base = profiles[0].total_time();
-    for (&(threads, speedup), profile) in series.iter().zip(&profiles) {
-        assert_eq!(threads, profile.threads);
+    let base = runs[0].total_seconds();
+    for (&(threads, speedup), run) in series.iter().zip(&runs) {
+        assert_eq!(threads, run.threads);
         assert!(speedup.is_finite() && speedup > 0.0, "threads={threads}: {speedup}");
-        assert_eq!(speedup, base / profile.total_time(), "threads={threads}");
+        assert_eq!(speedup, base / run.total_seconds(), "threads={threads}");
     }
 }

@@ -11,34 +11,33 @@ use merging_phases::cmpsim::{
 };
 use merging_phases::model::serial_time::serial_growth_factor;
 use merging_phases::prelude::*;
-use merging_phases::profile::{extract_params, serial_growth, RunProfile};
 
-fn simulated_sweep(program_name: &str) -> Vec<RunProfile> {
-    [1usize, 2, 4, 8, 16]
+/// The Section V-A accounting of the simulator's 1–16-core runs of `app`.
+fn simulated_accounting(app: &str) -> RunAccounting {
+    let program = match app {
+        "kmeans" => kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
+        "fuzzy" => fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
+        _ => unreachable!(),
+    };
+    let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16]
         .iter()
-        .map(|&cores| {
-            let machine = Machine::table1(cores);
-            let program = match program_name {
-                "kmeans" => {
-                    kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear)
-                }
-                "fuzzy" => {
-                    fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear)
-                }
-                _ => unreachable!(),
-            };
-            simulate_profile(&program, &machine)
-        })
-        .collect()
+        .map(|&cores| simulate_profile(&program, &Machine::table1(cores)).to_measured_run())
+        .collect();
+    RunAccounting::from_runs(&runs).unwrap()
+}
+
+/// The extended-model parameters with `fored` fitted under linear growth.
+fn linear_params(app: &str, accounting: &RunAccounting) -> AppParams {
+    let fored = accounting.fored(&GrowthFunction::Linear);
+    AppParams::new(app, accounting.f, accounting.fcon, fored, 0.0).unwrap()
 }
 
 #[test]
 fn model_predicts_simulated_serial_growth_for_linear_workloads() {
     for app in ["kmeans", "fuzzy"] {
-        let profiles = simulated_sweep(app);
-        let extracted = extract_params(&profiles, &GrowthFunction::Linear).unwrap();
-        let params = extracted.to_app_params();
-        for (threads, observed) in serial_growth(&profiles) {
+        let accounting = simulated_accounting(app);
+        let params = linear_params(app, &accounting);
+        for &(threads, observed) in &accounting.serial_multipliers {
             let predicted = serial_growth_factor(&params, &GrowthFunction::Linear, threads as f64);
             let ratio = predicted / observed;
             assert!(
@@ -52,13 +51,11 @@ fn model_predicts_simulated_serial_growth_for_linear_workloads() {
 #[test]
 fn model_and_simulator_agree_on_sixteen_core_speedup() {
     for app in ["kmeans", "fuzzy"] {
-        let profiles = simulated_sweep(app);
-        let extracted = extract_params(&profiles, &GrowthFunction::Linear).unwrap();
-        let params = extracted.to_app_params();
+        let accounting = simulated_accounting(app);
+        let params = linear_params(app, &accounting);
         let model = ExtendedModel::new(params, GrowthFunction::Linear, PerfModel::Pollack);
 
-        let simulated_speedup = profiles[0].total_time()
-            / profiles.iter().find(|p| p.threads == 16).unwrap().total_time();
+        let &(_, simulated_speedup) = accounting.speedups.iter().find(|&&(p, _)| p == 16).unwrap();
         let predicted_speedup = model.speedup_unit_cores(16.0).unwrap();
         let rel_err = (simulated_speedup - predicted_speedup).abs() / simulated_speedup;
         assert!(
