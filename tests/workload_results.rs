@@ -1,0 +1,117 @@
+//! The result each clustering workload computes, pinned bit for bit.
+//!
+//! `tests/phase_records.rs` pins which phases a run records; this suite pins
+//! what the run computes. For every workload it folds each field of the
+//! result — every float by its bit pattern — into an FNV-1a digest, at 1 and
+//! 3 threads, and for the two tree-building workloads also at 8 threads,
+//! where the tree-build cap of 4 binds. The per-thread partial sums set the
+//! float summation order, so each thread count is pinned on its own (hop
+//! merges no float partials and reads the same at all three); at a fixed
+//! thread count every field is deterministic.
+
+use merging_phases::prelude::*;
+use merging_phases::profile::NullSink;
+
+fn data() -> Dataset {
+    DatasetSpec::new(240, 3, 3, 0x5EC0).generate()
+}
+
+/// FNV-1a over 64-bit words.
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(mut self, word: u64) -> Self {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    fn float(self, v: f64) -> Self {
+        self.word(v.to_bits())
+    }
+
+    fn floats(self, vs: &[f64]) -> Self {
+        vs.iter().fold(self.word(vs.len() as u64), |d, &v| d.float(v))
+    }
+
+    fn count(self, n: usize) -> Self {
+        self.word(n as u64)
+    }
+
+    fn counts(self, ns: &[usize]) -> Self {
+        ns.iter().fold(self.word(ns.len() as u64), |d, &n| d.count(n))
+    }
+}
+
+/// Assert that `digest(threads)` equals the pinned digest at every pinned
+/// thread count, reporting every actual digest on a mismatch.
+fn assert_pinned(name: &str, pinned: &[(usize, u64)], digest: impl Fn(usize) -> u64) {
+    let actual: Vec<(usize, u64)> = pinned.iter().map(|&(t, _)| (t, digest(t))).collect();
+    let shown: Vec<String> = actual.iter().map(|(t, d)| format!("({t}, {d:#018x})")).collect();
+    assert_eq!(actual, pinned, "{name}: actual digests [{}]", shown.join(", "));
+}
+
+#[test]
+fn kmeans_result_is_pinned() {
+    let data = data();
+    let km = KMeans::new(KMeansConfig::for_dataset(&data));
+    assert_pinned("kmeans", &[(1, 0x0233_c3b3_9f56_02a4), (3, 0x6836_5956_b6a3_b024)], |threads| {
+        let r = km.run(&data, threads, &NullSink);
+        Digest::new().floats(&r.centers).counts(&r.assignments).float(r.sse).count(r.iterations).0
+    });
+}
+
+#[test]
+fn fuzzy_result_is_pinned() {
+    let data = data();
+    let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
+    assert_pinned("fuzzy", &[(1, 0x95b7_ee31_1fa3_2967), (3, 0x91bd_c9a5_7182_7120)], |threads| {
+        let r = fcm.run(&data, threads, &NullSink);
+        Digest::new()
+            .floats(&r.centers)
+            .counts(&r.assignments)
+            .count(r.iterations)
+            .float(r.final_delta)
+            .0
+    });
+}
+
+#[test]
+fn hop_result_is_pinned() {
+    let data = data();
+    let hop = Hop::new(HopConfig::default());
+    assert_pinned(
+        "hop",
+        &[(1, 0x58a5_5727_c1ff_2a7f), (3, 0x58a5_5727_c1ff_2a7f), (8, 0x58a5_5727_c1ff_2a7f)],
+        |threads| {
+            let r = hop.run(&data, threads, &NullSink);
+            Digest::new()
+                .counts(&r.group_of)
+                .count(r.groups)
+                .counts(&r.group_sizes)
+                .floats(&r.densities)
+                .0
+        },
+    );
+}
+
+#[test]
+fn kdtree_result_is_pinned() {
+    let data = data();
+    let w = KdTreeWorkload::new(KdTreeConfig::default());
+    assert_pinned(
+        "kdtree",
+        &[(1, 0x5f56_50e5_181d_3e2f), (3, 0x46b0_b4f5_b430_c7a9), (8, 0x46b0_b4f5_b430_c7a9)],
+        |threads| {
+            let r = w.run(&data, threads, &NullSink);
+            Digest::new().floats(&r.histogram).float(r.mean_kth_distance).count(r.queries).0
+        },
+    );
+}
