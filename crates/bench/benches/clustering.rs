@@ -23,12 +23,11 @@ fn bench_clustering(c: &mut Criterion) {
     let hop_spec = DatasetSpec::new(8000, 3, 16, 0x401);
 
     for kind in WorkloadKind::all() {
-        let job = match kind {
-            WorkloadKind::KMeans => ClusteringWorkload::kmeans(cluster_spec.generate()),
-            WorkloadKind::Fuzzy => ClusteringWorkload::fuzzy(cluster_spec.generate()),
-            WorkloadKind::Hop => ClusteringWorkload::hop(hop_spec.generate()),
-            WorkloadKind::KdTree => ClusteringWorkload::kdtree(hop_spec.generate()),
+        let spec = match kind {
+            WorkloadKind::KMeans | WorkloadKind::Fuzzy => &cluster_spec,
+            WorkloadKind::Hop | WorkloadKind::KdTree => &hop_spec,
         };
+        let job = ClusteringWorkload::of_kind(kind, spec.generate());
         let mut group = c.benchmark_group(format!("fig2a/{}", kind.name()));
         group.sample_size(10);
         for &threads in &thread_counts() {

@@ -1,20 +1,21 @@
 //! Merging-phase microbenchmarks (`reduce` target): the three reduction
 //! strategies versus the number of partials (threads) and the number of
-//! reduction elements, plus the phase scheduler's instrumented map-reduce
-//! path.
+//! reduction elements, plus a map-reduce run through the phase executor.
 //!
 //! This quantifies the paper's Section II-B/V-E discussion directly: the
 //! serial linear merge grows with the thread count, the tree merge grows
 //! logarithmically, and the privatised parallel merge keeps the computation
 //! flat at the cost of touching every partial from every thread. The
-//! scheduler benchmark measures what the `mp-runtime` instrumentation layer
-//! adds on top of the raw fork-join + merge.
+//! executor benchmark times `mp_workloads::exec::PhaseExec` with a live
+//! `Profiler` and with a `NullSink`, so the pair shows what the per-phase,
+//! per-thread instrumentation adds on top of the raw fork-join + merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mp_par::reduce::{reduce_elementwise, ReductionStrategy};
+use mp_profile::stream::RecordSink;
 use mp_profile::{NullSink, Profiler};
-use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
+use mp_workloads::exec::PhaseExec;
 
 fn make_partials(threads: usize, elements: usize) -> Vec<Vec<f64>> {
     (0..threads)
@@ -42,67 +43,36 @@ fn bench_reduction_strategies(c: &mut Criterion) {
     }
 }
 
-/// A minimal map-reduce phased workload: per-thread element-wise partials
-/// over a slice, merged with the configured strategy.
-struct MapReduce {
-    items: usize,
-    elements: usize,
-    strategy: ReductionStrategy,
+/// A minimal map-reduce run: per-thread element-wise partials over
+/// `0..items`, merged serially, stored by a constant serial phase.
+fn map_reduce(threads: usize, sink: &dyn RecordSink, items: usize, elements: usize) -> Vec<f64> {
+    let exec = PhaseExec::new(sink, threads);
+    let partials = exec.parallel("map", items, |_ctx, range| {
+        let mut partial = vec![0.0f64; elements];
+        for i in range {
+            partial[i % elements] += i as f64;
+        }
+        partial
+    });
+    let (merged, _stats) = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
+    exec.serial("store", || merged)
 }
 
-impl PhasedWorkload for MapReduce {
-    type State = Vec<f64>;
-    type Output = Vec<f64>;
-
-    fn name(&self) -> &str {
-        "bench-map-reduce"
-    }
-
-    fn max_iterations(&self) -> usize {
-        1
-    }
-
-    fn init(&self, _exec: &PhaseExec<'_>) -> Vec<f64> {
-        Vec::new()
-    }
-
-    fn iteration(&self, state: &mut Vec<f64>, exec: &PhaseExec<'_>, _iter: usize) -> Control {
-        let elements = self.elements;
-        let partials = exec.parallel("map", self.items, |_ctx, range| {
-            let mut partial = vec![0.0f64; elements];
-            for i in range {
-                partial[i % elements] += i as f64;
-            }
-            partial
-        });
-        let (merged, _stats) = exec.reduce("merge", &partials, self.strategy);
-        exec.serial("store", || *state = merged);
-        Control::Break
-    }
-
-    fn finalize(&self, state: Vec<f64>, _exec: &PhaseExec<'_>) -> Vec<f64> {
-        state
-    }
-}
-
-fn bench_scheduler_map_reduce(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reduce/scheduler");
+fn bench_executor_map_reduce(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reduce/executor");
     for threads in [1usize, 4, 8] {
-        let workload =
-            MapReduce { items: 100_000, elements: 80, strategy: ReductionStrategy::SerialLinear };
-        let scheduler = PhaseScheduler::new(threads);
-        group.bench_with_input(BenchmarkId::new("instrumented", threads), &threads, |b, _| {
+        group.bench_with_input(BenchmarkId::new("instrumented", threads), &threads, |b, &t| {
             b.iter(|| {
-                let profiler = Profiler::new("bench", threads);
-                scheduler.run(std::hint::black_box(&workload), &profiler)
+                let profiler = Profiler::new("bench", t);
+                map_reduce(t, &profiler, std::hint::black_box(100_000), 80)
             });
         });
-        group.bench_with_input(BenchmarkId::new("uninstrumented", threads), &threads, |b, _| {
-            b.iter(|| scheduler.run(std::hint::black_box(&workload), &NullSink));
+        group.bench_with_input(BenchmarkId::new("uninstrumented", threads), &threads, |b, &t| {
+            b.iter(|| map_reduce(t, &NullSink, std::hint::black_box(100_000), 80));
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_reduction_strategies, bench_scheduler_map_reduce);
+criterion_group!(benches, bench_reduction_strategies, bench_executor_map_reduce);
 criterion_main!(benches);

@@ -6,11 +6,14 @@
 //! cargo run --release -p mp-bench --bin repro -- --json table2
 //! ```
 //!
-//! Each experiment prints a fixed-width table; `--json` switches to JSON so
-//! results can be archived or plotted externally. `fig2c` runs the real
-//! instrumented workloads on the host machine and therefore takes the longest;
-//! pass `--quick` to use reduced data sets for it.
+//! Each experiment prints a fixed-width table; `--json` switches to one
+//! compact JSON document a line, so results can be archived or plotted
+//! externally. A reader that stops early (`repro all | head`) ends the run
+//! quietly. `fig2c` runs the real instrumented workloads on the host machine
+//! and therefore takes the longest; pass `--quick` to use reduced data sets
+//! for it.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use mp_bench::figures;
@@ -19,7 +22,6 @@ use mp_bench::figures;
 /// allocator gauges.
 #[global_allocator]
 static ALLOC: mp_bench::alloc_track::CountingAllocator = mp_bench::alloc_track::CountingAllocator;
-use mp_profile::report::to_json;
 use mp_profile::{render_table, TableRow};
 
 struct Experiment {
@@ -212,16 +214,27 @@ fn main() -> ExitCode {
         selected.iter().map(|s| s.as_str()).collect()
     };
 
+    let mut out = io::stdout().lock();
     for name in names {
         let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == name) else {
             eprintln!("unknown experiment `{name}` (see `repro` with no arguments for the list)");
             return ExitCode::FAILURE;
         };
         let rows = generate(exp.name, quick);
-        if json {
-            println!("{{\"experiment\":\"{}\",\"rows\":{}}}", exp.name, to_json(&rows));
+        let written = if json {
+            let rows = serde_json::to_string(&rows).expect("table rows always serialise");
+            writeln!(out, "{{\"experiment\":\"{}\",\"rows\":{rows}}}", exp.name)
         } else {
-            println!("{}", render_table(exp.title, &rows, exp.precision));
+            writeln!(out, "{}", render_table(exp.title, &rows, exp.precision))
+        };
+        if let Err(err) = written.and_then(|()| out.flush()) {
+            // The reader closed the pipe (`repro all | head`): it has all it
+            // wants, so the run ends without an error.
+            if err.kind() == io::ErrorKind::BrokenPipe {
+                return ExitCode::SUCCESS;
+            }
+            eprintln!("cannot write the output: {err}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

@@ -1,7 +1,7 @@
 //! The `repro calibrate` subcommand: the paper's loop, end to end.
 //!
-//! 1. **Measure** — run all four phased workloads (kmeans, fuzzy, hop,
-//!    kdtree) through the `mp-runtime` scheduler across a thread sweep,
+//! 1. **Measure** — run all four clustering workloads (kmeans, fuzzy, hop,
+//!    kdtree) through their phase executor across a thread sweep,
 //!    recording each run into its own `mp_profile::Profiler` and folding the
 //!    records into one [`mp_model::calibrate::MeasuredRun`] per thread count.
 //! 2. **Calibrate** — fit a [`CalibratedParams`] set per workload:
@@ -24,7 +24,7 @@ use mp_model::perf::PerfModel;
 use mp_profile::{render_table, RunProfile, TableRow};
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::kmeans::KMeansConfig;
-use mp_workloads::runner::{default_thread_sweep, run_sweep, ClusteringWorkload};
+use mp_workloads::runner::{default_thread_sweep, run_sweep, ClusteringWorkload, WorkloadKind};
 
 use crate::dse_cmd::{export_sweep, record_row, scenario_label};
 
@@ -98,10 +98,10 @@ fn jobs(quick: bool) -> Vec<ClusteringWorkload> {
     kmeans_cfg.threshold = -1.0;
     kmeans_cfg.max_iters = if quick { 20 } else { 50 };
     vec![
-        ClusteringWorkload::kmeans(cluster_data).with_kmeans_config(kmeans_cfg),
-        ClusteringWorkload::fuzzy(cluster_spec.generate()),
-        ClusteringWorkload::hop(hop_spec.generate()),
-        ClusteringWorkload::kdtree(hop_spec.generate()),
+        ClusteringWorkload::kmeans(kmeans_cfg, cluster_data),
+        ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster_spec.generate()),
+        ClusteringWorkload::of_kind(WorkloadKind::Hop, hop_spec.generate()),
+        ClusteringWorkload::of_kind(WorkloadKind::KdTree, hop_spec.generate()),
     ]
 }
 
@@ -302,10 +302,10 @@ mod tests {
         let mut kmeans_cfg = KMeansConfig { threshold: -1.0, max_iters: 5, ..Default::default() };
         kmeans_cfg.clusters = 3;
         let workloads = vec![
-            ClusteringWorkload::kmeans(cluster.generate()).with_kmeans_config(kmeans_cfg),
-            ClusteringWorkload::fuzzy(cluster.generate()),
-            ClusteringWorkload::hop(hop.generate()),
-            ClusteringWorkload::kdtree(hop.generate()),
+            ClusteringWorkload::kmeans(kmeans_cfg, cluster.generate()),
+            ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster.generate()),
+            ClusteringWorkload::of_kind(WorkloadKind::Hop, hop.generate()),
+            ClusteringWorkload::of_kind(WorkloadKind::KdTree, hop.generate()),
         ];
         let calibrations = calibrate_jobs(&workloads, &[1, 2]).unwrap();
         assert_eq!(calibrations.len(), 4);

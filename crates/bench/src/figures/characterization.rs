@@ -16,7 +16,7 @@ use mp_model::params::AppParams;
 use mp_model::serial_time::serial_growth_factor;
 use mp_profile::{RunProfile, TableRow};
 use mp_workloads::data::DatasetSpec;
-use mp_workloads::runner::{run_sweep, ClusteringWorkload};
+use mp_workloads::runner::{run_sweep, ClusteringWorkload, WorkloadKind};
 
 use super::CHARACTERIZATION_CORES;
 
@@ -91,9 +91,9 @@ pub fn fig2c_real_serial_growth(thread_counts: &[usize], reduced_size: bool) -> 
     kmeans_cfg.threshold = -1.0;
     kmeans_cfg.max_iters = if reduced_size { 20 } else { 50 };
     let jobs = [
-        ClusteringWorkload::kmeans(cluster_data).with_kmeans_config(kmeans_cfg),
-        ClusteringWorkload::fuzzy(cluster_spec.generate()),
-        ClusteringWorkload::hop(hop_spec.generate()),
+        ClusteringWorkload::kmeans(kmeans_cfg, cluster_data),
+        ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster_spec.generate()),
+        ClusteringWorkload::of_kind(WorkloadKind::Hop, hop_spec.generate()),
     ];
     jobs.iter()
         .map(|job| {

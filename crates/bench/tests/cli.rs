@@ -94,6 +94,36 @@ fn bare_repro_prints_every_subcommand_usage() {
     assert_rejects(&["job", "frobnicate"], mp_bench::job_cmd::USAGE);
 }
 
+/// A reader that stops early (`repro --json … | head -c 100`) closes the
+/// pipe while `repro` still has experiments to print: the run ends quietly
+/// instead of panicking with "failed printing to stdout". The experiment list
+/// is asked for eight times over, about 160 kB of output, so `repro` cannot
+/// have written it all into the pipe's 64 kB buffer before the close.
+#[test]
+fn repro_ends_quietly_when_its_reader_closes_the_pipe() {
+    use std::io::Read;
+    use std::process::Stdio;
+
+    let experiments =
+        "table1 fig2a fig2b fig2d table2 table3 fig3 fig4 fig5 fig6 fig7 table4 summary";
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--json")
+        .args(std::iter::repeat(experiments.split(' ')).take(8).flatten())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let mut head = [0u8; 100];
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut head).expect("repro prints at least 100 bytes");
+    drop(stdout);
+    let output = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "repro panicked: {stderr}");
+    assert!(output.status.success(), "repro exited with {}: {stderr}", output.status);
+    assert!(head.starts_with(b"{\"experiment\":\"table1\""), "{}", String::from_utf8_lossy(&head));
+}
+
 /// `repro dse` writes its two exports and nothing else: a re-run into the
 /// same directory recomputes, reports the same in-process check and rewrites
 /// a byte-identical `sweep.csv`, and a cache file left there by an older binary is

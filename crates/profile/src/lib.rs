@@ -14,8 +14,8 @@
 //!   ([`RunProfile`]) holding one timed record per executed phase,
 //! * [`profiler`] — a thread-safe [`Profiler`] that keeps every record a
 //!   run streams into it,
-//! * [`stream`] — the [`RecordSink`] the phase scheduler streams records
-//!   into, and the [`NullSink`] of uninstrumented runs,
+//! * [`stream`] — the [`RecordSink`] a workload's phase executor streams
+//!   records into, and the [`NullSink`] of uninstrumented runs,
 //! * [`report`] — serialisable experiment rows and plain-text table rendering
 //!   shared by the figure harness.
 

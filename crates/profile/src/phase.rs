@@ -56,7 +56,7 @@ pub struct PhaseRecord {
     /// What kind of phase this was.
     pub kind: PhaseKind,
     /// Free-form label (e.g. `"assign-points"`, `"merge-centers"`). A `Cow`
-    /// so static phase names (the simulator's, the schedulers') reach reports
+    /// so static phase names (the simulator's, the workloads') reach reports
     /// without a heap copy per record.
     pub label: Cow<'static, str>,
     /// Duration in seconds (wall-clock or simulated).
@@ -64,9 +64,10 @@ pub struct PhaseRecord {
     /// Number of threads active during the phase.
     pub threads: usize,
     /// Per-thread durations in seconds, indexed by thread id, when the phase
-    /// was executed through the phase scheduler (empty otherwise). For a
-    /// fork-join phase `seconds` is the wall-clock of the whole region while
-    /// these samples expose the per-worker imbalance.
+    /// was a fork-join run by `mp_workloads::exec::PhaseExec::parallel`
+    /// (empty otherwise). For a fork-join phase `seconds` is the wall-clock
+    /// of the whole region while these samples expose the per-worker
+    /// imbalance.
     pub thread_seconds: Vec<f64>,
 }
 
@@ -85,18 +86,6 @@ impl PhaseRecord {
     pub fn with_thread_seconds(mut self, thread_seconds: Vec<f64>) -> Self {
         self.thread_seconds = thread_seconds;
         self
-    }
-
-    /// Load imbalance of the phase: the slowest thread's time over the mean
-    /// thread time (1.0 = perfectly balanced). Returns `None` without
-    /// per-thread samples.
-    pub fn imbalance(&self) -> Option<f64> {
-        if self.thread_seconds.is_empty() {
-            return None;
-        }
-        let max = self.thread_seconds.iter().cloned().fold(0.0f64, f64::max);
-        let mean = self.thread_seconds.iter().sum::<f64>() / self.thread_seconds.len() as f64;
-        (mean > 0.0).then(|| max / mean)
     }
 }
 

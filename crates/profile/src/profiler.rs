@@ -1,7 +1,7 @@
 //! A thread-safe phase profiler.
 //!
-//! The [`Profiler`] keeps every [`PhaseRecord`] of one run: the phase
-//! scheduler streams them in through its [`RecordSink`] impl, and
+//! The [`Profiler`] keeps every [`PhaseRecord`] of one run: the workload's
+//! phase executor streams them in through its [`RecordSink`] impl, and
 //! [`Profiler::finish`] hands them over as a [`RunProfile`].
 
 use parking_lot::Mutex;

@@ -79,11 +79,6 @@ pub fn render_table(title: &str, rows: &[TableRow], precision: usize) -> String 
     out
 }
 
-/// Serialise rows to pretty JSON (for machine-readable experiment archives).
-pub fn to_json(rows: &[TableRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("table rows always serialise")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,8 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let json = to_json(&rows());
+    fn rows_round_trip_through_one_line_of_json() {
+        let json = serde_json::to_string(&rows()).unwrap();
+        assert!(!json.contains('\n'), "{json}");
         let back: Vec<TableRow> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rows());
     }

@@ -1,14 +1,15 @@
-//! Record sinks: where the phase scheduler streams its records.
+//! Record sinks: where a workload's phases stream their records.
 //!
-//! The phase scheduler (`mp-runtime`) emits one [`PhaseRecord`] per
-//! executed phase. A [`RecordSink`] receives them as they happen: a
-//! [`crate::Profiler`] keeps them for one run, a [`NullSink`] drops them.
+//! The phase executor (`mp_workloads::exec::PhaseExec`) emits one
+//! [`PhaseRecord`] per executed phase. A [`RecordSink`] receives them as
+//! they happen: a [`crate::Profiler`] keeps them for one run, a [`NullSink`]
+//! drops them.
 
 use crate::phase::PhaseRecord;
 
-/// A consumer of phase records, fed live by the phase scheduler.
+/// A consumer of phase records, fed live by the phase executor.
 pub trait RecordSink: Sync {
-    /// Whether the sink wants records at all. Schedulers may skip the timing
+    /// Whether the sink wants records at all. The executor skips the timing
     /// overhead entirely when this returns `false`.
     fn is_live(&self) -> bool {
         true

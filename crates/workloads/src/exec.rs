@@ -1,18 +1,41 @@
 //! The instrumented phase executor.
 //!
-//! A [`PhaseExec`] is the only handle a phased workload receives to run its
-//! phases. The method a workload calls fixes the phase's accounting kind —
+//! A workload's `run` is its phase loop, written out: it builds one
+//! [`PhaseExec`] over the caller's [`RecordSink`] and runs every phase
+//! through it. The method a workload calls fixes the phase's accounting kind —
 //! [`init`](PhaseExec::init) is setup, [`parallel`](PhaseExec::parallel) and
 //! [`parallel_task`](PhaseExec::parallel_task) are parallel work,
 //! [`reduce`](PhaseExec::reduce) and [`reduce_with`](PhaseExec::reduce_with)
 //! are the merging phase, [`serial`](PhaseExec::serial) is constant serial
 //! work. Every call executes the phase with the right fork-join primitive,
 //! times it — including one sample per worker thread for fork-join phases —
-//! and streams a [`PhaseRecord`] into the scheduler's [`RecordSink`].
+//! and streams a [`PhaseRecord`] into the sink.
 //!
 //! The workload never touches a timer or a profiler; the conventions the
 //! paper's accounting depends on (what counts as parallel vs. reduction vs.
 //! constant serial time) live here, once.
+//!
+//! ## Example
+//!
+//! ```
+//! use mp_par::ReductionStrategy;
+//! use mp_profile::Profiler;
+//! use mp_workloads::exec::PhaseExec;
+//!
+//! // Parallel dot-product with an explicit merging phase.
+//! let x: Vec<f64> = (0..64).map(|i| i as f64).collect();
+//! let profiler = Profiler::new("dot", 4);
+//! let exec = PhaseExec::new(&profiler, 4);
+//! let partials = exec.parallel("multiply", x.len(), |_ctx, range| {
+//!     vec![range.map(|i| x[i] * x[i]).sum::<f64>()]
+//! });
+//! let (merged, _) = exec.reduce("merge", &partials, ReductionStrategy::TreeLog);
+//! let dot = exec.serial("store", || merged[0]);
+//! assert_eq!(dot, (0..64).map(|i| (i * i) as f64).sum::<f64>());
+//!
+//! let run = profiler.finish().to_measured_run();
+//! assert!(run.parallel_seconds >= 0.0 && run.reduction_seconds >= 0.0);
+//! ```
 
 use std::time::Instant;
 
@@ -21,19 +44,22 @@ use mp_par::reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};
 use mp_profile::stream::RecordSink;
 use mp_profile::{PhaseKind, PhaseRecord};
 
-/// Executes and instruments the phases of one scheduled run.
+/// Executes and instruments the phases of one run.
 pub struct PhaseExec<'a> {
     sink: &'a dyn RecordSink,
     threads: usize,
 }
 
 impl<'a> PhaseExec<'a> {
-    pub(crate) fn new(sink: &'a dyn RecordSink, threads: usize) -> Self {
+    /// An executor running every phase on `threads` worker threads (thread
+    /// 0 is the caller) and streaming its records into `sink` (a
+    /// [`mp_profile::NullSink`] skips the timing entirely).
+    pub fn new(sink: &'a dyn RecordSink, threads: usize) -> Self {
         assert!(threads > 0, "threads must be positive");
         PhaseExec { sink, threads }
     }
 
-    /// The scheduler's thread count.
+    /// The run's thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -103,8 +129,8 @@ impl<'a> PhaseExec<'a> {
         strategy: ReductionStrategy,
     ) -> (Vec<f64>, ReduceStats) {
         // The serial-linear merge runs on the calling thread; the tree and
-        // privatised merges fan out over the scheduler's workers, and the
-        // record reflects that.
+        // privatised merges fan out over the run's workers, and the record
+        // reflects that.
         let threads = match strategy {
             ReductionStrategy::SerialLinear => 1,
             ReductionStrategy::TreeLog | ReductionStrategy::ParallelPrivatized => self.threads,
@@ -158,7 +184,6 @@ mod tests {
         let record = &profile.records[0];
         assert_eq!(record.kind, PhaseKind::Parallel);
         assert_eq!(record.thread_seconds.len(), 4);
-        assert!(record.imbalance().is_some());
     }
 
     #[test]
@@ -169,7 +194,7 @@ mod tests {
         exec.parallel_task("limited", 2, |_threads| ());
         let profile = profiler.finish();
         assert_eq!(profile.records[0].threads, 8);
-        assert_eq!(profile.records[1].threads, 2, "cap of 2 must override 8 scheduler threads");
+        assert_eq!(profile.records[1].threads, 2, "cap of 2 must override the run's 8 threads");
         assert!(profile.records[1].thread_seconds.is_empty());
     }
 
@@ -207,6 +232,12 @@ mod tests {
         let exec = PhaseExec::new(&profiler, 8);
         assert_eq!(exec.parallel_task("limited", 2, |threads| threads), 2);
         assert_eq!(exec.parallel_task("uncapped", usize::MAX, |threads| threads), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "threads must be positive")]
+    fn zero_threads_rejected() {
+        PhaseExec::new(&NullSink, 0);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::data::Dataset;
+use crate::exec::PhaseExec;
 use mp_par::reduce::ReductionStrategy;
 use mp_profile::stream::RecordSink;
-use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
-
-use crate::data::Dataset;
 
 /// Configuration of a fuzzy c-means run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -94,55 +93,21 @@ impl FuzzyCMeans {
         &self.config
     }
 
-    /// The phased view of this workload over `data`, ready for a
-    /// [`PhaseScheduler`].
-    pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedFuzzy<'a> {
-        PhasedFuzzy { workload: self, data }
-    }
-
     /// Run fuzzy c-means on `data` with `threads` worker threads, streaming
     /// every phase record into `sink`.
     pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> FuzzyResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
-    }
-}
-
-/// [`FuzzyCMeans`] expressed as a phased workload: a parallel membership
-/// kernel, the merging phase over `C·D + C` accumulator elements, a constant
-/// serial centre update, and a final parallel hard-assignment pass.
-pub struct PhasedFuzzy<'a> {
-    workload: &'a FuzzyCMeans,
-    data: &'a Dataset,
-}
-
-/// Loop state of a scheduled fuzzy c-means run.
-pub struct FuzzyState {
-    k: usize,
-    centers: Vec<f64>,
-    iterations: usize,
-    final_delta: f64,
-}
-
-impl PhasedWorkload for PhasedFuzzy<'_> {
-    type State = FuzzyState;
-    type Output = FuzzyResult;
-
-    fn name(&self) -> &str {
-        "fuzzy"
-    }
-
-    fn max_iterations(&self) -> usize {
-        self.workload.config.max_iters
-    }
-
-    fn init(&self, exec: &PhaseExec<'_>) -> FuzzyState {
-        let data = self.data;
+        let exec = PhaseExec::new(sink, threads);
         let n = data.len();
         let d = data.dims();
-        let k = self.workload.config.clusters.min(n);
+        let k = self.config.clusters.min(n);
+        let m = self.config.fuzziness;
+        // Membership exponent for distance ratios: 2 / (m - 1).
+        let ratio_exp = 2.0 / (m - 1.0);
+        // Flat partial layout: [weighted sums (k·d) | weights (k)].
+        let partial_len = k * d + k;
 
         // Spread initial centres over the first points.
-        let centers = exec.init("init-centers", || {
+        let mut centers = exec.init("init-centers", || {
             let stride = (n / k).max(1);
             let mut c = Vec::with_capacity(k * d);
             for i in 0..k {
@@ -150,104 +115,78 @@ impl PhasedWorkload for PhasedFuzzy<'_> {
             }
             c
         });
+        let mut iterations = 0usize;
+        let mut final_delta = f64::MAX;
 
-        FuzzyState { k, centers, iterations: 0, final_delta: f64::MAX }
-    }
-
-    fn iteration(&self, state: &mut FuzzyState, exec: &PhaseExec<'_>, _iter: usize) -> Control {
-        let data = self.data;
-        let n = data.len();
-        let d = data.dims();
-        let k = state.k;
-        let m = self.workload.config.fuzziness;
-        // Membership exponent for distance ratios: 2 / (m - 1).
-        let ratio_exp = 2.0 / (m - 1.0);
-        // Flat partial layout: [weighted sums (k·d) | weights (k)].
-        let partial_len = k * d + k;
-
-        // -------- Parallel phase: memberships + partial accumulation. --------
-        let centers = &state.centers;
-        let partials = exec.parallel("memberships", n, |_ctx, range| {
-            let mut partial = vec![0.0f64; partial_len];
-            let (sums, weights) = partial.split_at_mut(k * d);
-            let mut dist2 = vec![0.0f64; k];
-            for i in range {
-                let point = data.point(i);
-                let mut zero_cluster = None;
-                for (c, dc) in dist2.iter_mut().enumerate() {
-                    let center = &centers[c * d..(c + 1) * d];
-                    *dc = point.iter().zip(center.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
-                    if *dc == 0.0 {
-                        zero_cluster = Some(c);
+        for _ in 0..self.config.max_iters {
+            // -------- Parallel phase: memberships + partial accumulation. ----
+            let partials = exec.parallel("memberships", n, |_ctx, range| {
+                let mut partial = vec![0.0f64; partial_len];
+                let (sums, weights) = partial.split_at_mut(k * d);
+                let mut dist2 = vec![0.0f64; k];
+                for i in range {
+                    let point = data.point(i);
+                    let mut zero_cluster = None;
+                    for (c, dc) in dist2.iter_mut().enumerate() {
+                        let center = &centers[c * d..(c + 1) * d];
+                        *dc = point.iter().zip(center.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
+                        if *dc == 0.0 {
+                            zero_cluster = Some(c);
+                        }
+                    }
+                    for c in 0..k {
+                        // Membership of point i in cluster c under the
+                        // standard FCM update; points coinciding with a
+                        // centre get full membership there.
+                        let u = match zero_cluster {
+                            Some(z) => {
+                                if c == z {
+                                    1.0
+                                } else {
+                                    0.0
+                                }
+                            }
+                            None => {
+                                let mut denom = 0.0;
+                                for &other in dist2.iter() {
+                                    denom += (dist2[c] / other).powf(ratio_exp / 2.0);
+                                }
+                                1.0 / denom
+                            }
+                        };
+                        let w = u.powf(m);
+                        weights[c] += w;
+                        for (s, p) in sums[c * d..(c + 1) * d].iter_mut().zip(point.iter()) {
+                            *s += w * p;
+                        }
                     }
                 }
+                partial
+            });
+
+            // -------- Merging phase. -----------------------------------------
+            let (merged, _stats) = exec.reduce("merge-partials", &partials, self.config.reduction);
+
+            // -------- Constant serial phase: new centres + convergence. ------
+            final_delta = exec.serial("recompute-centers", || {
+                let mut max_delta: f64 = 0.0;
                 for c in 0..k {
-                    // Membership of point i in cluster c under the
-                    // standard FCM update; points coinciding with a
-                    // centre get full membership there.
-                    let u = match zero_cluster {
-                        Some(z) => {
-                            if c == z {
-                                1.0
-                            } else {
-                                0.0
-                            }
+                    let w = merged[k * d + c];
+                    if w > 0.0 {
+                        for dd in 0..d {
+                            let v = merged[c * d + dd] / w;
+                            max_delta = max_delta.max((v - centers[c * d + dd]).abs());
+                            centers[c * d + dd] = v;
                         }
-                        None => {
-                            let mut denom = 0.0;
-                            for &other in dist2.iter() {
-                                denom += (dist2[c] / other).powf(ratio_exp / 2.0);
-                            }
-                            1.0 / denom
-                        }
-                    };
-                    let w = u.powf(m);
-                    weights[c] += w;
-                    for (s, p) in sums[c * d..(c + 1) * d].iter_mut().zip(point.iter()) {
-                        *s += w * p;
                     }
                 }
+                max_delta
+            });
+            iterations += 1;
+            if final_delta <= self.config.epsilon {
+                break;
             }
-            partial
-        });
-
-        // -------- Merging phase. ---------------------------------------------
-        let (merged, _stats) =
-            exec.reduce("merge-partials", &partials, self.workload.config.reduction);
-
-        // -------- Constant serial phase: new centres + convergence. ----------
-        let (new_centers, delta) = exec.serial("recompute-centers", || {
-            let mut new_centers = state.centers.clone();
-            let mut max_delta: f64 = 0.0;
-            for c in 0..k {
-                let w = merged[k * d + c];
-                if w > 0.0 {
-                    for dd in 0..d {
-                        let v = merged[c * d + dd] / w;
-                        max_delta = max_delta.max((v - state.centers[c * d + dd]).abs());
-                        new_centers[c * d + dd] = v;
-                    }
-                }
-            }
-            (new_centers, max_delta)
-        });
-
-        state.centers = new_centers;
-        state.final_delta = delta;
-        state.iterations += 1;
-        if delta <= self.workload.config.epsilon {
-            Control::Break
-        } else {
-            Control::Continue
         }
-    }
-
-    fn finalize(&self, state: FuzzyState, exec: &PhaseExec<'_>) -> FuzzyResult {
-        let data = self.data;
-        let n = data.len();
-        let d = data.dims();
-        let k = state.k;
-        let centers = &state.centers;
 
         // Hard assignments from the final centres (one extra parallel pass).
         let chunks = exec.parallel("final-assignments", n, |_ctx, range| {
@@ -269,13 +208,12 @@ impl PhasedWorkload for PhasedFuzzy<'_> {
             }
             local
         });
-        let assignments: Vec<usize> = chunks.into_iter().flatten().collect();
 
         FuzzyResult {
-            centers: state.centers.clone(),
-            assignments,
-            iterations: state.iterations,
-            final_delta: state.final_delta,
+            centers,
+            assignments: chunks.into_iter().flatten().collect(),
+            iterations,
+            final_delta,
         }
     }
 }
@@ -390,6 +328,22 @@ mod tests {
     #[should_panic]
     fn fuzziness_must_exceed_one() {
         FuzzyCMeans::new(FuzzyConfig { fuzziness: 1.0, ..Default::default() });
+    }
+
+    #[test]
+    fn an_unreachable_epsilon_stops_at_exactly_max_iters() {
+        let data = tiny_data();
+        let config = FuzzyConfig { epsilon: -1.0, max_iters: 4, ..FuzzyConfig::for_dataset(&data) };
+        let profiler = Profiler::new("fuzzy", 2);
+        let result = FuzzyCMeans::new(config).run(&data, 2, &profiler);
+        assert_eq!(result.iterations, 4);
+        let merges = profiler
+            .finish()
+            .records
+            .iter()
+            .filter(|r| r.kind == mp_profile::PhaseKind::Reduction)
+            .count();
+        assert_eq!(merges, 4);
     }
 
     #[test]

@@ -33,11 +33,10 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use mp_profile::stream::RecordSink;
-use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
-
 use crate::data::Dataset;
+use crate::exec::PhaseExec;
 use crate::kdtree::KdTree;
+use mp_profile::stream::RecordSink;
 
 /// Configuration of a HOP run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,60 +90,17 @@ impl Hop {
         &self.config
     }
 
-    /// The phased view of this workload over `data`, ready for a
-    /// [`PhaseScheduler`].
-    pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedHop<'a> {
-        PhasedHop { workload: self, data }
-    }
-
     /// Run HOP on `data` with `threads` worker threads, streaming every
     /// phase record into `sink`.
     pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> HopResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
-    }
-}
-
-/// [`Hop`] expressed as a phased workload: four parallel kernels (the
-/// tree build with limited scaling), the scattered-memory group-table merge,
-/// and the constant serial group filter — a single pass through the body.
-pub struct PhasedHop<'a> {
-    workload: &'a Hop,
-    data: &'a Dataset,
-}
-
-/// State carried from the single body pass to finalisation.
-#[derive(Default)]
-pub struct HopState {
-    group_of: Vec<usize>,
-    group_sizes: Vec<usize>,
-    densities: Vec<f64>,
-}
-
-impl PhasedWorkload for PhasedHop<'_> {
-    type State = HopState;
-    type Output = HopResult;
-
-    fn name(&self) -> &str {
-        "hop"
-    }
-
-    fn max_iterations(&self) -> usize {
-        1
-    }
-
-    fn init(&self, _exec: &PhaseExec<'_>) -> HopState {
-        HopState::default()
-    }
-
-    fn iteration(&self, state: &mut HopState, exec: &PhaseExec<'_>, _iter: usize) -> Control {
-        let data = self.data;
+        let exec = PhaseExec::new(sink, threads);
         let n = data.len();
-        let k = self.workload.config.neighbors.min(n.saturating_sub(1)).max(1);
+        let k = self.config.neighbors.min(n.saturating_sub(1)).max(1);
 
         // -------- Parallel kernel 1: tree construction (limited scaling). ----
         let tree = exec.parallel_task(
             "build-kdtree",
-            self.workload.config.max_tree_build_threads,
+            self.config.max_tree_build_threads,
             |build_threads| KdTree::build(data.values(), data.dims(), build_threads),
         );
 
@@ -242,7 +198,7 @@ impl PhasedWorkload for PhasedHop<'_> {
         let (group_ids, group_sizes) = exec.serial("filter-groups", || {
             let mut groups: Vec<(usize, usize, f64)> = global_table
                 .iter()
-                .filter(|(_, &(count, _))| count >= self.workload.config.min_group_size)
+                .filter(|(_, &(count, _))| count >= self.config.min_group_size)
                 .map(|(&root, &(count, mass))| (root, count, mass))
                 .collect();
             // Densest (highest mass) groups first, ties broken by root id for
@@ -256,19 +212,14 @@ impl PhasedWorkload for PhasedHop<'_> {
             (ids, sizes)
         });
 
-        state.group_of =
-            roots.iter().map(|root| group_ids.get(root).copied().unwrap_or(usize::MAX)).collect();
-        state.group_sizes = group_sizes;
-        state.densities = densities;
-        Control::Break
-    }
-
-    fn finalize(&self, state: HopState, _exec: &PhaseExec<'_>) -> HopResult {
         HopResult {
-            group_of: state.group_of,
-            groups: state.group_sizes.len(),
-            group_sizes: state.group_sizes,
-            densities: state.densities,
+            group_of: roots
+                .iter()
+                .map(|root| group_ids.get(root).copied().unwrap_or(usize::MAX))
+                .collect(),
+            groups: group_sizes.len(),
+            group_sizes,
+            densities,
         }
     }
 }

@@ -8,7 +8,7 @@
 //! with an optionally parallel build (sub-trees built by separate threads) and
 //! read-only concurrent kNN queries.
 //!
-//! [`KdTreeWorkload`] exposes the tree as a standalone phased scenario — the
+//! [`KdTreeWorkload`] runs the tree as a standalone scenario — the
 //! limited-scaling build, a fully-parallel all-points kNN pass producing
 //! per-thread distance histograms, a merging phase over the histograms and a
 //! constant serial summary — so the tree kernel can be characterised and
@@ -18,11 +18,10 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::data::Dataset;
+use crate::exec::PhaseExec;
 use mp_par::reduce::ReductionStrategy;
 use mp_profile::stream::RecordSink;
-use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
-
-use crate::data::Dataset;
 
 /// A balanced k-d tree over a borrowed point set.
 #[derive(Debug)]
@@ -318,53 +317,18 @@ impl KdTreeWorkload {
         &self.config
     }
 
-    /// The phased view of this workload over `data`, ready for a
-    /// [`PhaseScheduler`].
-    pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedKdTree<'a> {
-        PhasedKdTree { workload: self, data }
-    }
-
     /// Run the workload on `data` with `threads` worker threads, streaming
     /// every phase record into `sink`.
     pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> KdTreeResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
-    }
-}
+        let exec = PhaseExec::new(sink, threads);
+        let n = data.len();
+        let k = self.config.neighbors.min(n.saturating_sub(1)).max(1);
+        let buckets = self.config.buckets;
 
-/// [`KdTreeWorkload`] expressed as a phased workload.
-pub struct PhasedKdTree<'a> {
-    workload: &'a KdTreeWorkload,
-    data: &'a Dataset,
-}
-
-/// State of a scheduled kd-tree workload run.
-#[derive(Default)]
-pub struct KdTreeState {
-    /// Bucket width of the distance histogram (from the data extent).
-    scale: f64,
-    histogram: Vec<f64>,
-    mean_kth_distance: f64,
-}
-
-impl PhasedWorkload for PhasedKdTree<'_> {
-    type State = KdTreeState;
-    type Output = KdTreeResult;
-
-    fn name(&self) -> &str {
-        "kdtree"
-    }
-
-    fn max_iterations(&self) -> usize {
-        1
-    }
-
-    fn init(&self, exec: &PhaseExec<'_>) -> KdTreeState {
-        let data = self.data;
         // Histogram bucket width from the bounding-box diagonal, so bucket
         // indices are deterministic and independent of the thread count.
         let scale = exec.init("measure-extent", || {
             let d = data.dims();
-            let n = data.len();
             if n == 0 {
                 return 1.0;
             }
@@ -378,22 +342,13 @@ impl PhasedWorkload for PhasedKdTree<'_> {
             }
             let diagonal: f64 =
                 lo.iter().zip(hi.iter()).map(|(a, b)| (b - a) * (b - a)).sum::<f64>().sqrt();
-            (diagonal / self.workload.config.buckets as f64).max(f64::MIN_POSITIVE)
+            (diagonal / buckets as f64).max(f64::MIN_POSITIVE)
         });
-        KdTreeState { scale, histogram: Vec::new(), mean_kth_distance: 0.0 }
-    }
-
-    fn iteration(&self, state: &mut KdTreeState, exec: &PhaseExec<'_>, _iter: usize) -> Control {
-        let data = self.data;
-        let n = data.len();
-        let k = self.workload.config.neighbors.min(n.saturating_sub(1)).max(1);
-        let buckets = self.workload.config.buckets;
-        let scale = state.scale;
 
         // -------- Limited-scaling kernel: tree construction. -----------------
         let tree = exec.parallel_task(
             "build-kdtree",
-            self.workload.config.max_tree_build_threads,
+            self.config.max_tree_build_threads,
             |build_threads| KdTree::build(data.values(), data.dims(), build_threads),
         );
 
@@ -412,25 +367,14 @@ impl PhasedWorkload for PhasedKdTree<'_> {
         });
 
         // -------- Merging phase: reduce the per-thread histograms. -----------
-        let (merged, _stats) =
-            exec.reduce("merge-histograms", &partials, self.workload.config.reduction);
+        let (merged, _stats) = exec.reduce("merge-histograms", &partials, self.config.reduction);
 
         // -------- Constant serial phase: summary statistics. -----------------
-        let (histogram, mean) = exec.serial("summarize", || {
+        let (histogram, mean_kth_distance) = exec.serial("summarize", || {
             let mean = if n > 0 { merged[buckets] / n as f64 } else { 0.0 };
             (merged[..buckets].to_vec(), mean)
         });
-        state.histogram = histogram;
-        state.mean_kth_distance = mean;
-        Control::Break
-    }
-
-    fn finalize(&self, state: KdTreeState, _exec: &PhaseExec<'_>) -> KdTreeResult {
-        KdTreeResult {
-            histogram: state.histogram,
-            mean_kth_distance: state.mean_kth_distance,
-            queries: self.data.len(),
-        }
+        KdTreeResult { histogram, mean_kth_distance, queries: n }
     }
 }
 

@@ -21,9 +21,9 @@ use serde::{Deserialize, Serialize};
 use mp_par::pool::chunk_range;
 use mp_par::reduce::ReductionStrategy;
 use mp_profile::stream::RecordSink;
-use mp_runtime::{Control, PhaseExec, PhaseScheduler, PhasedWorkload};
 
 use crate::data::Dataset;
+use crate::exec::PhaseExec;
 
 /// Configuration of a k-means run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,56 +110,18 @@ impl KMeans {
         &self.config
     }
 
-    /// The phased view of this workload over `data`, ready for a
-    /// [`PhaseScheduler`].
-    pub fn phased<'a>(&'a self, data: &'a Dataset) -> PhasedKMeans<'a> {
-        PhasedKMeans { workload: self, data }
-    }
-
     /// Run k-means on `data` with `threads` worker threads, streaming
     /// every phase record into `sink`.
     pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> KMeansResult {
-        PhaseScheduler::new(threads).run(&self.phased(data), sink).output
-    }
-}
-
-/// [`KMeans`] expressed as a phased workload: one parallel
-/// assign-and-accumulate kernel, the merging phase over per-thread partials,
-/// and a constant serial centre recomputation, repeated until convergence.
-pub struct PhasedKMeans<'a> {
-    workload: &'a KMeans,
-    data: &'a Dataset,
-}
-
-/// Loop state of a scheduled k-means run.
-pub struct KMeansState {
-    k: usize,
-    centers: Vec<f64>,
-    chunk_assignments: Vec<Vec<usize>>,
-    iterations: usize,
-    sse: f64,
-}
-
-impl PhasedWorkload for PhasedKMeans<'_> {
-    type State = KMeansState;
-    type Output = KMeansResult;
-
-    fn name(&self) -> &str {
-        "kmeans"
-    }
-
-    fn max_iterations(&self) -> usize {
-        self.workload.config.max_iters
-    }
-
-    fn init(&self, exec: &PhaseExec<'_>) -> KMeansState {
-        let data = self.data;
+        let exec = PhaseExec::new(sink, threads);
         let n = data.len();
         let d = data.dims();
-        let k = self.workload.config.clusters.min(n);
+        let k = self.config.clusters.min(n);
+        // Flat partial layout: [sums (k·d) | counts (k) | changed | sse].
+        let partial_len = k * d + k + 2;
 
         // First-k-points seeding (MineBench behaviour).
-        let centers = exec.init("init-centers", || {
+        let mut centers = exec.init("init-centers", || {
             let mut c = Vec::with_capacity(k * d);
             for i in 0..k {
                 c.extend_from_slice(data.point(i));
@@ -168,97 +130,70 @@ impl PhasedWorkload for PhasedKMeans<'_> {
         });
 
         // Per-thread (chunked) assignment state: chunk boundaries are the
-        // deterministic static chunks of the scheduler's fork-join, so each
+        // deterministic static chunks of the executor's fork-join, so each
         // thread compares against and replaces only its own slice across
         // iterations.
-        let chunk_assignments: Vec<Vec<usize>> = (0..exec.threads())
-            .map(|tid| vec![usize::MAX; chunk_range(tid, exec.threads(), n).len()])
-            .collect();
+        let mut chunk_assignments: Vec<Vec<usize>> =
+            (0..threads).map(|tid| vec![usize::MAX; chunk_range(tid, threads, n).len()]).collect();
+        let mut iterations = 0usize;
+        let mut sse = 0.0;
 
-        KMeansState { k, centers, chunk_assignments, iterations: 0, sse: 0.0 }
-    }
-
-    fn iteration(&self, state: &mut KMeansState, exec: &PhaseExec<'_>, _iter: usize) -> Control {
-        let data = self.data;
-        let n = data.len();
-        let d = data.dims();
-        let k = state.k;
-        // Flat partial layout: [sums (k·d) | counts (k) | changed | sse].
-        let partial_len = k * d + k + 2;
-
-        // -------- Parallel phase: assignment + partial accumulation. ---------
-        let centers = &state.centers;
-        let previous_chunks = &state.chunk_assignments;
-        let outputs = exec.parallel("assign-and-accumulate", n, |ctx, range| {
-            let previous = &previous_chunks[ctx.tid];
-            let mut partial = vec![0.0f64; partial_len];
-            let mut local_assign = Vec::with_capacity(range.len());
-            {
-                let (sums, rest) = partial.split_at_mut(k * d);
-                let (counts, tail) = rest.split_at_mut(k);
-                for (local_idx, i) in range.enumerate() {
-                    let point = data.point(i);
-                    let (best, best_d) = nearest_center(point, centers, k, d);
-                    if previous[local_idx] != best {
-                        tail[0] += 1.0;
-                    }
-                    tail[1] += best_d;
-                    counts[best] += 1.0;
-                    for (s, p) in sums[best * d..(best + 1) * d].iter_mut().zip(point.iter()) {
-                        *s += *p;
-                    }
-                    local_assign.push(best);
-                }
-            }
-            (partial, local_assign)
-        });
-
-        let mut partials = Vec::with_capacity(outputs.len());
-        let mut new_chunks = Vec::with_capacity(outputs.len());
-        for (partial, local) in outputs {
-            partials.push(partial);
-            new_chunks.push(local);
-        }
-        state.chunk_assignments = new_chunks;
-
-        // -------- Merging phase: reduce the per-thread partials. -------------
-        let (merged, _stats) =
-            exec.reduce("merge-partials", &partials, self.workload.config.reduction);
-
-        // -------- Constant serial phase: recompute centres, convergence. -----
-        let (new_centers, changed_fraction, new_sse) = exec.serial("recompute-centers", || {
-            let mut new_centers = state.centers.clone();
-            for c in 0..k {
-                let count = merged[k * d + c];
-                if count > 0.0 {
-                    for dd in 0..d {
-                        new_centers[c * d + dd] = merged[c * d + dd] / count;
+        for _ in 0..self.config.max_iters {
+            // -------- Parallel phase: assignment + partial accumulation. -----
+            let outputs = exec.parallel("assign-and-accumulate", n, |ctx, range| {
+                let previous = &chunk_assignments[ctx.tid];
+                let mut partial = vec![0.0f64; partial_len];
+                let mut local_assign = Vec::with_capacity(range.len());
+                {
+                    let (sums, rest) = partial.split_at_mut(k * d);
+                    let (counts, tail) = rest.split_at_mut(k);
+                    for (local_idx, i) in range.enumerate() {
+                        let point = data.point(i);
+                        let (best, best_d) = nearest_center(point, &centers, k, d);
+                        if previous[local_idx] != best {
+                            tail[0] += 1.0;
+                        }
+                        tail[1] += best_d;
+                        counts[best] += 1.0;
+                        for (s, p) in sums[best * d..(best + 1) * d].iter_mut().zip(point.iter()) {
+                            *s += *p;
+                        }
+                        local_assign.push(best);
                     }
                 }
+                (partial, local_assign)
+            });
+            let (partials, new_chunks): (Vec<Vec<f64>>, _) = outputs.into_iter().unzip();
+            chunk_assignments = new_chunks;
+
+            // -------- Merging phase: reduce the per-thread partials. ---------
+            let (merged, _stats) = exec.reduce("merge-partials", &partials, self.config.reduction);
+
+            // -------- Constant serial phase: recompute centres, convergence. -
+            let changed_fraction = exec.serial("recompute-centers", || {
+                for c in 0..k {
+                    let count = merged[k * d + c];
+                    if count > 0.0 {
+                        for dd in 0..d {
+                            centers[c * d + dd] = merged[c * d + dd] / count;
+                        }
+                    }
+                }
+                sse = merged[k * d + k + 1];
+                merged[k * d + k] / n as f64
+            });
+            iterations += 1;
+
+            if changed_fraction <= self.config.threshold {
+                break;
             }
-            let changed = merged[k * d + k];
-            let sse_total = merged[k * d + k + 1];
-            (new_centers, changed / n as f64, sse_total)
-        });
-
-        state.centers = new_centers;
-        state.sse = new_sse;
-        state.iterations += 1;
-
-        if changed_fraction <= self.workload.config.threshold {
-            Control::Break
-        } else {
-            Control::Continue
         }
-    }
 
-    fn finalize(&self, state: KMeansState, _exec: &PhaseExec<'_>) -> KMeansResult {
-        let assignments: Vec<usize> = state.chunk_assignments.into_iter().flatten().collect();
         KMeansResult {
-            centers: state.centers,
-            assignments,
-            iterations: state.iterations,
-            sse: state.sse,
+            centers,
+            assignments: chunk_assignments.into_iter().flatten().collect(),
+            iterations,
+            sse,
         }
     }
 }
@@ -392,6 +327,19 @@ mod tests {
         let full = KMeans::new(KMeansConfig { clusters: 3, ..Default::default() })
             .run(&data, 4, &NullSink);
         assert!(full.sse <= one.sse + 1e-9);
+    }
+
+    #[test]
+    fn an_unreachable_threshold_stops_at_exactly_max_iters() {
+        let data = tiny_data();
+        let config =
+            KMeansConfig { threshold: -1.0, max_iters: 7, ..KMeansConfig::for_dataset(&data) };
+        let profiler = Profiler::new("kmeans", 2);
+        let result = KMeans::new(config).run(&data, 2, &profiler);
+        assert_eq!(result.iterations, 7);
+        let merges =
+            profiler.finish().records.iter().filter(|r| r.kind == PhaseKind::Reduction).count();
+        assert_eq!(merges, 7);
     }
 
     #[test]

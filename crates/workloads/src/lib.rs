@@ -2,15 +2,17 @@
 //!
 //! From-scratch Rust implementations of the clustering applications the paper
 //! studies (MineBench's `kmeans`, `fuzzy` c-means and `hop`, plus hop's
-//! kd-tree kernel as a standalone scenario). Every workload is an
-//! [`mp_runtime::PhasedWorkload`]: it runs its phases — parallel kernels, the
-//! merging (reduction) phase whose growth with the thread count is the
-//! subject of the paper, and constant serial work — through the
-//! `mp-runtime` executor, whose calls fix each phase's kind and record it
-//! with per-phase, per-thread timing.
+//! kd-tree kernel as a standalone scenario). Each workload's `run` is its
+//! phase loop, written out: init phases, then the body — parallel kernels,
+//! the merging (reduction) phase whose growth with the thread count is the
+//! subject of the paper, and constant serial work — repeated until
+//! convergence (once for hop and kdtree), then the finalize phases. Every
+//! phase runs through one [`exec::PhaseExec`] call, whose method fixes the
+//! phase's kind and records it with per-phase, per-thread timing.
 //!
 //! The crate also contains:
 //!
+//! * [`exec`] — the [`PhaseExec`] executor itself,
 //! * [`data`] — a synthetic Gaussian-mixture data generator reproducing the
 //!   data-set shapes of Table IV (N points, D dimensions, C centres),
 //! * [`kdtree`] — the k-d tree substrate used by HOP's neighbour searches and
@@ -25,6 +27,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod data;
+pub mod exec;
 pub mod fuzzy;
 pub mod hop;
 pub mod kdtree;
@@ -34,6 +37,7 @@ pub mod runner;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::data::{Dataset, DatasetSpec};
+    pub use crate::exec::PhaseExec;
     pub use crate::fuzzy::{FuzzyCMeans, FuzzyConfig, FuzzyResult};
     pub use crate::hop::{Hop, HopConfig, HopResult};
     pub use crate::kdtree::{KdTreeConfig, KdTreeResult, KdTreeWorkload};

@@ -4,9 +4,8 @@
 //! the same procedure for every application: run it at 1, 2, 4, … threads,
 //! record the phase profile of each run, and feed the set of profiles to the
 //! parameter extraction. [`ClusteringWorkload`] wraps the applications behind
-//! one interface — every run goes through the `mp-runtime` scheduler — and
-//! [`run_sweep`] produces exactly that set of profiles, while
-//! [`ClusteringWorkload::run`] streams the scheduler's records into any
+//! one interface and [`run_sweep`] produces exactly that set of profiles,
+//! while [`ClusteringWorkload::run`] streams a run's records into any
 //! [`RecordSink`]. Each profile folds into one
 //! [`mp_model::calibrate::MeasuredRun`] (`RunProfile::to_measured_run`), the
 //! input of `RunAccounting::from_runs` and `CalibratedParams::fit`.
@@ -16,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use mp_par::reduce::ReductionStrategy;
 use mp_profile::stream::RecordSink;
 use mp_profile::{Profiler, RunProfile};
-use mp_runtime::PhaseScheduler;
 
 use crate::data::Dataset;
 use crate::fuzzy::{FuzzyCMeans, FuzzyConfig};
@@ -54,75 +52,66 @@ impl WorkloadKind {
     pub fn all() -> [WorkloadKind; 4] {
         [WorkloadKind::KMeans, WorkloadKind::Fuzzy, WorkloadKind::Hop, WorkloadKind::KdTree]
     }
+}
 
-    /// The three applications the paper characterises, in paper order.
-    pub fn paper() -> [WorkloadKind; 3] {
-        [WorkloadKind::KMeans, WorkloadKind::Fuzzy, WorkloadKind::Hop]
-    }
+/// The configuration of the one application a job runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AppConfig {
+    KMeans(KMeansConfig),
+    Fuzzy(FuzzyConfig),
+    Hop(HopConfig),
+    KdTree(KdTreeConfig),
 }
 
 /// A fully configured clustering job: an application, its configuration and a
 /// data set.
 #[derive(Debug, Clone)]
 pub struct ClusteringWorkload {
-    kind: WorkloadKind,
+    config: AppConfig,
     dataset: Dataset,
-    kmeans: KMeansConfig,
-    fuzzy: FuzzyConfig,
-    hop: HopConfig,
-    kdtree: KdTreeConfig,
 }
 
 impl ClusteringWorkload {
-    fn with_defaults(kind: WorkloadKind, dataset: Dataset) -> Self {
-        ClusteringWorkload {
-            kind,
-            dataset,
-            kmeans: KMeansConfig::default(),
-            fuzzy: FuzzyConfig::default(),
-            hop: HopConfig::default(),
-            kdtree: KdTreeConfig::default(),
-        }
+    /// A k-means job over `dataset` with `config`.
+    pub fn kmeans(config: KMeansConfig, dataset: Dataset) -> Self {
+        ClusteringWorkload { config: AppConfig::KMeans(config), dataset }
     }
 
-    /// A k-means job over `dataset` with the default configuration for that
-    /// data set.
-    pub fn kmeans(dataset: Dataset) -> Self {
-        let kmeans = KMeansConfig::for_dataset(&dataset);
-        ClusteringWorkload { kmeans, ..Self::with_defaults(WorkloadKind::KMeans, dataset) }
+    /// A fuzzy c-means job over `dataset` with `config`.
+    pub fn fuzzy(config: FuzzyConfig, dataset: Dataset) -> Self {
+        ClusteringWorkload { config: AppConfig::Fuzzy(config), dataset }
     }
 
-    /// A fuzzy c-means job over `dataset` with the default configuration for
-    /// that data set.
-    pub fn fuzzy(dataset: Dataset) -> Self {
-        let fuzzy = FuzzyConfig::for_dataset(&dataset);
-        ClusteringWorkload { fuzzy, ..Self::with_defaults(WorkloadKind::Fuzzy, dataset) }
+    /// A HOP job over `dataset` with `config`.
+    pub fn hop(config: HopConfig, dataset: Dataset) -> Self {
+        ClusteringWorkload { config: AppConfig::Hop(config), dataset }
     }
 
-    /// A HOP job over `dataset` with the default configuration.
-    pub fn hop(dataset: Dataset) -> Self {
-        Self::with_defaults(WorkloadKind::Hop, dataset)
+    /// A kd-tree build/query job over `dataset` with `config`.
+    pub fn kdtree(config: KdTreeConfig, dataset: Dataset) -> Self {
+        ClusteringWorkload { config: AppConfig::KdTree(config), dataset }
     }
 
-    /// A kd-tree build/query job over `dataset` with the default
-    /// configuration.
-    pub fn kdtree(dataset: Dataset) -> Self {
-        Self::with_defaults(WorkloadKind::KdTree, dataset)
-    }
-
-    /// Build a job of `kind` over `dataset` with default configurations.
+    /// A job of `kind` over `dataset` with that application's default
+    /// configuration (for kmeans and fuzzy, the one for the data set's
+    /// cluster count).
     pub fn of_kind(kind: WorkloadKind, dataset: Dataset) -> Self {
         match kind {
-            WorkloadKind::KMeans => Self::kmeans(dataset),
-            WorkloadKind::Fuzzy => Self::fuzzy(dataset),
-            WorkloadKind::Hop => Self::hop(dataset),
-            WorkloadKind::KdTree => Self::kdtree(dataset),
+            WorkloadKind::KMeans => Self::kmeans(KMeansConfig::for_dataset(&dataset), dataset),
+            WorkloadKind::Fuzzy => Self::fuzzy(FuzzyConfig::for_dataset(&dataset), dataset),
+            WorkloadKind::Hop => Self::hop(HopConfig::default(), dataset),
+            WorkloadKind::KdTree => Self::kdtree(KdTreeConfig::default(), dataset),
         }
     }
 
     /// The application kind.
     pub fn kind(&self) -> WorkloadKind {
-        self.kind
+        match self.config {
+            AppConfig::KMeans(_) => WorkloadKind::KMeans,
+            AppConfig::Fuzzy(_) => WorkloadKind::Fuzzy,
+            AppConfig::Hop(_) => WorkloadKind::Hop,
+            AppConfig::KdTree(_) => WorkloadKind::KdTree,
+        }
     }
 
     /// The data set in use.
@@ -130,64 +119,43 @@ impl ClusteringWorkload {
         &self.dataset
     }
 
-    /// Override the reduction strategy used by the element-wise merging
-    /// phases (kmeans, fuzzy, kdtree; hop's hashed merge has no strategy
-    /// axis).
+    /// Override the reduction strategy of the job's element-wise merging
+    /// phase (kmeans, fuzzy, kdtree; hop's hashed merge has no strategy
+    /// axis, so a hop job is returned unchanged).
     pub fn with_reduction(mut self, strategy: ReductionStrategy) -> Self {
-        self.kmeans.reduction = strategy;
-        self.fuzzy.reduction = strategy;
-        self.kdtree.reduction = strategy;
+        match &mut self.config {
+            AppConfig::KMeans(config) => config.reduction = strategy,
+            AppConfig::Fuzzy(config) => config.reduction = strategy,
+            AppConfig::KdTree(config) => config.reduction = strategy,
+            AppConfig::Hop(_) => {}
+        }
         self
     }
 
-    /// Override the kmeans configuration.
-    pub fn with_kmeans_config(mut self, config: KMeansConfig) -> Self {
-        self.kmeans = config;
-        self
-    }
-
-    /// Override the fuzzy configuration.
-    pub fn with_fuzzy_config(mut self, config: FuzzyConfig) -> Self {
-        self.fuzzy = config;
-        self
-    }
-
-    /// Override the HOP configuration.
-    pub fn with_hop_config(mut self, config: HopConfig) -> Self {
-        self.hop = config;
-        self
-    }
-
-    /// Override the kd-tree configuration.
-    pub fn with_kdtree_config(mut self, config: KdTreeConfig) -> Self {
-        self.kdtree = config;
-        self
-    }
-
-    /// Run the job once at `threads` threads through the phase scheduler,
-    /// streaming every instrumented record into `sink` (a
-    /// [`mp_profile::NullSink`] runs it uninstrumented).
+    /// Run the job once at `threads` threads, streaming every instrumented
+    /// record into `sink` (a [`mp_profile::NullSink`] runs it
+    /// uninstrumented).
     pub fn run(&self, threads: usize, sink: &dyn RecordSink) {
-        let scheduler = PhaseScheduler::new(threads);
-        match self.kind {
-            WorkloadKind::KMeans => {
-                scheduler.run(&KMeans::new(self.kmeans).phased(&self.dataset), sink);
+        let data = &self.dataset;
+        match self.config {
+            AppConfig::KMeans(config) => {
+                KMeans::new(config).run(data, threads, sink);
             }
-            WorkloadKind::Fuzzy => {
-                scheduler.run(&FuzzyCMeans::new(self.fuzzy).phased(&self.dataset), sink);
+            AppConfig::Fuzzy(config) => {
+                FuzzyCMeans::new(config).run(data, threads, sink);
             }
-            WorkloadKind::Hop => {
-                scheduler.run(&Hop::new(self.hop).phased(&self.dataset), sink);
+            AppConfig::Hop(config) => {
+                Hop::new(config).run(data, threads, sink);
             }
-            WorkloadKind::KdTree => {
-                scheduler.run(&KdTreeWorkload::new(self.kdtree).phased(&self.dataset), sink);
+            AppConfig::KdTree(config) => {
+                KdTreeWorkload::new(config).run(data, threads, sink);
             }
         }
     }
 
     /// Run the job once at `threads` threads and return its phase profile.
     pub fn run_profiled(&self, threads: usize) -> RunProfile {
-        let profiler = Profiler::new(self.kind.name(), threads);
+        let profiler = Profiler::new(self.kind().name(), threads);
         self.run(threads, &profiler);
         profiler.finish()
     }
@@ -231,12 +199,6 @@ mod tests {
         assert_eq!(WorkloadKind::Hop.name(), "hop");
         assert_eq!(WorkloadKind::KdTree.name(), "kdtree");
         assert_eq!(WorkloadKind::all().len(), 4);
-        // The paper's characterisation covers exactly the three MineBench
-        // applications, in paper order.
-        assert_eq!(
-            WorkloadKind::paper(),
-            [WorkloadKind::KMeans, WorkloadKind::Fuzzy, WorkloadKind::Hop]
-        );
     }
 
     #[test]
@@ -261,7 +223,7 @@ mod tests {
 
     #[test]
     fn sweep_profiles_feed_parameter_extraction() {
-        let job = ClusteringWorkload::kmeans(tiny());
+        let job = ClusteringWorkload::of_kind(WorkloadKind::KMeans, tiny());
         let profiles = run_sweep(&job, &[1, 2, 4]);
         assert_eq!(profiles.len(), 3);
         assert!(profiles.iter().all(|p| p.app == "kmeans"));
@@ -273,32 +235,38 @@ mod tests {
     }
 
     #[test]
-    fn with_reduction_changes_both_iterative_configs() {
-        let job = ClusteringWorkload::kmeans(tiny())
-            .with_reduction(ReductionStrategy::ParallelPrivatized);
-        assert_eq!(job.kmeans.reduction, ReductionStrategy::ParallelPrivatized);
-        assert_eq!(job.fuzzy.reduction, ReductionStrategy::ParallelPrivatized);
+    fn with_reduction_sets_the_held_config() {
+        let strategy = ReductionStrategy::ParallelPrivatized;
+        for kind in WorkloadKind::all() {
+            let job = ClusteringWorkload::of_kind(kind, tiny()).with_reduction(strategy);
+            assert_eq!(job.kind(), kind);
+            match job.config {
+                AppConfig::KMeans(config) => assert_eq!(config.reduction, strategy),
+                AppConfig::Fuzzy(config) => assert_eq!(config.reduction, strategy),
+                AppConfig::KdTree(config) => assert_eq!(config.reduction, strategy),
+                AppConfig::Hop(config) => assert_eq!(config, HopConfig::default()),
+            }
+        }
     }
 
     #[test]
-    fn config_overrides_are_applied() {
-        let job = ClusteringWorkload::kmeans(tiny())
-            .with_kmeans_config(KMeansConfig { max_iters: 3, ..Default::default() });
-        assert_eq!(job.kmeans.max_iters, 3);
-        let job = ClusteringWorkload::hop(tiny())
-            .with_hop_config(HopConfig { neighbors: 5, ..Default::default() });
-        assert_eq!(job.hop.neighbors, 5);
-        let job = ClusteringWorkload::fuzzy(tiny())
-            .with_fuzzy_config(FuzzyConfig { max_iters: 2, ..Default::default() });
-        assert_eq!(job.fuzzy.max_iters, 2);
-        let job = ClusteringWorkload::kdtree(tiny())
-            .with_kdtree_config(crate::kdtree::KdTreeConfig { neighbors: 3, ..Default::default() });
-        assert_eq!(job.kdtree.neighbors, 3);
+    fn a_job_runs_the_config_it_was_built_with() {
+        let data = tiny();
+        let config = KMeansConfig { max_iters: 3, threshold: -1.0, ..KMeansConfig::default() };
+        let job = ClusteringWorkload::kmeans(config, data);
+        assert_eq!(job.kind(), WorkloadKind::KMeans);
+        let merges = job
+            .run_profiled(2)
+            .records
+            .iter()
+            .filter(|r| r.kind == mp_profile::PhaseKind::Reduction)
+            .count();
+        assert_eq!(merges, 3, "one merge per iteration of the job's own config");
     }
 
     #[test]
     fn one_profiler_per_thread_count_calibrates() {
-        let job = ClusteringWorkload::kmeans(tiny());
+        let job = ClusteringWorkload::of_kind(WorkloadKind::KMeans, tiny());
         let runs: Vec<_> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {

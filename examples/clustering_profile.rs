@@ -26,7 +26,7 @@ fn main() {
     let sweep = default_thread_sweep(max_threads.min(16));
     println!("running instrumented kmeans at thread counts {sweep:?}\n");
 
-    let job = ClusteringWorkload::kmeans(data);
+    let job = ClusteringWorkload::of_kind(WorkloadKind::KMeans, data);
     let runs: Vec<MeasuredRun> =
         run_sweep(&job, &sweep).iter().map(RunProfile::to_measured_run).collect();
     let accounting = RunAccounting::from_runs(&runs).expect("sweep contains a single-thread run");

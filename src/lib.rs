@@ -9,17 +9,15 @@
 //!   (Eq. 6–8).
 //! * [`par`] — the fork-join primitives and the three reduction strategies
 //!   (serial linear, logarithmic tree, privatised parallel).
-//! * [`runtime`] — the phased-workload execution runtime: a workload runs
-//!   each phase through a [`runtime::PhaseExec`] call that fixes its kind,
-//!   and a scheduler drives the loop with automatic per-phase, per-thread
-//!   instrumentation.
 //! * [`profile`] — phase instrumentation: the record sinks a run streams
 //!   its phases into, and the fold of one run's records into the section
 //!   totals from which `model::calibrate` reads the paper's parameters
 //!   (`f`, `fcon`, `fred`, `fored`).
 //! * [`workloads`] — MineBench-style clustering workloads (kmeans, fuzzy
-//!   c-means, HOP, the kd-tree scenario) written as phased workloads over a
-//!   synthetic data generator.
+//!   c-means, HOP, the kd-tree scenario) over a synthetic data generator.
+//!   Each workload's `run` is its phase loop, written out: every phase runs
+//!   through a [`workloads::exec::PhaseExec`] call that fixes its kind and
+//!   records it with per-phase, per-thread timing.
 //! * [`cmpsim`] — an abstract CMP/ACMP timing simulator (cores with
 //!   area-dependent performance, two-level cache cost model, 2-D-mesh NoC)
 //!   standing in for the SESC simulator used by the paper.
@@ -51,7 +49,6 @@ pub use mp_dse as dse;
 pub use mp_model as model;
 pub use mp_par as par;
 pub use mp_profile as profile;
-pub use mp_runtime as runtime;
 pub use mp_workloads as workloads;
 
 /// Convenience prelude re-exporting the most commonly used items from every
@@ -60,7 +57,6 @@ pub mod prelude {
     pub use mp_model::prelude::*;
     pub use mp_par::{ReductionStrategy, ThreadPool};
     pub use mp_profile::{PhaseKind, Profiler, RunProfile};
-    pub use mp_runtime::prelude::*;
     pub use mp_workloads::prelude::*;
 
     pub use mp_cmpsim::prelude::*;

@@ -11,7 +11,6 @@ use merging_phases::model::calibrate::CalibratedParams;
 use merging_phases::model::growth::GrowthFunction;
 use merging_phases::prelude::*;
 use merging_phases::profile::{PhaseKind, PhaseRecord};
-use merging_phases::runtime::PhaseScheduler;
 
 /// A synthetic profile following the extended model exactly: parallel `f/p`,
 /// constant serial `s·fcon`, reduction `s·fred·(1 + fored·grow(p))`.
@@ -102,8 +101,8 @@ fn calibration_from_cmpsim_simulation_tracks_the_observed_growth() {
 
 #[test]
 fn scheduler_run_calibrates_and_sweeps_end_to_end() {
-    // The full pipeline on a real (tiny) workload: scheduler → one profiler
-    // per thread count → calibration → measured backend → engine sweep.
+    // The full pipeline on a real (tiny) workload: one profiler per thread
+    // count → calibration → measured backend → engine sweep.
     let data = DatasetSpec::new(600, 3, 3, 13).generate();
     let mut config = KMeansConfig::for_dataset(&data);
     config.threshold = -1.0; // fixed iteration count for stable ratios
@@ -113,7 +112,7 @@ fn scheduler_run_calibrates_and_sweeps_end_to_end() {
         .iter()
         .map(|&threads| {
             let profiler = Profiler::new("kmeans", threads);
-            PhaseScheduler::new(threads).run(&workload.phased(&data), &profiler);
+            workload.run(&data, threads, &profiler);
             profiler.finish().to_measured_run()
         })
         .collect();

@@ -18,7 +18,7 @@ fn measured_runs(profiles: &[RunProfile]) -> Vec<MeasuredRun> {
 
 #[test]
 fn kmeans_pipeline_from_threads_to_design_space() {
-    let job = ClusteringWorkload::kmeans(small_dataset());
+    let job = ClusteringWorkload::of_kind(WorkloadKind::KMeans, small_dataset());
     let profiles = run_sweep(&job, &[1, 2, 4]);
     assert_eq!(profiles.len(), 3);
 
@@ -50,9 +50,9 @@ fn all_three_workloads_produce_extractable_profiles() {
     let cluster_data = small_dataset();
     let hop_data = DatasetSpec::new(2000, 3, 4, 0x77).generate();
     let jobs = vec![
-        ClusteringWorkload::kmeans(cluster_data.clone()),
-        ClusteringWorkload::fuzzy(cluster_data),
-        ClusteringWorkload::hop(hop_data),
+        ClusteringWorkload::of_kind(WorkloadKind::KMeans, cluster_data.clone()),
+        ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster_data),
+        ClusteringWorkload::of_kind(WorkloadKind::Hop, hop_data),
     ];
     for job in jobs {
         let runs = measured_runs(&run_sweep(&job, &[1, 2]));
@@ -73,9 +73,9 @@ fn reduction_strategy_changes_merge_cost_but_not_results() {
     // The privatised merge should not change the clustering outcome; its
     // recorded reduction stats differ, but extraction still works.
     let data = small_dataset();
-    let serial = ClusteringWorkload::kmeans(data.clone())
+    let serial = ClusteringWorkload::of_kind(WorkloadKind::KMeans, data.clone())
         .with_reduction(merging_phases::par::ReductionStrategy::SerialLinear);
-    let privat = ClusteringWorkload::kmeans(data)
+    let privat = ClusteringWorkload::of_kind(WorkloadKind::KMeans, data)
         .with_reduction(merging_phases::par::ReductionStrategy::ParallelPrivatized);
 
     for job in [&serial, &privat] {
@@ -86,7 +86,7 @@ fn reduction_strategy_changes_merge_cost_but_not_results() {
 
 #[test]
 fn speedups_are_reported_relative_to_single_thread() {
-    let job = ClusteringWorkload::kmeans(small_dataset());
+    let job = ClusteringWorkload::of_kind(WorkloadKind::KMeans, small_dataset());
     let runs = measured_runs(&run_sweep(&job, &[1, 2, 4]));
     let series = RunAccounting::from_runs(&runs).unwrap().speedups;
     // The series is a pure function of the recorded phase times: one entry
