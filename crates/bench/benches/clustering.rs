@@ -7,7 +7,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mp_profile::NullSink;
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::runner::{ClusteringWorkload, WorkloadKind};
 
@@ -32,7 +31,7 @@ fn bench_clustering(c: &mut Criterion) {
         group.sample_size(10);
         for &threads in &thread_counts() {
             group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-                b.iter(|| job.run(t, &NullSink));
+                b.iter(|| job.run(t));
             });
         }
         group.finish();

@@ -6,15 +6,13 @@
 //! serial linear merge grows with the thread count, the tree merge grows
 //! logarithmically, and the privatised parallel merge keeps the computation
 //! flat at the cost of touching every partial from every thread. The
-//! executor benchmark times `mp_workloads::exec::PhaseExec` with a live
-//! `Profiler` and with a `NullSink`, so the pair shows what the per-phase,
-//! per-thread instrumentation adds on top of the raw fork-join + merge.
+//! executor benchmark times a map-reduce through
+//! `mp_workloads::exec::PhaseExec`, which times every phase and every worker
+//! and keeps the run's records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mp_par::reduce::{reduce_elementwise, ReductionStrategy};
-use mp_profile::stream::RecordSink;
-use mp_profile::{NullSink, Profiler};
 use mp_workloads::exec::PhaseExec;
 
 fn make_partials(threads: usize, elements: usize) -> Vec<Vec<f64>> {
@@ -45,8 +43,8 @@ fn bench_reduction_strategies(c: &mut Criterion) {
 
 /// A minimal map-reduce run: per-thread element-wise partials over
 /// `0..items`, merged serially, stored by a constant serial phase.
-fn map_reduce(threads: usize, sink: &dyn RecordSink, items: usize, elements: usize) -> Vec<f64> {
-    let exec = PhaseExec::new(sink, threads);
+fn map_reduce(threads: usize, items: usize, elements: usize) -> Vec<f64> {
+    let mut exec = PhaseExec::new("bench", threads);
     let partials = exec.parallel("map", items, |_ctx, range| {
         let mut partial = vec![0.0f64; elements];
         for i in range {
@@ -61,14 +59,8 @@ fn map_reduce(threads: usize, sink: &dyn RecordSink, items: usize, elements: usi
 fn bench_executor_map_reduce(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduce/executor");
     for threads in [1usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("instrumented", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let profiler = Profiler::new("bench", t);
-                map_reduce(t, &profiler, std::hint::black_box(100_000), 80)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("uninstrumented", threads), &threads, |b, &t| {
-            b.iter(|| map_reduce(t, &NullSink, std::hint::black_box(100_000), 80));
+        group.bench_with_input(BenchmarkId::new("map-reduce", threads), &threads, |b, &t| {
+            b.iter(|| map_reduce(t, std::hint::black_box(100_000), 80));
         });
     }
     group.finish();

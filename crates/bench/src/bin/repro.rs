@@ -17,12 +17,12 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use mp_bench::figures;
+use mp_bench::report::{render_table, TableRow};
 
 /// Count heap allocations, so `repro serve`'s `metrics` verb carries the
 /// allocator gauges.
 #[global_allocator]
 static ALLOC: mp_bench::alloc_track::CountingAllocator = mp_bench::alloc_track::CountingAllocator;
-use mp_profile::{render_table, TableRow};
 
 struct Experiment {
     name: &'static str,

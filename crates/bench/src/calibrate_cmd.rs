@@ -1,9 +1,9 @@
 //! The `repro calibrate` subcommand: the paper's loop, end to end.
 //!
 //! 1. **Measure** — run all four clustering workloads (kmeans, fuzzy, hop,
-//!    kdtree) through their phase executor across a thread sweep,
-//!    recording each run into its own `mp_profile::Profiler` and folding the
-//!    records into one [`mp_model::calibrate::MeasuredRun`] per thread count.
+//!    kdtree) through their phase executor across a thread sweep; each run
+//!    returns its own [`RunProfile`], whose records fold into one
+//!    [`mp_model::calibrate::MeasuredRun`] per thread count.
 //! 2. **Calibrate** — fit a [`CalibratedParams`] set per workload:
 //!    `f`/`fcon`/`fred` from the single-thread run plus the growth shape and
 //!    `fored` that best explain the measured serial-section multipliers.
@@ -21,12 +21,13 @@ use std::process::ExitCode;
 use mp_dse::prelude::*;
 use mp_model::calibrate::CalibratedParams;
 use mp_model::perf::PerfModel;
-use mp_profile::{render_table, RunProfile, TableRow};
+use mp_model::phase::RunProfile;
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::kmeans::KMeansConfig;
 use mp_workloads::runner::{default_thread_sweep, run_sweep, ClusteringWorkload, WorkloadKind};
 
 use crate::dse_cmd::{export_sweep, record_row, scenario_label};
+use crate::report::{render_table, TableRow};
 
 /// The `calibrate` flags that consume a value token (see
 /// [`crate::dse_cmd::VALUE_FLAGS`] for why this lives next to `parse`).

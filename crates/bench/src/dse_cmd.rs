@@ -25,7 +25,8 @@ use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
 use mp_model::perf::PerfModel;
 use mp_model::topology::Topology;
-use mp_profile::{render_table, TableRow};
+
+use crate::report::{render_table, TableRow};
 
 /// The `dse` flags that consume a value token. The `repro` binary's
 /// subcommand scanner uses this to step over flag values when the flags

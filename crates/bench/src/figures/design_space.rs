@@ -9,7 +9,8 @@ use mp_model::extended::ExtendedModel;
 use mp_model::growth::GrowthFunction;
 use mp_model::params::AppClass;
 use mp_model::perf::PerfModel;
-use mp_profile::TableRow;
+
+use crate::report::TableRow;
 
 /// Figure 4: symmetric-CMP speedup curves. One row per
 /// (application class, growth function); the columns are per-core areas.

@@ -5,7 +5,8 @@
 //! Criterion benchmarks and the integration tests alike.
 
 use mp_model::explore::{figure_curves, Curve, Figure};
-use mp_profile::TableRow;
+
+use crate::report::TableRow;
 
 pub mod characterization;
 pub mod design_space;

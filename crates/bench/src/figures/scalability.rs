@@ -5,7 +5,8 @@
 //! (reduction overhead growing linearly), scaling out to 256 baseline cores.
 
 use mp_model::explore::Figure;
-use mp_profile::TableRow;
+
+use crate::report::TableRow;
 
 /// Figure 3: one row per (application, model) pair, columns are the core
 /// counts `p=1 … p=256`. The `amdahl` rows assume a constant serial section

@@ -2,7 +2,8 @@
 
 use mp_cmpsim::{MachineConfig, WorkloadShape};
 use mp_model::params::{AppClass, AppParams, DatasetVariant};
-use mp_profile::TableRow;
+
+use crate::report::TableRow;
 
 use super::characterization::simulated_accounting;
 

@@ -32,6 +32,7 @@ pub mod dse_cmd;
 pub mod figures;
 pub mod job_cmd;
 pub mod load_cmd;
+pub mod report;
 pub mod serve_cmd;
 
 pub use figures::*;

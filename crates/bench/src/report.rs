@@ -1,8 +1,8 @@
 //! Experiment-report plumbing: serialisable rows and plain-text tables.
 //!
-//! The figure harness (`mp-bench`) prints every reproduced table and figure as
-//! rows of labelled numeric columns; this module holds the shared row type and
-//! a small fixed-width text renderer so all experiments format identically.
+//! The figure harness prints every reproduced table and figure as rows of
+//! labelled numeric columns; this module holds the shared row type and a small
+//! fixed-width text renderer so all experiments format identically.
 
 use serde::{Deserialize, Serialize};
 

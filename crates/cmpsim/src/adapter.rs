@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::engine::simulate;
     use crate::machine::Machine;
-    use mp_profile::PhaseKind;
+    use mp_model::phase::PhaseKind;
 
     #[test]
     fn kmeans_program_has_three_phases_per_iteration() {

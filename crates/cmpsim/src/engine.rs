@@ -22,7 +22,7 @@
 //!     exchanged over the NoC (`2·(threads − 1)·elements` element-messages).
 //! * **Broadcast** — `(threads − 1) · elements` element-messages over the NoC.
 //!
-//! The per-phase cycles are tagged with `mp_profile::PhaseKind`s so a
+//! The per-phase cycles are tagged with `mp_model::phase::PhaseKind`s so a
 //! simulated run can be analysed by exactly the same extraction code as a real
 //! one.
 
@@ -30,7 +30,7 @@ use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
-use mp_profile::{PhaseKind, RunProfile};
+use mp_model::phase::{PhaseKind, PhaseRecord, RunProfile};
 
 use crate::cache::CacheModel;
 use crate::machine::Machine;
@@ -76,13 +76,13 @@ impl SimReport {
         self.phases.iter().filter(|p| p.kind.is_serial()).map(|p| p.cycles).sum()
     }
 
-    /// Convert the report into an `mp-profile` [`RunProfile`] using the
-    /// machine clock of `machine`. Borrowed phase labels are passed through
-    /// without a per-record heap copy.
+    /// Convert the report into a [`RunProfile`] using the machine clock of
+    /// `machine`. Borrowed phase labels are passed through without a
+    /// per-record heap copy.
     pub fn to_profile(&self, machine: &Machine) -> RunProfile {
         let mut profile = RunProfile::new(self.name.clone(), self.threads);
         for p in &self.phases {
-            profile.push(mp_profile::PhaseRecord::new(
+            profile.push(PhaseRecord::new(
                 p.kind,
                 p.label.clone(),
                 machine.config().cycles_to_seconds(p.cycles),
@@ -221,7 +221,7 @@ pub fn simulate_cycles(program: &PhaseProgram, machine: &Machine) -> f64 {
     total
 }
 
-/// Simulate and directly return an `mp-profile` profile (cycles converted to
+/// Simulate and directly return a [`RunProfile`] (cycles converted to
 /// seconds at the machine clock).
 pub fn simulate_profile(program: &PhaseProgram, machine: &Machine) -> RunProfile {
     simulate(program, machine).to_profile(machine)

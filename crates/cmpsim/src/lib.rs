@@ -19,7 +19,7 @@
 //!   reductions with a strategy, broadcasts and memory-touch phases,
 //! * [`machine`] — symmetric/asymmetric machine assembly under a BCE budget,
 //! * [`engine`] — the timing engine turning (program, machine) into per-phase
-//!   cycle counts and an `mp-profile` [`mp_profile::RunProfile`],
+//!   cycle counts and an [`mp_model::phase::RunProfile`],
 //! * [`adapter`] — phase-program builders for the three clustering workloads,
 //!   parameterised by the data-set shape (N, D, C), so the simulator's inputs
 //!   are derived from the algorithms rather than hard-coded timings.

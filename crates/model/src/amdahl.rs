@@ -33,43 +33,6 @@ pub fn amdahl_speedup_limit(f: f64) -> Result<f64, ModelError> {
     }
 }
 
-/// Parallel efficiency, `speedup / p`, of an application with parallel fraction
-/// `f` on `p` processors.
-///
-/// # Errors
-/// Propagates the validation errors of [`amdahl_speedup`].
-pub fn amdahl_efficiency(f: f64, p: f64) -> Result<f64, ModelError> {
-    Ok(amdahl_speedup(f, p)? / p)
-}
-
-/// The smallest processor count at which Amdahl speedup reaches `target`,
-/// or `None` if the target exceeds the asymptotic limit `1 / s`.
-///
-/// Solves `1 / (s + f/p) = target` for `p`.
-///
-/// # Errors
-/// Returns an error if `f` is not a fraction or `target < 1`.
-pub fn processors_for_speedup(f: f64, target: f64) -> Result<Option<f64>, ModelError> {
-    let f = check_fraction("f", f)?;
-    if !(target.is_finite() && target >= 1.0) {
-        return Err(ModelError::NonPositive { name: "target speedup", value: target });
-    }
-    let s = 1.0 - f;
-    let limit = if s == 0.0 { f64::INFINITY } else { 1.0 / s };
-    if target > limit {
-        return Ok(None);
-    }
-    if target == 1.0 {
-        return Ok(Some(1.0));
-    }
-    // 1/target = s + f/p  =>  p = f / (1/target - s)
-    let denom = 1.0 / target - s;
-    if denom <= 0.0 {
-        return Ok(None);
-    }
-    Ok(Some(f / denom))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,37 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_decreases_with_processors() {
-        let e4 = amdahl_efficiency(0.99, 4.0).unwrap();
-        let e64 = amdahl_efficiency(0.99, 64.0).unwrap();
-        assert!(e4 > e64);
-        assert!(e4 <= 1.0 + 1e-12);
-    }
-
-    #[test]
-    fn processors_for_speedup_inverts_the_law() {
-        let f = 0.99;
-        let p = processors_for_speedup(f, 50.0).unwrap().unwrap();
-        let s = amdahl_speedup(f, p).unwrap();
-        assert!((s - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn processors_for_unreachable_speedup_is_none() {
-        assert_eq!(processors_for_speedup(0.99, 150.0).unwrap(), None);
-        assert!(processors_for_speedup(1.0, 1e9).unwrap().is_some());
-    }
-
-    #[test]
-    fn processors_for_unit_speedup_is_one() {
-        assert_eq!(processors_for_speedup(0.5, 1.0).unwrap(), Some(1.0));
-    }
-
-    #[test]
     fn invalid_inputs_are_rejected() {
         assert!(amdahl_speedup(1.5, 4.0).is_err());
         assert!(amdahl_speedup(0.5, 0.0).is_err());
         assert!(amdahl_speedup_limit(-0.1).is_err());
-        assert!(processors_for_speedup(0.5, 0.5).is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! Calibration: fitting the paper's model parameters to measured phase times.
 //!
-//! A run is its phase records; `mp-profile` folds them into one
-//! [`MeasuredRun`] of section totals per thread count. This module closes the
-//! loop the paper describes in Section V-A — *measure → extract `f`, `fred`,
-//! `fcon` → model*:
+//! A run is its phase records; [`crate::phase::RunProfile::to_measured_run`]
+//! folds them into one [`MeasuredRun`] of section totals per thread count.
+//! This module closes the loop the paper describes in Section V-A —
+//! *measure → extract `f`, `fred`, `fcon` → model*:
 //!
 //! * [`RunAccounting`] reads `f`, `fcon`, `fred` from the single-thread run
 //!   exactly as in the paper (initialisation excluded), the Figure 2(a)/(b)

@@ -66,16 +66,12 @@ impl ExtendedModel {
     }
 
     /// Serial-section time at `threads` merging threads, normalised to the
-    /// single-core serial-section time (the quantity plotted in Figure 2(b)).
+    /// single-core serial-section time (the quantity plotted in Figure 2(b);
+    /// Figure 2(d) divides it by the multiplier observed in simulation). It
+    /// does not depend on the performance model.
     pub fn serial_multiplier(&self, threads: f64) -> f64 {
         let split = self.params.split;
         split.fcon + split.fred * (1.0 + self.params.fored * self.growth.eval(threads))
-    }
-
-    /// Effective serial fraction (of total single-core time) at `threads`
-    /// merging threads: `s · serial_multiplier(threads)`.
-    pub fn effective_serial_fraction(&self, threads: f64) -> f64 {
-        self.params.serial_fraction() * self.serial_multiplier(threads)
     }
 
     /// The borrowed hot-path view of this model, whose `_from_parts`
@@ -178,6 +174,16 @@ mod tests {
         // kmeans at 16 threads: 0.57 + 0.43·(1 + 0.72·15) = 5.644
         let m = model(AppParams::table2_kmeans(), GrowthFunction::Linear);
         assert!((m.serial_multiplier(16.0) - 5.644).abs() < 1e-4);
+    }
+
+    #[test]
+    fn hop_multiplier_grows_more_slowly_than_kmeans() {
+        // hop has a small fred (12 %), so despite its large fored its serial
+        // multiplier at 16 cores is smaller than kmeans'.
+        let k = model(AppParams::table2_kmeans(), GrowthFunction::Linear).serial_multiplier(16.0);
+        let h = model(AppParams::table2_hop(), GrowthFunction::Linear).serial_multiplier(16.0);
+        assert!(h < k);
+        assert!(h > 1.0);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   [`perf`],
 //! * **design-space exploration** helpers that regenerate the speedup curves of
 //!   Figures 3, 4, 5 and 7 — [`explore`],
-//! * the predicted **serial-section growth** curves of Figure 2(b)/(d) —
-//!   [`serial_time`].
+//! * the **phase taxonomy** and per-run profiles of timed phase records, and
+//!   the one fold from a run's records to its section totals — [`phase`] —
+//!   from which [`calibrate`] reads the paper's parameters (Section V-A).
 //!
 //! ## Conventions
 //!
@@ -77,8 +78,8 @@ pub mod growth;
 pub mod hill_marty;
 pub mod params;
 pub mod perf;
+pub mod phase;
 pub mod prepared;
-pub mod serial_time;
 pub mod simd;
 pub mod topology;
 
@@ -99,7 +100,6 @@ pub mod prelude {
     pub use crate::params::{AppParams, SerialSplit};
     pub use crate::perf::PerfModel;
     pub use crate::prepared::PreparedModel;
-    pub use crate::serial_time::serial_growth_factor;
     pub use crate::topology::Topology;
 }
 

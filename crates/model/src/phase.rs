@@ -1,13 +1,19 @@
 //! Phase taxonomy and per-run profiles.
 //!
-//! A [`RunProfile`] is a flat list of timed [`PhaseRecord`]s produced by one
-//! execution of a workload at a fixed thread count. Durations are stored as
-//! `f64` seconds so that the same structures can carry wall-clock times (real
-//! executions) and simulated times (cycles divided by a nominal frequency).
+//! A run is its timed phase records. A [`RunProfile`] is a flat list of
+//! [`PhaseRecord`]s produced by one execution of a workload at a fixed thread
+//! count, and [`RunProfile::to_measured_run`] is the one fold from those
+//! records to the section totals ([`MeasuredRun`]) from which
+//! [`crate::calibrate::RunAccounting`] reads the paper's `f`, `fcon`, `fred`,
+//! `fored` (Section V-A). Durations are stored as `f64` seconds so that the
+//! same structures carry wall-clock times (real executions) and simulated
+//! times (cycles divided by a nominal frequency).
 
 use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
+
+use crate::calibrate::MeasuredRun;
 
 /// Classification of an execution phase, mirroring the paper's section split
 /// (Figure 1 / Figure 6).
@@ -111,11 +117,10 @@ impl RunProfile {
         self.records.push(record);
     }
 
-    /// Fold the records into the model-level section totals the paper's
-    /// accounting reads ([`mp_model::calibrate::MeasuredRun`]):
+    /// Fold the records into the section totals the paper's accounting reads:
     /// initialisation is dropped, every other kind is summed in record order.
-    pub fn to_measured_run(&self) -> mp_model::calibrate::MeasuredRun {
-        let mut run = mp_model::calibrate::MeasuredRun::new(self.threads, 0.0, 0.0, 0.0);
+    pub fn to_measured_run(&self) -> MeasuredRun {
+        let mut run = MeasuredRun::new(self.threads, 0.0, 0.0, 0.0);
         for record in &self.records {
             let total = match record.kind {
                 PhaseKind::Init => continue,
@@ -173,7 +178,7 @@ mod tests {
     #[test]
     fn empty_profile_has_zero_totals() {
         let run = RunProfile::new("empty", 1).to_measured_run();
-        assert_eq!(run, mp_model::calibrate::MeasuredRun::new(1, 0.0, 0.0, 0.0));
+        assert_eq!(run, MeasuredRun::new(1, 0.0, 0.0, 0.0));
     }
 
     #[test]

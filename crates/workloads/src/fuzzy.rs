@@ -22,8 +22,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::exec::PhaseExec;
+use mp_model::phase::RunProfile;
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::stream::RecordSink;
 
 /// Configuration of a fuzzy c-means run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,10 +93,10 @@ impl FuzzyCMeans {
         &self.config
     }
 
-    /// Run fuzzy c-means on `data` with `threads` worker threads, streaming
-    /// every phase record into `sink`.
-    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> FuzzyResult {
-        let exec = PhaseExec::new(sink, threads);
+    /// Run fuzzy c-means on `data` with `threads` worker threads; returns
+    /// the result and the run's phase records.
+    pub fn run(&self, data: &Dataset, threads: usize) -> (FuzzyResult, RunProfile) {
+        let mut exec = PhaseExec::new("fuzzy", threads);
         let n = data.len();
         let d = data.dims();
         let k = self.config.clusters.min(n);
@@ -209,12 +209,13 @@ impl FuzzyCMeans {
             local
         });
 
-        FuzzyResult {
+        let result = FuzzyResult {
             centers,
             assignments: chunks.into_iter().flatten().collect(),
             iterations,
             final_delta,
-        }
+        };
+        (result, exec.finish())
     }
 }
 
@@ -222,7 +223,7 @@ impl FuzzyCMeans {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
-    use mp_profile::{NullSink, Profiler};
+    use mp_model::phase::PhaseKind;
 
     fn tiny_data() -> Dataset {
         DatasetSpec::new(600, 4, 3, 7).generate()
@@ -232,7 +233,7 @@ mod tests {
     fn fuzzy_converges_on_separable_data() {
         let data = tiny_data();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r = fcm.run(&data, 4, &NullSink);
+        let (r, _) = fcm.run(&data, 4);
         assert!(r.iterations <= 50);
         assert!(r.final_delta <= 1e-3 || r.iterations == 50);
         assert_eq!(r.centers.len(), 12);
@@ -243,7 +244,7 @@ mod tests {
     fn centers_are_close_to_generating_centers() {
         let data = DatasetSpec::new(2400, 3, 4, 13).generate();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r = fcm.run(&data, 4, &NullSink);
+        let (r, _) = fcm.run(&data, 4);
         for c in 0..4 {
             let truth = &data.true_centers()[c * 3..(c + 1) * 3];
             let min_d2 = (0..4)
@@ -263,9 +264,9 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         let data = tiny_data();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r1 = fcm.run(&data, 1, &NullSink);
+        let (r1, _) = fcm.run(&data, 1);
         for threads in [2usize, 5, 8] {
-            let rt = fcm.run(&data, threads, &NullSink);
+            let (rt, _) = fcm.run(&data, threads);
             assert_eq!(r1.iterations, rt.iterations, "threads={threads}");
             for (a, b) in r1.centers.iter().zip(rt.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "threads={threads}");
@@ -277,10 +278,10 @@ mod tests {
     fn result_is_independent_of_reduction_strategy() {
         let data = tiny_data();
         let mut config = FuzzyConfig::for_dataset(&data);
-        let baseline = FuzzyCMeans::new(config).run(&data, 4, &NullSink);
+        let (baseline, _) = FuzzyCMeans::new(config).run(&data, 4);
         for strategy in ReductionStrategy::all() {
             config.reduction = strategy;
-            let r = FuzzyCMeans::new(config).run(&data, 4, &NullSink);
+            let (r, _) = FuzzyCMeans::new(config).run(&data, 4);
             for (a, b) in baseline.centers.iter().zip(r.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "{strategy:?}");
             }
@@ -291,9 +292,7 @@ mod tests {
     fn profiler_records_reduction_and_parallel_phases() {
         let data = tiny_data();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let profiler = Profiler::new("fuzzy", 4);
-        fcm.run(&data, 4, &profiler);
-        let profile = profiler.finish();
+        let (_, profile) = fcm.run(&data, 4);
         let run = profile.to_measured_run();
         assert!(run.parallel_seconds > 0.0);
         assert!(run.reduction_seconds > 0.0);
@@ -309,7 +308,7 @@ mod tests {
         // should mostly agree with the ground-truth labels.
         let data = DatasetSpec::new(1500, 3, 3, 21).generate();
         let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-        let r = fcm.run(&data, 4, &NullSink);
+        let (r, _) = fcm.run(&data, 4);
         // Build the best cluster → label mapping by majority vote.
         let mut agree = 0usize;
         for c in 0..3 {
@@ -334,15 +333,9 @@ mod tests {
     fn an_unreachable_epsilon_stops_at_exactly_max_iters() {
         let data = tiny_data();
         let config = FuzzyConfig { epsilon: -1.0, max_iters: 4, ..FuzzyConfig::for_dataset(&data) };
-        let profiler = Profiler::new("fuzzy", 2);
-        let result = FuzzyCMeans::new(config).run(&data, 2, &profiler);
+        let (result, profile) = FuzzyCMeans::new(config).run(&data, 2);
         assert_eq!(result.iterations, 4);
-        let merges = profiler
-            .finish()
-            .records
-            .iter()
-            .filter(|r| r.kind == mp_profile::PhaseKind::Reduction)
-            .count();
+        let merges = profile.records.iter().filter(|r| r.kind == PhaseKind::Reduction).count();
         assert_eq!(merges, 4);
     }
 
@@ -350,6 +343,6 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let data = tiny_data();
-        FuzzyCMeans::new(FuzzyConfig::default()).run(&data, 0, &NullSink);
+        FuzzyCMeans::new(FuzzyConfig::default()).run(&data, 0);
     }
 }

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use crate::data::Dataset;
 use crate::exec::PhaseExec;
 use crate::kdtree::KdTree;
-use mp_profile::stream::RecordSink;
+use mp_model::phase::RunProfile;
 
 /// Configuration of a HOP run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,10 +90,10 @@ impl Hop {
         &self.config
     }
 
-    /// Run HOP on `data` with `threads` worker threads, streaming every
-    /// phase record into `sink`.
-    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> HopResult {
-        let exec = PhaseExec::new(sink, threads);
+    /// Run HOP on `data` with `threads` worker threads; returns the result
+    /// and the run's phase records.
+    pub fn run(&self, data: &Dataset, threads: usize) -> (HopResult, RunProfile) {
+        let mut exec = PhaseExec::new("hop", threads);
         let n = data.len();
         let k = self.config.neighbors.min(n.saturating_sub(1)).max(1);
 
@@ -212,7 +212,7 @@ impl Hop {
             (ids, sizes)
         });
 
-        HopResult {
+        let result = HopResult {
             group_of: roots
                 .iter()
                 .map(|root| group_ids.get(root).copied().unwrap_or(usize::MAX))
@@ -220,7 +220,8 @@ impl Hop {
             groups: group_sizes.len(),
             group_sizes,
             densities,
-        }
+        };
+        (result, exec.finish())
     }
 }
 
@@ -228,7 +229,6 @@ impl Hop {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
-    use mp_profile::{NullSink, Profiler};
 
     fn blobs() -> Dataset {
         // Three well-separated blobs in 3-D.
@@ -244,7 +244,7 @@ mod tests {
         // smooth the density estimate enough that each blob keeps a handful
         // of peaks at most, independent of the data seed.
         let hop = Hop::new(HopConfig { neighbors: 24, ..HopConfig::default() });
-        let r = hop.run(&data, 4, &NullSink);
+        let (r, _) = hop.run(&data, 4);
         assert!(r.groups >= 2, "expected at least two groups, got {}", r.groups);
         assert!(r.groups <= 12, "expected few groups, got {}", r.groups);
         assert_eq!(r.group_of.len(), data.len());
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn group_sizes_are_sorted_and_match_assignments() {
         let data = blobs();
-        let r = Hop::new(HopConfig::default()).run(&data, 3, &NullSink);
+        let (r, _) = Hop::new(HopConfig::default()).run(&data, 3);
         assert_eq!(r.group_sizes.len(), r.groups);
         // Sizes recomputed from assignments must match the reported sizes.
         let mut counts = vec![0usize; r.groups];
@@ -273,9 +273,9 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         let data = blobs();
         let hop = Hop::new(HopConfig::default());
-        let r1 = hop.run(&data, 1, &NullSink);
+        let (r1, _) = hop.run(&data, 1);
         for threads in [2usize, 4, 8] {
-            let rt = hop.run(&data, threads, &NullSink);
+            let (rt, _) = hop.run(&data, threads);
             assert_eq!(r1.groups, rt.groups, "threads={threads}");
             assert_eq!(r1.group_of, rt.group_of, "threads={threads}");
         }
@@ -284,26 +284,24 @@ mod tests {
     #[test]
     fn densities_are_positive_and_peak_inside_blobs() {
         let data = blobs();
-        let r = Hop::new(HopConfig::default()).run(&data, 2, &NullSink);
+        let (r, _) = Hop::new(HopConfig::default()).run(&data, 2);
         assert!(r.densities.iter().all(|&d| d > 0.0));
     }
 
     #[test]
     fn min_group_size_filters_noise() {
         let data = blobs();
-        let permissive = Hop::new(HopConfig { min_group_size: 1, ..Default::default() })
-            .run(&data, 2, &NullSink);
-        let strict = Hop::new(HopConfig { min_group_size: 50, ..Default::default() })
-            .run(&data, 2, &NullSink);
+        let permissive =
+            Hop::new(HopConfig { min_group_size: 1, ..Default::default() }).run(&data, 2).0;
+        let strict =
+            Hop::new(HopConfig { min_group_size: 50, ..Default::default() }).run(&data, 2).0;
         assert!(strict.groups <= permissive.groups);
     }
 
     #[test]
     fn profiler_records_merging_phase() {
         let data = blobs();
-        let profiler = Profiler::new("hop", 4);
-        Hop::new(HopConfig::default()).run(&data, 4, &profiler);
-        let profile = profiler.finish();
+        let (_, profile) = Hop::new(HopConfig::default()).run(&data, 4);
         let run = profile.to_measured_run();
         assert!(run.parallel_seconds > 0.0);
         assert!(run.reduction_seconds > 0.0);
@@ -317,8 +315,7 @@ mod tests {
         // produces one group covering everything.
         let spec = DatasetSpec::new(64, 2, 1, 5);
         let data = spec.generate();
-        let r = Hop::new(HopConfig { min_group_size: 1, ..Default::default() })
-            .run(&data, 4, &NullSink);
+        let r = Hop::new(HopConfig { min_group_size: 1, ..Default::default() }).run(&data, 4).0;
         assert!(r.groups >= 1);
     }
 
@@ -332,6 +329,6 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let data = blobs();
-        Hop::new(HopConfig::default()).run(&data, 0, &NullSink);
+        Hop::new(HopConfig::default()).run(&data, 0);
     }
 }

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::exec::PhaseExec;
+use mp_model::phase::RunProfile;
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::stream::RecordSink;
 
 /// A balanced k-d tree over a borrowed point set.
 #[derive(Debug)]
@@ -317,10 +317,10 @@ impl KdTreeWorkload {
         &self.config
     }
 
-    /// Run the workload on `data` with `threads` worker threads, streaming
-    /// every phase record into `sink`.
-    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> KdTreeResult {
-        let exec = PhaseExec::new(sink, threads);
+    /// Run the workload on `data` with `threads` worker threads; returns the
+    /// result and the run's phase records.
+    pub fn run(&self, data: &Dataset, threads: usize) -> (KdTreeResult, RunProfile) {
+        let mut exec = PhaseExec::new("kdtree", threads);
         let n = data.len();
         let k = self.config.neighbors.min(n.saturating_sub(1)).max(1);
         let buckets = self.config.buckets;
@@ -374,14 +374,13 @@ impl KdTreeWorkload {
             let mean = if n > 0 { merged[buckets] / n as f64 } else { 0.0 };
             (merged[..buckets].to_vec(), mean)
         });
-        KdTreeResult { histogram, mean_kth_distance, queries: n }
+        (KdTreeResult { histogram, mean_kth_distance, queries: n }, exec.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_profile::{NullSink, Profiler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -511,7 +510,7 @@ mod tests {
     fn workload_histogram_counts_every_point() {
         let data = crate::data::DatasetSpec::new(500, 3, 3, 23).generate();
         let w = KdTreeWorkload::new(KdTreeConfig::default());
-        let r = w.run(&data, 4, &NullSink);
+        let (r, _) = w.run(&data, 4);
         assert_eq!(r.queries, 500);
         assert_eq!(r.histogram.len(), KdTreeConfig::default().buckets);
         assert_eq!(r.histogram.iter().sum::<f64>(), 500.0);
@@ -522,9 +521,9 @@ mod tests {
     fn workload_result_is_thread_count_independent() {
         let data = crate::data::DatasetSpec::new(400, 2, 2, 9).generate();
         let w = KdTreeWorkload::new(KdTreeConfig::default());
-        let base = w.run(&data, 1, &NullSink);
+        let (base, _) = w.run(&data, 1);
         for threads in [2usize, 4, 8] {
-            let r = w.run(&data, threads, &NullSink);
+            let (r, _) = w.run(&data, threads);
             assert_eq!(r.histogram, base.histogram, "threads={threads}");
             assert!((r.mean_kth_distance - base.mean_kth_distance).abs() < 1e-9);
         }
@@ -532,12 +531,10 @@ mod tests {
 
     #[test]
     fn workload_records_all_phase_kinds() {
-        use mp_profile::PhaseKind;
+        use mp_model::phase::PhaseKind;
         let data = crate::data::DatasetSpec::new(600, 3, 3, 31).generate();
         let w = KdTreeWorkload::new(KdTreeConfig::default());
-        let profiler = Profiler::new("kdtree", 4);
-        w.run(&data, 4, &profiler);
-        let profile = profiler.finish();
+        let (_, profile) = w.run(&data, 4);
         let kinds: Vec<PhaseKind> = profile.records.iter().map(|r| r.kind).collect();
         for kind in [PhaseKind::Parallel, PhaseKind::Reduction, PhaseKind::SerialConstant] {
             assert!(kinds.contains(&kind), "{kind:?} missing from {kinds:?}");
@@ -548,13 +545,14 @@ mod tests {
     #[test]
     fn workload_reduction_strategy_does_not_change_the_histogram() {
         let data = crate::data::DatasetSpec::new(300, 3, 3, 5).generate();
-        let base = KdTreeWorkload::new(KdTreeConfig::default()).run(&data, 4, &NullSink);
+        let (base, _) = KdTreeWorkload::new(KdTreeConfig::default()).run(&data, 4);
         for strategy in ReductionStrategy::all() {
             let r = KdTreeWorkload::new(KdTreeConfig {
                 reduction: strategy,
                 ..KdTreeConfig::default()
             })
-            .run(&data, 4, &NullSink);
+            .run(&data, 4)
+            .0;
             assert_eq!(r.histogram, base.histogram, "{strategy:?}");
         }
     }

@@ -18,9 +18,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use mp_model::phase::RunProfile;
 use mp_par::pool::chunk_range;
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::stream::RecordSink;
 
 use crate::data::Dataset;
 use crate::exec::PhaseExec;
@@ -110,10 +110,10 @@ impl KMeans {
         &self.config
     }
 
-    /// Run k-means on `data` with `threads` worker threads, streaming
-    /// every phase record into `sink`.
-    pub fn run(&self, data: &Dataset, threads: usize, sink: &dyn RecordSink) -> KMeansResult {
-        let exec = PhaseExec::new(sink, threads);
+    /// Run k-means on `data` with `threads` worker threads; returns the
+    /// result and the run's phase records.
+    pub fn run(&self, data: &Dataset, threads: usize) -> (KMeansResult, RunProfile) {
+        let mut exec = PhaseExec::new("kmeans", threads);
         let n = data.len();
         let d = data.dims();
         let k = self.config.clusters.min(n);
@@ -189,12 +189,13 @@ impl KMeans {
             }
         }
 
-        KMeansResult {
+        let result = KMeansResult {
             centers,
             assignments: chunk_assignments.into_iter().flatten().collect(),
             iterations,
             sse,
-        }
+        };
+        (result, exec.finish())
     }
 }
 
@@ -202,8 +203,7 @@ impl KMeans {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
-    use mp_profile::PhaseKind;
-    use mp_profile::{NullSink, Profiler};
+    use mp_model::phase::PhaseKind;
 
     fn tiny_data() -> Dataset {
         DatasetSpec::new(600, 4, 3, 7).generate()
@@ -213,7 +213,7 @@ mod tests {
     fn kmeans_converges_on_separable_data() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let result = km.run(&data, 4, &NullSink);
+        let (result, _) = km.run(&data, 4);
         assert!(result.iterations <= 50);
         assert_eq!(result.centers.len(), 3 * 4);
         assert_eq!(result.assignments.len(), 600);
@@ -227,9 +227,9 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let r1 = km.run(&data, 1, &NullSink);
+        let (r1, _) = km.run(&data, 1);
         for threads in [2usize, 3, 8] {
-            let rt = km.run(&data, threads, &NullSink);
+            let (rt, _) = km.run(&data, threads);
             assert_eq!(r1.iterations, rt.iterations, "threads={threads}");
             for (a, b) in r1.centers.iter().zip(rt.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "threads={threads}");
@@ -242,10 +242,10 @@ mod tests {
     fn result_is_independent_of_reduction_strategy() {
         let data = tiny_data();
         let mut config = KMeansConfig::for_dataset(&data);
-        let baseline = KMeans::new(config).run(&data, 4, &NullSink);
+        let (baseline, _) = KMeans::new(config).run(&data, 4);
         for strategy in ReductionStrategy::all() {
             config.reduction = strategy;
-            let r = KMeans::new(config).run(&data, 4, &NullSink);
+            let (r, _) = KMeans::new(config).run(&data, 4);
             for (a, b) in baseline.centers.iter().zip(r.centers.iter()) {
                 assert!((a - b).abs() < 1e-6, "{strategy:?}");
             }
@@ -256,7 +256,7 @@ mod tests {
     fn recovered_centers_match_generating_centers() {
         let data = DatasetSpec::new(3000, 3, 4, 11).generate();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let result = km.run(&data, 4, &NullSink);
+        let (result, _) = km.run(&data, 4);
         // Every generating centre should have a fitted centre within ~3σ.
         for c in 0..4 {
             let truth = &data.true_centers()[c * 3..(c + 1) * 3];
@@ -277,9 +277,7 @@ mod tests {
     fn profiler_records_all_phase_kinds() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig::for_dataset(&data));
-        let profiler = Profiler::new("kmeans", 4);
-        km.run(&data, 4, &profiler);
-        let profile = profiler.finish();
+        let (_, profile) = km.run(&data, 4);
         assert_eq!(profile.records[0].kind, PhaseKind::Init);
         let run = profile.to_measured_run();
         assert!(run.parallel_seconds > 0.0);
@@ -292,7 +290,7 @@ mod tests {
     fn single_cluster_degenerates_to_mean() {
         let data = tiny_data();
         let km = KMeans::new(KMeansConfig { clusters: 1, ..KMeansConfig::default() });
-        let result = km.run(&data, 2, &NullSink);
+        let (result, _) = km.run(&data, 2);
         let d = data.dims();
         let mut mean = vec![0.0; d];
         for i in 0..data.len() {
@@ -313,7 +311,7 @@ mod tests {
     fn more_threads_than_points_is_handled() {
         let data = DatasetSpec::new(10, 2, 2, 3).generate();
         let km = KMeans::new(KMeansConfig { clusters: 2, ..Default::default() });
-        let result = km.run(&data, 16, &NullSink);
+        let (result, _) = km.run(&data, 16);
         assert_eq!(result.assignments.len(), 10);
     }
 
@@ -323,9 +321,9 @@ mod tests {
         // larger after more iterations (k-means monotonically improves SSE).
         let data = tiny_data();
         let one = KMeans::new(KMeansConfig { max_iters: 1, clusters: 3, ..Default::default() })
-            .run(&data, 4, &NullSink);
-        let full = KMeans::new(KMeansConfig { clusters: 3, ..Default::default() })
-            .run(&data, 4, &NullSink);
+            .run(&data, 4)
+            .0;
+        let full = KMeans::new(KMeansConfig { clusters: 3, ..Default::default() }).run(&data, 4).0;
         assert!(full.sse <= one.sse + 1e-9);
     }
 
@@ -334,11 +332,9 @@ mod tests {
         let data = tiny_data();
         let config =
             KMeansConfig { threshold: -1.0, max_iters: 7, ..KMeansConfig::for_dataset(&data) };
-        let profiler = Profiler::new("kmeans", 2);
-        let result = KMeans::new(config).run(&data, 2, &profiler);
+        let (result, profile) = KMeans::new(config).run(&data, 2);
         assert_eq!(result.iterations, 7);
-        let merges =
-            profiler.finish().records.iter().filter(|r| r.kind == PhaseKind::Reduction).count();
+        let merges = profile.records.iter().filter(|r| r.kind == PhaseKind::Reduction).count();
         assert_eq!(merges, 7);
     }
 
@@ -346,7 +342,7 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let data = tiny_data();
-        KMeans::new(KMeansConfig::default()).run(&data, 0, &NullSink);
+        KMeans::new(KMeansConfig::default()).run(&data, 0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! subject of the paper, and constant serial work — repeated until
 //! convergence (once for hop and kdtree), then the finalize phases. Every
 //! phase runs through one [`exec::PhaseExec`] call, whose method fixes the
-//! phase's kind and records it with per-phase, per-thread timing.
+//! phase's kind and records it with per-phase, per-thread timing; `run`
+//! returns the workload's result together with the run's
+//! [`mp_model::phase::RunProfile`].
 //!
 //! The crate also contains:
 //!
@@ -18,8 +20,7 @@
 //! * [`kdtree`] — the k-d tree substrate used by HOP's neighbour searches and
 //!   the standalone kd-tree workload built on it,
 //! * [`runner`] — a uniform driver that runs any workload across thread
-//!   counts into any `mp-profile` record sink: one `Profiler` per thread
-//!   count gives the run profiles whose section totals
+//!   counts: one run profile per thread count, whose section totals
 //!   (`RunProfile::to_measured_run`) calibrate the model.
 
 #![forbid(unsafe_code)]

@@ -4,17 +4,16 @@
 //! the same procedure for every application: run it at 1, 2, 4, … threads,
 //! record the phase profile of each run, and feed the set of profiles to the
 //! parameter extraction. [`ClusteringWorkload`] wraps the applications behind
-//! one interface and [`run_sweep`] produces exactly that set of profiles,
-//! while [`ClusteringWorkload::run`] streams a run's records into any
-//! [`RecordSink`]. Each profile folds into one
-//! [`mp_model::calibrate::MeasuredRun`] (`RunProfile::to_measured_run`), the
-//! input of `RunAccounting::from_runs` and `CalibratedParams::fit`.
+//! one interface: [`ClusteringWorkload::run`] returns one run's phase
+//! records, and [`run_sweep`] produces exactly that set of profiles. Each
+//! profile folds into one [`mp_model::calibrate::MeasuredRun`]
+//! ([`RunProfile::to_measured_run`]), the input of
+//! `RunAccounting::from_runs` and `CalibratedParams::fit`.
 
 use serde::{Deserialize, Serialize};
 
+use mp_model::phase::RunProfile;
 use mp_par::reduce::ReductionStrategy;
-use mp_profile::stream::RecordSink;
-use mp_profile::{Profiler, RunProfile};
 
 use crate::data::Dataset;
 use crate::fuzzy::{FuzzyCMeans, FuzzyConfig};
@@ -132,39 +131,22 @@ impl ClusteringWorkload {
         self
     }
 
-    /// Run the job once at `threads` threads, streaming every instrumented
-    /// record into `sink` (a [`mp_profile::NullSink`] runs it
-    /// uninstrumented).
-    pub fn run(&self, threads: usize, sink: &dyn RecordSink) {
+    /// Run the job once at `threads` threads and return its phase profile.
+    pub fn run(&self, threads: usize) -> RunProfile {
         let data = &self.dataset;
         match self.config {
-            AppConfig::KMeans(config) => {
-                KMeans::new(config).run(data, threads, sink);
-            }
-            AppConfig::Fuzzy(config) => {
-                FuzzyCMeans::new(config).run(data, threads, sink);
-            }
-            AppConfig::Hop(config) => {
-                Hop::new(config).run(data, threads, sink);
-            }
-            AppConfig::KdTree(config) => {
-                KdTreeWorkload::new(config).run(data, threads, sink);
-            }
+            AppConfig::KMeans(config) => KMeans::new(config).run(data, threads).1,
+            AppConfig::Fuzzy(config) => FuzzyCMeans::new(config).run(data, threads).1,
+            AppConfig::Hop(config) => Hop::new(config).run(data, threads).1,
+            AppConfig::KdTree(config) => KdTreeWorkload::new(config).run(data, threads).1,
         }
-    }
-
-    /// Run the job once at `threads` threads and return its phase profile.
-    pub fn run_profiled(&self, threads: usize) -> RunProfile {
-        let profiler = Profiler::new(self.kind().name(), threads);
-        self.run(threads, &profiler);
-        profiler.finish()
     }
 }
 
 /// Run the job at every thread count in `thread_counts` and collect the
 /// profiles, one per thread count.
 pub fn run_sweep(workload: &ClusteringWorkload, thread_counts: &[usize]) -> Vec<RunProfile> {
-    thread_counts.iter().map(|&t| workload.run_profiled(t)).collect()
+    thread_counts.iter().map(|&t| workload.run(t)).collect()
 }
 
 /// The default thread sweep used by the characterisation experiments:
@@ -186,7 +168,8 @@ pub fn default_thread_sweep(max: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::data::DatasetSpec;
-    use mp_model::calibrate::{CalibratedParams, RunAccounting};
+    use mp_model::calibrate::RunAccounting;
+    use mp_model::phase::PhaseKind;
 
     fn tiny() -> Dataset {
         DatasetSpec::new(400, 3, 3, 19).generate()
@@ -209,10 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn run_profiled_produces_named_profiles() {
+    fn run_produces_named_profiles() {
         for kind in WorkloadKind::all() {
             let job = ClusteringWorkload::of_kind(kind, tiny());
-            let profile = job.run_profiled(2);
+            let profile = job.run(2);
             assert_eq!(profile.app, kind.name());
             assert_eq!(profile.threads, 2);
             let run = profile.to_measured_run();
@@ -255,30 +238,7 @@ mod tests {
         let config = KMeansConfig { max_iters: 3, threshold: -1.0, ..KMeansConfig::default() };
         let job = ClusteringWorkload::kmeans(config, data);
         assert_eq!(job.kind(), WorkloadKind::KMeans);
-        let merges = job
-            .run_profiled(2)
-            .records
-            .iter()
-            .filter(|r| r.kind == mp_profile::PhaseKind::Reduction)
-            .count();
+        let merges = job.run(2).records.iter().filter(|r| r.kind == PhaseKind::Reduction).count();
         assert_eq!(merges, 3, "one merge per iteration of the job's own config");
-    }
-
-    #[test]
-    fn one_profiler_per_thread_count_calibrates() {
-        let job = ClusteringWorkload::of_kind(WorkloadKind::KMeans, tiny());
-        let runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                let profiler = Profiler::new(job.kind().name(), threads);
-                job.run(threads, &profiler);
-                profiler.finish().to_measured_run()
-            })
-            .collect();
-        let calibrated = CalibratedParams::fit(job.kind().name(), &runs).unwrap();
-        assert!(calibrated.app_params().f > 0.5, "f = {}", calibrated.app_params().f);
-        let split = calibrated.app_params().split;
-        assert!(split.fcon >= 0.0 && split.fcon <= 1.0);
-        assert!((split.fcon + split.fred - 1.0).abs() < 1e-9);
     }
 }

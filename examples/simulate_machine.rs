@@ -10,7 +10,7 @@ use merging_phases::cmpsim::program::ReductionKind;
 use merging_phases::cmpsim::{
     fuzzy_program, hop_program, kmeans_program, simulate, Machine, WorkloadShape,
 };
-use merging_phases::profile::PhaseKind;
+use merging_phases::model::phase::PhaseKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

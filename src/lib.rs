@@ -6,18 +6,18 @@
 //! * [`model`] — the extended Amdahl/Hill–Marty speedup models (the paper's
 //!   primary contribution): classic Amdahl, symmetric/asymmetric Hill–Marty,
 //!   the merging-phase extension (Eq. 4/5), and the communication-aware model
-//!   (Eq. 6–8).
-//! * [`par`] — the fork-join primitives and the three reduction strategies
-//!   (serial linear, logarithmic tree, privatised parallel).
-//! * [`profile`] — phase instrumentation: the record sinks a run streams
-//!   its phases into, and the fold of one run's records into the section
+//!   (Eq. 6–8). Its [`model::phase`] holds the phase taxonomy and a run's
+//!   timed records, and the fold of one run's records into the section
 //!   totals from which `model::calibrate` reads the paper's parameters
 //!   (`f`, `fcon`, `fred`, `fored`).
+//! * [`par`] — the fork-join primitives and the three reduction strategies
+//!   (serial linear, logarithmic tree, privatised parallel).
 //! * [`workloads`] — MineBench-style clustering workloads (kmeans, fuzzy
 //!   c-means, HOP, the kd-tree scenario) over a synthetic data generator.
 //!   Each workload's `run` is its phase loop, written out: every phase runs
 //!   through a [`workloads::exec::PhaseExec`] call that fixes its kind and
-//!   records it with per-phase, per-thread timing.
+//!   records it with per-phase, per-thread timing, and `run` returns the
+//!   result together with the run's [`model::phase::RunProfile`].
 //! * [`cmpsim`] — an abstract CMP/ACMP timing simulator (cores with
 //!   area-dependent performance, two-level cache cost model, 2-D-mesh NoC)
 //!   standing in for the SESC simulator used by the paper.
@@ -48,15 +48,14 @@ pub use mp_cmpsim as cmpsim;
 pub use mp_dse as dse;
 pub use mp_model as model;
 pub use mp_par as par;
-pub use mp_profile as profile;
 pub use mp_workloads as workloads;
 
 /// Convenience prelude re-exporting the most commonly used items from every
 /// workspace crate.
 pub mod prelude {
+    pub use mp_model::phase::{PhaseKind, PhaseRecord, RunProfile};
     pub use mp_model::prelude::*;
     pub use mp_par::{ReductionStrategy, ThreadPool};
-    pub use mp_profile::{PhaseKind, Profiler, RunProfile};
     pub use mp_workloads::prelude::*;
 
     pub use mp_cmpsim::prelude::*;

@@ -10,7 +10,6 @@ use merging_phases::dse::{AnalyticBackend, EvalBackend, MeasuredBackend, Scenari
 use merging_phases::model::calibrate::CalibratedParams;
 use merging_phases::model::growth::GrowthFunction;
 use merging_phases::prelude::*;
-use merging_phases::profile::{PhaseKind, PhaseRecord};
 
 /// A synthetic profile following the extended model exactly: parallel `f/p`,
 /// constant serial `s·fcon`, reduction `s·fred·(1 + fored·grow(p))`.
@@ -101,8 +100,8 @@ fn calibration_from_cmpsim_simulation_tracks_the_observed_growth() {
 
 #[test]
 fn scheduler_run_calibrates_and_sweeps_end_to_end() {
-    // The full pipeline on a real (tiny) workload: one profiler per thread
-    // count → calibration → measured backend → engine sweep.
+    // The full pipeline on a real (tiny) workload: one run profile per
+    // thread count → calibration → measured backend → engine sweep.
     let data = DatasetSpec::new(600, 3, 3, 13).generate();
     let mut config = KMeansConfig::for_dataset(&data);
     config.threshold = -1.0; // fixed iteration count for stable ratios
@@ -110,11 +109,7 @@ fn scheduler_run_calibrates_and_sweeps_end_to_end() {
     let workload = KMeans::new(config);
     let runs: Vec<MeasuredRun> = [1usize, 2, 4]
         .iter()
-        .map(|&threads| {
-            let profiler = Profiler::new("kmeans", threads);
-            workload.run(&data, threads, &profiler);
-            profiler.finish().to_measured_run()
-        })
+        .map(|&threads| workload.run(&data, threads).1.to_measured_run())
         .collect();
     let calibrated = CalibratedParams::fit("kmeans", &runs).unwrap();
     let app = calibrated.app_params();

@@ -125,7 +125,7 @@ proptest! {
     /// parameters yield those parameters back.
     #[test]
     fn extraction_roundtrip(f in 0.9f64..=0.9999, fcon in 0.05f64..=0.95, fored in 0.05f64..=1.5) {
-        use merging_phases::profile::{PhaseKind, PhaseRecord, RunProfile};
+        use merging_phases::model::phase::{PhaseKind, PhaseRecord, RunProfile};
         let s = 1.0 - f;
         let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16].iter().map(|&p| {
             let mut profile = RunProfile::new("roundtrip", p);

@@ -5,7 +5,6 @@
 use merging_phases::par::pool::{chunk_range, parallel_partials};
 use merging_phases::par::{reduce_elementwise, ReductionStrategy};
 use merging_phases::prelude::*;
-use merging_phases::profile::NullSink;
 use merging_phases::workloads::kdtree::KdTree;
 use proptest::prelude::*;
 
@@ -106,9 +105,9 @@ fn kmeans_centers_are_thread_count_invariant_on_random_data() {
     let data = DatasetSpec::new(1200, 5, 4, 0xFEED).generate();
     let job = KMeansConfig::for_dataset(&data);
     let km = KMeans::new(job);
-    let reference = km.run(&data, 1, &NullSink);
+    let (reference, _) = km.run(&data, 1);
     for threads in [3usize, 8] {
-        let r = km.run(&data, threads, &NullSink);
+        let (r, _) = km.run(&data, threads);
         assert_eq!(reference.assignments, r.assignments);
         for (a, b) in reference.centers.iter().zip(r.centers.iter()) {
             assert!((a - b).abs() < 1e-6);
@@ -120,7 +119,7 @@ fn kmeans_centers_are_thread_count_invariant_on_random_data() {
 fn fuzzy_membership_weights_are_positive_and_bounded() {
     let data = DatasetSpec::new(500, 3, 3, 0xBEEF).generate();
     let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
-    let result = fcm.run(&data, 4, &NullSink);
+    let (result, _) = fcm.run(&data, 4);
     assert_eq!(result.centers.len(), 9);
     // Centres must lie within the data's bounding box.
     for d in 0..3 {

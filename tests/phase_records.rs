@@ -1,15 +1,14 @@
 //! The record stream each clustering workload emits, pinned phase by phase.
 //!
 //! Table II, Figure 2 and `repro calibrate` read nothing of a run but the
-//! records its phases stream into a sink. This suite pins, for every
-//! workload, the exact sequence of `(kind, label, threads, per-thread
-//! samples)` one run records through a [`Profiler`] — at 1 and 3 threads,
+//! records its phases log. This suite pins, for every workload, the exact
+//! sequence of `(kind, label, threads, per-thread samples)` in the
+//! [`RunProfile`] one run returns — at 1 and 3 threads,
 //! and for the two tree-building workloads also at 8 threads, where the
 //! tree-build cap of 4 binds. Iterative workloads repeat their body once
 //! per iteration the run reports.
 
 use merging_phases::prelude::*;
-use merging_phases::profile::PhaseRecord;
 
 /// One record's shape: kind, label, thread count and number of per-thread
 /// timing samples.
@@ -28,8 +27,7 @@ fn kmeans_records_init_then_one_body_per_iteration() {
     let data = data();
     let km = KMeans::new(KMeansConfig::for_dataset(&data));
     for threads in [1usize, 3] {
-        let profiler = Profiler::new("kmeans", threads);
-        let result = km.run(&data, threads, &profiler);
+        let (result, profile) = km.run(&data, threads);
         assert!(result.iterations >= 1);
         let mut expected: Vec<Shape> = vec![(PhaseKind::Init, "init-centers", 1, 0)];
         for _ in 0..result.iterations {
@@ -39,7 +37,6 @@ fn kmeans_records_init_then_one_body_per_iteration() {
                 (PhaseKind::SerialConstant, "recompute-centers", 1, 0),
             ]);
         }
-        let profile = profiler.finish();
         assert_eq!(shapes(&profile.records), expected, "threads={threads}");
     }
 }
@@ -49,8 +46,7 @@ fn fuzzy_records_init_iterations_and_a_final_parallel_pass() {
     let data = data();
     let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
     for threads in [1usize, 3] {
-        let profiler = Profiler::new("fuzzy", threads);
-        let result = fcm.run(&data, threads, &profiler);
+        let (result, profile) = fcm.run(&data, threads);
         assert!(result.iterations >= 1);
         let mut expected: Vec<Shape> = vec![(PhaseKind::Init, "init-centers", 1, 0)];
         for _ in 0..result.iterations {
@@ -61,7 +57,6 @@ fn fuzzy_records_init_iterations_and_a_final_parallel_pass() {
             ]);
         }
         expected.push((PhaseKind::Parallel, "final-assignments", threads, threads));
-        let profile = profiler.finish();
         assert_eq!(shapes(&profile.records), expected, "threads={threads}");
     }
 }
@@ -72,8 +67,7 @@ fn hop_records_a_capped_tree_build_four_kernels_and_the_group_merge() {
     let hop = Hop::new(HopConfig::default());
     assert_eq!(hop.config().max_tree_build_threads, 4);
     for threads in [1usize, 3, 8] {
-        let profiler = Profiler::new("hop", threads);
-        hop.run(&data, threads, &profiler);
+        let (_, profile) = hop.run(&data, threads);
         let expected: Vec<Shape> = vec![
             (PhaseKind::Parallel, "build-kdtree", threads.min(4), 0),
             (PhaseKind::Parallel, "density", threads, threads),
@@ -83,7 +77,6 @@ fn hop_records_a_capped_tree_build_four_kernels_and_the_group_merge() {
             (PhaseKind::Reduction, "merge-group-tables", 1, 0),
             (PhaseKind::SerialConstant, "filter-groups", 1, 0),
         ];
-        let profile = profiler.finish();
         assert_eq!(shapes(&profile.records), expected, "threads={threads}");
     }
 }
@@ -94,8 +87,7 @@ fn kdtree_records_extent_capped_build_knn_merge_and_summary() {
     let w = KdTreeWorkload::new(KdTreeConfig::default());
     assert_eq!(w.config().max_tree_build_threads, 4);
     for threads in [1usize, 3, 8] {
-        let profiler = Profiler::new("kdtree", threads);
-        w.run(&data, threads, &profiler);
+        let (_, profile) = w.run(&data, threads);
         let expected: Vec<Shape> = vec![
             (PhaseKind::Init, "measure-extent", 1, 0),
             (PhaseKind::Parallel, "build-kdtree", threads.min(4), 0),
@@ -103,7 +95,6 @@ fn kdtree_records_extent_capped_build_knn_merge_and_summary() {
             (PhaseKind::Reduction, "merge-histograms", 1, 0),
             (PhaseKind::SerialConstant, "summarize", 1, 0),
         ];
-        let profile = profiler.finish();
         assert_eq!(shapes(&profile.records), expected, "threads={threads}");
     }
 }
@@ -115,13 +106,11 @@ fn a_fanned_out_merge_records_every_thread() {
     let data = data();
     for strategy in ReductionStrategy::all() {
         let config = KMeansConfig { reduction: strategy, ..KMeansConfig::for_dataset(&data) };
-        let profiler = Profiler::new("kmeans", 3);
-        KMeans::new(config).run(&data, 3, &profiler);
+        let (_, profile) = KMeans::new(config).run(&data, 3);
         let merge_threads = match strategy {
             ReductionStrategy::SerialLinear => 1,
             ReductionStrategy::TreeLog | ReductionStrategy::ParallelPrivatized => 3,
         };
-        let profile = profiler.finish();
         let merges: Vec<&PhaseRecord> =
             profile.records.iter().filter(|r| r.kind == PhaseKind::Reduction).collect();
         assert!(!merges.is_empty(), "{strategy:?}");

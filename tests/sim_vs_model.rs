@@ -9,7 +9,6 @@ use merging_phases::cmpsim::program::ReductionKind;
 use merging_phases::cmpsim::{
     fuzzy_program, kmeans_program, simulate, simulate_profile, Machine, WorkloadShape,
 };
-use merging_phases::model::serial_time::serial_growth_factor;
 use merging_phases::prelude::*;
 
 /// The Section V-A accounting of the simulator's 1–16-core runs of `app`.
@@ -37,8 +36,9 @@ fn model_predicts_simulated_serial_growth_for_linear_workloads() {
     for app in ["kmeans", "fuzzy"] {
         let accounting = simulated_accounting(app);
         let params = linear_params(app, &accounting);
+        let model = ExtendedModel::new(params, GrowthFunction::Linear, PerfModel::Pollack);
         for &(threads, observed) in &accounting.serial_multipliers {
-            let predicted = serial_growth_factor(&params, &GrowthFunction::Linear, threads as f64);
+            let predicted = model.serial_multiplier(threads as f64);
             let ratio = predicted / observed;
             assert!(
                 (ratio - 1.0).abs() < 0.25,
@@ -99,10 +99,7 @@ fn privatized_merge_moves_simulated_cost_into_communication() {
     let machine = Machine::table1(16);
     let lin = simulate(&program_lin, &machine);
     let par = simulate(&program_par, &machine);
-    assert_eq!(lin.cycles_in(merging_phases::profile::PhaseKind::Communication), 0.0);
-    assert!(par.cycles_in(merging_phases::profile::PhaseKind::Communication) > 0.0);
-    assert!(
-        par.cycles_in(merging_phases::profile::PhaseKind::Reduction)
-            < lin.cycles_in(merging_phases::profile::PhaseKind::Reduction)
-    );
+    assert_eq!(lin.cycles_in(PhaseKind::Communication), 0.0);
+    assert!(par.cycles_in(PhaseKind::Communication) > 0.0);
+    assert!(par.cycles_in(PhaseKind::Reduction) < lin.cycles_in(PhaseKind::Reduction));
 }

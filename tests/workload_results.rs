@@ -10,7 +10,6 @@
 //! thread count every field is deterministic.
 
 use merging_phases::prelude::*;
-use merging_phases::profile::NullSink;
 
 fn data() -> Dataset {
     DatasetSpec::new(240, 3, 3, 0x5EC0).generate()
@@ -63,7 +62,7 @@ fn kmeans_result_is_pinned() {
     let data = data();
     let km = KMeans::new(KMeansConfig::for_dataset(&data));
     assert_pinned("kmeans", &[(1, 0x0233_c3b3_9f56_02a4), (3, 0x6836_5956_b6a3_b024)], |threads| {
-        let r = km.run(&data, threads, &NullSink);
+        let (r, _) = km.run(&data, threads);
         Digest::new().floats(&r.centers).counts(&r.assignments).float(r.sse).count(r.iterations).0
     });
 }
@@ -73,7 +72,7 @@ fn fuzzy_result_is_pinned() {
     let data = data();
     let fcm = FuzzyCMeans::new(FuzzyConfig::for_dataset(&data));
     assert_pinned("fuzzy", &[(1, 0x95b7_ee31_1fa3_2967), (3, 0x91bd_c9a5_7182_7120)], |threads| {
-        let r = fcm.run(&data, threads, &NullSink);
+        let (r, _) = fcm.run(&data, threads);
         Digest::new()
             .floats(&r.centers)
             .counts(&r.assignments)
@@ -91,7 +90,7 @@ fn hop_result_is_pinned() {
         "hop",
         &[(1, 0x58a5_5727_c1ff_2a7f), (3, 0x58a5_5727_c1ff_2a7f), (8, 0x58a5_5727_c1ff_2a7f)],
         |threads| {
-            let r = hop.run(&data, threads, &NullSink);
+            let (r, _) = hop.run(&data, threads);
             Digest::new()
                 .counts(&r.group_of)
                 .count(r.groups)
@@ -110,7 +109,7 @@ fn kdtree_result_is_pinned() {
         "kdtree",
         &[(1, 0x5f56_50e5_181d_3e2f), (3, 0x46b0_b4f5_b430_c7a9), (8, 0x46b0_b4f5_b430_c7a9)],
         |threads| {
-            let r = w.run(&data, threads, &NullSink);
+            let (r, _) = w.run(&data, threads);
             Digest::new().floats(&r.histogram).float(r.mean_kth_distance).count(r.queries).0
         },
     );
