@@ -410,7 +410,8 @@ impl Engine {
             };
             match &self.pool {
                 Some(pool) => pool.run_scoped(workers, body),
-                None => mp_par::run_scoped(workers, body),
+                // No pool means one thread, so `workers` is 1.
+                None => body(ThreadCtx { tid: 0, num_threads: 1 }),
             }
         }
 

@@ -6,10 +6,11 @@
 //! phase* — the subject of the reproduced paper — is explicit and
 //! instrumentable:
 //!
-//! * [`pool`] — scoped fork-join execution: [`pool::run_scoped`] and the
-//!   statically chunked [`pool::parallel_partials`] on per-call threads, and
-//!   [`pool::ThreadPool::run_scoped`], the same contract on persistent
-//!   workers (what every sweep forks on).
+//! * [`pool`] — the one fork-join, [`pool::ThreadPool::run_scoped`], on
+//!   persistent workers (what every sweep forks on), and [`pool::Team`], the
+//!   caller plus a pool, which runs any number of logical threads — the
+//!   statically chunked [`pool::Team::partials`] — on its members (what
+//!   every phase of a workload run forks on).
 //! * [`reduce`] — the three merge implementations analysed by the paper:
 //!   serial linear accumulation, logarithmic tree combining and privatised
 //!   parallel (element-partitioned) reduction, together with operation
@@ -24,5 +25,5 @@
 pub mod pool;
 pub mod reduce;
 
-pub use pool::{parallel_partials, run_scoped, ThreadCtx, ThreadPool};
+pub use pool::{Team, ThreadCtx, ThreadPool};
 pub use reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};

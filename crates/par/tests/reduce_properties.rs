@@ -12,6 +12,7 @@
 //! must agree with the analytical constructor.
 
 use mp_par::reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};
+use mp_par::Team;
 use proptest::prelude::*;
 
 /// Integer ceil(log2 p) for p >= 1, independent of the float implementation.
@@ -81,8 +82,9 @@ proptest! {
     ) {
         let partials: Vec<Vec<f64>> =
             (0..p).map(|t| (0..x).map(|e| (t * x + e) as f64).collect()).collect();
+        let team = Team::new(threads);
         for strategy in ReductionStrategy::all() {
-            let (merged, stats) = reduce_elementwise(&partials, strategy, threads);
+            let (merged, stats) = reduce_elementwise(&partials, strategy, &team);
             prop_assert_eq!(stats, ReduceStats::for_strategy(strategy, p, x));
             for (e, value) in merged.iter().enumerate() {
                 let expect: f64 = (0..p).map(|t| (t * x + e) as f64).sum();

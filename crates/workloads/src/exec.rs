@@ -7,10 +7,18 @@
 //! [`parallel_task`](PhaseExec::parallel_task) are parallel work,
 //! [`reduce`](PhaseExec::reduce) and [`reduce_with`](PhaseExec::reduce_with)
 //! are the merging phase, [`serial`](PhaseExec::serial) is constant serial
-//! work. Every call executes the phase with the right fork-join primitive,
-//! times it — including one sample per worker thread for fork-join phases —
-//! and appends a [`PhaseRecord`] to the run's log, which
-//! [`finish`](PhaseExec::finish) hands back as the run's [`RunProfile`].
+//! work. Every call executes the phase, times it — including one sample per
+//! partial for parallel phases — and appends a [`PhaseRecord`] to the run's
+//! log, which [`finish`](PhaseExec::finish) hands back as the run's
+//! [`RunProfile`].
+//!
+//! A run of `P` threads forks on one [`Team`], built with the executor: the
+//! caller plus `min(P, cores) − 1` persistent pool workers. Every parallel
+//! phase computes `P` logical partials on it — partial `tid` over
+//! `chunk_range(tid, P, n)`, whichever member runs it — and the tree and
+//! privatised merges fork on it too, so no phase starts a thread and `P` may
+//! exceed the host's cores. The results depend on `P` alone. Only a
+//! [`parallel_task`](PhaseExec::parallel_task) kernel brings its own threads.
 //!
 //! The workload never touches a timer; the conventions the paper's
 //! accounting depends on (what counts as parallel vs. reduction vs. constant
@@ -39,20 +47,22 @@
 use std::time::Instant;
 
 use mp_model::phase::{PhaseKind, PhaseRecord, RunProfile};
-use mp_par::pool::{parallel_partials, ThreadCtx};
+use mp_par::pool::{Team, ThreadCtx};
 use mp_par::reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};
 
 /// Executes and times the phases of one run, keeping their records.
 pub struct PhaseExec {
+    team: Team,
     profile: RunProfile,
 }
 
 impl PhaseExec {
-    /// An executor for one run of `app`, running every phase on `threads`
-    /// worker threads (thread 0 is the caller).
+    /// An executor for one run of `app` at `threads` logical threads, forking
+    /// on a team of `min(threads, cores)` members (the caller is one).
     pub fn new(app: &str, threads: usize) -> Self {
         assert!(threads > 0, "threads must be positive");
-        PhaseExec { profile: RunProfile::new(app, threads) }
+        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        PhaseExec { team: Team::new(threads.min(cores)), profile: RunProfile::new(app, threads) }
     }
 
     /// The run's thread count.
@@ -75,9 +85,9 @@ impl PhaseExec {
         self.timed_serial(PhaseKind::Init, label, body)
     }
 
-    /// Run a parallel phase: fork-join over chunks of `0..len` with one
-    /// partial result per thread (in thread order), timing every worker
-    /// individually.
+    /// Run a parallel phase: one partial result per logical thread, computed
+    /// over that thread's chunk of `0..len` and returned in thread order,
+    /// each partial timed individually.
     pub fn parallel<T, F>(&mut self, label: &'static str, len: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -85,7 +95,7 @@ impl PhaseExec {
     {
         let threads = self.threads();
         let start = Instant::now();
-        let timed: Vec<(T, f64)> = parallel_partials(threads, len, |ctx, range| {
+        let timed: Vec<(T, f64)> = self.team.partials(threads, len, |ctx, range| {
             let thread_start = Instant::now();
             let out = f(ctx, range);
             (out, thread_start.elapsed().as_secs_f64())
@@ -126,14 +136,14 @@ impl PhaseExec {
         strategy: ReductionStrategy,
     ) -> (Vec<f64>, ReduceStats) {
         // The serial-linear merge runs on the calling thread; the tree and
-        // privatised merges fan out over the run's workers, and the record
+        // privatised merges fan out over the run's team, and the record
         // reflects that.
         let threads = match strategy {
             ReductionStrategy::SerialLinear => 1,
             ReductionStrategy::TreeLog | ReductionStrategy::ParallelPrivatized => self.threads(),
         };
         let start = Instant::now();
-        let out = reduce_elementwise(partials, strategy, self.threads());
+        let out = reduce_elementwise(partials, strategy, &self.team);
         self.record(PhaseKind::Reduction, label, start, threads);
         out
     }
@@ -178,6 +188,35 @@ mod tests {
         let record = &profile.records[0];
         assert_eq!(record.kind, PhaseKind::Parallel);
         assert_eq!(record.thread_seconds.len(), 4);
+    }
+
+    #[test]
+    fn a_run_forks_every_phase_on_one_team_of_at_most_the_cores() {
+        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        let note = || {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        };
+        let mut exec = PhaseExec::new("t", 64);
+        for strategy in [ReductionStrategy::TreeLog, ReductionStrategy::ParallelPrivatized] {
+            let partials = exec.parallel("work", 640, |ctx, range| {
+                note();
+                vec![ctx.tid as f64, range.start as f64, range.len() as f64]
+            });
+            let in_tid_order: Vec<Vec<f64>> =
+                (0..64).map(|tid| vec![tid as f64, (tid * 10) as f64, 10.0]).collect();
+            assert_eq!(partials, in_tid_order);
+            let (merged, _) = exec.reduce("merge", &partials, strategy);
+            assert_eq!(merged, vec![2016.0, 20160.0, 640.0]);
+            exec.reduce_with("merge-with", note);
+        }
+        let seen = seen.into_inner().unwrap();
+        assert!(seen.len() <= cores.min(64), "{} threads on {cores} cores", seen.len());
+        let profile = exec.finish();
+        let parallel: Vec<&PhaseRecord> =
+            profile.records.iter().filter(|r| r.kind == PhaseKind::Parallel).collect();
+        assert_eq!(parallel.len(), 2);
+        assert!(parallel.iter().all(|r| r.threads == 64 && r.thread_seconds.len() == 64));
     }
 
     #[test]

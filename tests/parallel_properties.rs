@@ -2,8 +2,8 @@
 //! reduction strategies agree with sequential folds, chunking is a partition,
 //! and the clustering results are independent of the thread count.
 
-use merging_phases::par::pool::{chunk_range, parallel_partials};
-use merging_phases::par::{reduce_elementwise, ReductionStrategy};
+use merging_phases::par::pool::chunk_range;
+use merging_phases::par::{reduce_elementwise, ReductionStrategy, Team};
 use merging_phases::prelude::*;
 use merging_phases::workloads::kdtree::KdTree;
 use proptest::prelude::*;
@@ -30,8 +30,9 @@ proptest! {
                 *e += v;
             }
         }
+        let team = Team::new(threads);
         for strategy in ReductionStrategy::all() {
-            let (got, stats) = reduce_elementwise(&partials, strategy, threads);
+            let (got, stats) = reduce_elementwise(&partials, strategy, &team);
             prop_assert_eq!(got.len(), len);
             for (g, e) in got.iter().zip(expect.iter()) {
                 prop_assert!((g - e).abs() < 1e-6_f64.max(e.abs() * 1e-12));
@@ -40,25 +41,34 @@ proptest! {
         }
     }
 
-    /// Static chunking is an exact partition of the index space.
+    /// Static chunking is an exact partition of the index space: contiguous
+    /// ranges in thread order, the first `len % threads` one item longer.
     #[test]
     fn chunking_partitions_the_range(len in 0usize..5000, threads in 1usize..32) {
-        let mut covered = vec![0u32; len];
+        let mut next = 0;
         for tid in 0..threads {
-            for i in chunk_range(tid, threads, len) {
-                covered[i] += 1;
-            }
+            let range = chunk_range(tid, threads, len);
+            prop_assert_eq!(range.start, next);
+            prop_assert_eq!(range.len(), len / threads + usize::from(tid < len % threads));
+            next = range.end;
         }
-        prop_assert!(covered.iter().all(|&c| c == 1));
+        prop_assert_eq!(next, len);
     }
 
     /// Fork-join partial production sums to the sequential result for an
-    /// arbitrary associative accumulation.
+    /// arbitrary associative accumulation, with one partial per logical
+    /// thread whatever the team's size.
     #[test]
-    fn parallel_partials_match_sequential(data in proptest::collection::vec(-1e3f64..1e3, 0..2000), threads in 1usize..8) {
-        let partials = parallel_partials(threads, data.len(), |_ctx, range| {
+    fn parallel_partials_match_sequential(
+        data in proptest::collection::vec(-1e3f64..1e3, 0..2000),
+        threads in 1usize..8,
+        members in 1usize..4,
+    ) {
+        let partials = Team::new(members).partials(threads, data.len(), |ctx, range| {
+            assert_eq!(ctx.num_threads, threads);
             data[range].iter().sum::<f64>()
         });
+        prop_assert_eq!(partials.len(), threads);
         let parallel: f64 = partials.iter().sum();
         let sequential: f64 = data.iter().sum();
         prop_assert!((parallel - sequential).abs() < 1e-6);
