@@ -215,5 +215,6 @@ fn parallel_partials_reraises_a_worker_panic_verbatim() {
             assert_eq!(message(payload.as_ref()), format!("partial {failing} failed"));
         }
         assert_eq!(team.partials(4, 40, |_ctx, range| range.len()), vec![10; 4], "team survives");
+        assert_eq!(team.partials(4, 0, |_ctx, range| range.len()), vec![0; 4]);
     }
 }

@@ -65,6 +65,7 @@ proptest! {
     fn degenerate_counts_are_all_zero(partials in 0usize..2, x in 0usize..4096) {
         for strategy in ReductionStrategy::all() {
             let s = ReduceStats::for_strategy(strategy, partials, x);
+            prop_assert_eq!((s.partials, s.elements), (partials, x));
             prop_assert_eq!(s.total_ops, 0);
             prop_assert_eq!(s.critical_path_ops, 0);
             prop_assert_eq!(s.comm_elements, 0);

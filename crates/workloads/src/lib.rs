@@ -8,9 +8,10 @@
 //! subject of the paper, and constant serial work — repeated until
 //! convergence (once for hop and kdtree), then the finalize phases. Every
 //! phase runs through one [`exec::PhaseExec`] call, whose method fixes the
-//! phase's kind and records it with per-phase, per-thread timing; `run`
-//! returns the workload's result together with the run's
-//! [`mp_model::phase::RunProfile`].
+//! phase's kind and records it with per-phase, per-partial timing; the
+//! executor forks every phase of a run on one persistent team of
+//! `min(threads, cores)` threads. `run` returns the workload's result
+//! together with the run's [`mp_model::phase::RunProfile`].
 //!
 //! The crate also contains:
 //!
