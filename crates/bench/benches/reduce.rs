@@ -23,14 +23,13 @@ fn make_partials(threads: usize, elements: usize) -> Vec<Vec<f64>> {
 }
 
 fn bench_reduction_strategies(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     // The kmeans merge has C·D + C ≈ 80 elements; hop's group table is larger.
     for elements in [80usize, 2048] {
         let mut group = c.benchmark_group(format!("reduction/x={elements}"));
         for threads in [2usize, 4, 8, 16, 32] {
             let partials = make_partials(threads, elements);
             // The team a run of `threads` threads merges on.
-            let team = Team::new(threads.min(cores));
+            let team = Team::for_threads(threads);
             for strategy in ReductionStrategy::all() {
                 group.bench_with_input(
                     BenchmarkId::new(strategy.name(), threads),

@@ -263,6 +263,13 @@ impl Team {
         Team((size > 1).then(|| ThreadPool::new(size - 1)))
     }
 
+    /// The team a run of `threads` logical threads forks on: one member per
+    /// thread, up to the host's available parallelism.
+    pub fn for_threads(threads: usize) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Team::new(threads.min(cores))
+    }
+
     /// Number of members, the caller included.
     pub fn size(&self) -> usize {
         self.0.as_ref().map_or(1, |pool| pool.size() + 1)
@@ -308,9 +315,69 @@ mod tests {
     use std::sync::Mutex;
 
     #[test]
+    fn chunk_ranges_cover_exactly_once() {
+        for len in [0usize, 1, 7, 16, 1000, 1001] {
+            for nt in [1usize, 2, 3, 7, 16] {
+                let mut covered = vec![0u8; len];
+                for tid in 0..nt {
+                    for i in chunk_range(tid, nt, len) {
+                        covered[i] += 1;
+                    }
+                }
+                assert!(covered.iter().all(|&c| c == 1), "len={len} nt={nt}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_sizes_differ_by_at_most_one() {
+        for len in [10usize, 17, 255, 1024] {
+            for nt in [2usize, 3, 5, 16] {
+                let sizes: Vec<usize> = (0..nt).map(|t| chunk_range(t, nt, len).len()).collect();
+                let max = *sizes.iter().max().unwrap();
+                let min = *sizes.iter().min().unwrap();
+                assert!(max - min <= 1, "len={len} nt={nt} sizes={sizes:?}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic]
     fn chunk_range_rejects_bad_tid() {
         chunk_range(4, 4, 10);
+    }
+
+    #[test]
+    fn single_thread_chunk_is_the_whole_range() {
+        // p = 1 edge case: thread 0 owns 0..len for any len, including 0.
+        for len in [0usize, 1, 5, 1024] {
+            assert_eq!(chunk_range(0, 1, len), 0..len);
+            assert_eq!(ThreadCtx { tid: 0, num_threads: 1 }.chunk(len), 0..len);
+        }
+    }
+
+    #[test]
+    fn fewer_items_than_threads_gives_one_item_chunks_then_empty() {
+        // len < num_threads edge case: the first `len` threads get exactly one
+        // item each (their own index) and the rest get empty ranges — never an
+        // out-of-bounds or overlapping range.
+        let (len, nt) = (3usize, 16usize);
+        for tid in 0..nt {
+            let range = chunk_range(tid, nt, len);
+            if tid < len {
+                assert_eq!(range, tid..tid + 1, "tid={tid}");
+            } else {
+                assert!(range.is_empty(), "tid={tid} got {range:?}");
+                assert!(range.start <= len && range.end <= len, "tid={tid} got {range:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_range_chunks_are_empty_for_every_thread() {
+        for tid in 0..8 {
+            assert!(chunk_range(tid, 8, 0).is_empty());
+        }
     }
 
     #[test]

@@ -189,9 +189,7 @@ pub fn reduce_elementwise(
             let chunks = team.partials(slices, elements, |_ctx, range| {
                 let mut out = vec![0.0f64; range.len()];
                 for p in partials {
-                    for (o, v) in out.iter_mut().zip(p[range.clone()].iter()) {
-                        *o += *v;
-                    }
+                    add_into(&mut out, &p[range.clone()]);
                 }
                 out
             });
@@ -218,6 +216,23 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn all_strategies_agree_with_sequential_sum() {
+        let team = Team::new(4);
+        for p in [1usize, 2, 3, 7, 16] {
+            for x in [1usize, 8, 73] {
+                let partials = make_partials(p, x);
+                let expect = expected_sum(&partials);
+                for strategy in ReductionStrategy::all() {
+                    let (got, _) = reduce_elementwise(&partials, strategy, &team);
+                    for (g, e) in got.iter().zip(expect.iter()) {
+                        assert!((g - e).abs() < 1e-9, "{strategy:?} p={p} x={x}");
+                    }
+                }
+            }
+        }
     }
 
     /// Reference tree merge: clone every partial, then combine the right half
@@ -285,6 +300,23 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_partial_counts_have_all_zero_stats() {
+        // partials == 1 (and the defensive 0) must not underflow or report
+        // phantom rounds for any strategy.
+        for partials in [0usize, 1] {
+            for strategy in ReductionStrategy::all() {
+                let s = ReduceStats::for_strategy(strategy, partials, 72);
+                assert_eq!(s.partials, partials);
+                assert_eq!(s.elements, 72);
+                assert_eq!(s.total_ops, 0, "{strategy:?}");
+                assert_eq!(s.critical_path_ops, 0, "{strategy:?}");
+                assert_eq!(s.comm_elements, 0, "{strategy:?}");
+                assert_eq!(s.rounds, 0, "{strategy:?}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic]
     fn empty_partials_panic() {
         reduce_elementwise(&[], ReductionStrategy::SerialLinear, &Team::new(1));
@@ -298,6 +330,47 @@ mod tests {
             ReductionStrategy::SerialLinear,
             &Team::new(1),
         );
+    }
+
+    #[test]
+    fn stats_linear_growth() {
+        let s = ReduceStats::for_strategy(ReductionStrategy::SerialLinear, 16, 72);
+        assert_eq!(s.total_ops, 15 * 72);
+        assert_eq!(s.critical_path_ops, 15 * 72);
+        assert_eq!(s.comm_elements, 15 * 72);
+        assert_eq!(s.rounds, 15);
+    }
+
+    #[test]
+    fn stats_tree_growth() {
+        let s = ReduceStats::for_strategy(ReductionStrategy::TreeLog, 16, 72);
+        assert_eq!(s.total_ops, 15 * 72);
+        assert_eq!(s.critical_path_ops, 4 * 72);
+        assert_eq!(s.rounds, 4);
+    }
+
+    #[test]
+    fn stats_privatized_growth() {
+        let s = ReduceStats::for_strategy(ReductionStrategy::ParallelPrivatized, 16, 72);
+        assert_eq!(s.total_ops, 15 * 72);
+        // Critical path is the per-thread share of the work.
+        assert_eq!(s.critical_path_ops, (15 * 72usize).div_ceil(16));
+        // Paper: communication grows by 2·(n−1)·x (gather + broadcast).
+        assert_eq!(s.comm_elements, 2 * 15 * 72);
+        assert_eq!(s.rounds, 1);
+    }
+
+    #[test]
+    fn stats_critical_path_ordering() {
+        // For any p > 2 the critical paths order: privatized < tree < linear.
+        for p in [4usize, 8, 64] {
+            let x = 100;
+            let lin = ReduceStats::for_strategy(ReductionStrategy::SerialLinear, p, x);
+            let tree = ReduceStats::for_strategy(ReductionStrategy::TreeLog, p, x);
+            let par = ReduceStats::for_strategy(ReductionStrategy::ParallelPrivatized, p, x);
+            assert!(par.critical_path_ops < tree.critical_path_ops);
+            assert!(tree.critical_path_ops < lin.critical_path_ops);
+        }
     }
 
     #[test]

@@ -61,8 +61,7 @@ impl PhaseExec {
     /// on a team of `min(threads, cores)` members (the caller is one).
     pub fn new(app: &str, threads: usize) -> Self {
         assert!(threads > 0, "threads must be positive");
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        PhaseExec { team: Team::new(threads.min(cores)), profile: RunProfile::new(app, threads) }
+        PhaseExec { team: Team::for_threads(threads), profile: RunProfile::new(app, threads) }
     }
 
     /// The run's thread count.
