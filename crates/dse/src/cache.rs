@@ -106,18 +106,6 @@ pub struct CacheStats {
     pub migrations: u64,
 }
 
-impl CacheStats {
-    /// Fraction of probes answered from the cache (`0.0` when unprobed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 impl Default for EvalCache {
     fn default() -> Self {
         EvalCache::new()

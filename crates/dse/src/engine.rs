@@ -1,13 +1,14 @@
-//! The sweep engine: fans a [`ScenarioSpace`] out over an
-//! [`mp_par::ThreadPool`] in cache-friendly batches.
+//! The sweep engine: fans a [`ScenarioSpace`] out over an [`mp_par::Team`]
+//! in cache-friendly batches.
 //!
 //! The space is cut into contiguous index batches (the design axis varies
 //! fastest, so a batch shares the application/growth/perf axes and the
-//! backend's batched path can hoist model construction). One scoped
-//! fork-join ([`ThreadPool::run_scoped`]) runs the same worker closure on
-//! every thread: it pulls the next batch from a locked queue — one
-//! uncontended lock per batch, no per-scenario synchronisation. Two entry
-//! points share that one batch loop:
+//! backend's batched path can hoist model construction). An engine of `n`
+//! threads owns a team of `n` members — the calling thread plus `n − 1`
+//! persistent workers — and one fork-join on it ([`Team::run`]) runs the
+//! same worker closure on every member: it pulls the next batch from a
+//! locked queue — one uncontended lock per batch, no per-scenario
+//! synchronisation. Two entry points share that one batch loop:
 //!
 //! * [`Engine::sweep_range`] queues disjoint `&mut` slices of the one
 //!   preallocated record vector, so the output is deterministic and ordered
@@ -37,7 +38,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use mp_obs::hist::Histogram;
 use mp_obs::metrics::{Counter, Registry};
 use mp_obs::profile::thread_lane;
-use mp_par::{ThreadCtx, ThreadPool};
+use mp_par::Team;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::EvalBackend;
@@ -135,10 +136,9 @@ pub struct SweepResult {
     pub stats: SweepStats,
 }
 
-/// A reusable sweep engine: a worker pool, a memoisation cache and their metrics registry.
+/// A reusable sweep engine: a fork-join team, a memoisation cache and their metrics registry.
 pub struct Engine {
-    pool: Option<ThreadPool>,
-    threads: usize,
+    team: Team,
     cache: EvalCache,
     registry: Registry,
     metrics: EngineMetrics,
@@ -147,20 +147,20 @@ pub struct Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .field("cache", &self.cache)
             .finish()
     }
 }
 
 impl Engine {
-    /// An engine with `threads` workers (1 evaluates inline, no pool).
+    /// An engine with `threads` workers: the calling thread and
+    /// `threads − 1` persistent ones (1 evaluates inline).
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "engine needs at least one thread");
         let registry = Registry::new();
         Engine {
-            pool: (threads > 1).then(|| ThreadPool::new(threads)),
-            threads,
+            team: Team::new(threads),
             cache: EvalCache::registered_in(&registry),
             metrics: EngineMetrics {
                 scenarios: registry.counter("dse_scenarios_evaluated"),
@@ -178,9 +178,9 @@ impl Engine {
         Engine::new(threads)
     }
 
-    /// Worker-thread count.
+    /// Worker-thread count, the calling thread included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.team.size()
     }
 
     /// The engine's memoisation cache (for persistence or inspection).
@@ -379,18 +379,20 @@ impl Engine {
         // count, so every worker gets several batches to pull (load balance);
         // a floor keeps per-batch overheads amortised. Results are
         // batch-size-independent, so this only affects scheduling.
-        let batch = if self.pool.is_some() {
-            config.batch_size.min(n.div_ceil(self.threads * 4).max(64))
+        let threads = self.threads();
+        let batch = if threads > 1 {
+            config.batch_size.min(n.div_ceil(threads * 4).max(64))
         } else {
             config.batch_size
         };
         // The caller is one of the workers, so exactly `workers` threads
-        // evaluate; a sweep of one batch stays on the calling thread.
-        let workers = self.threads.min(n.div_ceil(batch)).max(1);
+        // evaluate, one logical thread a member; a sweep of one batch stays
+        // on the calling thread.
+        let workers = threads.min(n.div_ceil(batch)).max(1);
         let states = Mutex::new(Vec::with_capacity(workers));
         {
             let queue = Mutex::new(queue(batch).enumerate());
-            let body = |_: ThreadCtx| {
+            self.team.run(workers, |_| {
                 // One scratch per worker, reused across every batch it pulls:
                 // the per-batch working sets allocate only on the worker's
                 // first batch (and never per scenario).
@@ -407,12 +409,7 @@ impl Engine {
                     run(&mut state, &ctx, start..end, item, &mut scratch);
                 }
                 states.lock().expect("no batch runs under the state lock").push(state);
-            };
-            match &self.pool {
-                Some(pool) => pool.run_scoped(workers, body),
-                // No pool means one thread, so `workers` is 1.
-                None => body(ThreadCtx { tid: 0, num_threads: 1 }),
-            }
+            });
         }
 
         let stats = SweepStats {

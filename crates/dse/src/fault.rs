@@ -221,7 +221,8 @@ mod tests {
             [Arc::new(AnalyticBackend), Arc::new(SimBackend::new())];
         for inner in backends {
             let reference = Engine::new(1).sweep(&space, &inner, &config);
-            // The inline engine and the pooled one share one fork-join contract.
+            // A one-member team runs inline, a two-member one forks: both
+            // keep one fork-join contract.
             for threads in [1usize, 2] {
                 let faulty = FaultyBackend::new(Arc::clone(&inner), FaultPlan::new());
                 faulty.plan().fail_batch(3);

@@ -14,7 +14,7 @@
 //!   `mp_model::calibrate`), the communication-aware model ([`CommBackend`])
 //!   and the trace-driven `mp-cmpsim` timing simulation ([`SimBackend`]).
 //! * [`engine`] — [`Engine`]: one scoped fork-join per sweep on an
-//!   [`mp_par::ThreadPool`], its workers pulling batches from one locked
+//!   [`mp_par::Team`], its members pulling batches from one locked
 //!   queue; contiguous batches share every axis but the design, so backends
 //!   stream through the columnar prepared path. A sweep's batches are
 //!   disjoint `&mut` slices of one preallocated record vector, so results

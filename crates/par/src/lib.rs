@@ -6,11 +6,11 @@
 //! phase* — the subject of the reproduced paper — is explicit and
 //! instrumentable:
 //!
-//! * [`pool`] — the one fork-join, [`pool::ThreadPool::run_scoped`], on
-//!   persistent workers (what every sweep forks on), and [`pool::Team`], the
-//!   caller plus a pool, which runs any number of logical threads — the
-//!   statically chunked [`pool::Team::partials`] — on its members (what
-//!   every phase of a workload run forks on).
+//! * [`pool`] — the one fork-join, [`pool::Team`]: the caller plus a pool
+//!   of persistent workers, which runs any number of logical threads — the
+//!   statically chunked [`pool::Team::partials`] — on its members. Every
+//!   sweep of the design-space engine, and every phase, tree build and merge
+//!   of a workload run, forks on one.
 //! * [`reduce`] — the three merge implementations analysed by the paper:
 //!   serial linear accumulation, logarithmic tree combining and privatised
 //!   parallel (element-partitioned) reduction, together with operation

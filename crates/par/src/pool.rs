@@ -1,21 +1,22 @@
 //! Fork-join execution primitives.
 //!
-//! [`ThreadPool::run_scoped`] is the one fork-join: it has the
-//! [`std::thread::scope`] contract — the closure may borrow from the caller's
-//! stack, the caller is thread 0, the call returns only when every thread has
-//! finished, and a worker's panic is re-raised on the caller with its
-//! original payload — on a persistent worker set, so a fork costs a queue
-//! hand-off, not a thread start. It holds the one lifetime-erasing `unsafe`
-//! of the workspace's fork-join code. The design-space sweep engine runs
-//! every sweep on it.
+//! A [`Team`] is the workspace's one fork-join: the calling thread plus a
+//! pool of persistent workers, sized once by its owner and forked on as
+//! often as it likes. [`Team::run`] has the [`std::thread::scope`] contract
+//! — the closure may borrow from the caller's stack, the caller runs the
+//! first logical thread, the call returns only when every logical thread
+//! has finished, and a worker's panic is re-raised on the caller with its
+//! original payload — so a fork costs a queue hand-off, not a thread start.
+//! The pool's private `run_scoped` holds the one lifetime-erasing `unsafe`
+//! of the workspace's fork-join code.
 //!
-//! A [`Team`] is the caller plus a pool, sized once for a run. It runs any
-//! number of *logical* threads on its members: [`Team::partials`] computes
-//! `count` partial results, logical thread `tid` over
-//! `chunk_range(tid, count, len)` whichever member runs it, so the partials
-//! — the inputs of the merging phase — depend on `count` alone. The
-//! clustering workloads fork every parallel phase and every merge of a run
-//! on one team.
+//! A team runs any number of *logical* threads on its members:
+//! [`Team::partials`] computes `count` partial results, logical thread `tid`
+//! over `chunk_range(tid, count, len)` whichever member runs it, so the
+//! partials — the inputs of the merging phase — depend on `count` alone.
+//! The design-space sweep engine forks every sweep on its team, and the
+//! clustering workloads fork every parallel phase, tree build and merge of
+//! a run on one team.
 
 use std::any::Any;
 use std::ops::Range;
@@ -117,8 +118,8 @@ impl Join {
 ///
 /// Jobs are executed in FIFO order by whichever worker is free. A job that
 /// panics is contained: its worker survives, so the pool keeps its size.
-/// [`ThreadPool::run_scoped`] is the borrowing fork-join on these workers;
-/// [`ThreadPool::execute_batch_and_wait`] takes `'static` jobs.
+/// [`ThreadPool::execute_batch_and_wait`] takes `'static` jobs; the
+/// borrowing fork-join on these workers is a [`Team`]'s.
 pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -183,21 +184,12 @@ impl ThreadPool {
         join.wait();
     }
 
-    /// Fork-join on the pool's persistent workers: run `f` once per `tid` in
-    /// `0..num_threads` — `tid` 0 on the calling thread, the rest as pool
-    /// jobs — and return when every one has finished. `f` may borrow
-    /// from the caller's stack. The first panic among the pool jobs is
-    /// re-raised on the caller with its original payload; if the caller's own
-    /// `f` unwinds, the pool jobs are still joined before the unwind leaves
-    /// this frame.
-    ///
-    /// With `num_threads == 1` the closure runs inline and the pool is not
-    /// touched. `num_threads` may exceed [`ThreadPool::size`], and other
-    /// callers may be using the pool: every `tid` still runs exactly once,
-    /// but not necessarily at the same time as the others, so `f` must not
-    /// wait for another `tid` — and must not be running on one of this
-    /// pool's own workers, which would wait for jobs queued behind itself.
-    pub fn run_scoped<F>(&self, num_threads: usize, f: F)
+    /// The fork-join behind [`Team::run`], with its contract: run `f` once
+    /// per `tid` in `0..num_threads` — `tid` 0 on the calling thread, the
+    /// rest as pool jobs — and return when every one has finished.
+    /// `num_threads` may exceed [`ThreadPool::size`]; every `tid` still runs
+    /// exactly once.
+    fn run_scoped<F>(&self, num_threads: usize, f: F)
     where
         F: Fn(ThreadCtx) + Sync,
     {
@@ -253,6 +245,12 @@ impl Drop for ThreadPool {
 /// `count` *logical* threads on `min(count, size)` members, a contiguous
 /// block of them each, so `count` may exceed the team's size (or the host's
 /// cores) without starting a thread; a team of one runs them all inline.
+///
+/// Several threads may fork on one team at once (a service's executors
+/// sharing one engine): every logical thread still runs exactly once, but
+/// not necessarily at the same time as the others, so a logical thread must
+/// not wait for another — and must not fork on its own team, where a
+/// worker would wait for work queued behind itself.
 #[derive(Debug)]
 pub struct Team(Option<ThreadPool>);
 
@@ -276,8 +274,12 @@ impl Team {
     }
 
     /// Run `f` once for every logical `tid` in `0..count` (its `num_threads`
-    /// is `count`) and return when all have run; a panic is re-raised as
-    /// [`ThreadPool::run_scoped`] does.
+    /// is `count`) and return when all have run. `f` may borrow from the
+    /// caller's stack; the caller runs the first block of tids, so a fork of
+    /// one runs inline and touches no worker. The first panic among the
+    /// workers' blocks is re-raised on the caller with its original payload,
+    /// and if the caller's own block unwinds, the workers' blocks are still
+    /// joined before the unwind leaves this call.
     pub fn run<F: Fn(ThreadCtx) + Sync>(&self, count: usize, f: F) {
         assert!(count > 0, "num_threads must be positive");
         let block = |member: ThreadCtx| {
@@ -412,9 +414,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "num_threads must be positive")]
-    fn team_rejects_zero_logical_threads() {
-        Team::new(2).run(0, |_| {});
+    fn run_scoped_with_more_tids_than_workers_sees_every_tid_exactly_once() {
+        // A team never asks for more tids than it has members; the pool's
+        // fork-join still runs every one of them, tid 0 on the caller.
+        let pool = ThreadPool::new(2);
+        let data: Vec<u64> = (0..1000).collect();
+        for num_threads in [2usize, 3, 9] {
+            let caller = std::thread::current().id();
+            let seen = Mutex::new(Vec::new());
+            let total = AtomicUsize::new(0);
+            pool.run_scoped(num_threads, |ctx| {
+                assert_eq!(ctx.num_threads, num_threads);
+                assert_eq!(
+                    ctx.tid == 0,
+                    std::thread::current().id() == caller,
+                    "tid 0 is the caller"
+                );
+                seen.lock().unwrap().push(ctx.tid);
+                let part: u64 = data[ctx.chunk(data.len())].iter().sum();
+                total.fetch_add(part as usize, Ordering::Relaxed);
+            });
+            let mut tids = seen.into_inner().unwrap();
+            tids.sort_unstable();
+            assert_eq!(tids, (0..num_threads).collect::<Vec<_>>());
+            assert_eq!(total.into_inner() as u64, data.iter().sum::<u64>());
+        }
     }
 
     #[test]

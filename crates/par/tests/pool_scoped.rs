@@ -1,8 +1,9 @@
-//! `ThreadPool::run_scoped` has the `std::thread::scope` contract on
-//! persistent workers; these are its edge cases (one thread, more threads
-//! than workers, a failing helper, a failing caller, concurrent callers),
-//! plus the pool's own panic containment and `Team::partials`' payload
-//! propagation.
+//! `Team::run` has the `std::thread::scope` contract on persistent workers;
+//! these are its edge cases (one logical thread, a failing worker, a
+//! failing caller, concurrent callers), plus the pool's own panic
+//! containment and `Team::partials`' payload propagation. A fork of more
+//! tids than the pool has workers plus one, which no team asks for, is a
+//! unit test of `pool.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,37 +21,51 @@ fn message(payload: &(dyn std::any::Any + Send)) -> &str {
         .expect("a string payload")
 }
 
-/// Run `size` jobs that each wait until all of them have started: only a
-/// pool with `size` live workers gets every one of them past the rendezvous.
-fn runs_concurrently(pool: &ThreadPool, size: usize) -> bool {
+/// Count in until `size` callers have arrived, or ten seconds have passed;
+/// report a met rendezvous on `met`.
+fn rendezvous(arrived: &AtomicUsize, met: &AtomicUsize, size: usize) {
+    arrived.fetch_add(1, Ordering::SeqCst);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while arrived.load(Ordering::SeqCst) < size {
+        if Instant::now() > deadline {
+            return;
+        }
+        std::thread::yield_now();
+    }
+    met.fetch_add(1, Ordering::SeqCst);
+}
+
+/// Run `pool.size()` jobs that each wait until all of them have started:
+/// only a pool whose every worker is live gets them all past the rendezvous.
+fn pool_runs_concurrently(pool: &ThreadPool) -> bool {
+    let size = pool.size();
     let arrived = Arc::new(AtomicUsize::new(0));
     let met = Arc::new(AtomicUsize::new(0));
     let jobs: Vec<_> = (0..size)
         .map(|_| {
             let (arrived, met) = (Arc::clone(&arrived), Arc::clone(&met));
-            move || {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while arrived.load(Ordering::SeqCst) < size {
-                    if Instant::now() > deadline {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-                met.fetch_add(1, Ordering::SeqCst);
-            }
+            move || rendezvous(&arrived, &met, size)
         })
         .collect();
     pool.execute_batch_and_wait(jobs);
     met.load(Ordering::SeqCst) == size
 }
 
+/// Fork one logical thread per member, each waiting until all of them have
+/// started: only a team whose every member is live gets them all past.
+fn team_runs_concurrently(team: &Team) -> bool {
+    let size = team.size();
+    let (arrived, met) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    team.run(size, |_| rendezvous(&arrived, &met, size));
+    met.into_inner() == size
+}
+
 #[test]
 fn one_thread_runs_inline_on_the_calling_thread() {
-    let pool = ThreadPool::new(2);
+    let team = Team::new(2);
     let caller = std::thread::current().id();
     let calls = AtomicUsize::new(0);
-    pool.run_scoped(1, |ctx| {
+    team.run(1, |ctx| {
         assert_eq!((ctx.tid, ctx.num_threads), (0, 1));
         assert_eq!(std::thread::current().id(), caller);
         calls.fetch_add(1, Ordering::Relaxed);
@@ -59,39 +74,17 @@ fn one_thread_runs_inline_on_the_calling_thread() {
 }
 
 #[test]
-fn more_threads_than_workers_still_sees_every_tid_exactly_once() {
-    let pool = ThreadPool::new(2);
-    let data: Vec<u64> = (0..1000).collect();
-    for num_threads in [2usize, 3, 9] {
-        let caller = std::thread::current().id();
-        let seen = Mutex::new(Vec::new());
-        let total = AtomicUsize::new(0);
-        pool.run_scoped(num_threads, |ctx| {
-            assert_eq!(ctx.num_threads, num_threads);
-            assert_eq!(ctx.tid == 0, std::thread::current().id() == caller, "tid 0 is the caller");
-            seen.lock().unwrap().push(ctx.tid);
-            let part: u64 = data[ctx.chunk(data.len())].iter().sum();
-            total.fetch_add(part as usize, Ordering::Relaxed);
-        });
-        let mut tids = seen.into_inner().unwrap();
-        tids.sort_unstable();
-        assert_eq!(tids, (0..num_threads).collect::<Vec<_>>());
-        assert_eq!(total.into_inner() as u64, data.iter().sum::<u64>());
-    }
-}
-
-#[test]
 #[should_panic(expected = "num_threads must be positive")]
 fn zero_threads_are_rejected() {
-    ThreadPool::new(1).run_scoped(0, |_| {});
+    Team::new(1).run(0, |_| {});
 }
 
 #[test]
 fn a_helper_panic_is_reraised_verbatim_after_the_others_finish() {
-    let pool = ThreadPool::new(3);
+    let team = Team::new(4);
     let finished = AtomicUsize::new(0);
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        pool.run_scoped(4, |ctx| {
+        team.run(4, |ctx| {
             if ctx.tid == 2 {
                 panic!("helper {} failed", ctx.tid);
             }
@@ -102,10 +95,10 @@ fn a_helper_panic_is_reraised_verbatim_after_the_others_finish() {
     assert_eq!(message(payload.as_ref()), "helper 2 failed");
     assert_eq!(finished.load(Ordering::SeqCst), 3, "every other tid ran to completion");
 
-    // The pool lost no worker and joins the next region normally.
-    assert!(runs_concurrently(&pool, pool.size()));
+    // The team lost no member and joins the next region normally.
+    assert!(team_runs_concurrently(&team));
     let again = AtomicUsize::new(0);
-    pool.run_scoped(4, |_| {
+    team.run(4, |_| {
         again.fetch_add(1, Ordering::SeqCst);
     });
     assert_eq!(again.into_inner(), 4);
@@ -113,10 +106,10 @@ fn a_helper_panic_is_reraised_verbatim_after_the_others_finish() {
 
 #[test]
 fn a_caller_panic_still_joins_the_helpers_before_unwinding() {
-    let pool = ThreadPool::new(2);
+    let team = Team::new(3);
     // Helpers park until released; the releaser only fires once the caller
     // has started to panic, so the helpers are provably still running when
-    // the unwind reaches `run_scoped`'s frame.
+    // the unwind reaches the fork's frame.
     let (panicking_tx, panicking_rx) = mpsc::channel::<()>();
     let release = Arc::new(Barrier::new(3));
     let releaser = {
@@ -132,7 +125,7 @@ fn a_caller_panic_still_joins_the_helpers_before_unwinding() {
     let panicking_tx = Mutex::new(panicking_tx);
     let finished = AtomicUsize::new(0);
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        pool.run_scoped(3, |ctx| {
+        team.run(3, |ctx| {
             if ctx.tid == 0 {
                 panicking_tx.lock().unwrap().send(()).unwrap();
                 panic!("caller failed");
@@ -142,28 +135,28 @@ fn a_caller_panic_still_joins_the_helpers_before_unwinding() {
         });
     }))
     .expect_err("the caller's own panic propagates");
-    // `finished` is borrowed by the helpers: had `run_scoped` returned with
+    // `finished` is borrowed by the helpers: had `run` returned with
     // one still running, this would read < 2 (and the borrow would dangle).
     assert_eq!(finished.load(Ordering::SeqCst), 2, "no helper outlives the call");
     assert_eq!(message(payload.as_ref()), "caller failed");
     releaser.join().unwrap();
-    assert!(runs_concurrently(&pool, pool.size()));
+    assert!(team_runs_concurrently(&team));
 }
 
 #[test]
 fn concurrent_callers_on_one_pool_both_complete() {
-    // The serve shape: several executor threads, one engine pool.
-    let pool = ThreadPool::new(2);
+    // The serve shape: several executor threads, one engine team.
+    let team = Team::new(3);
     let start = Barrier::new(2);
     let totals: Vec<usize> = std::thread::scope(|scope| {
         let callers: Vec<_> = (0..2)
             .map(|caller| {
-                let (pool, start) = (&pool, &start);
+                let (team, start) = (&team, &start);
                 scope.spawn(move || {
                     start.wait();
                     let total = AtomicUsize::new(0);
                     for _ in 0..200 {
-                        pool.run_scoped(3, |ctx| {
+                        team.run(3, |ctx| {
                             total.fetch_add(caller * 1000 + ctx.tid, Ordering::Relaxed);
                         });
                     }
@@ -193,7 +186,7 @@ fn a_panicking_job_neither_hangs_the_batch_nor_costs_the_pool_a_worker() {
         .collect();
     pool.execute_batch_and_wait(jobs);
     assert_eq!(ran.load(Ordering::SeqCst), 5);
-    assert!(runs_concurrently(&pool, pool.size()), "all {} workers survived", pool.size());
+    assert!(pool_runs_concurrently(&pool), "all {} workers survived", pool.size());
 }
 
 #[test]

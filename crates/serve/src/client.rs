@@ -101,12 +101,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Same schedule, different retry budget.
-    pub fn with_retries(mut self, retries: usize) -> RetryPolicy {
-        self.retries = retries;
-        self
-    }
-
     /// The sleep before retry `attempt` (1-based), see the type docs.
     pub fn delay(&self, attempt: u32, salt: u64, estimated_cost_ms: f64) -> Duration {
         let exp = self

@@ -16,9 +16,10 @@
 //! caller plus `min(P, cores) − 1` persistent pool workers. Every parallel
 //! phase computes `P` logical partials on it — partial `tid` over
 //! `chunk_range(tid, P, n)`, whichever member runs it — and the tree and
-//! privatised merges fork on it too, so no phase starts a thread and `P` may
-//! exceed the host's cores. The results depend on `P` alone. Only a
-//! [`parallel_task`](PhaseExec::parallel_task) kernel brings its own threads.
+//! privatised merges fork on it too, as does a
+//! [`parallel_task`](PhaseExec::parallel_task) kernel (the k-d tree build),
+//! so no phase starts a thread and `P` may exceed the host's cores. The
+//! results depend on `P` alone.
 //!
 //! The workload never touches a timer; the conventions the paper's
 //! accounting depends on (what counts as parallel vs. reduction vs. constant
@@ -108,20 +109,21 @@ impl PhaseExec {
         results
     }
 
-    /// Run a parallel phase whose kernel manages its own threads (e.g. a
+    /// Run a parallel phase whose kernel schedules its own forks (e.g. a
     /// recursive tree build) on at most `cap` threads — MineBench's
-    /// limited-parallelism kernels. The closure receives the effective thread
-    /// count, `min(threads, cap)`, and the phase is timed as a whole.
+    /// limited-parallelism kernels. The closure receives the run's team and
+    /// the effective thread count, `min(threads, cap)`, and the phase is
+    /// timed as a whole.
     pub fn parallel_task<T>(
         &mut self,
         label: &'static str,
         cap: usize,
-        body: impl FnOnce(usize) -> T,
+        body: impl FnOnce(&Team, usize) -> T,
     ) -> T {
         assert!(cap > 0, "phase `{label}` must allow at least one thread");
         let effective = self.threads().min(cap);
         let start = Instant::now();
-        let out = body(effective);
+        let out = body(&self.team, effective);
         self.record(PhaseKind::Parallel, label, start, effective);
         out
     }
@@ -208,21 +210,28 @@ mod tests {
             let (merged, _) = exec.reduce("merge", &partials, strategy);
             assert_eq!(merged, vec![2016.0, 20160.0, 640.0]);
             exec.reduce_with("merge-with", note);
+            exec.parallel_task("task", 64, |team, threads| team.run(threads, |_| note()));
         }
         let seen = seen.into_inner().unwrap();
         assert!(seen.len() <= cores.min(64), "{} threads on {cores} cores", seen.len());
         let profile = exec.finish();
-        let parallel: Vec<&PhaseRecord> =
-            profile.records.iter().filter(|r| r.kind == PhaseKind::Parallel).collect();
-        assert_eq!(parallel.len(), 2);
-        assert!(parallel.iter().all(|r| r.threads == 64 && r.thread_seconds.len() == 64));
+        let parallel: Vec<(&str, usize, usize)> = profile
+            .records
+            .iter()
+            .filter(|r| r.kind == PhaseKind::Parallel)
+            .map(|r| (&*r.label, r.threads, r.thread_seconds.len()))
+            .collect();
+        assert_eq!(
+            parallel,
+            [("work", 64, 64), ("task", 64, 0), ("work", 64, 64), ("task", 64, 0)]
+        );
     }
 
     #[test]
     fn limited_phase_caps_the_thread_count() {
         let mut exec = PhaseExec::new("t", 8);
         exec.parallel("work", 8, |_ctx, r| r.len());
-        exec.parallel_task("limited", 2, |_threads| ());
+        exec.parallel_task("limited", 2, |_, _| ());
         let profile = exec.finish();
         assert_eq!(profile.records[0].threads, 8);
         assert_eq!(profile.records[1].threads, 2, "cap of 2 must override the run's 8 threads");
@@ -233,7 +242,7 @@ mod tests {
     fn reduce_merges_and_counts() {
         let mut exec = PhaseExec::new("t", 3);
         let partials = exec.parallel("work", 30, |_ctx, range| vec![range.len() as f64]);
-        exec.parallel_task("limited", 2, |_threads| ());
+        exec.parallel_task("limited", 2, |_, _| ());
         let (merged, stats) = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
         assert_eq!(merged, vec![30.0]);
         assert_eq!(stats.partials, 3);
@@ -247,8 +256,8 @@ mod tests {
     #[test]
     fn parallel_task_receives_effective_threads() {
         let mut exec = PhaseExec::new("t", 8);
-        assert_eq!(exec.parallel_task("limited", 2, |threads| threads), 2);
-        assert_eq!(exec.parallel_task("uncapped", usize::MAX, |threads| threads), 8);
+        assert_eq!(exec.parallel_task("limited", 2, |_, threads| threads), 2);
+        assert_eq!(exec.parallel_task("uncapped", usize::MAX, |_, threads| threads), 8);
     }
 
     #[test]
@@ -260,6 +269,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_thread_cap_is_rejected() {
-        PhaseExec::new("t", 2).parallel_task("build", 0, |_threads| ());
+        PhaseExec::new("t", 2).parallel_task("build", 0, |_, _| ());
     }
 }

@@ -101,7 +101,7 @@ impl Hop {
         let tree = exec.parallel_task(
             "build-kdtree",
             self.config.max_tree_build_threads,
-            |build_threads| KdTree::build(data.values(), data.dims(), build_threads),
+            |team, build_threads| KdTree::build(data.values(), data.dims(), team, build_threads),
         );
 
         // -------- Parallel kernel 2: density estimation. ----------------------

@@ -5,7 +5,8 @@
 //! queries it from all threads; the *tree construction* kernel is the part of
 //! hop that the paper notes does not scale to 16 cores. This implementation
 //! follows the same structure: a median-split balanced tree over point indices
-//! with an optionally parallel build (sub-trees built by separate threads) and
+//! with an optionally parallel build (the top levels split on the run's
+//! [`Team`], each remaining subtree built by one logical thread) and
 //! read-only concurrent kNN queries.
 //!
 //! [`KdTreeWorkload`] runs the tree as a standalone scenario — the
@@ -15,6 +16,7 @@
 //! calibrated on its own, isolated from the rest of HOP.
 
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +24,7 @@ use crate::data::Dataset;
 use crate::exec::PhaseExec;
 use mp_model::phase::RunProfile;
 use mp_par::reduce::ReductionStrategy;
+use mp_par::Team;
 
 /// A balanced k-d tree over a borrowed point set.
 #[derive(Debug)]
@@ -33,7 +36,7 @@ pub struct KdTree<'a> {
     root: Option<usize>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     /// Index of the point stored at this node.
     point: usize,
@@ -78,27 +81,46 @@ impl Ord for HeapEntry {
 }
 
 impl<'a> KdTree<'a> {
-    /// Build a tree over `points` (row-major, `len × dims`).
+    /// Build a tree over `points` (row-major, `len × dims`), forking on
+    /// `team`.
     ///
-    /// `build_threads` controls how many threads participate in the build: the
-    /// top `log2(build_threads)` levels of recursion spawn their right subtree
-    /// on a separate scoped thread, matching the limited parallelism of the
-    /// MineBench kernel.
-    pub fn build(points: &'a [f64], dims: usize, build_threads: usize) -> Self {
+    /// `build_threads` caps the subtrees built at once, matching the limited
+    /// parallelism of the MineBench kernel. The top levels split one level
+    /// per fork: a subtree with a budget of `t > 1` threads whose halves both
+    /// hold more than 256 points splits into halves with budgets `t − t/2`
+    /// and `t/2`; every other subtree is built serially by one logical
+    /// thread. A subtree's root is the middle slot of its arena range, so
+    /// the arena is the same for every team and every `build_threads`.
+    pub fn build(points: &'a [f64], dims: usize, team: &Team, build_threads: usize) -> Self {
         assert!(dims > 0, "dims must be positive");
         assert_eq!(points.len() % dims, 0, "points length must be a multiple of dims");
         let n = points.len() / dims;
         let mut indices: Vec<usize> = (0..n).collect();
-        // Pre-allocate the node arena; each recursion level fills a disjoint
-        // sub-range so the parallel build can hand out non-overlapping slices.
-        let mut nodes: Vec<Node> = Vec::with_capacity(n);
-        let root = if n == 0 {
-            None
-        } else {
-            nodes.resize(n, Node { point: 0, axis: 0, left: None, right: None });
-            let mut builder = Builder { points, dims };
-            Some(builder.build_range(&mut nodes, 0, &mut indices, 0, build_threads.max(1)))
-        };
+        let mut nodes = vec![Node { point: 0, axis: 0, left: None, right: None }; n];
+        let builder = Builder { points, dims };
+        let whole = Subtree { indices: &mut indices, nodes: &mut nodes, offset: 0, depth: 0 };
+        let root = whole.root();
+        // Each fork takes one level of disjoint subtrees out of the slots,
+        // one logical thread a subtree, and hands back the next level.
+        let mut level = vec![(whole, build_threads.max(1))];
+        while !level.is_empty() {
+            const UNLOCKED: &str = "no subtree is built under the slot lock";
+            let count = level.len();
+            let slots = Mutex::new(level.into_iter().map(Some).collect::<Vec<_>>());
+            let next = team.partials(count, count, |ctx, _| {
+                let taken = slots.lock().expect(UNLOCKED)[ctx.tid].take();
+                let (subtree, threads) = taken.expect("each subtree is taken once");
+                let len = subtree.indices.len();
+                if threads > 1 && len / 2 > 256 && len - len / 2 - 1 > 256 {
+                    let [left, right] = builder.split(subtree);
+                    vec![(left, threads - threads / 2), (right, threads / 2)]
+                } else {
+                    builder.build_serial(subtree);
+                    Vec::new()
+                }
+            });
+            level = next.into_iter().flatten().collect();
+        }
         KdTree { points, dims, nodes, root }
     }
 
@@ -173,24 +195,33 @@ impl<'a> KdTree<'a> {
     }
 }
 
-/// Recursive median-split builder.
+/// Median-split builder.
 struct Builder<'a> {
     points: &'a [f64],
     dims: usize,
 }
 
+/// The part of the tree one build step owns: the points of `indices`, whose
+/// nodes go to `nodes`, the arena slots from `offset` on.
+struct Subtree<'s> {
+    indices: &'s mut [usize],
+    nodes: &'s mut [Node],
+    offset: usize,
+    depth: usize,
+}
+
+impl Subtree<'_> {
+    /// Arena index of the subtree's root, if it has one.
+    fn root(&self) -> Option<usize> {
+        (!self.indices.is_empty()).then(|| self.offset + self.indices.len() / 2)
+    }
+}
+
 impl Builder<'_> {
-    /// Build the subtree for `indices`, writing its nodes into
-    /// `nodes[offset .. offset + indices.len()]` and returning the arena index
-    /// of the subtree root.
-    fn build_range(
-        &mut self,
-        nodes: &mut [Node],
-        offset: usize,
-        indices: &mut [usize],
-        depth: usize,
-        threads: usize,
-    ) -> usize {
+    /// Write the node of `subtree`'s median point to the middle slot of its
+    /// range and return the two halves around it (either may be empty).
+    fn split<'s>(&self, subtree: Subtree<'s>) -> [Subtree<'s>; 2] {
+        let Subtree { indices, nodes, offset, depth } = subtree;
         let axis = depth % self.dims;
         let mid = indices.len() / 2;
         indices.select_nth_unstable_by(mid, |&a, &b| {
@@ -199,64 +230,27 @@ impl Builder<'_> {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let point = indices[mid];
-        let root_slot = offset + mid;
-
         let (left_indices, rest) = indices.split_at_mut(mid);
-        let right_indices = &mut rest[1..];
         let (left_nodes, rest_nodes) = nodes.split_at_mut(mid);
-        let right_nodes = &mut rest_nodes[1..];
+        let (node, right_nodes) = rest_nodes.split_first_mut().expect("a split subtree has a root");
+        let left = Subtree { indices: left_indices, nodes: left_nodes, offset, depth: depth + 1 };
+        let right = Subtree {
+            indices: &mut rest[1..],
+            nodes: right_nodes,
+            offset: offset + mid + 1,
+            depth: depth + 1,
+        };
+        *node = Node { point, axis, left: left.root(), right: right.root() };
+        [left, right]
+    }
 
-        let left;
-        let right;
-        if threads > 1 && left_indices.len() > 256 && right_indices.len() > 256 {
-            let mut right_builder = Builder { points: self.points, dims: self.dims };
-            let right_offset = offset + mid + 1;
-            let (l, r) = std::thread::scope(|scope| {
-                let handle = scope.spawn(move || {
-                    if right_indices.is_empty() {
-                        None
-                    } else {
-                        Some(right_builder.build_range(
-                            right_nodes,
-                            right_offset,
-                            right_indices,
-                            depth + 1,
-                            threads / 2,
-                        ))
-                    }
-                });
-                let l = if left_indices.is_empty() {
-                    None
-                } else {
-                    Some(self.build_range(
-                        left_nodes,
-                        offset,
-                        left_indices,
-                        depth + 1,
-                        threads - threads / 2,
-                    ))
-                };
-                (l, handle.join().expect("kd-tree build worker panicked"))
-            });
-            left = l;
-            right = r;
-        } else {
-            left = if left_indices.is_empty() {
-                None
-            } else {
-                Some(self.build_range(left_nodes, offset, left_indices, depth + 1, 1))
-            };
-            right = if right_indices.is_empty() {
-                None
-            } else {
-                Some(self.build_range(right_nodes, offset + mid + 1, right_indices, depth + 1, 1))
-            };
+    /// Build `subtree` on the calling thread.
+    fn build_serial(&self, subtree: Subtree<'_>) {
+        if !subtree.indices.is_empty() {
+            for half in self.split(subtree) {
+                self.build_serial(half);
+            }
         }
-
-        nodes[mid] = Node { point, axis, left, right };
-        // Note: `nodes` here is the *local* slice whose element `mid` is the
-        // subtree root located at arena index `root_slot`.
-        root_slot
     }
 }
 
@@ -349,7 +343,7 @@ impl KdTreeWorkload {
         let tree = exec.parallel_task(
             "build-kdtree",
             self.config.max_tree_build_threads,
-            |build_threads| KdTree::build(data.values(), data.dims(), build_threads),
+            |team, build_threads| KdTree::build(data.values(), data.dims(), team, build_threads),
         );
 
         // -------- Parallel phase: all-points kNN with per-thread histograms. -
@@ -417,7 +411,7 @@ mod tests {
     fn knn_matches_brute_force() {
         let dims = 3;
         let points = random_points(500, dims, 11);
-        let tree = KdTree::build(&points, dims, 1);
+        let tree = KdTree::build(&points, dims, &Team::new(1), 1);
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let q: Vec<f64> = (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect();
@@ -434,7 +428,7 @@ mod tests {
     fn knn_excludes_the_query_point() {
         let dims = 2;
         let points = random_points(200, dims, 3);
-        let tree = KdTree::build(&points, dims, 1);
+        let tree = KdTree::build(&points, dims, &Team::new(1), 1);
         for i in [0usize, 17, 199] {
             let q = &points[i * dims..(i + 1) * dims];
             let got = tree.knn(q, 5, Some(i));
@@ -449,9 +443,10 @@ mod tests {
     #[test]
     fn parallel_build_matches_serial_build_results() {
         let dims = 3;
+        let teams = [Team::new(1), Team::new(2)];
         let points = random_points(3000, dims, 21);
-        let serial = KdTree::build(&points, dims, 1);
-        let parallel = KdTree::build(&points, dims, 8);
+        let serial = KdTree::build(&points, dims, &teams[0], 1);
+        let parallel = KdTree::build(&points, dims, &teams[1], 8);
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..25 {
             let q: Vec<f64> = (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect();
@@ -461,13 +456,26 @@ mod tests {
                 assert!((x.dist2 - y.dist2).abs() < 1e-9);
             }
         }
+        // Node for node the serial arena, whatever the team and budget: 514
+        // points never fork (a half needs more than 256), 515 fork once.
+        for n in [0usize, 1, 200, 514, 515, 3000] {
+            let points = random_points(n, dims, 21 + n as u64);
+            let serial = KdTree::build(&points, dims, &teams[0], 1);
+            for team in &teams {
+                for build_threads in [1usize, 3, 4, 8] {
+                    let tree = KdTree::build(&points, dims, team, build_threads);
+                    let what = format!("n={n} members={} threads={build_threads}", team.size());
+                    assert_eq!((tree.root, &tree.nodes), (serial.root, &serial.nodes), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
     fn neighbours_are_sorted_by_distance() {
         let dims = 2;
         let points = random_points(300, dims, 8);
-        let tree = KdTree::build(&points, dims, 2);
+        let tree = KdTree::build(&points, dims, &Team::new(1), 2);
         let got = tree.knn(&[0.0, 0.0], 10, None);
         for w in got.windows(2) {
             assert!(w[0].dist2 <= w[1].dist2);
@@ -477,12 +485,12 @@ mod tests {
     #[test]
     fn empty_and_degenerate_inputs() {
         let points: Vec<f64> = Vec::new();
-        let tree = KdTree::build(&points, 3, 4);
+        let tree = KdTree::build(&points, 3, &Team::new(1), 4);
         assert!(tree.is_empty());
         assert!(tree.knn(&[0.0, 0.0, 0.0], 3, None).is_empty());
 
         let single = vec![1.0, 2.0];
-        let tree = KdTree::build(&single, 2, 4);
+        let tree = KdTree::build(&single, 2, &Team::new(1), 4);
         assert_eq!(tree.len(), 1);
         let n = tree.knn(&[0.0, 0.0], 3, None);
         assert_eq!(n.len(), 1);
@@ -493,7 +501,7 @@ mod tests {
     fn k_larger_than_point_count_returns_all() {
         let dims = 2;
         let points = random_points(10, dims, 4);
-        let tree = KdTree::build(&points, dims, 1);
+        let tree = KdTree::build(&points, dims, &Team::new(1), 1);
         let got = tree.knn(&[0.0, 0.0], 50, None);
         assert_eq!(got.len(), 10);
     }
@@ -502,7 +510,7 @@ mod tests {
     #[should_panic]
     fn query_dimension_mismatch_panics() {
         let points = random_points(10, 3, 4);
-        let tree = KdTree::build(&points, 3, 1);
+        let tree = KdTree::build(&points, 3, &Team::new(1), 1);
         tree.knn(&[0.0, 0.0], 2, None);
     }
 
@@ -571,7 +579,7 @@ mod tests {
             points.extend_from_slice(&[1.0, 1.0]);
         }
         points.extend_from_slice(&[3.0, 3.0]);
-        let tree = KdTree::build(&points, dims, 1);
+        let tree = KdTree::build(&points, dims, &Team::new(1), 1);
         let got = tree.knn(&[1.0, 1.0], 5, None);
         assert_eq!(got.len(), 5);
         assert!(got.iter().all(|n| n.dist2 == 0.0));

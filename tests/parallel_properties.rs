@@ -83,7 +83,7 @@ proptest! {
         let dims = 3;
         let n = points.len() / dims;
         let points = &points[..n * dims];
-        let tree = KdTree::build(points, dims, 2);
+        let tree = KdTree::build(points, dims, &Team::new(2), 2);
         let query = [0.0, 0.0, 0.0];
         let got = tree.knn(&query, k, None);
 
