@@ -88,9 +88,10 @@ impl<'a> KdTree<'a> {
     /// parallelism of the MineBench kernel. The top levels split one level
     /// per fork: a subtree with a budget of `t > 1` threads whose halves both
     /// hold more than 256 points splits into halves with budgets `t − t/2`
-    /// and `t/2`; every other subtree is built serially by one logical
-    /// thread. A subtree's root is the middle slot of its arena range, so
-    /// the arena is the same for every team and every `build_threads`.
+    /// and `t/2`. A last fork then builds each of the at most
+    /// `build_threads` subtrees serially, as one logical thread. A subtree's
+    /// root is the middle slot of its arena range, so the arena is the same
+    /// for every team and every `build_threads`.
     pub fn build(points: &'a [f64], dims: usize, team: &Team, build_threads: usize) -> Self {
         assert!(dims > 0, "dims must be positive");
         assert_eq!(points.len() % dims, 0, "points length must be a multiple of dims");
@@ -100,27 +101,25 @@ impl<'a> KdTree<'a> {
         let builder = Builder { points, dims };
         let whole = Subtree { indices: &mut indices, nodes: &mut nodes, offset: 0, depth: 0 };
         let root = whole.root();
-        // Each fork takes one level of disjoint subtrees out of the slots,
-        // one logical thread a subtree, and hands back the next level.
+        // Split the top levels, one level per fork, until no subtree may
+        // split. A subtree that may not keeps its place in tree order for the
+        // last fork, which builds every subtree as one logical thread, so a
+        // member's contiguous block of them is a contiguous part of the tree.
         let mut level = vec![(whole, build_threads.max(1))];
-        while !level.is_empty() {
-            const UNLOCKED: &str = "no subtree is built under the slot lock";
-            let count = level.len();
-            let slots = Mutex::new(level.into_iter().map(Some).collect::<Vec<_>>());
-            let next = team.partials(count, count, |ctx, _| {
-                let taken = slots.lock().expect(UNLOCKED)[ctx.tid].take();
-                let (subtree, threads) = taken.expect("each subtree is taken once");
-                let len = subtree.indices.len();
-                if threads > 1 && len / 2 > 256 && len - len / 2 - 1 > 256 {
+        while level.iter().any(|(subtree, threads)| subtree.splits(*threads)) {
+            level = fork_level(team, level, |(subtree, threads)| {
+                if subtree.splits(threads) {
                     let [left, right] = builder.split(subtree);
                     vec![(left, threads - threads / 2), (right, threads / 2)]
                 } else {
-                    builder.build_serial(subtree);
-                    Vec::new()
+                    vec![(subtree, threads)]
                 }
             });
-            level = next.into_iter().flatten().collect();
         }
+        fork_level(team, level, |(subtree, _)| {
+            builder.build_serial(subtree);
+            Vec::new()
+        });
         KdTree { points, dims, nodes, root }
     }
 
@@ -215,6 +214,33 @@ impl Subtree<'_> {
     fn root(&self) -> Option<usize> {
         (!self.indices.is_empty()).then(|| self.offset + self.indices.len() / 2)
     }
+
+    /// Whether the subtree splits across a fork with a budget of `threads`:
+    /// both of its halves must hold more than 256 points.
+    fn splits(&self, threads: usize) -> bool {
+        let len = self.indices.len();
+        threads > 1 && len / 2 > 256 && len - len / 2 - 1 > 256
+    }
+}
+
+/// Disjoint subtrees with their thread budgets, in tree order.
+type Level<'s> = Vec<(Subtree<'s>, usize)>;
+
+/// Hand every subtree of `level` to `step`, one logical thread each on
+/// `team`, and return what the steps hand back, in tree order.
+fn fork_level<'s>(
+    team: &Team,
+    level: Level<'s>,
+    step: impl Fn((Subtree<'s>, usize)) -> Level<'s> + Sync,
+) -> Level<'s> {
+    const UNLOCKED: &str = "no subtree is built under the slot lock";
+    let count = level.len();
+    let slots = Mutex::new(level.into_iter().map(Some).collect::<Vec<_>>());
+    let next = team.partials(count, count, |ctx, _| {
+        let taken = slots.lock().expect(UNLOCKED)[ctx.tid].take();
+        step(taken.expect("each subtree is taken once"))
+    });
+    next.into_iter().flatten().collect()
 }
 
 impl Builder<'_> {
