@@ -390,27 +390,25 @@ impl Engine {
         // on the calling thread.
         let workers = threads.min(n.div_ceil(batch)).max(1);
         let states = Mutex::new(Vec::with_capacity(workers));
-        {
-            let queue = Mutex::new(queue(batch).enumerate());
-            self.team.run(workers, |_| {
-                // One scratch per worker, reused across every batch it pulls:
-                // the per-batch working sets allocate only on the worker's
-                // first batch (and never per scenario).
-                let mut scratch = BatchScratch::with_capacity(batch);
-                let mut state = worker(batch);
-                loop {
-                    // Taken in its own statement, so the lock is released
-                    // before the batch is evaluated — and never held across
-                    // a panic.
-                    let next = queue.lock().expect("no batch runs under the queue lock").next();
-                    let Some((i, item)) = next else { break };
-                    let start = range.start + i * batch;
-                    let end = (start + batch).min(range.end);
-                    run(&mut state, &ctx, start..end, item, &mut scratch);
-                }
-                states.lock().expect("no batch runs under the state lock").push(state);
-            });
-        }
+        let queue = Mutex::new(queue(batch).enumerate());
+        self.team.run(workers, |_| {
+            // One scratch per worker, reused across every batch it pulls:
+            // the per-batch working sets allocate only on the worker's
+            // first batch (and never per scenario).
+            let mut scratch = BatchScratch::with_capacity(batch);
+            let mut state = worker(batch);
+            loop {
+                // Taken in its own statement, so the lock is released
+                // before the batch is evaluated — and never held across
+                // a panic.
+                let next = queue.lock().expect("no batch runs under the queue lock").next();
+                let Some((i, item)) = next else { break };
+                let start = range.start + i * batch;
+                let end = (start + batch).min(range.end);
+                run(&mut state, &ctx, start..end, item, &mut scratch);
+            }
+            states.lock().expect("no batch runs under the state lock").push(state);
+        });
 
         let stats = SweepStats {
             scenarios: n,

@@ -1,22 +1,20 @@
 //! Fork-join execution primitives.
 //!
-//! A [`Team`] is the workspace's one fork-join: the calling thread plus a
-//! pool of persistent workers, sized once by its owner and forked on as
-//! often as it likes. [`Team::run`] has the [`std::thread::scope`] contract
-//! — the closure may borrow from the caller's stack, the caller runs the
-//! first logical thread, the call returns only when every logical thread
-//! has finished, and a worker's panic is re-raised on the caller with its
-//! original payload — so a fork costs a queue hand-off, not a thread start.
-//! The pool's private `run_scoped` holds the one lifetime-erasing `unsafe`
-//! of the workspace's fork-join code.
+//! A [`Team`] is the workspace's one fork-join: the calling thread plus
+//! persistent pool workers, sized once. [`Team::run`] has the
+//! [`std::thread::scope`] contract — the closure may borrow from the
+//! caller's stack, the caller runs the first logical thread, the call
+//! returns only when every one has finished, and a worker's panic is
+//! re-raised on the caller with its original payload — so a fork costs a
+//! queue hand-off, not a thread start. The pool's private `run_scoped` holds
+//! the one lifetime-erasing `unsafe` of the workspace's fork-join code.
 //!
 //! A team runs any number of *logical* threads on its members:
 //! [`Team::partials`] computes `count` partial results, logical thread `tid`
 //! over `chunk_range(tid, count, len)` whichever member runs it, so the
 //! partials — the inputs of the merging phase — depend on `count` alone.
-//! The design-space sweep engine forks every sweep on its team, and the
-//! clustering workloads fork every parallel phase, tree build and merge of
-//! a run on one team.
+//! The sweep engine forks every sweep on its team; a workload run forks
+//! every phase, tree build and merge on one.
 
 use std::any::Any;
 use std::ops::Range;
@@ -184,11 +182,9 @@ impl ThreadPool {
         join.wait();
     }
 
-    /// The fork-join behind [`Team::run`], with its contract: run `f` once
-    /// per `tid` in `0..num_threads` — `tid` 0 on the calling thread, the
-    /// rest as pool jobs — and return when every one has finished.
-    /// `num_threads` may exceed [`ThreadPool::size`]; every `tid` still runs
-    /// exactly once.
+    /// The fork-join behind [`Team::run`], with its contract: `f` runs once
+    /// per `tid` in `0..num_threads` (which may exceed [`ThreadPool::size`]),
+    /// `tid` 0 on the calling thread and the rest as pool jobs.
     fn run_scoped<F>(&self, num_threads: usize, f: F)
     where
         F: Fn(ThreadCtx) + Sync,
@@ -246,11 +242,10 @@ impl Drop for ThreadPool {
 /// block of them each, so `count` may exceed the team's size (or the host's
 /// cores) without starting a thread; a team of one runs them all inline.
 ///
-/// Several threads may fork on one team at once (a service's executors
-/// sharing one engine): every logical thread still runs exactly once, but
-/// not necessarily at the same time as the others, so a logical thread must
-/// not wait for another — and must not fork on its own team, where a
-/// worker would wait for work queued behind itself.
+/// Several threads may fork on one team at once (a service's executors on
+/// one engine), so a logical thread may run after the others: it must not
+/// wait for another, nor fork on its own team, where a worker would wait
+/// for work queued behind itself.
 #[derive(Debug)]
 pub struct Team(Option<ThreadPool>);
 
@@ -274,12 +269,10 @@ impl Team {
     }
 
     /// Run `f` once for every logical `tid` in `0..count` (its `num_threads`
-    /// is `count`) and return when all have run. `f` may borrow from the
-    /// caller's stack; the caller runs the first block of tids, so a fork of
-    /// one runs inline and touches no worker. The first panic among the
-    /// workers' blocks is re-raised on the caller with its original payload,
-    /// and if the caller's own block unwinds, the workers' blocks are still
-    /// joined before the unwind leaves this call.
+    /// is `count`) and return when all have run; `f` may borrow from the
+    /// caller's stack, and the caller runs the first block of tids. A worker
+    /// block's panic is re-raised on the caller with its payload; every block
+    /// is joined first, also when the caller's own block unwinds.
     pub fn run<F: Fn(ThreadCtx) + Sync>(&self, count: usize, f: F) {
         assert!(count > 0, "num_threads must be positive");
         let block = |member: ThreadCtx| {

@@ -3,9 +3,7 @@
 //! A [`SweepService`] owns **one** long-lived [`Engine`] — one fork-join
 //! team, one memoisation cache — and answers every admitted range with a
 //! single engine call on the calling thread. The engine's batch queue is
-//! the only scheduler: the calling thread and whichever of the engine's
-//! persistent workers is free take the next batch, and callers that sweep
-//! at once share those workers.
+//! the only scheduler: the caller or a free engine worker takes the next batch.
 //! For a sweep ([`Engine::sweep_range`]) every worker writes its own
 //! disjoint slice of one preallocated record vector, and that vector *is*
 //! the answer — no partial results, no merge, no copy. A served answer is

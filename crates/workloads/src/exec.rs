@@ -16,10 +16,9 @@
 //! caller plus `min(P, cores) − 1` persistent pool workers. Every parallel
 //! phase computes `P` logical partials on it — partial `tid` over
 //! `chunk_range(tid, P, n)`, whichever member runs it — and the tree and
-//! privatised merges fork on it too, as does a
-//! [`parallel_task`](PhaseExec::parallel_task) kernel (the k-d tree build),
-//! so no phase starts a thread and `P` may exceed the host's cores. The
-//! results depend on `P` alone.
+//! privatised merges fork on it too, as does the k-d tree build of a
+//! [`parallel_task`](PhaseExec::parallel_task), so no phase starts a thread
+//! and `P` may exceed the host's cores. The results depend on `P` alone.
 //!
 //! The workload never touches a timer; the conventions the paper's
 //! accounting depends on (what counts as parallel vs. reduction vs. constant
@@ -111,9 +110,8 @@ impl PhaseExec {
 
     /// Run a parallel phase whose kernel schedules its own forks (e.g. a
     /// recursive tree build) on at most `cap` threads — MineBench's
-    /// limited-parallelism kernels. The closure receives the run's team and
-    /// the effective thread count, `min(threads, cap)`, and the phase is
-    /// timed as a whole.
+    /// limited-parallelism kernels. The closure gets the run's team and the
+    /// effective thread count, `min(threads, cap)`; the phase is timed whole.
     pub fn parallel_task<T>(
         &mut self,
         label: &'static str,

@@ -81,17 +81,12 @@ impl Ord for HeapEntry {
 }
 
 impl<'a> KdTree<'a> {
-    /// Build a tree over `points` (row-major, `len × dims`), forking on
-    /// `team`.
+    /// Build a tree over `points` (row-major, `len × dims`), forking on `team`.
     ///
-    /// `build_threads` caps the subtrees built at once, matching the limited
-    /// parallelism of the MineBench kernel. The top levels split one level
-    /// per fork: a subtree with a budget of `t > 1` threads whose halves both
-    /// hold more than 256 points splits into halves with budgets `t − t/2`
-    /// and `t/2`. A last fork then builds each of the at most
-    /// `build_threads` subtrees serially, as one logical thread. A subtree's
-    /// root is the middle slot of its arena range, so the arena is the same
-    /// for every team and every `build_threads`.
+    /// Like the MineBench kernel, it builds at most `build_threads` subtrees
+    /// at once: the top levels split one level per fork, a budget of `t > 1`
+    /// threads into `t − t/2` and `t/2`, and a last fork builds each subtree
+    /// as one logical thread. The arena is the same for any team and budget.
     pub fn build(points: &'a [f64], dims: usize, team: &Team, build_threads: usize) -> Self {
         assert!(dims > 0, "dims must be positive");
         assert_eq!(points.len() % dims, 0, "points length must be a multiple of dims");
@@ -101,27 +96,31 @@ impl<'a> KdTree<'a> {
         let builder = Builder { points, dims };
         let whole = Subtree { indices: &mut indices, nodes: &mut nodes, offset: 0, depth: 0 };
         let root = whole.root();
-        // Split the top levels, one level per fork, until no subtree may
-        // split. A subtree that may not keeps its place in tree order for the
-        // last fork, which builds every subtree as one logical thread, so a
-        // member's contiguous block of them is a contiguous part of the tree.
+        // Each fork takes one level of subtrees, with their budgets, out of
+        // the slots and hands back the next. Until the last fork, a subtree
+        // that may not split keeps its place: a member's block is contiguous.
         let mut level = vec![(whole, build_threads.max(1))];
-        while level.iter().any(|(subtree, threads)| subtree.splits(*threads)) {
-            level = fork_level(team, level, |(subtree, threads)| {
+        while !level.is_empty() {
+            let last = !level.iter().any(|(subtree, threads)| subtree.splits(*threads));
+            let count = level.len();
+            let slots = Mutex::new(level.into_iter().map(Some).collect::<Vec<_>>());
+            let next = team.partials(count, count, |ctx, _| {
+                let taken =
+                    slots.lock().expect("no subtree is built under the lock")[ctx.tid].take();
+                let (subtree, threads) = taken.expect("each subtree is taken once");
                 if subtree.splits(threads) {
                     let [left, right] = builder.split(subtree);
                     vec![(left, threads - threads / 2), (right, threads / 2)]
-                } else {
+                } else if !last {
                     vec![(subtree, threads)]
+                } else {
+                    let Subtree { indices, nodes, offset, depth } = subtree;
+                    builder.build_range(indices, nodes, offset, depth);
+                    Vec::new()
                 }
             });
+            level = next.into_iter().flatten().collect();
         }
-        fork_level(team, level, |(Subtree { indices, nodes, offset, depth }, _)| {
-            if !indices.is_empty() {
-                builder.build_range(indices, nodes, offset, depth);
-            }
-            Vec::new()
-        });
         KdTree { points, dims, nodes, root }
     }
 
@@ -225,26 +224,6 @@ impl Subtree<'_> {
     }
 }
 
-/// Disjoint subtrees with their thread budgets, in tree order.
-type Level<'s> = Vec<(Subtree<'s>, usize)>;
-
-/// Hand every subtree of `level` to `step`, one logical thread each on
-/// `team`, and return what the steps hand back, in tree order.
-fn fork_level<'s>(
-    team: &Team,
-    level: Level<'s>,
-    step: impl Fn((Subtree<'s>, usize)) -> Level<'s> + Sync,
-) -> Level<'s> {
-    const UNLOCKED: &str = "no subtree is built under the slot lock";
-    let count = level.len();
-    let slots = Mutex::new(level.into_iter().map(Some).collect::<Vec<_>>());
-    let next = team.partials(count, count, |ctx, _| {
-        let taken = slots.lock().expect(UNLOCKED)[ctx.tid].take();
-        step(taken.expect("each subtree is taken once"))
-    });
-    next.into_iter().flatten().collect()
-}
-
 impl Builder<'_> {
     /// Move the median of `indices` on `depth`'s axis to the middle slot,
     /// `indices[len / 2]`, and return the axis.
@@ -268,42 +247,37 @@ impl Builder<'_> {
         let (left_indices, rest) = indices.split_at_mut(mid);
         let (left_nodes, rest_nodes) = nodes.split_at_mut(mid);
         let (node, right_nodes) = rest_nodes.split_first_mut().expect("a split subtree has a root");
-        let left = Subtree { indices: left_indices, nodes: left_nodes, offset, depth: depth + 1 };
-        let right = Subtree {
-            indices: &mut rest[1..],
-            nodes: right_nodes,
-            offset: offset + mid + 1,
-            depth: depth + 1,
-        };
+        let half = |indices, nodes, offset| Subtree { indices, nodes, offset, depth: depth + 1 };
+        let left = half(left_indices, left_nodes, offset);
+        let right = half(&mut rest[1..], right_nodes, offset + mid + 1);
         *node = Node { point, axis, left: left.root(), right: right.root() };
         [left, right]
     }
 
-    /// Build the subtree of the non-empty `indices` on the calling thread,
-    /// writing its nodes into `nodes` (arena slots from `offset` on), and
-    /// return the arena index of its root. It takes plain arguments and
-    /// writes a node once its children are built: recursing through
-    /// [`Builder::split`] instead, one call a point, built 200 000 points
-    /// about 25 % slower.
+    /// Build the subtree of `indices` into `nodes` (arena slots from `offset`
+    /// on) on the calling thread; return its root's slot. Plain arguments:
+    /// recursing through [`Builder::split`], one call a point, built 200 000
+    /// points about 25 % slower.
     fn build_range(
         &self,
         indices: &mut [usize],
         nodes: &mut [Node],
         offset: usize,
         depth: usize,
-    ) -> usize {
+    ) -> Option<usize> {
+        if indices.is_empty() {
+            return None;
+        }
         let axis = self.select_median(indices, depth);
         let mid = indices.len() / 2;
         let point = indices[mid];
         let (left_indices, rest) = indices.split_at_mut(mid);
         let (left_nodes, rest_nodes) = nodes.split_at_mut(mid);
-        let left = (!left_indices.is_empty())
-            .then(|| self.build_range(left_indices, left_nodes, offset, depth + 1));
-        let right = (rest.len() > 1).then(|| {
-            self.build_range(&mut rest[1..], &mut rest_nodes[1..], offset + mid + 1, depth + 1)
-        });
+        let left = self.build_range(left_indices, left_nodes, offset, depth + 1);
+        let right =
+            self.build_range(&mut rest[1..], &mut rest_nodes[1..], offset + mid + 1, depth + 1);
         nodes[mid] = Node { point, axis, left, right };
-        offset + mid
+        Some(offset + mid)
     }
 }
 
