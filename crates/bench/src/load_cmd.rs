@@ -10,7 +10,7 @@
 //! cache did not behave as the backend says it should: a backend that
 //! memoises (`sim`, `comm`) must answer the warm pass with a hit rate above
 //! 90%, one that does not (analytic, measured) must leave the server's cache
-//! untouched — no probes, inserts or entries. The report is that verdict and
+//! untouched — no hits, inserts or entries. The report is that verdict and
 //! the per-pass cache counts behind it; throughput and latency are
 //! layerbench's to measure (`benchmark/run.sh`, workloads `serve_*`).
 //!
@@ -641,7 +641,7 @@ fn drive(
     let cache_ok = if memoises {
         warm_hit_rate > 0.9 && warm_hits > 0
     } else {
-        cache.probes == 0 && cache.inserts == 0 && cache.entries == 0
+        cache.hits == 0 && cache.inserts == 0 && cache.entries == 0
     };
 
     // Observability smoke: the server's `metrics` snapshot (fetched over the
@@ -724,8 +724,8 @@ fn drive(
             )
         } else {
             format!(
-                "backend does not memoise: cache {} probes / {} inserts / {} entries",
-                cache.probes, cache.inserts, cache.entries
+                "backend does not memoise: cache {} hits / {} inserts / {} entries",
+                cache.hits, cache.inserts, cache.entries
             )
         },
         if ok { "PASS" } else { "FAIL" },

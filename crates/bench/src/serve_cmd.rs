@@ -32,7 +32,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--backend",
     "--loops",
     "--executors",
-    "--queue",
     "--cost-budget",
     "--jobs-dir",
     "--fail-nth",
@@ -43,8 +42,8 @@ pub const VALUE_FLAGS: &[&str] = &[
 /// own usage.
 pub const USAGE: &str =
     "repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] \
-     [--backend analytic|comm|sim|measured] [--loops N] [--executors N] [--queue N] \
-     [--cost-budget MS] [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]";
+     [--backend analytic|comm|sim|measured] [--loops N] [--executors N] [--cost-budget MS] \
+     [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]";
 
 /// Options of one `serve` invocation.
 pub struct Options {
@@ -58,8 +57,6 @@ pub struct Options {
     event_loops: usize,
     /// Reactor executor threads (`0` = auto).
     executors: usize,
-    /// Admission cap: sweeps in flight per service before `busy`.
-    queue_capacity: usize,
     /// Planner admission budget: estimated pending milliseconds per service.
     cost_budget_ms: f64,
     /// Durable-job store: checkpoint manifests and cache segment spills
@@ -81,7 +78,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         backend: "analytic".to_string(),
         event_loops: 0,
         executors: 0,
-        queue_capacity: ServiceConfig::default().queue_capacity,
         cost_budget_ms: ServiceConfig::default().cost_budget_ms,
         jobs_dir: None,
         fail_nth: None,
@@ -100,9 +96,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--backend" => options.backend = value,
                 "--loops" => options.event_loops = cli::parse_parallelism(arg, &value)?,
                 "--executors" => options.executors = cli::parse_parallelism(arg, &value)?,
-                "--queue" => {
-                    options.queue_capacity = cli::parse_count(arg, &value, 1, cli::MAX_COUNT)?;
-                }
                 "--cost-budget" => {
                     options.cost_budget_ms = value
                         .parse::<f64>()
@@ -164,7 +157,6 @@ pub fn build_service(options: &Options) -> Result<SweepService, String> {
     let config = ServiceConfig {
         shards: options.shards,
         threads_per_shard,
-        queue_capacity: options.queue_capacity,
         cost_budget_ms: options.cost_budget_ms,
         cost_per_scenario_ms: None,
     };
@@ -262,17 +254,14 @@ mod tests {
         assert!(parse(&["--threads".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--loops".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--executors".to_string(), "0".to_string()]).is_err());
-        assert!(parse(&["--queue".to_string(), "0".to_string()]).is_err());
         let sized = parse(&[
             "--loops".to_string(),
             "2".to_string(),
             "--executors".to_string(),
             "6".to_string(),
-            "--queue".to_string(),
-            "32".to_string(),
         ])
         .unwrap();
-        assert_eq!((sized.event_loops, sized.executors, sized.queue_capacity), (2, 6, 32));
+        assert_eq!((sized.event_loops, sized.executors), (2, 6));
 
         let planned = parse(&["--cost-budget".to_string(), "1500".to_string()]).unwrap();
         assert_eq!(planned.cost_budget_ms, 1500.0);
@@ -280,7 +269,7 @@ mod tests {
         assert!(parse(&["--cost-budget".to_string(), "soon".to_string()]).is_err());
         assert!(parse(&["--bogus".to_string()]).is_err());
         // Removed switches are unknown options like any other.
-        for removed in ["--no-steal", "--no-coalesce", "--no-cache", "--batch"] {
+        for removed in ["--no-steal", "--no-coalesce", "--no-cache", "--batch", "--queue"] {
             let message = parse(&[removed.to_string()]).err().expect(removed);
             assert!(message.contains("unknown serve option"), "{message}");
         }

@@ -30,7 +30,6 @@
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mp_obs::metrics::{Counter, Registry};
@@ -75,10 +74,11 @@ impl Hasher for KeyHasher {
 /// workers.
 pub struct EvalCache {
     map: RwLock<Map>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Misses recorded without a probe (the engine's cold-start bypass).
-    bypassed: AtomicU64,
+    /// Its registry's `cache_hits` and `cache_misses`, which the engine
+    /// bumps once per batch: scenarios served from the cache, and scenarios
+    /// the backend computed. The cache itself only reads them.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
     /// Entries stored, and write-locked sections that grew the map: an
     /// engine's cache counts them once, on its registry's `cache_inserts`
     /// and `cache_migrations`.
@@ -93,13 +93,11 @@ pub struct CacheStats {
     pub entries: usize,
     /// Entries the map holds before it next grows.
     pub capacity: usize,
-    /// Probes answered from the cache since construction.
+    /// Scenarios served from the cache since construction (`cache_hits`).
     pub hits: u64,
-    /// Probes that missed since construction.
+    /// Scenarios the backend computed since construction, whether or not
+    /// the sweep went through the cache (`cache_misses`).
     pub misses: u64,
-    /// Probes actually performed (`hits + misses` minus the cold-start
-    /// bypassed lookups, which are counted as misses but never look).
-    pub probes: u64,
     /// Entries stored (single and batched) since construction.
     pub inserts: u64,
     /// Map growths since construction.
@@ -117,8 +115,6 @@ impl std::fmt::Debug for EvalCache {
         f.debug_struct("EvalCache")
             .field("entries", &self.len())
             .field("capacity", &self.capacity())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .finish()
     }
 }
@@ -129,14 +125,13 @@ impl EvalCache {
         EvalCache::registered_in(&Registry::new())
     }
 
-    /// An empty cache counting its inserts and map growths on `registry`'s
+    /// An empty cache on `registry`'s `cache_hits`, `cache_misses`,
     /// `cache_inserts` and `cache_migrations` series — an engine's cache.
     pub(crate) fn registered_in(registry: &Registry) -> Self {
         EvalCache {
             map: RwLock::new(Map::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypassed: AtomicU64::new(0),
+            hits: registry.counter("cache_hits"),
+            misses: registry.counter("cache_misses"),
             inserts: registry.counter("cache_inserts"),
             migrations: registry.counter("cache_migrations"),
         }
@@ -176,11 +171,10 @@ impl EvalCache {
 
     /// Probe a whole batch: hits fill `speedups`, misses mark `holes`
     /// (slots whose key is absent are left untouched otherwise). Returns the
-    /// number of misses. Equivalent to a per-key [`EvalCache::get`] loop —
-    /// same probes, same hit/miss *totals* — but the batch takes the read
-    /// lock once and bumps the shared hit/miss counters once: per-key, both
-    /// would bounce a cache line between every sweep worker once per
-    /// scenario. Panics if the slices differ in length.
+    /// number of misses. Equivalent to a per-key [`EvalCache::peek`] loop,
+    /// but the batch takes the read lock once: per key, the lock word would
+    /// bounce between every sweep worker once per scenario. Panics if the
+    /// slices differ in length.
     pub fn get_batch(
         &self,
         keys: &[(u64, u64)],
@@ -190,34 +184,20 @@ impl EvalCache {
         assert_eq!(keys.len(), speedups.len(), "one speedup slot per key");
         assert_eq!(keys.len(), holes.len(), "one hole flag per key");
         let mut missing = 0usize;
-        {
-            let map = self.map.read();
-            for ((key, speedup), hole) in keys.iter().zip(speedups).zip(holes) {
-                match map.get(key) {
-                    Some(&bits) => *speedup = f64::from_bits(bits),
-                    None => {
-                        *hole = true;
-                        missing += 1;
-                    }
+        let map = self.map.read();
+        for ((key, speedup), hole) in keys.iter().zip(speedups).zip(holes) {
+            match map.get(key) {
+                Some(&bits) => *speedup = f64::from_bits(bits),
+                None => {
+                    *hole = true;
+                    missing += 1;
                 }
             }
         }
-        self.hits.fetch_add((keys.len() - missing) as u64, Ordering::Relaxed);
-        self.misses.fetch_add(missing as u64, Ordering::Relaxed);
         missing
     }
 
-    /// Look up a cached speedup, counting the probe as a hit or miss.
-    pub fn get(&self, key: (u64, u64)) -> Option<f64> {
-        let found = self.peek(key);
-        let counter = if found.is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    /// Look up a cached speedup without touching the hit/miss counters.
-    /// Used for internal re-probes (a batch re-checking its own first-probe
-    /// holes), which would otherwise double-count and skew the statistics.
+    /// Look up one cached speedup.
     pub fn peek(&self, key: (u64, u64)) -> Option<f64> {
         self.map.read().get(&key).copied().map(f64::from_bits)
     }
@@ -255,33 +235,6 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Probes answered from the cache since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Probes that missed since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` misses whose probes were skipped: the engine's cold-start
-    /// path evaluates straight away when the cache starts empty (every probe
-    /// would miss), so it reports the bypassed probes here — otherwise the
-    /// hit-rate a service derives from these counters would ignore exactly
-    /// the sweeps that filled the cache.
-    pub fn record_bypassed_misses(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
-        self.bypassed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Probes actually performed: every [`EvalCache::get`] call, i.e.
-    /// `hits + misses` minus the bypassed cold-start misses (which are
-    /// counted as misses without looking).
-    pub fn probes(&self) -> u64 {
-        (self.hits() + self.misses()).saturating_sub(self.bypassed.load(Ordering::Relaxed))
-    }
-
     /// Entries stored (single and batched) since construction. Counts
     /// insert *calls*; overwrites of duplicate keys are not
     /// distinguished.
@@ -296,10 +249,11 @@ impl EvalCache {
     }
 
     /// One consistent-enough snapshot of the cache's warm-start state:
-    /// entry/capacity footprint plus the lifetime hit/miss counters. Cheap to
-    /// take (one read lock plus counter reads) and safe concurrently with
-    /// inserts — the counters may lag in-flight writers by a few entries,
-    /// which is fine for the service stats and hit-rate reporting this feeds.
+    /// entry/capacity footprint plus its registry's four cache series — the
+    /// same values the `metrics` verb exports. Cheap to take (one read lock
+    /// plus counter reads) and safe concurrently with sweeps — the counters
+    /// may lag in-flight batches, which is fine for the service stats and
+    /// hit-rate reporting this feeds.
     pub fn stats(&self) -> CacheStats {
         let (entries, capacity) = {
             let map = self.map.read();
@@ -308,9 +262,8 @@ impl EvalCache {
         CacheStats {
             entries,
             capacity,
-            hits: self.hits(),
-            misses: self.misses(),
-            probes: self.probes(),
+            hits: self.hits.value(),
+            misses: self.misses.value(),
             inserts: self.inserts(),
             migrations: self.migrations(),
         }
@@ -582,20 +535,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_and_miss_counting() {
-        let cache = EvalCache::new();
-        assert_eq!(cache.get((1, 2)), None);
-        cache.insert((1, 2), 3.5);
-        assert_eq!(cache.get((1, 2)), Some(3.5));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
     fn nan_round_trips_bitwise() {
         let cache = EvalCache::new();
         cache.insert((9, 9), f64::NAN);
-        let got = cache.get((9, 9)).unwrap();
+        let got = cache.peek((9, 9)).unwrap();
         assert_eq!(got.to_bits(), f64::NAN.to_bits());
     }
 
@@ -668,9 +611,9 @@ mod tests {
 
         let restored = EvalCache::new();
         assert_eq!(restored.load_json(&json).unwrap(), 3);
-        assert_eq!(restored.get((1, 2)).unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(restored.get((u64::MAX, 7)).unwrap().to_bits(), f64::NAN.to_bits());
-        assert_eq!(restored.get((3, 4)).unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(restored.peek((1, 2)).unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(restored.peek((u64::MAX, 7)).unwrap().to_bits(), f64::NAN.to_bits());
+        assert_eq!(restored.peek((3, 4)).unwrap().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -707,9 +650,9 @@ mod tests {
 
         let restored = EvalCache::new();
         assert_eq!(restored.load_segment(&segment).unwrap(), 3);
-        assert_eq!(restored.get((1, 2)).unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(restored.get((u64::MAX, 7)).unwrap().to_bits(), f64::NAN.to_bits());
-        assert_eq!(restored.get((3, 4)).unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(restored.peek((1, 2)).unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(restored.peek((u64::MAX, 7)).unwrap().to_bits(), f64::NAN.to_bits());
+        assert_eq!(restored.peek((3, 4)).unwrap().to_bits(), (-0.0f64).to_bits());
         // The two persistence formats describe the same contents.
         assert_eq!(restored.save_json(), cache.save_json());
         assert_eq!(restored.save_segment(), segment, "segment bytes are deterministic");
@@ -782,34 +725,31 @@ mod tests {
     }
 
     #[test]
-    fn batched_probes_count_exactly_like_a_get_loop() {
+    fn batched_probes_answer_like_a_peek_loop() {
         let key = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i * 31 + 1);
         let stored: Vec<(u64, u64)> = (0..200).map(key).collect();
         let absent: Vec<(u64, u64)> = (1_000..1_200).map(key).collect();
         let mixed: Vec<(u64, u64)> =
             stored.iter().zip(&absent).flat_map(|(&hit, &miss)| [hit, miss, hit]).collect();
-        let (batched, looped) = (EvalCache::new(), EvalCache::new());
+        let cache = EvalCache::new();
         for (i, &key) in stored.iter().enumerate() {
-            batched.insert(key, i as f64);
-            looped.insert(key, i as f64);
+            cache.insert(key, i as f64);
         }
         for (keys, expected_missing) in [(&stored, 0), (&absent, absent.len()), (&mixed, 200)] {
             let mut speedups = vec![f64::NAN; keys.len()];
             let mut holes = vec![false; keys.len()];
-            let missing = batched.get_batch(keys, &mut speedups, &mut holes);
+            let missing = cache.get_batch(keys, &mut speedups, &mut holes);
             assert_eq!(missing, expected_missing);
             for (i, &key) in keys.iter().enumerate() {
-                let got = looped.get(key);
+                let got = cache.peek(key);
                 assert_eq!(holes[i], got.is_none());
                 if let Some(value) = got {
                     assert_eq!(speedups[i].to_bits(), value.to_bits());
                 }
             }
-            assert_eq!(batched.hits(), looped.hits());
-            assert_eq!(batched.misses(), looped.misses());
-            assert_eq!(batched.probes(), looped.probes());
         }
-        assert_eq!(batched.stats(), looped.stats());
+        // Probing counts nothing: hits and misses are the engine's to count.
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
     }
 
     #[test]

@@ -52,7 +52,9 @@ use crate::tables::SpaceTables;
 pub struct EngineMetrics {
     /// `dse_scenarios_evaluated`.
     pub scenarios: Arc<Counter>,
-    /// `cache_misses`.
+    /// `cache_hits`: scenarios served from the cache.
+    pub cache_hits: Arc<Counter>,
+    /// `cache_misses`: scenarios the backend computed.
     pub cache_misses: Arc<Counter>,
     /// `dse_batch_ms`.
     pub batch_ms: Arc<Histogram>,
@@ -164,6 +166,7 @@ impl Engine {
             cache: EvalCache::registered_in(&registry),
             metrics: EngineMetrics {
                 scenarios: registry.counter("dse_scenarios_evaluated"),
+                cache_hits: registry.counter("cache_hits"),
                 cache_misses: registry.counter("cache_misses"),
                 batch_ms: registry.histogram_ms("dse_batch_ms"),
                 table_build_ms: registry.histogram_ms("dse_table_build_ms"),
@@ -348,10 +351,6 @@ impl Engine {
         // values, so records are unaffected.)
         let warm_entries = cache.map_or(0, EvalCache::len);
         let cold_start = cache.is_some() && warm_entries == 0;
-        // `cache_hits` is registered by the first sweep that probes the
-        // cache, so an engine that never does exports no hit series.
-        let cache_hits =
-            (cache.is_some() && !cold_start).then(|| self.registry.counter("cache_hits"));
         // The cache never rehashes mid-sweep, and the salt string is built
         // once instead of once per batch.
         let salt = match cache {
@@ -367,7 +366,6 @@ impl Engine {
             backend,
             cache,
             engine: self,
-            cache_hits,
             cold_start,
             salt: &salt,
             hits: AtomicU64::new(0),
@@ -676,8 +674,6 @@ struct BatchCtx<'a> {
     cache: Option<&'a EvalCache>,
     /// The sweeping engine: its series and its registry's span recorder.
     engine: &'a Engine,
-    /// `cache_hits`, for a sweep that probes the cache.
-    cache_hits: Option<Arc<Counter>>,
     /// The cache was empty when the sweep started: probes are skipped.
     cold_start: bool,
     salt: &'a str,
@@ -737,16 +733,13 @@ fn process_batch(
                     backend.evaluate_batch_prepared(space, tables, range.clone(), speedups);
                     ctx.misses.fetch_add(len as u64, Ordering::Relaxed);
                     ctx.engine.metrics.cache_misses.add(len as u64);
-                    cache.record_bypassed_misses(len as u64);
                     cache.insert_batch(keys, speedups);
                     None
                 } else {
                     // One read lock for the whole batch's probes.
                     let missing = cache.get_batch(keys, speedups, holes);
                     ctx.hits.fetch_add((len - missing) as u64, Ordering::Relaxed);
-                    if let Some(hits) = &ctx.cache_hits {
-                        hits.add((len - missing) as u64);
-                    }
+                    ctx.engine.metrics.cache_hits.add((len - missing) as u64);
                     Some(missing)
                 }
             };
@@ -808,7 +801,6 @@ fn process_batch_holes(
         // scenario earlier in this batch, or another worker): take
         // the cached value then — counted as a hit, since no backend
         // evaluation happened — so every slot ends up populated.
-        // `peek` keeps the re-probe itself out of the statistics.
         let mut peeked = 0u64;
         let mut evaluated = 0u64;
         for_each_run(space, range, |_, scenario, design, offset, run| {
@@ -835,9 +827,7 @@ fn process_batch_holes(
         });
         ctx.hits.fetch_add(peeked, Ordering::Relaxed);
         ctx.misses.fetch_add(evaluated, Ordering::Relaxed);
-        if let Some(hits) = &ctx.cache_hits {
-            hits.add(peeked);
-        }
+        ctx.engine.metrics.cache_hits.add(peeked);
         ctx.engine.metrics.cache_misses.add(evaluated);
     }
 }
@@ -1113,5 +1103,29 @@ mod tests {
         assert_eq!(result.stats.cache_hits, 2, "the warm design and the re-probed twin");
         assert_eq!(result.stats.valid, 3, "every duplicate slot must be filled");
         assert_eq!(result.records[0].speedup.to_bits(), result.records[1].speedup.to_bits());
+    }
+
+    #[test]
+    fn sweep_stats_the_registry_and_the_cache_stats_count_alike() {
+        // A cold sweep, a partially warm one with a duplicate design, and a
+        // sweep on a backend that does not memoise, all on one engine.
+        let engine = Engine::new(1);
+        let config = SweepConfig::default();
+        let sim = SimBackend::new();
+        let cold = ScenarioSpace::new().clear_designs().add_symmetric_grid([8.0]);
+        let mixed = ScenarioSpace::new().clear_designs().add_symmetric_grid([4.0, 4.0, 8.0]);
+        let sweeps: [(&ScenarioSpace, &dyn EvalBackend); 3] =
+            [(&cold, &sim), (&mixed, &sim), (&mixed, &AnalyticBackend)];
+        let mut summed = (0, 0);
+        for (space, backend) in sweeps {
+            let stats = engine.sweep(space, backend, &config).stats;
+            summed = (summed.0 + stats.cache_hits, summed.1 + stats.cache_misses);
+        }
+        assert_eq!(summed, (2, 5), "served: 8.0 and the twin 4.0; computed: the rest");
+        let snapshot = engine.registry().snapshot();
+        let series = (snapshot.counter("cache_hits"), snapshot.counter("cache_misses"));
+        assert_eq!(series, (Some(summed.0), Some(summed.1)), "the metrics verb's series");
+        let cache = engine.cache().stats();
+        assert_eq!((cache.hits, cache.misses), summed, "the stats verb's cache block");
     }
 }

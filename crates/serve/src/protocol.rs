@@ -60,7 +60,7 @@ use mp_dse::scenario::ScenarioSpace;
 use mp_model::explore::{Curve, Figure};
 
 /// Protocol identity reported by `ping`; bump on incompatible changes.
-pub const PROTOCOL_VERSION: &str = "mp-serve/6";
+pub const PROTOCOL_VERSION: &str = "mp-serve/7";
 
 /// Default scenario count per streamed sweep chunk: one frame of
 /// `8192 × FRAME_RECORD_BYTES` = 192 KiB of payload behind a ~50-byte header.
@@ -139,7 +139,8 @@ pub enum Request {
         start: usize,
         /// Last flat scenario index (exclusive).
         end: usize,
-        /// Records per streamed chunk (`0` = [`DEFAULT_CHUNK`]).
+        /// At most this many records per streamed chunk (`0`, or anything
+        /// above [`DEFAULT_CHUNK`], = [`DEFAULT_CHUNK`]).
         chunk: usize,
     },
     /// The `k` highest-speedup records of a full sweep.
@@ -304,11 +305,13 @@ pub enum Response {
         /// Human-readable reason.
         message: String,
     },
-    /// The service's admission queues are full; the request was **not**
-    /// executed and can be retried. Terminal, like [`Response::Error`], but
+    /// The query would take the service's estimated backlog past its
+    /// admission budget; the request was **not** executed and can be
+    /// retried. Terminal, like [`Response::Error`], but
     /// distinguishable so clients can back off instead of giving up.
     Busy {
-        /// Human-readable reason (which gate rejected the request).
+        /// Human-readable reason: the backlog and budget behind the
+        /// rejection.
         message: String,
         /// The planner's cost estimate for the rejected query in
         /// milliseconds (`0.0` when the rejection predates costing). Lets a
@@ -1212,7 +1215,7 @@ mod tests {
 
     #[test]
     fn busy_responses_are_terminal_and_round_trip() {
-        let busy = Response::Busy { message: "queue full".into(), estimated_cost_ms: 12.5 };
+        let busy = Response::Busy { message: "over budget".into(), estimated_cost_ms: 12.5 };
         assert!(busy.is_terminal());
         let line = encode_line(&ResponseEnvelope { id: 9, response: busy });
         let back: ResponseEnvelope = decode_line(&line).unwrap();

@@ -27,8 +27,9 @@
 //! stats marked [`SweepStats::coalesced`]), and admission is **cost-based**
 //! — the service budgets the *estimated evaluation cost* of its admitted,
 //! unfinished work (calibrated from the engine's live metrics) and rejects,
-//! retryably and with the estimate attached, what would blow the budget; the
-//! raw in-flight depth cap remains as a backstop.
+//! retryably and with the estimate attached, what would blow the budget.
+//! Every evaluation runs on its caller's thread (an executor, or the job
+//! runner), so the work in flight is already bounded by the callers.
 //!
 //! Prepared sweeps ([`SweepHandle`]: the space plus its columnar
 //! [`SpaceTables`]) are cached by content fingerprint and shared across
@@ -51,7 +52,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -96,11 +97,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// The other factor of the engine's thread count. Must be ≥ 1.
     pub threads_per_shard: usize,
-    /// Admission cap: evaluations in flight per service before new queries
-    /// are rejected with a retryable [`Response::Busy`] instead of piling
-    /// onto the engine. Must be ≥ 1. The backstop behind the primary,
-    /// cost-based gate ([`ServiceConfig::cost_budget_ms`]).
-    pub queue_capacity: usize,
     /// Cost-based admission budget: the estimated evaluation cost (ms) the
     /// service's admitted, unfinished work may reach before further queries
     /// are rejected with a retryable [`Response::Busy`] carrying the
@@ -118,7 +114,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 1,
             threads_per_shard: 1,
-            queue_capacity: 1024,
             cost_budget_ms: 30_000.0,
             cost_per_scenario_ms: None,
         }
@@ -236,11 +231,8 @@ pub struct SweepService {
     engine: Engine,
     /// [`ServiceConfig::shards`] as configured (see [`SweepService::shards`]).
     shards: usize,
-    /// Evaluations admitted and not yet finished — the admission backstop's
-    /// gauge. Debited and credited around each [`Engine::sweep_range`].
-    depth: AtomicUsize,
-    /// Estimated evaluation cost of those evaluations, microseconds — what
-    /// the cost-based admission gate budgets.
+    /// Estimated evaluation cost of the evaluations admitted and not yet
+    /// finished, microseconds — what the admission gate budgets.
     pending_cost_us: AtomicU64,
     prepared: Mutex<PreparedCache>,
     /// In-flight table builds, so racing first queries over the same new
@@ -254,7 +246,6 @@ pub struct SweepService {
     metrics: ServiceMetrics,
     catalogue: CatalogueRegistry,
     sweep_config: SweepConfig,
-    queue_capacity: usize,
     cost_budget_ms: f64,
     queries: AtomicU64,
     started: Instant,
@@ -280,7 +271,6 @@ impl SweepService {
     pub fn new(backend: Arc<dyn EvalBackend + Send + Sync>, config: &ServiceConfig) -> Self {
         assert!(config.shards > 0, "service needs at least one shard");
         assert!(config.threads_per_shard > 0, "service needs at least one thread per shard");
-        assert!(config.queue_capacity > 0, "admission queue capacity must be positive");
         assert!(config.cost_budget_ms > 0.0, "cost budget must be positive");
         // Memoising is the backend's call. The engine asks the backend per
         // sweep too; holding the answer here is what gates the service's own
@@ -302,14 +292,12 @@ impl SweepService {
             },
             engine,
             shards: config.shards,
-            depth: AtomicUsize::new(0),
             pending_cost_us: AtomicU64::new(0),
             prepared: Mutex::new(PreparedCache::default()),
             builds: SingleFlight::default(),
             coalescer: SingleFlight::default(),
             catalogue: CatalogueRegistry::new(),
             sweep_config,
-            queue_capacity: config.queue_capacity,
             cost_budget_ms: config.cost_budget_ms,
             queries: AtomicU64::new(0),
             started: Instant::now(),
@@ -532,9 +520,8 @@ impl SweepService {
 
     /// Evaluate `range` of `space` (`None` = the whole space), returning
     /// records in index order plus the engine's stats. Subject to admission
-    /// control ([`ServiceConfig::cost_budget_ms`],
-    /// [`ServiceConfig::queue_capacity`]): a query the gate refuses is
-    /// rejected with a retryable busy error instead of queued.
+    /// control ([`ServiceConfig::cost_budget_ms`]): a query the gate refuses
+    /// is rejected with a retryable busy error instead of queued.
     pub fn sweep(
         &self,
         space: &ScenarioSpace,
@@ -572,35 +559,19 @@ impl SweepService {
 
     /// The admission gate, checked once per *query* — the windows of an
     /// admitted streaming sweep are never rejected mid-answer, they just
-    /// share the engine with other admitted work. Two conditions:
-    ///
-    /// * **cost budget** (primary): the estimated evaluation cost of the
-    ///   service's admitted, unfinished work plus this query must stay
-    ///   within [`ServiceConfig::cost_budget_ms`] — a giant sweep can no
-    ///   longer bury a backlog that hundreds of cheap warm queries would
-    ///   sail through, and conversely cheap queries keep being admitted by
-    ///   *cost* where a raw depth cap would count them like giants. An idle
-    ///   (zero-pending) service admits anything: budgets bound *waiting*
-    ///   work, they must not make oversized queries unanswerable.
-    /// * **depth cap** (backstop): at most
-    ///   [`ServiceConfig::queue_capacity`] evaluations in flight per
-    ///   service, whatever the model thinks they cost.
+    /// share the engine with other admitted work. The estimated evaluation
+    /// cost of the service's admitted, unfinished work plus this query must
+    /// stay within [`ServiceConfig::cost_budget_ms`]: a giant sweep cannot
+    /// bury a backlog that hundreds of cheap warm queries would sail
+    /// through, and cheap queries keep being admitted by *cost* where a raw
+    /// count of queries would treat them like giants. An idle (zero-pending)
+    /// service admits anything: budgets bound *waiting* work, they must not
+    /// make oversized queries unanswerable.
     ///
     /// Rejections are retryable ([`Response::Busy`]) and carry the query's
     /// estimated cost.
     fn admit(&self, range: &Range<usize>) -> Result<(), ServeError> {
         let query_cost_ms = self.cost_model.estimate_ms(range.len());
-        let depth = self.depth.load(Ordering::Acquire);
-        if depth >= self.queue_capacity {
-            self.metrics.busy_rejections.inc();
-            return Err(busy(
-                format!(
-                    "the service's admission queue is full ({depth} sweeps in flight, cap {})",
-                    self.queue_capacity
-                ),
-                query_cost_ms,
-            ));
-        }
         let pending_ms = self.pending_cost_us.load(Ordering::Acquire) as f64 / 1e3;
         if pending_ms > 0.0 && pending_ms + query_cost_ms > self.cost_budget_ms {
             self.metrics.cost_rejections.inc();
@@ -632,7 +603,7 @@ impl SweepService {
         query: Query,
     ) -> Result<SweepResult, ServeError> {
         if range.is_empty() {
-            return self.evaluate_scheduled(handle, range, query);
+            return self.evaluate_on_engine(handle, range, query);
         }
         let key = PlanKey {
             fingerprint: handle.fingerprint(),
@@ -642,7 +613,7 @@ impl SweepService {
         };
         match self.coalescer.join(key) {
             Role::Leader => {
-                let result = self.evaluate_scheduled(handle, range, query).map(Arc::new);
+                let result = self.evaluate_on_engine(handle, range, query).map(Arc::new);
                 self.coalescer.publish(&key, result.clone());
                 // No follower joined: the published Arc is already dropped
                 // and the result is returned without a copy.
@@ -670,14 +641,13 @@ impl SweepService {
     /// joined its workers when it re-raises, and whatever the panicking
     /// sweep cached is deterministic, so a retry re-reads it warm. No
     /// admission check — callers gate first.
-    fn evaluate_scheduled(
+    fn evaluate_on_engine(
         &self,
         handle: &SweepHandle<'static>,
         range: Range<usize>,
         query: Query,
     ) -> Result<SweepResult, ServeError> {
         let cost_us = (self.cost_model.estimate_ms(range.len()) * 1e3) as u64;
-        self.depth.fetch_add(1, Ordering::AcqRel);
         self.pending_cost_us.fetch_add(cost_us, Ordering::AcqRel);
         self.metrics.queue_depth.add(1);
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -703,7 +673,6 @@ impl SweepService {
         }));
         self.metrics.queue_depth.sub(1);
         self.pending_cost_us.fetch_sub(cost_us, Ordering::Release);
-        self.depth.fetch_sub(1, Ordering::Release);
         result.map_err(|payload| {
             let reason = panic_reason(payload.as_ref());
             self.registry()
@@ -717,8 +686,9 @@ impl SweepService {
     /// [`SweepHandle`], and returns a [`SweepTicket`] whose windows are
     /// computed only when [`SweepService::next_window`] pulls them — nothing
     /// is evaluated or buffered for a consumer that has stopped draining.
-    /// `chunk` is the response chunk size (`0` = [`DEFAULT_CHUNK`]); windows
-    /// are chunk-aligned so streamed chunk boundaries are identical to a
+    /// `chunk` is the response chunk size, at most [`DEFAULT_CHUNK`] (`0`
+    /// and anything larger mean [`DEFAULT_CHUNK`]); windows are
+    /// chunk-aligned so streamed chunk boundaries are identical to a
     /// one-shot sweep's.
     pub fn begin_sweep(
         &self,
@@ -745,10 +715,12 @@ impl SweepService {
         if self.memoises() {
             self.engine.cache().reserve(range.len());
         }
-        let chunk = if chunk == 0 { DEFAULT_CHUNK } else { chunk };
-        // Pull windows of roughly DEFAULT_CHUNK scenarios, rounded to a
-        // whole number of response chunks so boundaries stay aligned.
-        let window = (DEFAULT_CHUNK / chunk).max(1) * chunk;
+        // A window is evaluated and framed whole, so the chunk cap is what
+        // bounds an answer's memory at one window, whatever the client sent.
+        let chunk = if chunk == 0 { DEFAULT_CHUNK } else { chunk.min(DEFAULT_CHUNK) };
+        // Pull windows of at most DEFAULT_CHUNK scenarios, a whole number
+        // of response chunks so boundaries stay aligned.
+        let window = DEFAULT_CHUNK / chunk * chunk;
         let cursor = handle.cursor(range, window);
         Ok(SweepTicket {
             handle,
@@ -961,7 +933,8 @@ pub struct SweepTicket {
 }
 
 impl SweepTicket {
-    /// The response chunk size the query asked for (normalised, never 0).
+    /// The response chunk size the query asked for, normalised to
+    /// `1..=DEFAULT_CHUNK`.
     pub fn chunk(&self) -> usize {
         self.chunk
     }
@@ -997,7 +970,7 @@ mod tests {
     use crate::protocol::from_wire;
     use mp_dse::analysis::{pareto_frontier, top_k, CostAxis};
     use mp_dse::backend::{AnalyticBackend, SimBackend};
-    use mp_dse::cache::EvalCache;
+    use mp_dse::cache::{CacheStats, EvalCache};
     use mp_model::params::AppParams;
 
     fn space() -> ScenarioSpace {
@@ -1246,7 +1219,9 @@ mod tests {
         assert!(!dir.join(CACHE_SEGMENT).exists(), "nothing to spill");
         assert_eq!(service.load_cache_segments(&dir), 0);
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(service.stats().cache, EvalCache::new().stats());
+        // Three passes computed by the backend; nothing else moved.
+        let untouched = CacheStats { misses: 3 * space.len() as u64, ..EvalCache::new().stats() };
+        assert_eq!(service.stats().cache, untouched);
     }
 
     /// The records of a `top_k` / `pareto` answer.

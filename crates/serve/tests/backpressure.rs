@@ -1,8 +1,9 @@
 //! Backpressure behaviour of the serve stack, verified at both layers:
 //!
-//! * **admission control** — a service whose in-flight cap is reached rejects
-//!   new queries with a retryable busy error instead of queueing them
-//!   (deterministic: the backend blocks on a gate the test controls);
+//! * **admission control** — a service whose admitted backlog would pass its
+//!   cost budget rejects new queries with a retryable busy error instead of
+//!   queueing them (deterministic: the per-scenario cost is pinned and the
+//!   backend blocks on a gate the test controls);
 //! * **write-side watermarks** — a client that drains its socket slowly
 //!   parks its streaming sweep at the outbox high watermark; `EPOLLOUT`
 //!   re-arms it, the full answer still arrives bit-identical, and fast
@@ -62,19 +63,21 @@ fn tiny_space() -> ScenarioSpace {
 }
 
 #[test]
-fn full_admission_queue_rejects_with_busy_then_recovers() {
+fn exhausted_admission_budget_rejects_with_busy_then_recovers() {
     let (backend, entered, release) = GateBackend::new();
+    // One scenario costs 1 ms against a 1.5 ms budget: an idle service
+    // admits a query, and a second one on top of it would pass the budget.
     let service = Arc::new(SweepService::new(
         Arc::new(backend),
         &ServiceConfig {
             shards: 1,
             threads_per_shard: 1,
-            queue_capacity: 1,
-            ..ServiceConfig::default()
+            cost_budget_ms: 1.5,
+            cost_per_scenario_ms: Some(1.0),
         },
     ));
 
-    // Occupy the only slot: this sweep blocks inside the gated backend.
+    // Spend the budget: this sweep blocks inside the gated backend.
     let space = tiny_space();
     let occupied = {
         let service = Arc::clone(&service);
@@ -89,8 +92,8 @@ fn full_admission_queue_rejects_with_busy_then_recovers() {
         }
     }
 
-    // The service is at its in-flight cap: new queries bounce, retryably, on
-    // both the service API and the wire protocol — and nothing was queued.
+    // The budget is spent: new queries bounce, retryably, on both the
+    // service API and the wire protocol — and nothing was queued.
     let rejected = service.sweep(&space, None).unwrap_err();
     assert!(rejected.is_busy(), "expected busy, got: {rejected}");
     assert_eq!(rejected.kind, ServeErrorKind::Busy);

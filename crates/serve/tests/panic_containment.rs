@@ -66,10 +66,9 @@ fn a_backend_panic_fails_one_query_and_leaves_the_service_answering() {
             &ServiceConfig {
                 shards,
                 threads_per_shard,
-                // One slot and a budget any leaked pending cost would blow:
-                // the follow-up query is admitted only if the failed one
-                // credited both gauges back.
-                queue_capacity: 1,
+                // A budget any leaked pending cost would blow: the follow-up
+                // query is admitted only if the failed one credited its cost
+                // back (and `executor_queue_depth` is read below).
                 cost_budget_ms: 1.0,
                 cost_per_scenario_ms: Some(1.0),
             },

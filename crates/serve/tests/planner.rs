@@ -162,7 +162,6 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
             threads_per_shard: 1,
             cost_budget_ms: 10.0,
             cost_per_scenario_ms: Some(1.0),
-            ..ServiceConfig::default()
         },
     ));
 

@@ -195,8 +195,8 @@ proptest! {
         prop_assert_eq!(m, want.len());
 
         for &(key, bits) in &want {
-            let a = from_segment.get(key).expect("segment kept the key");
-            let b = from_json.get(key).expect("JSON kept the key");
+            let a = from_segment.peek(key).expect("segment kept the key");
+            let b = from_json.peek(key).expect("JSON kept the key");
             prop_assert!(a.to_bits() == bits, "segment bits for {:?}", key);
             prop_assert!(b.to_bits() == bits, "JSON bits for {:?}", key);
         }

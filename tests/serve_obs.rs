@@ -255,6 +255,35 @@ fn sweep_stats_stay_exact_under_concurrent_queries() {
 }
 
 #[test]
+fn the_stats_and_metrics_verbs_count_the_cache_alike() {
+    // One sweep thread: a cold sweep, then one batch holding a duplicate
+    // design and the design the first sweep cached.
+    let service = SweepService::new(Arc::new(SimBackend::new()), &ServiceConfig::default());
+    let mut summed = (0, 0);
+    for designs in [&[8.0][..], &[4.0, 4.0, 8.0]] {
+        let space = ScenarioSpace::new().clear_designs().add_symmetric_grid(designs.to_vec());
+        let stats = service.sweep(&space, None).unwrap().stats;
+        summed = (summed.0 + stats.cache_hits, summed.1 + stats.cache_misses);
+    }
+    assert_eq!(summed, (2, 2), "served: 8.0 and the twin 4.0; computed: 8.0, then 4.0");
+    let cache = match service.handle(&Request::Stats) {
+        Answer::Response(Response::Stats(stats)) => stats.cache,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let json = match service.handle(&Request::Metrics) {
+        Answer::Response(Response::Metrics { json, .. }) => json,
+        other => panic!("expected metrics, got {other:?}"),
+    };
+    let count = |name: &str| series(&json, "counters", name).map(|value| value as u64);
+    assert_eq!((cache.hits, cache.misses), summed, "the stats verb");
+    assert_eq!(
+        (count("cache_hits"), count("cache_misses")),
+        (Some(2), Some(2)),
+        "the metrics verb"
+    );
+}
+
+#[test]
 fn two_services_in_one_process_keep_their_series_apart() {
     let space = space();
     let (a, b) = (service(1), service(1));

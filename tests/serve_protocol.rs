@@ -390,9 +390,10 @@ fn small_server() -> (Endpoint, std::thread::JoinHandle<()>) {
     (endpoint, std::thread::spawn(move || server.run().unwrap()))
 }
 
-/// A sweep whose `chunk` is close to `usize::MAX` is one window to the end
-/// of its range: in process and over the socket it returns exactly records
-/// `5..n`, bit-identical to `Engine::sweep_range`, and the server answers on.
+/// A sweep whose `chunk` is close to `usize::MAX` is answered in chunks of
+/// at most `DEFAULT_CHUNK`: in process and over the socket it returns
+/// exactly records `5..n`, bit-identical to `Engine::sweep_range`, and the
+/// server answers on.
 #[test]
 fn a_chunk_near_usize_max_streams_exactly_the_requested_range() {
     let space = ScenarioSpace::new()
@@ -449,6 +450,54 @@ fn a_chunk_near_usize_max_streams_exactly_the_requested_range() {
     let ping = encode_line(&RequestEnvelope { id: 3, request: Request::Ping });
     socket.write_all(format!("{ping}\n").as_bytes()).unwrap();
     assert!(matches!(read_response(&mut socket).response, Response::Pong { .. }));
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    serving.join().unwrap();
+}
+
+/// However large the `chunk` a client sends, a streamed sweep arrives in
+/// frames of at most `DEFAULT_CHUNK` records — the server holds one window
+/// at a time — bit-identical to `Engine::sweep`.
+#[test]
+fn a_huge_chunk_still_streams_in_windows_of_at_most_the_default_chunk() {
+    let space = ScenarioSpace::new()
+        .clear_designs()
+        .add_symmetric_grid((0..20_000).map(|i| 1.0 + i as f64 * 0.01));
+    let n = space.len();
+    assert_eq!(n, 20_000);
+    let want = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default()).records;
+
+    let (endpoint, serving) = small_server();
+    let mut socket = raw_connection(&endpoint);
+    let request =
+        Request::Sweep { space: SpaceSpec::Explicit(space), start: 0, end: n, chunk: usize::MAX };
+    let line = encode_line(&RequestEnvelope { id: 1, request });
+    socket.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut decoder = ResponseDecoder::new();
+    let mut responses = Vec::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    while !responses.last().is_some_and(Response::is_terminal) {
+        let read = socket.read(&mut buf).expect("the server answers before the read deadline");
+        assert!(read > 0, "the server closed before the sweep finished");
+        decoder.push(&buf[..read]);
+        responses.extend(decoder.by_ref().map(|envelope| envelope.unwrap().response));
+    }
+    let frames: Vec<usize> = responses
+        .iter()
+        .filter_map(|r| match r {
+            Response::SweepChunk { records, .. } => Some(records.len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(frames, [DEFAULT_CHUNK, DEFAULT_CHUNK, n - 2 * DEFAULT_CHUNK], "frame sizes");
+    let (got, stats) = assemble_sweep(responses, &(0..n)).unwrap();
+    assert_eq!(stats.scenarios, n);
+    assert_eq!(got.len(), want.len());
+    for (a, b) in got.iter().zip(&want) {
+        assert_eq!(a.index, b.index);
+        assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "@{}", a.index);
+        assert_eq!(a.cores.to_bits(), b.cores.to_bits(), "@{}", a.index);
+        assert_eq!(a.area.to_bits(), b.area.to_bits(), "@{}", a.index);
+    }
     Client::connect(&endpoint).unwrap().shutdown().unwrap();
     serving.join().unwrap();
 }
