@@ -3,13 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mp_cmpsim::program::ReductionKind;
 use mp_cmpsim::{fuzzy_program, hop_program, kmeans_program, simulate, Machine, WorkloadShape};
+use mp_par::ReductionStrategy;
 
 fn bench_simulator(c: &mut Criterion) {
-    let kmeans = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
-    let fuzzy = fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
-    let hop = hop_program(&WorkloadShape::hop_default(), ReductionKind::SerialLinear, 4);
+    let kmeans = kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
+    let fuzzy = fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
+    let hop = hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4);
 
     let mut group = c.benchmark_group("cmpsim/simulate");
     for (name, program) in [("kmeans", &kmeans), ("fuzzy", &fuzzy), ("hop", &hop)] {
@@ -23,7 +23,7 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 
     // A long-running iterative program stresses the unrolled phase loop.
-    let mut long = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+    let mut long = kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
     long.iterations = 2000;
     c.bench_function("cmpsim/simulate-2000-iterations", |b| {
         let machine = Machine::table1(16);

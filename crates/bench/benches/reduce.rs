@@ -57,7 +57,7 @@ fn map_reduce(threads: usize, items: usize, elements: usize) -> Vec<f64> {
         }
         partial
     });
-    let (merged, _stats) = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
+    let merged = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
     exec.serial("store", || merged)
 }
 

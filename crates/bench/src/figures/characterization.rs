@@ -6,7 +6,6 @@
 //! algorithm structure, and the "real hardware" side from actually running the
 //! instrumented Rust workloads on the host machine.
 
-use mp_cmpsim::program::ReductionKind;
 use mp_cmpsim::{
     fuzzy_program, hop_program, kmeans_program, simulate_profile, Machine, WorkloadShape,
 };
@@ -16,6 +15,7 @@ use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
 use mp_model::perf::PerfModel;
 use mp_model::phase::RunProfile;
+use mp_par::ReductionStrategy;
 use mp_workloads::data::DatasetSpec;
 use mp_workloads::runner::{run_sweep, ClusteringWorkload, WorkloadKind};
 
@@ -38,9 +38,9 @@ fn base_shape(app: &str) -> WorkloadShape {
 /// at the characterisation core counts (the paper's 1–16-core SESC runs).
 pub fn simulated_accounting(app: &str, shape: &WorkloadShape) -> RunAccounting {
     let program = match app {
-        "kmeans" => kmeans_program(shape, ReductionKind::SerialLinear),
-        "fuzzy" => fuzzy_program(shape, ReductionKind::SerialLinear),
-        "hop" => hop_program(shape, ReductionKind::SerialLinear, 4),
+        "kmeans" => kmeans_program(shape, ReductionStrategy::SerialLinear),
+        "fuzzy" => fuzzy_program(shape, ReductionStrategy::SerialLinear),
+        "hop" => hop_program(shape, ReductionStrategy::SerialLinear, 4),
         other => panic!("unknown application {other}"),
     };
     let runs: Vec<MeasuredRun> = CHARACTERIZATION_CORES

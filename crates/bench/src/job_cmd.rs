@@ -6,8 +6,9 @@
 //! * `submit` — register the load-generator space ([`load_space`]; or,
 //!   with `--dse-space`, the full `repro dse` exploration space) as a
 //!   durable background sweep, printing the job id and initial snapshot.
-//!   `--chunk` sizes the runner windows, `--checkpoint-every` the
-//!   checkpoint cadence in completed windows.
+//!   `--chunk` sizes the runner windows, at most `DEFAULT_CHUNK` (8192)
+//!   scenarios each; `--checkpoint-every` the checkpoint cadence in
+//!   completed windows.
 //! * `status` / `cancel` / `resume` — inspect, gracefully stop or
 //!   re-queue a job by `--id`.
 //!

@@ -210,12 +210,9 @@ fn check_metrics(metrics_json: &str, options: &Options, memoises: bool) -> Vec<S
     // The planner's series are registered unconditionally; coalescing and
     // rejection counts depend on the workload shape, so presence (not
     // activity) is what every load shape can assert.
-    for name in [
-        "busy_rejections",
-        "planner_coalesced_requests",
-        "planner_shared_scenarios",
-        "planner_cost_rejections",
-    ] {
+    for name in
+        ["planner_coalesced_requests", "planner_shared_scenarios", "planner_cost_rejections"]
+    {
         if metrics_series(&value, "counters", name).and_then(|v| v.as_f64()).is_none() {
             problems.push(format!("counter `{name}` is missing"));
         }
@@ -880,7 +877,7 @@ mod tests {
                 "{{\"counters\":{{\"requests_total_ping\":2,\"requests_total_stats\":4,",
                 "\"requests_total_sweep\":8,\"requests_total_prepare\":1,",
                 "\"requests_total_top_k\":3,\"requests_total_pareto\":3,",
-                "\"cache_hits\":100,\"busy_rejections\":0,",
+                "\"cache_hits\":100,",
                 "\"planner_coalesced_requests\":0,\"planner_shared_scenarios\":0,",
                 "\"planner_cost_rejections\":0}},",
                 "\"gauges\":{{\"executor_queue_depth\":0,\"alloc_live_bytes\":10,",

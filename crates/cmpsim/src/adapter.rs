@@ -21,7 +21,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::program::{PhaseOp, PhaseProgram, ReductionKind};
+use mp_par::ReductionStrategy;
+
+use crate::program::{PhaseOp, PhaseProgram};
 
 /// Shape of a clustering problem, the only input the program builders need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,7 +70,7 @@ impl WorkloadShape {
 ///
 /// `reduction` selects the merge implementation (the paper's Algorithm 1 is
 /// the serial linear one).
-pub fn kmeans_program(shape: &WorkloadShape, reduction: ReductionKind) -> PhaseProgram {
+pub fn kmeans_program(shape: &WorkloadShape, reduction: ReductionStrategy) -> PhaseProgram {
     let n = shape.points as f64;
     let c = shape.clusters as f64;
     let d = shape.dims as f64;
@@ -98,7 +100,7 @@ pub fn kmeans_program(shape: &WorkloadShape, reduction: ReductionKind) -> PhaseP
 }
 
 /// Build the fuzzy c-means phase program for a data-set shape.
-pub fn fuzzy_program(shape: &WorkloadShape, reduction: ReductionKind) -> PhaseProgram {
+pub fn fuzzy_program(shape: &WorkloadShape, reduction: ReductionStrategy) -> PhaseProgram {
     let n = shape.points as f64;
     let c = shape.clusters as f64;
     let d = shape.dims as f64;
@@ -142,7 +144,7 @@ pub fn hop_group_estimate(points: usize) -> usize {
 /// 13.5× speedup at 16 cores to exactly this).
 pub fn hop_program(
     shape: &WorkloadShape,
-    reduction: ReductionKind,
+    reduction: ReductionStrategy,
     tree_build_parallelism: usize,
 ) -> PhaseProgram {
     let n = shape.points as f64;
@@ -198,7 +200,7 @@ mod tests {
 
     #[test]
     fn kmeans_program_has_three_phases_per_iteration() {
-        let p = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+        let p = kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
         assert_eq!(p.body.len(), 3);
         assert_eq!(p.iterations, 20);
         assert!(p.prologue.is_empty());
@@ -206,7 +208,7 @@ mod tests {
 
     #[test]
     fn kmeans_serial_fraction_is_tiny_on_one_core() {
-        let p = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+        let p = kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
         let report = simulate(&p, &Machine::table1(1));
         let serial_fraction = report.serial_cycles() / report.total_cycles();
         // Paper Table II: 0.015 %. Ours should be of the same order (< 0.2 %).
@@ -221,8 +223,9 @@ mod tests {
         // vs 0.015 %).
         let shape = WorkloadShape::kmeans_base();
         let km =
-            simulate(&kmeans_program(&shape, ReductionKind::SerialLinear), &Machine::table1(1));
-        let fz = simulate(&fuzzy_program(&shape, ReductionKind::SerialLinear), &Machine::table1(1));
+            simulate(&kmeans_program(&shape, ReductionStrategy::SerialLinear), &Machine::table1(1));
+        let fz =
+            simulate(&fuzzy_program(&shape, ReductionStrategy::SerialLinear), &Machine::table1(1));
         let km_s = km.serial_cycles() / km.total_cycles();
         let fz_s = fz.serial_cycles() / fz.total_cycles();
         assert!(fz_s < km_s, "fuzzy {fz_s} vs kmeans {km_s}");
@@ -232,8 +235,8 @@ mod tests {
     fn kmeans_and_fuzzy_scale_nearly_linearly_to_16_cores() {
         // Figure 2(a): kmeans and fuzzy exhibit speedups close to 16.
         for program in [
-            kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
-            fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
+            kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
+            fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
         ] {
             let base = simulate(&program, &Machine::table1(1)).total_cycles();
             let at16 = simulate(&program, &Machine::table1(16)).total_cycles();
@@ -247,7 +250,8 @@ mod tests {
     fn hop_speedup_saturates_near_thirteen() {
         // Figure 2(a): hop reaches only ≈ 13.5× at 16 cores because of the
         // tree-construction kernel.
-        let program = hop_program(&WorkloadShape::hop_default(), ReductionKind::SerialLinear, 4);
+        let program =
+            hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4);
         let base = simulate(&program, &Machine::table1(1)).total_cycles();
         let at16 = simulate(&program, &Machine::table1(16)).total_cycles();
         let speedup = base / at16;
@@ -258,9 +262,9 @@ mod tests {
     fn serial_section_grows_with_core_count() {
         // Figure 2(b): the serial-section time grows as cores are added.
         for program in [
-            kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
-            fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
-            hop_program(&WorkloadShape::hop_default(), ReductionKind::SerialLinear, 4),
+            kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
+            fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
+            hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4),
         ] {
             let s1 = simulate(&program, &Machine::table1(1)).serial_cycles();
             let s16 = simulate(&program, &Machine::table1(16)).serial_cycles();
@@ -279,7 +283,8 @@ mod tests {
         // its memory-bound merge. Verify the per-thread merge cost increases
         // with the thread count (the slope steepens once the partial tables
         // outgrow the L1).
-        let program = hop_program(&WorkloadShape::hop_default(), ReductionKind::SerialLinear, 4);
+        let program =
+            hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4);
         let red = |cores: usize| {
             simulate(&program, &Machine::table1(cores)).cycles_in(PhaseKind::Reduction)
         };
@@ -294,7 +299,7 @@ mod tests {
     #[test]
     fn privatized_reduction_produces_communication_phases() {
         let program =
-            kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::ParallelPrivatized);
+            kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::ParallelPrivatized);
         let report = simulate(&program, &Machine::table1(16));
         assert!(report.cycles_in(PhaseKind::Communication) > 0.0);
     }

@@ -8,7 +8,9 @@
 //!   `max_parallelism` cap; memory time is the per-core share of the
 //!   references times the average access latency of the phase's working set.
 //! * **SerialWork** — runs on the machine's serial core at `perf(r_serial)`.
-//! * **Reduction** — depends on the merge implementation:
+//! * **Reduction** — depends on the merge implementation, an
+//!   [`mp_par::ReductionStrategy`]; this walk is the one costed description
+//!   of each (`mp_par::reduce` executes them):
 //!   * *serial linear*: the serial core touches every element of every
 //!     partial (`threads · elements` element-merges), reading data written by
 //!     other cores (coherence penalty); the working set is all partials, so it
@@ -31,10 +33,11 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use mp_model::phase::{PhaseKind, PhaseRecord, RunProfile};
+use mp_par::ReductionStrategy;
 
 use crate::cache::CacheModel;
 use crate::machine::Machine;
-use crate::program::{PhaseOp, PhaseProgram, ReductionKind};
+use crate::program::{PhaseOp, PhaseProgram};
 
 /// Cycle count of one executed phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -155,14 +158,14 @@ fn walk_phases(
                 // All partials together form the merge working set.
                 let partials_bytes = threads * elements * bytes_per_element;
                 match kind {
-                    ReductionKind::SerialLinear => {
+                    ReductionStrategy::SerialLinear => {
                         // The master walks every partial: threads·x merges.
                         let merges = threads as f64 * x;
                         let compute = serial_core.compute_cycles(merges * ops_per_element, config);
                         let memory = cache.memory_cycles(merges, partials_bytes, threads > 1);
                         emit(PhaseKind::Reduction, PhaseLabel::Plain(label), compute + memory);
                     }
-                    ReductionKind::TreeLog => {
+                    ReductionStrategy::TreeLog => {
                         // Critical path: one merge of x elements per tree level
                         // (plus the initial local copy).
                         let levels = (threads as f64).log2().ceil().max(0.0) + 1.0;
@@ -175,7 +178,7 @@ fn walk_phases(
                         );
                         emit(PhaseKind::Reduction, PhaseLabel::Plain(label), compute + memory);
                     }
-                    ReductionKind::ParallelPrivatized => {
+                    ReductionStrategy::ParallelPrivatized => {
                         // Each core merges its share of the element space
                         // across all partials: threads·x/threads = x merges of
                         // critical path on a parallel core.
@@ -232,7 +235,7 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
 
-    fn simple_program(kind: ReductionKind) -> PhaseProgram {
+    fn simple_program(kind: ReductionStrategy) -> PhaseProgram {
         PhaseProgram::new("test")
             .with_body(PhaseOp::ParallelWork {
                 label: "work".into(),
@@ -259,7 +262,7 @@ mod tests {
 
     #[test]
     fn parallel_phase_scales_with_cores() {
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let t1 = simulate(&program, &Machine::table1(1));
         let t16 = simulate(&program, &Machine::table1(16));
         let p1 = t1.cycles_in(PhaseKind::Parallel);
@@ -269,7 +272,7 @@ mod tests {
 
     #[test]
     fn serial_phase_does_not_scale() {
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let t1 = simulate(&program, &Machine::table1(1));
         let t16 = simulate(&program, &Machine::table1(16));
         let s1 = t1.cycles_in(PhaseKind::SerialConstant);
@@ -279,7 +282,7 @@ mod tests {
 
     #[test]
     fn linear_reduction_grows_with_thread_count() {
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let r: Vec<f64> = [1usize, 2, 4, 8, 16]
             .iter()
             .map(|&c| simulate(&program, &Machine::table1(c)).cycles_in(PhaseKind::Reduction))
@@ -294,8 +297,8 @@ mod tests {
 
     #[test]
     fn tree_reduction_grows_logarithmically() {
-        let tree = simple_program(ReductionKind::TreeLog);
-        let linear = simple_program(ReductionKind::SerialLinear);
+        let tree = simple_program(ReductionStrategy::TreeLog);
+        let linear = simple_program(ReductionStrategy::SerialLinear);
         let at = |p: &PhaseProgram, c: usize| {
             simulate(p, &Machine::table1(c)).cycles_in(PhaseKind::Reduction)
         };
@@ -308,7 +311,7 @@ mod tests {
 
     #[test]
     fn privatized_reduction_shifts_cost_to_communication() {
-        let program = simple_program(ReductionKind::ParallelPrivatized);
+        let program = simple_program(ReductionStrategy::ParallelPrivatized);
         let report = simulate(&program, &Machine::table1(16));
         assert!(report.cycles_in(PhaseKind::Communication) > 0.0);
         // Its compute part grows far more slowly than a serial linear merge
@@ -342,7 +345,7 @@ mod tests {
 
     #[test]
     fn asymmetric_machine_accelerates_serial_phases() {
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let sym =
             simulate(&program, &Machine::symmetric(16, 1.0, MachineConfig::table1_baseline()));
         let asym = simulate(
@@ -357,7 +360,7 @@ mod tests {
 
     #[test]
     fn report_converts_to_profile() {
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let machine = Machine::table1(8);
         let report = simulate(&program, &machine);
         let profile = report.to_profile(&machine);
@@ -370,9 +373,11 @@ mod tests {
 
     #[test]
     fn cycles_kernel_matches_report_total_bitwise() {
-        for kind in
-            [ReductionKind::SerialLinear, ReductionKind::TreeLog, ReductionKind::ParallelPrivatized]
-        {
+        for kind in [
+            ReductionStrategy::SerialLinear,
+            ReductionStrategy::TreeLog,
+            ReductionStrategy::ParallelPrivatized,
+        ] {
             let program = simple_program(kind);
             for cores in [1usize, 2, 7, 16, 64] {
                 let machine = Machine::table1(cores);
@@ -385,7 +390,7 @@ mod tests {
 
     #[test]
     fn static_labels_reach_the_profile_without_copies() {
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let machine = Machine::table1(4);
         let report = simulate(&program, &machine);
         // Program labels are static strings, so the report (and the profile
@@ -399,7 +404,7 @@ mod tests {
     fn speedup_saturates_due_to_reduction_overhead() {
         // The qualitative Figure 2/3 behaviour: with a linear merge the
         // simulated speedup at high core counts falls below the ideal.
-        let program = simple_program(ReductionKind::SerialLinear);
+        let program = simple_program(ReductionStrategy::SerialLinear);
         let base = simulate(&program, &Machine::table1(1)).total_cycles();
         let at64 = simulate(&program, &Machine::table1(64)).total_cycles();
         let speedup = base / at64;

@@ -11,30 +11,12 @@ use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
-/// Reduction (merging-phase) implementation assumed by a [`PhaseOp::Reduction`]
-/// phase. Mirrors `mp_par::ReductionStrategy` without creating a dependency on
-/// the execution crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ReductionKind {
-    /// Serial accumulation of all per-thread partials (linear growth).
-    SerialLinear,
-    /// Pairwise combining tree (logarithmic growth of the critical path).
-    TreeLog,
-    /// Element-partitioned parallel merge (constant computation, all-to-all
-    /// communication).
-    ParallelPrivatized,
-}
+use mp_par::ReductionStrategy;
 
-impl ReductionKind {
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReductionKind::SerialLinear => "serial-linear",
-            ReductionKind::TreeLog => "tree-log",
-            ReductionKind::ParallelPrivatized => "parallel-privatized",
-        }
-    }
-}
+/// The old name of [`ReductionStrategy`], kept only because the layered
+/// benchmark (`benchmark/src/layers.rs`) imports it; it goes once that
+/// benchmark names `ReductionStrategy`.
+pub use mp_par::ReductionStrategy as ReductionKind;
 
 /// One phase of a program.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,7 +59,7 @@ pub enum PhaseOp {
         /// which grows with the thread count).
         bytes_per_element: usize,
         /// How the merge is implemented.
-        kind: ReductionKind,
+        kind: ReductionStrategy,
     },
     /// Broadcasting `elements` merged values back to all cores over the NoC.
     Broadcast {
@@ -175,7 +157,7 @@ mod tests {
                 elements: 80,
                 ops_per_element: 1.0,
                 bytes_per_element: 8,
-                kind: ReductionKind::SerialLinear,
+                kind: ReductionStrategy::SerialLinear,
             })
             .with_iterations(10);
         assert_eq!(p.prologue.len(), 1);
@@ -206,7 +188,7 @@ mod tests {
                 elements: 1,
                 ops_per_element: 1.0,
                 bytes_per_element: 8,
-                kind: ReductionKind::TreeLog,
+                kind: ReductionStrategy::TreeLog,
             },
             PhaseOp::Broadcast { label: "d".into(), elements: 1 },
         ];
@@ -215,10 +197,18 @@ mod tests {
     }
 
     #[test]
-    fn reduction_kind_names() {
-        assert_eq!(ReductionKind::SerialLinear.name(), "serial-linear");
-        assert_eq!(ReductionKind::TreeLog.name(), "tree-log");
-        assert_eq!(ReductionKind::ParallelPrivatized.name(), "parallel-privatized");
+    fn reduction_strategies_keep_their_names_and_serde_spelling() {
+        // A serialised program spells its merge by variant name; these are
+        // the spellings programs were written with.
+        let expect = [
+            ("serial-linear", "\"SerialLinear\""),
+            ("tree-log", "\"TreeLog\""),
+            ("parallel-privatized", "\"ParallelPrivatized\""),
+        ];
+        for (strategy, (name, json)) in ReductionStrategy::all().into_iter().zip(expect) {
+            assert_eq!(strategy.name(), name);
+            assert_eq!(serde_json::to_string(&strategy).unwrap(), json);
+        }
     }
 
     #[test]

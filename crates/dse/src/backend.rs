@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use mp_cmpsim::config::MachineConfig;
 use mp_cmpsim::engine::simulate_cycles;
 use mp_cmpsim::machine::Machine;
-use mp_cmpsim::program::{PhaseOp, PhaseProgram, ReductionKind};
+use mp_cmpsim::program::{PhaseOp, PhaseProgram};
 use mp_model::calibrate::CalibratedParams;
 use mp_model::chip::{AsymmetricDesign, SymmetricDesign};
 use mp_model::comm::{CommModel, CommSplit};
@@ -383,34 +383,21 @@ impl EvalBackend for AnalyticBackend {
 /// The scenario's growth axis is used as the reduction-*computation* growth
 /// (constant for a privatised parallel merge, linear for a serial one, …) and
 /// the topology axis as the communication growth. The computation /
-/// communication split defaults to the paper's ideal half/half split of the
-/// application's reduction fraction; [`CommBackend::with_split`] overrides it.
+/// communication split is the paper's ideal half/half split of the
+/// application's reduction fraction.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CommBackend {
-    split: Option<CommSplit>,
-}
+pub struct CommBackend;
 
 impl CommBackend {
     /// Backend with the paper's ideal split.
     pub fn new() -> Self {
-        CommBackend { split: None }
-    }
-
-    /// Use an explicit computation/communication split instead of the ideal
-    /// one derived from each application's reduction fraction.
-    pub fn with_split(mut self, split: CommSplit) -> Self {
-        self.split = Some(split);
-        self
+        CommBackend
     }
 
     fn model(&self, scenario: &Scenario<'_>) -> Result<CommModel, DseError> {
-        let split = match self.split {
-            Some(split) => split,
-            None => CommSplit::ideal(scenario.app.split.fred)?,
-        };
         Ok(CommModel::new(
             scenario.app.clone(),
-            split,
+            CommSplit::ideal(scenario.app.split.fred)?,
             scenario.growth.clone(),
             scenario.topology,
             scenario.perf,
@@ -439,15 +426,6 @@ fn speedup_comm(model: &CommModel, scenario: &Scenario<'_>) -> Result<f64, DseEr
 impl EvalBackend for CommBackend {
     fn name(&self) -> &'static str {
         "comm"
-    }
-
-    fn cache_salt(&self) -> String {
-        match self.split {
-            None => "comm".to_string(),
-            Some(split) => {
-                format!("comm:{:016x}:{:016x}", split.fcomp.to_bits(), split.fcomm.to_bits())
-            }
-        }
     }
 
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
@@ -641,7 +619,7 @@ impl EvalBackend for MeasuredBackend {
 pub struct SimBackend {
     config: MachineConfig,
     total_ops: f64,
-    baselines: Mutex<HashMap<(u64, u64, u64, u8), f64>>,
+    baselines: Mutex<HashMap<(u64, u64, u64, ReductionStrategy), f64>>,
 }
 
 impl Default for SimBackend {
@@ -670,14 +648,6 @@ impl SimBackend {
         self
     }
 
-    fn reduction_kind(strategy: ReductionStrategy) -> ReductionKind {
-        match strategy {
-            ReductionStrategy::SerialLinear => ReductionKind::SerialLinear,
-            ReductionStrategy::TreeLog => ReductionKind::TreeLog,
-            ReductionStrategy::ParallelPrivatized => ReductionKind::ParallelPrivatized,
-        }
-    }
-
     fn program(&self, scenario: &Scenario<'_>) -> PhaseProgram {
         let app = scenario.app;
         let parallel_ops = app.f * self.total_ops;
@@ -702,7 +672,7 @@ impl SimBackend {
                 elements,
                 ops_per_element: 1.0,
                 bytes_per_element: 8,
-                kind: Self::reduction_kind(scenario.reduction),
+                kind: scenario.reduction,
             })
             .with_body(PhaseOp::SerialWork {
                 label: "serial-constant".into(),
@@ -725,11 +695,7 @@ impl SimBackend {
             app.f.to_bits(),
             app.split.fcon.to_bits(),
             self.total_ops.to_bits(),
-            match scenario.reduction {
-                ReductionStrategy::SerialLinear => 0u8,
-                ReductionStrategy::TreeLog => 1,
-                ReductionStrategy::ParallelPrivatized => 2,
-            },
+            scenario.reduction,
         );
         if let Some(&cycles) = self.baselines.lock().get(&key) {
             return cycles;
@@ -1049,9 +1015,9 @@ mod tests {
     /// Lift `model` onto a one-point space — its comp growth on the growth
     /// axis, its perf model and topology on theirs — and sweep the
     /// power-of-two symmetric grid plus the `r = 4` asymmetric grid on an
-    /// engine with the model's split. Asserts the swept `(area, cores,
-    /// speedup)` bits equal those of `explore`'s comm loops on the same grids
-    /// and returns them.
+    /// engine. The backend's split is the ideal one, so `model` must carry
+    /// it. Asserts the swept `(area, cores, speedup)` bits equal those of
+    /// `explore`'s comm loops on the same grids and returns them.
     fn comm_sweep_matching_explore(model: &CommModel) -> Vec<[u64; 3]> {
         use crate::engine::{Engine, SweepConfig};
         use mp_model::explore::{asymmetric_curve_comm, symmetric_curve_comm};
@@ -1067,8 +1033,9 @@ mod tests {
             .clear_designs()
             .add_symmetric_grid(sizes)
             .add_asymmetric_grid([4.0], rls);
-        let backend = CommBackend::new().with_split(model.split());
-        let records = Engine::new(1).sweep(&space, &backend, &SweepConfig::default()).records;
+        assert_eq!(model.split(), CommSplit::ideal(model.params().split.fred).unwrap());
+        let records =
+            Engine::new(1).sweep(&space, &CommBackend::new(), &SweepConfig::default()).records;
         let swept: Vec<_> =
             records.iter().map(|r| [r.area, r.cores, r.speedup].map(f64::to_bits)).collect();
 
@@ -1108,21 +1075,5 @@ mod tests {
         );
         let pollack = CommModel::paper_figure7(params).unwrap();
         assert_ne!(comm_sweep_matching_explore(&power), comm_sweep_matching_explore(&pollack));
-    }
-
-    #[test]
-    fn comm_curve_honours_an_explicit_split() {
-        // The skewed split genuinely differs from the ideal one the backend
-        // derives by default, so the check bites.
-        let params = AppParams::table2_kmeans();
-        let skewed = CommModel::new(
-            params.clone(),
-            CommSplit::new(0.1, 0.33).unwrap(),
-            GrowthFunction::Constant,
-            Topology::Mesh2D,
-            PerfModel::Pollack,
-        );
-        let ideal = CommModel::paper_figure7(params).unwrap();
-        assert_ne!(comm_sweep_matching_explore(&skewed), comm_sweep_matching_explore(&ideal));
     }
 }

@@ -13,8 +13,9 @@
 //!   of a workload run, forks on one.
 //! * [`reduce`] — the three merge implementations analysed by the paper:
 //!   serial linear accumulation, logarithmic tree combining and privatised
-//!   parallel (element-partitioned) reduction, together with operation
-//!   counters that feed the timing simulator.
+//!   parallel (element-partitioned) reduction, and [`ReductionStrategy`],
+//!   the one name of each that the workloads run, the design-space sweeps
+//!   vary and the timing simulator costs.
 //!
 //! The API is synchronous and panic-propagating: if a worker panics, the panic
 //! is re-raised on the calling thread after all workers have stopped.
@@ -26,4 +27,4 @@ pub mod pool;
 pub mod reduce;
 
 pub use pool::{Team, ThreadCtx, ThreadPool};
-pub use reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};
+pub use reduce::{reduce_elementwise, ReductionStrategy};

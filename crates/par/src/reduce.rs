@@ -14,9 +14,11 @@
 //! The linear strategy is the kmeans merging loop of paper Algorithm 1; the
 //! tree strategy gives the logarithmic growth function; the privatised
 //! strategy removes the computational growth but pays for it in communication
-//! (paper Section V-E). [`ReduceStats`] records these counts so the timing
-//! simulator and the analytical model can be cross-validated against the same
-//! run.
+//! (paper Section V-E). The one costed description of each strategy is
+//! `mp_cmpsim`'s reduction walk (`engine.rs`), which the simulator and the
+//! design-space sweeps both run. The walk also counts the copy of the first
+//! partial, so its critical paths — `p·x`, `(⌈log2 p⌉ + 1)·x` and `x` —
+//! sit one partial above the table's.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -56,52 +58,6 @@ impl ReductionStrategy {
             ReductionStrategy::TreeLog,
             ReductionStrategy::ParallelPrivatized,
         ]
-    }
-}
-
-/// Operation counts recorded while executing a reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReduceStats {
-    /// Number of partial results that were merged.
-    pub partials: usize,
-    /// Number of reduction elements per partial.
-    pub elements: usize,
-    /// Total element-level combine operations performed (all threads).
-    pub total_ops: usize,
-    /// Element-level operations on the critical path (longest dependent chain).
-    pub critical_path_ops: usize,
-    /// Reduction elements logically transferred between threads.
-    pub comm_elements: usize,
-    /// Number of dependent combining rounds.
-    pub rounds: usize,
-}
-
-impl ReduceStats {
-    /// The analytical operation counts of merging `partials` partial results
-    /// of `elements` elements each with `strategy` — the formulas of the
-    /// module-header table.
-    ///
-    /// A single partial (or none) needs no merging: every count, including
-    /// the round count, is zero for all strategies.
-    pub fn for_strategy(strategy: ReductionStrategy, partials: usize, elements: usize) -> Self {
-        if partials <= 1 {
-            return ReduceStats { partials, elements, ..ReduceStats::default() };
-        }
-        let p = partials;
-        let x = elements;
-        let total_ops = (p - 1) * x;
-        let (critical_path_ops, comm_elements, rounds) = match strategy {
-            ReductionStrategy::SerialLinear => ((p - 1) * x, (p - 1) * x, p - 1),
-            ReductionStrategy::TreeLog => {
-                let rounds = (p as f64).log2().ceil() as usize;
-                (rounds * x, (p - 1) * x, rounds)
-            }
-            ReductionStrategy::ParallelPrivatized => {
-                let per_thread = ((p - 1) * x).div_ceil(p);
-                (per_thread, 2 * (p - 1) * x, 1)
-            }
-        };
-        ReduceStats { partials, elements, total_ops, critical_path_ops, comm_elements, rounds }
     }
 }
 
@@ -167,15 +123,14 @@ pub fn reduce_elementwise(
     partials: &[Vec<f64>],
     strategy: ReductionStrategy,
     team: &Team,
-) -> (Vec<f64>, ReduceStats) {
+) -> Vec<f64> {
     assert!(!partials.is_empty(), "cannot reduce zero partials");
     let elements = partials[0].len();
     assert!(
         partials.iter().all(|p| p.len() == elements),
         "all partials must have the same number of elements"
     );
-    let stats = ReduceStats::for_strategy(strategy, partials.len(), elements);
-    let result = match strategy {
+    match strategy {
         ReductionStrategy::SerialLinear => {
             let mut acc = partials[0].clone();
             for p in &partials[1..] {
@@ -195,8 +150,7 @@ pub fn reduce_elementwise(
             });
             chunks.concat()
         }
-    };
-    (result, stats)
+    }
 }
 
 #[cfg(test)]
@@ -226,7 +180,7 @@ mod tests {
                 let partials = make_partials(p, x);
                 let expect = expected_sum(&partials);
                 for strategy in ReductionStrategy::all() {
-                    let (got, _) = reduce_elementwise(&partials, strategy, &team);
+                    let got = reduce_elementwise(&partials, strategy, &team);
                     for (g, e) in got.iter().zip(expect.iter()) {
                         assert!((g - e).abs() < 1e-9, "{strategy:?} p={p} x={x}");
                     }
@@ -277,7 +231,7 @@ mod tests {
                 let partials: Vec<Vec<f64>> =
                     (0..p).map(|_| (0..x).map(|_| next()).collect()).collect();
                 for &(threads, ref team) in &teams {
-                    let (got, _) = reduce_elementwise(&partials, ReductionStrategy::TreeLog, team);
+                    let got = reduce_elementwise(&partials, ReductionStrategy::TreeLog, team);
                     let want = tree_reduce_cloning_every_partial(&partials, threads);
                     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&want), "p={p} x={x} threads={threads}");
@@ -290,29 +244,8 @@ mod tests {
     fn single_partial_is_identity() {
         let partials = make_partials(1, 10);
         for strategy in ReductionStrategy::all() {
-            let (got, stats) = reduce_elementwise(&partials, strategy, &Team::new(4));
-            assert_eq!(got, partials[0]);
-            assert_eq!(stats.total_ops, 0);
-            assert_eq!(stats.critical_path_ops, 0);
-            assert_eq!(stats.comm_elements, 0, "{strategy:?}");
-            assert_eq!(stats.rounds, 0, "one partial needs no rounds ({strategy:?})");
-        }
-    }
-
-    #[test]
-    fn degenerate_partial_counts_have_all_zero_stats() {
-        // partials == 1 (and the defensive 0) must not underflow or report
-        // phantom rounds for any strategy.
-        for partials in [0usize, 1] {
-            for strategy in ReductionStrategy::all() {
-                let s = ReduceStats::for_strategy(strategy, partials, 72);
-                assert_eq!(s.partials, partials);
-                assert_eq!(s.elements, 72);
-                assert_eq!(s.total_ops, 0, "{strategy:?}");
-                assert_eq!(s.critical_path_ops, 0, "{strategy:?}");
-                assert_eq!(s.comm_elements, 0, "{strategy:?}");
-                assert_eq!(s.rounds, 0, "{strategy:?}");
-            }
+            let got = reduce_elementwise(&partials, strategy, &Team::new(4));
+            assert_eq!(got, partials[0], "{strategy:?}");
         }
     }
 
@@ -333,47 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_linear_growth() {
-        let s = ReduceStats::for_strategy(ReductionStrategy::SerialLinear, 16, 72);
-        assert_eq!(s.total_ops, 15 * 72);
-        assert_eq!(s.critical_path_ops, 15 * 72);
-        assert_eq!(s.comm_elements, 15 * 72);
-        assert_eq!(s.rounds, 15);
-    }
-
-    #[test]
-    fn stats_tree_growth() {
-        let s = ReduceStats::for_strategy(ReductionStrategy::TreeLog, 16, 72);
-        assert_eq!(s.total_ops, 15 * 72);
-        assert_eq!(s.critical_path_ops, 4 * 72);
-        assert_eq!(s.rounds, 4);
-    }
-
-    #[test]
-    fn stats_privatized_growth() {
-        let s = ReduceStats::for_strategy(ReductionStrategy::ParallelPrivatized, 16, 72);
-        assert_eq!(s.total_ops, 15 * 72);
-        // Critical path is the per-thread share of the work.
-        assert_eq!(s.critical_path_ops, (15 * 72usize).div_ceil(16));
-        // Paper: communication grows by 2·(n−1)·x (gather + broadcast).
-        assert_eq!(s.comm_elements, 2 * 15 * 72);
-        assert_eq!(s.rounds, 1);
-    }
-
-    #[test]
-    fn stats_critical_path_ordering() {
-        // For any p > 2 the critical paths order: privatized < tree < linear.
-        for p in [4usize, 8, 64] {
-            let x = 100;
-            let lin = ReduceStats::for_strategy(ReductionStrategy::SerialLinear, p, x);
-            let tree = ReduceStats::for_strategy(ReductionStrategy::TreeLog, p, x);
-            let par = ReduceStats::for_strategy(ReductionStrategy::ParallelPrivatized, p, x);
-            assert!(par.critical_path_ops < tree.critical_path_ops);
-            assert!(tree.critical_path_ops < lin.critical_path_ops);
-        }
-    }
-
-    #[test]
     fn strategy_names_are_distinct() {
         let names: Vec<_> = ReductionStrategy::all().iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 3);
@@ -386,7 +278,7 @@ mod tests {
         // More threads than elements must still work.
         let partials = make_partials(4, 2);
         let team = Team::new(3);
-        let (got, _) = reduce_elementwise(&partials, ReductionStrategy::ParallelPrivatized, &team);
+        let got = reduce_elementwise(&partials, ReductionStrategy::ParallelPrivatized, &team);
         assert_eq!(got.len(), 2);
         let expect = expected_sum(&partials);
         assert!((got[0] - expect[0]).abs() < 1e-9);

@@ -498,6 +498,8 @@ impl JobManager {
                 fingerprint,
                 start: manifest.start,
                 end: manifest.end,
+                // As written, even above `DEFAULT_CHUNK`: the completed
+                // ordinals index this geometry.
                 window: manifest.window,
                 checkpoint_every: manifest.checkpoint_every,
                 cancel: AtomicBool::new(false),
@@ -538,7 +540,8 @@ impl JobManager {
     }
 
     /// Submit a sweep over `range` of `space` as a durable job. `chunk`
-    /// is the window size in scenarios (`0` = [`DEFAULT_CHUNK`]);
+    /// is the window size in scenarios, at most [`DEFAULT_CHUNK`] (`0` and
+    /// anything larger mean [`DEFAULT_CHUNK`]);
     /// `checkpoint_every` the cadence in completed windows (`0` = the
     /// manager's [`JobConfig::checkpoint_every`]). The initial manifest is
     /// persisted before this returns, so a submitted job survives a crash
@@ -557,7 +560,7 @@ impl JobManager {
                 range.start, range.end
             )));
         }
-        let window = if chunk == 0 { DEFAULT_CHUNK } else { chunk };
+        let window = if chunk == 0 { DEFAULT_CHUNK } else { chunk.min(DEFAULT_CHUNK) };
         let checkpoint_every =
             if checkpoint_every == 0 { self.config.checkpoint_every } else { checkpoint_every };
         let fingerprint = space_fingerprint(&space);

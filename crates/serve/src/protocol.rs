@@ -183,7 +183,8 @@ pub enum Request {
         start: usize,
         /// Last flat scenario index (exclusive).
         end: usize,
-        /// Scenarios per runner window (`0` = [`DEFAULT_CHUNK`]). Windows
+        /// Scenarios per runner window, at most [`DEFAULT_CHUNK`] (`0`, or
+        /// anything above [`DEFAULT_CHUNK`], = [`DEFAULT_CHUNK`]). Windows
         /// are the unit of checkpointing, retry and resume.
         chunk: usize,
         /// Checkpoint cadence in completed windows (`0` = server default).

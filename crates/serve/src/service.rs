@@ -78,7 +78,6 @@ use crate::protocol::{
 /// The service's series and its planner's (README's metrics catalogue),
 /// registered into its engine's registry when the service is built.
 struct ServiceMetrics {
-    busy_rejections: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     coalesced_requests: Arc<Counter>,
     shared_scenarios: Arc<Counter>,
@@ -283,7 +282,6 @@ impl SweepService {
             backend,
             cost_model: CostModel::new(config.cost_per_scenario_ms, engine.metrics()),
             metrics: ServiceMetrics {
-                busy_rejections: registry.counter("busy_rejections"),
                 queue_depth: registry.gauge("executor_queue_depth"),
                 coalesced_requests: registry.counter("planner_coalesced_requests"),
                 shared_scenarios: registry.counter("planner_shared_scenarios"),
@@ -575,7 +573,6 @@ impl SweepService {
         let pending_ms = self.pending_cost_us.load(Ordering::Acquire) as f64 / 1e3;
         if pending_ms > 0.0 && pending_ms + query_cost_ms > self.cost_budget_ms {
             self.metrics.cost_rejections.inc();
-            self.metrics.busy_rejections.inc();
             return Err(busy(
                 format!(
                     "the service's estimated backlog {pending_ms:.1} ms + this query's \

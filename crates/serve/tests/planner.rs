@@ -182,14 +182,21 @@ fn pending_cost_above_the_budget_rejects_with_the_query_estimate() {
     assert!(rejected.is_busy(), "cost rejections are retryable: {rejected}");
     assert_eq!(rejected.kind, ServeErrorKind::Busy);
     assert_eq!(rejected.estimated_cost_ms, 64.0, "estimate = scenarios × pinned cost");
-    assert_eq!(series(&service, "planner_cost_rejections"), 1);
+    let mut busy_answers = 1;
+    assert_eq!(series(&service, "planner_cost_rejections"), busy_answers);
     // The same rejection over the protocol carries the estimate.
     match service.handle(&Request::TopK { space: SpaceSpec::Explicit(space.clone()), k: 2 }) {
         Answer::Response(Response::Busy { estimated_cost_ms, .. }) => {
+            busy_answers += 1;
             assert_eq!(estimated_cost_ms, 64.0)
         }
         other => panic!("expected a busy response, got {other:?}"),
     }
+    // One series counts the gate's refusals, one per busy answer; no second
+    // series counts the same event.
+    let snapshot = service.registry().snapshot();
+    assert_eq!(snapshot.counter("planner_cost_rejections"), Some(busy_answers));
+    assert_eq!(snapshot.counter("busy_rejections"), None, "a duplicate rejection series");
 
     // Drain the backlog: pending cost returns to zero and admission reopens.
     open(&release);

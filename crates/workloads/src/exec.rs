@@ -36,7 +36,7 @@
 //! let partials = exec.parallel("multiply", x.len(), |_ctx, range| {
 //!     vec![range.map(|i| x[i] * x[i]).sum::<f64>()]
 //! });
-//! let (merged, _) = exec.reduce("merge", &partials, ReductionStrategy::TreeLog);
+//! let merged = exec.reduce("merge", &partials, ReductionStrategy::TreeLog);
 //! let dot = exec.serial("store", || merged[0]);
 //! assert_eq!(dot, (0..64).map(|i| (i * i) as f64).sum::<f64>());
 //!
@@ -48,7 +48,7 @@ use std::time::Instant;
 
 use mp_model::phase::{PhaseKind, PhaseRecord, RunProfile};
 use mp_par::pool::{Team, ThreadCtx};
-use mp_par::reduce::{reduce_elementwise, ReduceStats, ReductionStrategy};
+use mp_par::reduce::{reduce_elementwise, ReductionStrategy};
 
 /// Executes and times the phases of one run, keeping their records.
 pub struct PhaseExec {
@@ -133,7 +133,7 @@ impl PhaseExec {
         label: &'static str,
         partials: &[Vec<f64>],
         strategy: ReductionStrategy,
-    ) -> (Vec<f64>, ReduceStats) {
+    ) -> Vec<f64> {
         // The serial-linear merge runs on the calling thread; the tree and
         // privatised merges fan out over the run's team, and the record
         // reflects that.
@@ -205,7 +205,7 @@ mod tests {
             let in_tid_order: Vec<Vec<f64>> =
                 (0..64).map(|tid| vec![tid as f64, (tid * 10) as f64, 10.0]).collect();
             assert_eq!(partials, in_tid_order);
-            let (merged, _) = exec.reduce("merge", &partials, strategy);
+            let merged = exec.reduce("merge", &partials, strategy);
             assert_eq!(merged, vec![2016.0, 20160.0, 640.0]);
             exec.reduce_with("merge-with", note);
             exec.parallel_task("task", 64, |team, threads| team.run(threads, |_| note()));
@@ -241,9 +241,8 @@ mod tests {
         let mut exec = PhaseExec::new("t", 3);
         let partials = exec.parallel("work", 30, |_ctx, range| vec![range.len() as f64]);
         exec.parallel_task("limited", 2, |_, _| ());
-        let (merged, stats) = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
+        let merged = exec.reduce("merge", &partials, ReductionStrategy::SerialLinear);
         assert_eq!(merged, vec![30.0]);
-        assert_eq!(stats.partials, 3);
         let sum: f64 = exec.serial("check", || merged.iter().sum());
         assert_eq!(sum, 30.0);
         let profile = exec.finish();

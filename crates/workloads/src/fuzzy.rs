@@ -165,7 +165,7 @@ impl FuzzyCMeans {
             });
 
             // -------- Merging phase. -----------------------------------------
-            let (merged, _stats) = exec.reduce("merge-partials", &partials, self.config.reduction);
+            let merged = exec.reduce("merge-partials", &partials, self.config.reduction);
 
             // -------- Constant serial phase: new centres + convergence. ------
             final_delta = exec.serial("recompute-centers", || {

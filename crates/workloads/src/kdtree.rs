@@ -388,7 +388,7 @@ impl KdTreeWorkload {
         });
 
         // -------- Merging phase: reduce the per-thread histograms. -----------
-        let (merged, _stats) = exec.reduce("merge-histograms", &partials, self.config.reduction);
+        let merged = exec.reduce("merge-histograms", &partials, self.config.reduction);
 
         // -------- Constant serial phase: summary statistics. -----------------
         let (histogram, mean_kth_distance) = exec.serial("summarize", || {

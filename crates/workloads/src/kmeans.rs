@@ -167,7 +167,7 @@ impl KMeans {
             chunk_assignments = new_chunks;
 
             // -------- Merging phase: reduce the per-thread partials. ---------
-            let (merged, _stats) = exec.reduce("merge-partials", &partials, self.config.reduction);
+            let merged = exec.reduce("merge-partials", &partials, self.config.reduction);
 
             // -------- Constant serial phase: recompute centres, convergence. -
             let changed_fraction = exec.serial("recompute-centers", || {

@@ -6,11 +6,11 @@
 //! cargo run --release --example simulate_machine -- hop 16
 //! ```
 
-use merging_phases::cmpsim::program::ReductionKind;
 use merging_phases::cmpsim::{
     fuzzy_program, hop_program, kmeans_program, simulate, Machine, WorkloadShape,
 };
 use merging_phases::model::phase::PhaseKind;
+use merging_phases::par::ReductionStrategy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,9 +18,9 @@ fn main() {
     let cores: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
 
     let program = match app.as_str() {
-        "kmeans" => kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
-        "fuzzy" => fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
-        "hop" => hop_program(&WorkloadShape::hop_default(), ReductionKind::SerialLinear, 4),
+        "kmeans" => kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
+        "fuzzy" => fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
+        "hop" => hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4),
         other => {
             eprintln!("unknown application `{other}` (expected kmeans, fuzzy or hop)");
             std::process::exit(1);

@@ -77,10 +77,10 @@ fn measured_backend_agrees_with_analytic_on_injected_fractions() {
 
 #[test]
 fn calibration_from_cmpsim_simulation_tracks_the_observed_growth() {
-    use merging_phases::cmpsim::program::ReductionKind;
+    use merging_phases::par::ReductionStrategy;
     // Deterministic source: the timing simulator's kmeans phase programs at
     // 1–16 cores, the same runs Figure 2 is generated from.
-    let program = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+    let program = kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
     let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16]
         .iter()
         .map(|&cores| simulate_profile(&program, &Machine::table1(cores)).to_measured_run())
@@ -133,7 +133,7 @@ fn scheduler_run_calibrates_and_sweeps_end_to_end() {
 /// the whole fold from phase records to the fitted parameters.
 #[test]
 fn calibration_fingerprints_are_pinned() {
-    use merging_phases::cmpsim::program::ReductionKind;
+    use merging_phases::par::ReductionStrategy;
     let fit = |name: &str, profiles: &[RunProfile]| {
         let runs: Vec<_> = profiles.iter().map(RunProfile::to_measured_run).collect();
         CalibratedParams::fit(name, &runs).expect("sweep calibrates").fingerprint()
@@ -146,7 +146,7 @@ fn calibration_fingerprints_are_pinned() {
         .iter()
         .map(|&cores| {
             let program =
-                kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+                kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
             simulate_profile(&program, &Machine::table1(cores))
         })
         .collect();

@@ -404,6 +404,26 @@ fn a_window_near_usize_max_is_one_window_to_the_range_end() {
     }
 }
 
+#[test]
+fn a_huge_chunk_still_runs_in_windows_of_at_most_the_default_chunk() {
+    // Windows are the unit of checkpointing and of the runner's record
+    // buffer, so a client's `chunk` is capped like a streamed sweep's.
+    let space = space(20_000);
+    let n = space.len();
+    assert_eq!(n, 20_000);
+    let service = service(2, Arc::new(AnalyticBackend));
+    let manager = JobManager::new(Arc::clone(&service), None, test_config(1)).unwrap();
+    let submitted = manager.submit(space, 0..n, usize::MAX, 0).unwrap();
+    assert_eq!(
+        (submitted.window, submitted.windows_total),
+        (DEFAULT_CHUNK, 3),
+        "window and windows_total"
+    );
+    let done = wait_for(&manager, &submitted.id, Duration::from_secs(30), |s| s.is_settled());
+    assert_eq!(done.state, "completed", "{done:?}");
+    assert_eq!((done.windows_completed, done.scenarios_completed), (3, n));
+}
+
 /// The one response the service's dispatch answers a job verb with.
 fn respond(service: &SweepService, request: Request) -> Response {
     match service.handle(&request) {

@@ -5,17 +5,17 @@
 //! must then predict the simulator's serial-section growth and speedups within
 //! a reasonable tolerance for the near-linear workloads (kmeans, fuzzy).
 
-use merging_phases::cmpsim::program::ReductionKind;
 use merging_phases::cmpsim::{
     fuzzy_program, kmeans_program, simulate, simulate_profile, Machine, WorkloadShape,
 };
+use merging_phases::par::ReductionStrategy;
 use merging_phases::prelude::*;
 
 /// The Section V-A accounting of the simulator's 1–16-core runs of `app`.
 fn simulated_accounting(app: &str) -> RunAccounting {
     let program = match app {
-        "kmeans" => kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
-        "fuzzy" => fuzzy_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear),
+        "kmeans" => kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
+        "fuzzy" => fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
         _ => unreachable!(),
     };
     let runs: Vec<MeasuredRun> = [1usize, 2, 4, 8, 16]
@@ -71,7 +71,7 @@ fn simulator_reproduces_the_models_preference_for_larger_cores() {
     // check that, as in Figure 4, a high-overhead workload prefers r > 1.
     let shape = WorkloadShape { iterations: 5, ..WorkloadShape::kmeans_base() };
     // Exaggerate the merge so the overhead matters at 256 cores.
-    let program = kmeans_program(&shape, ReductionKind::SerialLinear);
+    let program = kmeans_program(&shape, ReductionStrategy::SerialLinear);
 
     let speedup_for = |r: f64| {
         let cores = (256.0 / r) as usize;
@@ -93,9 +93,10 @@ fn simulator_reproduces_the_models_preference_for_larger_cores() {
 
 #[test]
 fn privatized_merge_moves_simulated_cost_into_communication() {
-    let program_lin = kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::SerialLinear);
+    let program_lin =
+        kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
     let program_par =
-        kmeans_program(&WorkloadShape::kmeans_base(), ReductionKind::ParallelPrivatized);
+        kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::ParallelPrivatized);
     let machine = Machine::table1(16);
     let lin = simulate(&program_lin, &machine);
     let par = simulate(&program_par, &machine);
