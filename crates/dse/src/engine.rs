@@ -10,10 +10,11 @@
 //! locked queue — one uncontended lock per batch, no per-scenario
 //! synchronisation. Two entry points share that one batch loop:
 //!
-//! * [`Engine::sweep_range`] queues disjoint `&mut` slices of the one
-//!   preallocated record vector, so the output is deterministic and ordered
-//!   regardless of scheduling, and the borrow checker, not a comment, is
-//!   what keeps two workers off one slot.
+//! * [`Engine::sweep_range`] queues disjoint `&mut` chunks of the record
+//!   vector's uninitialised capacity, so the output is deterministic and
+//!   ordered regardless of scheduling, no thread fills the vector before
+//!   the workers write it, and the borrow checker, not a comment, is what
+//!   keeps two workers off one slot.
 //! * [`Engine::reduce_range`] answers a query that wants a few records back
 //!   (the top `k`, a Pareto frontier) without that vector: each worker
 //!   evaluates a batch into a buffer of its own, folds it into a private
@@ -250,25 +251,31 @@ impl Engine {
     ) -> SweepResult {
         assert!(range.end <= handle.len(), "sweep range {range:?} exceeds the space");
         let n = range.len();
-        // The batches cover `0..n` exactly once and overwrite every record,
-        // so a `vec![placeholder; n]` would be a second full write pass over
-        // tens of megabytes. The all-zero byte pattern is a valid
-        // `EvalRecord` (index 0, +0.0 everywhere), so the vector comes from
-        // a zeroed allocation instead: the kernel's lazily-mapped zero pages
-        // make it near-free and every element is still initialised.
-        let mut records: Vec<EvalRecord> = zeroed_records(n);
+        // No fill pass: the vector is a bare `malloc`, and the workers write
+        // the records into its spare capacity — batch `i` is the `i`-th
+        // disjoint chunk of it, so each evaluates straight into the answer.
+        // A zeroed allocation is free only when it is a fresh `mmap`; from
+        // the second sweep on it is a recycled block that this thread
+        // memsets before any worker starts (see `crate::mem`).
+        let mut records: Vec<EvalRecord> = Vec::with_capacity(n);
         crate::mem::advise_huge_pages(records.as_mut_ptr(), n * std::mem::size_of::<EvalRecord>());
-        // Batch `i` is the `i`-th disjoint slice of the record vector: each
-        // worker evaluates straight into the answer.
+        let slots = &mut records.spare_capacity_mut()[..n];
         let (_, stats) = self.drive(
             handle,
             backend,
             config,
             range,
-            |batch| records.chunks_mut(batch),
+            move |batch| slots.chunks_mut(batch),
             |_| (),
             |(), ctx, batch, out, scratch| process_batch(ctx, batch, out, scratch),
         );
+        // SAFETY: the chunks tile `0..n` and `drive` hands each to exactly
+        // one `process_batch`, which writes every slot of it (it asserts
+        // the count), so all `n` records are initialised once the
+        // fork-join has returned. A batch that panics unwinds out
+        // of `Team::run` before this line, and the vector drops with length
+        // 0 (`EvalRecord` is `Copy`: nothing is leaked or read).
+        unsafe { records.set_len(n) };
         SweepResult { records, stats }
     }
 
@@ -279,10 +286,10 @@ impl Engine {
     /// evaluates a batch into a batch-sized buffer of its own and folds it
     /// into a private partial (a clone of `init`) while the values are still
     /// in cache; no record vector of the range's length is ever allocated.
-    /// The partials are merged once the fork-join has returned. A reducer is
-    /// a commutative, associative fold, so the merged partial is the same
-    /// for any batch size, thread count or interleaving — the same as
-    /// folding a full sweep's records in one piece.
+    /// The partials are merged in member order once the fork-join has
+    /// returned. A reducer is a commutative, associative fold, so the merged
+    /// partial is the same for any batch size, thread count or interleaving
+    /// — the same as folding a full sweep's records in one piece.
     pub fn reduce_range<R: Reducer>(
         &self,
         handle: &SweepHandle<'_>,
@@ -299,7 +306,10 @@ impl Engine {
             config,
             range,
             |batch| 0..n.div_ceil(batch),
-            |batch| (init.clone(), zeroed_records(batch.min(n))),
+            |batch| {
+                let placeholder = EvalRecord { index: 0, speedup: f64::NAN, cores: 0.0, area: 0.0 };
+                (init.clone(), vec![placeholder; batch.min(n)])
+            },
             |(partial, buffer), ctx, batch, _, scratch| {
                 let out = &mut buffer[..batch.len()];
                 process_batch(ctx, batch, out, scratch);
@@ -318,10 +328,11 @@ impl Engine {
     /// queue and the sweep's statistics.
     ///
     /// `queue(batch)` yields one item per batch, in index order; whoever holds
-    /// the queue's lock takes the next one. Each worker builds its own state
-    /// with `worker(batch)` and hands every batch it pulls — its global index
-    /// range, queue item and scratch — to `run`. The worker states come back
-    /// in the order the workers finished.
+    /// the queue's lock takes the next one. Every member's state is built by
+    /// `worker(batch)` before the fork, one a member in member (`tid`) order,
+    /// and the member hands every batch it pulls — its global index range,
+    /// queue item and scratch — to `run`. The states come back in member
+    /// order, as [`Team::partials`]' do, whichever member finished first.
     #[allow(clippy::too_many_arguments)]
     fn drive<Q, W>(
         &self,
@@ -330,7 +341,7 @@ impl Engine {
         config: &SweepConfig,
         range: std::ops::Range<usize>,
         queue: impl FnOnce(usize) -> Q,
-        worker: impl Fn(usize) -> W + Sync,
+        worker: impl Fn(usize) -> W,
         run: impl Fn(&mut W, &BatchCtx<'_>, std::ops::Range<usize>, Q::Item, &mut BatchScratch) + Sync,
     ) -> (Vec<W>, SweepStats)
     where
@@ -387,14 +398,14 @@ impl Engine {
         // evaluate, one logical thread a member; a sweep of one batch stays
         // on the calling thread.
         let workers = threads.min(n.div_ceil(batch)).max(1);
-        let states = Mutex::new(Vec::with_capacity(workers));
+        let states: Vec<Mutex<W>> = (0..workers).map(|_| Mutex::new(worker(batch))).collect();
         let queue = Mutex::new(queue(batch).enumerate());
-        self.team.run(workers, |_| {
+        self.team.run(workers, |member| {
             // One scratch per worker, reused across every batch it pulls:
             // the per-batch working sets allocate only on the worker's
             // first batch (and never per scenario).
             let mut scratch = BatchScratch::with_capacity(batch);
-            let mut state = worker(batch);
+            let mut state = states[member.tid].lock().expect("each state has one member");
             loop {
                 // Taken in its own statement, so the lock is released
                 // before the batch is evaluated — and never held across
@@ -405,7 +416,6 @@ impl Engine {
                 let end = (start + batch).min(range.end);
                 run(&mut state, &ctx, start..end, item, &mut scratch);
             }
-            states.lock().expect("no batch runs under the state lock").push(state);
         });
 
         let stats = SweepStats {
@@ -418,7 +428,9 @@ impl Engine {
             coalesced: false,
             elapsed_seconds: started.elapsed().as_secs_f64(),
         };
-        (states.into_inner().expect("no batch runs under the state lock"), stats)
+        let states =
+            states.into_iter().map(|state| state.into_inner().expect("no member panicked"));
+        (states.collect(), stats)
     }
 }
 
@@ -600,21 +612,22 @@ impl RangeCursor {
     }
 }
 
-/// A record vector of `n` all-zero elements straight from a zeroed
-/// allocation — no element-wise initialisation pass. Zero bytes are a valid
-/// `EvalRecord` (`index` 0, `+0.0` in every float field).
-fn zeroed_records(n: usize) -> Vec<EvalRecord> {
-    if n == 0 {
-        return Vec::new();
+/// One slot of a batch's output, written once per batch by
+/// [`process_batch`]: a sweep's uninitialised record memory, or a
+/// reduction's reused buffer.
+trait RecordSlot {
+    fn put(&mut self, record: EvalRecord);
+}
+
+impl RecordSlot for std::mem::MaybeUninit<EvalRecord> {
+    fn put(&mut self, record: EvalRecord) {
+        self.write(record);
     }
-    let layout = std::alloc::Layout::array::<EvalRecord>(n).expect("record layout");
-    // SAFETY: the pointer comes from the global allocator with exactly the
-    // layout `Vec` will free it under (len == capacity == n), and all-zero
-    // bytes initialise every `EvalRecord` field to a valid value.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout).cast::<EvalRecord>();
-        assert!(!ptr.is_null(), "record allocation failed");
-        Vec::from_raw_parts(ptr, n, n)
+}
+
+impl RecordSlot for EvalRecord {
+    fn put(&mut self, record: EvalRecord) {
+        *self = record;
     }
 }
 
@@ -637,14 +650,18 @@ impl BatchScratch {
         }
     }
 
-    /// Reset for a batch of `len` scenarios.
-    fn reset(&mut self, len: usize) {
+    /// Reset for a batch of `len` scenarios: the speedups every path
+    /// reads, and the probe keys and hole flags only for a batch that goes
+    /// through the cache.
+    fn reset(&mut self, len: usize, cached: bool) {
         self.speedups.clear();
         self.speedups.resize(len, f64::NAN);
-        self.keys.clear();
-        self.keys.resize(len, (0, 0));
-        self.holes.clear();
-        self.holes.resize(len, false);
+        if cached {
+            self.keys.clear();
+            self.keys.resize(len, (0, 0));
+            self.holes.clear();
+            self.holes.resize(len, false);
+        }
     }
 }
 
@@ -683,12 +700,12 @@ struct BatchCtx<'a> {
     valid: AtomicU64,
 }
 
-/// Evaluate one contiguous batch into `out`, going through the cache when one
-/// is provided.
+/// Evaluate one contiguous batch into `out`, every slot of it, going through
+/// the cache when one is provided.
 fn process_batch(
     ctx: &BatchCtx<'_>,
     range: std::ops::Range<usize>,
-    out: &mut [EvalRecord],
+    out: &mut [impl RecordSlot],
     scratch: &mut BatchScratch,
 ) {
     debug_assert_eq!(out.len(), range.len());
@@ -699,7 +716,7 @@ fn process_batch(
         profiler.span(&format!("batch {}..{}", range.start, range.end), "engine", thread_lane())
     });
     let batch_started = std::time::Instant::now();
-    scratch.reset(len);
+    scratch.reset(len, ctx.cache.is_some());
 
     match ctx.cache {
         None => {
@@ -761,18 +778,21 @@ fn process_batch(
     let area = tables.area();
     let designs = space.designs().len();
     let budgets = space.budgets().len();
+    let mut written = 0;
     crate::backend::for_each_design_run(space, range, |index, offset, run| {
         let design = index % designs;
         let cores = tables.cores(index / designs % budgets);
         for k in 0..run {
-            out[offset + k] = EvalRecord {
+            out[offset + k].put(EvalRecord {
                 index: index + k,
                 speedup: scratch.speedups[offset + k],
                 cores: cores[design + k],
                 area: area[design + k],
-            };
+            });
         }
+        written += run;
     });
+    assert_eq!(written, out.len(), "a batch writes every slot of its chunk");
 }
 
 /// The warm-cache tail of [`process_batch`]: fill the probe holes of a batch
@@ -835,8 +855,9 @@ fn process_batch_holes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AnalyticBackend, SimBackend};
+    use crate::backend::{AnalyticBackend, DseError, SimBackend};
     use mp_model::params::{AppClass, AppParams};
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn space() -> ScenarioSpace {
         ScenarioSpace::new()
@@ -923,6 +944,138 @@ mod tests {
         let truth = pareto_frontier(&engine.sweep(&space, &sim, &config).records, CostAxis::Area);
         assert_eq!(cold.finish(), truth);
         assert_eq!(warm.finish(), truth);
+    }
+
+    /// A reducer that logs the order its partials merge in. Each clone is
+    /// one member's partial, numbered in the order the engine builds them;
+    /// the caller's partial sleeps through its first fold, so the caller
+    /// finishes last.
+    #[derive(Debug)]
+    struct MergeLog {
+        member: usize,
+        clones: Arc<AtomicUsize>,
+        slow_thread: Option<std::thread::ThreadId>,
+        merged: Vec<usize>,
+    }
+
+    impl Clone for MergeLog {
+        fn clone(&self) -> Self {
+            MergeLog {
+                member: self.clones.fetch_add(1, Ordering::Relaxed),
+                clones: Arc::clone(&self.clones),
+                slow_thread: self.slow_thread,
+                merged: Vec::new(),
+            }
+        }
+    }
+
+    impl Reducer for MergeLog {
+        type Output = Vec<usize>;
+
+        fn fold(&mut self, _: &[EvalRecord]) {
+            if self.slow_thread.take() == Some(std::thread::current().id()) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+        }
+
+        fn merge(&mut self, other: Self) {
+            self.merged.push(other.member);
+            self.merged.extend(other.merged);
+        }
+
+        fn finish(self) -> Vec<usize> {
+            std::iter::once(self.member).chain(self.merged).collect()
+        }
+    }
+
+    #[test]
+    fn reductions_merge_partials_in_member_order() {
+        let space = space();
+        let handle = SweepHandle::new(&space);
+        let config = SweepConfig { batch_size: 16, use_cache: false };
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(threads);
+            let init = MergeLog {
+                member: usize::MAX,
+                clones: Arc::default(),
+                slow_thread: Some(std::thread::current().id()),
+                merged: Vec::new(),
+            };
+            let (log, stats) =
+                engine.reduce_range(&handle, &AnalyticBackend, &config, 0..handle.len(), init);
+            assert_eq!(stats.threads, threads);
+            assert_eq!(log.finish(), (0..threads).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    /// The analytic backend, except that the first batch holding scenario
+    /// `index` panics.
+    struct PanicsOnce {
+        index: usize,
+        armed: AtomicBool,
+    }
+
+    impl EvalBackend for PanicsOnce {
+        fn name(&self) -> &'static str {
+            "panics-once"
+        }
+
+        fn memoise(&self) -> bool {
+            false
+        }
+
+        fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
+            AnalyticBackend.evaluate(scenario)
+        }
+
+        fn evaluate_batch_prepared(
+            &self,
+            space: &ScenarioSpace,
+            tables: &SpaceTables,
+            range: std::ops::Range<usize>,
+            out: &mut [f64],
+        ) {
+            if range.contains(&self.index) && self.armed.swap(false, Ordering::Relaxed) {
+                panic!("injected failure in batch {range:?}");
+            }
+            AnalyticBackend.evaluate_batch_prepared(space, tables, range, out);
+        }
+    }
+
+    #[test]
+    fn a_panicking_batch_leaves_the_engine_sweeping_bit_identical_records() {
+        let space = space();
+        let handle = SweepHandle::new(&space);
+        let n = handle.len();
+        let config = SweepConfig { batch_size: 16, use_cache: false };
+        for threads in [1, 3] {
+            let engine = Engine::new(threads);
+            // A range that is not a multiple of the batch size, and an empty one.
+            for range in [3..n - 2, 7..7] {
+                let backend = PanicsOnce { index: range.start + 40, armed: true.into() };
+                let sweep = || engine.sweep_range(&handle, &backend, &config, range.clone());
+                let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(sweep));
+                assert_eq!(failed.is_err(), !range.is_empty(), "{threads} threads, {range:?}");
+                let bits = |r: &EvalRecord| {
+                    (r.index, r.speedup.to_bits(), r.cores.to_bits(), r.area.to_bits())
+                };
+                let got: Vec<_> = sweep().records.iter().map(bits).collect();
+                let reference: Vec<_> = range
+                    .clone()
+                    .map(|index| {
+                        let scenario = space.scenario(index);
+                        let speedup = if scenario.design.fits(scenario.budget) {
+                            AnalyticBackend.evaluate(&scenario).unwrap_or(f64::NAN)
+                        } else {
+                            f64::NAN
+                        };
+                        let area = scenario.area();
+                        bits(&EvalRecord { index, speedup, cores: scenario.cores(), area })
+                    })
+                    .collect();
+                assert_eq!(got, reference, "{threads} threads, {range:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,25 +5,41 @@
 //! cargo run --release --example acmp_vs_cmp
 //! ```
 
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use merging_phases::model::explore::{
     asymmetric_curve_comm, best_asymmetric, best_symmetric, symmetric_curve_comm,
 };
 use merging_phases::model::params::AppClass;
 use merging_phases::prelude::*;
 
-fn main() {
+fn main() -> ExitCode {
+    match write_report(&mut io::stdout().lock()) {
+        // A reader that closed the pipe (`… | head`) has all it wants.
+        Err(err) if err.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("cannot write the output: {err}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
+fn write_report(out: &mut impl Write) -> io::Result<()> {
     let budget = ChipBudget::paper_default();
 
-    println!("256-BCE chip, perf(r) = sqrt(r), linear reduction growth\n");
-    println!(
+    writeln!(out, "256-BCE chip, perf(r) = sqrt(r), linear reduction growth\n")?;
+    writeln!(
+        out,
         "{:<28} {:>10} {:>8} {:>10} {:>8} {:>8} {:>10}",
         "application class", "CMP best", "@r", "ACMP best", "@rl", "r", "advantage"
-    );
+    )?;
     for class in AppClass::table3_all() {
         let model = ExtendedModel::new(class.params(), GrowthFunction::Linear, PerfModel::Pollack);
         let sym = best_symmetric(&model, budget).unwrap();
         let (small_r, asym) = best_asymmetric(&model, budget).unwrap();
-        println!(
+        writeln!(
+            out,
             "{:<28} {:>10.1} {:>8} {:>10.1} {:>8} {:>8} {:>9.2}x",
             class.name(),
             sym.speedup,
@@ -32,7 +48,7 @@ fn main() {
             asym.area,
             small_r,
             asym.speedup / sym.speedup
-        );
+        )?;
     }
 
     // The communication-aware refinement for the non-embarrassingly-parallel,
@@ -53,14 +69,20 @@ fn main() {
         })
         .collect();
 
-    println!("\nwith the 2-D-mesh communication model ({}):", class.name());
-    println!("  best symmetric CMP : speedup {:.1} at r = {}", sym_peak.speedup, sym_peak.area);
+    writeln!(out, "\nwith the 2-D-mesh communication model ({}):", class.name())?;
+    writeln!(
+        out,
+        "  best symmetric CMP : speedup {:.1} at r = {}",
+        sym_peak.speedup, sym_peak.area
+    )?;
     for (r, s) in &asym_peaks {
-        println!("  best ACMP (r = {r:>2})  : speedup {s:.1}");
+        writeln!(out, "  best ACMP (r = {r:>2})  : speedup {s:.1}")?;
     }
     let best_asym = asym_peaks.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max);
-    println!(
+    writeln!(
+        out,
         "  ACMP advantage      : {:.2}x  (compare ~2x under constant-serial Amdahl)",
         best_asym / sym_peak.speedup
-    );
+    )?;
+    Ok(())
 }

@@ -10,10 +10,24 @@
 //! cargo run --release --example dse_sweep
 //! ```
 
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use merging_phases::dse::prelude::*;
 use merging_phases::prelude::*;
 
-fn main() {
+fn main() -> ExitCode {
+    match write_report(&mut io::stdout().lock()) {
+        // A reader that closed the pipe (`… | head`) has all it wants.
+        Err(err) if err.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("cannot write the output: {err}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
+fn write_report(out: &mut impl Write) -> io::Result<()> {
     // Eleven applications: the eight Table III classes plus Table II's
     // measured kmeans / fuzzy / hop parameter sets.
     let apps = AppParams::paper_catalog();
@@ -37,19 +51,21 @@ fn main() {
 
     let engine = Engine::with_all_cores();
     let result = engine.sweep(&space, &AnalyticBackend, &SweepConfig::default());
-    println!(
+    writeln!(
+        out,
         "swept {} scenarios ({} valid) on {} thread(s) in {:.3}s ({:.0}/s)",
         result.stats.scenarios,
         result.stats.valid,
         result.stats.threads,
         result.stats.elapsed_seconds,
         result.stats.scenarios as f64 / result.stats.elapsed_seconds.max(1e-9),
-    );
+    )?;
 
-    println!("\ntop 5 designs:");
+    writeln!(out, "\ntop 5 designs:")?;
     for (rank, record) in TopK::new(5).reduce(&result.records).iter().enumerate() {
         let s = space.scenario(record.index);
-        println!(
+        writeln!(
+            out,
             "  {}. speedup {:>8.2}  {} under {} BCE ({} cores), {} growth, {}",
             rank + 1,
             record.speedup,
@@ -61,13 +77,13 @@ fn main() {
             record.cores.round(),
             s.growth.name(),
             s.perf.name(),
-        );
+        )?;
     }
 
     let frontier = Pareto::new(&space, CostAxis::Cores).reduce(&result.records);
-    println!("\nPareto frontier (speedup vs cores): {} points", frontier.len());
+    writeln!(out, "\nPareto frontier (speedup vs cores): {} points", frontier.len())?;
     for record in frontier.iter().take(8) {
-        println!("  {:>8.2} cores -> speedup {:>8.2}", record.cores, record.speedup);
+        writeln!(out, "  {:>8.2} cores -> speedup {:>8.2}", record.cores, record.speedup)?;
     }
 
     // A second sweep reproduces the first bit-for-bit. The analytic model
@@ -79,8 +95,10 @@ fn main() {
         .iter()
         .zip(again.records.iter())
         .all(|(a, b)| a.speedup.to_bits() == b.speedup.to_bits());
-    println!(
+    writeln!(
+        out,
         "\nre-sweep: {} cache hits, {} misses in {:.3}s — bit-identical: {identical}",
         again.stats.cache_hits, again.stats.cache_misses, again.stats.elapsed_seconds,
-    );
+    )?;
+    Ok(())
 }

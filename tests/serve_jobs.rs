@@ -390,18 +390,58 @@ fn one_scenario_jobs_complete_at_shard_counts_beyond_the_space() {
 }
 
 #[test]
-fn a_window_near_usize_max_is_one_window_to_the_range_end() {
+fn a_huge_chunk_on_a_range_shorter_than_the_default_chunk_is_one_window() {
     let space = space(64);
     let n = space.len();
     let service = service(2, Arc::new(AnalyticBackend));
     let manager = JobManager::new(Arc::clone(&service), None, test_config(1)).unwrap();
-    for window in [usize::MAX, usize::MAX - 7] {
-        let submitted = manager.submit(space.clone(), 5..n, window, 0).unwrap();
-        assert_eq!(submitted.windows_total, 1);
+    for chunk in [usize::MAX, usize::MAX - 7] {
+        let submitted = manager.submit(space.clone(), 5..n, chunk, 0).unwrap();
+        assert_eq!((submitted.window, submitted.windows_total), (DEFAULT_CHUNK, 1));
         let done = wait_for(&manager, &submitted.id, Duration::from_secs(30), |s| s.is_settled());
-        assert_eq!(done.state, "completed", "window {window}: {done:?}");
+        assert_eq!(done.state, "completed", "chunk {chunk}: {done:?}");
         assert_eq!(done.scenarios_completed, n - 5);
     }
+}
+
+#[test]
+fn a_restored_window_near_usize_max_is_one_window_to_the_range_end() {
+    // Submit caps a window at `DEFAULT_CHUNK`, but restore keeps a
+    // manifest's window as written: only a persisted manifest still
+    // carries a huge one.
+    let store = StoreDir::new("huge-window");
+    let space = space(64);
+    let n = space.len();
+    let manifest = Manifest {
+        version: MANIFEST_VERSION.to_string(),
+        id: "j7".to_string(),
+        fingerprint: format!("{:016x}", mp_dse::engine::space_fingerprint(&space)),
+        start: 5,
+        end: n,
+        window: usize::MAX - 7,
+        checkpoint_every: 1,
+        state: "queued".to_string(),
+        reason: String::new(),
+        retries: 0,
+        checkpoints: 0,
+        completed: Vec::new(),
+        space,
+    };
+    atomic_write(&store.0.join("j7.manifest"), &manifest.to_bytes()).unwrap();
+    let service = service(2, Arc::new(AnalyticBackend));
+    let manager =
+        JobManager::new(Arc::clone(&service), Some(store.0.clone()), test_config(1)).unwrap();
+    let restored = manager.status("j7").expect("the manifest restores");
+    assert_eq!(restored.state, "suspended");
+    // The manifest's JSON reads every number as an `f64`, so a window above
+    // 2^53 comes back rounded: `usize::MAX - 7` reads as `usize::MAX`.
+    assert!(restored.window >= usize::MAX - 7, "{restored:?}");
+    assert_eq!(restored.windows_total, 1);
+    manager.resume("j7").unwrap();
+    let done = wait_for(&manager, "j7", Duration::from_secs(30), |s| s.is_settled());
+    assert_eq!(done.state, "completed", "{done:?}");
+    assert_eq!((done.windows_completed, done.scenarios_completed), (1, n - 5));
+    wait_clean(&store.0);
 }
 
 #[test]
