@@ -42,7 +42,7 @@ pub const VALUE_FLAGS: &[&str] = &[
 /// own usage.
 pub const USAGE: &str =
     "repro serve [--addr HOST:PORT | --socket PATH] [--shards N] [--threads N] \
-     [--backend analytic|comm|sim|measured] [--loops N] [--executors N] [--cost-budget MS] \
+     [--backend analytic|comm|sim|measured] [--loops 1] [--executors N] [--cost-budget MS] \
      [--jobs-dir DIR] [--fail-nth N] [--fault-latency-ms MS]";
 
 /// Options of one `serve` invocation.
@@ -53,8 +53,6 @@ pub struct Options {
     /// `None` = the host's cores divided by `shards`.
     threads: Option<usize>,
     backend: String,
-    /// Reactor event-loop threads (`0` = auto).
-    event_loops: usize,
     /// Reactor executor threads (`0` = auto).
     executors: usize,
     /// Planner admission budget: estimated pending milliseconds per service.
@@ -76,7 +74,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         shards: 4,
         threads: None,
         backend: "analytic".to_string(),
-        event_loops: 0,
         executors: 0,
         cost_budget_ms: ServiceConfig::default().cost_budget_ms,
         jobs_dir: None,
@@ -94,7 +91,15 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 "--shards" => options.shards = cli::parse_parallelism(arg, &value)?,
                 "--threads" => options.threads = Some(cli::parse_parallelism(arg, &value)?),
                 "--backend" => options.backend = value,
-                "--loops" => options.event_loops = cli::parse_parallelism(arg, &value)?,
+                // The server has one event loop; the flag stays so that
+                // scripts passing `--loops 1` keep working.
+                "--loops" if value != "1" => {
+                    return Err(format!(
+                        "{arg} must be 1: the server runs one event loop, on the thread that \
+                         serves, got `{value}`"
+                    ));
+                }
+                "--loops" => {}
                 "--executors" => options.executors = cli::parse_parallelism(arg, &value)?,
                 "--cost-budget" => {
                     options.cost_budget_ms = value
@@ -198,7 +203,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let server = match Server::bind_with(
         &options.endpoint,
         Arc::clone(&service),
-        ServerConfig { event_loops: options.event_loops, executors: options.executors },
+        ServerConfig { executors: options.executors },
     ) {
         Ok(server) => server,
         Err(e) => {
@@ -252,16 +257,19 @@ mod tests {
 
         assert!(parse(&["--shards".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--threads".to_string(), "0".to_string()]).is_err());
-        assert!(parse(&["--loops".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--executors".to_string(), "0".to_string()]).is_err());
         let sized = parse(&[
             "--loops".to_string(),
-            "2".to_string(),
+            "1".to_string(),
             "--executors".to_string(),
             "6".to_string(),
         ])
         .unwrap();
-        assert_eq!((sized.event_loops, sized.executors), (2, 6));
+        assert_eq!(sized.executors, 6);
+        for loops in ["0", "2"] {
+            let message = parse(&["--loops".to_string(), loops.to_string()]).err().expect(loops);
+            assert!(message.contains("one event loop"), "{message}");
+        }
 
         let planned = parse(&["--cost-budget".to_string(), "1500".to_string()]).unwrap();
         assert_eq!(planned.cost_budget_ms, 1500.0);

@@ -3,9 +3,9 @@
 //! backpressure watermarks, and the parked cursor of an in-flight streaming
 //! sweep.
 //!
-//! One event-loop thread owns each [`Conn`] outright — no locks, no shared
-//! mutation. The connection enforces three bounds, which together make its
-//! memory footprint independent of how a client (mis)behaves:
+//! The server's one event loop owns every [`Conn`] outright — no locks, no
+//! shared mutation. The connection enforces three bounds, which together
+//! make its memory footprint independent of how a client (mis)behaves:
 //!
 //! * **receive**: request lines longer than the protocol cap are rejected
 //!   and discarded incrementally (see
@@ -62,7 +62,7 @@ pub(crate) enum InFlight {
     },
 }
 
-/// One accepted connection, owned by one event-loop thread.
+/// One accepted connection, owned by the server's event loop.
 pub(crate) struct Conn {
     pub stream: Stream,
     decoder: LineDecoder,

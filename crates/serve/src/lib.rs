@@ -24,9 +24,10 @@
 //!   are (24 bytes a record behind a JSON header line) and `top_k`/`pareto`
 //!   records travel as hex bit patterns, so responses are bit-exact down to
 //!   the engine's `NaN` markers.
-//! * [`server`] — an **event-driven reactor** (serve v2): a small pool of
-//!   epoll event loops owns every accepted socket (edge-triggered,
-//!   non-blocking, raw `epoll`/`eventfd` via [`reactor`]), parses requests
+//! * [`server`] — an **event-driven reactor** (serve v2): one epoll event
+//!   loop, on the thread that calls [`Server::run`], owns the listener and
+//!   every accepted socket (edge-triggered, non-blocking, raw
+//!   `epoll`/`eventfd` via [`reactor`]), parses requests
 //!   incrementally, **pipelines** (many in-flight requests per connection,
 //!   responses strictly in request order) and applies **backpressure**
 //!   (a bounded admission gate answering `busy`, plus write-side
@@ -41,6 +42,7 @@
 //!
 //! [`RangeCursor`]: mp_dse::engine::RangeCursor
 //! [`Client::call_pipelined`]: client::Client::call_pipelined
+//! [`Server::run`]: server::Server::run
 //!
 //! ## Quick example (in-process)
 //!

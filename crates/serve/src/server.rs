@@ -8,17 +8,17 @@
 //! a synchronisation-and-scheduling tax at thousands (exactly the serial
 //! bottleneck the underlying paper is about). v2 is a reactor:
 //!
-//! * An **accept thread** (the caller of [`Server::run`]) hands accepted
-//!   sockets round-robin to a small pool of **event-loop threads**.
-//! * Each event loop owns its connections outright: an epoll instance
-//!   ([`Poller`]) with every socket registered edge-triggered and
-//!   non-blocking, a per-connection incremental line parser, a pipelined
+//! * One **event loop**, on the thread that calls [`Server::run`], owns the
+//!   listener and every connection: an epoll instance ([`Poller`]) with the
+//!   non-blocking listener and every accepted socket registered (sockets
+//!   edge-triggered), a per-connection incremental line parser, a pipelined
 //!   request queue, and an ordered write buffer with backpressure
-//!   watermarks (see the crate-private `conn` module).
-//! * Requests never execute on an event loop. The loop hands the head of a
-//!   connection's pipeline to a pool of **executor threads** (which
-//!   evaluate on the service's engine) and keeps polling; the
-//!   completion comes back over a channel plus an eventfd [`Waker`].
+//!   watermarks (see the crate-private `conn` module). The loop accepts
+//!   when the listener is readable, so no thread hands sockets to it.
+//! * Requests never execute on the event loop. The loop hands the head of
+//!   a connection's pipeline to a pool of **executor threads** (which
+//!   evaluate on the service's engine) and keeps polling; every completion
+//!   comes back over one channel plus an eventfd [`Waker`].
 //!   Responses are written strictly in request order per connection —
 //!   that ordering is what makes pipelining safe for clients.
 //! * Streaming sweeps are **pull-based**: an executor computes one window
@@ -29,8 +29,8 @@
 //!   or an unbounded buffer.
 //!
 //! A [`Request::Shutdown`] is acknowledged, the acknowledgement is flushed,
-//! and then the whole reactor — accept loop, event loops, executors — winds
-//! down; [`Server::run`] returns `Ok`.
+//! and the loop returns; the executors finish the jobs they hold and are
+//! joined, and [`Server::run`] returns `Ok`.
 //!
 //! [`SweepService::next_window`]: crate::service::SweepService::next_window
 //! [`Request::Shutdown`]: crate::protocol::Request::Shutdown
@@ -41,7 +41,6 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -62,8 +61,8 @@ use crate::service::{Answer, SweepService, SweepTicket};
 static PIPELINE_DEPTH_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// The reactor's series (README's metrics catalogue), registered into the
-/// service's registry when the server binds and shared by its event loops
-/// and their connections.
+/// service's registry when the server binds and shared by its event loop
+/// and its connections.
 pub(crate) struct ReactorMetrics {
     epoll_wakeups: Arc<Counter>,
     pipeline_depth: Arc<Histogram>,
@@ -161,18 +160,22 @@ impl Listener {
             Listener::Unix(listener) => listener.accept().map(|(stream, _)| Stream::Unix(stream)),
         }
     }
+
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(listener) => listener.as_raw_fd(),
+            Listener::Unix(listener) => listener.as_raw_fd(),
+        }
+    }
 }
 
-/// Reactor sizing. `0` means *auto* for both knobs.
+/// Reactor sizing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
-    /// Event-loop threads (socket I/O only, never blocking work).
-    /// Auto: `min(4, available cores)`.
-    pub event_loops: usize,
     /// Executor threads (request parsing/encoding and service calls). An
     /// executor evaluates its query on the service's engine itself — as one
     /// of the sweep's workers, beside the engine's pool — so runnable
-    /// threads are bounded by `executors + engine threads`. Auto:
+    /// threads are bounded by `executors + engine threads`. `0` means auto:
     /// `max(2, shards)`.
     pub executors: usize,
 }
@@ -184,7 +187,6 @@ pub struct Server {
     endpoint: Endpoint,
     service: Arc<SweepService>,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
     /// Unix socket path to unlink when the server stops.
     cleanup: Option<PathBuf>,
     metrics: Arc<ReactorMetrics>,
@@ -210,6 +212,7 @@ impl Server {
             Endpoint::Tcp(addr) => {
                 let listener = TcpListener::bind(addr.as_str())?;
                 let actual = Endpoint::Tcp(listener.local_addr()?.to_string());
+                listener.set_nonblocking(true)?;
                 (Listener::Tcp(listener), actual, None)
             }
             Endpoint::Unix(path) => {
@@ -228,6 +231,7 @@ impl Server {
                     }
                     Err(e) => return Err(e),
                 };
+                listener.set_nonblocking(true)?;
                 (Listener::Unix(listener), Endpoint::Unix(path.clone()), Some(path.clone()))
             }
         };
@@ -238,15 +242,7 @@ impl Server {
             read_pauses: registry.counter("serve_read_pauses"),
             outbox_high_water: registry.counter("serve_outbox_high_water"),
         });
-        Ok(Server {
-            listener,
-            endpoint,
-            service,
-            config,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            cleanup,
-            metrics,
-        })
+        Ok(Server { listener, endpoint, service, config, cleanup, metrics })
     }
 
     /// The bound endpoint (with the real port for TCP port-0 binds).
@@ -254,25 +250,11 @@ impl Server {
         &self.endpoint
     }
 
-    /// The resolved reactor sizing (auto knobs filled in).
-    fn sizing(&self) -> (usize, usize) {
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let loops = match self.config.event_loops {
-            0 => cores.min(4),
-            n => n,
-        };
-        let executors = match self.config.executors {
-            0 => self.service.shards().max(2),
-            n => n,
-        };
-        (loops.max(1), executors.max(1))
-    }
-
     /// Accept and serve connections until a shutdown request arrives: spawn
-    /// the event loops and executors, then run the accept loop on the
-    /// calling thread. Returns once the whole reactor has wound down. A Unix
-    /// socket file is unlinked on exit — graceful or not — so a crashed
-    /// accept loop never leaves the endpoint permanently unbindable.
+    /// the executors, then run the event loop on the calling thread.
+    /// Returns once the executors have been joined. A Unix socket file is
+    /// unlinked on exit — graceful or not — so a failed loop never leaves
+    /// the endpoint permanently unbindable.
     pub fn run(self) -> std::io::Result<()> {
         let result = self.serve();
         if let Some(path) = &self.cleanup {
@@ -282,140 +264,62 @@ impl Server {
     }
 
     fn serve(&self) -> std::io::Result<()> {
-        let (loops, executors) = self.sizing();
+        let executors = match self.config.executors {
+            0 => self.service.shards().max(2),
+            n => n,
+        };
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new()?);
+        poller.add(waker.raw_fd(), WAKER_TOKEN, EPOLLIN)?;
+        // Level-triggered: a connection still queued after a failed
+        // `accept` is reported again on the next wait.
+        poller.add(self.listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
+
         let (exec_tx, exec_rx) = unbounded::<ExecJob>();
-
-        // Create every loop's mailbox + waker up front: any loop must be
-        // able to wake every other on shutdown.
-        let mut mailboxes = Vec::with_capacity(loops);
-        let mut wakers = Vec::with_capacity(loops);
-        for _ in 0..loops {
-            let (tx, rx) = unbounded::<LoopMsg>();
-            mailboxes.push((tx, Some(rx)));
-            wakers.push(Arc::new(Waker::new()?));
-        }
-        let wakers: Vec<Arc<Waker>> = wakers;
-
-        let mut loop_threads = Vec::with_capacity(loops);
-        for (index, (tx, rx)) in mailboxes.iter_mut().enumerate() {
-            let event_loop = EventLoop {
-                poller: Poller::new()?,
-                waker: Arc::clone(&wakers[index]),
-                inbox: rx.take().expect("receiver taken once"),
-                tx: tx.clone(),
-                exec: exec_tx.clone(),
-                stop: Arc::clone(&self.shutdown),
-                all_wakers: wakers.clone(),
-                endpoint: self.endpoint.clone(),
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                service: Arc::clone(&self.service),
-                metrics: Arc::clone(&self.metrics),
-                verb_hists: HashMap::new(),
-            };
-            loop_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("mp-serve-loop-{index}"))
-                    .spawn(move || event_loop.run())
-                    .expect("failed to spawn event loop"),
-            );
-        }
-
-        let mut exec_threads = Vec::with_capacity(executors);
-        for index in 0..executors {
-            let jobs = exec_rx.clone();
-            let service = Arc::clone(&self.service);
-            exec_threads.push(
+        let (done_tx, done_rx) = unbounded::<JobDone>();
+        let exec_threads: Vec<_> = (0..executors)
+            .map(|index| {
+                let (jobs, done, waker) = (exec_rx.clone(), done_tx.clone(), Arc::clone(&waker));
+                let service = Arc::clone(&self.service);
                 std::thread::Builder::new()
                     .name(format!("mp-serve-exec-{index}"))
-                    .spawn(move || run_executor(&service, &jobs))
-                    .expect("failed to spawn executor"),
-            );
-        }
-        drop(exec_rx);
-
-        let handles: Vec<(Sender<LoopMsg>, Arc<Waker>)> = mailboxes
-            .iter()
-            .zip(&wakers)
-            .map(|((tx, _), waker)| (tx.clone(), Arc::clone(waker)))
+                    .spawn(move || run_executor(&service, &jobs, &done, &waker))
+                    .expect("failed to spawn executor")
+            })
             .collect();
-        let result = self.accept_loop(&handles);
 
-        // Wind down: stop flag, wake every loop, then let the executor
-        // channel disconnect once the loops (and our own clone) have dropped
-        // their senders.
-        self.shutdown.store(true, Ordering::Release);
-        for waker in &wakers {
-            waker.wake();
-        }
-        drop(handles);
-        drop(mailboxes);
-        for thread in loop_threads {
-            let _ = thread.join();
-        }
-        drop(exec_tx);
+        let event_loop = EventLoop {
+            poller,
+            waker,
+            done: done_rx,
+            exec: exec_tx,
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+            accept_errors: 0,
+            stop: false,
+            service: Arc::clone(&self.service),
+            metrics: Arc::clone(&self.metrics),
+            verb_hists: HashMap::new(),
+        };
+        // The loop consumes itself: on return its connections close and
+        // its job sender drops, so the executors run out of jobs and exit.
+        let result = event_loop.run(&self.listener);
         for thread in exec_threads {
             let _ = thread.join();
         }
         result
     }
-
-    fn accept_loop(&self, handles: &[(Sender<LoopMsg>, Arc<Waker>)]) -> std::io::Result<()> {
-        // Transient accept errors (a client resetting a queued connection,
-        // momentary fd exhaustion from many handlers) must not kill a
-        // resident service with clients in flight; only a persistently
-        // failing listener gives up. Success resets the budget.
-        let mut consecutive_errors = 0usize;
-        let mut next = 0usize;
-        loop {
-            let stream = match self.listener.accept() {
-                Ok(stream) => {
-                    consecutive_errors = 0;
-                    stream
-                }
-                Err(e) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                    consecutive_errors += 1;
-                    if consecutive_errors >= 64 {
-                        return Err(e);
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if self.shutdown.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            let (tx, waker) = &handles[next % handles.len()];
-            next += 1;
-            if tx.send(LoopMsg::Accept(stream)).is_ok() {
-                waker.wake();
-            }
-        }
-    }
 }
 
 /// Token reserved for the loop's waker eventfd.
 const WAKER_TOKEN: u64 = 0;
+/// Token reserved for the listener.
+const LISTENER_TOKEN: u64 = 1;
 /// First token handed to a connection.
-const FIRST_CONN_TOKEN: u64 = 1;
-
-/// Mail addressed to one event loop.
-enum LoopMsg {
-    /// A freshly accepted connection to adopt.
-    Accept(Stream),
-    /// An executor finished a job for one of this loop's connections.
-    Done(JobDone),
-}
+const FIRST_CONN_TOKEN: u64 = 2;
 
 /// One unit of work for the executor pool.
 struct ExecJob {
-    /// The origin loop's mailbox (completions go back where the conn lives).
-    reply: Sender<LoopMsg>,
-    /// The origin loop's waker.
-    waker: Arc<Waker>,
     token: u64,
     seq: u64,
     kind: JobKind,
@@ -456,18 +360,19 @@ struct JobDone {
     decode_ns: u64,
 }
 
-/// One event-loop thread: owns a poller, a waker, and a set of connections.
+/// The server's event loop: a poller, the executors' completion channel
+/// and waker, and every connection.
 struct EventLoop {
     poller: Poller,
     waker: Arc<Waker>,
-    inbox: Receiver<LoopMsg>,
-    tx: Sender<LoopMsg>,
+    done: Receiver<JobDone>,
     exec: Sender<ExecJob>,
-    stop: Arc<AtomicBool>,
-    all_wakers: Vec<Arc<Waker>>,
-    endpoint: Endpoint,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// Failed `accept`s since the last accepted connection.
+    accept_errors: usize,
+    /// A shutdown has been acknowledged and flushed: leave the loop.
+    stop: bool,
     service: Arc<SweepService>,
     metrics: Arc<ReactorMetrics>,
     /// Per-verb request-latency histograms (`serve_request_ms_<verb>`) in
@@ -476,91 +381,101 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn run(mut self) {
-        if self.poller.add(self.waker.raw_fd(), WAKER_TOKEN, EPOLLIN).is_err() {
-            return;
-        }
+    fn run(mut self, listener: &Listener) -> std::io::Result<()> {
         let mut events = Vec::new();
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            if self.poller.wait(&mut events).is_err() {
-                return;
-            }
+        while !self.stop {
+            self.poller.wait(&mut events)?;
             self.metrics.epoll_wakeups.inc();
             // Drain the batch by value: handlers mutate the connection map.
             for event in events.drain(..) {
-                if event.token == WAKER_TOKEN {
-                    self.waker.drain();
-                    if self.stop.load(Ordering::Acquire) {
-                        return;
+                match event.token {
+                    WAKER_TOKEN => {
+                        self.waker.drain();
+                        while let Ok(done) = self.done.try_recv() {
+                            self.complete(done);
+                        }
                     }
-                    while let Ok(message) = self.inbox.try_recv() {
-                        self.handle_message(message);
-                    }
-                } else {
-                    self.handle_io(event);
+                    LISTENER_TOKEN => self.accept(listener)?,
+                    _ => self.handle_io(event),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Adopt every queued connection. Transient accept errors (a client
+    /// resetting a queued connection, momentary fd exhaustion) must not kill
+    /// a resident service with clients in flight: after one the loop backs
+    /// off for 10 ms and polls again. Only 64 in a row end the server with
+    /// the last error; an accepted connection resets the count.
+    fn accept(&mut self, listener: &Listener) -> std::io::Result<()> {
+        loop {
+            match listener.accept() {
+                Ok(stream) => {
+                    self.accept_errors = 0;
+                    self.adopt(stream);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if self.accept_errors + 1 >= 64 => return Err(e),
+                Err(_) => {
+                    self.accept_errors += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    return Ok(());
                 }
             }
         }
     }
 
-    fn handle_message(&mut self, message: LoopMsg) {
-        match message {
-            LoopMsg::Accept(stream) => {
-                if stream.set_nonblocking(true).is_err() {
-                    return;
-                }
-                if let Stream::Tcp(tcp) = &stream {
-                    // Responses are written in coalesced bursts; never trade
-                    // latency for Nagle batching on top of that.
-                    let _ = tcp.set_nodelay(true);
-                }
-                let token = self.next_token;
-                self.next_token += 1;
-                let interest = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
-                if self.poller.add(stream.as_raw_fd(), token, interest).is_err() {
-                    return;
-                }
-                let mut conn = Conn::new(stream, Arc::clone(&self.metrics));
-                // Bytes may already be waiting (pipelined clients write
-                // eagerly); the edge for them fired before registration.
-                conn.fill();
-                self.conns.insert(token, conn);
-                self.pump(token);
-            }
-            LoopMsg::Done(done) => {
-                let Some(conn) = self.conns.get_mut(&done.token) else {
-                    // The connection died while the executor worked; the
-                    // ticket (if any) is dropped with the completion.
-                    return;
-                };
-                match conn.inflight {
-                    InFlight::Dispatched { seq } if seq == done.seq => {}
-                    // A completion that does not match the in-flight job
-                    // (impossible by construction — one job per connection).
-                    _ => return,
-                }
-                conn.enqueue(done.bytes);
-                if done.shutdown {
-                    conn.close_after_flush = true;
-                    conn.shutdown_origin = true;
-                }
-                let terminal = done.next.is_none();
-                conn.inflight = match done.next {
-                    Some((id, ticket)) => {
-                        InFlight::Parked { id, ticket, decode_ns: done.decode_ns }
-                    }
-                    None => InFlight::Idle,
-                };
-                conn.flush_out();
-                if terminal {
-                    self.record_request(done.verb, done.decode_ns);
-                }
-                self.pump(done.token);
-            }
+    fn adopt(&mut self, stream: Stream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
         }
+        if let Stream::Tcp(tcp) = &stream {
+            // Responses are written in coalesced bursts; never trade
+            // latency for Nagle batching on top of that.
+            let _ = tcp.set_nodelay(true);
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        let interest = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
+        if self.poller.add(stream.as_raw_fd(), token, interest).is_err() {
+            return;
+        }
+        let mut conn = Conn::new(stream, Arc::clone(&self.metrics));
+        // Bytes may already be waiting (pipelined clients write eagerly);
+        // the edge for them fired before registration.
+        conn.fill();
+        self.conns.insert(token, conn);
+        self.pump(token);
+    }
+
+    fn complete(&mut self, done: JobDone) {
+        let Some(conn) = self.conns.get_mut(&done.token) else {
+            // The connection died while the executor worked; the ticket (if
+            // any) is dropped with the completion.
+            return;
+        };
+        match conn.inflight {
+            InFlight::Dispatched { seq } if seq == done.seq => {}
+            // A completion that does not match the in-flight job
+            // (impossible by construction — one job per connection).
+            _ => return,
+        }
+        conn.enqueue(done.bytes);
+        if done.shutdown {
+            conn.close_after_flush = true;
+            conn.shutdown_origin = true;
+        }
+        let terminal = done.next.is_none();
+        conn.inflight = match done.next {
+            Some((id, ticket)) => InFlight::Parked { id, ticket, decode_ns: done.decode_ns },
+            None => InFlight::Idle,
+        };
+        conn.flush_out();
+        if terminal {
+            self.record_request(done.verb, done.decode_ns);
+        }
+        self.pump(done.token);
     }
 
     fn handle_io(&mut self, event: crate::reactor::Event) {
@@ -601,14 +516,7 @@ impl EventLoop {
                 };
                 let seq = conn.take_seq();
                 conn.inflight = InFlight::Dispatched { seq };
-                let job = ExecJob {
-                    reply: self.tx.clone(),
-                    waker: Arc::clone(&self.waker),
-                    token,
-                    seq,
-                    kind: JobKind::Window { id, ticket },
-                    decode_ns,
-                };
+                let job = ExecJob { token, seq, kind: JobKind::Window { id, ticket }, decode_ns };
                 if self.exec.send(job).is_err() {
                     conn.dead = true;
                 }
@@ -624,14 +532,7 @@ impl EventLoop {
                     self.metrics.pipeline_depth.record((conn.pipeline.len() + 1) as f64);
                     let seq = conn.take_seq();
                     conn.inflight = InFlight::Dispatched { seq };
-                    let job = ExecJob {
-                        reply: self.tx.clone(),
-                        waker: Arc::clone(&self.waker),
-                        token,
-                        seq,
-                        kind: JobKind::Line(line),
-                        decode_ns,
-                    };
+                    let job = ExecJob { token, seq, kind: JobKind::Line(line), decode_ns };
                     if self.exec.send(job).is_err() {
                         conn.dead = true;
                     }
@@ -653,23 +554,11 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.dead {
-            let shutdown_origin = conn.shutdown_origin;
-            self.close(token);
-            if shutdown_origin {
-                self.trigger_shutdown();
-            }
-            return;
-        }
-        if conn.close_after_flush && conn.pending_out() == 0 {
-            let shutdown_origin = conn.shutdown_origin;
-            self.close(token);
-            if shutdown_origin {
-                self.trigger_shutdown();
-            }
-            return;
-        }
-        if conn.drained() {
+        // A connection that failed, flushed its shutdown acknowledgement or
+        // has nothing left to do closes; closing the one that sent
+        // `shutdown` stops the server.
+        if conn.dead || (conn.close_after_flush && conn.pending_out() == 0) || conn.drained() {
+            self.stop |= conn.shutdown_origin;
             self.close(token);
         }
     }
@@ -703,34 +592,21 @@ impl EventLoop {
             });
         }
     }
-
-    /// Stop the whole server: flag, wake every loop, and poke the listener
-    /// so a blocked `accept` observes the flag.
-    fn trigger_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        for waker in &self.all_wakers {
-            waker.wake();
-        }
-        let _ = Stream::connect(&self.endpoint);
-    }
 }
 
-impl Drop for EventLoop {
-    fn drop(&mut self) {
-        // Sockets close with their `Conn`s; nothing else to unwind.
-        self.conns.clear();
-    }
-}
-
-/// Executor thread body: pull jobs, run them against the service, post the
-/// completion back to the origin loop.
-fn run_executor(service: &SweepService, jobs: &Receiver<ExecJob>) {
+/// Executor thread body: pull jobs, run them against the service, post each
+/// completion to the event loop.
+fn run_executor(
+    service: &SweepService,
+    jobs: &Receiver<ExecJob>,
+    done: &Sender<JobDone>,
+    waker: &Waker,
+) {
     while let Ok(job) = jobs.recv() {
-        let done = execute(service, job.token, job.seq, job.kind, job.decode_ns);
-        // A dropped mailbox just means the loop (or whole server) wound
-        // down while this job ran.
-        if job.reply.send(LoopMsg::Done(done)).is_ok() {
-            job.waker.wake();
+        // A closed channel just means the server wound down while this job
+        // ran.
+        if done.send(execute(service, job)).is_ok() {
+            waker.wake();
         }
     }
 }
@@ -738,7 +614,8 @@ fn run_executor(service: &SweepService, jobs: &Receiver<ExecJob>) {
 /// Run one job to completion-or-parking, encoding every produced response.
 /// The completion carries the request's verb and decode time back to the
 /// event loop, which times the request when its terminal response flushes.
-fn execute(service: &SweepService, token: u64, seq: u64, kind: JobKind, decode_ns: u64) -> JobDone {
+fn execute(service: &SweepService, job: ExecJob) -> JobDone {
+    let ExecJob { token, seq, kind, decode_ns } = job;
     let (id, verb, answer) = match kind {
         JobKind::Window { id, ticket } => (id, "sweep", Answer::Sweep(*ticket)),
         JobKind::Line(line) => match decode_request(line) {
@@ -809,5 +686,63 @@ impl JobDone {
         self.shutdown |= matches!(response, Response::ShuttingDown);
         self.bytes.extend_from_slice(encode_line(&ResponseEnvelope { id, response }).as_bytes());
         self.bytes.push(b'\n');
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::PROTOCOL_VERSION;
+    use crate::service::ServiceConfig;
+    use mp_dse::backend::AnalyticBackend;
+    use std::time::Duration;
+
+    /// Long enough that a loaded host never trips it; a server that does
+    /// not stop never returns at all.
+    const DEADLINE: Duration = Duration::from_secs(30);
+
+    /// Bind a server of one engine thread and run it on a thread of its
+    /// own; the receiver yields what [`Server::run`] returned.
+    fn serve(endpoint: Endpoint) -> (Endpoint, std::sync::mpsc::Receiver<std::io::Result<()>>) {
+        let config = ServiceConfig { shards: 1, threads_per_shard: 1, ..ServiceConfig::default() };
+        let service = Arc::new(SweepService::new(Arc::new(AnalyticBackend), &config));
+        let server = Server::bind_with(&endpoint, service, ServerConfig { executors: 2 }).unwrap();
+        let endpoint = server.endpoint().clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.run()));
+        (endpoint, rx)
+    }
+
+    fn socket(name: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("mp-serve-{name}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn the_loop_accepts_answers_and_stops_on_tcp_and_unix_sockets() {
+        let tcp = Endpoint::Tcp("127.0.0.1:0".to_string());
+        for (endpoint, returned) in [serve(tcp), serve(Endpoint::Unix(socket("accept")))] {
+            // The second connection is accepted while the first is open.
+            let mut first = Client::connect(&endpoint).unwrap();
+            let mut second = Client::connect(&endpoint).unwrap();
+            assert_eq!(first.ping().unwrap(), PROTOCOL_VERSION);
+            assert_eq!(second.ping().unwrap(), PROTOCOL_VERSION);
+            second.shutdown().unwrap();
+            returned.recv_timeout(DEADLINE).expect("run returned").unwrap();
+        }
+    }
+
+    #[test]
+    fn shutdown_stops_a_server_whose_socket_file_is_gone() {
+        let path = socket("unlinked");
+        let (endpoint, returned) = serve(Endpoint::Unix(path.clone()));
+        let mut client = Client::connect(&endpoint).unwrap();
+        client.ping().unwrap();
+        std::fs::remove_file(&path).unwrap();
+        client.shutdown().unwrap();
+        returned.recv_timeout(DEADLINE).expect("run returned").unwrap();
     }
 }

@@ -189,12 +189,8 @@ fn slow_readers_park_their_sweep_and_never_block_fast_clients() {
     let socket =
         std::env::temp_dir().join(format!("mp-serve-backpressure-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    let server = Server::bind_with(
-        &Endpoint::Unix(socket),
-        service,
-        ServerConfig { event_loops: 1, executors: 2 },
-    )
-    .unwrap();
+    let server =
+        Server::bind_with(&Endpoint::Unix(socket), service, ServerConfig { executors: 2 }).unwrap();
     let endpoint = server.endpoint().clone();
     let serving = std::thread::spawn(move || server.run().unwrap());
 

@@ -383,7 +383,7 @@ fn small_server() -> (Endpoint, std::thread::JoinHandle<()>) {
     let server = Server::bind_with(
         &Endpoint::Tcp("127.0.0.1:0".into()),
         service,
-        ServerConfig { event_loops: 1, executors: 2 },
+        ServerConfig { executors: 2 },
     )
     .unwrap();
     let endpoint = server.endpoint().clone();

@@ -195,7 +195,7 @@ fn pipelined_soak_with_faulty_clients_stays_bit_identical_and_unstuck() {
             let server = Server::bind_with(
                 &Endpoint::Tcp("127.0.0.1:0".into()),
                 service,
-                ServerConfig { event_loops: 2, executors: 3 },
+                ServerConfig { executors: 3 },
             )
             .unwrap();
             let endpoint = server.endpoint().clone();
@@ -272,7 +272,7 @@ fn slow_reader_memory_stays_bounded_by_the_watermarks() {
         let server = Server::bind_with(
             &Endpoint::Tcp("127.0.0.1:0".into()),
             Arc::clone(&service),
-            ServerConfig { event_loops: 1, executors: 2 },
+            ServerConfig { executors: 2 },
         )
         .unwrap();
         let endpoint = server.endpoint().clone();
