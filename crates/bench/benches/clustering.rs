@@ -7,8 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mp_workloads::data::DatasetSpec;
-use mp_workloads::runner::{ClusteringWorkload, WorkloadKind};
+use mp_bench::figures::characterization::measured_jobs;
 
 fn thread_counts() -> Vec<usize> {
     let max = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
@@ -16,18 +15,10 @@ fn thread_counts() -> Vec<usize> {
 }
 
 fn bench_clustering(c: &mut Criterion) {
-    // Reduced data sets keep a full criterion run in minutes; the shapes
-    // (points : clusters : dims ratios) match the paper's base data sets.
-    let cluster_spec = DatasetSpec::new(6000, 9, 8, 0x5EED);
-    let hop_spec = DatasetSpec::new(8000, 3, 16, 0x401);
-
-    for kind in WorkloadKind::all() {
-        let spec = match kind {
-            WorkloadKind::KMeans | WorkloadKind::Fuzzy => &cluster_spec,
-            WorkloadKind::Hop | WorkloadKind::KdTree => &hop_spec,
-        };
-        let job = ClusteringWorkload::of_kind(kind, spec.generate());
-        let mut group = c.benchmark_group(format!("fig2a/{}", kind.name()));
+    // The quick data sets keep a full criterion run in minutes; they keep
+    // the base sets' dimensions and cluster counts.
+    for job in measured_jobs(true) {
+        let mut group = c.benchmark_group(format!("fig2a/{}", job.kind().name()));
         group.sample_size(10);
         for &threads in &thread_counts() {
             group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {

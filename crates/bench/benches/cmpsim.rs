@@ -4,12 +4,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mp_cmpsim::{fuzzy_program, hop_program, kmeans_program, simulate, Machine, WorkloadShape};
+use mp_model::params::DatasetVariant;
 use mp_par::ReductionStrategy;
 
 fn bench_simulator(c: &mut Criterion) {
-    let kmeans = kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
-    let fuzzy = fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear);
-    let hop = hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4);
+    let shape = |label| WorkloadShape::from_variant(&DatasetVariant::table4(label));
+    let kmeans = kmeans_program(&shape("kmeans-base"), ReductionStrategy::SerialLinear);
+    let fuzzy = fuzzy_program(&shape("fuzzy-base"), ReductionStrategy::SerialLinear);
+    let hop = hop_program(&shape("hop-default"), ReductionStrategy::SerialLinear, 4);
 
     let mut group = c.benchmark_group("cmpsim/simulate");
     for (name, program) in [("kmeans", &kmeans), ("fuzzy", &fuzzy), ("hop", &hop)] {

@@ -1,6 +1,6 @@
 //! The `repro calibrate` subcommand: the paper's loop, end to end.
 //!
-//! 1. **Measure** — run all four clustering workloads (kmeans, fuzzy, hop,
+//! 1. **Measure** — run the four [`measured_jobs`] (kmeans, fuzzy, hop,
 //!    kdtree) through their phase executor across a thread sweep; each run
 //!    returns its own [`RunProfile`], whose records fold into one
 //!    [`mp_model::calibrate::MeasuredRun`] per thread count.
@@ -22,11 +22,10 @@ use mp_dse::prelude::*;
 use mp_model::calibrate::CalibratedParams;
 use mp_model::perf::PerfModel;
 use mp_model::phase::RunProfile;
-use mp_workloads::data::DatasetSpec;
-use mp_workloads::kmeans::KMeansConfig;
-use mp_workloads::runner::{default_thread_sweep, run_sweep, ClusteringWorkload, WorkloadKind};
+use mp_workloads::runner::{default_thread_sweep, run_sweep, ClusteringWorkload};
 
 use crate::dse_cmd::{export_sweep, record_row, scenario_label};
+use crate::figures::characterization::measured_jobs;
 use crate::report::{render_table, TableRow};
 
 /// The `calibrate` flags that consume a value token (see
@@ -81,29 +80,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(options)
-}
-
-/// The four calibration jobs: the paper's three applications plus the
-/// kd-tree scenario, on fig2c-style data sets.
-fn jobs(quick: bool) -> Vec<ClusteringWorkload> {
-    let (cluster_spec, hop_spec) = if quick {
-        (DatasetSpec::new(4000, 9, 8, 0x5EED), DatasetSpec::new(6000, 3, 16, 0x401))
-    } else {
-        (DatasetSpec::base(), DatasetSpec::hop_default())
-    };
-    let cluster_data = cluster_spec.generate();
-    // Disable early convergence for kmeans (as in fig2c): a run that settles
-    // after two iterations leaves per-phase times too small for stable
-    // wall-clock ratios.
-    let mut kmeans_cfg = KMeansConfig::for_dataset(&cluster_data);
-    kmeans_cfg.threshold = -1.0;
-    kmeans_cfg.max_iters = if quick { 20 } else { 50 };
-    vec![
-        ClusteringWorkload::kmeans(kmeans_cfg, cluster_data),
-        ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster_spec.generate()),
-        ClusteringWorkload::of_kind(WorkloadKind::Hop, hop_spec.generate()),
-        ClusteringWorkload::of_kind(WorkloadKind::KdTree, hop_spec.generate()),
-    ]
 }
 
 /// Measure and calibrate every job across `thread_counts`.
@@ -168,7 +144,7 @@ pub fn run(args: &[String]) -> ExitCode {
     };
 
     let thread_counts = default_thread_sweep(options.threads);
-    let workloads = jobs(options.quick);
+    let workloads = measured_jobs(options.quick);
     let calibrations = match calibrate_jobs(&workloads, &thread_counts) {
         Ok(calibrations) => calibrations,
         Err(message) => {
@@ -273,6 +249,9 @@ pub fn run(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_workloads::data::DatasetSpec;
+    use mp_workloads::kmeans::KMeansConfig;
+    use mp_workloads::runner::WorkloadKind;
 
     #[test]
     fn parse_handles_all_flags() {

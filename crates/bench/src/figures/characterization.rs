@@ -12,35 +12,31 @@ use mp_cmpsim::{
 use mp_model::calibrate::{MeasuredRun, RunAccounting};
 use mp_model::extended::ExtendedModel;
 use mp_model::growth::GrowthFunction;
-use mp_model::params::AppParams;
+use mp_model::params::{AppParams, DatasetVariant};
 use mp_model::perf::PerfModel;
 use mp_model::phase::RunProfile;
 use mp_par::ReductionStrategy;
 use mp_workloads::data::DatasetSpec;
+use mp_workloads::kmeans::KMeansConfig;
 use mp_workloads::runner::{run_sweep, ClusteringWorkload, WorkloadKind};
 
 use crate::report::TableRow;
 
 use super::CHARACTERIZATION_CORES;
 
-/// The three applications of the characterisation study, in paper order.
-pub const APPLICATIONS: [&str; 3] = ["kmeans", "fuzzy", "hop"];
+/// The base data set of each application of the characterisation study, in
+/// paper order: the Table IV rows Figure 2 and Table II simulate.
+const BASE_SETS: [&str; 3] = ["kmeans-base", "fuzzy-base", "hop-default"];
 
-/// The data-set shape Figure 2 and Table II simulate `app` on.
-fn base_shape(app: &str) -> WorkloadShape {
-    match app {
-        "hop" => WorkloadShape::hop_default(),
-        _ => WorkloadShape::kmeans_base(),
-    }
-}
-
-/// The Section V-A accounting of `app` simulated on a data set of `shape`
-/// at the characterisation core counts (the paper's 1–16-core SESC runs).
-pub fn simulated_accounting(app: &str, shape: &WorkloadShape) -> RunAccounting {
-    let program = match app {
-        "kmeans" => kmeans_program(shape, ReductionStrategy::SerialLinear),
-        "fuzzy" => fuzzy_program(shape, ReductionStrategy::SerialLinear),
-        "hop" => hop_program(shape, ReductionStrategy::SerialLinear, 4),
+/// The Section V-A accounting of the application of `row` simulated on its
+/// data set at the characterisation core counts (the paper's 1–16-core SESC
+/// runs).
+pub fn simulated_accounting(row: &DatasetVariant) -> RunAccounting {
+    let shape = WorkloadShape::from_variant(row);
+    let program = match row.application.as_str() {
+        "kmeans" => kmeans_program(&shape, ReductionStrategy::SerialLinear),
+        "fuzzy" => fuzzy_program(&shape, ReductionStrategy::SerialLinear),
+        "hop" => hop_program(&shape, ReductionStrategy::SerialLinear, 4),
         other => panic!("unknown application {other}"),
     };
     let runs: Vec<MeasuredRun> = CHARACTERIZATION_CORES
@@ -48,6 +44,15 @@ pub fn simulated_accounting(app: &str, shape: &WorkloadShape) -> RunAccounting {
         .map(|&cores| simulate_profile(&program, &Machine::table1(cores)).to_measured_run())
         .collect();
     RunAccounting::from_runs(&runs).expect("characterisation sweep includes a single-core run")
+}
+
+/// Each application's name and its simulated accounting on its base set.
+fn base_accountings() -> impl Iterator<Item = (String, RunAccounting)> {
+    BASE_SETS.iter().map(|label| {
+        let row = DatasetVariant::table4(label);
+        let accounting = simulated_accounting(&row);
+        (row.application, accounting)
+    })
 }
 
 /// One row per application: its label and one `p={threads}` column per
@@ -58,47 +63,53 @@ fn series_row(app: &str, series: &[(usize, f64)]) -> TableRow {
 
 /// Figure 2(a): application speedup at 1–16 cores (simulation).
 pub fn fig2a_scalability() -> Vec<TableRow> {
-    APPLICATIONS
-        .iter()
-        .map(|app| series_row(app, &simulated_accounting(app, &base_shape(app)).speedups))
-        .collect()
+    base_accountings().map(|(app, accounting)| series_row(&app, &accounting.speedups)).collect()
 }
 
 /// Figure 2(b): serial-section time normalised to one core (simulation).
 pub fn fig2b_serial_growth() -> Vec<TableRow> {
-    APPLICATIONS
-        .iter()
-        .map(|app| series_row(app, &simulated_accounting(app, &base_shape(app)).serial_multipliers))
+    base_accountings()
+        .map(|(app, accounting)| series_row(&app, &accounting.serial_multipliers))
         .collect()
 }
 
+/// The measured characterisation jobs: kmeans, fuzzy and hop on their base
+/// data sets, then the kd-tree kernel on hop's, in that order. `quick`
+/// keeps each set's `D` and `C` but shrinks `N` to 4 000 clustering points
+/// and 6 000 particles, so tests and CI stay fast.
+///
+/// kmeans runs without early convergence: with well-seeded data a run can
+/// settle within a couple of iterations, leaving per-phase times too small
+/// for stable wall-clock ratios. A negative threshold forces the full
+/// iteration budget, so every thread count accumulates the same number of
+/// merge phases.
+pub fn measured_jobs(quick: bool) -> Vec<ClusteringWorkload> {
+    let data = |label: &str, quick_points: usize| {
+        let spec = DatasetSpec::from_variant(&DatasetVariant::table4(label));
+        let points = if quick { quick_points } else { spec.points };
+        DatasetSpec { points, ..spec }.generate()
+    };
+    let cluster_data = data("kmeans-base", 4000);
+    let mut kmeans_cfg = KMeansConfig::for_dataset(&cluster_data);
+    kmeans_cfg.threshold = -1.0;
+    kmeans_cfg.max_iters = if quick { 20 } else { 50 };
+    vec![
+        ClusteringWorkload::kmeans(kmeans_cfg, cluster_data),
+        ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, data("fuzzy-base", 4000)),
+        ClusteringWorkload::of_kind(WorkloadKind::Hop, data("hop-default", 6000)),
+        ClusteringWorkload::of_kind(WorkloadKind::KdTree, data("hop-default", 6000)),
+    ]
+}
+
 /// Figure 2(c): serial-section growth measured on the host machine by running
-/// the instrumented Rust workloads.
+/// the instrumented Rust workloads: the first three [`measured_jobs`].
 ///
 /// `thread_counts` selects the sweep (the paper uses 1–8 on a two-socket Xeon);
-/// `reduced_size` shrinks the data sets so tests and CI stay fast while the
-/// full-size run is available to the `repro` binary.
-pub fn fig2c_real_serial_growth(thread_counts: &[usize], reduced_size: bool) -> Vec<TableRow> {
-    let (cluster_spec, hop_spec) = if reduced_size {
-        (DatasetSpec::new(4000, 9, 8, 0x5EED), DatasetSpec::new(6000, 3, 16, 0x401))
-    } else {
-        (DatasetSpec::base(), DatasetSpec::hop_default())
-    };
-    let cluster_data = cluster_spec.generate();
-    // Disable early convergence for kmeans: with well-seeded data the run can
-    // settle within a couple of iterations, leaving per-phase times too small
-    // for stable wall-clock ratios. A negative threshold forces the full
-    // iteration budget, so every thread count accumulates the same number of
-    // merge phases and the growth ratio is well-conditioned even on busy hosts.
-    let mut kmeans_cfg = mp_workloads::kmeans::KMeansConfig::for_dataset(&cluster_data);
-    kmeans_cfg.threshold = -1.0;
-    kmeans_cfg.max_iters = if reduced_size { 20 } else { 50 };
-    let jobs = [
-        ClusteringWorkload::kmeans(kmeans_cfg, cluster_data),
-        ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster_spec.generate()),
-        ClusteringWorkload::of_kind(WorkloadKind::Hop, hop_spec.generate()),
-    ];
-    jobs.iter()
+/// `quick` runs the shrunk data sets.
+pub fn fig2c_real_serial_growth(thread_counts: &[usize], quick: bool) -> Vec<TableRow> {
+    measured_jobs(quick)
+        .iter()
+        .take(3)
         .map(|job| {
             let runs: Vec<MeasuredRun> =
                 run_sweep(job, thread_counts).iter().map(RunProfile::to_measured_run).collect();
@@ -122,13 +133,11 @@ fn linear_params(app: &str, accounting: &RunAccounting) -> AppParams {
 /// divided by the growth observed in the simulation. Values near 1.0 mean the
 /// model tracks the simulation.
 pub fn fig2d_model_accuracy() -> Vec<TableRow> {
-    APPLICATIONS
-        .iter()
-        .map(|app| {
-            let accounting = simulated_accounting(app, &base_shape(app));
+    base_accountings()
+        .map(|(app, accounting)| {
             // The serial multiplier does not read the performance model.
             let model = ExtendedModel::new(
-                linear_params(app, &accounting),
+                linear_params(&app, &accounting),
                 GrowthFunction::Linear,
                 PerfModel::Pollack,
             );
@@ -138,7 +147,7 @@ pub fn fig2d_model_accuracy() -> Vec<TableRow> {
                 .filter(|&&(cores, _)| cores > 1)
                 .map(|&(cores, observed)| (cores, model.serial_multiplier(cores as f64) / observed))
                 .collect();
-            series_row(app, &ratios)
+            series_row(&app, &ratios)
         })
         .collect()
 }
@@ -146,13 +155,10 @@ pub fn fig2d_model_accuracy() -> Vec<TableRow> {
 /// Table II: application parameters extracted from the simulated runs, next to
 /// the values the paper reports.
 pub fn table2_extracted_parameters() -> Vec<TableRow> {
-    let paper: Vec<AppParams> = AppParams::table2_all();
-    APPLICATIONS
-        .iter()
-        .zip(paper.iter())
-        .map(|(app, reference)| {
-            let accounting = simulated_accounting(app, &base_shape(app));
-            TableRow::new(*app)
+    base_accountings()
+        .zip(AppParams::table2_all())
+        .map(|((app, accounting), reference)| {
+            TableRow::new(app)
                 .with("serial_pct", accounting.serial_fraction * 100.0)
                 .with("f", accounting.f)
                 .with("fcon_pct", accounting.fcon * 100.0)
@@ -200,12 +206,36 @@ mod tests {
         // any host: the rows, their order and the p=1 normalisation.
         let rows = fig2c_real_serial_growth(&[1, 2, 4], true);
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(labels, APPLICATIONS);
+        let jobs: Vec<&str> = measured_jobs(true).iter().map(|job| job.kind().name()).collect();
+        assert_eq!(labels, jobs[..3]);
         for row in &rows {
             assert_eq!(row.get("p=1"), Some(1.0), "{}", row.label);
             for (col, v) in &row.values {
                 assert!(v.is_finite() && *v >= 0.0, "{} {col}: {v}", row.label);
             }
+        }
+    }
+
+    #[test]
+    fn fig2c_and_calibrate_measure_the_base_sets_without_early_convergence() {
+        // `repro fig2c` runs the first three of these jobs and `repro
+        // calibrate` all four: kmeans and fuzzy on kmeans-base's D, C and
+        // seed, hop and kdtree on hop-default's, quick or full size.
+        for (quick, points, particles, iterations) in
+            [(true, 4000, 6000, 20), (false, 17_695, 61_440, 50)]
+        {
+            let cluster = DatasetSpec::new(points, 9, 8, 0x5EED).generate();
+            let hop = DatasetSpec::new(particles, 3, 16, 0x401).generate();
+            let mut kmeans = KMeansConfig::for_dataset(&cluster);
+            kmeans.threshold = -1.0;
+            kmeans.max_iters = iterations;
+            let expected = [
+                ClusteringWorkload::kmeans(kmeans, cluster.clone()),
+                ClusteringWorkload::of_kind(WorkloadKind::Fuzzy, cluster),
+                ClusteringWorkload::of_kind(WorkloadKind::Hop, hop.clone()),
+                ClusteringWorkload::of_kind(WorkloadKind::KdTree, hop),
+            ];
+            assert!(measured_jobs(quick) == expected, "quick = {quick}");
         }
     }
 

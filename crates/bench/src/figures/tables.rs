@@ -1,6 +1,6 @@
 //! Table I, Table III, Table IV and the Figure 6 split.
 
-use mp_cmpsim::{MachineConfig, WorkloadShape};
+use mp_cmpsim::MachineConfig;
 use mp_model::params::{AppClass, AppParams, DatasetVariant};
 
 use crate::report::TableRow;
@@ -55,25 +55,14 @@ pub fn fig6_reduction_split() -> Vec<TableRow> {
         .collect()
 }
 
-/// Table IV: data-set sensitivity. Every paper variant is re-simulated with
-/// its N/D/C attributes and the extracted `f`, `fred`, `fcon` are reported
+/// Table IV: data-set sensitivity. Every paper variant is re-simulated on
+/// the shape of its row and the extracted `f`, `fred`, `fcon` are reported
 /// next to the paper's values.
 pub fn table4_dataset_sensitivity() -> Vec<TableRow> {
     DatasetVariant::table4_all()
         .into_iter()
         .map(|variant| {
-            let shape = if variant.application == "hop" {
-                let mut s = if variant.points > 100_000 {
-                    WorkloadShape::hop_medium()
-                } else {
-                    WorkloadShape::hop_default()
-                };
-                s.points = variant.points;
-                s
-            } else {
-                WorkloadShape::from_attributes(variant.points, variant.dims, variant.centers)
-            };
-            let accounting = simulated_accounting(&variant.application, &shape);
+            let accounting = simulated_accounting(&variant);
             TableRow::new(variant.label.clone())
                 .with("f", accounting.f)
                 .with("fred_pct", accounting.fred * 100.0)
@@ -133,6 +122,29 @@ mod tests {
         // All parallel fractions stay very close to 1, as in the paper.
         for row in &rows {
             assert!(row.get("f").unwrap() > 0.99, "{}", row.label);
+        }
+    }
+
+    #[test]
+    fn every_table4_row_builds_its_data_set_and_program_shape() {
+        for row in DatasetVariant::table4_all() {
+            let data = mp_workloads::data::DatasetSpec::from_variant(&row).generate();
+            // Table IV gives hop no C; its particles are drawn around blobs.
+            let clusters =
+                if row.application == "hop" { mp_workloads::data::HOP_BLOBS } else { row.centers };
+            assert_eq!(
+                (data.len(), data.dims(), data.clusters()),
+                (row.points, row.dims, clusters),
+                "{}",
+                row.label
+            );
+            let shape = mp_cmpsim::WorkloadShape::from_variant(&row);
+            assert_eq!(
+                (shape.points, shape.dims, shape.clusters),
+                (row.points, row.dims, row.centers),
+                "{}",
+                row.label
+            );
         }
     }
 

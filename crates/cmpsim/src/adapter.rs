@@ -21,6 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use mp_model::params::DatasetVariant;
 use mp_par::ReductionStrategy;
 
 use crate::program::{PhaseOp, PhaseProgram};
@@ -34,31 +35,28 @@ pub struct WorkloadShape {
     pub dims: usize,
     /// Number of clusters `C` (ignored by hop).
     pub clusters: usize,
-    /// Number of iterations of the iterative workloads.
+    /// Number of iterations of the iterative workloads (ignored by hop).
     pub iterations: usize,
     /// Neighbour count `k` used by hop's density estimate.
     pub neighbors: usize,
 }
 
 impl WorkloadShape {
-    /// The paper's kmeans/fuzzy base data set: N = 17 695, D = 9, C = 8.
+    /// The program shape of a Table IV row: its `N`, `D` and `C`, run for
+    /// 20 iterations with hop's density estimate over 12 neighbours.
+    pub fn from_variant(row: &DatasetVariant) -> Self {
+        WorkloadShape {
+            points: row.points,
+            dims: row.dims,
+            clusters: row.centers,
+            iterations: 20,
+            neighbors: 12,
+        }
+    }
+
+    /// The paper's kmeans/fuzzy base data set (Table IV's `kmeans-base`).
     pub fn kmeans_base() -> Self {
-        WorkloadShape { points: 17_695, dims: 9, clusters: 8, iterations: 20, neighbors: 12 }
-    }
-
-    /// The paper's hop default data set: 61 440 particles in 3-D.
-    pub fn hop_default() -> Self {
-        WorkloadShape { points: 61_440, dims: 3, clusters: 16, iterations: 1, neighbors: 12 }
-    }
-
-    /// The paper's hop medium data set: 491 520 particles in 3-D.
-    pub fn hop_medium() -> Self {
-        WorkloadShape { points: 491_520, dims: 3, clusters: 16, iterations: 1, neighbors: 12 }
-    }
-
-    /// Derive a shape from explicit data-set attributes (Table IV variants).
-    pub fn from_attributes(points: usize, dims: usize, clusters: usize) -> Self {
-        WorkloadShape { points, dims, clusters, iterations: 20, neighbors: 12 }
+        Self::from_variant(&DatasetVariant::table4("kmeans-base"))
     }
 
     fn point_bytes(&self) -> usize {
@@ -250,8 +248,7 @@ mod tests {
     fn hop_speedup_saturates_near_thirteen() {
         // Figure 2(a): hop reaches only ≈ 13.5× at 16 cores because of the
         // tree-construction kernel.
-        let program =
-            hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4);
+        let program = hop_program(&hop_default(), ReductionStrategy::SerialLinear, 4);
         let base = simulate(&program, &Machine::table1(1)).total_cycles();
         let at16 = simulate(&program, &Machine::table1(16)).total_cycles();
         let speedup = base / at16;
@@ -264,7 +261,7 @@ mod tests {
         for program in [
             kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
             fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
-            hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4),
+            hop_program(&hop_default(), ReductionStrategy::SerialLinear, 4),
         ] {
             let s1 = simulate(&program, &Machine::table1(1)).serial_cycles();
             let s16 = simulate(&program, &Machine::table1(16)).serial_cycles();
@@ -283,8 +280,7 @@ mod tests {
         // its memory-bound merge. Verify the per-thread merge cost increases
         // with the thread count (the slope steepens once the partial tables
         // outgrow the L1).
-        let program =
-            hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4);
+        let program = hop_program(&hop_default(), ReductionStrategy::SerialLinear, 4);
         let red = |cores: usize| {
             simulate(&program, &Machine::table1(cores)).cycles_in(PhaseKind::Reduction)
         };
@@ -310,12 +306,7 @@ mod tests {
         assert_eq!(hop_group_estimate(1000), 16);
     }
 
-    #[test]
-    fn shape_constructors_match_paper_datasets() {
-        let s = WorkloadShape::kmeans_base();
-        assert_eq!((s.points, s.dims, s.clusters), (17_695, 9, 8));
-        let s = WorkloadShape::from_attributes(35_390, 18, 8);
-        assert_eq!((s.points, s.dims, s.clusters), (35_390, 18, 8));
-        assert_eq!(WorkloadShape::hop_medium().points, 491_520);
+    fn hop_default() -> WorkloadShape {
+        WorkloadShape::from_variant(&DatasetVariant::table4("hop-default"))
     }
 }

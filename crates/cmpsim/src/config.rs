@@ -62,11 +62,6 @@ impl MachineConfig {
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / self.frequency_hz
     }
-
-    /// Lines needed to hold `bytes` of data.
-    pub fn lines_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.line_bytes)
-    }
 }
 
 impl Default for MachineConfig {
@@ -94,15 +89,6 @@ mod tests {
         let c = MachineConfig::table1_baseline();
         assert!((c.cycles_to_seconds(2.0e9) - 1.0).abs() < 1e-12);
         assert_eq!(c.cycles_to_seconds(0.0), 0.0);
-    }
-
-    #[test]
-    fn line_count_rounds_up() {
-        let c = MachineConfig::table1_baseline();
-        assert_eq!(c.lines_for(0), 0);
-        assert_eq!(c.lines_for(1), 1);
-        assert_eq!(c.lines_for(64), 1);
-        assert_eq!(c.lines_for(65), 2);
     }
 
     #[test]

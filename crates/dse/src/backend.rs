@@ -38,6 +38,7 @@ use mp_model::calibrate::CalibratedParams;
 use mp_model::chip::{AsymmetricDesign, SymmetricDesign};
 use mp_model::comm::{CommModel, CommSplit};
 use mp_model::error::ModelError;
+use mp_model::explore::SpeedupModel;
 use mp_model::extended::ExtendedModel;
 use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
@@ -316,7 +317,8 @@ fn eval_design_run_dispatch(
     eval_design_run_body(model, tables, total_bce, ix, growth, out);
 }
 
-fn speedup_extended(model: &ExtendedModel, scenario: &Scenario<'_>) -> Result<f64, DseError> {
+/// The per-scenario oracle: `scenario`'s design under `model`.
+fn scenario_speedup(model: &impl SpeedupModel, scenario: &Scenario<'_>) -> Result<f64, DseError> {
     if !scenario.design.fits(scenario.budget) {
         return Err(DseError::InvalidDesign {
             area: scenario.design.area(),
@@ -352,7 +354,7 @@ impl EvalBackend for AnalyticBackend {
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
         let model =
             ExtendedModel::new(scenario.app.clone(), scenario.growth.clone(), scenario.perf);
-        speedup_extended(&model, scenario)
+        scenario_speedup(&model, scenario)
     }
 
     fn evaluate_batch_prepared(
@@ -405,24 +407,6 @@ impl CommBackend {
     }
 }
 
-fn speedup_comm(model: &CommModel, scenario: &Scenario<'_>) -> Result<f64, DseError> {
-    if !scenario.design.fits(scenario.budget) {
-        return Err(DseError::InvalidDesign {
-            area: scenario.design.area(),
-            budget: scenario.budget.total_bce(),
-        });
-    }
-    let speedup = match scenario.design {
-        ChipSpec::Symmetric { r } => {
-            model.speedup_symmetric(&SymmetricDesign::new(scenario.budget, r)?)?
-        }
-        ChipSpec::Asymmetric { r, rl } => {
-            model.speedup_asymmetric(&AsymmetricDesign::new(scenario.budget, r, rl)?)?
-        }
-    };
-    Ok(speedup)
-}
-
 impl EvalBackend for CommBackend {
     fn name(&self) -> &'static str {
         "comm"
@@ -430,7 +414,7 @@ impl EvalBackend for CommBackend {
 
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
         let model = self.model(scenario)?;
-        speedup_comm(&model, scenario)
+        scenario_speedup(&model, scenario)
     }
 
     fn evaluate_batch_prepared(
@@ -458,7 +442,7 @@ impl EvalBackend for CommBackend {
                 }
             }
             let model = &current.as_ref().expect("model built above").1;
-            *slot = speedup_comm(model, &scenario).unwrap_or(f64::NAN);
+            *slot = scenario_speedup(model, &scenario).unwrap_or(f64::NAN);
         }
     }
 }
@@ -562,7 +546,7 @@ impl EvalBackend for MeasuredBackend {
 
     fn evaluate(&self, scenario: &Scenario<'_>) -> Result<f64, DseError> {
         let model = self.model(scenario)?;
-        speedup_extended(&model, scenario)
+        scenario_speedup(&model, scenario)
     }
 
     fn evaluate_batch_prepared(
@@ -1020,7 +1004,7 @@ mod tests {
     /// `explore`'s comm loops on the same grids and returns them.
     fn comm_sweep_matching_explore(model: &CommModel) -> Vec<[u64; 3]> {
         use crate::engine::{Engine, SweepConfig};
-        use mp_model::explore::{asymmetric_curve_comm, symmetric_curve_comm};
+        use mp_model::explore::{asymmetric_curve, symmetric_curve};
 
         let budget = mp_model::chip::ChipBudget::paper_default();
         let sizes = budget.power_of_two_core_sizes();
@@ -1039,8 +1023,8 @@ mod tests {
         let swept: Vec<_> =
             records.iter().map(|r| [r.area, r.cores, r.speedup].map(f64::to_bits)).collect();
 
-        let symmetric = symmetric_curve_comm(model, budget, "s").unwrap().points;
-        let asymmetric = asymmetric_curve_comm(model, budget, 4.0, "a").unwrap().points;
+        let symmetric = symmetric_curve(model, budget, "s").unwrap().points;
+        let asymmetric = asymmetric_curve(model, budget, 4.0, "a").unwrap().points;
         let explored: Vec<_> = symmetric
             .iter()
             .chain(&asymmetric)

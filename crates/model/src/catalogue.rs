@@ -50,11 +50,6 @@ impl CatalogueRegistry {
         self.entries.iter().find(|c| c.fingerprint() == id)
     }
 
-    /// Look up a calibration by application name (first match).
-    pub fn by_name(&self, name: &str) -> Option<&CalibratedParams> {
-        self.entries.iter().find(|c| c.app_params().name == name)
-    }
-
     /// Every registered calibration, in registration order.
     pub fn entries(&self) -> &[CalibratedParams] {
         &self.entries
@@ -125,8 +120,6 @@ mod tests {
         let ids = registry.ids();
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
-        assert_eq!(registry.by_name("beta").unwrap().fingerprint(), ids[1]);
-        assert!(registry.by_name("gamma").is_none());
     }
 
     #[test]

@@ -58,10 +58,40 @@ impl Curve {
     }
 }
 
+/// A chip-design speedup model: the extended model (paper Eq. 4/5) or the
+/// communication-aware one (Eq. 6–8). The sweeps below, and the `mp-dse`
+/// backends' per-scenario oracle, walk designs through it.
+pub trait SpeedupModel {
+    /// Speedup of a symmetric CMP.
+    fn speedup_symmetric(&self, design: &SymmetricDesign) -> Result<f64, ModelError>;
+    /// Speedup of an asymmetric CMP.
+    fn speedup_asymmetric(&self, design: &AsymmetricDesign) -> Result<f64, ModelError>;
+}
+
+impl SpeedupModel for ExtendedModel {
+    fn speedup_symmetric(&self, design: &SymmetricDesign) -> Result<f64, ModelError> {
+        ExtendedModel::speedup_symmetric(self, design)
+    }
+
+    fn speedup_asymmetric(&self, design: &AsymmetricDesign) -> Result<f64, ModelError> {
+        ExtendedModel::speedup_asymmetric(self, design)
+    }
+}
+
+impl SpeedupModel for CommModel {
+    fn speedup_symmetric(&self, design: &SymmetricDesign) -> Result<f64, ModelError> {
+        CommModel::speedup_symmetric(self, design)
+    }
+
+    fn speedup_asymmetric(&self, design: &AsymmetricDesign) -> Result<f64, ModelError> {
+        CommModel::speedup_asymmetric(self, design)
+    }
+}
+
 /// Sweep a symmetric CMP over the power-of-two per-core areas of the budget
-/// using the extended model (one line of Figure 4).
+/// (one line of Figure 4, or Figure 7(a) under the communication model).
 pub fn symmetric_curve(
-    model: &ExtendedModel,
+    model: &impl SpeedupModel,
     budget: ChipBudget,
     label: impl Into<String>,
 ) -> Result<Curve, ModelError> {
@@ -75,47 +105,14 @@ pub fn symmetric_curve(
 }
 
 /// Sweep an asymmetric CMP over the power-of-two large-core areas for a fixed
-/// small-core area `r` using the extended model (one line of Figure 5).
+/// small-core area `r` (one line of Figure 5, or of Figure 7(b) under the
+/// communication model).
 ///
 /// The largest swept `rl` is half the budget so at least a handful of small
 /// cores remain, matching the x-range of the paper's plots (1…128 for a
 /// 256-BCE chip).
 pub fn asymmetric_curve(
-    model: &ExtendedModel,
-    budget: ChipBudget,
-    r: f64,
-    label: impl Into<String>,
-) -> Result<Curve, ModelError> {
-    let mut points = Vec::new();
-    for rl in budget.power_of_two_core_sizes() {
-        if rl < r || rl >= budget.total_bce() {
-            continue;
-        }
-        let design = AsymmetricDesign::new(budget, r, rl)?;
-        let speedup = model.speedup_asymmetric(&design)?;
-        points.push(DesignPoint { area: rl, cores: design.cores(), speedup });
-    }
-    Ok(Curve { label: label.into(), points })
-}
-
-/// Sweep a symmetric CMP under the communication-aware model (Figure 7(a)).
-pub fn symmetric_curve_comm(
-    model: &CommModel,
-    budget: ChipBudget,
-    label: impl Into<String>,
-) -> Result<Curve, ModelError> {
-    let mut points = Vec::new();
-    for r in budget.power_of_two_core_sizes() {
-        let design = SymmetricDesign::new(budget, r)?;
-        let speedup = model.speedup_symmetric(&design)?;
-        points.push(DesignPoint { area: r, cores: design.cores(), speedup });
-    }
-    Ok(Curve { label: label.into(), points })
-}
-
-/// Sweep an asymmetric CMP under the communication-aware model (Figure 7(b)).
-pub fn asymmetric_curve_comm(
-    model: &CommModel,
+    model: &impl SpeedupModel,
     budget: ChipBudget,
     r: f64,
     label: impl Into<String>,
@@ -285,10 +282,10 @@ pub fn figure_curves(figure: Figure) -> Result<Vec<Curve>, ModelError> {
                 high_reduction_overhead: true,
             };
             let model = CommModel::paper_figure7(class.params())?;
-            curves.push(symmetric_curve_comm(&model, budget, "symmetric")?);
+            curves.push(symmetric_curve(&model, budget, "symmetric")?);
             for r in [1.0, 4.0, 16.0] {
                 let label = format!("asymmetric[r={r}]");
-                curves.push(asymmetric_curve_comm(&model, budget, r, label)?);
+                curves.push(asymmetric_curve(&model, budget, r, label)?);
             }
         }
     }

@@ -53,18 +53,6 @@ impl ExtendedModel {
         &self.perf
     }
 
-    /// Replace the growth function (builder-style).
-    pub fn with_growth(mut self, growth: GrowthFunction) -> Self {
-        self.growth = growth;
-        self
-    }
-
-    /// Replace the performance model (builder-style).
-    pub fn with_perf(mut self, perf: PerfModel) -> Self {
-        self.perf = perf;
-        self
-    }
-
     /// Serial-section time at `threads` merging threads, normalised to the
     /// single-core serial-section time (the quantity plotted in Figure 2(b);
     /// Figure 2(d) divides it by the multiplier observed in simulation). It
@@ -380,14 +368,5 @@ mod tests {
         let m = model(AppParams::table2_kmeans(), GrowthFunction::Linear);
         assert!(m.speedup_unit_cores(0.0).is_err());
         assert!(m.speedup_unit_cores(-3.0).is_err());
-    }
-
-    #[test]
-    fn builder_methods_replace_components() {
-        let m = model(AppParams::table2_kmeans(), GrowthFunction::Linear)
-            .with_growth(GrowthFunction::Logarithmic)
-            .with_perf(PerfModel::Linear);
-        assert_eq!(m.growth(), &GrowthFunction::Logarithmic);
-        assert_eq!(m.perf(), &PerfModel::Linear);
     }
 }

@@ -67,11 +67,6 @@ impl GrowthFunction {
         }
     }
 
-    /// Evaluate the growth at an integer thread count.
-    pub fn eval_threads(&self, threads: usize) -> f64 {
-        self.eval(threads as f64)
-    }
-
     /// A short, human-readable name for reports and plot legends.
     pub fn name(&self) -> &'static str {
         match self {
@@ -156,7 +151,7 @@ mod tests {
         let g = GrowthFunction::Linear;
         assert_eq!(g.eval(2.0), 1.0);
         assert_eq!(g.eval(16.0), 15.0);
-        assert_eq!(g.eval_threads(256), 255.0);
+        assert_eq!(g.eval(256.0), 255.0);
     }
 
     #[test]

@@ -236,6 +236,13 @@ impl AppClass {
 
 /// A Table IV data-set variant: attribute sizes plus the measured fractions the
 /// paper reports for it.
+///
+/// [`DatasetVariant::table4_all`] is the workspace's one statement of each
+/// paper data set's `N`, `D` and `C`: the generated data sets
+/// (`mp_workloads::data::DatasetSpec`) and the simulated program shapes
+/// (`mp_cmpsim::WorkloadShape`) are both built from its rows. Figure 2 and
+/// Table II use the base rows, `kmeans-base`, `fuzzy-base` and
+/// `hop-default`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetVariant {
     /// Label used in Table IV, e.g. `"kmeans-base"`.
@@ -294,6 +301,18 @@ impl DatasetVariant {
             Self::row("hop-default", "hop", 61440, 3, 0, 0.9990, 0.12, 0.88),
             Self::row("hop-med", "hop", 491520, 3, 0, 0.9980, 0.15, 0.85),
         ]
+    }
+
+    /// The Table IV row labelled `label`, e.g. `"kmeans-base"`.
+    ///
+    /// # Panics
+    ///
+    /// If Table IV has no row of that label.
+    pub fn table4(label: &str) -> Self {
+        Self::table4_all()
+            .into_iter()
+            .find(|row| row.label == label)
+            .unwrap_or_else(|| panic!("Table IV has no data set `{label}`"))
     }
 }
 

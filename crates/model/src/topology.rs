@@ -80,19 +80,6 @@ impl Topology {
         nc.max(1.0).sqrt() / 2.0
     }
 
-    /// Number of links in the topology connecting `nc` cores (informational,
-    /// used by the NoC simulator for cross-checking).
-    pub fn link_count(&self, nc: usize) -> usize {
-        let side = (nc as f64).sqrt().ceil() as usize;
-        match self {
-            Topology::Mesh2D => 2 * side * side.saturating_sub(1),
-            Topology::Torus2D => 2 * side * side,
-            Topology::Ring => nc,
-            Topology::Crossbar => nc * nc.saturating_sub(1) / 2,
-            Topology::Ideal => 0,
-        }
-    }
-
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -177,14 +164,6 @@ mod tests {
         for nc in [2.0, 64.0, 1024.0] {
             assert!(Topology::Crossbar.comm_growth(nc) < 2.0);
         }
-    }
-
-    #[test]
-    fn mesh_link_count_matches_formula() {
-        // 16 cores → 4x4 mesh → 2·4·3 = 24 links.
-        assert_eq!(Topology::Mesh2D.link_count(16), 24);
-        // 64 cores → 8x8 mesh → 2·8·7 = 112 links.
-        assert_eq!(Topology::Mesh2D.link_count(64), 112);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl Histogram {
         Histogram { bounds, shards }
     }
 
-    /// A histogram over the shared latency buckets ([`LATENCY_BOUNDS_MS`]).
-    pub fn latency_ms() -> Histogram {
-        Histogram::new(&LATENCY_BOUNDS_MS)
-    }
-
     /// The upper bucket bounds (the final `+inf` bucket is implicit).
     pub fn bounds(&self) -> &'static [f64] {
         self.bounds
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn buckets_cover_every_value_and_the_tail_lands_in_inf() {
-        let hist = Histogram::latency_ms();
+        let hist = Histogram::new(&LATENCY_BOUNDS_MS);
         for value in [0.1, 1.0, 50.0, 1000.0, 100_000.0] {
             hist.record(value);
         }
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let hist = std::sync::Arc::new(Histogram::latency_ms());
+        let hist = std::sync::Arc::new(Histogram::new(&LATENCY_BOUNDS_MS));
         std::thread::scope(|scope| {
             for thread in 0..8 {
                 let hist = std::sync::Arc::clone(&hist);

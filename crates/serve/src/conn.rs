@@ -79,11 +79,9 @@ pub(crate) struct Conn {
     pub read_paused: bool,
     /// The peer closed its sending half; drain the pipeline, then close.
     pub peer_closed: bool,
-    /// Close once the outbox drains (set by `shutdown`).
-    pub close_after_flush: bool,
-    /// This connection's `shutdown` request stops the server once its
-    /// acknowledgement has been flushed.
-    pub shutdown_origin: bool,
+    /// This connection asked for `shutdown`: close once the outbox drains,
+    /// and stop the server when it closes.
+    pub shutdown_requested: bool,
     /// The connection failed (I/O error, protocol-fatal state); remove it.
     pub dead: bool,
     next_seq: u64,
@@ -101,8 +99,7 @@ impl Conn {
             inflight: InFlight::Idle,
             read_paused: false,
             peer_closed: false,
-            close_after_flush: false,
-            shutdown_origin: false,
+            shutdown_requested: false,
             dead: false,
             next_seq: 1,
             metrics,

@@ -440,7 +440,7 @@ pub fn from_wire(records: &[WireRecord]) -> Vec<EvalRecord> {
 impl Serialize for WireRecord {
     fn to_value(&self) -> serde::Value {
         serde::Value::Arr(vec![
-            serde::Value::Num(self.0.index as f64),
+            self.0.index.to_value(),
             serde::Value::Str(format!("{:016x}", self.0.speedup.to_bits())),
             serde::Value::Str(format!("{:016x}", self.0.cores.to_bits())),
             serde::Value::Str(format!("{:016x}", self.0.area.to_bits())),
@@ -454,10 +454,7 @@ impl Deserialize for WireRecord {
         if arr.len() != 4 {
             return Err(serde::Error::new("wire record must have 4 elements"));
         }
-        let index = arr[0]
-            .as_f64()
-            .ok_or_else(|| serde::Error::new("wire record index must be a number"))?
-            as usize;
+        let index = usize::from_value(&arr[0])?;
         let mut bits = [0u64; 3];
         for (slot, value) in bits.iter_mut().zip(&arr[1..]) {
             let hex =
@@ -685,10 +682,6 @@ struct FrameSpan {
 /// [`encode_chunk_frame`] never grows its buffer.
 pub const MAX_FRAME_HEADER: usize = 96;
 
-/// Whole numbers below this travel as plain JSON integers; from here on the
-/// workspace's JSON printer spells them through `f64`.
-const EXACT_INTEGERS: u64 = 1 << 53;
-
 /// Append one sweep chunk to `out` as a frame (module docs, § Chunk frames):
 /// the header line, then `records.len() × FRAME_RECORD_BYTES` payload bytes.
 /// Every byte is written once, straight behind what `out` already holds; a
@@ -702,16 +695,10 @@ const EXACT_INTEGERS: u64 = 1 << 53;
 pub fn encode_chunk_frame(out: &mut Vec<u8>, id: u64, start: usize, records: &[EvalRecord]) {
     out.reserve(MAX_FRAME_HEADER + records.len() * FRAME_RECORD_BYTES);
     let count = records.len();
-    if [id, start as u64, count as u64].iter().all(|&n| n < EXACT_INTEGERS) {
-        use std::io::Write;
-        // `encode_line`'s bytes for these integers, without its value tree.
-        writeln!(out, "{{\"id\":{id},\"frame\":{{\"start\":{start},\"count\":{count}}}}}")
-            .expect("writing to a Vec cannot fail");
-    } else {
-        let header = FrameHeader { id, frame: FrameSpan { start, count } };
-        out.extend_from_slice(encode_line(&header).as_bytes());
-        out.push(b'\n');
-    }
+    use std::io::Write;
+    // `encode_line`'s bytes for this header, without its value tree.
+    writeln!(out, "{{\"id\":{id},\"frame\":{{\"start\":{start},\"count\":{count}}}}}")
+        .expect("writing to a Vec cannot fail");
     for (offset, record) in records.iter().enumerate() {
         assert_eq!(
             record.index,
@@ -732,28 +719,23 @@ fn frame_word(raw: &[u8]) -> f64 {
 }
 
 /// Parse a plain non-negative decimal integer prefix (the only form the
-/// compact printer emits for ids, starts, counts and indices).
-fn take_integer(s: &str) -> Option<(u128, &str)> {
+/// compact printer emits for ids, starts, counts and indices). A value past
+/// `usize` is declined, so the generic parser reports it.
+fn take_integer(s: &str) -> Option<(usize, &str)> {
     let bytes = s.as_bytes();
     let mut end = 0;
-    let mut value: u128 = 0;
+    let mut value: usize = 0;
     while end < bytes.len() && bytes[end].is_ascii_digit() {
-        value = value.checked_mul(10)?.checked_add((bytes[end] - b'0') as u128)?;
+        value = value.checked_mul(10)?.checked_add((bytes[end] - b'0') as usize)?;
         end += 1;
     }
-    // Reject empty matches, and any value past f64's exact-integer range —
-    // the generic path round-trips numbers through f64, so the fast path
-    // only accepts what both paths decode identically.
-    if end == 0 || value >= (1u128 << 53) {
-        return None;
-    }
-    Some((value, &s[end..]))
+    (end > 0).then_some((value, &s[end..]))
 }
 
-/// A frame header spelled exactly as [`encode_chunk_frame`] spells one with
-/// integers below 2^53, read without building a value tree; `None` for
-/// anything else, which then takes the generic parser — so this can decline
-/// a header, never misread one.
+/// A frame header spelled exactly as [`encode_chunk_frame`] spells one,
+/// read without building a value tree; `None` for anything else, which then
+/// takes the generic parser — so this can decline a header, never misread
+/// one.
 fn decode_frame_header(line: &str) -> Option<FrameHeader> {
     let rest = line.strip_prefix("{\"id\":")?;
     let (id, rest) = take_integer(rest)?;
@@ -761,10 +743,7 @@ fn decode_frame_header(line: &str) -> Option<FrameHeader> {
     let (start, rest) = take_integer(rest)?;
     let rest = rest.strip_prefix(",\"count\":")?;
     let (count, rest) = take_integer(rest)?;
-    (rest == "}}").then_some(FrameHeader {
-        id: id as u64,
-        frame: FrameSpan { start: start as usize, count: count as usize },
-    })
+    (rest == "}}").then_some(FrameHeader { id: id as u64, frame: FrameSpan { start, count } })
 }
 
 /// One response line: an envelope, or the header of a frame whose payload
@@ -984,28 +963,11 @@ impl Iterator for ResponseDecoder {
 
 // ---------------------------------------------------------------------------
 // The text chunk codec. Retired from the wire in mp-serve/6 (chunks travel as
-// frames, see `encode_chunk_frame`); delete `push_number`,
-// `encode_chunk_line`, `decode_chunk_line` and `take_hex_field` when ROADMAP
-// item 1(a) unpins them — layerbench times the
-// two public ones by name. Until then they are the frame codec's test oracle.
+// frames, see `encode_chunk_frame`); delete `encode_chunk_line`,
+// `decode_chunk_line` and `take_hex_field` when ROADMAP item 1(a) unpins
+// them — layerbench times the two public ones by name. Until then they are
+// the frame codec's test oracle.
 // ---------------------------------------------------------------------------
-
-/// Replicate the workspace JSON printer's number formatting exactly (whole
-/// numbers as integers, otherwise shortest round-trip), appending without
-/// intermediate allocation. Byte-identity with [`encode_line`] is what lets
-/// the fast chunk path below coexist with the generic one.
-fn push_number(out: &mut String, n: f64) {
-    use std::fmt::Write;
-    if !n.is_finite() {
-        out.push_str("null");
-    } else if n == 0.0 {
-        out.push_str(if n.is_sign_negative() { "-0.0" } else { "0" });
-    } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
 
 /// **Retired from the wire in `mp-serve/6`** (see [`encode_chunk_frame`]);
 /// kept, signature unchanged, for layerbench and as the frame codec's test
@@ -1021,20 +983,18 @@ pub fn encode_chunk_line(id: u64, start: usize, records: &[EvalRecord]) -> Strin
     use std::fmt::Write;
     // ~64 bytes of fixed framing + ~70 bytes per encoded record.
     let mut out = String::with_capacity(80 + records.len() * 72);
-    out.push_str("{\"id\":");
-    push_number(&mut out, id as f64);
-    out.push_str(",\"response\":{\"SweepChunk\":{\"start\":");
-    push_number(&mut out, start as f64);
-    out.push_str(",\"records\":[");
+    let _ = write!(
+        out,
+        "{{\"id\":{id},\"response\":{{\"SweepChunk\":{{\"start\":{start},\"records\":["
+    );
     for (offset, record) in records.iter().enumerate() {
         if offset > 0 {
             out.push(',');
         }
-        out.push('[');
-        push_number(&mut out, record.index as f64);
         let _ = write!(
             out,
-            ",\"{:016x}\",\"{:016x}\",\"{:016x}\"]",
+            "[{},\"{:016x}\",\"{:016x}\",\"{:016x}\"]",
+            record.index,
             record.speedup.to_bits(),
             record.cores.to_bits(),
             record.area.to_bits(),
@@ -1066,7 +1026,7 @@ pub fn decode_chunk_line(line: &str) -> Option<ResponseEnvelope> {
         }
         return Some(ResponseEnvelope {
             id: id as u64,
-            response: Response::SweepChunk { start: start as usize, records },
+            response: Response::SweepChunk { start, records },
         });
     }
     loop {
@@ -1077,7 +1037,7 @@ pub fn decode_chunk_line(line: &str) -> Option<ResponseEnvelope> {
         let (area, body) = take_hex_field(body)?;
         let body = body.strip_prefix(']')?;
         records.push(WireRecord(EvalRecord {
-            index: index as usize,
+            index,
             speedup: f64::from_bits(speedup),
             cores: f64::from_bits(cores),
             area: f64::from_bits(area),
@@ -1090,7 +1050,7 @@ pub fn decode_chunk_line(line: &str) -> Option<ResponseEnvelope> {
                 }
                 return Some(ResponseEnvelope {
                     id: id as u64,
-                    response: Response::SweepChunk { start: start as usize, records },
+                    response: Response::SweepChunk { start, records },
                 });
             }
             _ => return None,
@@ -1465,8 +1425,10 @@ mod tests {
     #[test]
     fn frame_headers_are_checked_before_they_are_believed() {
         for (header, why) in [
-            ("{\"id\":1,\"frame\":{\"start\":0,\"count\":1e300}}", "overflows"),
-            ("{\"id\":1,\"frame\":{\"start\":1e300,\"count\":2}}", "overflows"),
+            ("{\"id\":1,\"frame\":{\"start\":0,\"count\":18446744073709551615}}", "overflows"),
+            ("{\"id\":1,\"frame\":{\"start\":18446744073709551615,\"count\":2}}", "overflows"),
+            ("{\"id\":1,\"frame\":{\"start\":0,\"count\":1e300}}", "integer"),
+            ("{\"id\":1,\"frame\":{\"start\":-1,\"count\":2}}", "range"),
             ("{\"id\":1,\"frame\":{\"start\":0}}", "count"),
             ("{\"id\":1,\"frame\":7}", "expected"),
             ("{\"id\":1,\"frame\":{\"start\":0,\"count\":2}", "expected `,` or `}`"),
@@ -1504,12 +1466,13 @@ mod tests {
 
     #[test]
     fn chunk_frames_are_byte_identical_to_the_reference_encoder() {
-        let exact = EXACT_INTEGERS as usize;
+        // Integers from 2^53 on are the ones an `f64` could not carry.
+        let exact = 1usize << 53;
         for (id, start, count) in [
             (1u64, 0usize, 0usize),
             (7, 8192, 8192),
-            (EXACT_INTEGERS - 1, exact - 40, 39),
-            (EXACT_INTEGERS, 5, 3),
+            (exact as u64 - 1, exact - 40, 39),
+            (exact as u64 + 1, 5, 3),
             (u64::MAX, exact, 2),
             (3, usize::MAX - 2, 2),
         ] {
@@ -1586,7 +1549,7 @@ mod tests {
             "{\"id\":1,\"response\":{\"Pong\":{\"version\":\"x\"}}}",
             "{\"id\":1,\"response\":{\"SweepChunk\":{\"start\":0,\"records\":[[1,\"00\",\"00\",\"00\"]]}}}",
             "{\"id\":1,\"response\":{\"SweepChunk\":{\"start\":0,\"records\":[]}}} trailing",
-            "{\"id\":18446744073709551615,\"response\":{\"SweepChunk\":{\"start\":0,\"records\":[]}}}",
+            "{\"id\":18446744073709551616,\"response\":{\"SweepChunk\":{\"start\":0,\"records\":[]}}}",
         ] {
             assert!(decode_chunk_line(line).is_none(), "must decline: {line}");
         }

@@ -462,10 +462,7 @@ impl EventLoop {
             _ => return,
         }
         conn.enqueue(done.bytes);
-        if done.shutdown {
-            conn.close_after_flush = true;
-            conn.shutdown_origin = true;
-        }
+        conn.shutdown_requested |= done.shutdown;
         let terminal = done.next.is_none();
         conn.inflight = match done.next {
             Some((id, ticket)) => InFlight::Parked { id, ticket, decode_ns: done.decode_ns },
@@ -557,8 +554,8 @@ impl EventLoop {
         // A connection that failed, flushed its shutdown acknowledgement or
         // has nothing left to do closes; closing the one that sent
         // `shutdown` stops the server.
-        if conn.dead || (conn.close_after_flush && conn.pending_out() == 0) || conn.drained() {
-            self.stop |= conn.shutdown_origin;
+        if conn.dead || (conn.shutdown_requested && conn.pending_out() == 0) || conn.drained() {
+            self.stop |= conn.shutdown_requested;
             self.close(token);
         }
     }

@@ -8,10 +8,21 @@
 //! those shapes (including the scaled variants of Table IV), deterministically
 //! from a seed so every experiment is reproducible.
 
+use mp_model::params::DatasetVariant;
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// Generator seed of the kmeans and fuzzy data sets.
+const CLUSTER_SEED: u64 = 0x5EED;
+
+/// Generator seed of the hop particle sets.
+const HOP_SEED: u64 = 0x401;
+
+/// Number of blobs hop's particles are drawn around (Table IV gives hop no
+/// `C`).
+pub const HOP_BLOBS: usize = 16;
 
 /// Shape and seed of a synthetic data set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,34 +43,13 @@ impl DatasetSpec {
         DatasetSpec { points, dims, clusters, seed }
     }
 
-    /// The paper's `kmeans-base` / `fuzzy-base` shape (N = 17 695, D = 9, C = 8).
-    pub fn base() -> Self {
-        DatasetSpec::new(17_695, 9, 8, 0x5EED)
-    }
-
-    /// Table IV `*-dim` variant: doubled dimensionality.
-    pub fn dim_scaled() -> Self {
-        DatasetSpec::new(17_695, 18, 8, 0x5EED)
-    }
-
-    /// Table IV `*-point` variant: doubled point count (at 18 dimensions).
-    pub fn point_scaled() -> Self {
-        DatasetSpec::new(35_390, 18, 8, 0x5EED)
-    }
-
-    /// Table IV `*-center` variant: 32 cluster centres (at 18 dimensions).
-    pub fn center_scaled() -> Self {
-        DatasetSpec::new(17_695, 18, 32, 0x5EED)
-    }
-
-    /// The paper's `hop-default` shape (61 440 particles in 3-D space).
-    pub fn hop_default() -> Self {
-        DatasetSpec::new(61_440, 3, 16, 0x401)
-    }
-
-    /// The paper's `hop-med` shape (491 520 particles in 3-D space).
-    pub fn hop_medium() -> Self {
-        DatasetSpec::new(491_520, 3, 16, 0x401)
+    /// The data set of a Table IV row: its `N`, `D` and `C` (for hop,
+    /// [`HOP_BLOBS`] blobs), generated from the application's seed.
+    pub fn from_variant(row: &DatasetVariant) -> Self {
+        match row.application.as_str() {
+            "hop" => DatasetSpec::new(row.points, row.dims, HOP_BLOBS, HOP_SEED),
+            _ => DatasetSpec::new(row.points, row.dims, row.centers, CLUSTER_SEED),
+        }
     }
 
     /// A small shape for unit tests and doc examples.
@@ -192,30 +182,6 @@ impl Dataset {
     pub fn true_centers(&self) -> &[f64] {
         &self.true_centers
     }
-
-    /// Squared Euclidean distance between point `i` and an arbitrary
-    /// `dims`-long coordinate slice.
-    pub fn distance2_to(&self, i: usize, coords: &[f64]) -> f64 {
-        debug_assert_eq!(coords.len(), self.dims());
-        self.point(i)
-            .iter()
-            .zip(coords.iter())
-            .map(|(a, b)| {
-                let d = a - b;
-                d * d
-            })
-            .sum()
-    }
-}
-
-/// Named Table IV data-set variants for kmeans/fuzzy sensitivity experiments.
-pub fn table4_specs() -> Vec<(&'static str, DatasetSpec)> {
-    vec![
-        ("base", DatasetSpec::base()),
-        ("dim", DatasetSpec::dim_scaled()),
-        ("point", DatasetSpec::point_scaled()),
-        ("center", DatasetSpec::center_scaled()),
-    ]
 }
 
 #[cfg(test)]
@@ -250,18 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn base_spec_matches_paper_attributes() {
-        let s = DatasetSpec::base();
-        assert_eq!((s.points, s.dims, s.clusters), (17_695, 9, 8));
-        let s = DatasetSpec::point_scaled();
-        assert_eq!((s.points, s.dims, s.clusters), (35_390, 18, 8));
-        let s = DatasetSpec::center_scaled();
-        assert_eq!((s.points, s.dims, s.clusters), (17_695, 18, 32));
-        assert_eq!(DatasetSpec::hop_default().points, 61_440);
-        assert_eq!(DatasetSpec::hop_medium().points, 491_520);
-    }
-
-    #[test]
     fn points_cluster_near_their_generating_centre() {
         let ds = DatasetSpec::new(2000, 4, 4, 42).generate();
         // Each point should be closer to its own generating centre than to the
@@ -269,10 +223,10 @@ mod tests {
         let mut closer = 0usize;
         for i in 0..ds.len() {
             let own = ds.labels()[i];
-            let own_d = ds.distance2_to(i, &ds.true_centers()[own * 4..(own + 1) * 4]);
+            let own_d = distance2_to(&ds, i, &ds.true_centers()[own * 4..(own + 1) * 4]);
             let min_other = (0..ds.clusters())
                 .filter(|&c| c != own)
-                .map(|c| ds.distance2_to(i, &ds.true_centers()[c * 4..(c + 1) * 4]))
+                .map(|c| distance2_to(&ds, i, &ds.true_centers()[c * 4..(c + 1) * 4]))
                 .fold(f64::MAX, f64::min);
             if own_d < min_other {
                 closer += 1;
@@ -285,7 +239,7 @@ mod tests {
     fn distance_is_zero_to_itself() {
         let ds = DatasetSpec::tiny().generate();
         for i in [0usize, 5, 100] {
-            assert_eq!(ds.distance2_to(i, ds.point(i)), 0.0);
+            assert_eq!(distance2_to(&ds, i, ds.point(i)), 0.0);
         }
     }
 
@@ -301,10 +255,8 @@ mod tests {
         DatasetSpec::new(3, 2, 5, 0).generate();
     }
 
-    #[test]
-    fn table4_specs_cover_four_variants() {
-        let specs = table4_specs();
-        assert_eq!(specs.len(), 4);
-        assert_eq!(specs[0].0, "base");
+    /// Squared Euclidean distance between point `i` of `ds` and `coords`.
+    fn distance2_to(ds: &Dataset, i: usize, coords: &[f64]) -> f64 {
+        ds.point(i).iter().zip(coords).map(|(a, b)| (a - b) * (a - b)).sum()
     }
 }

@@ -64,7 +64,7 @@ enum AppConfig {
 
 /// A fully configured clustering job: an application, its configuration and a
 /// data set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringWorkload {
     config: AppConfig,
     dataset: Dataset,

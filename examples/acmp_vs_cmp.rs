@@ -9,7 +9,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use merging_phases::model::explore::{
-    asymmetric_curve_comm, best_asymmetric, best_symmetric, symmetric_curve_comm,
+    asymmetric_curve, best_asymmetric, best_symmetric, symmetric_curve,
 };
 use merging_phases::model::params::AppClass;
 use merging_phases::prelude::*;
@@ -59,12 +59,12 @@ fn write_report(out: &mut impl Write) -> io::Result<()> {
         high_reduction_overhead: true,
     };
     let comm = CommModel::paper_figure7(class.params()).unwrap();
-    let sym = symmetric_curve_comm(&comm, budget, "symmetric").unwrap();
+    let sym = symmetric_curve(&comm, budget, "symmetric").unwrap();
     let sym_peak = sym.peak().unwrap();
     let asym_peaks: Vec<(f64, f64)> = [1.0, 4.0, 16.0]
         .iter()
         .map(|&r| {
-            let c = asymmetric_curve_comm(&comm, budget, r, format!("r={r}")).unwrap();
+            let c = asymmetric_curve(&comm, budget, r, format!("r={r}")).unwrap();
             (r, c.peak().unwrap().speedup)
         })
         .collect();

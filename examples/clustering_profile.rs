@@ -5,13 +5,14 @@
 //!
 //! ```text
 //! cargo run --release --example clustering_profile -- [points] [dims] [clusters]
-//! cargo run --release --example clustering_profile -- 17695 9 8
+//! cargo run --release --example clustering_profile -- 4000 18 32
 //! ```
 
 use std::io::{self, Write};
 use std::process::ExitCode;
 
 use merging_phases::model::explore::best_symmetric;
+use merging_phases::model::params::DatasetVariant;
 use merging_phases::prelude::*;
 use merging_phases::workloads::runner::{default_thread_sweep, run_sweep};
 
@@ -28,11 +29,11 @@ fn main() -> ExitCode {
 
 fn write_report(out: &mut impl Write) -> io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let points: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(17_695);
-    let dims: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(9);
-    let clusters: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
+    let arg = |i: usize, default| args.get(i).and_then(|s| s.parse().ok()).unwrap_or(default);
+    let base = DatasetSpec::from_variant(&DatasetVariant::table4("kmeans-base"));
+    let (points, dims, clusters) = (arg(0, base.points), arg(1, base.dims), arg(2, base.clusters));
 
-    let spec = DatasetSpec::new(points, dims, clusters, 0x5EED);
+    let spec = DatasetSpec { points, dims, clusters, ..base };
     writeln!(out, "generating data set: N = {points}, D = {dims}, C = {clusters}")?;
     let data = spec.generate();
 

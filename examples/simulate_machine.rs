@@ -12,6 +12,7 @@ use std::process::ExitCode;
 use merging_phases::cmpsim::{
     fuzzy_program, hop_program, kmeans_program, simulate, Machine, WorkloadShape,
 };
+use merging_phases::model::params::DatasetVariant;
 use merging_phases::model::phase::PhaseKind;
 use merging_phases::par::ReductionStrategy;
 
@@ -31,10 +32,11 @@ fn write_report(out: &mut impl Write) -> io::Result<()> {
     let app = args.first().map(String::as_str).unwrap_or("kmeans").to_string();
     let cores: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
 
+    let shape = |label| WorkloadShape::from_variant(&DatasetVariant::table4(label));
     let program = match app.as_str() {
-        "kmeans" => kmeans_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
-        "fuzzy" => fuzzy_program(&WorkloadShape::kmeans_base(), ReductionStrategy::SerialLinear),
-        "hop" => hop_program(&WorkloadShape::hop_default(), ReductionStrategy::SerialLinear, 4),
+        "kmeans" => kmeans_program(&shape("kmeans-base"), ReductionStrategy::SerialLinear),
+        "fuzzy" => fuzzy_program(&shape("fuzzy-base"), ReductionStrategy::SerialLinear),
+        "hop" => hop_program(&shape("hop-default"), ReductionStrategy::SerialLinear, 4),
         other => {
             eprintln!("unknown application `{other}` (expected kmeans, fuzzy or hop)");
             std::process::exit(1);

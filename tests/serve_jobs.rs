@@ -433,9 +433,7 @@ fn a_restored_window_near_usize_max_is_one_window_to_the_range_end() {
         JobManager::new(Arc::clone(&service), Some(store.0.clone()), test_config(1)).unwrap();
     let restored = manager.status("j7").expect("the manifest restores");
     assert_eq!(restored.state, "suspended");
-    // The manifest's JSON reads every number as an `f64`, so a window above
-    // 2^53 comes back rounded: `usize::MAX - 7` reads as `usize::MAX`.
-    assert!(restored.window >= usize::MAX - 7, "{restored:?}");
+    assert_eq!(restored.window, usize::MAX - 7, "{restored:?}");
     assert_eq!(restored.windows_total, 1);
     manager.resume("j7").unwrap();
     let done = wait_for(&manager, "j7", Duration::from_secs(30), |s| s.is_settled());

@@ -543,6 +543,49 @@ fn a_non_positive_budget_is_refused_and_the_server_keeps_answering() {
     serving.join().unwrap();
 }
 
+/// A number the request's field cannot hold exactly — a negative `start`,
+/// a fractional `id` — is refused with an error, never coerced, and the
+/// server answers on.
+#[test]
+fn a_negative_start_or_a_fractional_id_is_refused() {
+    let (endpoint, serving) = small_server();
+    let space = ScenarioSpace::new().clear_designs().add_symmetric_grid([1.0, 2.0]);
+    let sweep = encode_line(&RequestEnvelope {
+        id: 1,
+        request: Request::Sweep { space: SpaceSpec::Explicit(space), start: 5, end: 6, chunk: 1 },
+    });
+    let ping = encode_line(&RequestEnvelope { id: 1, request: Request::Ping });
+    let mut socket = raw_connection(&endpoint);
+    let negative_start = sweep.replacen("\"start\":5", "\"start\":-5", 1);
+    let fractional_id = ping.replacen("\"id\":1", "\"id\":1.5", 1);
+    assert!(negative_start.contains(":-5,") && fractional_id.contains(":1.5,"));
+    for line in [negative_start, fractional_id] {
+        socket.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let answer = read_response(&mut socket);
+        assert!(matches!(answer.response, Response::Error { .. }), "{line}: {answer:?}");
+    }
+    socket.write_all(format!("{ping}\n").as_bytes()).unwrap();
+    assert!(matches!(read_response(&mut socket).response, Response::Pong { .. }));
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    serving.join().unwrap();
+}
+
+/// An id above 2^53, which an `f64` would round, comes back exactly.
+#[test]
+fn an_id_past_two_to_the_53_comes_back_exactly() {
+    let (endpoint, serving) = small_server();
+    let id = (1u64 << 53) + 1;
+    let ping = encode_line(&RequestEnvelope { id, request: Request::Ping });
+    assert!(ping.contains(&id.to_string()), "{ping}");
+    let mut socket = raw_connection(&endpoint);
+    socket.write_all(format!("{ping}\n").as_bytes()).unwrap();
+    let answer = read_response(&mut socket);
+    assert_eq!(answer.id, id);
+    assert!(matches!(answer.response, Response::Pong { .. }), "{answer:?}");
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    serving.join().unwrap();
+}
+
 /// A client that half-closes after a last line without its `\n` gets that
 /// line answered like any other — a whole request its reply, a fragment the
 /// id-0 parse error, a blank tail nothing — and then end of stream: the
